@@ -2,6 +2,8 @@
 //! world root from gathered facts and broadcast, so time is a pure
 //! function of the plan and never of thread scheduling.
 
+use std::sync::LazyLock;
+
 use mccio_net::{Ctx, RankSet};
 use mccio_obs::{AttrValue, ENGINE_TRACK};
 use mccio_pfs::{RetryLog, ServiceReport};
@@ -11,6 +13,10 @@ use mccio_sim::time::VDuration;
 use super::env::IoEnv;
 use super::prologue::mark_fault_events;
 use super::wire::{decode_facts, encode_facts};
+
+/// Whether `MCCIO_TRACE` asks for one stderr line per priced round;
+/// read once per process.
+static TRACE_ROUNDS: LazyLock<bool> = LazyLock::new(|| std::env::var_os("MCCIO_TRACE").is_some());
 
 /// Gathers every rank's round facts at the world root, prices the round,
 /// broadcasts the duration, and advances every rank's clock by it.
@@ -177,7 +183,7 @@ pub(super) fn settle_round(
                 obs.counter_add(mccio_obs::INTEGRITY_VERIFIED, integrity);
             }
         }
-        if std::env::var_os("MCCIO_TRACE").is_some() {
+        if *TRACE_ROUNDS {
             eprintln!(
                 "[mccio round] {} flows={} vol={}B reqs={} sync={} shuffle={} storage={} assembly={} backoff={} faults={}",
                 if is_write { "write" } else { "read" },

@@ -643,10 +643,7 @@ impl Ctx {
 
     /// Blocks for a message from `src` with `tag`; returns the payload.
     pub fn recv(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let env = self.recv_matched(Pattern {
-            src: Some(src),
-            tag,
-        });
+        let env = self.recv_matched(Pattern { src, tag });
         self.settle(&env);
         env.payload.into_vec()
     }
@@ -656,20 +653,9 @@ impl Ctx {
     /// never copied and its identity can key per-world decode caches.
     /// Clock and traffic behave exactly like [`Ctx::recv`].
     pub fn recv_shared(&mut self, src: usize, tag: u32) -> Arc<[u8]> {
-        let env = self.recv_matched(Pattern {
-            src: Some(src),
-            tag,
-        });
+        let env = self.recv_matched(Pattern { src, tag });
         self.settle(&env);
         env.payload.into_shared()
-    }
-
-    /// Blocks for a message with `tag` from any source; returns
-    /// `(src, payload)`.
-    pub fn recv_any(&mut self, tag: u32) -> (usize, Vec<u8>) {
-        let env = self.recv_matched(Pattern { src: None, tag });
-        self.settle(&env);
-        (env.src, env.payload.into_vec())
     }
 
     /// Deadline-bounded receive from `src`: the failure-detection
@@ -690,10 +676,7 @@ impl Ctx {
     /// # Errors
     /// [`SimError::RankFailed`] when no matching message arrived.
     pub fn recv_deadline(&mut self, src: usize, tag: u32, deadline: VTime) -> SimResult<Vec<u8>> {
-        let pattern = Pattern {
-            src: Some(src),
-            tag,
-        };
+        let pattern = Pattern { src, tag };
         let got = match &self.task {
             None => {
                 const DETECT_WALL_BUDGET: std::time::Duration = std::time::Duration::from_millis(2);
@@ -864,28 +847,6 @@ mod tests {
         });
         let (healthy, thrashed) = r[0];
         assert!((thrashed / healthy - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn recv_any_reports_source() {
-        for kind in BOTH {
-            let w = world_with(1, 4, 4, kind);
-            let r = w.run(|ctx| {
-                if ctx.rank() == 0 {
-                    let mut seen = Vec::new();
-                    for _ in 0..3 {
-                        let (src, _) = ctx.recv_any(7);
-                        seen.push(src);
-                    }
-                    seen.sort_unstable();
-                    seen
-                } else {
-                    ctx.send(0, 7, vec![ctx.rank() as u8]);
-                    vec![]
-                }
-            });
-            assert_eq!(r[0], vec![1, 2, 3]);
-        }
     }
 
     #[test]

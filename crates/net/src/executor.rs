@@ -674,7 +674,7 @@ fn deadlock_panic(rt: &EventRt) -> ! {
         .enumerate()
         .filter_map(|(rank, s)| match &s.state {
             TaskState::Blocked { pattern, .. } => Some(format!(
-                "rank {rank} waiting on (src {:?}, tag {:#x})",
+                "rank {rank} waiting on (src {}, tag {:#x})",
                 pattern.src, pattern.tag
             )),
             _ => None,

@@ -23,8 +23,7 @@
 //!   experiments can report shuffle volumes and per-node NIC pressure.
 //!
 //! Message matching follows MPI semantics: receives match on
-//! `(source, tag)` with non-overtaking order per pair, and `ANY_SOURCE`
-//! receives take the earliest delivered match.
+//! `(source, tag)` with non-overtaking order per pair.
 
 #![warn(missing_docs)]
 

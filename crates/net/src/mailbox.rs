@@ -7,16 +7,15 @@
 //! *earliest delivered* match, giving MPI's non-overtaking guarantee for
 //! messages with the same source and tag.
 //!
-//! Matching is O(log n) in queued messages rather than a linear scan:
-//! flat collectives funnel `n - 1` messages through the root's mailbox,
-//! so at 10k+ ranks a scan per receive turns every barrier into an
-//! O(n²) hot spot. Exact `(src, tag)` receives hit a per-pair FIFO
-//! directly; `ANY_SOURCE` receives consult a per-tag index ordered by
-//! delivery sequence. Empty per-pair queues are dropped eagerly, so a
+//! Matching is one hash lookup rather than a linear scan: flat
+//! collectives funnel `n - 1` messages through the root's mailbox, so at
+//! 10k+ ranks a scan per receive turns every barrier into an O(n²) hot
+//! spot. Every receive names its source, so a per-`(src, tag)` FIFO is
+//! the whole index. Empty per-pair queues are dropped eagerly, so a
 //! mailbox that drained returns its memory instead of holding
 //! high-water-mark capacity for the rest of the run.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use mccio_sim::sync::{Condvar, Mutex};
@@ -114,75 +113,50 @@ pub struct Envelope {
 /// Matching criteria for a receive.
 #[derive(Debug, Clone, Copy)]
 pub struct Pattern {
-    /// Required source rank, or `None` for MPI_ANY_SOURCE semantics.
-    pub src: Option<usize>,
+    /// Required source rank.
+    pub src: usize,
     /// Required tag.
     pub tag: u32,
 }
 
 #[derive(Debug, Default)]
 struct Queue {
-    /// Per-(src, tag) FIFO of `(delivery seq, envelope)`.
-    by_pair: HashMap<(usize, u32), VecDeque<(u64, Envelope)>>,
-    /// Per-tag index of queued messages as `(delivery seq, src)`,
-    /// ordered so ANY_SOURCE takes the earliest delivered match.
-    by_tag: HashMap<u32, BTreeSet<(u64, usize)>>,
+    /// Per-(src, tag) FIFO of queued envelopes, in delivery order.
+    by_pair: HashMap<(usize, u32), VecDeque<Envelope>>,
     /// Total queued envelopes.
     len: usize,
-    /// Next delivery sequence number.
-    next_seq: u64,
 }
 
 impl Queue {
     fn push(&mut self, env: Envelope) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.by_tag
-            .entry(env.tag)
-            .or_default()
-            .insert((seq, env.src));
         self.by_pair
             .entry((env.src, env.tag))
             .or_default()
-            .push_back((seq, env));
+            .push_back(env);
         self.len += 1;
     }
 
-    /// The earliest-delivered queued match, if any, as `(src, tag)`.
-    fn find(&self, pattern: Pattern) -> Option<(usize, u32)> {
-        match pattern.src {
-            Some(src) => self
-                .by_pair
-                .contains_key(&(src, pattern.tag))
-                .then_some((src, pattern.tag)),
-            None => self
-                .by_tag
-                .get(&pattern.tag)
-                .and_then(|set| set.iter().next())
-                .map(|&(_, src)| (src, pattern.tag)),
-        }
+    fn contains(&self, pattern: Pattern) -> bool {
+        self.by_pair.contains_key(&(pattern.src, pattern.tag))
     }
 
-    /// Removes the FIFO head for `key`; `key` must come from `find`.
-    fn pop(&mut self, key: (usize, u32)) -> Envelope {
-        let std::collections::hash_map::Entry::Occupied(mut entry) = self.by_pair.entry(key) else {
-            unreachable!("pop without find");
+    /// Removes the earliest delivered match, dropping its FIFO once it
+    /// drains.
+    fn take(&mut self, pattern: Pattern) -> Option<Envelope> {
+        let std::collections::hash_map::Entry::Occupied(mut entry) =
+            self.by_pair.entry((pattern.src, pattern.tag))
+        else {
+            return None;
         };
-        let (seq, env) = entry.get_mut().pop_front().expect("find returned the key");
+        let env = entry
+            .get_mut()
+            .pop_front()
+            .expect("queued FIFOs are non-empty");
         if entry.get().is_empty() {
             entry.remove();
         }
-        let tag_set = self.by_tag.get_mut(&key.1).expect("index in sync");
-        tag_set.remove(&(seq, key.0));
-        if tag_set.is_empty() {
-            self.by_tag.remove(&key.1);
-        }
         self.len -= 1;
-        env
-    }
-
-    fn take(&mut self, pattern: Pattern) -> Option<Envelope> {
-        self.find(pattern).map(|key| self.pop(key))
+        Some(env)
     }
 }
 
@@ -257,7 +231,7 @@ impl Mailbox {
     /// The event scheduler's wakeup predicate.
     #[must_use]
     pub fn has_match(&self, pattern: Pattern) -> bool {
-        self.queue.lock().find(pattern).is_some()
+        self.queue.lock().contains(pattern)
     }
 
     /// Number of queued (unmatched) messages; used by shutdown checks to
@@ -289,26 +263,11 @@ mod tests {
         mb.deliver(env(1, 10, b'a'));
         mb.deliver(env(2, 10, b'b'));
         mb.deliver(env(1, 20, b'c'));
-        let got = mb.recv(Pattern {
-            src: Some(2),
-            tag: 10,
-        });
+        let got = mb.recv(Pattern { src: 2, tag: 10 });
         assert_eq!(got.payload.as_slice(), b"b");
-        let got = mb.recv(Pattern {
-            src: Some(1),
-            tag: 20,
-        });
+        let got = mb.recv(Pattern { src: 1, tag: 20 });
         assert_eq!(got.payload.as_slice(), b"c");
         assert_eq!(mb.pending(), 1);
-    }
-
-    #[test]
-    fn any_source_takes_earliest_delivered() {
-        let mb = Mailbox::new();
-        mb.deliver(env(3, 7, b'x'));
-        mb.deliver(env(1, 7, b'y'));
-        let got = mb.recv(Pattern { src: None, tag: 7 });
-        assert_eq!(got.src, 3, "earliest delivery wins under ANY_SOURCE");
     }
 
     #[test]
@@ -318,10 +277,7 @@ mod tests {
             mb.deliver(env(0, 5, b));
         }
         for expect in [b'1', b'2', b'3'] {
-            let got = mb.recv(Pattern {
-                src: Some(0),
-                tag: 5,
-            });
+            let got = mb.recv(Pattern { src: 0, tag: 5 });
             assert_eq!(got.payload.into_vec(), vec![expect]);
         }
     }
@@ -329,27 +285,21 @@ mod tests {
     #[test]
     fn try_recv_does_not_block() {
         let mb = Mailbox::new();
-        assert!(mb.try_recv(Pattern { src: None, tag: 1 }).is_none());
+        assert!(mb.try_recv(Pattern { src: 0, tag: 1 }).is_none());
         mb.deliver(env(0, 1, b'z'));
-        assert!(mb.try_recv(Pattern { src: None, tag: 1 }).is_some());
-        assert!(mb.try_recv(Pattern { src: None, tag: 1 }).is_none());
+        assert!(mb.try_recv(Pattern { src: 0, tag: 1 }).is_some());
+        assert!(mb.try_recv(Pattern { src: 0, tag: 1 }).is_none());
     }
 
     #[test]
     fn has_match_probes_without_removing() {
         let mb = Mailbox::new();
-        let pat = Pattern {
-            src: Some(4),
-            tag: 2,
-        };
+        let pat = Pattern { src: 4, tag: 2 };
         assert!(!mb.has_match(pat));
         mb.deliver(env(4, 2, b'q'));
         assert!(mb.has_match(pat));
-        assert!(!mb.has_match(Pattern {
-            src: Some(5),
-            tag: 2
-        }));
-        assert!(mb.has_match(Pattern { src: None, tag: 2 }));
+        assert!(!mb.has_match(Pattern { src: 5, tag: 2 }));
+        assert!(!mb.has_match(Pattern { src: 4, tag: 3 }));
         assert_eq!(mb.pending(), 1, "has_match must not consume");
     }
 
@@ -369,10 +319,7 @@ mod tests {
         }
         assert_eq!(Arc::strong_count(&shared), 4, "queued envelopes alias");
         for src in 0..3 {
-            let got = mb.recv(Pattern {
-                src: Some(src),
-                tag: 6,
-            });
+            let got = mb.recv(Pattern { src, tag: 6 });
             assert_eq!(got.payload.into_vec(), b"plan");
         }
         assert_eq!(Arc::strong_count(&shared), 1);
@@ -383,12 +330,15 @@ mod tests {
         let mb = Mailbox::new();
         mb.deliver(env(0, 1, b'a'));
         mb.deliver(env(1, 1, b'b'));
+        mb.deliver(env(0, 2, b'x'));
         mb.deliver(env(0, 1, b'c'));
-        // ANY_SOURCE drains in delivery order across sources.
-        let order: Vec<u8> = (0..3)
-            .map(|_| mb.recv(Pattern { src: None, tag: 1 }).payload.into_vec()[0])
+        // Each (src, tag) pair drains in its own delivery order,
+        // whatever order the pairs are received in.
+        let order: Vec<u8> = [(1, 1), (0, 1), (0, 2), (0, 1)]
+            .into_iter()
+            .map(|(src, tag)| mb.recv(Pattern { src, tag }).payload.into_vec()[0])
             .collect();
-        assert_eq!(order, b"abc");
+        assert_eq!(order, b"baxc");
         assert_eq!(mb.pending(), 0);
     }
 
@@ -396,13 +346,13 @@ mod tests {
     fn recv_budgeted_expires_and_delivers() {
         let mb = Mailbox::new();
         let got = mb.recv_budgeted(
-            Pattern { src: None, tag: 4 },
+            Pattern { src: 2, tag: 4 },
             std::time::Duration::from_millis(5),
         );
         assert!(got.is_none(), "empty mailbox: budget expires");
         mb.deliver(env(2, 4, b'k'));
         let got = mb.recv_budgeted(
-            Pattern { src: None, tag: 4 },
+            Pattern { src: 2, tag: 4 },
             std::time::Duration::from_secs(5),
         );
         assert_eq!(got.unwrap().payload.into_vec(), b"k");
@@ -414,10 +364,7 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
         let handle = std::thread::spawn(move || {
-            let got = mb2.recv(Pattern {
-                src: Some(9),
-                tag: 42,
-            });
+            let got = mb2.recv(Pattern { src: 9, tag: 42 });
             got.payload.into_vec()[0]
         });
         // Deliver a non-matching message first, then the match.

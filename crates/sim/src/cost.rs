@@ -24,8 +24,15 @@
 //! plus the latency of the longest dependency chain. Point-to-point
 //! messages outside collective phases use the simpler [`CostModel::pt2pt`].
 
+use std::sync::LazyLock;
+
 use crate::time::VDuration;
 use crate::topology::{ClusterSpec, Placement};
+
+/// Whether `MCCIO_TRACE_SHUFFLE` asks [`CostModel::shuffle_phase`] to
+/// print its per-node terms to stderr; read once per process.
+static TRACE_SHUFFLE: LazyLock<bool> =
+    LazyLock::new(|| std::env::var_os("MCCIO_TRACE_SHUFFLE").is_some());
 
 /// One directed transfer in a shuffle phase: `bytes` moving from rank
 /// `src` to rank `dst`.
@@ -180,7 +187,7 @@ impl CostModel {
             return VDuration::ZERO;
         }
         let mut serialization = per_flow_floor;
-        let verbose = std::env::var_os("MCCIO_TRACE_SHUFFLE").is_some();
+        let verbose = *TRACE_SHUFFLE;
         for (node, load) in loads.iter().enumerate() {
             let spec = &self.cluster.nodes[node];
             let nic_bytes = load.egress.max(load.ingress);
