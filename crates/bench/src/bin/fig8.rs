@@ -6,7 +6,7 @@
 //! over that sweep; memory-conscious collective I/O improved writes by
 //! 24.3 % and reads by 57.8 % on average.
 //!
-//! Scaled here to 1 MiB per process (1080 rank threads on one host,
+//! Scaled here to 1 MiB per process (1080 rank tasks on one host,
 //! virtual-time measurements); the buffer axis scales alongside.
 //!
 //! ```text

@@ -1,22 +1,24 @@
-//! Rank-scaling benchmark: simulator wall clock vs rank count for both
-//! rank executors, written as JSON (`BENCH_PR8.json`) — the record of
-//! what the discrete-event executor buys at scale.
+//! Rank-scaling benchmark: simulator wall clock vs rank count, written
+//! as JSON (`BENCH_PR8.json`) — the record of what the discrete-event
+//! executor buys at scale.
 //!
 //! Each point runs the memory-conscious strategy on a fig7-shaped
 //! platform (testbed nodes of 12 cores, 8 OSTs, Normal(320 MiB, 64 MiB)
 //! per-node memory, IOR interleaved) with the per-rank volume scaled
 //! down as ranks grow, so the axis measures executor overhead rather
-//! than total data volume. The thread-per-rank oracle runs where one
-//! OS thread per rank is still feasible; wherever both engines run a
-//! point, their virtual times must agree bit for bit.
+//! than total data volume. The 120- and 1008-rank points also run on
+//! one explored rank schedule (`ExecutorKind::Explore`), whose virtual
+//! times must equal the canonical schedule's bit for bit — a
+//! large-rank differential check the unit suites can't afford.
 //!
 //! ```text
 //! cargo run --release -p mccio-bench --bin scale [full|ci|10k|100k|obs|causal] [--obs] [out.json]
 //! ```
 //!
-//! * `full` (default) — 120 / 1008 / 10080 / 100800 ranks, both
-//!   executors up to the thread ceiling; writes the JSON record;
-//! * `ci` — the 1008-rank event-executor smoke, bounded for CI;
+//! * `full` (default) — 120 / 1008 / 10080 / 100800 ranks; writes the
+//!   JSON record;
+//! * `ci` — the 1008-rank smoke with its explored-schedule
+//!   differential, bounded for CI;
 //! * `10k` — the 10080-rank event-executor point alone;
 //! * `100k` — the 100800-rank event-executor point alone (the
 //!   allocation-free hot-path acceptance gate);
@@ -40,7 +42,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use mccio_bench::{paper_pair, run_on, run_on_traced, run_on_traced_faulty, Platform};
+use mccio_bench::{paper_pair, run, run_traced, run_traced_faulty, run_with, Platform};
 use mccio_net::ExecutorKind;
 use mccio_obs::{analyze, report, ObsSink, StreamConfig};
 use mccio_sim::fault::FaultPlan;
@@ -49,50 +51,18 @@ use mccio_sim::time::VDuration;
 use mccio_sim::units::{KIB, MIB};
 use mccio_workloads::Ior;
 
-/// Largest rank count the thread-per-rank oracle is asked to run: one
-/// OS thread per rank stops being feasible long before 10k ranks (stack
-/// reservation and scheduler pressure), which is the point of the event
-/// executor.
-const THREADS_MAX_RANKS: usize = 2048;
-
 /// Counting wrapper around the system allocator (diagnostic; printed
-/// per point so allocation churn regressions are visible in the log).
+/// per point so allocation churn regressions are visible in the log,
+/// and the obs allocation budget is measured with it).
 struct CountingAlloc;
 
-static TRACE_BUCKET: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(usize::MAX);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-static SIZE_HIST: [AtomicU64; 33] = [const { AtomicU64::new(0) }; 33];
-static SIZE_BYTES: [AtomicU64; 33] = [const { AtomicU64::new(0) }; 33];
-
-thread_local! {
-    static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        if layout.size() >= 128 * 1024 {
-            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        let b = (64 - (layout.size() as u64).leading_zeros() as usize).min(32);
-        let n = SIZE_HIST[b].fetch_add(1, Ordering::Relaxed);
-        SIZE_BYTES[b].fetch_add(layout.size() as u64, Ordering::Relaxed);
-        if TRACE_BUCKET.load(Ordering::Relaxed) == b
-            && n % 5_000 == 7
-            && IN_TRACE.with(|f| !f.replace(true))
-        {
-            eprintln!(
-                "--- alloc {} bytes (bucket {b}) ---\n{}",
-                layout.size(),
-                std::backtrace::Backtrace::force_capture()
-            );
-            IN_TRACE.with(|f| f.set(false));
-        }
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -106,12 +76,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        if layout.size() >= 128 * 1024 {
-            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        let b = (64 - (layout.size() as u64).leading_zeros() as usize).min(32);
-        SIZE_HIST[b].fetch_add(1, Ordering::Relaxed);
-        SIZE_BYTES[b].fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -119,26 +83,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-fn dump_size_hist() {
-    for b in 0..33 {
-        let n = SIZE_HIST[b].load(Ordering::Relaxed);
-        if n > 0 {
-            eprintln!(
-                "  size<2^{b:<2} n={n:<10} {} MiB",
-                SIZE_BYTES[b].load(Ordering::Relaxed) / (1024 * 1024)
-            );
-        }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn alloc_snapshot() -> (u64, u64, u64) {
+fn alloc_snapshot() -> (u64, u64) {
     (
         ALLOCS.load(Ordering::Relaxed),
         ALLOC_BYTES.load(Ordering::Relaxed),
-        BIG_ALLOCS.load(Ordering::Relaxed),
     )
 }
 
@@ -149,6 +100,9 @@ struct Point {
     ranks: usize,
     per_rank_kib: u64,
     segments: u64,
+    /// Also run the point on one explored schedule and require
+    /// bit-identical virtual times: affordable up to the 1k points.
+    explore: bool,
 }
 
 fn points(mode: &str) -> Vec<Point> {
@@ -156,6 +110,7 @@ fn points(mode: &str) -> Vec<Point> {
         ranks,
         per_rank_kib,
         segments,
+        explore: ranks <= 1008,
     };
     match mode {
         // The fig7 config, then three decades up it.
@@ -204,11 +159,6 @@ const OBS_MAX_OVERHEAD: f64 = 0.10;
 const OBS_EXEMPLARS: u32 = 8;
 
 fn main() {
-    if let Ok(b) = std::env::var("SCALE_TRACE_BUCKET") {
-        if let Ok(b) = b.parse::<usize>() {
-            TRACE_BUCKET.store(b, Ordering::Relaxed);
-        }
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let obs_flag = args.iter().any(|a| a == "--obs");
     let positional: Vec<&String> = args.iter().filter(|a| *a != "--obs").collect();
@@ -232,7 +182,6 @@ fn main() {
     let out_path = positional
         .get(1)
         .map_or_else(|| "BENCH_PR8.json".to_string(), |s| (*s).clone());
-    let event_only = mode != "full" && mode != "fig7";
 
     let mut rows: Vec<Row> = Vec::new();
     for point in points(&mode) {
@@ -240,14 +189,15 @@ fn main() {
             ranks,
             per_rank_kib,
             segments,
+            explore,
         } = point;
         let platform = Platform::testbed(ranks / 12, ranks, 8).with_memory(320 * MIB, 64 * MIB);
         let workload = Ior::interleaved_total(per_rank_kib * KIB, segments);
         // The figure pair's memory-conscious half — the paper's subject.
         let [_, (name, strategy)] = paper_pair(&platform, 4 * MIB);
         let mut executors = vec![ExecutorKind::Event];
-        if !event_only && ranks <= THREADS_MAX_RANKS {
-            executors.push(ExecutorKind::Threads);
+        if explore {
+            executors.push(ExecutorKind::EXPLORED[0]);
         }
         for executor in executors {
             eprintln!(
@@ -255,21 +205,24 @@ fn main() {
             );
             let a0 = alloc_snapshot();
             let t0 = Instant::now();
-            let r = run_on(&workload, &*strategy, &platform, executor);
+            let r = run_with(
+                &platform.world(executor),
+                &platform.env(&ObsSink::disabled(), None),
+                &workload,
+                &*strategy,
+            );
             let wall = t0.elapsed().as_secs_f64();
             let a1 = alloc_snapshot();
             eprintln!(
-                "  allocs {} ({} MiB, {} >=128KiB)",
+                "  allocs {} ({} MiB)",
                 a1.0 - a0.0,
-                (a1.1 - a0.1) / (1024 * 1024),
-                a1.2 - a0.2
+                (a1.1 - a0.1) / (1024 * 1024)
             );
-            if std::env::var_os("SCALE_ALLOC_HIST").is_some() {
-                dump_size_hist();
-            }
             eprintln!(
-                "  {wall:.3}s wall, virtual write {:.6}s, rounds {}, shuffle {} MiB, msgs {}",
+                "  {wall:.3}s wall, virtual write {:.9}s read {:.9}s, rounds {}, shuffle {} MiB, \
+                 msgs {}",
                 r.write_secs,
+                r.read_secs,
                 r.metrics.rounds,
                 r.metrics.shuffle_bytes / (1024 * 1024),
                 r.traffic.data_msgs + r.traffic.ctl_msgs
@@ -296,23 +249,20 @@ fn main() {
         }
     }
 
-    // Wherever both engines ran a point, their virtual times must agree
-    // bit for bit — the scale bench doubles as a large-rank differential
-    // check the unit suites can't afford.
-    for ranks in rows.iter().map(|r| r.ranks).collect::<Vec<_>>() {
-        let of = |kind: ExecutorKind| rows.iter().find(|r| r.ranks == ranks && r.executor == kind);
-        if let (Some(e), Some(t)) = (of(ExecutorKind::Event), of(ExecutorKind::Threads)) {
-            assert_eq!(
-                e.write_secs.to_bits(),
-                t.write_secs.to_bits(),
-                "{ranks} ranks: executors disagree on virtual write time"
-            );
-            assert_eq!(
-                e.read_secs.to_bits(),
-                t.read_secs.to_bits(),
-                "{ranks} ranks: executors disagree on virtual read time"
-            );
-        }
+    // An explored schedule must reproduce the canonical virtual times
+    // bit for bit.
+    for e in rows.iter().filter(|r| r.executor != ExecutorKind::Event) {
+        let c = rows
+            .iter()
+            .find(|r| r.ranks == e.ranks && r.executor == ExecutorKind::Event)
+            .expect("every explored point also ran canonically");
+        assert_eq!(
+            (c.write_secs.to_bits(), c.read_secs.to_bits()),
+            (e.write_secs.to_bits(), e.read_secs.to_bits()),
+            "{} ranks: {:?} disagrees with the canonical schedule on virtual write/read time",
+            e.ranks,
+            e.executor
+        );
     }
 
     let json = render_json(&mode, &rows);
@@ -365,6 +315,7 @@ fn run_obs(mode: &str, out_path: &str) {
             ranks,
             per_rank_kib,
             segments,
+            ..
         } = point;
         let platform = Platform::testbed(ranks / 12, ranks, 8).with_memory(320 * MIB, 64 * MIB);
         let workload = Ior::interleaved_total(per_rank_kib * KIB, segments);
@@ -373,11 +324,11 @@ fn run_obs(mode: &str, out_path: &str) {
 
         // Warmup: commit the coroutine stack slab and allocator pools so
         // neither measured run pays first-touch faults the other skips.
-        let _ = run_on(&workload, &*strategy, &platform, ExecutorKind::Event);
+        let _ = run(&workload, &*strategy, &platform);
 
         let a0 = alloc_snapshot();
         let t0 = Instant::now();
-        let off = run_on(&workload, &*strategy, &platform, ExecutorKind::Event);
+        let off = run(&workload, &*strategy, &platform);
         let wall_off = t0.elapsed().as_secs_f64();
         let a1 = alloc_snapshot();
 
@@ -386,7 +337,7 @@ fn run_obs(mode: &str, out_path: &str) {
         let sink = ObsSink::streaming(StreamConfig::for_ranks(ranks, OBS_EXEMPLARS));
         let a2 = alloc_snapshot();
         let t1 = Instant::now();
-        let on = run_on_traced(&workload, &*strategy, &platform, ExecutorKind::Event, &sink);
+        let on = run_traced(&workload, &*strategy, &platform, &sink);
         let wall_obs = t1.elapsed().as_secs_f64();
         let a3 = alloc_snapshot();
         hostprof::set_enabled(false);
@@ -585,6 +536,7 @@ fn run_causal(mode: &str, out_path: &str) {
             ranks,
             per_rank_kib,
             segments,
+            ..
         } = point;
         let platform = Platform::testbed(ranks / 12, ranks, 8).with_memory(320 * MIB, 64 * MIB);
         let workload = Ior::interleaved_total(per_rank_kib * KIB, segments);
@@ -593,22 +545,20 @@ fn run_causal(mode: &str, out_path: &str) {
 
         // Warmup: commit the coroutine stack slab and allocator pools so
         // neither measured run pays first-touch faults the other skips.
-        let _ = run_on_traced_faulty(
+        let _ = run_traced_faulty(
             &workload,
             &*strategy,
             &platform,
-            ExecutorKind::Event,
             &ObsSink::disabled(),
             causal_plan(),
         );
 
         let a0 = alloc_snapshot();
         let t0 = Instant::now();
-        let off = run_on_traced_faulty(
+        let off = run_traced_faulty(
             &workload,
             &*strategy,
             &platform,
-            ExecutorKind::Event,
             &ObsSink::disabled(),
             causal_plan(),
         );
@@ -620,14 +570,7 @@ fn run_causal(mode: &str, out_path: &str) {
         let sink = ObsSink::streaming(StreamConfig::for_ranks(ranks, OBS_EXEMPLARS)).with_causal();
         let a2 = alloc_snapshot();
         let t1 = Instant::now();
-        let on = run_on_traced_faulty(
-            &workload,
-            &*strategy,
-            &platform,
-            ExecutorKind::Event,
-            &sink,
-            causal_plan(),
-        );
+        let on = run_traced_faulty(&workload, &*strategy, &platform, &sink, causal_plan());
         let wall_obs = t1.elapsed().as_secs_f64();
         let a3 = alloc_snapshot();
         hostprof::set_enabled(false);
@@ -932,8 +875,8 @@ fn render_json(mode: &str, rows: &[Row]) -> String {
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let executor = match r.executor {
-            ExecutorKind::Event => "event",
-            ExecutorKind::Threads => "threads",
+            ExecutorKind::Event => "event".to_string(),
+            ExecutorKind::Explore(seed) => format!("explore-{seed}"),
         };
         let _ = writeln!(
             out,

@@ -29,8 +29,9 @@
 //! * `causal` — root-cause analysis: runs both paper strategies with
 //!   message-causality tracing under a deterministic 5 µs control-plane
 //!   latency (so clocks genuinely diverge and blame chains hop ranks),
-//!   on *both* rank executors. Exits nonzero unless the blame chains
-//!   are bit-identical across executors, every chain tiles its op span
+//!   on the canonical rank schedule and 8 explored ones. Exits nonzero
+//!   unless the blame chains are bit-identical across schedules, every
+//!   chain tiles its op span
 //!   to the bit, the live DP frontier stayed bounded, and the
 //!   flow-annotated Chrome trace validates. Writes one causal HTML
 //!   report and one flow-annotated Chrome trace per strategy, and
@@ -51,7 +52,7 @@
 use std::process::exit;
 use std::time::Instant;
 
-use mccio_bench::{paper_pair, run, run_on_traced, run_on_traced_faulty, run_traced, Platform};
+use mccio_bench::{paper_pair, run, run_traced, run_with, Platform};
 use mccio_net::ExecutorKind;
 use mccio_obs::{analyze, export, json, report, ObsSink, StreamConfig};
 use mccio_sim::fault::FaultPlan;
@@ -410,8 +411,9 @@ fn causal_plan() -> FaultPlan {
 }
 
 /// Root-cause analysis over both paper strategies: runs each with
-/// causal tracing armed under [`causal_plan`] on *both* rank executors,
-/// requires the recorded blame chains to be bit-identical across them,
+/// causal tracing armed under [`causal_plan`] on the canonical rank
+/// schedule and every explored one, requires the recorded blame chains
+/// to be bit-identical across them,
 /// requires every chain to tile its op span to the bit and to actually
 /// hop ranks, then writes one causal HTML report and one flow-annotated
 /// Chrome trace per strategy and prints the blame chains and what-if
@@ -423,34 +425,35 @@ fn causal_mode(mode: &str, outdir: &str) {
     for (name, strategy) in paper_pair(&platform, buffer) {
         let run_causal = |executor: ExecutorKind| {
             let obs = ObsSink::enabled().with_causal();
-            let result = run_on_traced_faulty(
+            let result = run_with(
+                &platform.world(executor),
+                &platform.env(&obs, Some(causal_plan())),
                 &workload,
                 &*strategy,
-                &platform,
-                executor,
-                &obs,
-                causal_plan(),
             );
             (obs, result)
         };
         let (obs, result) = run_causal(ExecutorKind::Event);
-        let (obs_thr, result_thr) = run_causal(ExecutorKind::Threads);
 
-        // The analysis must be engine-independent: same virtual times,
-        // same blame chains, bit for bit, on both executors.
-        if result.write_secs.to_bits() != result_thr.write_secs.to_bits()
-            || result.read_secs.to_bits() != result_thr.read_secs.to_bits()
-        {
-            eprintln!(
-                "causal[{name}]: executors disagree on virtual time \
-                 (write {} vs {}, read {} vs {})",
-                result.write_secs, result_thr.write_secs, result.read_secs, result_thr.read_secs
-            );
-            failures += 1;
-        }
-        if obs.causal_chains() != obs_thr.causal_chains() {
-            eprintln!("causal[{name}]: blame chains differ across executors");
-            failures += 1;
+        // The analysis must be schedule-independent: same virtual
+        // times, same blame chains, bit for bit, on every explored
+        // schedule.
+        for kind in ExecutorKind::EXPLORED {
+            let (obs_x, result_x) = run_causal(kind);
+            if result.write_secs.to_bits() != result_x.write_secs.to_bits()
+                || result.read_secs.to_bits() != result_x.read_secs.to_bits()
+            {
+                eprintln!(
+                    "causal[{name}]: {kind:?} disagrees on virtual time \
+                     (write {} vs {}, read {} vs {})",
+                    result.write_secs, result_x.write_secs, result.read_secs, result_x.read_secs
+                );
+                failures += 1;
+            }
+            if obs.causal_chains() != obs_x.causal_chains() {
+                eprintln!("causal[{name}]: blame chains differ under {kind:?}");
+                failures += 1;
+            }
         }
 
         // The online DP must have settled clean and stayed bounded.
@@ -566,7 +569,7 @@ fn causal_mode(mode: &str, outdir: &str) {
         exit(1);
     }
     println!(
-        "causal: ok (chains bit-identical across executors, tiled to the bit, artifacts valid)"
+        "causal: ok (chains bit-identical across schedules, tiled to the bit, artifacts valid)"
     );
 }
 
@@ -752,7 +755,7 @@ fn regress_obs(baseline: &json::Value, wall_threshold: f64, inject_wall: f64) {
     for _ in 0..smoke_reps() {
         let sink = ObsSink::streaming(StreamConfig::for_ranks(ranks, lanes));
         let t0 = Instant::now();
-        let r = run_on_traced(&workload, &*strategy, &platform, ExecutorKind::Event, &sink);
+        let r = run_traced(&workload, &*strategy, &platform, &sink);
         best_wall = best_wall.min(t0.elapsed().as_secs_f64());
         last = Some((sink, r));
     }

@@ -88,6 +88,27 @@ impl Platform {
         }
     }
 
+    /// A world of this platform's ranks, block-placed, run on
+    /// `executor`'s schedule.
+    #[must_use]
+    pub fn world(&self, executor: ExecutorKind) -> Arc<World> {
+        let placement = Placement::new(&self.cluster, self.n_ranks, FillOrder::Block)
+            .expect("platform placement");
+        World::with_executor(CostModel::new(self.cluster.clone()), placement, executor)
+    }
+
+    /// This platform's storage and memory environment, recording into
+    /// `obs`, with `faults` injected when given.
+    #[must_use]
+    pub fn env(&self, obs: &ObsSink, faults: Option<mccio_sim::fault::FaultPlan>) -> IoEnv {
+        let fs = FileSystem::new(self.n_servers, self.stripe, self.pfs);
+        let env = match faults {
+            Some(plan) => IoEnv::with_faults(fs, self.memory(), plan),
+            None => IoEnv::new(fs, self.memory()),
+        };
+        env.with_obs(obs.clone())
+    }
+
     /// Derives the MC-CIO tuning for this platform.
     #[must_use]
     pub fn tuning(&self) -> Tuning {
@@ -149,75 +170,6 @@ pub fn run(workload: &dyn Workload, strategy: &dyn Strategy, platform: &Platform
     run_traced(workload, strategy, platform, &ObsSink::disabled())
 }
 
-/// Like [`run`], pinned to one rank executor instead of inheriting the
-/// `MCCIO_EXECUTOR` override — the scale bench compares the two engines
-/// side by side, so each run must name its engine explicitly.
-#[must_use]
-pub fn run_on(
-    workload: &dyn Workload,
-    strategy: &dyn Strategy,
-    platform: &Platform,
-    executor: ExecutorKind,
-) -> RunResult {
-    run_on_traced(workload, strategy, platform, executor, &ObsSink::disabled())
-}
-
-/// Like [`run_on`], with the environment recording into `obs` — the
-/// executor-pinned and traced axes combined. The `scale --obs` flagship
-/// uses this with a streaming sink to observe the 10k/100k shapes.
-#[must_use]
-pub fn run_on_traced(
-    workload: &dyn Workload,
-    strategy: &dyn Strategy,
-    platform: &Platform,
-    executor: ExecutorKind,
-    obs: &ObsSink,
-) -> RunResult {
-    let placement = Placement::new(&platform.cluster, platform.n_ranks, FillOrder::Block)
-        .expect("platform placement");
-    let world = World::with_executor(
-        CostModel::new(platform.cluster.clone()),
-        placement,
-        executor,
-    );
-    let env = IoEnv::new(
-        FileSystem::new(platform.n_servers, platform.stripe, platform.pfs),
-        platform.memory(),
-    )
-    .with_obs(obs.clone());
-    run_with(&world, &env, workload, strategy)
-}
-
-/// Like [`run_on_traced`], with a fault plan installed on the
-/// environment. The causal benches use this with a deterministic
-/// control-plane delay: the engine's phases are root-priced, so without
-/// real message latency every rank's clock moves in lock-step and blame
-/// chains never hop ranks.
-#[must_use]
-pub fn run_on_traced_faulty(
-    workload: &dyn Workload,
-    strategy: &dyn Strategy,
-    platform: &Platform,
-    executor: ExecutorKind,
-    obs: &ObsSink,
-    plan: mccio_sim::fault::FaultPlan,
-) -> RunResult {
-    let placement = Placement::new(&platform.cluster, platform.n_ranks, FillOrder::Block)
-        .expect("platform placement");
-    let world = World::with_executor(
-        CostModel::new(platform.cluster.clone()),
-        placement,
-        executor,
-    );
-    let env = IoEnv::with_faults(
-        FileSystem::new(platform.n_servers, platform.stripe, platform.pfs),
-        platform.memory(),
-        plan,
-    )
-    .with_obs(obs.clone());
-    run_with(&world, &env, workload, strategy)
-}
-
 /// Like [`run`], with the environment recording spans and metrics into
 /// `obs`. Tracing never moves virtual time, so a traced run's bandwidths
 /// are bit-identical to [`run`]'s.
@@ -228,15 +180,25 @@ pub fn run_traced(
     platform: &Platform,
     obs: &ObsSink,
 ) -> RunResult {
-    let placement = Placement::new(&platform.cluster, platform.n_ranks, FillOrder::Block)
-        .expect("platform placement");
-    let world = World::new(CostModel::new(platform.cluster.clone()), placement);
-    let env = IoEnv::new(
-        FileSystem::new(platform.n_servers, platform.stripe, platform.pfs),
-        platform.memory(),
-    )
-    .with_obs(obs.clone());
-    run_with(&world, &env, workload, strategy)
+    let world = platform.world(ExecutorKind::Event);
+    run_with(&world, &platform.env(obs, None), workload, strategy)
+}
+
+/// Like [`run_traced`], with a fault plan installed on the environment.
+/// The causal benches use this with a deterministic control-plane
+/// delay: the engine's phases are root-priced, so without real message
+/// latency every rank's clock moves in lock-step and blame chains never
+/// hop ranks.
+#[must_use]
+pub fn run_traced_faulty(
+    workload: &dyn Workload,
+    strategy: &dyn Strategy,
+    platform: &Platform,
+    obs: &ObsSink,
+    plan: mccio_sim::fault::FaultPlan,
+) -> RunResult {
+    let world = platform.world(ExecutorKind::Event);
+    run_with(&world, &platform.env(obs, Some(plan)), workload, strategy)
 }
 
 /// Like [`run`], but over a caller-provided world and environment (used
@@ -267,20 +229,6 @@ pub fn run_with(
         }
         (w, r)
     });
-    if std::env::var_os("MCCIO_BENCH_RECYCLER").is_some() {
-        let r = world.recycler().stats();
-        let s = mccio_net::slab_stats();
-        eprintln!(
-            "  recycler hits {} misses {}, peak live {} MiB, retained {} MiB; \
-             stacks reused {} fresh {}",
-            r.hits,
-            r.misses,
-            r.peak_live_bytes / (1024 * 1024),
-            r.retained_bytes / (1024 * 1024),
-            s.reused,
-            s.fresh
-        );
-    }
     let total_bytes = workload.total_bytes(n_ranks);
     let write_secs = reports
         .iter()

@@ -149,7 +149,7 @@ pub(super) struct PoolStats {
 
 /// A bounded free-list of byte buffers (see module docs). Interior
 /// mutability (the pool lives in the per-rank `OpState` and is only
-/// ever touched from its own rank's thread) lets loans borrow the pool
+/// ever touched by its own rank) lets loans borrow the pool
 /// while the round loop keeps using it.
 #[derive(Debug, Default)]
 pub(super) struct BufferPool {

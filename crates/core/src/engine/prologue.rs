@@ -282,7 +282,7 @@ pub(super) fn close(
         obs.counter_add("recycle.takes", pstats.recycle_takes);
         obs.counter_add("recycle.returns", pstats.recycle_returns);
         // Recycler hit/miss splits and live-byte marks are world-global
-        // (and scheduling-dependent under the threaded executor), so one
+        // (and rank-schedule-dependent), so one
         // rank reports them as gauges — observability, never compared
         // bit-for-bit.
         if ctx.rank() == 0 {

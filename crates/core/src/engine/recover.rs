@@ -3,7 +3,7 @@
 //!
 //! The lock-step engine is SPMD: every rank must make the same control
 //! decisions or the collectives deadlock. A crashed rank therefore
-//! loses its *aggregator role*, not its thread — the thread keeps
+//! loses its *aggregator role*, not its task — the task keeps
 //! lock-step as a plain client (its data still ships, so recovered
 //! runs produce byte-identical files), while every surviving and dead
 //! rank alike derives the dead set from the same pure function of the

@@ -100,7 +100,10 @@ pub(super) fn execute_op(
     let me = ctx.rank();
     // Arm causal tracing on the world the first time an op runs with a
     // causal-enabled sink; installation is idempotent and the hook is a
-    // pure observer, so the engine's virtual time never moves.
+    // pure observer, so the engine's virtual time never moves. The
+    // ladder entry points already installed it before the op's first
+    // send (`resilience::arm_causal`); this covers direct engine callers,
+    // whose chains may miss messages sent before every rank got here.
     if let Some(hook) = env.obs().causal_hook() {
         ctx.world().install_causal(hook);
     }

@@ -1,6 +1,6 @@
 //! Round pricing: one virtual-time charge per round, computed at the
 //! world root from gathered facts and broadcast, so time is a pure
-//! function of the plan and never of thread scheduling.
+//! function of the plan and never of rank scheduling.
 
 use std::sync::LazyLock;
 

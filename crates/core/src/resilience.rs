@@ -60,7 +60,7 @@ pub struct FaultState {
     /// Cursor into `plan.events()`: how many leading events have fired.
     applied: Arc<Mutex<usize>>,
     /// Streams parked between operations, keyed by rank. Only the owning
-    /// rank's thread touches its entry.
+    /// rank touches its entry.
     streams: Arc<Mutex<HashMap<usize, FaultStream>>>,
 }
 
@@ -253,6 +253,7 @@ pub fn ladder_write(
 ) -> IoReport {
     let world = ctx.world_ranks();
     arm_ctl_delay(ctx, env);
+    arm_causal(ctx, env);
     let pattern = GroupPattern::gather(ctx, &world, my_extents);
     if !env.faults().is_active() {
         let plan = rungs[0]
@@ -287,6 +288,7 @@ pub fn ladder_read(
 ) -> (Vec<u8>, IoReport) {
     let world = ctx.world_ranks();
     arm_ctl_delay(ctx, env);
+    arm_causal(ctx, env);
     let pattern = GroupPattern::gather(ctx, &world, my_extents);
     if !env.faults().is_active() {
         let plan = rungs[0]
@@ -313,12 +315,25 @@ pub fn ladder_read(
 /// `prologue::open` runs, so arming inside `open` lets a rank race
 /// ahead through `open` and change departure pricing while slower ranks
 /// are still sending pre-open messages — virtual time would depend on
-/// the thread schedule. Every rank arms the same value before its own
-/// first send, so every departure of the op prices identically on both
-/// executors.
+/// the rank schedule. Every rank arms the same value before its own
+/// first send, so every departure of the op prices identically on every
+/// schedule.
 fn arm_ctl_delay(ctx: &Ctx, env: &IoEnv) {
     if env.faults().is_active() {
         ctx.world().set_ctl_delay(env.faults().plan().ctl_delay);
+    }
+}
+
+/// Installs the env's causal-tracing hook on the world before this op's
+/// first message, for the same reason the control delay is armed here:
+/// installed later (after `prologue::open`), a rank racing ahead would
+/// start stamping messages while slower ranks' pre-open messages go
+/// unstamped, and the blame chains would depend on the rank schedule.
+/// Installation is idempotent (the first wins) and the hook is a pure
+/// observer, so virtual time never moves.
+fn arm_causal(ctx: &Ctx, env: &IoEnv) {
+    if let Some(hook) = env.obs().causal_hook() {
+        ctx.world().install_causal(hook);
     }
 }
 

@@ -18,8 +18,8 @@
 //! * high-water marks and cross-node statistics feed the paper's "memory
 //!   consumption and variance among processes" measurements.
 //!
-//! Everything is thread-safe (per-node locks) because rank threads
-//! reserve and release concurrently, and deterministic: the sampled
+//! Everything is thread-safe (per-node locks) because ranks reserve and
+//! release in interleaved order, and deterministic: the sampled
 //! availability depends only on `(cluster, mean, stddev, seed)`.
 //!
 //! Fault injection adds two things on top of the paging model:

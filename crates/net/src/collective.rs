@@ -271,7 +271,10 @@ mod tests {
 
     use crate::engine::ExecutorKind;
 
-    const BOTH: [ExecutorKind; 2] = [ExecutorKind::Threads, ExecutorKind::Event];
+    /// The canonical schedule followed by every explored one.
+    fn all_kinds() -> impl Iterator<Item = ExecutorKind> {
+        std::iter::once(ExecutorKind::Event).chain(ExecutorKind::EXPLORED)
+    }
 
     fn world_with(nodes: usize, cores: usize, ranks: usize, kind: ExecutorKind) -> Arc<World> {
         let cluster = test_cluster(nodes, cores);
@@ -280,12 +283,12 @@ mod tests {
     }
 
     fn world(nodes: usize, cores: usize, ranks: usize) -> Arc<World> {
-        world_with(nodes, cores, ranks, ExecutorKind::Threads)
+        world_with(nodes, cores, ranks, ExecutorKind::Event)
     }
 
     #[test]
     fn barrier_syncs_clocks_to_max() {
-        for kind in BOTH {
+        for kind in all_kinds() {
             let w = world_with(2, 2, 4, kind);
             let clocks = w.run(|ctx| {
                 ctx.advance(VDuration::from_secs(ctx.rank() as f64));
@@ -319,7 +322,7 @@ mod tests {
 
     #[test]
     fn bcast_distributes_root_payload() {
-        for kind in BOTH {
+        for kind in all_kinds() {
             let w = world_with(2, 2, 4, kind);
             let r = w.run(|ctx| {
                 let group = RankSet::world(ctx.size());
@@ -338,7 +341,7 @@ mod tests {
 
     #[test]
     fn allgather_gives_everyone_everything() {
-        for kind in BOTH {
+        for kind in all_kinds() {
             let w = world_with(2, 2, 4, kind);
             let r = w.run(|ctx| {
                 let group = RankSet::world(ctx.size());
@@ -385,7 +388,7 @@ mod tests {
 
     #[test]
     fn exchange_delivers_personalized_payloads() {
-        for kind in BOTH {
+        for kind in all_kinds() {
             exchange_case(kind);
         }
     }
@@ -434,9 +437,7 @@ mod tests {
     }
 
     #[test]
-    // The member assertion fires on the rank thread; World::run
-    // propagates it as a generic scoped-thread panic.
-    #[should_panic(expected = "a scoped thread panicked")]
+    #[should_panic(expected = "rank 1 called group_barrier on a group it is not a member of")]
     fn non_member_collective_is_a_bug() {
         let w = world(1, 2, 2);
         let _ = w.run(|ctx| {

@@ -1,31 +1,43 @@
-//! The discrete-event cooperative executor.
+//! The event executor: every rank is a stackful coroutine on one thread.
 //!
-//! [`run_event`] drives every rank as a *stackful coroutine* on one OS
-//! thread: a scheduler repeatedly resumes the runnable task with the
-//! smallest virtual clock (ties broken by `(rank, wake-seq)`), and a task
-//! runs until it blocks on an empty mailbox, finishes, or panics. Blocking
+//! [`run_event`] drives the ranks cooperatively: a scheduler repeatedly
+//! resumes the runnable task at the top of its heap, and a task runs
+//! until it blocks on an empty mailbox, finishes, or panics. Blocking
 //! receives become yield points — `Ctx::recv` parks the task with its
 //! match [`Pattern`] and the matching `deliver` marks it runnable again —
 //! so a 100k-rank world costs 100k small stacks instead of 100k threads.
 //!
-//! ## Determinism
+//! ## Canonical schedule and schedule exploration
 //!
-//! Virtual-time results in this simulator are schedule-invariant by
-//! construction (receives name their sources, clock math is pure), so any
-//! legal schedule reproduces the threaded engine's times bit for bit. The
-//! event scheduler additionally fixes *one* canonical schedule — the
-//! runnable heap is ordered by `(clock bits, rank, wake-seq)` — which
+//! Virtual-time results are schedule-invariant by construction (receives
+//! name their sources, clock math is pure), so every legal schedule must
+//! reproduce the same times, reports and bytes bit for bit. The
+//! canonical mode (`ExecutorKind::Event`) fixes *one* schedule: the
+//! runnable heap is ordered by `(clock bits, rank, wake-seq)`, which
 //! makes execution order itself reproducible across platforms and runs.
+//!
+//! Exploration mode (`ExecutorKind::Explore(seed)`) runs *other* legal
+//! schedules, chosen by seed, so differential suites can test the
+//! invariance instead of assuming it. It changes two things:
+//!
+//! * **seeded pick** — the heap key is `splitmix64(seed, wake-seq)`
+//!   instead of the clock bits, so any runnable task may run next;
+//! * **preempt on send** — every send is a preemption point: the sender
+//!   re-queues itself under a fresh seeded key and yields.
+//!
+//! Seeded pick alone only reorders tasks at blocking receives; a root's
+//! send loop never blocks, so its receivers would always observe its
+//! sends (and any shared state it changes between them) in one order.
+//! Preempting on send lets a receiver run between any two sends.
 //!
 //! ## Deadline waits without wall clocks
 //!
-//! The threaded engine detects a silent peer in `Ctx::recv_deadline` by
-//! parking the OS thread for a small wall-clock budget. Here the rule is
-//! exact: a deadline waiter is declared missed only at *quiescence* (no
-//! task is runnable), earliest `(deadline bits, rank)` first. Callers may
-//! only probe peers whose silence is already decided by shared data (the
-//! engine's crash tracker probes a tag nothing sends on), so "nothing can
-//! run" is precisely "the message will never come".
+//! `Ctx::recv_deadline` declares a waiter missed only at *quiescence*
+//! (no task is runnable), earliest `(deadline bits, rank)` first, in
+//! both modes. Callers may only probe peers whose silence is already
+//! decided by shared data (the engine's crash tracker probes a tag
+//! nothing sends on), so "nothing can run" is precisely "the message
+//! will never come".
 //!
 //! ## Stacks
 //!
@@ -44,6 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mccio_sim::hostprof::{self, HostPhase};
+use mccio_sim::rng::splitmix64;
 use mccio_sim::VTime;
 
 use crate::engine::{Ctx, World};
@@ -57,9 +70,8 @@ const MIN_STACK_KIB: usize = 64;
 /// finishes and again when the world drains.
 const STACK_CANARY: u64 = 0x5AFE_57AC_CA4A_717E;
 
-/// Whether this target has a context-switch backend. On other
-/// architectures `World::run` falls back to the threaded engine.
-pub(crate) const SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+compile_error!("mccio-net's rank executor has a context switch for x86_64 and aarch64 only");
 
 // ---------------------------------------------------------------------
 // Context switch: save callee-saved state on the current stack, store
@@ -196,11 +208,6 @@ fn init_stack(region: &mut [u8], entry: EntryFn, data: *mut u8) -> usize {
             frame.add(11).write(ctx_entry_thunk as usize); // x30 (lr)
         }
     }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        let _ = (entry, data);
-        unreachable!("run_event is gated on executor::SUPPORTED");
-    }
     sp
 }
 
@@ -229,8 +236,8 @@ enum TaskState {
 #[derive(Debug)]
 struct TaskSlot {
     state: TaskState,
-    /// The task's virtual clock when it last yielded; the wake-up heap
-    /// key uses it so the smallest-clock task always runs next.
+    /// The task's virtual clock when it last yielded; the canonical
+    /// heap key uses it so the smallest-clock task always runs next.
     clock_bits: u64,
 }
 
@@ -238,10 +245,14 @@ struct TaskSlot {
 /// [`TaskHandle`] inside their `Ctx`.
 pub(crate) struct EventRt {
     slots: RefCell<Vec<TaskSlot>>,
-    /// Min-heap of runnable tasks keyed `(clock bits, rank, wake seq)`.
-    /// Non-negative f64 bit patterns order exactly like the values, and
-    /// the `(rank, seq)` tie-break pins one canonical schedule.
+    /// Min-heap of runnable tasks keyed `(key, rank, wake seq)`. The
+    /// canonical key is the clock bits — non-negative f64 bit patterns
+    /// order exactly like the values, and the `(rank, seq)` tie-break
+    /// pins one schedule; an exploring run keys by seeded hash.
     runnable: RefCell<BinaryHeap<Reverse<(u64, usize, u64)>>>,
+    /// `Some(seed)` in exploration mode: seeded heap keys and a
+    /// preemption point at every send.
+    explore: Option<u64>,
     /// Blocked `recv_deadline` waiters, earliest `(deadline, rank)` first.
     waiters: RefCell<BTreeSet<(u64, usize)>>,
     /// Monotone wake-sequence counter (satellite of the heap key).
@@ -270,7 +281,7 @@ pub(crate) struct TaskHandle {
 }
 
 impl EventRt {
-    fn new(n: usize) -> Rc<EventRt> {
+    fn new(n: usize, explore: Option<u64>) -> Rc<EventRt> {
         Rc::new(EventRt {
             slots: RefCell::new(
                 (0..n)
@@ -281,6 +292,7 @@ impl EventRt {
                     .collect(),
             ),
             runnable: RefCell::new(BinaryHeap::with_capacity(n)),
+            explore,
             waiters: RefCell::new(BTreeSet::new()),
             wake_seq: Cell::new(0),
             sps: UnsafeCell::new(vec![0; n + 1]),
@@ -300,9 +312,12 @@ impl EventRt {
     }
 
     fn push_runnable(&self, rank: usize, clock_bits: u64) {
-        self.runnable
-            .borrow_mut()
-            .push(Reverse((clock_bits, rank, self.next_seq())));
+        let seq = self.next_seq();
+        let key = match self.explore {
+            None => clock_bits,
+            Some(seed) => splitmix64(seed, seq),
+        };
+        self.runnable.borrow_mut().push(Reverse((key, rank, seq)));
     }
 
     /// Swap pointers for entering task `rank` from the scheduler, or
@@ -390,6 +405,23 @@ impl EventRt {
         }
     }
 
+    /// Exploration mode's preemption point: re-queues the running task
+    /// under a fresh seeded key and yields. A no-op on the canonical
+    /// schedule.
+    fn preempt(&self, rank: usize, clock: VTime) {
+        if self.explore.is_none() {
+            return;
+        }
+        let clock_bits = clock.as_secs().to_bits();
+        {
+            let mut slots = self.slots.borrow_mut();
+            slots[rank].state = TaskState::Runnable;
+            slots[rank].clock_bits = clock_bits;
+        }
+        self.push_runnable(rank, clock_bits);
+        self.yield_to_scheduler(rank);
+    }
+
     fn yield_to_scheduler(&self, rank: usize) {
         let n = self.n();
         let (save, load) = self.sp_ptrs(rank, n);
@@ -433,6 +465,11 @@ impl TaskHandle {
     /// Called by senders after `Mailbox::deliver`.
     pub(crate) fn notify_delivery(&self, dst: usize, world: &World) {
         self.rt.notify_delivery(dst, world);
+    }
+
+    /// Called by senders last: yields here when exploring schedules.
+    pub(crate) fn preempt(&self, clock: VTime) {
+        self.rt.preempt(self.rank, clock);
     }
 }
 
@@ -485,12 +522,24 @@ where
 }
 
 fn stack_size_bytes() -> usize {
-    let kib = std::env::var("MCCIO_STACK_KIB")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_STACK_KIB)
-        .max(MIN_STACK_KIB);
-    kib * 1024
+    stack_kib(std::env::var("MCCIO_STACK_KIB").ok().as_deref()) * 1024
+}
+
+/// The task stack size in KiB for a raw `MCCIO_STACK_KIB` value: the
+/// default when unset or blank, never below the minimum.
+///
+/// # Panics
+/// Panics naming the variable and the value when it is not a whole
+/// number of KiB (`256k` or `1M` would otherwise silently fall back to
+/// the default and keep overflowing).
+fn stack_kib(raw: Option<&str>) -> usize {
+    match raw.map(str::trim) {
+        None | Some("") => DEFAULT_STACK_KIB,
+        Some(v) => v
+            .parse::<usize>()
+            .unwrap_or_else(|_| panic!("MCCIO_STACK_KIB must be a whole number of KiB, got {v:?}"))
+            .max(MIN_STACK_KIB),
+    }
 }
 
 /// Stacks whose pages came from the thread's cached slab vs stacks that
@@ -531,25 +580,19 @@ thread_local! {
     static SLAB_CACHE: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` once per rank as cooperative tasks over virtual time and
-/// returns the per-rank results in rank order. Panics from rank code are
-/// rethrown on the calling thread (suspended sibling stacks are
+/// Runs `f` once per rank as cooperative tasks over virtual time —
+/// on the canonical schedule, or on the one `explore`'s seed picks —
+/// and returns the per-rank results in rank order. Panics from rank
+/// code are rethrown on the calling thread (suspended sibling stacks are
 /// abandoned on that path, leaking their live objects — acceptable for
 /// a failing run).
-pub(crate) fn run_event<F, R>(world: &Arc<World>, f: F) -> Vec<R>
+pub(crate) fn run_event<F, R>(world: &Arc<World>, f: F, explore: Option<u64>) -> Vec<R>
 where
     F: Fn(&mut Ctx) -> R + Send + Sync,
     R: Send,
 {
-    // `World::run` only routes here on supported targets; this backstop
-    // covers direct callers on an unsupported one (a compile-time assert
-    // would reject unsupported targets even when the threaded fallback
-    // is the one in use).
-    if !SUPPORTED {
-        panic!("event executor unsupported on this target");
-    }
     let n = world.n_ranks();
-    let rt = EventRt::new(n);
+    let rt = EventRt::new(n, explore);
     let stack = stack_size_bytes();
     let need = n.checked_mul(stack).expect("stack slab size overflow");
     // One slab, lazily committed by the OS page by page: individual
@@ -687,4 +730,29 @@ fn deadlock_panic(rt: &EventRt) -> ! {
         slots.len(),
         blocked.join(", ")
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stack_kib_parses_whole_kib_with_a_floor() {
+        assert_eq!(stack_kib(None), DEFAULT_STACK_KIB);
+        assert_eq!(stack_kib(Some(" ")), DEFAULT_STACK_KIB);
+        assert_eq!(stack_kib(Some(" 2048 ")), 2048);
+        assert_eq!(stack_kib(Some("8")), MIN_STACK_KIB);
+    }
+
+    #[test]
+    fn stack_kib_rejects_units_naming_the_variable_and_value() {
+        for bad in ["256k", "1M", "-1"] {
+            let err = std::panic::catch_unwind(|| stack_kib(Some(bad))).unwrap_err();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("MCCIO_STACK_KIB") && msg.contains(bad),
+                "got panic: {msg}"
+            );
+        }
+    }
 }

@@ -3,12 +3,13 @@
 //! MPI bindings for Rust are immature and the reproduction needs no real
 //! cluster: collective I/O is a data-movement algorithm whose correctness
 //! and traffic pattern are fully exercised in-process. This crate runs
-//! one closure per rank ([`World::run`]) under either of two executors
-//! ([`ExecutorKind`]) — one OS thread per rank, or a discrete-event
-//! cooperative scheduler that scales to 100k ranks on a single thread —
-//! gives each rank a [`Ctx`] with point-to-point messaging and MPI-style
-//! collectives over arbitrary [`RankSet`]s, and keeps a *virtual* clock
-//! per rank:
+//! one closure per rank ([`World::run`]) as a cooperative task on a
+//! discrete-event scheduler that scales to 100k ranks on a single
+//! thread — on its canonical schedule, or on seeded explorations of
+//! other legal schedules ([`ExecutorKind`]) that differential tests
+//! hold to the canonical results bit for bit — gives each rank a
+//! [`Ctx`] with point-to-point messaging and MPI-style collectives over
+//! arbitrary [`RankSet`]s, and keeps a *virtual* clock per rank:
 //!
 //! * **data-plane** sends ([`Ctx::send`]) are priced by the
 //!   [`mccio_sim::CostModel`] point-to-point rule — the sender pays
@@ -18,7 +19,7 @@
 //!   observe a message "before" it was sent) but charge no transfer time,
 //!   because collective-I/O drivers price whole shuffle rounds
 //!   analytically with [`mccio_sim::CostModel::shuffle_phase`] — that
-//!   keeps virtual time deterministic regardless of thread scheduling;
+//!   keeps virtual time deterministic regardless of rank scheduling;
 //! * the [`engine::Traffic`] counters record every byte either way, so
 //!   experiments can report shuffle volumes and per-node NIC pressure.
 //!

@@ -1,11 +1,11 @@
 //! Per-rank message matching.
 //!
-//! Each rank owns a [`Mailbox`]: an indexed store of delivered envelopes
-//! plus a condition variable (used only by the threaded executor; the
-//! event executor parks tasks instead). `recv` blocks until an envelope
-//! matching `(src, tag)` is present, then removes and returns the
-//! *earliest delivered* match, giving MPI's non-overtaking guarantee for
-//! messages with the same source and tag.
+//! Each rank owns a [`Mailbox`]: an indexed store of delivered
+//! envelopes. Receives never block here — the executor parks a task
+//! whose probe ([`Mailbox::try_recv`]) found nothing and wakes it once
+//! [`Mailbox::has_match`] holds — and a probe removes the *earliest
+//! delivered* match, giving MPI's non-overtaking guarantee for messages
+//! with the same source and tag.
 //!
 //! Matching is one hash lookup rather than a linear scan: flat
 //! collectives funnel `n - 1` messages through the root's mailbox, so at
@@ -18,7 +18,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use mccio_sim::sync::{Condvar, Mutex};
+use mccio_sim::sync::Mutex;
 
 use mccio_sim::VTime;
 
@@ -164,7 +164,6 @@ impl Queue {
 #[derive(Debug, Default)]
 pub struct Mailbox {
     queue: Mutex<Queue>,
-    available: Condvar,
 }
 
 impl Mailbox {
@@ -174,52 +173,9 @@ impl Mailbox {
         Mailbox::default()
     }
 
-    /// Delivers an envelope (called from the sender's thread or task).
+    /// Delivers an envelope (called from the sender's task).
     pub fn deliver(&self, env: Envelope) {
-        let mut q = self.queue.lock();
-        q.push(env);
-        // Wake all blocked receivers: with one owner thread per mailbox
-        // there is at most one waiter, but collectives on helper threads
-        // must not deadlock if that ever changes.
-        self.available.notify_all();
-    }
-
-    /// Blocks until a message matching `pattern` arrives, then removes
-    /// and returns it. Threaded executor only — event-mode tasks use
-    /// `try_recv` plus a scheduler yield.
-    pub fn recv(&self, pattern: Pattern) -> Envelope {
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(env) = q.take(pattern) {
-                return env;
-            }
-            self.available.wait(&mut q);
-        }
-    }
-
-    /// Bounded receive: blocks until a message matching `pattern`
-    /// arrives or `budget` of *wall-clock* time elapses, returning
-    /// `None` on expiry. The budget is an implementation detail of the
-    /// threaded executor's failure detection — it only bounds how long
-    /// the OS thread parks; the virtual-time price of a miss is charged
-    /// by the caller ([`crate::Ctx::recv_deadline`]) and never depends
-    /// on the budget. The event executor detects misses at quiescence
-    /// instead and never calls this.
-    pub fn recv_budgeted(&self, pattern: Pattern, budget: std::time::Duration) -> Option<Envelope> {
-        let deadline = std::time::Instant::now() + budget;
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(env) = q.take(pattern) {
-                return Some(env);
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            // A timed-out wait loops once more: the predicate re-check
-            // above decides, so a racing delivery is never missed.
-            let _ = self.available.wait_timeout(&mut q, remaining);
-        }
+        self.queue.lock().push(env);
     }
 
     /// Non-blocking probe: removes and returns a match if one is queued.
@@ -263,9 +219,9 @@ mod tests {
         mb.deliver(env(1, 10, b'a'));
         mb.deliver(env(2, 10, b'b'));
         mb.deliver(env(1, 20, b'c'));
-        let got = mb.recv(Pattern { src: 2, tag: 10 });
+        let got = mb.try_recv(Pattern { src: 2, tag: 10 }).unwrap();
         assert_eq!(got.payload.as_slice(), b"b");
-        let got = mb.recv(Pattern { src: 1, tag: 20 });
+        let got = mb.try_recv(Pattern { src: 1, tag: 20 }).unwrap();
         assert_eq!(got.payload.as_slice(), b"c");
         assert_eq!(mb.pending(), 1);
     }
@@ -277,7 +233,7 @@ mod tests {
             mb.deliver(env(0, 5, b));
         }
         for expect in [b'1', b'2', b'3'] {
-            let got = mb.recv(Pattern { src: 0, tag: 5 });
+            let got = mb.try_recv(Pattern { src: 0, tag: 5 }).unwrap();
             assert_eq!(got.payload.into_vec(), vec![expect]);
         }
     }
@@ -319,7 +275,7 @@ mod tests {
         }
         assert_eq!(Arc::strong_count(&shared), 4, "queued envelopes alias");
         for src in 0..3 {
-            let got = mb.recv(Pattern { src, tag: 6 });
+            let got = mb.try_recv(Pattern { src, tag: 6 }).unwrap();
             assert_eq!(got.payload.into_vec(), b"plan");
         }
         assert_eq!(Arc::strong_count(&shared), 1);
@@ -336,42 +292,14 @@ mod tests {
         // whatever order the pairs are received in.
         let order: Vec<u8> = [(1, 1), (0, 1), (0, 2), (0, 1)]
             .into_iter()
-            .map(|(src, tag)| mb.recv(Pattern { src, tag }).payload.into_vec()[0])
+            .map(|(src, tag)| {
+                mb.try_recv(Pattern { src, tag })
+                    .unwrap()
+                    .payload
+                    .into_vec()[0]
+            })
             .collect();
         assert_eq!(order, b"baxc");
         assert_eq!(mb.pending(), 0);
-    }
-
-    #[test]
-    fn recv_budgeted_expires_and_delivers() {
-        let mb = Mailbox::new();
-        let got = mb.recv_budgeted(
-            Pattern { src: 2, tag: 4 },
-            std::time::Duration::from_millis(5),
-        );
-        assert!(got.is_none(), "empty mailbox: budget expires");
-        mb.deliver(env(2, 4, b'k'));
-        let got = mb.recv_budgeted(
-            Pattern { src: 2, tag: 4 },
-            std::time::Duration::from_secs(5),
-        );
-        assert_eq!(got.unwrap().payload.into_vec(), b"k");
-        assert_eq!(mb.pending(), 0);
-    }
-
-    #[test]
-    fn recv_blocks_until_delivery() {
-        let mb = Arc::new(Mailbox::new());
-        let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || {
-            let got = mb2.recv(Pattern { src: 9, tag: 42 });
-            got.payload.into_vec()[0]
-        });
-        // Deliver a non-matching message first, then the match.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        mb.deliver(env(8, 42, b'n'));
-        mb.deliver(env(9, 42, b'm'));
-        assert_eq!(handle.join().unwrap(), b'm');
-        assert_eq!(mb.pending(), 1);
     }
 }

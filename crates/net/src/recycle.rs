@@ -25,7 +25,7 @@
 //! data plane.
 //!
 //! The pool is shared by every rank of a world, so its hit/miss and
-//! high-water counters depend on thread scheduling. They are
+//! high-water counters depend on the rank schedule. They are
 //! observability data (surfaced through `obs` and the trace report) and
 //! are deliberately kept out of every bit-identity artifact: virtual
 //! times, file bytes, traffic snapshots, and the per-rank engine pool
@@ -182,9 +182,8 @@ impl BytePool {
         bins.by_capacity.entry(cap).or_default().push(buf);
     }
 
-    /// Cumulative counters. `live_bytes`/`peak_live_bytes` are
-    /// approximate under the threaded executor (relaxed atomics), exact
-    /// under the single-threaded event executor.
+    /// Cumulative counters; exact, because every rank of a world runs
+    /// on one thread.
     #[must_use]
     pub fn stats(&self) -> RecycleStats {
         let bins = self.bins.lock().expect("byte pool poisoned");

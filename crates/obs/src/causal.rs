@@ -34,14 +34,15 @@
 //! ## Determinism
 //!
 //! Sequence numbers are **per-sender** (a global counter would be
-//! assigned in wall-clock order under the threaded executor). Every
-//! engine receive is source-ordered (`recv(src, tag)`), so each rank
-//! settles its deliveries in program order, and a chain node's
-//! predecessor comes from the *sender's* snapshot — never from the
-//! receiver's racy local history. The frontier is therefore a pure
-//! function of virtual clocks and program order, bit-identical across
-//! `ExecutorKind::{Threads,Event}` — the same canonical-order argument
-//! as PR 9's streaming cells.
+//! assigned in schedule order, which differs between the canonical and
+//! every explored rank schedule). Every engine receive is source-ordered
+//! (`recv(src, tag)`), so each rank settles its deliveries in program
+//! order, and a chain node's predecessor comes from the *sender's*
+//! snapshot — never from the receiver's schedule-dependent local
+//! history. The frontier is therefore a pure function of virtual clocks
+//! and program order, bit-identical across `ExecutorKind::Event` and
+//! every `ExecutorKind::Explore(seed)` — the same canonical-order
+//! argument as the streaming cells.
 //!
 //! ## Blame chains and what-if
 //!

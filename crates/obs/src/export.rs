@@ -10,7 +10,7 @@
 //!
 //! Export order is deterministic: events are sorted by `(track, start,
 //! emission sequence)` first, so two runs of the same plan produce
-//! byte-identical artifacts regardless of thread scheduling.
+//! byte-identical artifacts regardless of rank scheduling.
 //!
 //! [`chrome_trace_flows`] additionally renders causal message edges as
 //! Chrome **flow events** (`"ph": "s"` at the send, `"ph": "f"` at the

@@ -26,8 +26,8 @@
 //!
 //! ## Determinism rule
 //!
-//! The threaded executor delivers events in nondeterministic order, so
-//! every folded quantity must be order-independent: sums accumulate in
+//! Events arrive in rank-schedule order, which differs between the
+//! canonical and every explored schedule, so every folded quantity must be order-independent: sums accumulate in
 //! `u128` over exact integer inputs (span durations are converted to
 //! whole nanoseconds, a deterministic function of the priced `f64`),
 //! min/max and log₂ bucket counts are trivially commutative, and the

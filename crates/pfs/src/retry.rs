@@ -38,7 +38,7 @@ impl RetryLog {
 /// Per-caller fault context for PFS accesses.
 ///
 /// Owned by exactly one rank (streams are rank-seeded), so the failure
-/// decisions each access observes are independent of thread scheduling.
+/// decisions each access observes are independent of rank scheduling.
 #[derive(Debug, Clone)]
 pub struct IoFaults {
     stream: Option<FaultStream>,

@@ -6,7 +6,7 @@
 //! phase needs the max over servers (they work in parallel), plus the
 //! client-side cap for whoever moved the most data. Pricing whole phases
 //! from summed reports (rather than advancing per-server clocks as
-//! requests race in) keeps virtual time independent of thread schedules.
+//! requests race in) keeps virtual time independent of rank schedules.
 //!
 //! This is where collective I/O's advantage lives: many small
 //! noncontiguous requests pay `request_overhead` over and over, while the

@@ -14,8 +14,8 @@
 //!    delivered. It returns a **per-sender** sequence number (≥ 1) the
 //!    engine stamps into the envelope; `(src, seq)` is the edge's
 //!    identity. Sequence numbers are per-sender — a global counter
-//!    would be allocated in wall-clock order under the threaded
-//!    executor and break cross-executor determinism.
+//!    would be allocated in rank-schedule order and break
+//!    determinism across explored schedules.
 //! 2. [`CausalSink::on_delivery`] fires in the *receiver's* context
 //!    when the matching receive settles the envelope, with the
 //!    receiver's clock before and after the settlement rule

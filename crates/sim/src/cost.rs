@@ -3,7 +3,7 @@
 //! Collective I/O drivers know their exact communication pattern (who
 //! ships how many bytes to whom in a shuffle round). Instead of trying to
 //! recover contention from the interleaving of individual messages — which
-//! would make virtual time depend on thread scheduling — the drivers hand
+//! would make virtual time depend on rank scheduling — the drivers hand
 //! the whole round's *exchange pattern* to [`CostModel::shuffle_phase`],
 //! which prices it deterministically:
 //!

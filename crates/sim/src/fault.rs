@@ -12,7 +12,7 @@
 //!
 //! * per-rank failure streams come from [`stream_rng`] with the rank
 //!   baked into the stream label, so the sequence each rank observes is
-//!   independent of thread interleaving;
+//!   independent of rank interleaving;
 //! * memory events fire when the *virtual* clock crosses their
 //!   timestamp, and the engine only consults the clock at collective
 //!   synchronization points where every rank agrees on it;
@@ -20,7 +20,7 @@
 //!   never slept in wall-clock time.
 //!
 //! Same seed + same plan ⇒ bit-identical data and identical virtual-time
-//! reports, on any machine and any thread schedule.
+//! reports, on any machine and any rank schedule.
 
 use crate::rng::{stream_rng, Prng, Rng};
 use crate::time::{VDuration, VTime};
@@ -355,7 +355,7 @@ impl FaultPlan {
 
     /// Number of revocation events firing in the half-open window
     /// `(after, upto]` — a pure function of the plan, used to report
-    /// per-operation revocation counts independent of thread schedule.
+    /// per-operation revocation counts independent of rank schedule.
     #[must_use]
     pub fn revocations_between(&self, after: VTime, upto: VTime) -> u64 {
         self.events
@@ -462,7 +462,7 @@ impl FaultPlan {
 ///
 /// Each PFS request attempt consumes one draw; because the stream is
 /// owned by exactly one rank and seeded from `(plan seed, rank)`, the
-/// decision sequence is identical across runs and thread schedules.
+/// decision sequence is identical across runs and rank schedules.
 #[derive(Debug, Clone)]
 pub struct FaultStream {
     rng: Prng,

@@ -128,17 +128,20 @@ impl Prng {
     /// the recommended seeding procedure for the xoshiro family.
     #[must_use]
     pub fn seed_from_u64(seed: u64) -> Self {
-        let mut x = seed;
-        let mut split = move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let s = [split(), split(), split(), split()];
-        Prng { s }
+        Prng {
+            s: [0, 1, 2, 3].map(|i| splitmix64(seed, i)),
+        }
     }
+}
+
+/// Output `i` of the SplitMix64 sequence seeded with `seed`, by random
+/// access: the generator's state after `i + 1` steps, finalized.
+#[must_use]
+pub fn splitmix64(seed: u64, i: u64) -> u64 {
+    let mut z = seed.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl Rng for Prng {

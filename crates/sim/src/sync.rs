@@ -32,7 +32,7 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
+        MutexGuard(self.0.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -43,75 +43,18 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// Guard returned by [`Mutex::lock`].
-///
-/// Internally holds the std guard in an `Option` so [`Condvar::wait`] can
-/// temporarily take ownership (std's wait consumes the guard) while
-/// callers keep the ergonomic `wait(&mut guard)` shape.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.0.as_deref().expect("guard present outside wait")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.0.as_deref_mut().expect("guard present outside wait")
-    }
-}
-
-/// A condition variable matching the wrapped [`Mutex`].
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Blocks until notified, releasing the guard's lock while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard present outside wait");
-        let reacquired = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(reacquired);
-    }
-
-    /// Like [`Condvar::wait`], but gives up after `timeout` of wall-clock
-    /// time. Returns `true` if the wait timed out without a notification.
-    ///
-    /// Spurious wakeups are possible either way; callers must re-check
-    /// their predicate, exactly as with [`Condvar::wait`].
-    pub fn wait_timeout<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> bool {
-        let inner = guard.0.take().expect("guard present outside wait");
-        let (reacquired, result) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(reacquired);
-        result.timed_out()
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
+        &mut self.0
     }
 }
 
@@ -189,53 +132,6 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn condvar_hands_off_between_threads() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            *m.lock() = true;
-            cv.notify_one();
-        });
-        let (m, cv) = &*pair;
-        let mut ready = m.lock();
-        while !*ready {
-            cv.wait(&mut ready);
-        }
-        drop(ready);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn wait_timeout_reports_expiry_and_delivery() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        // Nothing ever notifies: the wait must expire.
-        {
-            let (m, cv) = &*pair;
-            let mut g = m.lock();
-            let timed_out = cv.wait_timeout(&mut g, std::time::Duration::from_millis(5));
-            assert!(timed_out);
-            assert!(!*g, "guard is usable after a timed-out wait");
-        }
-        // A notification before expiry is seen as a normal wakeup.
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            *m.lock() = true;
-            cv.notify_all();
-        });
-        let (m, cv) = &*pair;
-        let mut ready = m.lock();
-        while !*ready {
-            if cv.wait_timeout(&mut ready, std::time::Duration::from_secs(5)) {
-                panic!("notification should arrive well before the timeout");
-            }
-        }
-        drop(ready);
-        t.join().unwrap();
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use tile_io::TileIo;
 /// A workload: a deterministic map from rank to file extents.
 ///
 /// `Send + Sync` because the harness evaluates extents from every rank
-/// thread concurrently.
+/// of a shared world.
 pub trait Workload: Send + Sync {
     /// The extents rank `rank` of `nprocs` accesses.
     fn extents(&self, rank: usize, nprocs: usize) -> ExtentList;

@@ -8,7 +8,7 @@
 //! data correctness and that the endured faults surface in the
 //! operation reports. The determinism test is the subsystem's headline
 //! guarantee: same seed + same plan ⇒ identical bytes, identical
-//! virtual-time reports, identical traffic, on any thread schedule.
+//! virtual-time reports, identical traffic, on any rank schedule.
 
 use mccio_suite::core::prelude::*;
 use mccio_suite::mem::MemParams;
@@ -26,8 +26,7 @@ fn world_of(nodes: usize, cores: usize, ranks: usize) -> std::sync::Arc<World> {
     World::new(CostModel::new(cluster), placement)
 }
 
-/// The standard 3×2/6-rank fault world, pinned to one executor so the
-/// differential matrix ignores any `MCCIO_EXECUTOR` override.
+/// The standard 3×2/6-rank fault world on the schedule `kind` picks.
 fn world_pinned(kind: ExecutorKind) -> std::sync::Arc<World> {
     let cluster = test_cluster(3, 2);
     let placement = Placement::new(&cluster, 6, FillOrder::Block).unwrap();
@@ -259,8 +258,8 @@ fn run_faulty_hashed(
     run_faulty_hashed_in(strategy, plan, world_of(3, 2, 6))
 }
 
-/// [`run_faulty_hashed`] on a caller-supplied world, so the executor
-/// matrix can pin the engine explicitly.
+/// [`run_faulty_hashed`] on a caller-supplied world, so the schedule
+/// matrix can pin the rank schedule explicitly.
 fn run_faulty_hashed_in(
     strategy: &dyn Strategy,
     plan: FaultPlan,
@@ -348,7 +347,7 @@ fn aggregator_crash_mid_write_recovers_with_identical_bytes() {
 fn crash_recovery_runs_are_bit_identical() {
     // Same seed + same crash schedule ⇒ identical reports (including
     // the recovery counters), identical traffic, identical bytes, on
-    // any thread schedule.
+    // any rank schedule.
     let plan = || {
         FaultPlan::new(0x0DD)
             .transient_io_rate(0.05)
@@ -375,11 +374,11 @@ fn crash_recovery_runs_are_bit_identical() {
 }
 
 #[test]
-fn threaded_and_event_executors_replay_crashes_identically() {
-    // Differential executor matrix: the discrete-event scheduler must
-    // reproduce the thread-per-rank oracle bit for bit on the nastiest
-    // schedule in the suite — transient storage faults plus two
-    // mid-operation aggregator crashes — reports, traffic, and bytes.
+fn explored_schedules_replay_crashes_identically() {
+    // Differential schedule matrix: every explored rank schedule must
+    // reproduce the canonical one bit for bit on the nastiest plan in
+    // the suite — transient storage faults plus two mid-operation
+    // aggregator crashes — reports, traffic, and bytes.
     let plan = || {
         FaultPlan::new(0x0DD)
             .transient_io_rate(0.05)
@@ -387,28 +386,22 @@ fn threaded_and_event_executors_replay_crashes_identically() {
             .crash_rank_at(VTime::from_secs(0.012), 2)
     };
     for strategy in both_collectives() {
-        let (reports_t, traffic_t, hash_t) =
-            run_faulty_hashed_in(&*strategy, plan(), world_pinned(ExecutorKind::Threads));
-        let (reports_e, traffic_e, hash_e) =
+        let (reports_c, traffic_c, hash_c) =
             run_faulty_hashed_in(&*strategy, plan(), world_pinned(ExecutorKind::Event));
-        assert_eq!(
-            reports_t,
-            reports_e,
-            "{}: reports diverged across executors",
-            strategy.name()
-        );
-        assert_eq!(
-            traffic_t,
-            traffic_e,
-            "{}: traffic diverged across executors",
-            strategy.name()
-        );
-        assert_eq!(
-            hash_t,
-            hash_e,
-            "{}: file bytes diverged across executors",
-            strategy.name()
-        );
+        for kind in ExecutorKind::EXPLORED {
+            let (reports_x, traffic_x, hash_x) =
+                run_faulty_hashed_in(&*strategy, plan(), world_pinned(kind));
+            let name = strategy.name();
+            assert_eq!(
+                reports_c, reports_x,
+                "{name}: reports diverged under {kind:?}"
+            );
+            assert_eq!(
+                traffic_c, traffic_x,
+                "{name}: traffic diverged under {kind:?}"
+            );
+            assert_eq!(hash_c, hash_x, "{name}: file bytes diverged under {kind:?}");
+        }
     }
 }
 

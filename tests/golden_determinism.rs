@@ -209,17 +209,17 @@ fn run_strategy_crashed(
     (golden, res)
 }
 
-/// Executor matrix: the thread-per-rank oracle and the discrete-event
-/// scheduler must both reproduce the pinned constants — which also
-/// proves them bit-identical to each other — for every strategy.
+/// Schedule matrix: the canonical rank schedule and every explored one
+/// must reproduce the pinned constants — which also proves them
+/// bit-identical to each other — for every strategy.
 #[test]
 fn golden_values_hold() {
     let capture = std::env::var_os("MCCIO_GOLDEN_CAPTURE").is_some();
     for (name, strategy) in &strategies() {
-        for executor in [ExecutorKind::Threads, ExecutorKind::Event] {
+        for executor in std::iter::once(ExecutorKind::Event).chain(ExecutorKind::EXPLORED) {
             let g = run_strategy(&**strategy, executor);
             if capture {
-                if executor == ExecutorKind::Threads {
+                if executor == ExecutorKind::Event {
                     println!("// --- {name} ---");
                     println!("write_secs: {:?}", g.write_secs);
                     println!("read_secs: {:?}", g.read_secs);
@@ -269,8 +269,8 @@ fn crash_schedule_runs_are_bit_identical() {
         ),
     ];
     for (name, strategy) in &collectives {
-        let (a, res_a) = run_strategy_crashed(&**strategy, plan(), ExecutorKind::Threads);
-        let (b, res_b) = run_strategy_crashed(&**strategy, plan(), ExecutorKind::Threads);
+        let (a, res_a) = run_strategy_crashed(&**strategy, plan(), ExecutorKind::Event);
+        let (b, res_b) = run_strategy_crashed(&**strategy, plan(), ExecutorKind::Event);
         assert!(
             res_a.crashes_detected > 0,
             "{name}: the scheduled crash must land inside the operation"
@@ -282,13 +282,12 @@ fn crash_schedule_runs_are_bit_identical() {
             expected(name).file_hash,
             "{name}: recovered bytes must equal the crash-free golden"
         );
-        // Executor matrix: the event scheduler replays the same crash,
-        // detection, re-election, and round replay bit-for-bit.
-        let (e, res_e) = run_strategy_crashed(&**strategy, plan(), ExecutorKind::Event);
-        assert_eq!(a, e, "{name}: event executor diverged on a crash schedule");
-        assert_eq!(
-            res_a, res_e,
-            "{name}: event executor recovery counters diverged"
-        );
+        // Schedule matrix: every explored schedule replays the same
+        // crash, detection, re-election, and round replay bit-for-bit.
+        for kind in ExecutorKind::EXPLORED {
+            let (e, res_e) = run_strategy_crashed(&**strategy, plan(), kind);
+            assert_eq!(a, e, "{name}: {kind:?} diverged on a crash schedule");
+            assert_eq!(res_a, res_e, "{name}: {kind:?} recovery counters diverged");
+        }
     }
 }

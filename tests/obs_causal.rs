@@ -2,8 +2,8 @@
 //! fold must produce blame chains that tile each op's elapsed virtual
 //! time **to the bit**, must be a pure side-channel (virtual time
 //! bit-identical with causal tracing on or off), must be bit-identical
-//! across the thread-per-rank and discrete-event executors — including
-//! under the nastiest crash-recovery schedule in the suite — and the
+//! across the canonical rank schedule and every explored one — including
+//! under the nastiest crash-recovery plan in the suite — and the
 //! no-op what-if re-weighting must reproduce the baseline bit-exactly.
 
 use mccio_suite::core::prelude::*;
@@ -44,8 +44,13 @@ fn slice_extents(rank: usize) -> ExtentList {
     )
 }
 
-/// Write-then-read of `slice_extents` on the 3×2/6-rank world pinned to
-/// `kind`, recording into `sink`, optionally under a fault plan.
+/// The canonical rank schedule followed by every explored one.
+fn schedules() -> impl Iterator<Item = ExecutorKind> {
+    std::iter::once(ExecutorKind::Event).chain(ExecutorKind::EXPLORED)
+}
+
+/// Write-then-read of `slice_extents` on the 3×2/6-rank world run on
+/// `kind`'s schedule, recording into `sink`, optionally under a fault plan.
 fn run_traced(
     strategy: &dyn Strategy,
     kind: ExecutorKind,
@@ -120,7 +125,7 @@ fn assert_well_formed(chain: &BlameChain, who: &str) {
 #[test]
 fn blame_chain_tiles_op_elapsed_to_the_bit() {
     for strategy in both_collectives() {
-        for kind in [ExecutorKind::Threads, ExecutorKind::Event] {
+        for kind in schedules() {
             let sink = ObsSink::enabled().with_causal();
             let reports = run_traced(&*strategy, kind, &sink, Some(skew_plan()));
             let analysis = TraceAnalysis::of_sink(&sink).expect("analyzable trace");
@@ -171,7 +176,7 @@ fn blame_chain_tiles_op_elapsed_to_the_bit() {
 fn causal_tracing_is_a_pure_side_channel() {
     // Arming causal tracing must not move virtual time by a bit.
     for strategy in both_collectives() {
-        for kind in [ExecutorKind::Threads, ExecutorKind::Event] {
+        for kind in schedules() {
             let plain = run_traced(&*strategy, kind, &ObsSink::disabled(), None);
             let traced = run_traced(&*strategy, kind, &ObsSink::enabled().with_causal(), None);
             assert_eq!(plain.len(), traced.len());
@@ -196,23 +201,25 @@ fn causal_tracing_is_a_pure_side_channel() {
 #[test]
 fn chains_are_bit_identical_across_executors() {
     for strategy in both_collectives() {
-        let mut per_executor: Vec<Vec<BlameChain>> = Vec::new();
-        for kind in [ExecutorKind::Threads, ExecutorKind::Event] {
+        let chains_on = |kind| {
             let sink = ObsSink::enabled().with_causal();
             run_traced(&*strategy, kind, &sink, Some(skew_plan()));
-            per_executor.push(sink.causal_chains());
-        }
+            sink.causal_chains()
+        };
+        let canonical = chains_on(ExecutorKind::Event);
         assert!(
-            per_executor[0].iter().any(|c| c.hops() > 0),
+            canonical.iter().any(|c| c.hops() > 0),
             "{}: skewed run produced no cross-rank hops — the comparison is vacuous",
             strategy.name()
         );
-        assert_eq!(
-            per_executor[0],
-            per_executor[1],
-            "{}: blame chains diverge across executors",
-            strategy.name()
-        );
+        for kind in ExecutorKind::EXPLORED {
+            assert_eq!(
+                canonical,
+                chains_on(kind),
+                "{}: blame chains diverge under {kind:?}",
+                strategy.name()
+            );
+        }
     }
 }
 
@@ -220,10 +227,10 @@ fn chains_are_bit_identical_across_executors() {
 fn crash_recovery_chains_are_bit_identical_across_executors() {
     // The crash schedule drives detection, re-election, and round
     // replay; the replayed messages must fold into the same frontier on
-    // both executors.
+    // every schedule.
     for strategy in both_collectives() {
         let mut per_executor: Vec<Vec<BlameChain>> = Vec::new();
-        for kind in [ExecutorKind::Threads, ExecutorKind::Event] {
+        for kind in schedules() {
             let sink = ObsSink::enabled().with_causal();
             run_traced(&*strategy, kind, &sink, Some(crash_plan()));
             let agg = sink.causal().expect("armed");
@@ -239,12 +246,14 @@ fn crash_recovery_chains_are_bit_identical_across_executors() {
             }
             per_executor.push(chains);
         }
-        assert_eq!(
-            per_executor[0],
-            per_executor[1],
-            "{}: crash-schedule blame chains diverge across executors",
-            strategy.name()
-        );
+        for (kind, chains) in ExecutorKind::EXPLORED.iter().zip(&per_executor[1..]) {
+            assert_eq!(
+                &per_executor[0],
+                chains,
+                "{}: crash-plan blame chains diverge under {kind:?}",
+                strategy.name()
+            );
+        }
     }
 }
 

@@ -4,8 +4,8 @@
 //! everything, the online per-cell statistics (counts, sums, min/max,
 //! log2 histograms, top-k stragglers) derived offline from the full
 //! event list must *exactly* equal the ones the streaming sink folded
-//! live — on both executors — and streaming must not move virtual time
-//! by a bit.
+//! live — on both executor kinds, the canonical rank schedule and every
+//! explored one — and streaming must not move virtual time by a bit.
 
 use mccio_suite::core::prelude::*;
 use mccio_suite::mpiio::IoReport;
@@ -26,7 +26,12 @@ fn cfg() -> StreamConfig {
     }
 }
 
-/// A fixed two-phase write+read on 8 ranks, pinned to `kind`, with
+/// The canonical rank schedule followed by every explored one.
+fn schedules() -> impl Iterator<Item = ExecutorKind> {
+    std::iter::once(ExecutorKind::Event).chain(ExecutorKind::EXPLORED)
+}
+
+/// A fixed two-phase write+read on 8 ranks, run on `kind`'s schedule, with
 /// `obs` attached; returns the per-rank `(write, read)` reports.
 fn run_op_on(obs: &ObsSink, kind: ExecutorKind) -> Vec<(IoReport, IoReport)> {
     let cluster = test_cluster(4, 2);
@@ -53,7 +58,7 @@ fn run_op_on(obs: &ObsSink, kind: ExecutorKind) -> Vec<(IoReport, IoReport)> {
 #[test]
 fn streaming_aggregate_matches_buffered_derivation_on_both_executors() {
     let mut per_executor: Vec<StreamAgg> = Vec::new();
-    for kind in [ExecutorKind::Threads, ExecutorKind::Event] {
+    for kind in schedules() {
         // Buffered run: keep every event, derive the aggregate offline.
         let buffered = ObsSink::enabled();
         let buffered_reports = run_op_on(&buffered, kind);
@@ -87,12 +92,14 @@ fn streaming_aggregate_matches_buffered_derivation_on_both_executors() {
     }
 
     // The folded quantities are integer-domain and order-independent,
-    // so the two executors — which deliver events in different orders —
+    // so every schedule — each delivers events in a different order —
     // must agree exactly, stragglers and tie-breaks included.
-    assert_eq!(
-        per_executor[0], per_executor[1],
-        "streaming aggregate diverges across executors"
-    );
+    for (kind, agg) in ExecutorKind::EXPLORED.iter().zip(&per_executor[1..]) {
+        assert_eq!(
+            &per_executor[0], agg,
+            "streaming aggregate diverges under {kind:?}"
+        );
+    }
 }
 
 #[test]
@@ -129,7 +136,7 @@ fn streaming_sink_retains_only_engine_and_exemplar_lanes() {
 
 #[test]
 fn virtual_time_is_bit_identical_with_streaming_on_and_off() {
-    for kind in [ExecutorKind::Threads, ExecutorKind::Event] {
+    for kind in schedules() {
         let plain = run_op_on(&ObsSink::disabled(), kind);
         let streamed = run_op_on(&ObsSink::streaming(cfg()), kind);
         assert_eq!(plain.len(), streamed.len());

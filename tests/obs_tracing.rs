@@ -18,18 +18,14 @@ const EPS: f64 = 1e-9;
 /// Runs a fixed two-phase write+read on 4 ranks with `obs` attached and
 /// returns the per-rank `(write, read)` reports.
 fn run_op(obs: &ObsSink) -> Vec<(IoReport, IoReport)> {
-    run_op_in(obs, World::new)
+    run_op_on(obs, ExecutorKind::Event)
 }
 
-/// [`run_op`] with the world built by `make` — the executor matrix pins
-/// the engine explicitly instead of inheriting `MCCIO_EXECUTOR`.
-fn run_op_in(
-    obs: &ObsSink,
-    make: impl FnOnce(CostModel, Placement) -> std::sync::Arc<World>,
-) -> Vec<(IoReport, IoReport)> {
+/// [`run_op`] on `kind`'s rank schedule.
+fn run_op_on(obs: &ObsSink, kind: ExecutorKind) -> Vec<(IoReport, IoReport)> {
     let cluster = test_cluster(2, 2);
     let placement = Placement::new(&cluster, 4, FillOrder::Block).unwrap();
-    let world = make(CostModel::new(cluster.clone()), placement);
+    let world = World::with_executor(CostModel::new(cluster.clone()), placement, kind);
     let env = IoEnv::new(
         FileSystem::new(4, 16 * KIB, PfsParams::default()),
         MemoryModel::pristine(&cluster),
@@ -151,16 +147,14 @@ fn round_spans_nest_their_phase_children() {
 
 #[test]
 fn span_streams_are_bit_identical_across_executors() {
-    // Executor matrix for the observability layer: the discrete-event
-    // scheduler must emit the same spans at the same virtual times as
-    // the thread-per-rank oracle. Spans are compared as canonical
+    // Schedule matrix for the observability layer: every explored rank
+    // schedule must emit the same spans at the same virtual times as
+    // the canonical one. Spans are compared as canonical
     // (track, start, end, name) sets because sink arrival order is the
-    // one thing the executors legitimately do differently.
+    // one thing schedules legitimately do differently.
     let canon = |kind: ExecutorKind| {
         let obs = ObsSink::enabled();
-        let reports = run_op_in(&obs, |cost, placement| {
-            World::with_executor(cost, placement, kind)
-        });
+        let reports = run_op_on(&obs, kind);
         let events = obs.events();
         let mut spans: Vec<(u32, u64, u64, &'static str)> = events
             .iter()
@@ -177,12 +171,14 @@ fn span_streams_are_bit_identical_across_executors() {
         spans.sort_unstable();
         (reports, spans, events.len())
     };
-    let (reports_t, spans_t, n_t) = canon(ExecutorKind::Threads);
-    let (reports_e, spans_e, n_e) = canon(ExecutorKind::Event);
-    assert!(!spans_t.is_empty(), "traced op must record spans");
-    assert_eq!(reports_t, reports_e, "reports diverged across executors");
-    assert_eq!(n_t, n_e, "event counts diverged across executors");
-    assert_eq!(spans_t, spans_e, "span streams diverged across executors");
+    let (reports_c, spans_c, n_c) = canon(ExecutorKind::Event);
+    assert!(!spans_c.is_empty(), "traced op must record spans");
+    for kind in ExecutorKind::EXPLORED {
+        let (reports_x, spans_x, n_x) = canon(kind);
+        assert_eq!(reports_c, reports_x, "reports diverged under {kind:?}");
+        assert_eq!(n_c, n_x, "event counts diverged under {kind:?}");
+        assert_eq!(spans_c, spans_x, "span streams diverged under {kind:?}");
+    }
 }
 
 #[test]
