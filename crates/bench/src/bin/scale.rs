@@ -411,19 +411,8 @@ fn run_obs(mode: &str, out_path: &str) {
         let analysis = analyze::TraceAnalysis::of_sink(&sink)
             .expect("streamed trace analyzes")
             .with_host_profile(profile.clone());
-        let events: Vec<analyze::TraceEvent> = sink.with_events(|live| {
-            let mut refs: Vec<&mccio_obs::Event> = live.iter().collect();
-            refs.sort_by(|a, b| {
-                (a.track, a.kind.at().as_secs(), a.seq)
-                    .partial_cmp(&(b.track, b.kind.at().as_secs(), b.seq))
-                    .expect("virtual times are finite")
-            });
-            refs.into_iter()
-                .map(analyze::TraceEvent::from_live)
-                .collect()
-        });
         let title = format!("mccio scale --obs — {ranks} ranks / {name}");
-        let html = report::render(&title, &events, &analysis, None);
+        let html = sink.with_events(|events| report::render(&title, events, &analysis, None));
         let path = format!("trace_obs/scale_obs_{ranks}.html");
         std::fs::write(&path, &html).expect("write obs report");
         eprintln!("  wrote {path} ({} bytes)", html.len());
@@ -681,19 +670,8 @@ fn run_causal(mode: &str, out_path: &str) {
             analysis.causal.as_ref().is_some_and(|c| !c.is_empty()),
             "{ranks} ranks: analysis carries no causal layer"
         );
-        let events: Vec<analyze::TraceEvent> = sink.with_events(|live| {
-            let mut refs: Vec<&mccio_obs::Event> = live.iter().collect();
-            refs.sort_by(|a, b| {
-                (a.track, a.kind.at().as_secs(), a.seq)
-                    .partial_cmp(&(b.track, b.kind.at().as_secs(), b.seq))
-                    .expect("virtual times are finite")
-            });
-            refs.into_iter()
-                .map(analyze::TraceEvent::from_live)
-                .collect()
-        });
         let title = format!("mccio scale causal — {ranks} ranks / {name}");
-        let html = report::render(&title, &events, &analysis, None);
+        let html = sink.with_events(|events| report::render(&title, events, &analysis, None));
         let path = format!("trace_obs/scale_causal_{ranks}.html");
         std::fs::write(&path, &html).expect("write causal report");
         eprintln!("  wrote {path} ({} bytes)", html.len());

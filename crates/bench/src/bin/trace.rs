@@ -300,11 +300,7 @@ fn report_mode(mode: &str, outdir: &str) {
         // Acceptance invariant 1: the critical-path total is the op
         // span's priced duration, bit for bit. Cross-check against the
         // events independently of how the analyzer stored it.
-        let events: Vec<analyze::TraceEvent> = {
-            let mut live = obs.events();
-            mccio_obs::span::sort_for_export(&mut live);
-            live.iter().map(analyze::TraceEvent::from_live).collect()
-        };
+        let events = obs.events();
         let op_durs: Vec<f64> = events
             .iter()
             .filter(|e| e.name == "op")
@@ -327,28 +323,25 @@ fn report_mode(mode: &str, outdir: &str) {
                 eprintln!("report[{name}]: op {i} total does not match its span event");
                 failures += 1;
             }
-            if op.tiling_error.abs() > analyze::TILING_EPS * op.rounds.max(1) as f64 {
+            if op.tiling_error.abs() > analyze::TILING_EPS * op.rounds.len().max(1) as f64 {
                 eprintln!(
                     "report[{name}]: op {i} tiling error {} over {} rounds",
-                    op.tiling_error, op.rounds
+                    op.tiling_error,
+                    op.rounds.len()
                 );
                 failures += 1;
             }
         }
-        // Acceptance invariant 2: the JSONL artifact replays into a
-        // bit-identical analysis (attribution and totals).
-        let replayed = analyze::TraceEvent::from_jsonl(&export::jsonl(&obs.events()))
+        // Acceptance invariant 2: the JSONL artifact replays into an
+        // identical set of critical paths — every segment, decoded round
+        // and per-phase attribution.
+        let replayed = analyze::from_jsonl(&export::jsonl(&events))
             .and_then(|evs| analyze::TraceAnalysis::from_events(&evs))
             .unwrap_or_else(|e| {
                 eprintln!("report[{name}]: JSONL replay failed: {e}");
                 exit(1);
             });
-        if replayed.ops.len() != analysis.ops.len()
-            || replayed.ops.iter().zip(&analysis.ops).any(|(r, l)| {
-                r.total.as_secs().to_bits() != l.total.as_secs().to_bits()
-                    || r.attribution.total().to_bits() != l.attribution.total().to_bits()
-            })
-        {
+        if replayed.ops != analysis.ops {
             eprintln!("report[{name}]: JSONL replay is not bit-identical to the live analysis");
             failures += 1;
         }
@@ -367,7 +360,7 @@ fn report_mode(mode: &str, outdir: &str) {
                 "report[{name}]: {} op {:.6}s over {} rounds, dominant {}, top straggler {}",
                 op.dir,
                 op.total.as_secs(),
-                op.rounds,
+                op.rounds.len(),
                 op.attribution.dominant().name(),
                 op.top_straggler()
                     .map_or("none".to_string(), |(r, n)| format!(
@@ -528,13 +521,8 @@ fn causal_mode(mode: &str, outdir: &str) {
 
         // Artifacts: the causal HTML report and the flow-annotated
         // Chrome trace, both validated before exit.
-        let events: Vec<analyze::TraceEvent> = {
-            let mut live = obs.events();
-            mccio_obs::span::sort_for_export(&mut live);
-            live.iter().map(analyze::TraceEvent::from_live).collect()
-        };
         let title = format!("mccio causal report — {mode} / {name}");
-        let html = report::render(&title, &events, &analysis, None);
+        let html = obs.with_events(|events| report::render(&title, events, &analysis, None));
         if !html.starts_with("<!DOCTYPE html>") || !html.ends_with("</html>\n") {
             eprintln!("causal[{name}]: malformed HTML envelope");
             failures += 1;

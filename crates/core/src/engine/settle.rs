@@ -109,8 +109,9 @@ pub(super) fn settle_round(
         if obs.is_enabled() {
             // The root's clock has not advanced yet, so `ctx.clock()` is
             // the round's virtual start; the phase spans tile the round
-            // in pricing order. Everything `derive_rounds` needs to
-            // rebuild a `RoundRecord` rides on the round span's attrs.
+            // in pricing order. The round's facts ride on the round
+            // span's attrs; `mccio_obs::analyze::Round::from_span` is
+            // their one decoder.
             let start = ctx.clock();
             let total = sync + shuffle + storage + assembly + waiting;
             obs.span(

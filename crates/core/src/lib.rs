@@ -62,7 +62,6 @@ pub mod plan;
 pub mod ptree;
 pub mod resilience;
 pub mod schedule;
-pub mod stats;
 pub mod strategy;
 pub mod tuner;
 pub mod two_phase;

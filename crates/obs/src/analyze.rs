@@ -10,9 +10,9 @@
 //!   shuffle → storage → assembly → backoff, in pricing order) plus
 //!   whatever the rounds do not cover (prologue, inter-round gaps,
 //!   epilogue). [`CriticalPath`] reconstructs that tiling from the
-//!   round spans' attributes, attributes every virtual second to a
-//!   [`Phase`], and names the straggler rank that set each
-//!   max-over-ranks phase term.
+//!   round spans, each decoded once into a [`Round`], attributes every
+//!   virtual second to a [`Phase`], and names the straggler rank that
+//!   set each max-over-ranks phase term.
 //! * **Memory pressure** — paired `mem.reserve` / `mem.release`
 //!   instants (plus `fault.mem.revoke` / `fault.mem.restore`) replay
 //!   into exact per-node occupancy step functions ([`MemTimeline`]),
@@ -23,10 +23,10 @@
 //!   ([`RunDiff`]); a run diffed against itself is exactly zero.
 //!
 //! Input is either a live [`ObsSink`] ([`TraceAnalysis::of_sink`]) or a
-//! replayed artifact: [`TraceEvent::from_jsonl`] round-trips the JSONL
-//! exporter bit-exactly (f64s are printed shortest-roundtrip), while
-//! [`TraceEvent::from_chrome`] accepts the Chrome artifact's microsecond
-//! timestamps (lossy at the 1e-9 s level, fine for inspection).
+//! replayed JSONL artifact: [`from_jsonl`] parses the
+//! [`crate::export::jsonl`] format back into the engine's own [`Event`]
+//! type bit-exactly (f64s are printed shortest-roundtrip), interning its
+//! strings through [`crate::span::intern`].
 
 use std::collections::BTreeMap;
 
@@ -37,259 +37,188 @@ use crate::causal::CausalAnalysis;
 use crate::json::{self, Value};
 use crate::metrics::Histogram;
 use crate::sink::ObsSink;
-use crate::span::{AttrValue, Event, EventKind, ENGINE_TRACK, PHASE_NAMES};
+use crate::span::{intern, AttrValue, Event, EventKind, ENGINE_TRACK, PHASE_NAMES};
 use crate::stream::StreamAgg;
 
 /// Tolerance for tiling checks: segment sums are f64 accumulations of
 /// attribute values, so they match the priced durations to rounding.
 pub const TILING_EPS: f64 = 1e-9;
 
-/// An owned attribute value — the replayable mirror of [`AttrValue`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum AttrVal {
-    /// An unsigned count or byte size.
-    U64(u64),
-    /// A floating-point quantity (seconds, factors).
-    F64(f64),
-    /// A label (direction, strategy name, event taxonomy).
-    Str(String),
+/// Replays a JSONL artifact (the [`crate::export::jsonl`] format) back
+/// into events. JSONL prints f64s shortest-roundtrip, so every virtual
+/// time comes back bit-identical to the live sink's. Each event's `seq`
+/// is its line position: the exporter writes parents before children,
+/// so ordering semantics survive the round trip.
+///
+/// # Errors
+/// Describes the first malformed line: bad JSON, a missing or mistyped
+/// field, a track that is not an integer in `0..=u32::MAX`, or an
+/// attribute that is neither a number nor a string.
+pub fn from_jsonl(doc: &str) -> Result<Vec<Event>, String> {
+    let mut out = Vec::new();
+    for (i, line) in doc.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let n = i + 1;
+        let v = json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
+        let field = |k: &str| v.get(k).ok_or(format!("line {n} missing {k:?}"));
+        let num = |k: &str| {
+            field(k)?
+                .as_f64()
+                .ok_or(format!("line {n}: {k:?} not a number"))
+        };
+        let text = |k: &str| {
+            field(k)?
+                .as_str()
+                .map(intern)
+                .ok_or(format!("line {n}: {k:?} not a string"))
+        };
+        let kind = match field("kind")?.as_str() {
+            Some("span") => EventKind::Span {
+                start: VTime::from_secs(num("start_s")?),
+                dur: VDuration::from_secs(num("dur_s")?),
+            },
+            Some("instant") => EventKind::Instant {
+                at: VTime::from_secs(num("at_s")?),
+            },
+            Some("counter") => EventKind::Counter {
+                at: VTime::from_secs(num("at_s")?),
+                value: num("value")?,
+            },
+            other => return Err(format!("line {n}: bad kind {other:?}")),
+        };
+        let track = num("track")?;
+        if track.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&track) {
+            return Err(format!(
+                "line {n}: track {track} is not an integer in 0..={}",
+                u32::MAX
+            ));
+        }
+        out.push(Event {
+            name: text("name")?,
+            cat: text("cat")?,
+            track: track as u32,
+            kind,
+            attrs: parse_attrs(v.get("attrs"), n)?,
+            seq: out.len() as u64,
+        });
+    }
+    Ok(out)
 }
 
-/// An owned observability event: the replayable mirror of [`Event`],
-/// buildable from a live sink or parsed back from an exported artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Event name within the taxonomy (`"op"`, `"round"`, …).
-    pub name: String,
-    /// Category (`"engine"`, `"mem"`, `"fault"`, …).
-    pub cat: String,
-    /// The track the event renders on: a rank number or
-    /// [`ENGINE_TRACK`].
-    pub track: u32,
-    /// The mark this event places on the track.
-    pub kind: EventKind,
-    /// Structured attributes.
-    pub attrs: Vec<(String, AttrVal)>,
-    /// Order key. Live events keep their emission sequence; replayed
-    /// events use their line/array position, which the exporters sort
-    /// parent-before-child, so ordering semantics survive the round
-    /// trip.
-    pub seq: u64,
-}
-
-impl TraceEvent {
-    /// Converts a live sink event.
-    #[must_use]
-    pub fn from_live(e: &Event) -> TraceEvent {
-        TraceEvent {
-            name: e.name.to_string(),
-            cat: e.cat.to_string(),
-            track: e.track,
-            kind: e.kind,
-            attrs: e
-                .attrs
-                .iter()
-                .map(|(k, v)| {
-                    let v = match v {
-                        AttrValue::U64(x) => AttrVal::U64(*x),
-                        AttrValue::F64(x) => AttrVal::F64(*x),
-                        AttrValue::Str(s) => AttrVal::Str((*s).to_string()),
-                    };
-                    ((*k).to_string(), v)
-                })
-                .collect(),
-            seq: e.seq,
-        }
-    }
-
-    /// Looks up an attribute by key.
-    #[must_use]
-    pub fn attr(&self, key: &str) -> Option<&AttrVal> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// An attribute as u64, if present and integral.
-    #[must_use]
-    pub fn attr_u64(&self, key: &str) -> Option<u64> {
-        match self.attr(key) {
-            Some(AttrVal::U64(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// An attribute as f64 (also accepts u64), if present.
-    #[must_use]
-    pub fn attr_f64(&self, key: &str) -> Option<f64> {
-        match self.attr(key) {
-            Some(AttrVal::F64(v)) => Some(*v),
-            Some(AttrVal::U64(v)) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// An attribute as a string, if present and of that type.
-    #[must_use]
-    pub fn attr_str(&self, key: &str) -> Option<&str> {
-        match self.attr(key) {
-            Some(AttrVal::Str(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Virtual end of the event (start + duration for spans, the mark
-    /// itself otherwise).
-    #[must_use]
-    pub fn end(&self) -> VTime {
-        match self.kind {
-            EventKind::Span { start, dur } => start + dur,
-            EventKind::Instant { at } | EventKind::Counter { at, .. } => at,
-        }
-    }
-
-    /// Replays a JSONL artifact (the [`crate::export::jsonl`] format)
-    /// back into events. JSONL prints f64s shortest-roundtrip, so every
-    /// virtual time comes back bit-identical to the live sink's.
-    ///
-    /// # Errors
-    /// Describes the first malformed line.
-    pub fn from_jsonl(doc: &str) -> Result<Vec<TraceEvent>, String> {
-        let mut out = Vec::new();
-        for (i, line) in doc.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let field = |k: &str| {
-                v.get(k)
-                    .cloned()
-                    .ok_or(format!("line {} missing {k:?}", i + 1))
-            };
-            let num = |k: &str| {
-                field(k)?
-                    .as_f64()
-                    .ok_or(format!("line {}: {k:?} not a number", i + 1))
-            };
-            let kind = match field("kind")?.as_str() {
-                Some("span") => EventKind::Span {
-                    start: VTime::from_secs(num("start_s")?),
-                    dur: VDuration::from_secs(num("dur_s")?),
-                },
-                Some("instant") => EventKind::Instant {
-                    at: VTime::from_secs(num("at_s")?),
-                },
-                Some("counter") => EventKind::Counter {
-                    at: VTime::from_secs(num("at_s")?),
-                    value: num("value")?,
-                },
-                other => return Err(format!("line {}: bad kind {other:?}", i + 1)),
-            };
-            out.push(TraceEvent {
-                name: field("name")?
-                    .as_str()
-                    .ok_or(format!("line {}: name not a string", i + 1))?
-                    .to_string(),
-                cat: field("cat")?.as_str().unwrap_or("").to_string(),
-                track: num("track")? as u32,
-                kind,
-                attrs: parse_attrs(v.get("attrs")),
-                seq: out.len() as u64,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Replays a Chrome `trace_event` artifact back into events.
-    /// Timestamps are microseconds printed at fixed precision, so
-    /// virtual times round-trip to ~1e-9 s, not to the bit — use JSONL
-    /// when exactness matters.
-    ///
-    /// # Errors
-    /// Describes the first malformed record.
-    pub fn from_chrome(doc: &str) -> Result<Vec<TraceEvent>, String> {
-        const US: f64 = 1e6;
-        let parsed = json::parse(doc)?;
-        let records = parsed.as_arr().ok_or("top level must be a JSON array")?;
-        let mut out = Vec::new();
-        for (i, r) in records.iter().enumerate() {
-            let ph = r
-                .get("ph")
-                .and_then(Value::as_str)
-                .ok_or(format!("record {i} missing \"ph\""))?;
-            if ph == "M" {
-                continue;
-            }
-            let num = |k: &str| {
-                r.get(k)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("record {i} missing numeric {k:?}"))
-            };
-            let kind = match ph {
-                "X" => EventKind::Span {
-                    start: VTime::from_secs(num("ts")? / US),
-                    dur: VDuration::from_secs(num("dur")? / US),
-                },
-                "i" => EventKind::Instant {
-                    at: VTime::from_secs(num("ts")? / US),
-                },
-                "C" => EventKind::Counter {
-                    at: VTime::from_secs(num("ts")? / US),
-                    value: r
-                        .get("args")
-                        .and_then(|a| a.get("value"))
-                        .and_then(Value::as_f64)
-                        .ok_or(format!("counter record {i} missing args.value"))?,
-                },
-                // Flow events ("s" start / "f" finish) annotate message
-                // causality between spans; they carry no span of their
-                // own and are skipped on replay (like "M" metadata).
-                "s" | "f" => continue,
-                other => return Err(format!("record {i}: unknown ph {other:?}")),
-            };
-            out.push(TraceEvent {
-                name: r
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or(format!("record {i} missing \"name\""))?
-                    .to_string(),
-                cat: r
-                    .get("cat")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                track: num("tid")? as u32,
-                kind,
-                attrs: if matches!(kind, EventKind::Counter { .. }) {
-                    Vec::new()
-                } else {
-                    parse_attrs(r.get("args"))
-                },
-                seq: out.len() as u64,
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// Parses an exported `attrs`/`args` object back into attribute pairs.
-/// Integral numbers come back as [`AttrVal::U64`] (the exporters print
-/// u64s without a decimal point); everything else stays f64.
-fn parse_attrs(v: Option<&Value>) -> Vec<(String, AttrVal)> {
+/// Parses an exported `attrs` object back into attribute pairs.
+/// Integral numbers come back as [`AttrValue::U64`] (the exporters print
+/// u64s without a decimal point); other numbers stay f64.
+fn parse_attrs(v: Option<&Value>, line: usize) -> Result<Vec<(&'static str, AttrValue)>, String> {
     let Some(obj) = v.and_then(Value::as_obj) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     obj.iter()
         .map(|(k, v)| {
             let val = match v {
-                Value::Str(s) => AttrVal::Str(s.clone()),
+                Value::Str(s) => AttrValue::Str(intern(s)),
                 Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
-                    AttrVal::U64(*n as u64)
+                    AttrValue::U64(*n as u64)
                 }
-                Value::Num(n) => AttrVal::F64(*n),
-                other => AttrVal::Str(format!("{other:?}")),
+                Value::Num(n) => AttrValue::F64(*n),
+                _ => {
+                    return Err(format!(
+                        "line {line}: attribute {k:?} is not a number or string"
+                    ))
+                }
             };
-            (k.clone(), val)
+            Ok((intern(k), val))
         })
         .collect()
+}
+
+/// One priced round, decoded from the engine's `"round"` span.
+///
+/// The engine prices every round at the world root and records the
+/// round's facts as attributes on that span; [`Round::from_span`] is
+/// the one place that schema is read back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Round {
+    /// `"write"` or `"read"`.
+    pub dir: &'static str,
+    /// Virtual start of the round.
+    pub start: VTime,
+    /// Priced duration of the round (the span's duration).
+    pub dur: VDuration,
+    /// Shuffle flows in the round.
+    pub flows: u64,
+    /// Application bytes stored or fetched this round.
+    pub volume: u64,
+    /// Storage requests issued this round.
+    pub requests: u64,
+    /// Ranks that touched storage this round (the active aggregators).
+    pub clients: u64,
+    /// Seconds of each priced phase, in [`PHASE_NAMES`] order.
+    pub phase_secs: [f64; 5],
+    /// The rank that set each max-over-ranks phase term, aligned with
+    /// `phase_secs`. Storage, assembly and backoff name one; sync and
+    /// shuffle are priced globally and are always `None`.
+    pub stragglers: [Option<u32>; 5],
+    /// Transiently failed storage attempts across all ranks.
+    pub transient_faults: u64,
+    /// Retries issued across all ranks.
+    pub retries: u64,
+}
+
+impl Round {
+    /// Decodes a `"round"` span. Missing attributes decode as zero (or
+    /// no straggler); a missing direction decodes as `"?"`.
+    #[must_use]
+    pub fn from_span(e: &Event) -> Round {
+        // Per-phase seconds, in `PHASE_NAMES` order.
+        const PHASE_KEYS: [&str; 5] = [
+            "sync_secs",
+            "shuffle_secs",
+            "storage_secs",
+            "assembly_secs",
+            "backoff_secs",
+        ];
+        // Straggler ranks, aligned with `PHASE_KEYS`: sync and shuffle
+        // are priced globally and name none.
+        const STRAGGLER_KEYS: [Option<&str>; 5] = [
+            None,
+            None,
+            Some("storage_rank"),
+            Some("assembly_rank"),
+            Some("backoff_rank"),
+        ];
+        let u64_attr = |k: &str| e.attr_u64(k).unwrap_or(0);
+        let (start, dur) = match e.kind {
+            EventKind::Span { start, dur } => (start, dur),
+            other => (other.at(), VDuration::ZERO),
+        };
+        Round {
+            dir: e.attr_str("dir").unwrap_or("?"),
+            start,
+            dur,
+            flows: u64_attr("flows"),
+            volume: u64_attr("volume"),
+            requests: u64_attr("requests"),
+            clients: u64_attr("clients"),
+            phase_secs: PHASE_KEYS.map(|k| e.attr_f64(k).unwrap_or(0.0)),
+            stragglers: STRAGGLER_KEYS.map(|k| k.and_then(|k| e.attr_u64(k)).map(|v| v as u32)),
+            transient_faults: u64_attr("transient_faults"),
+            retries: u64_attr("retries"),
+        }
+    }
+
+    /// Virtual end of the round.
+    #[must_use]
+    pub fn end(&self) -> VTime {
+        self.start + self.dur
+    }
+
+    /// Seconds of one round phase (zero for the non-round phases).
+    #[must_use]
+    pub fn secs(&self, phase: Phase) -> f64 {
+        self.phase_secs.get(phase as usize).copied().unwrap_or(0.0)
+    }
 }
 
 /// Where a slice of critical-path time went.
@@ -449,7 +378,7 @@ impl Attribution {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPath {
     /// `"write"` or `"read"`.
-    pub dir: String,
+    pub dir: &'static str,
     /// Virtual start of the operation (the op span's start).
     pub start: VTime,
     /// Total critical-path duration — the op span's priced virtual
@@ -460,8 +389,8 @@ pub struct CriticalPath {
     pub segments: Vec<Segment>,
     /// Per-phase attribution (sums of the segments).
     pub attribution: Attribution,
-    /// Rounds on the path.
-    pub rounds: usize,
+    /// The rounds on the path, decoded, in virtual-time order.
+    pub rounds: Vec<Round>,
     /// `attribution.total() - total.as_secs()` — how far the f64
     /// segment sum drifts from the priced duration. Bounded by
     /// [`TILING_EPS`] × rounds on any trace the engine emitted.
@@ -569,20 +498,7 @@ impl TraceAnalysis {
     /// # Errors
     /// Propagates [`TraceAnalysis::from_events`] errors.
     pub fn of_sink(sink: &ObsSink) -> Result<TraceAnalysis, String> {
-        // Borrow the buffer and sort references: the O(events) copy of
-        // every event (attribute vectors included) that `events()`
-        // would make is avoided; only the owned TraceEvent mirror is
-        // built.
-        let events: Vec<TraceEvent> = sink.with_events(|live| {
-            let mut refs: Vec<&Event> = live.iter().collect();
-            refs.sort_by(|a, b| {
-                (a.track, a.kind.at().as_secs(), a.seq)
-                    .partial_cmp(&(b.track, b.kind.at().as_secs(), b.seq))
-                    .expect("virtual times are finite")
-            });
-            refs.into_iter().map(TraceEvent::from_live).collect()
-        });
-        let mut analysis = TraceAnalysis::from_events(&events)?;
+        let mut analysis = sink.with_events(TraceAnalysis::from_events)?;
         let metrics = sink.metrics();
         analysis.counters = metrics.counter_map();
         analysis.gauges = metrics.gauge_map();
@@ -606,31 +522,32 @@ impl TraceAnalysis {
         self
     }
 
-    /// Analyzes a replayed (or pre-converted) event stream.
+    /// Analyzes a live or replayed event stream, in any order.
     ///
     /// # Errors
     /// Returns a description when the trace is structurally broken —
     /// a round span outside any op span, or a round whose phase terms
     /// do not tile its duration.
-    pub fn from_events(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
-        let mut ops: Vec<&TraceEvent> = Vec::new();
-        let mut rounds: Vec<&TraceEvent> = Vec::new();
+    pub fn from_events(events: &[Event]) -> Result<TraceAnalysis, String> {
+        let mut ops: Vec<&Event> = Vec::new();
+        let mut rounds: Vec<&Event> = Vec::new();
         for e in events {
             if e.track == ENGINE_TRACK {
-                match (e.name.as_str(), &e.kind) {
+                match (e.name, &e.kind) {
                     ("op", EventKind::Span { .. }) => ops.push(e),
                     ("round", EventKind::Span { .. }) => rounds.push(e),
                     _ => {}
                 }
             }
         }
-        let by_time = |a: &&TraceEvent, b: &&TraceEvent| {
+        let by_time = |a: &&Event, b: &&Event| {
             (a.kind.at().as_secs(), a.seq)
                 .partial_cmp(&(b.kind.at().as_secs(), b.seq))
                 .expect("virtual times are finite")
         };
         ops.sort_by(by_time);
         rounds.sort_by(by_time);
+        let rounds: Vec<Round> = rounds.into_iter().map(Round::from_span).collect();
 
         let mut paths = Vec::with_capacity(ops.len());
         let mut used = vec![false; rounds.len()];
@@ -640,24 +557,24 @@ impl TraceAnalysis {
                 _ => unreachable!("filtered to spans"),
             };
             let end = start + dur;
-            let mut mine: Vec<&TraceEvent> = Vec::new();
+            let mut mine: Vec<Round> = Vec::new();
             for (r, claimed) in rounds.iter().zip(used.iter_mut()) {
                 if *claimed {
                     continue;
                 }
-                let contained = r.kind.at().as_secs() >= start.as_secs() - TILING_EPS
+                let contained = r.start.as_secs() >= start.as_secs() - TILING_EPS
                     && r.end().as_secs() <= end.as_secs() + TILING_EPS;
                 if contained {
                     *claimed = true;
-                    mine.push(r);
+                    mine.push(*r);
                 }
             }
-            paths.push(critical_path(op, start, dur, &mine)?);
+            paths.push(critical_path(op, start, dur, mine)?);
         }
         if let Some(pos) = used.iter().position(|&u| !u) {
             return Err(format!(
                 "round span at t={} lies outside every op span",
-                rounds[pos].kind.at()
+                rounds[pos].start
             ));
         }
         Ok(TraceAnalysis {
@@ -821,11 +738,12 @@ impl RunDiff {
 
 /// Tiles one op span with its rounds' phase terms.
 fn critical_path(
-    op: &TraceEvent,
+    op: &Event,
     start: VTime,
     dur: VDuration,
-    rounds: &[&TraceEvent],
+    rounds: Vec<Round>,
 ) -> Result<CriticalPath, String> {
+    let dir = op.attr_str("dir").unwrap_or("?");
     let end = start + dur;
     let mut segments = Vec::new();
     let mut attribution = Attribution::default();
@@ -844,42 +762,25 @@ fn critical_path(
         };
     let mut cursor = start;
     for (i, r) in rounds.iter().enumerate() {
-        let r_start = r.kind.at();
-        let lead = r_start.as_secs() - cursor.as_secs();
+        let lead = r.start.as_secs() - cursor.as_secs();
         if lead > TILING_EPS {
             let phase = if i == 0 { Phase::Prologue } else { Phase::Gap };
             push(phase, cursor, lead, None, None);
         }
-        let mut t = r_start;
-        for (name, phase) in [
-            ("sync_secs", Phase::Sync),
-            ("shuffle_secs", Phase::Shuffle),
-            ("storage_secs", Phase::Storage),
-            ("assembly_secs", Phase::Assembly),
-            ("backoff_secs", Phase::Backoff),
-        ] {
-            let secs = r.attr_f64(name).unwrap_or(0.0);
-            let straggler = match phase {
-                Phase::Storage => r.attr_u64("storage_rank"),
-                Phase::Assembly => r.attr_u64("assembly_rank"),
-                Phase::Backoff => r.attr_u64("backoff_rank"),
-                _ => None,
-            }
-            .map(|v| v as u32)
-            .filter(|_| secs > 0.0);
-            push(phase, t, secs, Some(i), straggler);
+        let mut t = r.start;
+        for ((&phase, &secs), &straggler) in Phase::ALL.iter().zip(&r.phase_secs).zip(&r.stragglers)
+        {
+            push(phase, t, secs, Some(i), straggler.filter(|_| secs > 0.0));
             t += VDuration::from_secs(secs);
         }
-        let round_end = r.end();
-        if (t.as_secs() - round_end.as_secs()).abs() > TILING_EPS * 10.0 {
+        if (t.as_secs() - r.end().as_secs()).abs() > TILING_EPS * 10.0 {
             return Err(format!(
-                "round {i} phase terms sum to {} but the span ends at {} (op {})",
+                "round {i} phase terms sum to {} but the span ends at {} (op {dir})",
                 t,
-                round_end,
-                op.attr_str("dir").unwrap_or("?"),
+                r.end(),
             ));
         }
-        cursor = round_end;
+        cursor = r.end();
     }
     let tail = end.as_secs() - cursor.as_secs();
     if tail > TILING_EPS {
@@ -892,19 +793,19 @@ fn critical_path(
     }
     let tiling_error = attribution.total() - dur.as_secs();
     Ok(CriticalPath {
-        dir: op.attr_str("dir").unwrap_or("?").to_string(),
+        dir,
         start,
         total: dur,
         segments,
         attribution,
-        rounds: rounds.len(),
+        rounds,
         tiling_error,
     })
 }
 
 /// Replays `mem.reserve`/`mem.release` and `fault.mem.*` events into
 /// per-node occupancy step functions.
-fn mem_timelines(events: &[TraceEvent]) -> Vec<MemTimeline> {
+fn mem_timelines(events: &[Event]) -> Vec<MemTimeline> {
     // Per node, chronological (occupancy delta, ceiling observation or
     // delta) — reserve/release carry an exact ceiling reading, fault
     // events step it.
@@ -915,7 +816,7 @@ fn mem_timelines(events: &[TraceEvent]) -> Vec<MemTimeline> {
     }
     let mut per_node: BTreeMap<usize, Vec<(f64, u64, i64, Ceil)>> = BTreeMap::new();
     for e in events {
-        let (occ_delta, ceil) = match e.name.as_str() {
+        let (occ_delta, ceil) = match e.name {
             "mem.reserve" => (
                 e.attr_u64("bytes").unwrap_or(0) as i64,
                 Ceil::Observed(e.attr_u64("ceiling").unwrap_or(0)),
@@ -1013,18 +914,18 @@ mod tests {
     use crate::span::sort_for_export;
 
     fn ev(
-        name: &str,
+        name: &'static str,
         track: u32,
         kind: EventKind,
-        attrs: Vec<(&str, AttrVal)>,
+        attrs: Vec<(&'static str, AttrValue)>,
         seq: u64,
-    ) -> TraceEvent {
-        TraceEvent {
-            name: name.to_string(),
-            cat: "t".to_string(),
+    ) -> Event {
+        Event {
+            name,
+            cat: "t",
             track,
             kind,
-            attrs: attrs.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            attrs,
             seq,
         }
     }
@@ -1042,22 +943,22 @@ mod tests {
         }
     }
 
-    fn round(start: f64, secs: [f64; 5], straggler: u64, seq: u64) -> TraceEvent {
+    fn round(start: f64, secs: [f64; 5], straggler: u64, seq: u64) -> Event {
         let dur: f64 = secs.iter().sum();
         ev(
             "round",
             ENGINE_TRACK,
             span(start, dur),
             vec![
-                ("dir", AttrVal::Str("write".into())),
-                ("sync_secs", AttrVal::F64(secs[0])),
-                ("shuffle_secs", AttrVal::F64(secs[1])),
-                ("storage_secs", AttrVal::F64(secs[2])),
-                ("assembly_secs", AttrVal::F64(secs[3])),
-                ("backoff_secs", AttrVal::F64(secs[4])),
-                ("storage_rank", AttrVal::U64(straggler)),
-                ("assembly_rank", AttrVal::U64(straggler + 1)),
-                ("backoff_rank", AttrVal::U64(straggler + 2)),
+                ("dir", AttrValue::Str("write")),
+                ("sync_secs", AttrValue::F64(secs[0])),
+                ("shuffle_secs", AttrValue::F64(secs[1])),
+                ("storage_secs", AttrValue::F64(secs[2])),
+                ("assembly_secs", AttrValue::F64(secs[3])),
+                ("backoff_secs", AttrValue::F64(secs[4])),
+                ("storage_rank", AttrValue::U64(straggler)),
+                ("assembly_rank", AttrValue::U64(straggler + 1)),
+                ("backoff_rank", AttrValue::U64(straggler + 2)),
             ],
             seq,
         )
@@ -1069,7 +970,7 @@ mod tests {
             "op",
             ENGINE_TRACK,
             span(0.0, 10.0),
-            vec![("dir", AttrVal::Str("write".into()))],
+            vec![("dir", AttrValue::Str("write"))],
             0,
         );
         let events = vec![
@@ -1081,7 +982,7 @@ mod tests {
         assert_eq!(a.ops.len(), 1);
         let cp = &a.ops[0];
         assert_eq!(cp.dir, "write");
-        assert_eq!(cp.rounds, 2);
+        assert_eq!(cp.rounds.len(), 2);
         // Total is the op span's duration verbatim.
         assert_eq!(cp.total.as_secs().to_bits(), 10.0f64.to_bits());
         // Prologue [0,1), round1 3s, gap [4,5), round2 4s, epilogue [9,10).
@@ -1134,15 +1035,15 @@ mod tests {
         assert!(err.contains("phase terms"), "{err}");
     }
 
-    fn mem_ev(name: &str, t: f64, node: u64, bytes: u64, ceiling: u64, seq: u64) -> TraceEvent {
+    fn mem_ev(name: &'static str, t: f64, node: u64, bytes: u64, ceiling: u64, seq: u64) -> Event {
         ev(
             name,
             0,
             at(t),
             vec![
-                ("node", AttrVal::U64(node)),
-                ("bytes", AttrVal::U64(bytes)),
-                ("ceiling", AttrVal::U64(ceiling)),
+                ("node", AttrValue::U64(node)),
+                ("bytes", AttrValue::U64(bytes)),
+                ("ceiling", AttrValue::U64(ceiling)),
             ],
             seq,
         )
@@ -1178,7 +1079,7 @@ mod tests {
                 "fault.mem.revoke",
                 ENGINE_TRACK,
                 at(1.0),
-                vec![("node", AttrVal::U64(2)), ("bytes", AttrVal::U64(80))],
+                vec![("node", AttrValue::U64(2)), ("bytes", AttrValue::U64(80))],
                 1,
             ),
             // …and a restoration clears it.
@@ -1186,7 +1087,7 @@ mod tests {
                 "fault.mem.restore",
                 ENGINE_TRACK,
                 at(3.0),
-                vec![("node", AttrVal::U64(2)), ("bytes", AttrVal::U64(80))],
+                vec![("node", AttrValue::U64(2)), ("bytes", AttrValue::U64(80))],
                 2,
             ),
             mem_ev("mem.release", 5.0, 2, 100, 150, 3),
@@ -1255,11 +1156,19 @@ mod tests {
         sink.counter_sample(0, "occ", "mem", VTime::from_secs(0.7), 12.5, &[]);
         let mut live = sink.events();
         sort_for_export(&mut live);
-        let replayed = TraceEvent::from_jsonl(&export::jsonl(&live)).unwrap();
+        let replayed = from_jsonl(&export::jsonl(&live)).unwrap();
         assert_eq!(replayed.len(), live.len());
         for (r, l) in replayed.iter().zip(&live) {
             assert_eq!(r.name, l.name);
+            assert_eq!(r.cat, l.cat);
             assert_eq!(r.track, l.track);
+            // JSON objects parse key-ordered, so compare key sets.
+            let keys = |e: &Event| {
+                let mut keys: Vec<&str> = e.attrs.iter().map(|(k, _)| *k).collect();
+                keys.sort_unstable();
+                keys
+            };
+            assert_eq!(keys(r), keys(l));
             match (r.kind, l.kind) {
                 (
                     EventKind::Span { start: rs, dur: rd },
@@ -1289,27 +1198,64 @@ mod tests {
     }
 
     #[test]
-    fn chrome_round_trip_preserves_structure() {
-        use crate::export;
-        let sink = ObsSink::enabled();
-        sink.span(
-            ENGINE_TRACK,
-            "op",
-            "engine",
-            VTime::ZERO,
-            VDuration::from_secs(1.5),
-            &[("bytes", AttrValue::U64(1024))],
-        );
-        sink.instant(2, "rank.round", "engine", VTime::from_secs(0.25), &[]);
-        let mut live = sink.events();
-        sort_for_export(&mut live);
-        let replayed = TraceEvent::from_chrome(&export::chrome_trace(&live)).unwrap();
-        // Metadata records are skipped; the two real events survive.
-        assert_eq!(replayed.len(), 2);
-        let op = replayed.iter().find(|e| e.name == "op").unwrap();
-        assert_eq!(op.track, ENGINE_TRACK);
-        assert_eq!(op.attr_u64("bytes"), Some(1024));
-        assert!((op.end().as_secs() - 1.5).abs() < 1e-9);
+    fn repeated_replays_intern_nothing_new() {
+        let doc = "{\"kind\": \"instant\", \"name\": \"mem.reserve\", \"cat\": \"mem\", \
+                   \"track\": 3, \"at_s\": 0.5, \"attrs\": {\"node\": 1, \"dir\": \"write\"}}\n";
+        let first = from_jsonl(doc).unwrap();
+        let second = from_jsonl(doc).unwrap();
+        for (a, b) in first.iter().zip(&second) {
+            assert!(std::ptr::eq(a.name, b.name));
+            assert!(std::ptr::eq(a.cat, b.cat));
+            for ((ka, va), (kb, vb)) in a.attrs.iter().zip(&b.attrs) {
+                assert!(std::ptr::eq(*ka, *kb));
+                if let (AttrValue::Str(sa), AttrValue::Str(sb)) = (va, vb) {
+                    assert!(std::ptr::eq(*sa, *sb));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_replay_lines_are_rejected() {
+        let line = |track: &str, attr: &str| {
+            format!(
+                "{{\"kind\": \"instant\", \"name\": \"x\", \"cat\": \"t\", \
+                 \"track\": {track}, \"at_s\": 0, \"attrs\": {{\"k\": {attr}}}}}"
+            )
+        };
+        assert!(from_jsonl(&line("7", "1")).is_ok());
+        for track in ["-1", "2.5", "5e9"] {
+            let doc = format!("{}\n{}\n", line("0", "1"), line(track, "1"));
+            let err = from_jsonl(&doc).unwrap_err();
+            assert!(err.starts_with("line 2:") && err.contains("track"), "{err}");
+        }
+        for attr in ["true", "null", "[1]", "{\"a\": 1}"] {
+            let err = from_jsonl(&line("0", attr)).unwrap_err();
+            assert!(err.starts_with("line 1:") && err.contains("\"k\""), "{err}");
+        }
+    }
+
+    #[test]
+    fn round_from_span_decodes_every_attribute() {
+        let mut e = round(1.0, [0.1, 0.2, 0.3, 0.4, 0.5], 6, 0);
+        e.attrs.extend([
+            ("flows", AttrValue::U64(3)),
+            ("volume", AttrValue::U64(100)),
+            ("requests", AttrValue::U64(2)),
+            ("clients", AttrValue::U64(1)),
+            ("transient_faults", AttrValue::U64(4)),
+            ("retries", AttrValue::U64(5)),
+        ]);
+        let r = Round::from_span(&e);
+        assert_eq!(r.dir, "write");
+        assert_eq!(r.start.as_secs(), 1.0);
+        assert_eq!(r.end(), e.end());
+        assert_eq!((r.flows, r.volume, r.requests, r.clients), (3, 100, 2, 1));
+        assert_eq!((r.transient_faults, r.retries), (4, 5));
+        assert_eq!(r.phase_secs, [0.1, 0.2, 0.3, 0.4, 0.5]);
+        assert_eq!(r.secs(Phase::Assembly), 0.4);
+        assert_eq!(r.secs(Phase::Gap), 0.0);
+        assert_eq!(r.stragglers, [None, None, Some(6), Some(7), Some(8)]);
     }
 
     #[test]

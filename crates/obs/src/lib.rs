@@ -24,10 +24,11 @@
 //!   `chrome://tracing`) and a JSONL event stream;
 //! * [`json`] — a small self-contained JSON parser used to validate
 //!   emitted artifacts (the workspace is dependency-free by design);
-//! * [`analyze`] — trace analytics over a sink or a replayed artifact:
-//!   critical-path extraction with per-phase attribution and straggler
-//!   naming, exact per-node memory-occupancy timelines, and structured
-//!   A/B run diffing;
+//! * [`analyze`] — trace analytics over a sink or a replayed JSONL
+//!   artifact (parsed back into the same [`Event`] type): the one
+//!   decoder of the round span ([`Round`]), critical-path extraction
+//!   with per-phase attribution and straggler naming, exact per-node
+//!   memory-occupancy timelines, and structured A/B run diffing;
 //! * [`stream`] — bounded-memory streaming aggregation for extreme
 //!   rank counts: online per-cell statistics, deterministic top-k
 //!   straggler retention, and strided exemplar-rank sampling (used by
@@ -75,7 +76,7 @@ pub mod sink;
 pub mod span;
 pub mod stream;
 
-pub use analyze::{CriticalPath, MemTimeline, Phase, RunDiff, TraceAnalysis, TraceEvent};
+pub use analyze::{CriticalPath, MemTimeline, Phase, Round, RunDiff, TraceAnalysis};
 pub use causal::{
     BlameChain, BlameSegment, CausalAgg, CausalAnalysis, CausalEdge, CausalOp, SegClass, WhatIf,
 };

@@ -9,9 +9,9 @@
 
 use std::fmt::Write as _;
 
-use crate::analyze::{MemTimeline, Phase, RunDiff, TraceAnalysis, TraceEvent};
+use crate::analyze::{MemTimeline, Phase, RunDiff, TraceAnalysis};
 use crate::causal::SegClass;
-use crate::span::{EventKind, ENGINE_TRACK};
+use crate::span::{sort_for_export, Event, EventKind, ENGINE_TRACK};
 
 /// Chart width in pixels (time axis).
 const W: f64 = 960.0;
@@ -52,15 +52,18 @@ pub fn html_escape(s: &str) -> String {
 
 /// Renders the full report: summary, critical-path lanes, rank timeline
 /// lanes, occupancy strip charts, attribution and counter tables, and —
-/// when `diff` is given — the A/B comparison.
+/// when `diff` is given — the A/B comparison. Events may come in any
+/// order; lanes draw them in export order.
 #[must_use]
 pub fn render(
     title: &str,
-    events: &[TraceEvent],
+    events: &[Event],
     analysis: &TraceAnalysis,
     diff: Option<&RunDiff>,
 ) -> String {
-    let (t0, t1) = time_bounds(events, analysis);
+    let mut events: Vec<&Event> = events.iter().collect();
+    sort_for_export(&mut events);
+    let (t0, t1) = time_bounds(&events, analysis);
     let scale = Scale { t0, t1 };
     let mut out = String::with_capacity(64 * 1024);
     let _ = write!(
@@ -73,7 +76,7 @@ pub fn render(
     );
     summary_section(&mut out, analysis);
     critical_path_section(&mut out, analysis, &scale);
-    lanes_section(&mut out, events, analysis, &scale);
+    lanes_section(&mut out, &events, analysis, &scale);
     memory_section(&mut out, &analysis.memory, &scale);
     attribution_section(&mut out, analysis);
     causal_section(&mut out, analysis);
@@ -119,7 +122,7 @@ impl Scale {
     }
 }
 
-fn time_bounds(events: &[TraceEvent], analysis: &TraceAnalysis) -> (f64, f64) {
+fn time_bounds(events: &[&Event], analysis: &TraceAnalysis) -> (f64, f64) {
     let mut t0 = f64::INFINITY;
     let mut t1 = f64::NEG_INFINITY;
     for e in events {
@@ -151,8 +154,8 @@ fn summary_section(out: &mut String, analysis: &TraceAnalysis) {
             out,
             "<tr><td class=\"l\">{i}</td><td class=\"l\">{}</td><td>{}</td>\
              <td>{:.6}</td><td class=\"l\">{}</td><td class=\"l\">{}</td></tr>",
-            html_escape(&op.dir),
-            op.rounds,
+            html_escape(op.dir),
+            op.rounds.len(),
             op.total.as_secs(),
             op.attribution.dominant().name(),
             html_escape(&straggler),
@@ -214,7 +217,7 @@ fn critical_path_section(out: &mut String, analysis: &TraceAnalysis, scale: &Sca
     out.push_str("</svg>\n");
 }
 
-fn lanes_section(out: &mut String, events: &[TraceEvent], analysis: &TraceAnalysis, scale: &Scale) {
+fn lanes_section(out: &mut String, events: &[&Event], analysis: &TraceAnalysis, scale: &Scale) {
     // One lane per rank track, engine track first; spans render as
     // boxes, instants as ticks.
     let mut tracks: Vec<u32> = events.iter().map(|e| e.track).collect();
@@ -278,12 +281,12 @@ fn lanes_section(out: &mut String, events: &[TraceEvent], analysis: &TraceAnalys
                         "<rect x=\"{x:.2}\" y=\"{y:.1}\" width=\"{w:.2}\" height=\"{:.1}\" \
                          fill=\"#a5c8e4\"><title>{}</title></rect>",
                         lane_h - 4.0,
-                        html_escape(&e.name)
+                        html_escape(e.name)
                     );
                 }
                 EventKind::Instant { at } => {
                     let x = label_w + scale.x(at.as_secs());
-                    let color = match e.cat.as_str() {
+                    let color = match e.cat {
                         "mem" => "#f58518",
                         "fault" => "#e45756",
                         _ => "#666666",
@@ -293,7 +296,7 @@ fn lanes_section(out: &mut String, events: &[TraceEvent], analysis: &TraceAnalys
                         "<rect x=\"{x:.2}\" y=\"{y:.1}\" width=\"1\" height=\"{:.1}\" \
                          fill=\"{color}\"><title>{}</title></rect>",
                         lane_h - 4.0,
-                        html_escape(&e.name)
+                        html_escape(e.name)
                     );
                 }
                 EventKind::Counter { .. } => {}
@@ -406,7 +409,7 @@ fn attribution_section(out: &mut String, analysis: &TraceAnalysis) {
         let _ = write!(
             out,
             "<tr><td class=\"l\">{i} ({})</td>",
-            html_escape(&op.dir)
+            html_escape(op.dir)
         );
         for &p in &Phase::ALL {
             let secs = op.attribution.get(p);
@@ -734,67 +737,57 @@ fn diff_section(out: &mut String, diff: &RunDiff) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::AttrVal;
+    use crate::span::AttrValue;
     use mccio_sim::time::{VDuration, VTime};
 
-    fn sample() -> (Vec<TraceEvent>, TraceAnalysis) {
+    fn sample() -> (Vec<Event>, TraceAnalysis) {
+        let mem = |name, at, seq| Event {
+            name,
+            cat: "mem",
+            track: 3,
+            kind: EventKind::Instant {
+                at: VTime::from_secs(at),
+            },
+            attrs: vec![
+                ("node", AttrValue::U64(0)),
+                ("bytes", AttrValue::U64(64)),
+                ("ceiling", AttrValue::U64(128)),
+            ],
+            seq,
+        };
         let events = vec![
-            TraceEvent {
-                name: "op".into(),
-                cat: "engine".into(),
+            Event {
+                name: "op",
+                cat: "engine",
                 track: ENGINE_TRACK,
                 kind: EventKind::Span {
                     start: VTime::ZERO,
                     dur: VDuration::from_secs(2.0),
                 },
-                attrs: vec![("dir".into(), AttrVal::Str("write".into()))],
+                attrs: vec![("dir", AttrValue::Str("write"))],
                 seq: 0,
             },
-            TraceEvent {
-                name: "round".into(),
-                cat: "engine".into(),
+            Event {
+                name: "round",
+                cat: "engine",
                 track: ENGINE_TRACK,
                 kind: EventKind::Span {
                     start: VTime::ZERO,
                     dur: VDuration::from_secs(2.0),
                 },
                 attrs: vec![
-                    ("dir".into(), AttrVal::Str("write".into())),
-                    ("sync_secs".into(), AttrVal::F64(0.5)),
-                    ("shuffle_secs".into(), AttrVal::F64(0.5)),
-                    ("storage_secs".into(), AttrVal::F64(1.0)),
-                    ("assembly_secs".into(), AttrVal::F64(0.0)),
-                    ("backoff_secs".into(), AttrVal::F64(0.0)),
-                    ("storage_rank".into(), AttrVal::U64(5)),
+                    ("dir", AttrValue::Str("write")),
+                    ("sync_secs", AttrValue::F64(0.5)),
+                    ("shuffle_secs", AttrValue::F64(0.5)),
+                    ("storage_secs", AttrValue::F64(1.0)),
+                    ("assembly_secs", AttrValue::F64(0.0)),
+                    ("backoff_secs", AttrValue::F64(0.0)),
+                    ("storage_rank", AttrValue::U64(5)),
                 ],
                 seq: 1,
             },
-            TraceEvent {
-                name: "mem.reserve".into(),
-                cat: "mem".into(),
-                track: 3,
-                kind: EventKind::Instant { at: VTime::ZERO },
-                attrs: vec![
-                    ("node".into(), AttrVal::U64(0)),
-                    ("bytes".into(), AttrVal::U64(64)),
-                    ("ceiling".into(), AttrVal::U64(128)),
-                ],
-                seq: 2,
-            },
-            TraceEvent {
-                name: "mem.release".into(),
-                cat: "mem".into(),
-                track: 3,
-                kind: EventKind::Instant {
-                    at: VTime::from_secs(2.0),
-                },
-                attrs: vec![
-                    ("node".into(), AttrVal::U64(0)),
-                    ("bytes".into(), AttrVal::U64(64)),
-                    ("ceiling".into(), AttrVal::U64(128)),
-                ],
-                seq: 3,
-            },
+            mem("mem.reserve", 0.0, 2),
+            mem("mem.release", 2.0, 3),
         ];
         let analysis = TraceAnalysis::from_events(&events).unwrap();
         (events, analysis)
@@ -819,7 +812,6 @@ mod tests {
     #[test]
     fn streaming_host_and_histogram_sections_render() {
         use crate::sink::ObsSink;
-        use crate::span::AttrValue;
         use crate::stream::StreamConfig;
         use mccio_sim::hostprof::{HostPhaseStat, HostProfile};
 
@@ -915,9 +907,11 @@ mod tests {
     #[test]
     fn rendering_is_deterministic() {
         let (events, analysis) = sample();
+        let mut reversed = events.clone();
+        reversed.reverse();
         assert_eq!(
             render("t", &events, &analysis, None),
-            render("t", &events, &analysis, None)
+            render("t", &reversed, &analysis, None)
         );
     }
 

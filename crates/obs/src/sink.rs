@@ -4,9 +4,8 @@
 //! One sink is carried by each `IoEnv` (cheaply cloned alongside it, all
 //! clones share the same buffers), so concurrent simulation worlds each
 //! record into their own sink instead of interleaving into one
-//! process-global `Mutex` — the cross-world attribution caveat of the
-//! process-global recorder `core::stats` used to carry is structurally
-//! gone.
+//! process-global `Mutex`, so concurrent worlds never cross-attribute
+//! each other's events.
 //!
 //! The default sink is **disabled**: `inner` is `None`, every record
 //! method is one predictable branch and an immediate return — no locks

@@ -15,6 +15,10 @@
 //! later than another on the same track renders inside it, which is
 //! exactly Chrome's `"X"` (complete event) semantics.
 
+use std::borrow::Borrow;
+use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
+
 use mccio_sim::time::{VDuration, VTime};
 
 /// The track root-priced engine phases are recorded on. Rank tracks use
@@ -160,16 +164,34 @@ impl Event {
     }
 }
 
-/// Sorts events into stable export order: by track, then virtual start,
-/// then emission order. Parents (emitted before their children at the
-/// same start) stay ahead, which is what containment-nesting viewers
-/// expect.
-pub fn sort_for_export(events: &mut [Event]) {
+/// Sorts events (or references to them) into stable export order: by
+/// track, then virtual start, then emission order. Parents (emitted
+/// before their children at the same start) stay ahead, which is what
+/// containment-nesting viewers expect.
+pub fn sort_for_export<E: Borrow<Event>>(events: &mut [E]) {
     events.sort_by(|a, b| {
+        let (a, b) = (a.borrow(), b.borrow());
         (a.track, a.kind.at().as_secs(), a.seq)
             .partial_cmp(&(b.track, b.kind.at().as_secs(), b.seq))
             .expect("virtual times are finite")
     });
+}
+
+/// Interns a replayed string as `&'static str`, so a parsed artifact
+/// yields the same [`Event`] type the engine emits. Each distinct
+/// string is leaked at most once per process: replay vocabularies
+/// (names, categories, attribute keys, labels) are small and shared by
+/// every replay.
+#[must_use]
+pub fn intern(s: &str) -> &'static str {
+    static SEEN: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut seen = SEEN.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&hit) = seen.get(s) {
+        return hit;
+    }
+    let leaked: &'static str = Box::leak(s.into());
+    seen.insert(leaked);
+    leaked
 }
 
 #[cfg(test)]

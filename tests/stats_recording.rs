@@ -1,21 +1,30 @@
-//! End-to-end checks of operation statistics: round records derived
-//! from the per-environment observability sink must match what the
-//! plan implies, and the per-rank metrics carried on [`IoReport`] must
-//! agree with them.
+//! End-to-end checks of operation statistics: the rounds decoded from
+//! the per-environment observability sink must match what the plan
+//! implies, and the per-rank metrics carried on [`IoReport`] must agree
+//! with them.
 
 use mccio_suite::core::prelude::*;
-use mccio_suite::core::stats::{derive_rounds, OpSummary};
 use mccio_suite::mpiio::IoReport;
-use mccio_suite::obs::ObsSink;
+use mccio_suite::obs::{ObsSink, Phase, Round, TraceAnalysis};
 use mccio_suite::sim::cost::CostModel;
 use mccio_suite::sim::topology::{test_cluster, FillOrder, Placement};
 use mccio_suite::sim::units::KIB;
 use mccio_suite::workloads::data;
 
 struct OpRun {
-    records: Vec<mccio_suite::core::stats::RoundRecord>,
+    rounds: Vec<Round>,
     reports: Vec<(IoReport, IoReport)>,
     total: u64,
+}
+
+impl OpRun {
+    fn dir(&self, dir: &str) -> Vec<Round> {
+        self.rounds
+            .iter()
+            .copied()
+            .filter(|r| r.dir == dir)
+            .collect()
+    }
 }
 
 fn run_op(buffer: u64) -> OpRun {
@@ -40,8 +49,9 @@ fn run_op(buffer: u64) -> OpRun {
         let (_, r) = read_all(ctx, &env, &handle, &extents, &strategy);
         (w, r)
     });
+    let ops = TraceAnalysis::of_sink(&obs).expect("trace analyzes").ops;
     OpRun {
-        records: derive_rounds(&obs),
+        rounds: ops.into_iter().flat_map(|op| op.rounds).collect(),
         reports,
         total,
     }
@@ -50,18 +60,14 @@ fn run_op(buffer: u64) -> OpRun {
 #[test]
 fn records_cover_both_directions_with_full_volume() {
     let run = run_op(128 * KIB);
-    let writes: Vec<_> = run.records.iter().copied().filter(|r| r.is_write).collect();
-    let reads: Vec<_> = run
-        .records
-        .iter()
-        .copied()
-        .filter(|r| !r.is_write)
-        .collect();
+    let volume = |rounds: &[Round]| rounds.iter().map(|r| r.volume).sum::<u64>();
+    let (writes, reads) = (run.dir("write"), run.dir("read"));
     assert!(!writes.is_empty() && !reads.is_empty());
-    assert_eq!(OpSummary::of(&writes).volume, run.total);
-    assert_eq!(OpSummary::of(&reads).volume, run.total);
-    for r in &run.records {
-        assert!(r.total_secs() > 0.0);
+    assert_eq!(writes.len() + reads.len(), run.rounds.len());
+    assert_eq!(volume(&writes), run.total);
+    assert_eq!(volume(&reads), run.total);
+    for r in &run.rounds {
+        assert!(r.dur.as_secs() > 0.0);
         assert!(r.clients >= 1);
         assert!(r.requests >= 1);
     }
@@ -71,30 +77,28 @@ fn records_cover_both_directions_with_full_volume() {
 fn smaller_buffers_record_more_rounds() {
     let big = run_op(512 * KIB);
     let small = run_op(64 * KIB);
-    let rounds = |records: &[mccio_suite::core::stats::RoundRecord]| {
-        records.iter().filter(|r| r.is_write).count()
-    };
-    assert!(
-        rounds(&small.records) > rounds(&big.records),
-        "{} vs {}",
-        rounds(&small.records),
-        rounds(&big.records)
-    );
+    let (small, big) = (small.dir("write").len(), big.dir("write").len());
+    assert!(small > big, "{small} vs {big}");
 }
 
 #[test]
 fn phase_times_sum_to_something_plausible() {
     let run = run_op(128 * KIB);
-    let s = OpSummary::of(&run.records);
-    assert!(s.storage_secs > 0.0, "storage must dominate somewhere");
-    assert!(s.total_secs() >= s.storage_secs);
-    assert!(s.rounds == run.records.len());
+    let storage: f64 = run.rounds.iter().map(|r| r.secs(Phase::Storage)).sum();
+    assert!(storage > 0.0, "storage must dominate somewhere");
+    for r in &run.rounds {
+        let phases: f64 = r.phase_secs.iter().sum();
+        assert!(
+            (phases - r.dur.as_secs()).abs() < 1e-9,
+            "phases tile the round"
+        );
+    }
 }
 
 #[test]
 fn report_metrics_agree_with_derived_records() {
     let run = run_op(128 * KIB);
-    let writes: Vec<_> = run.records.iter().copied().filter(|r| r.is_write).collect();
+    let writes = run.dir("write");
     let write_rounds = writes.len() as u64;
 
     // Fold every rank's write-side metrics the way `IoReport::absorb`
@@ -113,5 +117,8 @@ fn report_metrics_agree_with_derived_records() {
     // write pushes every byte through the aggregation buffers exactly
     // once.
     assert_eq!(folded.storage_bytes, run.total);
-    assert_eq!(folded.storage_requests, OpSummary::of(&writes).requests);
+    assert_eq!(
+        folded.storage_requests,
+        writes.iter().map(|r| r.requests).sum::<u64>()
+    );
 }

@@ -1,15 +1,14 @@
 //! End-to-end checks of the trace analyzer on a fixed-seed small
 //! config: the critical path must tile each op span exactly and agree
-//! with the independently derived round records, occupancy timelines
+//! with the round spans decoded independently, occupancy timelines
 //! must respect the node ceilings and balance to zero, a run diffed
 //! against itself must be all zeros, and the JSONL artifact must replay
 //! into a bit-identical analysis.
 
 use mccio_suite::core::prelude::*;
-use mccio_suite::core::stats::{derive_rounds, OpSummary, RoundRecord};
 use mccio_suite::mpiio::IoReport;
-use mccio_suite::obs::analyze::{TraceAnalysis, TraceEvent, TILING_EPS};
-use mccio_suite::obs::{export, ObsSink, Phase};
+use mccio_suite::obs::analyze::{from_jsonl, TraceAnalysis, TILING_EPS};
+use mccio_suite::obs::{export, ObsSink, Phase, Round, PHASE_NAMES};
 use mccio_suite::sim::cost::CostModel;
 use mccio_suite::sim::topology::{test_cluster, FillOrder, Placement};
 use mccio_suite::sim::units::KIB;
@@ -67,10 +66,10 @@ fn critical_path_totals_are_the_op_spans_to_the_bit() {
     );
     for op in &analysis.ops {
         assert!(
-            op.tiling_error.abs() <= TILING_EPS * op.rounds as f64,
+            op.tiling_error.abs() <= TILING_EPS * op.rounds.len() as f64,
             "tiling drifts {} over {} rounds",
             op.tiling_error,
-            op.rounds
+            op.rounds.len()
         );
         // Segments are contiguous: each starts where the previous ended.
         let mut cursor = op.start;
@@ -84,26 +83,28 @@ fn critical_path_totals_are_the_op_spans_to_the_bit() {
 #[test]
 fn attribution_matches_independently_derived_round_records() {
     let (obs, _, analysis) = analyze_small();
-    let records = derive_rounds(&obs);
-    for (op, dir_is_write) in analysis.ops.iter().zip([true, false]) {
-        let recs: Vec<RoundRecord> = records
+    // Decode every round span straight from the sink, in emission
+    // order, without the analyzer's op containment.
+    let decoded: Vec<Round> = obs.with_events(|events| {
+        events
             .iter()
-            .copied()
-            .filter(|r| r.is_write == dir_is_write)
-            .collect();
-        let s = OpSummary::of(&recs);
-        assert_eq!(op.rounds, s.rounds, "round count agrees");
-        let table = [
-            (op.attribution.sync, s.sync_secs),
-            (op.attribution.shuffle, s.shuffle_secs),
-            (op.attribution.storage, s.storage_secs),
-            (op.attribution.assembly, s.assembly_secs),
-            (op.attribution.backoff, s.backoff_secs),
-        ];
-        for (mine, theirs) in table {
+            .filter(|e| e.name == "round")
+            .map(Round::from_span)
+            .collect()
+    });
+    for (op, dir) in analysis.ops.iter().zip(["write", "read"]) {
+        let rounds: Vec<Round> = decoded.iter().copied().filter(|r| r.dir == dir).collect();
+        assert_eq!(
+            op.rounds, rounds,
+            "the op's rounds are its direction's round spans"
+        );
+        for &p in &Phase::ALL[..PHASE_NAMES.len()] {
+            let derived: f64 = rounds.iter().map(|r| r.secs(p)).sum();
+            let mine = op.attribution.get(p);
             assert!(
-                (mine - theirs).abs() <= TILING_EPS,
-                "attribution {mine} vs derived {theirs}"
+                (mine - derived).abs() <= TILING_EPS,
+                "{} attribution {mine} vs derived {derived}",
+                p.name()
             );
         }
         // Golden facts of the fixed config: storage dominates, every
@@ -111,7 +112,10 @@ fn attribution_matches_independently_derived_round_records() {
         // ranks.
         assert_eq!(op.attribution.dominant(), Phase::Storage);
         assert_eq!(op.attribution.backoff, 0.0, "healthy run never backs off");
-        assert!(op.rounds >= 2, "256 KiB through 96 KiB buffers re-rounds");
+        assert!(
+            op.rounds.len() >= 2,
+            "256 KiB through 96 KiB buffers re-rounds"
+        );
         for seg in &op.segments {
             if let Some(rank) = seg.straggler {
                 assert!(rank < 4, "straggler {rank} is not a rank of this world");
@@ -177,9 +181,9 @@ fn self_diff_is_all_zeros() {
 fn jsonl_replay_reproduces_the_analysis_bit_for_bit() {
     let (obs, _, live) = analyze_small();
     let doc = export::jsonl(&obs.events());
-    let events = TraceEvent::from_jsonl(&doc).expect("JSONL replays");
+    let events = from_jsonl(&doc).expect("JSONL replays");
     let replayed = TraceAnalysis::from_events(&events).expect("replayed trace analyzes");
-    assert_eq!(replayed.ops.len(), live.ops.len());
+    assert_eq!(replayed.ops, live.ops, "critical paths replay identically");
     for (r, l) in replayed.ops.iter().zip(&live.ops) {
         assert_eq!(r.dir, l.dir);
         assert_eq!(r.rounds, l.rounds);
