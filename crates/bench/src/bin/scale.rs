@@ -46,7 +46,7 @@ use mccio_bench::{paper_pair, run, run_traced, run_traced_faulty, run_with, Plat
 use mccio_net::ExecutorKind;
 use mccio_obs::{analyze, report, ObsSink, StreamConfig};
 use mccio_sim::fault::FaultPlan;
-use mccio_sim::hostprof::{self, HostProfile};
+use mccio_sim::hostprof::{self, HostPhase, HostProfile};
 use mccio_sim::time::VDuration;
 use mccio_sim::units::{KIB, MIB};
 use mccio_workloads::Ior;
@@ -365,6 +365,20 @@ fn run_obs(mode: &str, out_path: &str) {
             obs_bytes <= OBS_ALLOC_BUDGET_BYTES,
             "{ranks} ranks: obs allocations {obs_bytes} B exceed the fixed \
              {OBS_ALLOC_BUDGET_BYTES} B budget"
+        );
+
+        // Acceptance: persistent collective ops. The write plans once and
+        // builds one schedule per rank; the read reuses all of them.
+        let calls = |phase: HostPhase| profile.phases[phase as usize].calls;
+        assert_eq!(
+            calls(HostPhase::PlanBuild),
+            1,
+            "{ranks} ranks: the read must reuse the write's plan"
+        );
+        assert_eq!(
+            calls(HostPhase::ScheduleBuild),
+            ranks as u64,
+            "{ranks} ranks: the read must reuse every rank's schedule"
         );
 
         let overhead = (wall_obs - wall_off) / wall_off;

@@ -2,10 +2,10 @@
 //! against: file system, memory model, fault state.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mccio_mem::MemoryModel;
-use mccio_mpiio::GroupPattern;
+use mccio_mpiio::{ExtentList, GroupPattern};
 use mccio_obs::ObsSink;
 use mccio_pfs::FileSystem;
 use mccio_sim::fault::FaultPlan;
@@ -14,35 +14,79 @@ use mccio_sim::sync::Mutex;
 use super::wire::fnv1a;
 use crate::plan::CollectivePlan;
 use crate::resilience::FaultState;
+use crate::schedule::CommSchedule;
 
 /// Entries the plan cache retains. Collective operations are planned in
 /// lock-step, so at any instant the live set is one plan per in-flight
-/// (strategy, pattern) — a handful even with re-plan ladder rungs.
+/// (strategy, pattern, memory landscape) — a handful even with re-plan
+/// ladder rungs, and one in the steady state of a repeated access.
 const PLAN_CACHE_CAP: usize = 16;
 
-/// One memoized collective plan.
+/// Retained per-rank schedules of one plan: one slot per group member
+/// (in group order) and per integrity flag (`[healthy, crash-gated]`).
+type ScheduleSlots = [[OnceLock<Arc<CommSchedule>>; 2]];
+
+/// One memoized collective plan and the schedules built from it.
 ///
-/// The key is pure identity: *which* gathered pattern (by shared-`Arc`
-/// pointer — every rank of a group holds the same decoded pattern, see
-/// [`GroupPattern::gather`]), *which* strategy configuration (an FNV-1a
-/// fingerprint of its debug rendering), and *which* memory-model state
-/// (allocation-version fingerprint, so a re-plan after a revocation
-/// never sees a stale plan). Holding a strong `Arc` to the pattern keeps
-/// the pointer from being recycled while the entry lives.
+/// The key is what planning reads and nothing else:
+///
+/// * *which* gathered pattern, by shared-`Arc` identity. Every rank of
+///   a group holds the same decoded pattern, and a repeated gather of
+///   an unchanged access returns that same `Arc` again (see
+///   [`GroupPattern::gather`]);
+/// * *which* strategy configuration (an FNV-1a fingerprint of its
+///   debug rendering);
+/// * *which* memory landscape: the per-node free bytes
+///   ([`MemoryModel::availability`]) the plan was computed against, on
+///   the memory model `mem`. Equality is exact, so a re-plan after a
+///   revocation never sees a stale plan, while a write that reserved
+///   and released its buffers leaves the read a hit.
+///
+/// Comparing the snapshot costs O(nodes), so each entry remembers the
+/// memory-model version it last compared at and the verdict; a lookup
+/// at that version is O(1). All ranks plan before anyone reserves, so
+/// one op costs one compare per candidate entry.
+///
+/// Holding strong `Arc`s to the pattern and the model keeps both
+/// pointers from being recycled while the entry lives.
 struct PlanEntry {
     pattern: Arc<GroupPattern>,
     strategy_fp: u64,
-    mem_fp: (usize, u64),
+    mem: MemoryModel,
+    avail: Vec<u64>,
+    /// `(version, verdict)` of the last snapshot comparison.
+    seen: (u64, bool),
     plan: Arc<CollectivePlan>,
+    schedules: Arc<ScheduleSlots>,
 }
 
-/// A small per-environment memo of collective plans.
+impl PlanEntry {
+    /// Whether planning against `mem` now would read exactly the
+    /// availability this plan was computed against.
+    fn sees(&mut self, mem: &MemoryModel) -> bool {
+        let (model, version) = mem.state_fingerprint();
+        if model != self.mem.state_fingerprint().0 {
+            return false;
+        }
+        if self.seen.0 != version {
+            self.seen = (version, self.avail == mem.availability());
+        }
+        self.seen.1
+    }
+}
+
+/// A small per-environment memo of collective plans and their
+/// per-rank schedules — persistent collective operations.
 ///
-/// Planning is a pure function of (pattern, placement, memory state,
-/// config), and under SPMD every rank computes the identical plan — so
-/// the environment computes it once and hands every rank the same
-/// `Arc`. Clones of an [`IoEnv`] share the cache, which is exactly what
-/// per-rank `env.clone()` closures want.
+/// Planning is a pure function of (pattern, placement, memory
+/// availability, config), and under SPMD every rank computes the
+/// identical plan — so the environment computes it once and hands every
+/// rank the same `Arc`. A rank's [`CommSchedule`] is in turn a pure
+/// function of (plan, pattern, rank, integrity), so it is built once
+/// per rank and retained with the plan: the read after a write, and
+/// every later repetition of the same access, reuses it. Clones of an
+/// [`IoEnv`] share the cache, which is exactly what per-rank
+/// `env.clone()` closures want.
 #[derive(Clone, Default)]
 struct PlanCache {
     entries: Arc<Mutex<Vec<PlanEntry>>>,
@@ -126,7 +170,7 @@ impl IoEnv {
     }
 
     /// Returns the memoized collective plan for (`pattern`,
-    /// `strategy_key`, current memory state), computing it with
+    /// `strategy_key`, current memory availability), computing it with
     /// `compute` on the first call.
     ///
     /// SPMD redundancy elimination: every rank of a group plans the
@@ -135,13 +179,17 @@ impl IoEnv {
     /// across `compute` deliberately — concurrent ranks wait for one
     /// plan instead of racing to duplicate it. `compute` must therefore
     /// be pure (no communication, no clock movement — already the
-    /// [`crate::strategy::Strategy::plan`] contract) and must not
-    /// re-enter this cache.
+    /// [`crate::strategy::Strategy::plan`] contract), must read the
+    /// memory model only through [`MemoryModel::available`], and must
+    /// not re-enter this cache.
     ///
-    /// Keying on [`MemoryModel::state_fingerprint`] makes the memo safe
-    /// for memory-conscious planning: any reservation, revocation, or
-    /// restore bumps the fingerprint, so a re-plan ladder rung always
-    /// recomputes against the post-revocation landscape.
+    /// Persistent operations: the key is what planning reads, not when
+    /// it ran. A repeated access — the read after a write, or the next
+    /// timestep's write — finds the same pattern `Arc` and, once its
+    /// buffers are released, the same availability, so it gets the same
+    /// plan back. A revocation changes availability, so the re-plan
+    /// ladder rung recomputes against the post-revocation landscape;
+    /// the matching restore makes the old plan hit again.
     pub fn plan_cached(
         &self,
         pattern: &Arc<GroupPattern>,
@@ -149,13 +197,15 @@ impl IoEnv {
         compute: impl FnOnce() -> CollectivePlan,
     ) -> Arc<CollectivePlan> {
         let strategy_fp = fnv1a(strategy_key.as_bytes());
-        let mem_fp = self.mem.state_fingerprint();
         let mut entries = self.plans.entries.lock();
-        if let Some(e) = entries.iter().find(|e| {
-            e.strategy_fp == strategy_fp && e.mem_fp == mem_fp && Arc::ptr_eq(&e.pattern, pattern)
-        }) {
-            return Arc::clone(&e.plan);
+        for e in entries.iter_mut() {
+            if e.strategy_fp == strategy_fp && Arc::ptr_eq(&e.pattern, pattern) && e.sees(&self.mem)
+            {
+                return Arc::clone(&e.plan);
+            }
         }
+        let avail = self.mem.availability();
+        let version = self.mem.state_fingerprint().1;
         let plan = {
             let _t = mccio_sim::hostprof::timer(mccio_sim::hostprof::HostPhase::PlanBuild);
             Arc::new(compute())
@@ -166,9 +216,85 @@ impl IoEnv {
         entries.push(PlanEntry {
             pattern: Arc::clone(pattern),
             strategy_fp,
-            mem_fp,
+            mem: self.mem.clone(),
+            avail,
+            seen: (version, true),
             plan: Arc::clone(&plan),
+            schedules: (0..pattern.group().len())
+                .map(|_| Default::default())
+                .collect(),
         });
         plan
+    }
+
+    /// Rank `me`'s communication schedule for executing `plan` against
+    /// `pattern` — built on the first call, retained with the plan and
+    /// shared by every later operation that runs the same plan.
+    ///
+    /// The retained copy is used only when it is provably the schedule
+    /// a fresh build would return: `plan` and `pattern` are the very
+    /// objects a [`IoEnv::plan_cached`] entry holds (pointer identity),
+    /// `me` is a member, and `my_extents` equals the member's extents in
+    /// the gathered pattern. Anything else — a hand-built plan, a
+    /// pattern from [`GroupPattern::from_parts`] — is built uncached by
+    /// the same [`CommSchedule::build_with_integrity`], so cached and
+    /// fresh schedules come from one builder. Callers that patch a
+    /// schedule (crash recovery) replace their `Arc`, never the shared
+    /// value.
+    #[must_use]
+    pub(crate) fn schedule_cached(
+        &self,
+        plan: &CollectivePlan,
+        pattern: &GroupPattern,
+        me: usize,
+        my_extents: &ExtentList,
+        integrity: bool,
+    ) -> Arc<CommSchedule> {
+        let build = || {
+            let _t = mccio_sim::hostprof::timer(mccio_sim::hostprof::HostPhase::ScheduleBuild);
+            Arc::new(CommSchedule::build_with_integrity(
+                plan, pattern, me, my_extents, integrity,
+            ))
+        };
+        let Some(slots) = self.schedule_slots(plan, pattern) else {
+            return build();
+        };
+        match pattern.group().index_of(me) {
+            Some(idx) if pattern.extents_of_index(idx).as_slice() == my_extents.as_slice() => {
+                Arc::clone(slots[idx][usize::from(integrity)].get_or_init(build))
+            }
+            _ => build(),
+        }
+    }
+
+    /// The retained schedule of rank `me` for (`plan`, `pattern`,
+    /// `integrity`), if an operation built one — what the round
+    /// executor will hand that rank next time.
+    #[must_use]
+    pub fn retained_schedule(
+        &self,
+        plan: &CollectivePlan,
+        pattern: &GroupPattern,
+        me: usize,
+        integrity: bool,
+    ) -> Option<Arc<CommSchedule>> {
+        let slots = self.schedule_slots(plan, pattern)?;
+        let idx = pattern.group().index_of(me)?;
+        slots[idx][usize::from(integrity)].get().cloned()
+    }
+
+    /// The schedule slots of the cache entry holding exactly `plan` and
+    /// `pattern`. Cloned out so schedules build outside the lock.
+    fn schedule_slots(
+        &self,
+        plan: &CollectivePlan,
+        pattern: &GroupPattern,
+    ) -> Option<Arc<ScheduleSlots>> {
+        self.plans
+            .entries
+            .lock()
+            .iter()
+            .find(|e| std::ptr::eq(&*e.plan, plan) && std::ptr::eq(&*e.pattern, pattern))
+            .map(|e| Arc::clone(&e.schedules))
     }
 }

@@ -18,16 +18,19 @@
 //! virtual time is a pure function of the plan and never of thread
 //! scheduling.
 //!
-//! Before the first byte moves, the executor builds the operation's
-//! [`crate::schedule::CommSchedule`] — per round: send destinations
-//! with exact payload sizes, receive lists, and each aggregated
-//! window's union layout and assembly size. The round loop is then pure
-//! data movement, with payload and assembly buffers recycled through a
-//! bounded pool instead of reallocated per window per round. The
-//! schedule reproduces the legacy per-round discovery exactly, so
+//! Before the first byte moves, the executor fetches this rank's
+//! [`crate::schedule::CommSchedule`] for the plan — per round: send
+//! destinations with exact payload sizes, receive lists, and each
+//! aggregated window's union layout and assembly size. It is built on
+//! the rank's first operation under that plan and retained with the
+//! cached plan (`IoEnv::schedule_cached`), so the read after a write
+//! and every repetition of the same access reuse it. The round loop is
+//! then pure data movement, with payload and assembly buffers recycled
+//! through a bounded pool instead of reallocated per window per round.
+//! The schedule reproduces the legacy per-round discovery exactly, so
 //! virtual time, file bytes, and traffic are bit-identical
-//! (`tests/golden_determinism.rs`) while wall-clock drops
-//! (`perf_smoke` in `mccio-bench`).
+//! (`tests/golden_determinism.rs`) while host wall clock drops (the
+//! `perfbench/` package at the repository root measures it).
 //!
 //! The module tree separates the phases every operation shares from the
 //! one thing that differs between directions:

@@ -49,6 +49,8 @@
 //! [`SimError::RankFailed`] on every rank together, which the
 //! degradation ladder consumes like any other collective refusal.
 
+use std::sync::Arc;
+
 use mccio_mpiio::{ExtentList, GroupPattern, Resilience};
 use mccio_net::{Ctx, RankSet, INTERNAL_TAG_BASE};
 use mccio_obs::{AttrValue, CRASH_DETECTED, ENGINE_TRACK, REELECTION, ROUNDS_REPLAYED};
@@ -124,7 +126,7 @@ impl CrashTracker {
         plan: &mut CollectivePlan,
         pattern: &GroupPattern,
         my_extents: &ExtentList,
-        schedule: &mut CommSchedule,
+        schedule: &mut Arc<CommSchedule>,
         round: u64,
         is_write: bool,
         facts: &mut RoundFacts,
@@ -266,8 +268,13 @@ impl CrashTracker {
         }
 
         // --- re-plan: same windows, new owners ---
+        // Copy-on-write: the schedule may be the one retained with the
+        // cached plan, which later operations reuse, so recovery swaps
+        // in a fresh `Arc` and never mutates the shared value.
         let n_rounds = schedule.rounds.len();
-        *schedule = CommSchedule::build_with_integrity(plan, pattern, me, my_extents, true);
+        *schedule = Arc::new(CommSchedule::build_with_integrity(
+            plan, pattern, me, my_extents, true,
+        ));
         assert_eq!(
             schedule.rounds.len(),
             n_rounds,

@@ -18,8 +18,9 @@
 //!
 //! Nothing is discovered here: send destinations, receive lists, piece
 //! routings, union layouts, and buffer sizes all come from the
-//! [`CommSchedule`] built once per operation, so the loop is pure data
-//! movement — payloads are allocated at exact final size, and assembly
+//! [`crate::schedule::CommSchedule`] built once per plan and rank (and
+//! reused by every operation that repeats the plan), so the loop is pure
+//! data movement — payloads are allocated at exact final size, and assembly
 //! buffers are recycled through the [`BufferPool`] instead of
 //! reallocated per window per round. Everything else — prologue,
 //! reservation, exchange, pricing, epilogue — is shared code in the
@@ -35,7 +36,7 @@ use mccio_pfs::{FileHandle, IoFaults, ServiceReport};
 use mccio_sim::error::SimResult;
 
 use crate::plan::CollectivePlan;
-use crate::schedule::{CommSchedule, RoundSchedule};
+use crate::schedule::RoundSchedule;
 
 use super::env::IoEnv;
 use super::pool::BufferPool;
@@ -112,10 +113,10 @@ pub(super) fn execute_op(
     // scheduling crashes, so crash-free runs execute the exact healthy
     // path (bit-identical goldens).
     let integrity = env.faults().plan().has_crashes();
-    let mut schedule = {
-        let _t = mccio_sim::hostprof::timer(mccio_sim::hostprof::HostPhase::ScheduleBuild);
-        CommSchedule::build_with_integrity(plan, pattern, me, my_extents, integrity)
-    };
+    // Persistent: the schedule is built on this rank's first op under
+    // this plan and reused by every later one (the read after the write,
+    // the next repetition of the access).
+    let mut schedule = env.schedule_cached(plan, pattern, me, my_extents, integrity);
     let mut tracker = CrashTracker::begin(ctx, env, &state.world);
     let mut live_plan = tracker.as_ref().map(|_| plan.clone());
     let obs = env.obs().clone();

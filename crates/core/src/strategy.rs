@@ -46,9 +46,10 @@ pub trait Strategy: Send + Sync + std::fmt::Debug {
     /// The pattern arrives as the shared `Arc` that
     /// [`GroupPattern::gather`] hands every member, and the plan comes
     /// back shared too: collective strategies memoize through
-    /// [`IoEnv::plan_cached`], so the world plans each operation once
-    /// instead of once per rank (at 10k+ ranks, the difference between
-    /// O(ranks) and O(ranks²) planning work per collective).
+    /// [`IoEnv::plan_cached`], so the world plans each distinct access
+    /// once instead of once per rank and operation (at 10k+ ranks, the
+    /// difference between O(ranks) and O(ranks²) planning work per
+    /// collective, and nothing at all for a repeated access).
     fn plan(
         &self,
         ctx: &Ctx,

@@ -190,9 +190,16 @@ impl MemoryModel {
     /// An identity-plus-version stamp of this model's availability
     /// state: two equal fingerprints from the same process observe the
     /// same `available()` values on every node (versions only grow, and
-    /// the pointer half distinguishes distinct models). Plan caches use
-    /// this to recognize that a re-plan would see exactly the memory
-    /// landscape an existing plan was computed against.
+    /// the pointer half distinguishes distinct models while the model
+    /// lives).
+    ///
+    /// The converse does not hold: every reservation and release bumps
+    /// the version, so a write that reserves and releases its buffers
+    /// leaves availability exactly where it was under a new
+    /// fingerprint. The plan cache therefore uses the fingerprint only
+    /// as its O(1) fast path — "nothing changed since I last looked" —
+    /// and decides a changed fingerprint by comparing a snapshot of
+    /// [`MemoryModel::availability`], the one input planning reads.
     #[must_use]
     pub fn state_fingerprint(&self) -> (usize, u64) {
         (
@@ -216,6 +223,13 @@ impl MemoryModel {
     #[must_use]
     pub fn available(&self, node: usize) -> u64 {
         self.inner.nodes[node].lock().free()
+    }
+
+    /// [`MemoryModel::available`] of every node, in node order: the
+    /// memory landscape a plan is computed against.
+    #[must_use]
+    pub fn availability(&self) -> Vec<u64> {
+        (0..self.n_nodes()).map(|n| self.available(n)).collect()
     }
 
     /// Reserves `bytes` of aggregation memory on `node`, returning an
@@ -497,6 +511,25 @@ mod tests {
         assert_eq!(m.available(0), before);
         assert_eq!(m.reserved(0), 0);
         assert_eq!(m.peak_reserved(0), 64 * MIB);
+    }
+
+    #[test]
+    fn released_reservations_restore_the_availability_snapshot() {
+        let cluster = test_cluster(2, 2);
+        let m = MemoryModel::pristine(&cluster);
+        let (before, fp) = (m.availability(), m.state_fingerprint());
+        assert_eq!(before, vec![m.available(0), m.available(1)]);
+        drop(m.reserve(1, 8 * MIB));
+        assert_ne!(
+            m.state_fingerprint(),
+            fp,
+            "every mutation bumps the version"
+        );
+        assert_eq!(m.availability(), before, "but availability is back");
+        m.revoke(0, MIB);
+        assert_ne!(m.availability(), before);
+        m.restore(0, MIB);
+        assert_eq!(m.availability(), before);
     }
 
     #[test]

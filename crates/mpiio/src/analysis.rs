@@ -58,6 +58,13 @@ impl GroupPattern {
     /// operation and one per rank — and the shared handle's identity is
     /// what lets downstream plan caches recognize "same operation".
     ///
+    /// A repeated gather of equal extents over the same group returns
+    /// the very `Arc` the first one did: the decode cache matches the
+    /// packed bytes and decodes nothing (see
+    /// [`mccio_net::World::decode_shared`]). Two disjoint groups of equal
+    /// size can gather byte-identical buffers, so a content hit also
+    /// requires the cached pattern's group to be this `group`.
+    ///
     /// The wire form is the delta varint encoding
     /// ([`ExtentList::encode_compact`]); the exchange is a control
     /// collective, so its virtual cost is payload-size-independent and
@@ -68,17 +75,21 @@ impl GroupPattern {
         // that populates the shared cache, so only that rank pays for
         // copying the member list (at 100k ranks an eager per-rank clone
         // here is gigabytes of churn per operation).
-        ctx.world().decode_shared(&packed, |bytes| {
-            let mut table = ExtentTable::new();
-            for part in Ctx::allgather_parts(bytes) {
-                table.push_compact(part);
-            }
-            GroupPattern {
-                group: group.clone(),
-                table,
-                index: OnceLock::new(),
-            }
-        })
+        ctx.world().decode_shared(
+            &packed,
+            |cached: &GroupPattern| cached.group == *group,
+            |bytes| {
+                let mut table = ExtentTable::new();
+                for part in Ctx::allgather_parts(bytes) {
+                    table.push_compact(part);
+                }
+                GroupPattern {
+                    group: group.clone(),
+                    table,
+                    index: OnceLock::new(),
+                }
+            },
+        )
     }
 
     /// Builds a pattern directly (single-threaded analysis, tests,
@@ -173,7 +184,7 @@ impl GroupPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mccio_net::World;
+    use mccio_net::{ExecutorKind, World};
     use mccio_sim::cost::CostModel;
     use mccio_sim::topology::{test_cluster, FillOrder, Placement};
 
@@ -217,6 +228,64 @@ mod tests {
                     p.extents_of_rank(r).as_slice(),
                     &[Extent::new(r as u64 * 100, 10)]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_gathers_share_one_pattern_per_group() {
+        for executor in std::iter::once(ExecutorKind::Event).chain(ExecutorKind::EXPLORED) {
+            let cluster = test_cluster(2, 2);
+            let placement = Placement::new(&cluster, 4, FillOrder::Block).unwrap();
+            let world = World::with_executor(CostModel::new(cluster), placement, executor);
+            let out = world.run(|ctx| {
+                let all = RankSet::world(ctx.size());
+                let mine = list(&[(ctx.rank() as u64 * 100, 10)]);
+                let first = GroupPattern::gather(ctx, &all, &mine);
+                let again = GroupPattern::gather(ctx, &all, &mine);
+                let moved = GroupPattern::gather(ctx, &all, &list(&[(ctx.rank() as u64, 1)]));
+                // Two disjoint pairs whose members hold equal extents
+                // gather byte-identical buffers.
+                let pair = RankSet::new(if ctx.rank() < 2 {
+                    vec![0, 1]
+                } else {
+                    vec![2, 3]
+                });
+                let local = list(&[((ctx.rank() % 2) as u64 * 100, 10)]);
+                let pair_first = GroupPattern::gather(ctx, &pair, &local);
+                let pair_again = GroupPattern::gather(ctx, &pair, &local);
+                // Folds over equal bytes are reused, over new bytes not.
+                let folds = [
+                    ctx.group_allreduce_max_f64(&all, ctx.rank() as f64),
+                    ctx.group_allreduce_max_f64(&all, ctx.rank() as f64),
+                    ctx.group_allreduce_max_f64(&pair, (ctx.rank() % 2) as f64),
+                    ctx.group_allreduce_max_f64(&all, ctx.rank() as f64 * 2.0),
+                ];
+                (first, again, moved, pair, pair_first, pair_again, folds)
+            });
+            for (rank, (first, again, moved, pair, pair_first, pair_again, folds)) in
+                out.iter().enumerate()
+            {
+                assert!(Arc::ptr_eq(first, &out[0].0), "{executor:?} rank {rank}");
+                assert!(Arc::ptr_eq(again, first), "{executor:?}: repeat re-decoded");
+                assert!(
+                    !Arc::ptr_eq(moved, first),
+                    "{executor:?}: changed extents hit"
+                );
+                assert_eq!(
+                    moved.extents_of_rank(rank).as_slice(),
+                    &[Extent::new(rank as u64, 1)]
+                );
+                assert_eq!(
+                    pair_first.group(),
+                    pair,
+                    "{executor:?}: another group's pattern"
+                );
+                assert!(Arc::ptr_eq(pair_again, pair_first));
+                let partner = rank ^ 1;
+                assert!(Arc::ptr_eq(pair_first, &out[partner].4));
+                assert!(!Arc::ptr_eq(pair_first, &out[(rank + 2) % 4].4));
+                assert_eq!(*folds, [3.0, 3.0, 1.0, 6.0], "{executor:?} rank {rank}");
             }
         }
     }

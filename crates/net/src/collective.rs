@@ -178,14 +178,20 @@ impl Ctx {
     ///
     /// The fold over the gathered values is computed once per world and
     /// shared between the members (they all hold the same packed buffer),
-    /// so a 10k-rank reduction costs one O(n) pass, not n of them.
+    /// so a 10k-rank reduction costs one O(n) pass, not n of them. The
+    /// fold is a pure function of the gathered bytes, so a later
+    /// reduction over equal bytes reuses it too, whatever the group.
     pub fn group_allreduce_max_f64(&mut self, group: &RankSet, value: f64) -> f64 {
         let packed = self.group_allgather_shared(group, encode_f64(value));
-        *self.world().decode_shared(&packed, |bytes| {
-            Ctx::allgather_parts(bytes)
-                .map(decode_f64)
-                .fold(f64::NEG_INFINITY, f64::max)
-        })
+        *self.world().decode_shared(
+            &packed,
+            |_| true,
+            |bytes| {
+                Ctx::allgather_parts(bytes)
+                    .map(decode_f64)
+                    .fold(f64::NEG_INFINITY, f64::max)
+            },
+        )
     }
 
     /// Synchronizes clocks across the group: every member leaves with

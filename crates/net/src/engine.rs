@@ -165,12 +165,15 @@ impl Traffic {
 const DECODE_CACHE_CAP: usize = 16;
 
 /// Per-world cache of values decoded from shared broadcast buffers,
-/// keyed by buffer *identity* (`Arc::ptr_eq`). Every receiver of a
-/// broadcast holds a clone of the same allocation, so the first rank to
-/// decode it does the work once and the other `n - 1` ranks reuse the
-/// result — turning per-rank O(ranks) decode CPU into per-world O(ranks).
-/// Entries keep the keyed `Arc` alive, which is what makes pointer
-/// comparison sound: a live key can never be a recycled allocation.
+/// keyed by buffer *identity* (`Arc::ptr_eq`) and, on an identity miss,
+/// by buffer *content*. Every receiver of a broadcast holds a clone of
+/// the same allocation, so the first rank to decode it does the work
+/// once and the other `n - 1` ranks reuse the result — turning per-rank
+/// O(ranks) decode CPU into per-world O(ranks); a later broadcast of
+/// equal bytes re-keys the entry and decodes nothing (see
+/// [`World::decode_shared`]). Entries keep the keyed `Arc` alive, which
+/// is what makes pointer comparison sound: a live key can never be a
+/// recycled allocation.
 #[derive(Default)]
 struct DecodeCache {
     entries: Mutex<Vec<DecodeEntry>>,
@@ -249,16 +252,34 @@ impl World {
         })
     }
 
-    /// Decodes a shared broadcast buffer once per world: the first caller
-    /// for a given `packed` allocation runs `decode` and every later
-    /// caller holding a clone of the same `Arc` gets the cached value.
+    /// Decodes a shared broadcast buffer once per world, and a later
+    /// broadcast of the same bytes not at all while its entry is cached.
+    ///
+    /// Lookup runs in two steps:
+    ///
+    /// * **Identity.** A caller holding a clone of a cached `Arc` hits
+    ///   in O(1) (`Arc::ptr_eq`) — the other `n - 1` members of one
+    ///   broadcast.
+    /// * **Content.** On an identity miss, a live entry of the same type
+    ///   whose bytes are equal (length first, then memcmp) and whose
+    ///   value `reuse` accepts is re-keyed to `packed` — so the rest of
+    ///   this broadcast's members take the identity hit — and returned.
+    ///   The old buffer is dropped. A repeated collective over an
+    ///   unchanged access (the next timestep, or the read after a write)
+    ///   thus hands out the *same* `Arc<T>` it did last time, and caches
+    ///   keyed on that `Arc`'s identity downstream hit as well.
     ///
     /// `decode` must be pure (same bytes, same value) — true of every
-    /// wire decoder — or caching would change behaviour; and each buffer
-    /// must always be decoded to one type, or hits degrade to misses.
+    /// wire decoder — or caching would change behaviour. A value that
+    /// depends on more than the bytes (a gathered pattern also carries
+    /// the group it was gathered over) must say so through `reuse`, which
+    /// is asked before a content hit is taken; a value that is a pure
+    /// function of its bytes passes `|_| true`. Each buffer must always
+    /// be decoded to one type, or hits degrade to misses.
     pub fn decode_shared<T: Send + Sync + 'static>(
         &self,
         packed: &Arc<[u8]>,
+        reuse: impl Fn(&T) -> bool,
         decode: impl FnOnce(&[u8]) -> T,
     ) -> Arc<T> {
         let mut entries = self.decode_cache.entries.lock();
@@ -266,6 +287,16 @@ impl World {
             if let Ok(hit) = Arc::clone(v).downcast::<T>() {
                 return hit;
             }
+        }
+        let same_content = entries.iter().position(|(k, v)| {
+            k.len() == packed.len() && v.downcast_ref::<T>().is_some_and(&reuse) && **k == **packed
+        });
+        if let Some(i) = same_content {
+            let entry = &mut entries[i];
+            entry.0 = Arc::clone(packed);
+            return Arc::clone(&entry.1)
+                .downcast::<T>()
+                .expect("content hit checked the type");
         }
         let value = Arc::new(decode(packed));
         if entries.len() == DECODE_CACHE_CAP {
