@@ -11,7 +11,7 @@ use mccio_pfs::FileSystem;
 use mccio_sim::fault::FaultPlan;
 use mccio_sim::sync::Mutex;
 
-use super::wire::fnv1a;
+use super::wire::fnv1a_fmt;
 use crate::plan::CollectivePlan;
 use crate::resilience::FaultState;
 use crate::schedule::CommSchedule;
@@ -171,7 +171,8 @@ impl IoEnv {
 
     /// Returns the memoized collective plan for (`pattern`,
     /// `strategy_key`, current memory availability), computing it with
-    /// `compute` on the first call.
+    /// `compute` on the first call. The key is FNV-1a-hashed as it is
+    /// rendered, so callers pass `format_args!` and no string is built.
     ///
     /// SPMD redundancy elimination: every rank of a group plans the
     /// identical operation against identical inputs, so the first rank
@@ -193,10 +194,10 @@ impl IoEnv {
     pub fn plan_cached(
         &self,
         pattern: &Arc<GroupPattern>,
-        strategy_key: &str,
+        strategy_key: fmt::Arguments<'_>,
         compute: impl FnOnce() -> CollectivePlan,
     ) -> Arc<CollectivePlan> {
-        let strategy_fp = fnv1a(strategy_key.as_bytes());
+        let strategy_fp = fnv1a_fmt(strategy_key);
         let mut entries = self.plans.entries.lock();
         for e in entries.iter_mut() {
             if e.strategy_fp == strategy_fp && Arc::ptr_eq(&e.pattern, pattern) && e.sees(&self.mem)

@@ -36,7 +36,7 @@ pub(super) fn settle_round(
 ) -> VDuration {
     let payload = encode_facts(my_flows, my_report, my_assembled, my_retry, my_integrity);
     let gathered = ctx.group_gather(world, payload);
-    let duration = if let Some(parts) = gathered {
+    let priced = gathered.map(|parts| {
         let fault_plan = env.faults().plan();
         let mut flows: Vec<Flow> = Vec::new();
         let mut merged = ServiceReport::empty(env.fs.n_servers());
@@ -64,20 +64,21 @@ pub(super) fn settle_round(
         }
         let cost = ctx.cost().clone();
         let placement = ctx.placement().clone();
-        for (idx, part) in parts.iter().enumerate() {
-            let src = world.members()[idx];
-            let facts = decode_facts(part);
-            for (dst, bytes) in facts.flows {
-                flows.push(Flow { src, dst, bytes });
-            }
-            if facts.report.total_bytes() > 0 {
+        // Each part folds straight into the round totals: no per-rank
+        // flow list, report or record is materialised.
+        for (&src, part) in world.members().iter().zip(&parts) {
+            let facts = decode_facts(
+                part,
+                |dst, bytes| flows.push(Flow { src, dst, bytes }),
+                |server, load| merged.add_load(server, load),
+            );
+            if facts.storage_bytes > 0 {
                 n_clients += 1;
             }
-            if facts.report.total_bytes() > max_client {
+            if facts.storage_bytes > max_client {
                 storage_rank = src as u64;
             }
-            max_client = max_client.max(facts.report.total_bytes());
-            merged.merge(&facts.report);
+            max_client = max_client.max(facts.storage_bytes);
             if facts.assembled > 0 {
                 let node = placement.node_of(src);
                 let local = cost.local_copy(node, facts.assembled, factors[node]);
@@ -200,10 +201,12 @@ pub(super) fn settle_round(
             );
         }
         (sync + shuffle + storage + assembly + waiting).as_secs()
-    } else {
-        0.0
-    };
-    let secs = ctx.group_bcast(world, mccio_net::wire::encode_f64(duration));
+    });
+    // One shared buffer for every receiver; non-roots contribute nothing.
+    let secs = ctx.group_bcast_shared(
+        world,
+        priced.map_or_else(Vec::new, mccio_net::wire::encode_f64),
+    );
     let settled = VDuration::from_secs(mccio_net::wire::decode_f64(&secs));
     ctx.advance(settled);
     // Memory events that fired during this round take effect before the

@@ -7,9 +7,11 @@
 //! exact-size buffers — the count goes first, sections append behind
 //! it.
 
+use std::fmt;
+
 use mccio_mpiio::{Extent, ExtentList};
 use mccio_net::wire::{put_u64, Reader};
-use mccio_pfs::{RetryLog, ServiceReport};
+use mccio_pfs::{RetryLog, ServerLoad, ServiceReport};
 use mccio_sim::time::VDuration;
 
 /// Appends one section (`domain`, the clipped extents, their bytes
@@ -35,16 +37,47 @@ pub(super) fn append_section<'p>(
 /// Bytes the end-to-end checksum trailer adds to a sealed payload.
 pub(crate) const CHECKSUM_TRAILER: usize = 8;
 
+/// Streaming FNV-1a. The hash folds one byte at a time, so feeding a
+/// byte string in pieces gives the same value as feeding it whole — a
+/// key rendered through [`fmt::Write`] hashes exactly like its
+/// `format!` string, without the string.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// FNV-1a over `bytes` — the end-to-end integrity hash. Kept in-tree
 /// (like the test suites' copies) so the wire format never depends on
 /// an external hasher's stability.
 pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.0
+}
+
+/// FNV-1a over the text `args` renders to, streamed: equal to
+/// `fnv1a(format!("{args}").as_bytes())` with no string built.
+pub(super) fn fnv1a_fmt(args: fmt::Arguments<'_>) -> u64 {
+    let mut h = Fnv1a::new();
+    fmt::write(&mut h, args).expect("hashing a rendering cannot fail");
+    h.0
 }
 
 /// Seals a fully-encoded shuffle payload with its FNV-1a trailer. Only
@@ -110,12 +143,13 @@ pub(super) fn decode_sections(buf: &[u8]) -> Vec<SectionRef> {
 }
 
 /// Round facts each rank contributes to the root's pricing:
-/// `[n_flows]{dst, bytes}` (flows this rank *sends*), the rank's storage
-/// report pairs, the bytes it assembled in aggregation buffers, the
-/// retry activity it endured this round, and the payload checksums it
-/// verified (crash-gated, zero otherwise). The record rides `send_ctl`,
-/// whose traffic accounting counts messages rather than bytes, so
-/// growing it never disturbs crash-free goldens.
+/// `[n_flows]{dst, bytes}` (flows this rank *sends*), `[2 × n_servers]`
+/// then each server's `{bytes, requests}`, the bytes it assembled in
+/// aggregation buffers, the retry activity it endured this round, and
+/// the payload checksums it verified (crash-gated, zero otherwise). The
+/// record rides `send_ctl`, whose traffic accounting counts messages
+/// rather than bytes, so growing it never disturbs crash-free goldens.
+/// Written into an exact-size buffer.
 pub(super) fn encode_facts(
     flows: &[(usize, u64)],
     report: &ServiceReport,
@@ -123,16 +157,18 @@ pub(super) fn encode_facts(
     retry: RetryLog,
     integrity: u64,
 ) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let loads = report.loads();
+    let size = 8 * (2 + 2 * flows.len() + 2 * loads.len() + 6);
+    let mut buf = Vec::with_capacity(size);
     put_u64(&mut buf, flows.len() as u64);
     for &(dst, bytes) in flows {
         put_u64(&mut buf, dst as u64);
         put_u64(&mut buf, bytes);
     }
-    let pairs = report.to_pairs();
-    put_u64(&mut buf, pairs.len() as u64);
-    for p in pairs {
-        put_u64(&mut buf, p);
+    put_u64(&mut buf, 2 * loads.len() as u64);
+    for l in loads {
+        put_u64(&mut buf, l.bytes);
+        put_u64(&mut buf, l.requests);
     }
     put_u64(&mut buf, assembled);
     put_u64(&mut buf, retry.backoff.as_secs().to_bits());
@@ -140,23 +176,52 @@ pub(super) fn encode_facts(
     put_u64(&mut buf, retry.retries);
     put_u64(&mut buf, retry.exhausted);
     put_u64(&mut buf, integrity);
+    debug_assert_eq!(buf.len(), size, "facts buffer sized exactly");
     buf
 }
 
+/// The scalar half of one rank's round facts; its flows and server
+/// loads are handed to [`decode_facts`]'s callbacks instead of being
+/// collected.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) struct Facts {
-    pub(super) flows: Vec<(usize, u64)>,
-    pub(super) report: ServiceReport,
+    /// Bytes over all of the rank's server loads.
+    pub(super) storage_bytes: u64,
     pub(super) assembled: u64,
     pub(super) retry: RetryLog,
     pub(super) integrity: u64,
 }
 
-pub(super) fn decode_facts(buf: &[u8]) -> Facts {
+/// Decodes one [`encode_facts`] record, passing each flow to `flow`
+/// and each server's load to `load` as it is read; allocates nothing.
+pub(super) fn decode_facts(
+    buf: &[u8],
+    mut flow: impl FnMut(usize, u64),
+    mut load: impl FnMut(usize, ServerLoad),
+) -> Facts {
     let mut r = Reader::new(buf);
-    let n = r.u64() as usize;
-    let flows = (0..n).map(|_| (r.u64() as usize, r.u64())).collect();
-    let n_pairs = r.u64() as usize;
-    let pairs: Vec<u64> = (0..n_pairs).map(|_| r.u64()).collect();
+    let n = r.u64();
+    for _ in 0..n {
+        let dst = r.u64() as usize;
+        flow(dst, r.u64());
+    }
+    let n_words = r.u64();
+    assert!(
+        n_words.is_multiple_of(2),
+        "server loads come in (bytes, requests) pairs"
+    );
+    let mut storage_bytes = 0;
+    for server in 0..(n_words / 2) as usize {
+        let bytes = r.u64();
+        storage_bytes += bytes;
+        load(
+            server,
+            ServerLoad {
+                bytes,
+                requests: r.u64(),
+            },
+        );
+    }
     let assembled = r.u64();
     let retry = RetryLog {
         backoff: VDuration::from_secs(f64::from_bits(r.u64())),
@@ -167,8 +232,7 @@ pub(super) fn decode_facts(buf: &[u8]) -> Facts {
     let integrity = r.u64();
     r.finish();
     Facts {
-        flows,
-        report: ServiceReport::from_pairs(&pairs),
+        storage_bytes,
         assembled,
         retry,
         integrity,
@@ -207,17 +271,65 @@ mod tests {
     }
 
     #[test]
-    fn facts_carry_the_integrity_count() {
-        let buf = encode_facts(
-            &[(3, 100)],
-            &ServiceReport::empty(2),
-            42,
-            RetryLog::default(),
-            7,
+    fn streamed_key_hash_equals_hashing_the_formatted_string() {
+        use crate::mccio::MccioConfig;
+        use crate::tuner::Tuning;
+        use crate::two_phase::TwoPhaseConfig;
+        let tuning = Tuning {
+            n_ah: 2,
+            msg_ind: 256 << 10,
+            mem_min: 128 << 10,
+            msg_group: 1 << 20,
+        };
+        let mc = MccioConfig::new(tuning, 4 << 20, 1 << 20);
+        let tp = TwoPhaseConfig::with_buffer(16 << 20);
+        assert_eq!(
+            fnv1a_fmt(format_args!("{}:{:?}", "memory-conscious", mc)),
+            fnv1a(format!("{}:{:?}", "memory-conscious", mc).as_bytes())
         );
-        let facts = decode_facts(&buf);
-        assert_eq!(facts.flows, vec![(3, 100)]);
-        assert_eq!(facts.assembled, 42);
-        assert_eq!(facts.integrity, 7);
+        assert_eq!(
+            fnv1a_fmt(format_args!("{}:{:?}", "two-phase", tp)),
+            fnv1a(format!("{}:{:?}", "two-phase", tp).as_bytes())
+        );
+        assert_ne!(
+            fnv1a_fmt(format_args!("{mc:?}")),
+            fnv1a_fmt(format_args!("{tp:?}"))
+        );
+    }
+
+    #[test]
+    fn facts_round_trip_flows_loads_and_scalars() {
+        let mut report = ServiceReport::empty(3);
+        report.add_request(1, 77);
+        report.add_request(1, 5);
+        report.add_request(2, 9);
+        let retry = RetryLog {
+            transient_faults: 2,
+            retries: 3,
+            backoff: VDuration::from_secs(0.125),
+            exhausted: 1,
+        };
+        let flows = [(3, 100), (0, 7)];
+        let buf = encode_facts(&flows, &report, 42, retry, 6);
+        assert_eq!(buf.len(), 8 * (2 + 2 * 2 + 2 * 3 + 6));
+
+        let mut got_flows = Vec::new();
+        let mut rebuilt = ServiceReport::empty(3);
+        let facts = decode_facts(
+            &buf,
+            |dst, bytes| got_flows.push((dst, bytes)),
+            |server, load| rebuilt.add_load(server, load),
+        );
+        assert_eq!(got_flows, flows);
+        assert_eq!(rebuilt, report);
+        assert_eq!(
+            facts,
+            Facts {
+                storage_bytes: 91,
+                assembled: 42,
+                retry,
+                integrity: 6,
+            }
+        );
     }
 }

@@ -310,8 +310,8 @@ impl Strategy for TwoPhase {
         env: &IoEnv,
         pattern: &Arc<GroupPattern>,
     ) -> Option<Arc<CollectivePlan>> {
-        let key = format!("{}:{:?}", self.name(), self.0);
-        Some(env.plan_cached(pattern, &key, || {
+        let key = format_args!("{}:{:?}", self.name(), self.0);
+        Some(env.plan_cached(pattern, key, || {
             plan_two_phase(pattern, ctx.placement(), self.0)
         }))
     }
@@ -377,8 +377,8 @@ impl Strategy for MemoryConscious {
         env: &IoEnv,
         pattern: &Arc<GroupPattern>,
     ) -> Option<Arc<CollectivePlan>> {
-        let key = format!("{}:{:?}", self.name(), self.0);
-        Some(env.plan_cached(pattern, &key, || {
+        let key = format_args!("{}:{:?}", self.name(), self.0);
+        Some(env.plan_cached(pattern, key, || {
             plan_mccio(pattern, ctx.placement(), &env.mem, &self.0)
         }))
     }

@@ -234,12 +234,11 @@ impl ExtentList {
     /// count, then per extent the varint gap from the previous extent's
     /// end (the absolute offset for the first) and the varint length.
     /// Canonical lists ascend, so gaps are small and regular strided
-    /// patterns encode in 2–4 bytes per extent.
+    /// patterns encode in 2–4 bytes per extent. The buffer is sized
+    /// exactly by a length pre-pass, so encoding allocates once.
     #[must_use]
     pub fn encode_compact(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + self.extents.len() * 4);
-        encode_compact_into(&self.extents, &mut out);
-        out
+        encode_compact_exact(&self.extents)
     }
 
     /// Decodes [`ExtentList::encode_compact`] output.
@@ -254,16 +253,39 @@ impl ExtentList {
     }
 }
 
-/// Writes `extents` (canonical order assumed) in the delta varint form.
-fn encode_compact_into(extents: &[Extent], out: &mut Vec<u8>) {
+/// Encodes `extents` (canonical order assumed) in the delta varint form
+/// into a buffer of exactly the encoded length.
+fn encode_compact_exact(extents: &[Extent]) -> Vec<u8> {
     let _t = mccio_sim::hostprof::timer(mccio_sim::hostprof::HostPhase::ExtentEncode);
-    write_varint(out, extents.len() as u64);
+    let count = extents.len() as u64;
+    let mut len = varint_len(count);
     let mut prev_end = 0u64;
     for e in extents {
-        write_varint(out, e.offset - prev_end);
-        write_varint(out, e.len);
+        len += varint_len(e.offset - prev_end) + varint_len(e.len);
+        // Unchecked: the write pass below takes the checked `end()`.
+        prev_end = e.offset.wrapping_add(e.len);
+    }
+    // Indexed stores into a sized buffer: a push per byte would pay a
+    // capacity check per byte and cost more than the pre-pass saves.
+    let mut out = vec![0u8; len];
+    let mut pos = 0;
+    put_varint(&mut out, &mut pos, count);
+    let mut prev_end = 0u64;
+    for e in extents {
+        put_varint(&mut out, &mut pos, e.offset - prev_end);
+        put_varint(&mut out, &mut pos, e.len);
         prev_end = e.end();
     }
+    debug_assert_eq!(pos, len, "varint length pre-pass is exact");
+    out
+}
+
+/// Bytes [`put_varint`] writes for `v`: one per started 7-bit group,
+/// `ceil(bits / 7)`, computed as `(9 * bits + 64) / 64` — equal for every
+/// width from 1 to 64 bits, and a shift where a division by 7 is not.
+fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros() as usize;
+    (9 * bits + 64) / 64
 }
 
 /// Decodes one delta-varint-encoded list, appending onto `extents`.
@@ -286,17 +308,16 @@ fn decode_compact_into(bytes: &[u8], extents: &mut Vec<Extent>) {
     assert_eq!(pos, bytes.len(), "trailing bytes after extent encoding");
 }
 
-/// LEB128: 7 value bits per byte, high bit = continuation.
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
+/// LEB128: 7 value bits per byte, high bit = continuation. Writes at
+/// `out[*pos..]` and advances `pos`.
+fn put_varint(out: &mut [u8], pos: &mut usize, mut v: u64) {
+    while v >= 0x80 {
+        out[*pos] = (v as u8) | 0x80;
         v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
+        *pos += 1;
     }
+    out[*pos] = v as u8;
+    *pos += 1;
 }
 
 /// # Panics
@@ -616,6 +637,32 @@ impl TouchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn varint_len_matches_the_written_length() {
+        let widths = (0..64).flat_map(|k| [(1u64 << k) - 1, 1 << k]);
+        for v in widths.chain([u64::from(u32::MAX), u64::MAX]) {
+            let mut out = [0u8; 10];
+            let mut pos = 0;
+            put_varint(&mut out, &mut pos, v);
+            assert_eq!(varint_len(v), pos, "{v}");
+            assert_eq!(read_varint(&out, &mut 0), v);
+        }
+    }
+
+    #[test]
+    fn compact_encoding_is_allocated_exactly() {
+        let list = ExtentList::from_sorted(vec![
+            Extent::new(0, 1),
+            Extent::new(200, 1 << 20),
+            Extent::new(u64::from(u32::MAX) << 8, 3),
+        ]);
+        for l in [ExtentList::from_sorted(Vec::new()), list] {
+            let bytes = l.encode_compact();
+            assert_eq!(bytes.len(), bytes.capacity());
+            assert_eq!(ExtentList::decode_compact(&bytes), l);
+        }
+    }
 
     #[test]
     fn extent_basics() {

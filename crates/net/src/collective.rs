@@ -20,7 +20,7 @@ use mccio_sim::time::VTime;
 use crate::engine::Ctx;
 use crate::group::RankSet;
 use crate::mailbox::Payload;
-use crate::wire::{decode_f64, encode_f64, put_u64, Reader};
+use crate::wire::{decode_f64, encode_f64, Reader};
 
 /// Internal tag space; user tags must stay below this.
 pub const INTERNAL_TAG_BASE: u32 = 0xFF00_0000;
@@ -68,21 +68,36 @@ impl Ctx {
     /// `Some(payloads in group order)` at the root, `None` elsewhere.
     pub fn group_gather(&mut self, group: &RankSet, payload: Vec<u8>) -> Option<Vec<Vec<u8>>> {
         self.assert_member(group, "group_gather");
+        let is_root = self.rank() == group.root();
+        let mut out = Vec::with_capacity(if is_root { group.len() } else { 0 });
+        self.gather_each(group, payload, |_, part| out.push(part))
+            .then_some(out)
+    }
+
+    /// The gather protocol: members send their payload to the root, and
+    /// the root hands every member's payload — its own moved, not
+    /// copied — to `part` with the member's group index, in group order.
+    /// Returns whether this rank is the root.
+    fn gather_each(
+        &mut self,
+        group: &RankSet,
+        payload: Vec<u8>,
+        mut part: impl FnMut(usize, Vec<u8>),
+    ) -> bool {
         let root = group.root();
-        if self.rank() == root {
-            let mut out: Vec<Vec<u8>> = Vec::with_capacity(group.len());
-            for member in group.iter() {
-                if member == root {
-                    out.push(payload.clone());
-                } else {
-                    out.push(self.recv(member, TAG_GATHER));
-                }
-            }
-            Some(out)
-        } else {
+        if self.rank() != root {
             self.send_ctl(root, TAG_GATHER, payload);
-            None
+            return false;
         }
+        let mut own = Some(payload);
+        for (idx, member) in group.iter().enumerate() {
+            if member == root {
+                part(idx, own.take().expect("the root is one member"));
+            } else {
+                part(idx, self.recv(member, TAG_GATHER));
+            }
+        }
+        true
     }
 
     /// Broadcasts the root's payload to every member; all members return
@@ -145,20 +160,20 @@ impl Ctx {
     /// total work for the metadata exchanges at 10k+ ranks.
     pub fn group_allgather_shared(&mut self, group: &RankSet, payload: Vec<u8>) -> Arc<[u8]> {
         self.assert_member(group, "group_allgather");
-        let gathered = self.group_gather(group, payload);
-        if let Some(parts) = gathered {
-            let mut buf = Vec::new();
-            put_u64(&mut buf, parts.len() as u64);
-            for p in &parts {
-                put_u64(&mut buf, p.len() as u64);
-            }
-            for p in &parts {
-                buf.extend_from_slice(p);
-            }
-            self.group_bcast_shared(group, buf)
-        } else {
-            self.group_bcast_shared(group, Vec::new())
+        // The root packs each part as it lands, while it is still in
+        // cache, and frees it at once; the length slots are filled in
+        // as parts arrive. Other members contribute nothing to the
+        // broadcast.
+        let mut buf = Vec::new();
+        if self.rank() == group.root() {
+            buf.resize(8 * (1 + group.len()), 0);
+            buf[..8].copy_from_slice(&(group.len() as u64).to_le_bytes());
         }
+        self.gather_each(group, payload, |idx, part| {
+            buf[8 * (1 + idx)..][..8].copy_from_slice(&(part.len() as u64).to_le_bytes());
+            buf.extend_from_slice(&part);
+        });
+        self.group_bcast_shared(group, buf)
     }
 
     /// Iterates the per-member parts of a packed all-gather buffer

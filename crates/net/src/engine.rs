@@ -32,7 +32,7 @@ use mccio_sim::topology::Placement;
 use mccio_sim::{SimError, SimResult};
 
 use crate::executor::{self, TaskHandle};
-use crate::mailbox::{Envelope, Mailbox, Pattern, Payload};
+use crate::mailbox::{Envelope, Pattern, Payload};
 
 /// Which schedule the ranks of a [`World`] run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,13 +191,14 @@ impl std::fmt::Debug for DecodeCache {
     }
 }
 
-/// The shared communication world: one mailbox per rank plus the cost
-/// model and placement every rank prices messages against.
+/// The shared communication world: the cost model and placement every
+/// rank prices messages against, plus the traffic counters, decode cache
+/// and buffer recycler its runs share. Message queues are not world
+/// state: each run's tasks own their own (see [`crate::mailbox`]).
 #[derive(Debug)]
 pub struct World {
     placement: Placement,
     cost: CostModel,
-    mailboxes: Vec<Mailbox>,
     traffic: Traffic,
     executor: ExecutorKind,
     decode_cache: DecodeCache,
@@ -241,7 +242,6 @@ impl World {
         Arc::new(World {
             placement,
             cost,
-            mailboxes: (0..n_ranks).map(|_| Mailbox::new()).collect(),
             traffic: Traffic::new(n_nodes),
             executor,
             decode_cache: DecodeCache::default(),
@@ -378,22 +378,6 @@ impl World {
             .get_or_init(|| Arc::new(crate::group::RankSet::world(self.n_ranks())))
     }
 
-    pub(crate) fn mailbox(&self, rank: usize) -> &Mailbox {
-        &self.mailboxes[rank]
-    }
-
-    /// Asserts every mailbox drained — a queued leftover is a protocol
-    /// bug in the caller. The executor runs this at shutdown.
-    pub(crate) fn check_drained(&self) {
-        for (rank, mb) in self.mailboxes.iter().enumerate() {
-            assert_eq!(
-                mb.pending(),
-                0,
-                "rank {rank} exited with unmatched messages queued"
-            );
-        }
-    }
-
     /// Runs `f` once per rank as a cooperative task, on the schedule
     /// the world was built with, and returns the per-rank results in
     /// rank order. Virtual times, file hashes, and traffic are
@@ -401,8 +385,9 @@ impl World {
     ///
     /// # Panics
     /// Propagates any rank's panic after the world has wound down, and
-    /// panics if any mailbox still holds unmatched messages at exit
-    /// (a protocol bug in the caller).
+    /// panics if any rank still holds unmatched messages at exit (a
+    /// protocol bug in the caller). Messages never outlive their run, so
+    /// a world whose run panicked can be run again.
     pub fn run<F, R>(self: &Arc<Self>, f: F) -> Vec<R>
     where
         F: Fn(&mut Ctx) -> R + Send + Sync,
@@ -423,8 +408,8 @@ pub struct Ctx {
     node: usize,
     world: Arc<World>,
     clock: VTime,
-    /// The rank's handle into the scheduler: blocking receives yield
-    /// through it, and sends wake their receiver through it.
+    /// The rank's handle into the scheduler: every send delivers
+    /// through it, and blocking receives park on it.
     task: TaskHandle,
 }
 
@@ -515,10 +500,11 @@ impl Ctx {
         t.account_data(self.node, self.world.placement.node_of(dst), bytes);
     }
 
-    /// Wakes `dst` if its parked receive now has a match, then gives
-    /// the scheduler its preemption point.
-    fn after_send(&self, dst: usize) {
-        self.task.notify_delivery(dst, &self.world);
+    /// Delivers `env` to `dst` — handed to `dst` if it is parked on
+    /// this pair, queued otherwise — then gives the scheduler its
+    /// preemption point.
+    fn deliver(&self, dst: usize, env: Envelope) {
+        self.task.deliver(dst, env);
         self.task.preempt(self.clock);
     }
 
@@ -532,15 +518,17 @@ impl Ctx {
             Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64, true),
             None => 0,
         };
-        self.world.mailboxes[dst].deliver(Envelope {
-            src: self.rank,
-            tag,
-            payload: payload.into(),
-            depart: self.clock,
-            costed: true,
-            causal,
-        });
-        self.after_send(dst);
+        self.deliver(
+            dst,
+            Envelope {
+                src: self.rank,
+                tag,
+                payload: payload.into(),
+                depart: self.clock,
+                costed: true,
+                causal,
+            },
+        );
     }
 
     /// Sends a control-plane message: causality only, no transfer cost
@@ -563,15 +551,17 @@ impl Ctx {
             Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64, false),
             None => 0,
         };
-        self.world.mailboxes[dst].deliver(Envelope {
-            src: self.rank,
-            tag,
-            payload,
-            depart,
-            costed: false,
-            causal,
-        });
-        self.after_send(dst);
+        self.deliver(
+            dst,
+            Envelope {
+                src: self.rank,
+                tag,
+                payload,
+                depart,
+                costed: false,
+                causal,
+            },
+        );
     }
 
     fn settle(&mut self, env: &Envelope) {
@@ -595,22 +585,9 @@ impl Ctx {
         }
     }
 
-    /// Blocking receive: probe, park in the scheduler, repeat. The loop
-    /// re-probes after every wakeup — the scheduler only guarantees a
-    /// match existed at notify time.
-    fn recv_matched(&self, pattern: Pattern) -> Envelope {
-        let mb = &self.world.mailboxes[self.rank];
-        loop {
-            if let Some(env) = mb.try_recv(pattern) {
-                return env;
-            }
-            self.task.block_on_message(pattern, self.clock);
-        }
-    }
-
     /// Blocks for a message from `src` with `tag`; returns the payload.
     pub fn recv(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let env = self.recv_matched(Pattern { src, tag });
+        let env = self.task.recv(Pattern { src, tag }, self.clock);
         self.settle(&env);
         env.payload.into_vec()
     }
@@ -620,7 +597,7 @@ impl Ctx {
     /// never copied and its identity can key per-world decode caches.
     /// Clock and traffic behave exactly like [`Ctx::recv`].
     pub fn recv_shared(&mut self, src: usize, tag: u32) -> Arc<[u8]> {
-        let env = self.recv_matched(Pattern { src, tag });
+        let env = self.task.recv(Pattern { src, tag }, self.clock);
         self.settle(&env);
         env.payload.into_shared()
     }
@@ -641,14 +618,10 @@ impl Ctx {
     /// # Errors
     /// [`SimError::RankFailed`] when no matching message arrived.
     pub fn recv_deadline(&mut self, src: usize, tag: u32, deadline: VTime) -> SimResult<Vec<u8>> {
-        let pattern = Pattern { src, tag };
-        let mb = &self.world.mailboxes[self.rank];
-        let got = match mb.try_recv(pattern) {
-            Some(env) => Some(env),
-            None if self.task.block_with_deadline(pattern, deadline, self.clock) => None,
-            None => Some(mb.try_recv(pattern).expect("woken with a queued match")),
-        };
-        match got {
+        match self
+            .task
+            .recv_deadline(Pattern { src, tag }, deadline, self.clock)
+        {
             Some(env) => {
                 self.settle(&env);
                 Ok(env.payload.into_vec())
@@ -995,49 +968,174 @@ mod tests {
 
     #[test]
     fn event_panic_propagates_with_its_message() {
-        let w = world_with(1, 2, 2, ExecutorKind::Event);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = w.run(|ctx| {
-                if ctx.rank() == 1 {
-                    panic!("rank 1 exploded");
-                }
-            });
-        }))
-        .unwrap_err();
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = panic_message(ExecutorKind::Event, |ctx| {
+            if ctx.rank() == 1 {
+                panic!("rank 1 exploded");
+            }
+        });
         assert!(msg.contains("rank 1 exploded"), "got panic: {msg}");
     }
 
+    /// Runs `f` on a fresh world of `kind` and returns its panic message.
+    fn panic_message<F>(kind: ExecutorKind, f: F) -> String
+    where
+        F: Fn(&mut Ctx) + Send + Sync,
+    {
+        let w = world_with(1, 2, 2, kind);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run(f)))
+            .expect_err("the run must panic");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+
     #[test]
-    #[should_panic(expected = "unmatched messages")]
     fn event_leaked_message_is_detected() {
-        let w = world_with(1, 2, 2, ExecutorKind::Event);
-        let _ = w.run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.send_ctl(1, 99, vec![1]);
-            }
-            // rank 1 never receives.
-        });
+        for kind in all_kinds() {
+            let msg = panic_message(kind, |ctx| {
+                if ctx.rank() == 0 {
+                    ctx.send_ctl(1, 99, vec![1]);
+                }
+                // rank 1 never receives.
+            });
+            assert!(
+                msg.contains("rank 1 exited with unmatched messages"),
+                "{kind:?}: got panic: {msg}"
+            );
+        }
     }
 
     #[test]
     fn event_executor_deadlock_is_diagnosed() {
-        let w = world_with(1, 2, 2, ExecutorKind::Event);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = w.run(|ctx| {
-                // Everyone waits for a message nobody sends.
+        for kind in all_kinds() {
+            // Everyone waits for a message nobody sends.
+            let msg = panic_message(kind, |ctx| {
                 let _ = ctx.recv((ctx.rank() + 1) % 2, 123);
             });
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("deadlock"), "got panic: {msg}");
-        assert!(msg.contains("rank 0"), "names the stuck ranks: {msg}");
+            assert!(msg.contains("deadlock"), "{kind:?}: got panic: {msg}");
+            assert!(
+                msg.contains("rank 0 waiting on (src 1, tag 0x7b)")
+                    && msg.contains("rank 1 waiting on (src 0, tag 0x7b)"),
+                "{kind:?}: names the stuck ranks: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_world_reused_after_a_caught_panic_delivers_only_fresh_messages() {
+        for kind in all_kinds() {
+            let w = world_with(1, 2, 2, kind);
+            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                w.run(|ctx| {
+                    if ctx.rank() == 0 {
+                        ctx.send_ctl(1, 5, vec![1]);
+                    } else {
+                        panic!("rank 1 dies before receiving");
+                    }
+                })
+            }));
+            assert!(crashed.is_err());
+            let got = w.run(|ctx| {
+                if ctx.rank() == 0 {
+                    ctx.send_ctl(1, 5, vec![2]);
+                    Vec::new()
+                } else {
+                    ctx.recv(0, 5)
+                }
+            });
+            assert_eq!(got[1], [2], "{kind:?}: the dead run's message leaked");
+        }
+    }
+
+    /// Rank 1 tells rank 0 it is about to park, then parks on `(0, 1)`;
+    /// rank 0 waits for that before sending. On the canonical schedule
+    /// rank 1 is therefore parked when rank 0's sends arrive.
+    fn handshake_then(ctx: &mut Ctx, root: impl FnOnce(&mut Ctx), leaf: impl FnOnce(&mut Ctx)) {
+        if ctx.rank() == 0 {
+            let _ = ctx.recv(1, 0);
+            root(ctx);
+        } else {
+            ctx.send_ctl(0, 0, vec![]);
+            leaf(ctx);
+        }
+    }
+
+    #[test]
+    fn a_send_to_a_task_parked_on_another_pair_is_queued() {
+        for kind in all_kinds() {
+            let w = world_with(1, 2, 2, kind);
+            let got = w.run(|ctx| {
+                let mut got = Vec::new();
+                handshake_then(
+                    ctx,
+                    |ctx| {
+                        ctx.send_ctl(1, 2, vec![b'q']); // unexpected: rank 1 waits on tag 1
+                        ctx.send_ctl(1, 1, vec![b'h']); // handed over
+                    },
+                    |ctx| {
+                        got.extend(ctx.recv(0, 1));
+                        got.extend(ctx.recv(0, 2));
+                    },
+                );
+                got
+            });
+            assert_eq!(got[1], b"hq", "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn same_pair_sends_to_a_parked_task_keep_their_order() {
+        for kind in all_kinds() {
+            let w = world_with(1, 2, 2, kind);
+            let got = w.run(|ctx| {
+                let mut got = Vec::new();
+                handshake_then(
+                    ctx,
+                    |ctx| {
+                        // The first is handed to the parked receiver, the
+                        // second queues behind it.
+                        for b in 1..=3 {
+                            ctx.send_ctl(1, 1, vec![b]);
+                        }
+                    },
+                    |ctx| {
+                        for _ in 0..3 {
+                            got.extend(ctx.recv(0, 1));
+                        }
+                    },
+                );
+                got
+            });
+            assert_eq!(got[1], [1, 2, 3], "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_deadline_waiter_woken_by_a_handoff_never_times_out_later() {
+        // Rank 0's deadline (1 s) is earlier than rank 1's (2 s). If the
+        // handoff left rank 0 in the waiter set, the quiescence that
+        // expires rank 1's wait would pick rank 0 first — while it sits
+        // in an ordinary receive.
+        for kind in all_kinds() {
+            let w = world_with(1, 2, 2, kind);
+            let r = w.run(|ctx| {
+                if ctx.rank() == 0 {
+                    let deadline = VTime::ZERO + VDuration::from_secs(1.0);
+                    let first = ctx.recv_deadline(1, 80, deadline).map(|p| p[0]);
+                    let second = ctx.recv(1, 81)[0];
+                    (first, second, ctx.clock().as_secs())
+                } else {
+                    ctx.send_ctl(0, 80, vec![7]);
+                    let deadline = VTime::ZERO + VDuration::from_secs(2.0);
+                    let silent = ctx.recv_deadline(0, 99, deadline);
+                    assert_eq!(silent, Err(SimError::RankFailed { rank: 0 }));
+                    ctx.send_ctl(0, 81, vec![8]);
+                    (Ok(0), 0, ctx.clock().as_secs())
+                }
+            });
+            assert_eq!(r[0], (Ok(7), 8, 2.0), "{kind:?}");
+        }
     }
 
     #[test]

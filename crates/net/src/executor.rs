@@ -2,10 +2,31 @@
 //!
 //! [`run_event`] drives the ranks cooperatively: a scheduler repeatedly
 //! resumes the runnable task at the top of its heap, and a task runs
-//! until it blocks on an empty mailbox, finishes, or panics. Blocking
-//! receives become yield points — `Ctx::recv` parks the task with its
-//! match [`Pattern`] and the matching `deliver` marks it runnable again —
-//! so a 100k-rank world costs 100k small stacks instead of 100k threads.
+//! until it blocks on a receive with no queued match, finishes, or
+//! panics. Blocking receives become yield points — `Ctx::recv` parks
+//! the task with its match [`Pattern`] — so a 100k-rank world costs 100k
+//! small stacks instead of 100k threads.
+//!
+//! ## Matching: posted receives and unexpected messages
+//!
+//! Every send goes through one [`EventRt::deliver`]. If the destination
+//! is parked on exactly the envelope's `(src, tag)`, the envelope is
+//! handed to it — stored in its task slot — and the task is pushed
+//! runnable; otherwise the envelope is queued in the destination's
+//! [`Mailbox`] as an unexpected message, which the next receive on that
+//! pair probes before it parks. Each task owns its mailbox for the
+//! length of the run, so nothing needs a lock and nothing a run leaves
+//! behind outlives it.
+//!
+//! The handoff wakes exactly the tasks that queueing every message and
+//! re-probing after each delivery would wake, at the same points. A
+//! parked receiver has no queued match, or it would not have parked, so
+//! "the new envelope matches the parked pattern" is exactly "a match is
+//! queued after delivery"; the receiver is pushed with the clock bits it
+//! parked with, so heap keys, wake sequence numbers and exploration
+//! preemption points depend on the program alone, not on which path a
+//! message took. Per-pair FIFO holds because a handoff only happens
+//! while no envelope of that pair is queued.
 //!
 //! ## Canonical schedule and schedule exploration
 //!
@@ -60,7 +81,7 @@ use mccio_sim::rng::splitmix64;
 use mccio_sim::VTime;
 
 use crate::engine::{Ctx, World};
-use crate::mailbox::Pattern;
+use crate::mailbox::{Envelope, Mailbox, Pattern};
 
 /// Default per-task stack size when `MCCIO_STACK_KIB` is unset.
 const DEFAULT_STACK_KIB: usize = 512;
@@ -221,7 +242,7 @@ enum TaskState {
     Runnable,
     /// Currently on the CPU.
     Running,
-    /// Parked on an empty mailbox. `deadline_bits` is set for
+    /// Parked on a receive with no queued match. `deadline_bits` is set for
     /// `recv_deadline` waits; `timed_out` is set by the scheduler when
     /// the wait is declared missed at quiescence.
     Blocked {
@@ -229,6 +250,9 @@ enum TaskState {
         deadline_bits: Option<u64>,
         timed_out: bool,
     },
+    /// Was parked; a send handed it this matching envelope and pushed it
+    /// runnable. The receive that parked takes it on resume.
+    Handed(Envelope),
     /// Finished (result stored or panic recorded). Never resumed.
     Done,
 }
@@ -239,6 +263,9 @@ struct TaskSlot {
     /// The task's virtual clock when it last yielded; the canonical
     /// heap key uses it so the smallest-clock task always runs next.
     clock_bits: u64,
+    /// The task's unexpected messages: envelopes that arrived while it
+    /// was not parked on their pair.
+    mailbox: Mailbox,
 }
 
 /// Shared scheduler core. One per `run_event` call; tasks hold it via
@@ -288,6 +315,7 @@ impl EventRt {
                     .map(|_| TaskSlot {
                         state: TaskState::Runnable,
                         clock_bits: 0,
+                        mailbox: Mailbox::default(),
                     })
                     .collect(),
             ),
@@ -330,78 +358,111 @@ impl EventRt {
         }
     }
 
-    /// Parks the current task until a message matching `pattern` is
-    /// queued. All RefCell borrows are released before switching.
-    fn block_on_message(&self, rank: usize, pattern: Pattern, clock: VTime) {
-        {
-            let mut slots = self.slots.borrow_mut();
-            let slot = &mut slots[rank];
-            slot.clock_bits = clock.as_secs().to_bits();
-            slot.state = TaskState::Blocked {
-                pattern,
-                deadline_bits: None,
-                timed_out: false,
-            };
-        }
-        self.yield_to_scheduler(rank);
-    }
-
-    /// Parks the current task until a match arrives or the scheduler
-    /// declares the deadline missed at quiescence. Returns `true` on a
-    /// miss.
-    fn block_with_deadline(
-        &self,
-        rank: usize,
-        pattern: Pattern,
-        deadline: VTime,
-        clock: VTime,
-    ) -> bool {
-        let bits = deadline.as_secs().to_bits();
-        {
-            let mut slots = self.slots.borrow_mut();
-            let slot = &mut slots[rank];
-            slot.clock_bits = clock.as_secs().to_bits();
-            slot.state = TaskState::Blocked {
-                pattern,
-                deadline_bits: Some(bits),
-                timed_out: false,
-            };
-        }
-        self.waiters.borrow_mut().insert((bits, rank));
-        self.yield_to_scheduler(rank);
-        let mut slots = self.slots.borrow_mut();
-        match &mut slots[rank].state {
-            TaskState::Running => false,
-            TaskState::Blocked { timed_out, .. } => {
-                let missed = *timed_out;
-                debug_assert!(missed, "resumed while still blocked without a timeout");
-                slots[rank].state = TaskState::Running;
-                missed
-            }
-            other => unreachable!("deadline waiter resumed in state {other:?}"),
-        }
-    }
-
-    /// Sender-side wakeup: if `dst` is parked and the freshly delivered
-    /// message satisfies its pattern, move it to the runnable heap.
-    fn notify_delivery(&self, dst: usize, world: &World) {
+    /// Delivers `env` to `dst`: hands it over if `dst` is parked on
+    /// exactly this `(src, tag)` — pushing `dst` runnable and retiring
+    /// its deadline, if any — and queues it as an unexpected message
+    /// otherwise. The one delivery path of every send.
+    fn deliver(&self, dst: usize, env: Envelope) {
         let mut slots = self.slots.borrow_mut();
         let slot = &mut slots[dst];
         if let TaskState::Blocked {
             pattern,
             deadline_bits,
-            ..
+            timed_out: false,
         } = slot.state
         {
-            if world.mailbox(dst).has_match(pattern) {
+            if pattern.src == env.src && pattern.tag == env.tag {
+                slot.state = TaskState::Handed(env);
                 if let Some(bits) = deadline_bits {
                     self.waiters.borrow_mut().remove(&(bits, dst));
                 }
-                slot.state = TaskState::Running;
                 let clock_bits = slot.clock_bits;
                 drop(slots);
                 self.push_runnable(dst, clock_bits);
+                return;
             }
+        }
+        slot.mailbox.push(env);
+    }
+
+    /// Takes the earliest queued match for `pattern`, or parks the
+    /// current task on it (until a deadline when `deadline_bits` is
+    /// set). `None` means the task parked and the caller must yield.
+    fn take_or_park(
+        &self,
+        rank: usize,
+        pattern: Pattern,
+        deadline_bits: Option<u64>,
+        clock: VTime,
+    ) -> Option<Envelope> {
+        let mut slots = self.slots.borrow_mut();
+        let slot = &mut slots[rank];
+        if let Some(env) = slot.mailbox.take(pattern) {
+            return Some(env);
+        }
+        slot.clock_bits = clock.as_secs().to_bits();
+        slot.state = TaskState::Blocked {
+            pattern,
+            deadline_bits,
+            timed_out: false,
+        };
+        None
+    }
+
+    /// Resumes a parked receive: the envelope a send handed over, or
+    /// `None` for a deadline wait declared missed at quiescence.
+    fn take_handoff(&self, rank: usize) -> Option<Envelope> {
+        let state = &mut self.slots.borrow_mut()[rank].state;
+        match std::mem::replace(state, TaskState::Running) {
+            TaskState::Handed(env) => Some(env),
+            TaskState::Blocked {
+                deadline_bits: Some(_),
+                timed_out: true,
+                ..
+            } => None,
+            other => unreachable!("parked receive resumed in state {other:?}"),
+        }
+    }
+
+    /// Blocking receive: the earliest queued match, or park until a
+    /// send hands one over. All RefCell borrows are released before
+    /// switching.
+    fn recv(&self, rank: usize, pattern: Pattern, clock: VTime) -> Envelope {
+        if let Some(env) = self.take_or_park(rank, pattern, None, clock) {
+            return env;
+        }
+        self.yield_to_scheduler(rank);
+        self.take_handoff(rank)
+            .expect("only deadline waits time out")
+    }
+
+    /// Deadline receive: like [`EventRt::recv`], but a wait the
+    /// scheduler declares missed at quiescence returns `None`.
+    fn recv_deadline(
+        &self,
+        rank: usize,
+        pattern: Pattern,
+        deadline: VTime,
+        clock: VTime,
+    ) -> Option<Envelope> {
+        let bits = deadline.as_secs().to_bits();
+        if let Some(env) = self.take_or_park(rank, pattern, Some(bits), clock) {
+            return Some(env);
+        }
+        self.waiters.borrow_mut().insert((bits, rank));
+        self.yield_to_scheduler(rank);
+        self.take_handoff(rank)
+    }
+
+    /// Asserts every task's mailbox drained — a queued leftover is a
+    /// protocol bug in the caller. Run at clean shutdown.
+    fn check_drained(&self) {
+        for (rank, slot) in self.slots.borrow().iter().enumerate() {
+            assert_eq!(
+                slot.mailbox.pending(),
+                0,
+                "rank {rank} exited with unmatched messages queued"
+            );
         }
     }
 
@@ -443,28 +504,25 @@ impl EventRt {
 }
 
 impl TaskHandle {
-    /// Cooperative receive: probe, park, repeat. `next` re-probes the
-    /// mailbox after every wakeup because the scheduler only guarantees
-    /// a match existed at notify time.
-    pub(crate) fn block_on_message(&self, pattern: Pattern, clock: VTime) {
-        self.rt.block_on_message(self.rank, pattern, clock);
+    /// Delivers `env` to `dst` (see [`EventRt::deliver`]).
+    pub(crate) fn deliver(&self, dst: usize, env: Envelope) {
+        self.rt.deliver(dst, env);
     }
 
-    /// Deadline variant; returns `true` when the wait was declared
-    /// missed at quiescence.
-    pub(crate) fn block_with_deadline(
+    /// Blocking receive of the earliest message matching `pattern`.
+    pub(crate) fn recv(&self, pattern: Pattern, clock: VTime) -> Envelope {
+        self.rt.recv(self.rank, pattern, clock)
+    }
+
+    /// Deadline receive; `None` when the wait was declared missed at
+    /// quiescence.
+    pub(crate) fn recv_deadline(
         &self,
         pattern: Pattern,
         deadline: VTime,
         clock: VTime,
-    ) -> bool {
-        self.rt
-            .block_with_deadline(self.rank, pattern, deadline, clock)
-    }
-
-    /// Called by senders after `Mailbox::deliver`.
-    pub(crate) fn notify_delivery(&self, dst: usize, world: &World) {
-        self.rt.notify_delivery(dst, world);
+    ) -> Option<Envelope> {
+        self.rt.recv_deadline(self.rank, pattern, deadline, clock)
     }
 
     /// Called by senders last: yields here when exploring schedules.
@@ -667,10 +725,11 @@ where
             let mut slots = rt.slots.borrow_mut();
             match slots[rank].state {
                 TaskState::Done => continue,
-                // A quiescence-woken deadline waiter keeps its Blocked
-                // state so block_with_deadline can read the timed_out
-                // flag after the resume.
-                TaskState::Blocked {
+                // A handed-off receiver and a quiescence-woken deadline
+                // waiter keep their state: the parked receive reads it
+                // on resume.
+                TaskState::Handed(_)
+                | TaskState::Blocked {
                     timed_out: true, ..
                 } => {}
                 ref mut s => *s = TaskState::Running,
@@ -703,7 +762,7 @@ where
             *cache = slab;
         }
     });
-    world.check_drained();
+    rt.check_drained();
     results
         .into_iter()
         .map(|r| r.expect("every rank produced a result"))

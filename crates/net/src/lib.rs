@@ -24,7 +24,11 @@
 //!   experiments can report shuffle volumes and per-node NIC pressure.
 //!
 //! Message matching follows MPI semantics: receives match on
-//! `(source, tag)` with non-overtaking order per pair.
+//! `(source, tag)` with non-overtaking order per pair. Like an MPI
+//! library's posted-receive and unexpected-message queues, a send to a
+//! rank parked on exactly its pair is handed over directly, and any
+//! other send waits in the receiver's per-run [`mailbox`]; the control
+//! plane allocates nothing per message either way.
 
 #![warn(missing_docs)]
 

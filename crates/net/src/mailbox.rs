@@ -1,24 +1,27 @@
-//! Per-rank message matching.
+//! Message envelopes and per-rank matching.
 //!
-//! Each rank owns a [`Mailbox`]: an indexed store of delivered
-//! envelopes. Receives never block here — the executor parks a task
-//! whose probe ([`Mailbox::try_recv`]) found nothing and wakes it once
-//! [`Mailbox::has_match`] holds — and a probe removes the *earliest
-//! delivered* match, giving MPI's non-overtaking guarantee for messages
-//! with the same source and tag.
+//! Matching follows the posted-receive / unexpected-message split of MPI
+//! libraries. A rank parked in a receive has *posted* its `(src, tag)`
+//! [`Pattern`]; the executor's one `deliver` hands a send that matches
+//! it straight to the parked task. Every other send is *unexpected* and
+//! lands in the receiver's `Mailbox`, which a later receive probes
+//! before it parks. Either way the receive gets the *earliest sent*
+//! message of its pair — MPI's non-overtaking guarantee — because a
+//! handoff only happens when no message of that pair is queued.
 //!
-//! Matching is one hash lookup rather than a linear scan: flat
-//! collectives funnel `n - 1` messages through the root's mailbox, so at
-//! 10k+ ranks a scan per receive turns every barrier into an O(n²) hot
-//! spot. Every receive names its source, so a per-`(src, tag)` FIFO is
-//! the whole index. Empty per-pair queues are dropped eagerly, so a
-//! mailbox that drained returns its memory instead of holding
-//! high-water-mark capacity for the rest of the run.
+//! Every receive names its source, so a per-`(src, tag)` FIFO is the
+//! whole index: one hash lookup per probe, where a linear scan would
+//! turn every flat collective into an O(n²) hot spot at 10k+ ranks
+//! (the root's mailbox collects `n - 1` messages). A pair's first
+//! envelope is stored inline, so the common case — one message in
+//! flight per pair — allocates nothing. The mailbox belongs to the
+//! rank's task slot for one run: it needs no lock, and nothing a run
+//! leaves behind can reach the next run on the same world.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-
-use mccio_sim::sync::Mutex;
 
 use mccio_sim::VTime;
 
@@ -119,82 +122,82 @@ pub struct Pattern {
     pub tag: u32,
 }
 
+/// Hasher for packed `(src << 32) | tag` keys. The keys are rank ids
+/// and tags the simulator chose itself, so a keyed (DoS-resistant) hash
+/// buys nothing; a folded 64×64→128 multiply mixes both halves of the
+/// key into the low bits the table indexes with.
 #[derive(Debug, Default)]
-struct Queue {
-    /// Per-(src, tag) FIFO of queued envelopes, in delivery order.
-    by_pair: HashMap<(usize, u32), VecDeque<Envelope>>,
-    /// Total queued envelopes.
-    len: usize,
-}
+struct PairHasher(u64);
 
-impl Queue {
-    fn push(&mut self, env: Envelope) {
-        self.by_pair
-            .entry((env.src, env.tag))
-            .or_default()
-            .push_back(env);
-        self.len += 1;
+impl Hasher for PairHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("mailbox keys hash as one u64")
     }
 
-    fn contains(&self, pattern: Pattern) -> bool {
-        self.by_pair.contains_key(&(pattern.src, pattern.tag))
+    fn write_u64(&mut self, key: u64) {
+        let m = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
     }
 
-    /// Removes the earliest delivered match, dropping its FIFO once it
-    /// drains.
-    fn take(&mut self, pattern: Pattern) -> Option<Envelope> {
-        let std::collections::hash_map::Entry::Occupied(mut entry) =
-            self.by_pair.entry((pattern.src, pattern.tag))
-        else {
-            return None;
-        };
-        let env = entry
-            .get_mut()
-            .pop_front()
-            .expect("queued FIFOs are non-empty");
-        if entry.get().is_empty() {
-            entry.remove();
-        }
-        self.len -= 1;
-        Some(env)
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
-/// One rank's incoming-message store.
+fn pair_key(src: usize, tag: u32) -> u64 {
+    ((src as u64) << 32) | u64::from(tag)
+}
+
+/// One `(src, tag)` pair's FIFO. The head is stored inline, so a pair
+/// holding one message — every control message of a flat collective —
+/// costs no allocation; only a second queued message of the same pair
+/// spills into `rest`.
+#[derive(Debug)]
+struct PairQueue {
+    head: Envelope,
+    rest: VecDeque<Envelope>,
+}
+
+/// One rank's store of *unexpected* messages: envelopes that arrived
+/// while the rank was not parked on their `(src, tag)` pair. Owned by
+/// the rank's task slot for one run; the executor hands a message
+/// straight to a receiver already parked on its pair and queues it
+/// here otherwise.
 #[derive(Debug, Default)]
-pub struct Mailbox {
-    queue: Mutex<Queue>,
+pub(crate) struct Mailbox {
+    by_pair: HashMap<u64, PairQueue, BuildHasherDefault<PairHasher>>,
 }
 
 impl Mailbox {
-    /// Creates an empty mailbox.
-    #[must_use]
-    pub fn new() -> Self {
-        Mailbox::default()
+    /// Queues an envelope behind any earlier one of its pair.
+    pub(crate) fn push(&mut self, env: Envelope) {
+        match self.by_pair.entry(pair_key(env.src, env.tag)) {
+            Entry::Occupied(mut q) => q.get_mut().rest.push_back(env),
+            Entry::Vacant(slot) => {
+                slot.insert(PairQueue {
+                    head: env,
+                    rest: VecDeque::new(),
+                });
+            }
+        }
     }
 
-    /// Delivers an envelope (called from the sender's task).
-    pub fn deliver(&self, env: Envelope) {
-        self.queue.lock().push(env);
-    }
-
-    /// Non-blocking probe: removes and returns a match if one is queued.
-    pub fn try_recv(&self, pattern: Pattern) -> Option<Envelope> {
-        self.queue.lock().take(pattern)
-    }
-
-    /// True when a matching message is queued (does not remove it).
-    /// The event scheduler's wakeup predicate.
-    #[must_use]
-    pub fn has_match(&self, pattern: Pattern) -> bool {
-        self.queue.lock().contains(pattern)
+    /// Removes the earliest queued match, dropping its pair once it
+    /// drains. A probe never allocates (the entry API would reserve
+    /// table space for a missing key).
+    pub(crate) fn take(&mut self, pattern: Pattern) -> Option<Envelope> {
+        let key = pair_key(pattern.src, pattern.tag);
+        let q = self.by_pair.get_mut(&key)?;
+        match q.rest.pop_front() {
+            Some(next) => Some(std::mem::replace(&mut q.head, next)),
+            None => self.by_pair.remove(&key).map(|q| q.head),
+        }
     }
 
     /// Number of queued (unmatched) messages; used by shutdown checks to
     /// assert no message was silently dropped.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.lock().len
+    pub(crate) fn pending(&self) -> usize {
+        self.by_pair.values().map(|q| 1 + q.rest.len()).sum()
     }
 }
 
@@ -213,58 +216,71 @@ mod tests {
         }
     }
 
+    fn take_byte(mb: &mut Mailbox, src: usize, tag: u32) -> u8 {
+        mb.take(Pattern { src, tag }).unwrap().payload.as_slice()[0]
+    }
+
     #[test]
     fn matches_by_src_and_tag() {
-        let mb = Mailbox::new();
-        mb.deliver(env(1, 10, b'a'));
-        mb.deliver(env(2, 10, b'b'));
-        mb.deliver(env(1, 20, b'c'));
-        let got = mb.try_recv(Pattern { src: 2, tag: 10 }).unwrap();
-        assert_eq!(got.payload.as_slice(), b"b");
-        let got = mb.try_recv(Pattern { src: 1, tag: 20 }).unwrap();
-        assert_eq!(got.payload.as_slice(), b"c");
+        let mut mb = Mailbox::default();
+        mb.push(env(1, 10, b'a'));
+        mb.push(env(2, 10, b'b'));
+        mb.push(env(1, 20, b'c'));
+        assert_eq!(take_byte(&mut mb, 2, 10), b'b');
+        assert_eq!(take_byte(&mut mb, 1, 20), b'c');
+        assert!(mb.take(Pattern { src: 2, tag: 20 }).is_none());
         assert_eq!(mb.pending(), 1);
     }
 
     #[test]
     fn same_src_tag_is_fifo() {
-        let mb = Mailbox::new();
+        let mut mb = Mailbox::default();
         for b in [b'1', b'2', b'3'] {
-            mb.deliver(env(0, 5, b));
+            mb.push(env(0, 5, b));
         }
         for expect in [b'1', b'2', b'3'] {
-            let got = mb.try_recv(Pattern { src: 0, tag: 5 }).unwrap();
-            assert_eq!(got.payload.into_vec(), vec![expect]);
+            assert_eq!(take_byte(&mut mb, 0, 5), expect);
         }
+        assert!(mb.take(Pattern { src: 0, tag: 5 }).is_none());
+        assert_eq!(mb.pending(), 0);
     }
 
     #[test]
-    fn try_recv_does_not_block() {
-        let mb = Mailbox::new();
-        assert!(mb.try_recv(Pattern { src: 0, tag: 1 }).is_none());
-        mb.deliver(env(0, 1, b'z'));
-        assert!(mb.try_recv(Pattern { src: 0, tag: 1 }).is_some());
-        assert!(mb.try_recv(Pattern { src: 0, tag: 1 }).is_none());
+    fn a_drained_pair_refills_in_order() {
+        let mut mb = Mailbox::default();
+        mb.push(env(3, 1, b'a'));
+        assert_eq!(take_byte(&mut mb, 3, 1), b'a');
+        mb.push(env(3, 1, b'b'));
+        mb.push(env(3, 1, b'c'));
+        assert_eq!(take_byte(&mut mb, 3, 1), b'b');
+        mb.push(env(3, 1, b'd'));
+        assert_eq!(take_byte(&mut mb, 3, 1), b'c');
+        assert_eq!(take_byte(&mut mb, 3, 1), b'd');
+        assert_eq!(mb.pending(), 0);
     }
 
     #[test]
-    fn has_match_probes_without_removing() {
-        let mb = Mailbox::new();
-        let pat = Pattern { src: 4, tag: 2 };
-        assert!(!mb.has_match(pat));
-        mb.deliver(env(4, 2, b'q'));
-        assert!(mb.has_match(pat));
-        assert!(!mb.has_match(Pattern { src: 5, tag: 2 }));
-        assert!(!mb.has_match(Pattern { src: 4, tag: 3 }));
-        assert_eq!(mb.pending(), 1, "has_match must not consume");
+    fn keys_differing_only_in_source_or_tag_stay_apart() {
+        // The packed key puts the source in the high half: pairs that
+        // share a tag (every flat collective's fan-in) or a source must
+        // never alias.
+        let mut mb = Mailbox::default();
+        for src in 0..64 {
+            mb.push(env(src, 7, src as u8));
+            mb.push(env(0, 100 + src as u32, 200));
+        }
+        for src in (0..64).rev() {
+            assert_eq!(take_byte(&mut mb, src, 7), src as u8);
+        }
+        assert_eq!(mb.pending(), 64);
     }
 
     #[test]
     fn shared_payloads_alias_one_buffer() {
-        let mb = Mailbox::new();
+        let mut mb = Mailbox::default();
         let shared: Arc<[u8]> = b"plan".as_slice().into();
         for src in 0..3 {
-            mb.deliver(Envelope {
+            mb.push(Envelope {
                 src,
                 tag: 6,
                 payload: Payload::Shared(Arc::clone(&shared)),
@@ -275,7 +291,7 @@ mod tests {
         }
         assert_eq!(Arc::strong_count(&shared), 4, "queued envelopes alias");
         for src in 0..3 {
-            let got = mb.try_recv(Pattern { src, tag: 6 }).unwrap();
+            let got = mb.take(Pattern { src, tag: 6 }).unwrap();
             assert_eq!(got.payload.into_vec(), b"plan");
         }
         assert_eq!(Arc::strong_count(&shared), 1);
@@ -283,21 +299,16 @@ mod tests {
 
     #[test]
     fn interleaved_tags_and_sources_stay_in_sync() {
-        let mb = Mailbox::new();
-        mb.deliver(env(0, 1, b'a'));
-        mb.deliver(env(1, 1, b'b'));
-        mb.deliver(env(0, 2, b'x'));
-        mb.deliver(env(0, 1, b'c'));
+        let mut mb = Mailbox::default();
+        mb.push(env(0, 1, b'a'));
+        mb.push(env(1, 1, b'b'));
+        mb.push(env(0, 2, b'x'));
+        mb.push(env(0, 1, b'c'));
         // Each (src, tag) pair drains in its own delivery order,
         // whatever order the pairs are received in.
         let order: Vec<u8> = [(1, 1), (0, 1), (0, 2), (0, 1)]
             .into_iter()
-            .map(|(src, tag)| {
-                mb.try_recv(Pattern { src, tag })
-                    .unwrap()
-                    .payload
-                    .into_vec()[0]
-            })
+            .map(|(src, tag)| take_byte(&mut mb, src, tag))
             .collect();
         assert_eq!(order, b"baxc");
         assert_eq!(mb.pending(), 0);

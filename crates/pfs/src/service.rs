@@ -84,6 +84,13 @@ impl ServiceReport {
         load.requests += 1;
     }
 
+    /// Adds a whole load (bytes and requests) at `server`.
+    pub fn add_load(&mut self, server: usize, load: ServerLoad) {
+        let a = &mut self.per_server[server];
+        a.bytes += load.bytes;
+        a.requests += load.requests;
+    }
+
     /// Merges another report into this one (same server count).
     ///
     /// # Panics
@@ -94,9 +101,8 @@ impl ServiceReport {
             other.per_server.len(),
             "merging reports over different server counts"
         );
-        for (a, b) in self.per_server.iter_mut().zip(&other.per_server) {
-            a.bytes += b.bytes;
-            a.requests += b.requests;
+        for (server, &load) in other.per_server.iter().enumerate() {
+            self.add_load(server, load);
         }
     }
 
@@ -116,35 +122,6 @@ impl ServiceReport {
     #[must_use]
     pub fn loads(&self) -> &[ServerLoad] {
         &self.per_server
-    }
-
-    /// Flattens to `(bytes, requests)` pairs for wire transfer.
-    #[must_use]
-    pub fn to_pairs(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.per_server.len() * 2);
-        for l in &self.per_server {
-            out.push(l.bytes);
-            out.push(l.requests);
-        }
-        out
-    }
-
-    /// Rebuilds from [`ServiceReport::to_pairs`] output.
-    ///
-    /// # Panics
-    /// Panics on an odd-length slice.
-    #[must_use]
-    pub fn from_pairs(pairs: &[u64]) -> Self {
-        assert!(pairs.len().is_multiple_of(2), "pairs must be even-length");
-        ServiceReport {
-            per_server: pairs
-                .chunks_exact(2)
-                .map(|c| ServerLoad {
-                    bytes: c[0],
-                    requests: c[1],
-                })
-                .collect(),
-        }
     }
 }
 
@@ -272,14 +249,6 @@ mod tests {
                 requests: 1
             }
         );
-    }
-
-    #[test]
-    fn pairs_roundtrip() {
-        let mut r = ServiceReport::empty(2);
-        r.add_request(1, 77);
-        let rebuilt = ServiceReport::from_pairs(&r.to_pairs());
-        assert_eq!(rebuilt, r);
     }
 
     #[test]
