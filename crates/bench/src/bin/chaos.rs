@@ -27,6 +27,7 @@ use mccio_net::World;
 use mccio_pfs::FileSystem;
 use mccio_sim::cost::CostModel;
 use mccio_sim::fault::FaultPlan;
+use mccio_sim::hash::fnv1a;
 use mccio_sim::time::VTime;
 use mccio_sim::topology::{FillOrder, Placement};
 use mccio_sim::units::MIB;
@@ -199,15 +200,6 @@ fn execute(
         fnv1a(&bytes),
         (result.write_secs, result.read_secs, result.resilience),
     )
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Hand-rolled JSON (the workspace is dependency-free by design).

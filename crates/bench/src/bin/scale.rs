@@ -1,59 +1,74 @@
-//! Rank-scaling benchmark: simulator wall clock vs rank count, written
-//! as JSON (`BENCH_PR8.json`) — the record of what the discrete-event
-//! executor buys at scale.
-//!
-//! Each point runs the memory-conscious strategy on a fig7-shaped
-//! platform (testbed nodes of 12 cores, 8 OSTs, Normal(320 MiB, 64 MiB)
-//! per-node memory, IOR interleaved) with the per-rank volume scaled
-//! down as ranks grow, so the axis measures executor overhead rather
-//! than total data volume. The 120- and 1008-rank points also run on
-//! one explored rank schedule (`ExecutorKind::Explore`), whose virtual
-//! times must equal the canonical schedule's bit for bit — a
-//! large-rank differential check the unit suites can't afford.
+//! Rank-scaling benchmark and the deterministic regression record.
 //!
 //! ```text
-//! cargo run --release -p mccio-bench --bin scale [full|ci|10k|100k|obs|causal] [--obs] [out.json]
+//! cargo run --release -p mccio-bench --bin scale -- record <out.json>
+//! cargo run --release -p mccio-bench --bin scale -- regress <record.json>
+//! cargo run --release -p mccio-bench --bin scale -- [full|ci|fig7|10k|100k|obs|causal] [--obs]
 //! ```
 //!
-//! * `full` (default) — 120 / 1008 / 10080 / 100800 ranks; writes the
-//!   JSON record;
-//! * `ci` — the 1008-rank smoke with its explored-schedule
-//!   differential, bounded for CI;
-//! * `10k` — the 10080-rank event-executor point alone;
-//! * `100k` — the 100800-rank event-executor point alone (the
-//!   allocation-free hot-path acceptance gate);
-//! * `obs` — the streaming-observability flagship: the 10k and 100k
-//!   fig7 shapes with a streaming `ObsSink` and the host-wall profiler
-//!   on, asserting virtual-time bit-identity obs on/off, bounded obs
-//!   allocations, and host-wall overhead under threshold; writes
-//!   `BENCH_PR9.json` plus per-point HTML reports under `trace_obs/`;
-//! * `causal` — the causal-tracing flagship: the 10k fig7 shape under
-//!   a deterministic 5 µs control-plane latency (so clocks genuinely
-//!   diverge and blame chains hop ranks) with a *streaming* sink and
-//!   causal tracing armed, asserting virtual-time bit-identity causal
-//!   on/off, the same fixed obs allocation budget, host-wall overhead
-//!   under threshold, and non-degenerate cross-rank blame chains;
-//!   writes `BENCH_PR10.json` plus an HTML report under `trace_obs/`.
+//! **The record.** `record` measures a fixed table and writes it as a
+//! `mccio_bench::record` document; `regress` measures the same table
+//! again and exits nonzero unless every field equals the recorded one
+//! bit for bit. The table has no options:
 //!
-//! `--obs` attaches the same streaming-observability comparison to any
-//! mode (CI runs `scale ci --obs` as its bounded-memory smoke).
+//! * **24 ranks** — `mccio_bench::ior_config("ci")`, both paper
+//!   strategies, three passes: obs off; a buffered `ObsSink` with the
+//!   host profiler on; and causal tracing under
+//!   `mccio_bench::causal_plan`;
+//! * **1,008 ranks** (`ci` below), memory-conscious: canonical; the
+//!   first explored schedule; and a streaming sink with the profiler on;
+//! * **10,080 ranks** (`10k` below), memory-conscious: canonical and
+//!   streaming obs on.
+//!
+//! Each row holds the virtual write/read seconds, every `OpMetrics`
+//! field and the traffic scalars; obs-on passes add the stream (or
+//! event) counters and every host phase's *call count*; the causal pass
+//! adds its virtual times, the blame-chain count, total hops and one
+//! hash over every chain's segments. Nothing comes from the wall clock.
+//! Checked live instead of recorded: obs on and off give bit-identical
+//! virtual times; the explored schedule measures exactly what the
+//! canonical one does; a fresh write+read plans once and builds one
+//! schedule per rank; obs allocations fit the fixed 64 MiB budget
+//! (printed, not recorded: they are allocation sizes chosen by std);
+//! causal chains tile their ops. The 1,008-rank streamed trace is
+//! rendered to `trace_obs/scale_obs_1008.html`.
+//!
+//! **Wall clock.** The other modes print the simulator's wall clock per
+//! point on a fig7-shaped platform (testbed nodes of 12 cores, 8 OSTs,
+//! Normal(320 MiB, 64 MiB) per-node memory, IOR interleaved, the
+//! per-rank volume shrinking as ranks grow so the axis measures executor
+//! overhead):
+//!
+//! * `full` (default) — 120 / 1008 / 10080 / 100800 ranks;
+//! * `ci`, `fig7`, `10k`, `100k` — one of those points (the 1008- and
+//!   120-rank points also run one explored schedule, whose virtual times
+//!   must equal the canonical ones bit for bit);
+//! * `obs` (10k and 100k) and `--obs` on any mode — the streaming-
+//!   observability overhead check: one warm-up, then ABAB-interleaved
+//!   obs-off/obs-on pairs, printing every pair and, at 10k ranks and
+//!   up, failing unless the median host-wall overhead is under 10%;
+//! * `causal` (10k) — the same check with causal tracing armed under
+//!   the causal plan, plus non-degenerate cross-rank blame chains.
+//!
+//! The wall modes write only HTML reports under `trace_obs/`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::exit;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use mccio_bench::{paper_pair, run, run_traced, run_traced_faulty, run_with, Platform};
+use mccio_bench::record::{self, chain_hash, Record, Row, Value};
+use mccio_bench::{causal_plan, ior_config, paper_pair, run_with, Platform, RunResult};
+use mccio_core::prelude::Strategy;
 use mccio_net::ExecutorKind;
-use mccio_obs::{analyze, report, ObsSink, StreamConfig};
+use mccio_obs::{analyze, report, BlameChain, ObsSink, StreamConfig};
 use mccio_sim::fault::FaultPlan;
 use mccio_sim::hostprof::{self, HostPhase, HostProfile};
-use mccio_sim::time::VDuration;
 use mccio_sim::units::{KIB, MIB};
 use mccio_workloads::Ior;
 
-/// Counting wrapper around the system allocator (diagnostic; printed
-/// per point so allocation churn regressions are visible in the log,
-/// and the obs allocation budget is measured with it).
+/// Counting wrapper around the system allocator: the obs allocation
+/// budget is measured with it.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -93,801 +108,593 @@ fn alloc_snapshot() -> (u64, u64) {
     )
 }
 
-/// One point on the rank axis. Volume shrinks as ranks grow: group
-/// analysis memory is O(ranks) per rank, and the axis measures executor
-/// overhead, not aggregate bandwidth.
-struct Point {
-    ranks: usize,
-    per_rank_kib: u64,
-    segments: u64,
-    /// Also run the point on one explored schedule and require
-    /// bit-identical virtual times: affordable up to the 1k points.
-    explore: bool,
-}
-
-fn points(mode: &str) -> Vec<Point> {
-    let p = |ranks, per_rank_kib, segments| Point {
-        ranks,
-        per_rank_kib,
-        segments,
-        explore: ranks <= 1008,
-    };
-    match mode {
-        // The fig7 config, then three decades up it.
-        "full" => vec![
-            p(120, 4096, 16),
-            p(1008, 512, 8),
-            p(10_080, 64, 2),
-            p(100_800, 16, 1),
-        ],
-        "ci" => vec![p(1008, 256, 4)],
-        "fig7" => vec![p(120, 4096, 16)],
-        "10k" => vec![p(10_080, 64, 2)],
-        "100k" => vec![p(100_800, 16, 1)],
-        // The streaming-observability flagship pair (ISSUE 9).
-        "obs" => vec![p(10_080, 64, 2), p(100_800, 16, 1)],
-        // The causal-tracing flagship (ISSUE 10): the 10k fig7 shape.
-        "causal" => vec![p(10_080, 64, 2)],
-        other => panic!("scale: unknown mode {other:?} (use full|ci|fig7|10k|100k|obs|causal)"),
-    }
-}
-
-struct Row {
-    ranks: usize,
-    executor: ExecutorKind,
-    per_rank_kib: u64,
-    segments: u64,
-    wall_secs: f64,
-    write_secs: f64,
-    read_secs: f64,
-    write_mbps: f64,
-    read_mbps: f64,
-}
-
 /// Fixed budget for observability allocations in an obs-on run: the
 /// streaming sink, its aggregation cells, and the exemplar lanes must
 /// fit in this regardless of rank count — the bound that makes
 /// 100k-rank observability feasible. Measured as the allocated-bytes
-/// delta between a warm obs-on run and a warm obs-off run.
+/// difference between an obs-on run and an obs-off run of one shape.
 const OBS_ALLOC_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 
-/// Host-wall overhead threshold for streaming observability at the
-/// 10k+ flagship shapes (the ISSUE 9 acceptance gate).
+/// Median host-wall overhead allowed for observability at 10k+ ranks.
 const OBS_MAX_OVERHEAD: f64 = 0.10;
+
+/// ABAB-interleaved obs-off/obs-on pairs per point: off-on, on-off,
+/// off-on, so run order cancels in the median.
+const OBS_PAIRS: usize = 3;
 
 /// Exemplar rank lanes the streaming sink keeps at full fidelity.
 const OBS_EXEMPLARS: u32 = 8;
 
+/// A fig7-shaped point on the rank axis. Volume shrinks as ranks grow:
+/// group analysis memory is O(ranks) per rank, and the axis measures
+/// executor overhead, not aggregate bandwidth.
+struct Shape {
+    platform: Platform,
+    workload: Ior,
+    /// The memory-conscious half of the paper pair — the paper's subject.
+    name: String,
+    strategy: Box<dyn Strategy>,
+}
+
+impl Shape {
+    fn new(ranks: usize, per_rank_kib: u64, segments: u64) -> Self {
+        let platform = Platform::testbed(ranks / 12, ranks, 8).with_memory(320 * MIB, 64 * MIB);
+        let workload = Ior::interleaved_total(per_rank_kib * KIB, segments);
+        let [_, (name, strategy)] = paper_pair(&platform, 4 * MIB);
+        Shape {
+            platform,
+            workload,
+            name,
+            strategy,
+        }
+    }
+
+    fn pass(&self, executor: ExecutorKind, sink: &ObsSink, plan: Option<FaultPlan>) -> Pass {
+        Pass::run(
+            &self.platform,
+            &self.workload,
+            &*self.strategy,
+            executor,
+            sink,
+            plan,
+        )
+    }
+}
+
+/// The wall-clock modes' points: `(ranks, KiB per rank, segments)`.
+fn points(mode: &str) -> Vec<(usize, u64, u64)> {
+    match mode {
+        // The fig7 config, then three decades up it.
+        "full" => vec![(120, 4096, 16), CI, TEN_K, (100_800, 16, 1)],
+        "ci" => vec![CI],
+        "fig7" => vec![(120, 4096, 16)],
+        "10k" | "causal" => vec![TEN_K],
+        "100k" => vec![(100_800, 16, 1)],
+        "obs" => vec![TEN_K, (100_800, 16, 1)],
+        other => {
+            eprintln!(
+                "scale: unknown mode {other:?} \
+                 (use record|regress|full|ci|fig7|10k|100k|obs|causal)"
+            );
+            exit(2);
+        }
+    }
+}
+
+/// The 1,008-rank point: the `ci` mode and the record's middle row.
+const CI: (usize, u64, u64) = (1008, 256, 4);
+/// The 10,080-rank point: the `10k` mode and the record's last row.
+const TEN_K: (usize, u64, u64) = (10_080, 64, 2);
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let obs_flag = args.iter().any(|a| a == "--obs");
-    let positional: Vec<&String> = args.iter().filter(|a| *a != "--obs").collect();
-    let mode = positional
-        .first()
-        .map_or_else(|| "full".to_string(), |s| (*s).clone());
-    if mode == "causal" {
-        let out_path = positional
-            .get(1)
-            .map_or_else(|| "BENCH_PR10.json".to_string(), |s| (*s).clone());
-        run_causal(&mode, &out_path);
-        return;
-    }
-    if obs_flag || mode == "obs" {
-        let out_path = positional
-            .get(1)
-            .map_or_else(|| "BENCH_PR9.json".to_string(), |s| (*s).clone());
-        run_obs(&mode, &out_path);
-        return;
-    }
-    let out_path = positional
-        .get(1)
-        .map_or_else(|| "BENCH_PR8.json".to_string(), |s| (*s).clone());
-
-    let mut rows: Vec<Row> = Vec::new();
-    for point in points(&mode) {
-        let Point {
-            ranks,
-            per_rank_kib,
-            segments,
-            explore,
-        } = point;
-        let platform = Platform::testbed(ranks / 12, ranks, 8).with_memory(320 * MIB, 64 * MIB);
-        let workload = Ior::interleaved_total(per_rank_kib * KIB, segments);
-        // The figure pair's memory-conscious half — the paper's subject.
-        let [_, (name, strategy)] = paper_pair(&platform, 4 * MIB);
-        let mut executors = vec![ExecutorKind::Event];
-        if explore {
-            executors.push(ExecutorKind::EXPLORED[0]);
-        }
-        for executor in executors {
-            eprintln!(
-                "scale[{mode}]: {ranks} ranks x {per_rank_kib} KiB, {name}, {executor:?} ..."
-            );
-            let a0 = alloc_snapshot();
-            let t0 = Instant::now();
-            let r = run_with(
-                &platform.world(executor),
-                &platform.env(&ObsSink::disabled(), None),
-                &workload,
-                &*strategy,
-            );
-            let wall = t0.elapsed().as_secs_f64();
-            let a1 = alloc_snapshot();
-            eprintln!(
-                "  allocs {} ({} MiB)",
-                a1.0 - a0.0,
-                (a1.1 - a0.1) / (1024 * 1024)
-            );
-            eprintln!(
-                "  {wall:.3}s wall, virtual write {:.9}s read {:.9}s, rounds {}, shuffle {} MiB, \
-                 msgs {}",
-                r.write_secs,
-                r.read_secs,
-                r.metrics.rounds,
-                r.metrics.shuffle_bytes / (1024 * 1024),
-                r.traffic.data_msgs + r.traffic.ctl_msgs
-            );
-            eprintln!(
-                "  pool hits {} misses {}, recycler takes {} returns {}, peak held {} KiB",
-                r.metrics.pool_hits,
-                r.metrics.pool_misses,
-                r.metrics.recycle_takes,
-                r.metrics.recycle_returns,
-                r.metrics.payload_peak_bytes / 1024
-            );
-            rows.push(Row {
-                ranks,
-                executor,
-                per_rank_kib,
-                segments,
-                wall_secs: wall,
-                write_secs: r.write_secs,
-                read_secs: r.read_secs,
-                write_mbps: r.write_mbps(),
-                read_mbps: r.read_mbps(),
+    let args: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "--obs")
+        .collect();
+    let path = || {
+        args.get(1).map_or_else(
+            || {
+                eprintln!("scale {}: missing <record.json> argument", args[0]);
+                exit(2);
+            },
+            |p| (*p).to_string(),
+        )
+    };
+    match args.first().copied().unwrap_or("full") {
+        "record" => {
+            let out = path();
+            let text = measure_record().render().unwrap_or_else(|e| {
+                eprintln!("scale record: {e}");
+                exit(1);
             });
+            std::fs::write(&out, &text).expect("write record");
+            eprintln!("scale: wrote {out}");
         }
+        "regress" => {
+            let path = path();
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                eprintln!("scale regress: read {path}: {e}");
+                exit(2);
+            });
+            let recorded = Record::parse(&text).unwrap_or_else(|e| {
+                eprintln!("scale regress: {path}: {e}");
+                exit(1);
+            });
+            let measured = measure_record();
+            let diffs = record::compare(&recorded, &measured);
+            for d in &diffs {
+                eprintln!("REGRESS FAIL {d}");
+            }
+            if !diffs.is_empty() {
+                exit(1);
+            }
+            println!(
+                "regress: ok ({} rows, every field bit-identical to {path})",
+                recorded.rows.len()
+            );
+        }
+        mode if obs_flag || mode == "obs" || mode == "causal" => {
+            run_obs(mode, mode == "causal");
+        }
+        mode => run_scale(mode),
     }
-
-    // An explored schedule must reproduce the canonical virtual times
-    // bit for bit.
-    for e in rows.iter().filter(|r| r.executor != ExecutorKind::Event) {
-        let c = rows
-            .iter()
-            .find(|r| r.ranks == e.ranks && r.executor == ExecutorKind::Event)
-            .expect("every explored point also ran canonically");
-        assert_eq!(
-            (c.write_secs.to_bits(), c.read_secs.to_bits()),
-            (e.write_secs.to_bits(), e.read_secs.to_bits()),
-            "{} ranks: {:?} disagrees with the canonical schedule on virtual write/read time",
-            e.ranks,
-            e.executor
-        );
-    }
-
-    let json = render_json(&mode, &rows);
-    if mode == "full" {
-        std::fs::write(&out_path, &json).expect("write bench json");
-        eprintln!("scale: wrote {out_path}");
-    }
-    println!("{json}");
 }
 
-/// One obs-comparison point: the same shape run obs-off then obs-on
-/// (streaming sink + host profiler), both warm.
-struct ObsRow {
-    ranks: usize,
-    per_rank_kib: u64,
-    segments: u64,
-    wall_off: f64,
-    wall_obs: f64,
-    write_secs: f64,
-    read_secs: f64,
-    obs_allocs: u64,
-    obs_bytes: u64,
-    retained: u64,
-    folded: u64,
-    cells: usize,
+/// One run of a shape: its result, host wall, allocations, and — when
+/// the sink records — the host profile.
+struct Pass {
+    result: RunResult,
+    wall: f64,
+    allocs: (u64, u64),
     profile: HostProfile,
 }
 
-impl ObsRow {
-    fn overhead(&self) -> f64 {
-        if self.wall_off > 0.0 {
-            (self.wall_obs - self.wall_off) / self.wall_off
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The streaming-observability comparison (`scale obs` / `--obs`): per
-/// point, one warmup run, one measured obs-off run, one measured obs-on
-/// run with a streaming sink and the host profiler. Asserts virtual
-/// bit-identity, the fixed obs allocation budget, and (at 10k+ ranks)
-/// the host-wall overhead threshold; writes one HTML report per point
-/// under `trace_obs/` and the JSON record when mode is `obs`.
-fn run_obs(mode: &str, out_path: &str) {
-    std::fs::create_dir_all("trace_obs").expect("create trace_obs");
-    let mut rows: Vec<ObsRow> = Vec::new();
-    for point in points(mode) {
-        let Point {
-            ranks,
-            per_rank_kib,
-            segments,
-            ..
-        } = point;
-        let platform = Platform::testbed(ranks / 12, ranks, 8).with_memory(320 * MIB, 64 * MIB);
-        let workload = Ior::interleaved_total(per_rank_kib * KIB, segments);
-        let [_, (name, strategy)] = paper_pair(&platform, 4 * MIB);
-        eprintln!("scale[{mode} --obs]: {ranks} ranks x {per_rank_kib} KiB, {name}, Event ...");
-
-        // Warmup: commit the coroutine stack slab and allocator pools so
-        // neither measured run pays first-touch faults the other skips.
-        let _ = run(&workload, &*strategy, &platform);
-
+impl Pass {
+    /// Runs `workload` on a fresh world and environment; the host
+    /// profiler is on exactly while an enabled `sink` records.
+    fn run(
+        platform: &Platform,
+        workload: &Ior,
+        strategy: &dyn Strategy,
+        executor: ExecutorKind,
+        sink: &ObsSink,
+        plan: Option<FaultPlan>,
+    ) -> Pass {
+        hostprof::reset();
+        hostprof::set_enabled(sink.is_enabled());
         let a0 = alloc_snapshot();
         let t0 = Instant::now();
-        let off = run(&workload, &*strategy, &platform);
-        let wall_off = t0.elapsed().as_secs_f64();
+        let result = run_with(
+            &platform.world(executor),
+            &platform.env(sink, plan),
+            workload,
+            strategy,
+        );
+        let wall = t0.elapsed().as_secs_f64();
         let a1 = alloc_snapshot();
-
-        hostprof::reset();
-        hostprof::set_enabled(true);
-        let sink = ObsSink::streaming(StreamConfig::for_ranks(ranks, OBS_EXEMPLARS));
-        let a2 = alloc_snapshot();
-        let t1 = Instant::now();
-        let on = run_traced(&workload, &*strategy, &platform, &sink);
-        let wall_obs = t1.elapsed().as_secs_f64();
-        let a3 = alloc_snapshot();
         hostprof::set_enabled(false);
         let mut profile = hostprof::snapshot();
-        profile.wall_secs = wall_obs;
-        profile.virtual_secs = on.write_secs + on.read_secs;
+        profile.wall_secs = wall;
+        profile.virtual_secs = result.write_secs + result.read_secs;
+        Pass {
+            result,
+            wall,
+            allocs: (a1.0 - a0.0, a1.1 - a0.1),
+            profile,
+        }
+    }
 
-        // Acceptance: observability must not move virtual time by a bit.
-        assert_eq!(
-            off.write_secs.to_bits(),
-            on.write_secs.to_bits(),
-            "{ranks} ranks: streaming obs moved virtual write time"
-        );
-        assert_eq!(
-            off.read_secs.to_bits(),
-            on.read_secs.to_bits(),
-            "{ranks} ranks: streaming obs moved virtual read time"
-        );
+    fn calls(&self, phase: HostPhase) -> u64 {
+        self.profile.phases[phase as usize].calls
+    }
 
-        // Acceptance: obs allocations fit the fixed, rank-independent
-        // budget (delta of the two warm runs' allocation deltas).
-        let obs_allocs = (a3.0 - a2.0).saturating_sub(a1.0 - a0.0);
-        let obs_bytes = (a3.1 - a2.1).saturating_sub(a1.1 - a0.1);
-        assert!(
-            obs_bytes <= OBS_ALLOC_BUDGET_BYTES,
-            "{ranks} ranks: obs allocations {obs_bytes} B exceed the fixed \
-             {OBS_ALLOC_BUDGET_BYTES} B budget"
-        );
-
-        // Acceptance: persistent collective ops. The write plans once and
-        // builds one schedule per rank; the read reuses all of them.
-        let calls = |phase: HostPhase| profile.phases[phase as usize].calls;
+    /// Asserts `other` (the same shape with obs on) moved no virtual
+    /// time, and returns its extra allocations `(count, bytes)`.
+    fn obs_delta(&self, other: &Pass, what: &str) -> (u64, u64) {
         assert_eq!(
-            calls(HostPhase::PlanBuild),
+            (
+                self.result.write_secs.to_bits(),
+                self.result.read_secs.to_bits()
+            ),
+            (
+                other.result.write_secs.to_bits(),
+                other.result.read_secs.to_bits()
+            ),
+            "{what}: observability moved virtual time"
+        );
+        (
+            other.allocs.0.saturating_sub(self.allocs.0),
+            other.allocs.1.saturating_sub(self.allocs.1),
+        )
+    }
+
+    /// Persistent collective ops: a fresh write+read plans once and
+    /// builds one schedule per rank; the read reuses all of them.
+    fn assert_persistent(&self, ranks: usize) {
+        assert_eq!(
+            self.calls(HostPhase::PlanBuild),
             1,
             "{ranks} ranks: the read must reuse the write's plan"
         );
         assert_eq!(
-            calls(HostPhase::ScheduleBuild),
+            self.calls(HostPhase::ScheduleBuild),
             ranks as u64,
             "{ranks} ranks: the read must reuse every rank's schedule"
         );
+    }
+}
 
-        let overhead = (wall_obs - wall_off) / wall_off;
+fn assert_in_budget(ranks: usize, (allocs, bytes): (u64, u64)) {
+    eprintln!("  obs allocs {allocs} ({bytes} B)");
+    assert!(
+        bytes <= OBS_ALLOC_BUDGET_BYTES,
+        "{ranks} ranks: obs allocations {bytes} B exceed the fixed \
+         {OBS_ALLOC_BUDGET_BYTES} B budget"
+    );
+}
+
+/// Measures the record's fixed table; see the module docs.
+fn measure_record() -> Record {
+    // Each thread caches its largest coroutine stack slab. One empty run
+    // at the largest point caches it up front, so every measured pass
+    // reuses it and obs allocation deltas compare like with like.
+    let largest = Platform::testbed(TEN_K.0 / 12, TEN_K.0, 8);
+    largest.world(ExecutorKind::Event).run(|_| ());
+    let mut rows = Vec::new();
+
+    let (platform, workload, buffer) = ior_config("ci").expect("the ci config exists");
+    for (name, strategy) in paper_pair(&platform, buffer) {
+        let ranks = platform.n_ranks;
+        eprintln!("record: {ranks} ranks, {name} ...");
+        let run = |sink: &ObsSink, plan| {
+            Pass::run(
+                &platform,
+                &workload,
+                &*strategy,
+                ExecutorKind::Event,
+                sink,
+                plan,
+            )
+        };
+        let mut row = Row::new(ranks as u64, &name);
+        let off = run(&ObsSink::disabled(), None);
+        push_run(&mut row, &off.result);
+        let sink = ObsSink::enabled();
+        let on = run(&sink, None);
+        off.obs_delta(&on, &format!("{ranks} ranks / {name}"));
+        push_obs(&mut row, "obs.", &sink, &on);
+        let sink = ObsSink::enabled().with_causal();
+        let causal = run(&sink, Some(causal_plan()));
+        let chains = check_chains(ranks, &sink);
+        push_virtual(&mut row, "causal.", &causal.result);
+        push_obs(&mut row, "causal.", &sink, &causal);
+        row.push("causal.chains", Value::Count(chains.len() as u64));
+        let hops = chains.iter().map(BlameChain::hops).sum::<usize>();
+        row.push("causal.hops", Value::Count(hops as u64));
+        row.push("causal.chain_hash", Value::Hash(chain_hash(&chains)));
+        rows.push(row);
+    }
+
+    for (ranks, per_rank_kib, segments) in [CI, TEN_K] {
+        let shape = Shape::new(ranks, per_rank_kib, segments);
+        eprintln!("record: {ranks} ranks, {} ...", shape.name);
+        let mut row = Row::new(ranks as u64, &shape.name);
+        let off = shape.pass(ExecutorKind::Event, &ObsSink::disabled(), None);
+        push_run(&mut row, &off.result);
+        if ranks == CI.0 {
+            // The explored schedule must measure exactly what the
+            // canonical one does.
+            let kind = ExecutorKind::EXPLORED[0];
+            let explored = shape.pass(kind, &ObsSink::disabled(), None);
+            let mut x = Row::new(ranks as u64, &shape.name);
+            push_run(&mut x, &explored.result);
+            let diffs = record::compare(
+                &Record {
+                    rows: vec![row.clone()],
+                },
+                &Record { rows: vec![x] },
+            );
+            assert!(
+                diffs.is_empty(),
+                "{kind:?} disagrees with the canonical schedule: {diffs:?}"
+            );
+        }
+        let sink = ObsSink::streaming(StreamConfig::for_ranks(ranks, OBS_EXEMPLARS));
+        let on = shape.pass(ExecutorKind::Event, &sink, None);
+        assert_in_budget(ranks, off.obs_delta(&on, &format!("{ranks} ranks")));
+        on.assert_persistent(ranks);
+        push_obs(&mut row, "obs.", &sink, &on);
+        if ranks == CI.0 {
+            write_report(
+                &sink,
+                &on,
+                &format!("scale --obs — {ranks} ranks / {}", shape.name),
+                &format!("trace_obs/scale_obs_{ranks}.html"),
+            );
+        }
+        rows.push(row);
+    }
+    Record { rows }
+}
+
+/// Records the virtual write and read seconds under `prefix`.
+fn push_virtual(row: &mut Row, prefix: &str, r: &RunResult) {
+    row.push(format!("{prefix}write_secs"), Value::Real(r.write_secs));
+    row.push(format!("{prefix}read_secs"), Value::Real(r.read_secs));
+}
+
+/// Records the virtual times, every `OpMetrics` field and the traffic
+/// scalars.
+fn push_run(row: &mut Row, r: &RunResult) {
+    push_virtual(row, "", r);
+    let m = &r.metrics;
+    let t = &r.traffic;
+    for (name, value) in [
+        ("metrics.rounds", Value::Count(m.rounds)),
+        ("metrics.shuffle_bytes", Value::Count(m.shuffle_bytes)),
+        ("metrics.storage_requests", Value::Count(m.storage_requests)),
+        ("metrics.storage_bytes", Value::Count(m.storage_bytes)),
+        ("metrics.pool_hits", Value::Count(m.pool_hits)),
+        ("metrics.pool_misses", Value::Count(m.pool_misses)),
+        ("metrics.recycle_takes", Value::Count(m.recycle_takes)),
+        ("metrics.recycle_returns", Value::Count(m.recycle_returns)),
+        (
+            "metrics.payload_peak_bytes",
+            Value::Count(m.payload_peak_bytes),
+        ),
+        ("metrics.mem_peak_mean", Value::Real(m.mem_peak_mean)),
+        ("metrics.mem_peak_max", Value::Real(m.mem_peak_max)),
+        ("metrics.mem_peak_cov", Value::Real(m.mem_peak_cov)),
+        ("traffic.intra_bytes", Value::Count(t.intra_bytes)),
+        ("traffic.inter_bytes", Value::Count(t.inter_bytes)),
+        ("traffic.data_msgs", Value::Count(t.data_msgs)),
+        ("traffic.ctl_msgs", Value::Count(t.ctl_msgs)),
+    ] {
+        row.push(name, value);
+    }
+}
+
+/// Records what an obs-on pass observed under `prefix`: the stream
+/// counters (or the event count of a buffered sink) and every host
+/// phase's call count — never its time.
+fn push_obs(row: &mut Row, prefix: &str, sink: &ObsSink, pass: &Pass) {
+    if let Some(agg) = sink.stream_stats() {
+        row.push(
+            format!("{prefix}stream_cells"),
+            Value::Count(agg.cell_count() as u64),
+        );
+        row.push(
+            format!("{prefix}events_folded"),
+            Value::Count(agg.folded_events),
+        );
+        row.push(
+            format!("{prefix}events_retained"),
+            Value::Count(agg.retained_events),
+        );
+    } else {
+        row.push(format!("{prefix}events"), Value::Count(sink.len() as u64));
+    }
+    for p in &pass.profile.phases {
+        row.push(format!("{prefix}calls.{}", p.name), Value::Count(p.calls));
+    }
+}
+
+/// The causal checks every causal pass makes: the online DP settled
+/// clean and stayed bounded, and it recorded cross-rank chains that tile
+/// their ops to the bit. Returns the chains.
+fn check_chains(ranks: usize, sink: &ObsSink) -> Vec<BlameChain> {
+    let agg = sink.causal().expect("causal tracing is armed");
+    assert_eq!(
+        agg.inflight_len(),
+        0,
+        "{ranks} ranks: messages still in flight after the run"
+    );
+    assert!(
+        agg.nodes_created() > 0,
+        "{ranks} ranks: no deliveries bound — the control delay skewed nothing"
+    );
+    assert!(
+        agg.live_nodes() as u64 <= agg.nodes_created(),
+        "{ranks} ranks: live frontier exceeds nodes created"
+    );
+    let chains = sink.causal_chains();
+    assert!(
+        !chains.is_empty(),
+        "{ranks} ranks: no blame chains recorded"
+    );
+    for (i, chain) in chains.iter().enumerate() {
+        chain
+            .verify_tiling()
+            .unwrap_or_else(|e| panic!("{ranks} ranks: chain {i} does not tile: {e}"));
+        assert!(
+            chain.hops() > 0,
+            "{ranks} ranks: chain {i} never leaves rank 0"
+        );
+    }
+    chains
+}
+
+/// Renders the sink's trace, with `pass`'s host profile, as an HTML
+/// report at `path`.
+fn write_report(sink: &ObsSink, pass: &Pass, title: &str, path: &str) {
+    let analysis = analyze::TraceAnalysis::of_sink(sink)
+        .expect("streamed trace analyzes")
+        .with_host_profile(pass.profile.clone());
+    if sink.is_causal() {
+        assert!(
+            analysis.causal.as_ref().is_some_and(|c| !c.is_empty()),
+            "{title}: analysis carries no causal layer"
+        );
+    }
+    let html = sink
+        .with_events(|events| report::render(&format!("mccio {title}"), events, &analysis, None));
+    std::fs::create_dir_all("trace_obs").expect("create trace_obs");
+    std::fs::write(path, &html).expect("write obs report");
+    eprintln!("  wrote {path} ({} bytes)", html.len());
+}
+
+/// The wall-clock modes: each point on the canonical schedule (and, up
+/// to 1,008 ranks, one explored schedule that must agree bit for bit).
+fn run_scale(mode: &str) {
+    for (ranks, per_rank_kib, segments) in points(mode) {
+        let shape = Shape::new(ranks, per_rank_kib, segments);
+        let mut executors = vec![ExecutorKind::Event];
+        if ranks <= CI.0 {
+            executors.push(ExecutorKind::EXPLORED[0]);
+        }
+        let mut canonical: Option<(u64, u64)> = None;
+        for executor in executors {
+            eprintln!(
+                "scale[{mode}]: {ranks} ranks x {per_rank_kib} KiB, {}, {executor:?} ...",
+                shape.name
+            );
+            let p = shape.pass(executor, &ObsSink::disabled(), None);
+            let (r, m) = (&p.result, &p.result.metrics);
+            println!(
+                "{ranks} ranks {executor:?}: {:.3}s wall, virtual write {:.9}s read {:.9}s \
+                 ({:.1} / {:.1} MB/s)",
+                p.wall,
+                r.write_secs,
+                r.read_secs,
+                r.write_mbps(),
+                r.read_mbps()
+            );
+            eprintln!(
+                "  allocs {} ({} MiB), rounds {}, shuffle {} MiB, msgs {}",
+                p.allocs.0,
+                p.allocs.1 / MIB,
+                m.rounds,
+                m.shuffle_bytes / MIB,
+                r.traffic.data_msgs + r.traffic.ctl_msgs
+            );
+            eprintln!(
+                "  pool hits {} misses {}, recycler takes {} returns {}, peak held {} KiB",
+                m.pool_hits,
+                m.pool_misses,
+                m.recycle_takes,
+                m.recycle_returns,
+                m.payload_peak_bytes / KIB
+            );
+            let bits = (r.write_secs.to_bits(), r.read_secs.to_bits());
+            let want = *canonical.get_or_insert(bits);
+            assert_eq!(
+                want, bits,
+                "{ranks} ranks: {executor:?} disagrees with the canonical schedule on \
+                 virtual write/read time"
+            );
+        }
+    }
+}
+
+/// The observability overhead check (`obs`, `causal`, `--obs`); see
+/// the module docs.
+fn run_obs(mode: &str, causal: bool) {
+    let mut cells: Vec<(usize, usize)> = Vec::new();
+    for (ranks, per_rank_kib, segments) in points(mode) {
+        let shape = Shape::new(ranks, per_rank_kib, segments);
+        let tag = if causal { "causal" } else { "obs" };
+        eprintln!(
+            "scale[{mode}, {tag} on]: {ranks} ranks x {per_rank_kib} KiB, {}, Event ...",
+            shape.name
+        );
+        let plan = || causal.then(causal_plan);
+        let off = || shape.pass(ExecutorKind::Event, &ObsSink::disabled(), plan());
+        let on = || {
+            let sink = ObsSink::streaming(StreamConfig::for_ranks(ranks, OBS_EXEMPLARS));
+            let sink = if causal { sink.with_causal() } else { sink };
+            let pass = shape.pass(ExecutorKind::Event, &sink, plan());
+            (sink, pass)
+        };
+
+        // Warm-up: commit the coroutine stack slab and allocator pools so
+        // no measured run pays first-touch faults another skips.
+        let _ = off();
+        let mut overheads = Vec::with_capacity(OBS_PAIRS);
+        let mut last = None;
+        for pair in 0..OBS_PAIRS {
+            let (o, (sink, n)) = if pair % 2 == 0 {
+                let o = off();
+                (o, on())
+            } else {
+                let n = on();
+                (off(), n)
+            };
+            let delta = o.obs_delta(&n, &format!("{ranks} ranks, pair {pair}"));
+            let overhead = (n.wall - o.wall) / o.wall;
+            eprintln!(
+                "  pair {pair}: off {:.3}s, {tag} {:.3}s ({:+.1}%)",
+                o.wall,
+                n.wall,
+                overhead * 100.0
+            );
+            assert_in_budget(ranks, delta);
+            n.assert_persistent(ranks);
+            if causal {
+                check_chains(ranks, &sink);
+            }
+            overheads.push(overhead);
+            last = Some((sink, n));
+        }
+        overheads.sort_by(f64::total_cmp);
+        let median = overheads[OBS_PAIRS / 2];
+        eprintln!("  median {tag} overhead {:+.1}%", median * 100.0);
         if ranks >= 10_000 {
             assert!(
-                overhead < OBS_MAX_OVERHEAD,
-                "{ranks} ranks: streaming obs host-wall overhead {:.1}% exceeds {:.0}%",
-                overhead * 100.0,
+                median < OBS_MAX_OVERHEAD,
+                "{ranks} ranks: median {tag} host-wall overhead {:.1}% exceeds {:.0}%",
+                median * 100.0,
                 OBS_MAX_OVERHEAD * 100.0
             );
         }
 
+        let (sink, pass) = last.expect("at least one pair");
         let agg = sink
             .stream_stats()
             .expect("streaming sink has an aggregate");
         assert!(agg.folded_events > 0, "streaming sink folded nothing");
         eprintln!(
-            "  off {wall_off:.3}s, obs {wall_obs:.3}s ({:+.1}%), \
-             obs allocs {obs_allocs} ({} KiB)",
-            overhead * 100.0,
-            obs_bytes / 1024
-        );
-        eprintln!(
-            "  stream: {} folded into {} cells, {} retained; virtual write {:.6}s",
+            "  stream: {} folded into {} cells, {} retained; virtual write {:.9}s",
             agg.folded_events,
             agg.cell_count(),
             agg.retained_events,
-            on.write_secs
+            pass.result.write_secs
         );
-        for p in &profile.phases {
-            if p.calls > 0 {
-                eprintln!(
-                    "  host {}: {} calls, {:.3} ms",
-                    p.name,
-                    p.calls,
-                    p.secs() * 1e3
-                );
-            }
-        }
-
-        // The streamed trace still analyzes and reports: engine spans
-        // are exact, exemplar lanes render, the streaming and host
-        // sections carry the folded bulk.
-        let analysis = analyze::TraceAnalysis::of_sink(&sink)
-            .expect("streamed trace analyzes")
-            .with_host_profile(profile.clone());
-        let title = format!("mccio scale --obs — {ranks} ranks / {name}");
-        let html = sink.with_events(|events| report::render(&title, events, &analysis, None));
-        let path = format!("trace_obs/scale_obs_{ranks}.html");
-        std::fs::write(&path, &html).expect("write obs report");
-        eprintln!("  wrote {path} ({} bytes)", html.len());
-
-        rows.push(ObsRow {
-            ranks,
-            per_rank_kib,
-            segments,
-            wall_off,
-            wall_obs,
-            write_secs: on.write_secs,
-            read_secs: on.read_secs,
-            obs_allocs,
-            obs_bytes,
-            retained: agg.retained_events,
-            folded: agg.folded_events,
-            cells: agg.cell_count(),
-            profile,
-        });
-    }
-
-    // Bounded independent of rank count: the budget is fixed, so every
-    // point passing it is the rank-independence assert; additionally the
-    // aggregate cell count must not scale with ranks across points.
-    if let (Some(small), Some(big)) = (rows.first(), rows.last()) {
-        if big.ranks > small.ranks {
-            let rank_factor = big.ranks as f64 / small.ranks as f64;
-            assert!(
-                (big.cells as f64) < (small.cells as f64) * rank_factor / 2.0,
-                "stream cells scale with ranks: {} cells at {} ranks vs {} at {}",
-                big.cells,
-                big.ranks,
-                small.cells,
-                small.ranks
+        if causal {
+            let chains = sink.causal_chains();
+            eprintln!(
+                "  causal: {} chain(s), {} hop(s)",
+                chains.len(),
+                chains.iter().map(BlameChain::hops).sum::<usize>()
             );
         }
-    }
-
-    let json = render_obs_json(mode, &rows);
-    if mode == "obs" {
-        std::fs::write(out_path, &json).expect("write obs bench json");
-        eprintln!("scale: wrote {out_path}");
-    }
-    std::fs::write("trace_obs/scale_obs.json", &json).expect("write obs json artifact");
-    println!("{json}");
-}
-
-/// Deterministic control-plane latency for the causal flagship. The
-/// engine's phases are root-priced, so without real message latency all
-/// clocks move in lock-step and blame chains never hop ranks; a few
-/// microseconds of ctl latency genuinely advances receiver clocks.
-const CAUSAL_CTL_DELAY_MICROS: f64 = 5.0;
-
-/// Seed for the causal plan (it carries only the deterministic ctl
-/// delay; no random faults fire).
-const CAUSAL_SEED: u64 = 0xCA05;
-
-fn causal_plan() -> FaultPlan {
-    FaultPlan::new(CAUSAL_SEED).delay_control(VDuration::from_micros(CAUSAL_CTL_DELAY_MICROS))
-}
-
-/// One causal-comparison point: the same shape and fault plan run with
-/// causal tracing off (streaming obs absent entirely) then on.
-struct CausalRow {
-    ranks: usize,
-    per_rank_kib: u64,
-    segments: u64,
-    wall_off: f64,
-    wall_obs: f64,
-    write_secs: f64,
-    read_secs: f64,
-    obs_allocs: u64,
-    obs_bytes: u64,
-    retained: u64,
-    folded: u64,
-    cells: usize,
-    chains: usize,
-    hops: usize,
-    wait_secs: f64,
-    work_secs: f64,
-    nodes_created: u64,
-    live_nodes: usize,
-    slack_deliveries: u64,
-    profile: HostProfile,
-}
-
-impl CausalRow {
-    fn overhead(&self) -> f64 {
-        if self.wall_off > 0.0 {
-            (self.wall_obs - self.wall_off) / self.wall_off
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The causal-tracing flagship (`scale causal`): per point, one warmup
-/// run, one measured obs-off run, one measured run with a streaming
-/// sink, causal tracing, and the host profiler on — all under the same
-/// deterministic control-delay plan, so the comparison is apples to
-/// apples. Asserts virtual bit-identity, the fixed obs allocation
-/// budget, the host-wall overhead threshold, and non-degenerate blame
-/// chains (cross-rank hops, exact tiling, clean in-flight table);
-/// writes the JSON record and an HTML report under `trace_obs/`.
-fn run_causal(mode: &str, out_path: &str) {
-    std::fs::create_dir_all("trace_obs").expect("create trace_obs");
-    let mut rows: Vec<CausalRow> = Vec::new();
-    for point in points(mode) {
-        let Point {
-            ranks,
-            per_rank_kib,
-            segments,
-            ..
-        } = point;
-        let platform = Platform::testbed(ranks / 12, ranks, 8).with_memory(320 * MIB, 64 * MIB);
-        let workload = Ior::interleaved_total(per_rank_kib * KIB, segments);
-        let [_, (name, strategy)] = paper_pair(&platform, 4 * MIB);
-        eprintln!("scale[causal]: {ranks} ranks x {per_rank_kib} KiB, {name}, Event ...");
-
-        // Warmup: commit the coroutine stack slab and allocator pools so
-        // neither measured run pays first-touch faults the other skips.
-        let _ = run_traced_faulty(
-            &workload,
-            &*strategy,
-            &platform,
-            &ObsSink::disabled(),
-            causal_plan(),
-        );
-
-        let a0 = alloc_snapshot();
-        let t0 = Instant::now();
-        let off = run_traced_faulty(
-            &workload,
-            &*strategy,
-            &platform,
-            &ObsSink::disabled(),
-            causal_plan(),
-        );
-        let wall_off = t0.elapsed().as_secs_f64();
-        let a1 = alloc_snapshot();
-
-        hostprof::reset();
-        hostprof::set_enabled(true);
-        let sink = ObsSink::streaming(StreamConfig::for_ranks(ranks, OBS_EXEMPLARS)).with_causal();
-        let a2 = alloc_snapshot();
-        let t1 = Instant::now();
-        let on = run_traced_faulty(&workload, &*strategy, &platform, &sink, causal_plan());
-        let wall_obs = t1.elapsed().as_secs_f64();
-        let a3 = alloc_snapshot();
-        hostprof::set_enabled(false);
-        let mut profile = hostprof::snapshot();
-        profile.wall_secs = wall_obs;
-        profile.virtual_secs = on.write_secs + on.read_secs;
-
-        // Acceptance: causal tracing must not move virtual time by a bit.
-        assert_eq!(
-            off.write_secs.to_bits(),
-            on.write_secs.to_bits(),
-            "{ranks} ranks: causal tracing moved virtual write time"
-        );
-        assert_eq!(
-            off.read_secs.to_bits(),
-            on.read_secs.to_bits(),
-            "{ranks} ranks: causal tracing moved virtual read time"
-        );
-
-        // Acceptance: the streaming sink *plus the causal fold* still
-        // fits the fixed, rank-independent obs allocation budget.
-        let obs_allocs = (a3.0 - a2.0).saturating_sub(a1.0 - a0.0);
-        let obs_bytes = (a3.1 - a2.1).saturating_sub(a1.1 - a0.1);
-        assert!(
-            obs_bytes <= OBS_ALLOC_BUDGET_BYTES,
-            "{ranks} ranks: causal obs allocations {obs_bytes} B exceed the fixed \
-             {OBS_ALLOC_BUDGET_BYTES} B budget"
-        );
-
-        let overhead = (wall_obs - wall_off) / wall_off;
-        if ranks >= 10_000 {
-            assert!(
-                overhead < OBS_MAX_OVERHEAD,
-                "{ranks} ranks: causal obs host-wall overhead {:.1}% exceeds {:.0}%",
-                overhead * 100.0,
-                OBS_MAX_OVERHEAD * 100.0
-            );
-        }
-
-        // Acceptance: the online DP settled clean, stayed bounded, and
-        // recorded non-degenerate cross-rank chains that tile exactly.
-        let agg = sink.causal().expect("causal tracing is armed");
-        assert_eq!(
-            agg.inflight_len(),
-            0,
-            "{ranks} ranks: messages still in flight after the run"
-        );
-        assert!(
-            agg.nodes_created() > 0,
-            "{ranks} ranks: no deliveries bound — the control delay skewed nothing"
-        );
-        assert!(
-            agg.live_nodes() as u64 <= agg.nodes_created(),
-            "{ranks} ranks: live frontier exceeds nodes created"
-        );
-        let chains = sink.causal_chains();
-        assert!(
-            !chains.is_empty(),
-            "{ranks} ranks: no blame chains recorded"
-        );
-        for (i, chain) in chains.iter().enumerate() {
-            chain
-                .verify_tiling()
-                .unwrap_or_else(|e| panic!("{ranks} ranks: chain {i} does not tile: {e}"));
-            assert!(
-                chain.hops() > 0,
-                "{ranks} ranks: chain {i} never leaves rank 0"
-            );
-        }
-        let hops: usize = chains.iter().map(mccio_obs::BlameChain::hops).sum();
-        let wait_secs: f64 = chains.iter().map(mccio_obs::BlameChain::wait_secs).sum();
-        let work_secs: f64 = chains.iter().map(mccio_obs::BlameChain::work_secs).sum();
-
-        let stream = sink
-            .stream_stats()
-            .expect("streaming sink has an aggregate");
-        eprintln!(
-            "  off {wall_off:.3}s, causal {wall_obs:.3}s ({:+.1}%), \
-             obs allocs {obs_allocs} ({} KiB)",
-            overhead * 100.0,
-            obs_bytes / 1024
-        );
-        eprintln!(
-            "  causal: {} chain(s), {hops} hop(s), wait {wait_secs:.6}s / work {work_secs:.6}s, \
-             {} node(s) created ({} live), {} slack deliveries",
-            chains.len(),
-            agg.nodes_created(),
-            agg.live_nodes(),
-            agg.slack_deliveries()
-        );
-        for p in &profile.phases {
-            if p.calls > 0 {
-                eprintln!(
-                    "  host {}: {} calls, {:.3} ms",
-                    p.name,
-                    p.calls,
-                    p.secs() * 1e3
-                );
-            }
-        }
-
-        // The streamed causal trace still analyzes and reports: the
-        // report carries the blame-chain and what-if sections.
-        let analysis = analyze::TraceAnalysis::of_sink(&sink)
-            .expect("streamed causal trace analyzes")
-            .with_host_profile(profile.clone());
-        assert!(
-            analysis.causal.as_ref().is_some_and(|c| !c.is_empty()),
-            "{ranks} ranks: analysis carries no causal layer"
-        );
-        let title = format!("mccio scale causal — {ranks} ranks / {name}");
-        let html = sink.with_events(|events| report::render(&title, events, &analysis, None));
-        let path = format!("trace_obs/scale_causal_{ranks}.html");
-        std::fs::write(&path, &html).expect("write causal report");
-        eprintln!("  wrote {path} ({} bytes)", html.len());
-
-        rows.push(CausalRow {
-            ranks,
-            per_rank_kib,
-            segments,
-            wall_off,
-            wall_obs,
-            write_secs: on.write_secs,
-            read_secs: on.read_secs,
-            obs_allocs,
-            obs_bytes,
-            retained: stream.retained_events,
-            folded: stream.folded_events,
-            cells: stream.cell_count(),
-            chains: chains.len(),
-            hops,
-            wait_secs,
-            work_secs,
-            nodes_created: agg.nodes_created(),
-            live_nodes: agg.live_nodes(),
-            slack_deliveries: agg.slack_deliveries(),
-            profile,
-        });
-    }
-
-    let json = render_causal_json(mode, &rows);
-    std::fs::write(out_path, &json).expect("write causal bench json");
-    eprintln!("scale: wrote {out_path}");
-    std::fs::write("trace_obs/scale_causal.json", &json).expect("write causal json artifact");
-    println!("{json}");
-}
-
-/// Hand-rolled JSON for the causal comparison rows.
-fn render_causal_json(mode: &str, rows: &[CausalRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"scale-causal\",");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"workload\": \"ior-interleaved\",");
-    let _ = writeln!(out, "  \"strategy\": \"memory-conscious\",");
-    let _ = writeln!(out, "  \"executor\": \"event\",");
-    let _ = writeln!(out, "  \"ctl_delay_micros\": {CAUSAL_CTL_DELAY_MICROS},");
-    let _ = writeln!(
-        out,
-        "  \"obs_alloc_budget_bytes\": {OBS_ALLOC_BUDGET_BYTES},"
-    );
-    let _ = writeln!(out, "  \"obs_max_overhead\": {OBS_MAX_OVERHEAD},");
-    let _ = writeln!(out, "  \"exemplar_lanes\": {OBS_EXEMPLARS},");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let mut host = String::new();
-        for (j, p) in r.profile.phases.iter().filter(|p| p.calls > 0).enumerate() {
-            if j > 0 {
-                host.push_str(", ");
-            }
-            let _ = write!(
-                host,
-                "{{\"phase\": \"{}\", \"calls\": {}, \"host_ms\": {:.3}}}",
+        for p in pass.profile.phases.iter().filter(|p| p.calls > 0) {
+            eprintln!(
+                "  host {}: {} calls, {:.3} ms",
                 p.name,
                 p.calls,
                 p.secs() * 1e3
             );
         }
-        let _ = writeln!(
-            out,
-            "    {{\"ranks\": {}, \"per_rank_kib\": {}, \"segments\": {}, \
-             \"wall_secs_off\": {:.3}, \"wall_secs_obs\": {:.3}, \
-             \"overhead_pct\": {:.2}, \
-             \"obs_allocs\": {}, \"obs_alloc_bytes\": {}, \
-             \"events_folded\": {}, \"events_retained\": {}, \"stream_cells\": {}, \
-             \"virtual_write_secs\": {:.9}, \"virtual_read_secs\": {:.9}, \
-             \"chains\": {}, \"chain_hops\": {}, \
-             \"chain_wait_secs\": {:.9}, \"chain_work_secs\": {:.9}, \
-             \"nodes_created\": {}, \"live_nodes\": {}, \"slack_deliveries\": {}, \
-             \"host_profile\": [{host}]}}{comma}",
-            r.ranks,
-            r.per_rank_kib,
-            r.segments,
-            r.wall_off,
-            r.wall_obs,
-            r.overhead() * 100.0,
-            r.obs_allocs,
-            r.obs_bytes,
-            r.folded,
-            r.retained,
-            r.cells,
-            r.write_secs,
-            r.read_secs,
-            r.chains,
-            r.hops,
-            r.wait_secs,
-            r.work_secs,
-            r.nodes_created,
-            r.live_nodes,
-            r.slack_deliveries,
+        write_report(
+            &sink,
+            &pass,
+            &format!("scale {tag} — {ranks} ranks / {}", shape.name),
+            &format!("trace_obs/scale_{tag}_{ranks}.html"),
         );
+        cells.push((ranks, agg.cell_count()));
     }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
-}
 
-/// Hand-rolled JSON for the obs comparison rows.
-fn render_obs_json(mode: &str, rows: &[ObsRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"scale-obs\",");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"workload\": \"ior-interleaved\",");
-    let _ = writeln!(out, "  \"strategy\": \"memory-conscious\",");
-    let _ = writeln!(out, "  \"executor\": \"event\",");
-    let _ = writeln!(
-        out,
-        "  \"obs_alloc_budget_bytes\": {OBS_ALLOC_BUDGET_BYTES},"
-    );
-    let _ = writeln!(out, "  \"obs_max_overhead\": {OBS_MAX_OVERHEAD},");
-    let _ = writeln!(out, "  \"exemplar_lanes\": {OBS_EXEMPLARS},");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let mut host = String::new();
-        for (j, p) in r.profile.phases.iter().filter(|p| p.calls > 0).enumerate() {
-            if j > 0 {
-                host.push_str(", ");
-            }
-            let _ = write!(
-                host,
-                "{{\"phase\": \"{}\", \"calls\": {}, \"host_ms\": {:.3}}}",
-                p.name,
-                p.calls,
-                p.secs() * 1e3
+    // The fixed budget bounds each point; across points the aggregate
+    // cell count must not scale with ranks either.
+    if let (Some(&(r0, c0)), Some(&(r1, c1))) = (cells.first(), cells.last()) {
+        if r1 > r0 {
+            assert!(
+                (c1 as f64) < c0 as f64 * (r1 as f64 / r0 as f64) / 2.0,
+                "stream cells scale with ranks: {c1} cells at {r1} ranks vs {c0} at {r0}"
             );
         }
-        let _ = writeln!(
-            out,
-            "    {{\"ranks\": {}, \"per_rank_kib\": {}, \"segments\": {}, \
-             \"wall_secs_off\": {:.3}, \"wall_secs_obs\": {:.3}, \
-             \"overhead_pct\": {:.2}, \
-             \"obs_allocs\": {}, \"obs_alloc_bytes\": {}, \
-             \"events_folded\": {}, \"events_retained\": {}, \"stream_cells\": {}, \
-             \"virtual_write_secs\": {:.9}, \"virtual_read_secs\": {:.9}, \
-             \"host_profile\": [{host}]}}{comma}",
-            r.ranks,
-            r.per_rank_kib,
-            r.segments,
-            r.wall_off,
-            r.wall_obs,
-            r.overhead() * 100.0,
-            r.obs_allocs,
-            r.obs_bytes,
-            r.folded,
-            r.retained,
-            r.cells,
-            r.write_secs,
-            r.read_secs,
-        );
     }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
-}
-
-/// Hand-rolled JSON (the workspace is dependency-free by design).
-fn render_json(mode: &str, rows: &[Row]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"scale\",");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"workload\": \"ior-interleaved\",");
-    let _ = writeln!(out, "  \"strategy\": \"memory-conscious\",");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let executor = match r.executor {
-            ExecutorKind::Event => "event".to_string(),
-            ExecutorKind::Explore(seed) => format!("explore-{seed}"),
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"ranks\": {}, \"executor\": \"{executor}\", \
-             \"per_rank_kib\": {}, \"segments\": {}, \
-             \"wall_secs\": {:.3}, \
-             \"virtual_write_secs\": {:.9}, \"virtual_read_secs\": {:.9}, \
-             \"virtual_write_mbps\": {:.1}, \"virtual_read_mbps\": {:.1}}}{comma}",
-            r.ranks,
-            r.per_rank_kib,
-            r.segments,
-            r.wall_secs,
-            r.write_secs,
-            r.read_secs,
-            r.write_mbps,
-            r.read_mbps,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
-    out
 }

@@ -6,20 +6,13 @@
 //!
 //! ```text
 //! cargo run --release -p mccio-bench --bin trace -- [ci|fig7] [outdir]
-//! cargo run --release -p mccio-bench --bin trace -- gate <perf_smoke.json>
 //! cargo run --release -p mccio-bench --bin trace -- report [ci|fig7] [outdir]
 //! cargo run --release -p mccio-bench --bin trace -- causal [ci|fig7] [outdir]
-//! cargo run --release -p mccio-bench --bin trace -- regress <bench.json> \
-//!     [--wall-threshold F] [--inject-wall F]
 //! ```
 //!
 //! * `ci` — the bounded 24-rank config (CI artifact validation);
 //! * `fig7` (default) — the fig7-scale config (120 ranks, IOR
 //!   interleaved);
-//! * `gate <perf_smoke.json>` — the tracing-overhead gate: re-runs the
-//!   JSON's mode with the sink *disabled* and fails if wall time
-//!   regressed past noise against the recorded smoke numbers, then runs
-//!   it *enabled* and fails unless every virtual time is bit-identical;
 //! * `report` — runs both paper strategies traced, analyzes each trace
 //!   (critical path, occupancy timelines), and writes one self-contained
 //!   HTML report per strategy — the second carries the A/B diff against
@@ -27,127 +20,42 @@
 //!   bit-identical to its op span and the JSONL artifact replays into a
 //!   bit-identical analysis;
 //! * `causal` — root-cause analysis: runs both paper strategies with
-//!   message-causality tracing under a deterministic 5 µs control-plane
-//!   latency (so clocks genuinely diverge and blame chains hop ranks),
-//!   on the canonical rank schedule and 8 explored ones. Exits nonzero
-//!   unless the blame chains are bit-identical across schedules, every
-//!   chain tiles its op span
-//!   to the bit, the live DP frontier stayed bounded, and the
+//!   message-causality tracing under the deterministic control-plane
+//!   latency of `mccio_bench::causal_plan` (so clocks genuinely diverge
+//!   and blame chains hop ranks), on the canonical rank schedule and 8
+//!   explored ones. Exits nonzero unless the blame chains are
+//!   bit-identical across schedules, every chain tiles its op span to
+//!   the bit, the live DP frontier stayed bounded, and the
 //!   flow-annotated Chrome trace validates. Writes one causal HTML
 //!   report and one flow-annotated Chrome trace per strategy, and
-//!   prints each op's blame chain and what-if projections;
-//! * `regress <bench.json>` — the perf-regression gate: re-runs the
-//!   baseline's mode, requires every deterministic counter to match
-//!   exactly, virtual bandwidths to match at print precision, and total
-//!   wall time to stay within `--wall-threshold` (default 0.15) of the
-//!   recording. `--inject-wall F` scales the measured wall by `F` to
-//!   prove the gate trips. A `scale-obs` baseline (`BENCH_PR9.json`)
-//!   dispatches to the streaming-observability check instead: the
-//!   recorded virtual times, stream cell/fold/retain counts, and the
-//!   obs allocation budget are re-verified against a live re-run.
+//!   prints each op's blame chain and what-if projections.
 //!
 //! Every emitted artifact is validated before the binary exits 0, so CI
-//! can treat "trace ran" as "trace is loadable".
+//! can treat "trace ran" as "trace is loadable". The tracing-overhead
+//! and regression checks live in the `scale` binary's record.
 
 use std::process::exit;
-use std::time::Instant;
 
-use mccio_bench::{paper_pair, run, run_traced, run_with, Platform};
+use mccio_bench::{causal_plan, ior_config, paper_pair, run_traced, run_with, Platform};
 use mccio_net::ExecutorKind;
-use mccio_obs::{analyze, export, json, report, ObsSink, StreamConfig};
-use mccio_sim::fault::FaultPlan;
-use mccio_sim::time::VDuration;
-use mccio_sim::units::{KIB, MIB};
+use mccio_obs::{analyze, export, report, ObsSink};
 use mccio_workloads::Ior;
 
-/// Wall-clock noise allowance for the gate: simulator wall time on a
-/// shared machine jitters; a zero-cost disabled path stays well inside
-/// this, an accidentally-hot instrumentation path does not.
-const GATE_NOISE_FACTOR: f64 = 1.6;
-
-/// `(nodes, ranks, MiB per rank, aggregation-buffer MiB)` for a mode —
-/// the same configs `perf_smoke` times.
-fn config(mode: &str) -> (usize, usize, u64, u64) {
-    match mode {
-        "ci" => (4, 24, 2, 4),
-        "fig7" => (10, 120, 4, 16),
-        other => {
-            eprintln!("trace: unknown mode {other:?} (use ci|fig7|gate|report|causal|regress)");
-            exit(2);
-        }
-    }
-}
-
 fn platform_for(mode: &str) -> (Platform, Ior, u64) {
-    let (n_nodes, n_ranks, per_rank_mib, buffer_mib) = config(mode);
-    let platform = Platform::testbed(n_nodes, n_ranks, 8).with_memory(320 * MIB, 64 * MIB);
-    let workload = Ior::interleaved_total(per_rank_mib * MIB, 16);
-    (platform, workload, buffer_mib * MIB)
+    ior_config(mode).unwrap_or_else(|| {
+        eprintln!("trace: unknown mode {mode:?} (use ci|fig7|report|causal)");
+        exit(2);
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mode = || args.get(1).cloned().unwrap_or_else(|| "fig7".to_string());
+    let outdir = |i: usize| args.get(i).cloned().unwrap_or_else(|| ".".to_string());
     match args.first().map(String::as_str) {
-        Some("gate") => {
-            let baseline = args.get(1).unwrap_or_else(|| {
-                eprintln!("trace gate: missing <perf_smoke.json> argument");
-                exit(2);
-            });
-            gate(baseline);
-        }
-        Some("report") => {
-            let mode = args.get(1).cloned().unwrap_or_else(|| "fig7".to_string());
-            let outdir = args.get(2).cloned().unwrap_or_else(|| ".".to_string());
-            report_mode(&mode, &outdir);
-        }
-        Some("causal") => {
-            let mode = args.get(1).cloned().unwrap_or_else(|| "fig7".to_string());
-            let outdir = args.get(2).cloned().unwrap_or_else(|| ".".to_string());
-            causal_mode(&mode, &outdir);
-        }
-        Some("regress") => {
-            let baseline = args.get(1).cloned().unwrap_or_else(|| {
-                eprintln!("trace regress: missing <bench.json> argument");
-                exit(2);
-            });
-            let mut wall_threshold = 0.15;
-            let mut inject_wall = 1.0;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--wall-threshold" => {
-                        wall_threshold = args
-                            .get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| {
-                                eprintln!("trace regress: --wall-threshold wants a number");
-                                exit(2);
-                            });
-                        i += 2;
-                    }
-                    "--inject-wall" => {
-                        inject_wall =
-                            args.get(i + 1)
-                                .and_then(|v| v.parse().ok())
-                                .unwrap_or_else(|| {
-                                    eprintln!("trace regress: --inject-wall wants a number");
-                                    exit(2);
-                                });
-                        i += 2;
-                    }
-                    other => {
-                        eprintln!("trace regress: unknown option {other:?}");
-                        exit(2);
-                    }
-                }
-            }
-            regress(&baseline, wall_threshold, inject_wall);
-        }
-        mode => {
-            let mode = mode.unwrap_or("fig7").to_string();
-            let outdir = args.get(1).cloned().unwrap_or_else(|| ".".to_string());
-            emit(&mode, &outdir);
-        }
+        Some("report") => report_mode(&mode(), &outdir(2)),
+        Some("causal") => causal_mode(&mode(), &outdir(2)),
+        mode => emit(mode.unwrap_or("fig7"), &outdir(1)),
     }
 }
 
@@ -216,66 +124,6 @@ fn emit(mode: &str, outdir: &str) {
         eprintln!("trace: {failures} artifact validation failure(s)");
         exit(1);
     }
-}
-
-/// The overhead gate; see the module docs.
-fn gate(baseline_path: &str) {
-    let doc = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("trace gate: read {baseline_path}: {e}"));
-    let baseline = json::parse(&doc).unwrap_or_else(|e| panic!("trace gate: parse baseline: {e}"));
-    let mode = baseline
-        .get("mode")
-        .and_then(json::Value::as_str)
-        .expect("baseline json has a \"mode\"")
-        .to_string();
-    let recorded_wall: f64 = baseline
-        .get("strategies")
-        .and_then(json::Value::as_arr)
-        .expect("baseline json has \"strategies\"")
-        .iter()
-        .map(|s| {
-            s.get("wall_secs")
-                .and_then(json::Value::as_f64)
-                .expect("strategy row has wall_secs")
-        })
-        .sum();
-
-    let (platform, workload, buffer) = platform_for(&mode);
-    let mut disabled_wall = 0.0;
-    let mut ok = true;
-    for (name, strategy) in paper_pair(&platform, buffer) {
-        // Tracing disabled: the sink must cost nothing.
-        let t0 = Instant::now();
-        let plain = run(&workload, &*strategy, &platform);
-        disabled_wall += t0.elapsed().as_secs_f64();
-        // Tracing enabled: virtual time must not move by a bit.
-        let traced = run_traced(&workload, &*strategy, &platform, &ObsSink::enabled());
-        if plain.write_secs.to_bits() != traced.write_secs.to_bits()
-            || plain.read_secs.to_bits() != traced.read_secs.to_bits()
-        {
-            eprintln!(
-                "GATE FAIL [{name}]: tracing moved virtual time \
-                 (write {} vs {}, read {} vs {})",
-                plain.write_secs, traced.write_secs, plain.read_secs, traced.read_secs
-            );
-            ok = false;
-        }
-    }
-    println!(
-        "gate[{mode}]: disabled-tracing wall {disabled_wall:.3}s vs recorded {recorded_wall:.3}s \
-         (allowance x{GATE_NOISE_FACTOR})"
-    );
-    if disabled_wall > recorded_wall * GATE_NOISE_FACTOR {
-        eprintln!(
-            "GATE FAIL: wall time with tracing disabled exceeds the recorded smoke numbers \
-             beyond noise — the disabled sink is not free"
-        );
-        ok = false;
-    }
-    if !ok {
-        exit(1);
-    }
-    println!("gate: ok (virtual time bit-identical with tracing on/off; disabled path at speed)");
 }
 
 /// Runs both paper strategies traced, analyzes each trace, and writes
@@ -384,23 +232,6 @@ fn report_mode(mode: &str, outdir: &str) {
         eprintln!("report: {failures} invariant failure(s)");
         exit(1);
     }
-}
-
-/// Deterministic control-plane latency for the causal mode. The
-/// engine's phases are root-priced — every rank charges the same
-/// broadcast duration — so without real message latency all clocks move
-/// in lock-step, every delivery is slack, and blame chains degenerate
-/// to a single local-work segment. A few microseconds of control-plane
-/// latency genuinely advances receiver clocks at barriers and gathers,
-/// which is what makes cross-rank chains non-vacuous to check.
-const CAUSAL_CTL_DELAY_MICROS: f64 = 5.0;
-
-/// Seed for the causal mode's fault plan (the plan carries only the
-/// deterministic control delay; no random faults fire).
-const CAUSAL_SEED: u64 = 0xCA05;
-
-fn causal_plan() -> FaultPlan {
-    FaultPlan::new(CAUSAL_SEED).delay_control(VDuration::from_micros(CAUSAL_CTL_DELAY_MICROS))
 }
 
 /// Root-cause analysis over both paper strategies: runs each with
@@ -558,260 +389,5 @@ fn causal_mode(mode: &str, outdir: &str) {
     }
     println!(
         "causal: ok (chains bit-identical across schedules, tiled to the bit, artifacts valid)"
-    );
-}
-
-/// Exact-match tolerance for replayed f64 counters recorded at `{:.0}`.
-const COUNTER_F64_EPS: f64 = 0.5;
-/// Tolerance for `mem_peak_cov`, recorded at 4 decimal places.
-const COV_EPS: f64 = 1e-3;
-/// Tolerance for virtual bandwidths, recorded at 1 decimal place.
-const MBPS_EPS: f64 = 0.1;
-
-/// The perf-regression gate; see the module docs.
-fn regress(baseline_path: &str, wall_threshold: f64, inject_wall: f64) {
-    let doc = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("trace regress: read {baseline_path}: {e}"));
-    let baseline =
-        json::parse(&doc).unwrap_or_else(|e| panic!("trace regress: parse baseline: {e}"));
-    // A streaming-observability record (`scale obs` → BENCH_PR9.json)
-    // has its own check: its "mode" names a scale-bench mode, not a
-    // trace config, so dispatch on the bench tag before touching it.
-    if baseline.get("bench").and_then(json::Value::as_str) == Some("scale-obs") {
-        regress_obs(&baseline, wall_threshold, inject_wall);
-        return;
-    }
-    let mode = baseline
-        .get("mode")
-        .and_then(json::Value::as_str)
-        .expect("baseline json has a \"mode\"")
-        .to_string();
-    let rows = baseline
-        .get("strategies")
-        .and_then(json::Value::as_arr)
-        .expect("baseline json has \"strategies\"");
-
-    let (platform, workload, buffer) = platform_for(&mode);
-    let reps = smoke_reps();
-    let mut ok = true;
-    let mut baseline_wall = 0.0;
-    let mut measured_wall = 0.0;
-    for (name, strategy) in paper_pair(&platform, buffer) {
-        let row = rows
-            .iter()
-            .find(|r| r.get("name").and_then(json::Value::as_str) == Some(&name))
-            .unwrap_or_else(|| panic!("baseline has no strategy row {name:?}"));
-        let mut best_wall = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let r = run(&workload, &*strategy, &platform);
-            best_wall = best_wall.min(t0.elapsed().as_secs_f64());
-            result = Some(r);
-        }
-        let result = result.expect("at least one rep");
-        measured_wall += best_wall;
-        baseline_wall += row
-            .get("wall_secs")
-            .and_then(json::Value::as_f64)
-            .expect("row has wall_secs");
-
-        let m = result.metrics;
-        let counters = row.get("counters").expect("row has counters");
-        let exact: [(&str, f64); 7] = [
-            ("rounds", m.rounds as f64),
-            ("shuffle_bytes", m.shuffle_bytes as f64),
-            ("storage_requests", m.storage_requests as f64),
-            ("storage_bytes", m.storage_bytes as f64),
-            ("pool_hits", m.pool_hits as f64),
-            ("pool_misses", m.pool_misses as f64),
-            ("mem_peak_max", m.mem_peak_max),
-        ];
-        for (key, measured) in exact {
-            let recorded = counters
-                .get(key)
-                .and_then(json::Value::as_f64)
-                .unwrap_or_else(|| panic!("baseline counter {key:?} missing"));
-            if (measured - recorded).abs() > COUNTER_F64_EPS {
-                eprintln!(
-                    "REGRESS FAIL [{name}]: counter {key} = {measured} vs recorded {recorded}"
-                );
-                ok = false;
-            }
-        }
-        if let Some(cov) = counters.get("mem_peak_cov").and_then(json::Value::as_f64) {
-            if (m.mem_peak_cov - cov).abs() > COV_EPS {
-                eprintln!(
-                    "REGRESS FAIL [{name}]: mem_peak_cov = {:.4} vs recorded {cov:.4}",
-                    m.mem_peak_cov
-                );
-                ok = false;
-            }
-        }
-        for (key, measured) in [
-            ("virtual_write_mbps", result.write_mbps()),
-            ("virtual_read_mbps", result.read_mbps()),
-        ] {
-            let recorded = row
-                .get(key)
-                .and_then(json::Value::as_f64)
-                .unwrap_or_else(|| panic!("baseline {key:?} missing"));
-            if (measured - recorded).abs() > MBPS_EPS {
-                eprintln!("REGRESS FAIL [{name}]: {key} = {measured:.1} vs recorded {recorded:.1}");
-                ok = false;
-            }
-        }
-    }
-    measured_wall *= inject_wall;
-    let limit = baseline_wall * (1.0 + wall_threshold);
-    println!(
-        "regress[{mode}]: wall {measured_wall:.3}s vs recorded {baseline_wall:.3}s \
-         (limit {limit:.3}s{})",
-        if inject_wall != 1.0 {
-            format!(", injected x{inject_wall}")
-        } else {
-            String::new()
-        }
-    );
-    if measured_wall > limit {
-        eprintln!(
-            "REGRESS FAIL: wall time {measured_wall:.3}s exceeds recorded {baseline_wall:.3}s \
-             by more than {:.0}%",
-            wall_threshold * 100.0
-        );
-        ok = false;
-    }
-    if !ok {
-        exit(1);
-    }
-    println!("regress: ok (counters exact, virtual bandwidth at print precision, wall in budget)");
-}
-
-/// Best-of-reps, matching how perf_smoke records its wall numbers: the
-/// recorded baseline is a best-of measurement, so a single cold run
-/// (binary load, page faults) would read as a false regression.
-fn smoke_reps() -> u32 {
-    std::env::var("MCCIO_SMOKE_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1)
-}
-
-/// Tolerance for virtual times recorded at 9 decimal places.
-const VIRT_SECS_EPS: f64 = 1e-8;
-
-/// The streaming-observability regression check: re-runs the baseline's
-/// *first* point (the 10k-rank flagship; later points are full-scale
-/// runs, not smoke-sized) with the same streaming sink configuration on
-/// the event executor, and requires the deterministic stream counters
-/// to match exactly, the virtual times to match at print precision, the
-/// recorded obs allocations to fit the recorded budget, and the wall
-/// time to stay within the threshold of the recording.
-fn regress_obs(baseline: &json::Value, wall_threshold: f64, inject_wall: f64) {
-    let f64_of = |v: &json::Value, key: &str| {
-        v.get(key)
-            .and_then(json::Value::as_f64)
-            .unwrap_or_else(|| panic!("scale-obs baseline field {key:?} missing"))
-    };
-    let lanes = f64_of(baseline, "exemplar_lanes") as u32;
-    let budget = f64_of(baseline, "obs_alloc_budget_bytes");
-    let points = baseline
-        .get("points")
-        .and_then(json::Value::as_arr)
-        .expect("scale-obs baseline has \"points\"");
-    let point = points.first().expect("scale-obs baseline has a point");
-    if points.len() > 1 {
-        println!(
-            "regress[obs]: checking the first point only ({} larger point(s) skipped)",
-            points.len() - 1
-        );
-    }
-    let ranks = f64_of(point, "ranks") as usize;
-    let per_rank_kib = f64_of(point, "per_rank_kib") as u64;
-    let segments = f64_of(point, "segments") as u64;
-
-    // The exact shape `scale obs` ran: fig7-density testbed, IOR
-    // interleaved, the memory-conscious half of the paper pair.
-    let platform = Platform::testbed(ranks / 12, ranks, 8).with_memory(320 * MIB, 64 * MIB);
-    let workload = Ior::interleaved_total(per_rank_kib * KIB, segments);
-    let [_, (name, strategy)] = paper_pair(&platform, 4 * MIB);
-
-    let mut ok = true;
-    let mut best_wall = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..smoke_reps() {
-        let sink = ObsSink::streaming(StreamConfig::for_ranks(ranks, lanes));
-        let t0 = Instant::now();
-        let r = run_traced(&workload, &*strategy, &platform, &sink);
-        best_wall = best_wall.min(t0.elapsed().as_secs_f64());
-        last = Some((sink, r));
-    }
-    let (sink, result) = last.expect("at least one rep");
-    let agg = sink
-        .stream_stats()
-        .expect("streaming sink has an aggregate");
-
-    // Deterministic counters: exact.
-    let exact: [(&str, u64); 3] = [
-        ("stream_cells", agg.cell_count() as u64),
-        ("events_folded", agg.folded_events),
-        ("events_retained", agg.retained_events),
-    ];
-    for (key, measured) in exact {
-        let recorded = f64_of(point, key);
-        if (measured as f64 - recorded).abs() > COUNTER_F64_EPS {
-            eprintln!("REGRESS FAIL [{name}]: {key} = {measured} vs recorded {recorded}");
-            ok = false;
-        }
-    }
-    // Virtual times: bit-stable in practice, recorded at 9 decimals.
-    for (key, measured) in [
-        ("virtual_write_secs", result.write_secs),
-        ("virtual_read_secs", result.read_secs),
-    ] {
-        let recorded = f64_of(point, key);
-        if (measured - recorded).abs() > VIRT_SECS_EPS {
-            eprintln!("REGRESS FAIL [{name}]: {key} = {measured:.9} vs recorded {recorded:.9}");
-            ok = false;
-        }
-    }
-    // The recorded obs allocations must fit the recorded budget — the
-    // record itself must witness the bounded-memory claim.
-    let recorded_obs_bytes = f64_of(point, "obs_alloc_bytes");
-    if recorded_obs_bytes > budget {
-        eprintln!(
-            "REGRESS FAIL [{name}]: recorded obs_alloc_bytes {recorded_obs_bytes} exceeds the \
-             recorded budget {budget}"
-        );
-        ok = false;
-    }
-
-    let measured_wall = best_wall * inject_wall;
-    let baseline_wall = f64_of(point, "wall_secs_obs");
-    let limit = baseline_wall * (1.0 + wall_threshold);
-    println!(
-        "regress[obs]: {ranks} ranks, wall {measured_wall:.3}s vs recorded {baseline_wall:.3}s \
-         (limit {limit:.3}s{})",
-        if inject_wall == 1.0 {
-            String::new()
-        } else {
-            format!(", injected x{inject_wall}")
-        }
-    );
-    if measured_wall > limit {
-        eprintln!(
-            "REGRESS FAIL: obs wall time {measured_wall:.3}s exceeds recorded \
-             {baseline_wall:.3}s by more than {:.0}%",
-            wall_threshold * 100.0
-        );
-        ok = false;
-    }
-    if !ok {
-        exit(1);
-    }
-    println!(
-        "regress[obs]: ok (stream counters exact, virtual time at print precision, \
-         obs allocations in budget, wall in budget)"
     );
 }

@@ -8,8 +8,10 @@
 //!   memory at 120 ranks, normal two-phase vs memory-conscious;
 //! * `fig7` binary — IOR interleaved at 120 ranks;
 //! * `fig8` binary — IOR interleaved at 1080 ranks;
-//! * Criterion benches under `benches/` — component microbenchmarks and
-//!   the ablations called out in DESIGN.md.
+//! * self-timed benches under `benches/` — the ablations called out in
+//!   DESIGN.md and a wall-clock comparison of every strategy;
+//! * [`record`] — the deterministic regression record behind
+//!   `scale record`/`scale regress`.
 //!
 //! The harness library runs one `(workload, strategy, platform)` triple
 //! end-to-end — write phase, barrier, read phase, byte-for-byte
@@ -17,6 +19,8 @@
 //! `total bytes / slowest rank's virtual elapsed time`.
 
 #![warn(missing_docs)]
+
+pub mod record;
 
 use std::sync::Arc;
 
@@ -27,10 +31,12 @@ use mccio_net::{ExecutorKind, TrafficSnapshot, World};
 use mccio_obs::ObsSink;
 use mccio_pfs::{FileSystem, PfsParams};
 use mccio_sim::cost::CostModel;
+use mccio_sim::fault::FaultPlan;
 use mccio_sim::stats::Welford;
+use mccio_sim::time::VDuration;
 use mccio_sim::topology::{ClusterSpec, FillOrder, Placement};
 use mccio_sim::units::MIB;
-use mccio_workloads::{data, Workload};
+use mccio_workloads::{data, Ior, Workload};
 
 /// The platform a run executes on.
 #[derive(Debug, Clone)]
@@ -100,7 +106,7 @@ impl Platform {
     /// This platform's storage and memory environment, recording into
     /// `obs`, with `faults` injected when given.
     #[must_use]
-    pub fn env(&self, obs: &ObsSink, faults: Option<mccio_sim::fault::FaultPlan>) -> IoEnv {
+    pub fn env(&self, obs: &ObsSink, faults: Option<FaultPlan>) -> IoEnv {
         let fs = FileSystem::new(self.n_servers, self.stripe, self.pfs);
         let env = match faults {
             Some(plan) => IoEnv::with_faults(fs, self.memory(), plan),
@@ -184,23 +190,6 @@ pub fn run_traced(
     run_with(&world, &platform.env(obs, None), workload, strategy)
 }
 
-/// Like [`run_traced`], with a fault plan installed on the environment.
-/// The causal benches use this with a deterministic control-plane
-/// delay: the engine's phases are root-priced, so without real message
-/// latency every rank's clock moves in lock-step and blame chains never
-/// hop ranks.
-#[must_use]
-pub fn run_traced_faulty(
-    workload: &dyn Workload,
-    strategy: &dyn Strategy,
-    platform: &Platform,
-    obs: &ObsSink,
-    plan: mccio_sim::fault::FaultPlan,
-) -> RunResult {
-    let world = platform.world(ExecutorKind::Event);
-    run_with(&world, &platform.env(obs, Some(plan)), workload, strategy)
-}
-
 /// Like [`run`], but over a caller-provided world and environment (used
 /// by the ablation benches to share or perturb state).
 #[must_use]
@@ -265,6 +254,37 @@ pub fn run_with(
         metrics,
         resilience,
     }
+}
+
+/// The IOR-interleaved configs the `trace` binary runs, by mode, as
+/// `(platform, workload, aggregation buffer bytes)`: `ci` is the bounded
+/// 24-rank config (4 nodes, 2 MiB per rank in 16 segments, 4 MiB
+/// buffer) that the regression record also measures; `fig7` is the
+/// fig7-scale config (120 ranks, 4 MiB per rank, 16 MiB buffer).
+#[must_use]
+pub fn ior_config(mode: &str) -> Option<(Platform, Ior, u64)> {
+    let (n_nodes, n_ranks, per_rank_mib, buffer_mib) = match mode {
+        "ci" => (4, 24, 2, 4),
+        "fig7" => (10, 120, 4, 16),
+        _ => return None,
+    };
+    let platform = Platform::testbed(n_nodes, n_ranks, 8).with_memory(320 * MIB, 64 * MIB);
+    // 16 interleaved segments, as IOR -s 16 (the fig7 access pattern).
+    let workload = Ior::interleaved_total(per_rank_mib * MIB, 16);
+    Some((platform, workload, buffer_mib * MIB))
+}
+
+/// The fault plan every causal-tracing run uses: only a deterministic
+/// 5 µs control-plane delay, no random faults.
+/// The engine's phases are root-priced — every rank charges the same
+/// broadcast duration — so without real message latency all clocks
+/// move in lock-step, every delivery is slack, and blame chains
+/// degenerate to a single local-work segment. A few microseconds of
+/// control-plane latency genuinely advances receiver clocks at barriers
+/// and gathers, which is what makes cross-rank chains non-vacuous.
+#[must_use]
+pub fn causal_plan() -> FaultPlan {
+    FaultPlan::new(0xCA05).delay_control(VDuration::from_micros(5.0))
 }
 
 /// Builds the pair of strategies every figure compares: the two-phase

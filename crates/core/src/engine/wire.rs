@@ -12,6 +12,7 @@ use std::fmt;
 use mccio_mpiio::{Extent, ExtentList};
 use mccio_net::wire::{put_u64, Reader};
 use mccio_pfs::{RetryLog, ServerLoad, ServiceReport};
+use mccio_sim::hash::{fnv1a, Fnv1a};
 use mccio_sim::time::VDuration;
 
 /// Appends one section (`domain`, the clipped extents, their bytes
@@ -37,47 +38,12 @@ pub(super) fn append_section<'p>(
 /// Bytes the end-to-end checksum trailer adds to a sealed payload.
 pub(crate) const CHECKSUM_TRAILER: usize = 8;
 
-/// Streaming FNV-1a. The hash folds one byte at a time, so feeding a
-/// byte string in pieces gives the same value as feeding it whole — a
-/// key rendered through [`fmt::Write`] hashes exactly like its
-/// `format!` string, without the string.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// FNV-1a over `bytes` — the end-to-end integrity hash. Kept in-tree
-/// (like the test suites' copies) so the wire format never depends on
-/// an external hasher's stability.
-pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.0
-}
-
 /// FNV-1a over the text `args` renders to, streamed: equal to
 /// `fnv1a(format!("{args}").as_bytes())` with no string built.
 pub(super) fn fnv1a_fmt(args: fmt::Arguments<'_>) -> u64 {
     let mut h = Fnv1a::new();
     fmt::write(&mut h, args).expect("hashing a rendering cannot fail");
-    h.0
+    h.finish()
 }
 
 /// Seals a fully-encoded shuffle payload with its FNV-1a trailer. Only

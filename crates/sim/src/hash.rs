@@ -1,0 +1,82 @@
+//! FNV-1a, the workspace's one in-tree hash: the shuffle payload
+//! integrity trailer, the plan-cache key fingerprint, the RNG stream
+//! labels, the chaos matrix's file hashes and the regression record's
+//! blame-chain hash all use it. Kept in-tree so no recorded value ever
+//! depends on an external hasher's stability.
+
+use std::fmt;
+
+/// Streaming FNV-1a (64-bit). The hash folds one byte at a time, so
+/// feeding a byte string in pieces gives the same value as feeding it
+/// whole — a key rendered through [`fmt::Write`] hashes exactly like
+/// its `format!` string, without the string.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The FNV-1a offset basis.
+    #[inline]
+    #[must_use]
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` into the hash.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    #[inline]
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a over `bytes`.
+#[inline]
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn matches_the_published_test_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn streaming_equals_one_shot() {
+        let mut h = Fnv1a::new();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
+    }
+}

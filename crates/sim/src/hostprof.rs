@@ -12,12 +12,13 @@
 //!
 //! 1. **Free when off.** Every instrumentation site costs one relaxed
 //!    atomic load and a branch while the profiler is disabled, so the
-//!    tracing-overhead gate (`trace gate`) and the perf-regression gate
-//!    stay meaningful. No `Instant::now()` is ever taken while off.
+//!    benchmark's host-wall numbers measure the simulator, not its
+//!    instruments. No `Instant::now()` is ever taken while off.
 //! 2. **Observability, not identity.** Host wall times are
-//!    nondeterministic by nature. Like the recycler's hit/miss
-//!    counters, profiles are reported and thresholded, never compared
-//!    bit-for-bit, and nothing in the simulation consults them.
+//!    nondeterministic by nature: they are reported and thresholded,
+//!    never compared bit-for-bit, and nothing in the simulation consults
+//!    them. Call counts are deterministic, and the regression record
+//!    (`scale regress`) pins every phase's count exactly.
 //! 3. **No allocation on the timed path.** Counters are fixed static
 //!    atomic arrays indexed by [`HostPhase`]; a [`HostTimer`] guard is
 //!    two `Instant` reads and one `fetch_add`.

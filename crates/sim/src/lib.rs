@@ -26,6 +26,8 @@
 //!   reports send/delivery happens-before edges through it to an
 //!   observer (implemented by `obs::causal`) without a dependency
 //!   cycle;
+//! * [`hash`] — FNV-1a, the one in-tree hash (payload checksums, cache
+//!   keys, RNG stream labels, file and blame-chain fingerprints);
 //! * [`hostprof`] — the host-wall profiler: process-global scoped
 //!   timers around the simulator's own hot phases (executor
 //!   scheduling, plan/schedule build, extent codec, recycler, storage
@@ -42,6 +44,7 @@ pub mod causal;
 pub mod cost;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod hostprof;
 pub mod projection;
 pub mod rng;

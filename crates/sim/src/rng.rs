@@ -170,12 +170,7 @@ impl Rng for Prng {
 #[must_use]
 pub fn stream_rng(seed: u64, stream: &str) -> Prng {
     // FNV-1a over the stream label, folded into the user seed.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in stream.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    Prng::seed_from_u64(seed ^ h)
+    Prng::seed_from_u64(seed ^ crate::hash::fnv1a(stream.as_bytes()))
 }
 
 /// Gaussian sampler (Box–Muller, caching the second variate).

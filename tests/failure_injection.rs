@@ -237,7 +237,8 @@ fn identical_fault_plans_reproduce_bit_identical_runs() {
 }
 
 /// FNV-1a over the whole file — the integrity fingerprint the crash
-/// tests compare against crash-free baselines.
+/// tests compare against crash-free baselines. Written out here, as a
+/// reference independent of `mccio_sim::hash`.
 fn file_hash(env: &IoEnv, name: &str) -> u64 {
     let handle = env.fs.open(name).expect("file exists");
     let (bytes, _) = handle.read_at(0, handle.len());

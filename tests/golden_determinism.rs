@@ -32,6 +32,8 @@ struct Golden {
     traffic: TrafficSnapshot,
 }
 
+/// FNV-1a written out here, as a reference independent of
+/// `mccio_sim::hash`.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
