@@ -304,17 +304,16 @@ fn main() {
 /// (event stream), and `<prefix>.html` (self-contained report), each
 /// validated before it lands on disk.
 fn write_trace_artifacts(prefix: &str, obs: &ObsSink, analysis: &TraceAnalysis) {
-    use mccio_obs::{export, report};
+    use mccio_obs::{analyze, export, report};
     let events = obs.events();
-    let chrome = export::chrome_trace(&events);
+    let chrome = export::chrome_trace_flows(&events, &[]);
     export::validate_chrome_trace(&chrome)
         .unwrap_or_else(|e| fail(&format!("emitted Chrome trace is invalid: {e}")));
     let chrome_path = format!("{prefix}.json");
     std::fs::write(&chrome_path, &chrome)
         .unwrap_or_else(|e| fail(&format!("write {chrome_path}: {e}")));
     let jsonl = export::jsonl(&events);
-    export::validate_jsonl(&jsonl)
-        .unwrap_or_else(|e| fail(&format!("emitted JSONL is invalid: {e}")));
+    analyze::from_jsonl(&jsonl).unwrap_or_else(|e| fail(&format!("emitted JSONL is invalid: {e}")));
     let jsonl_path = format!("{prefix}.jsonl");
     std::fs::write(&jsonl_path, &jsonl)
         .unwrap_or_else(|e| fail(&format!("write {jsonl_path}: {e}")));

@@ -72,7 +72,7 @@ fn emit(mode: &str, outdir: &str) {
         let (n_events, chrome, jsonl) = obs.with_events(|events| {
             (
                 events.len(),
-                export::chrome_trace(events),
+                export::chrome_trace_flows(events, &[]),
                 export::jsonl(events),
             )
         });
@@ -109,7 +109,7 @@ fn emit(mode: &str, outdir: &str) {
 
         let jsonl_path = format!("{outdir}/events_{name}.jsonl");
         std::fs::write(&jsonl_path, &jsonl).expect("write jsonl");
-        match export::validate_jsonl(&jsonl) {
+        match analyze::from_jsonl(&jsonl).map(|e| e.len()) {
             Ok(n) => println!("  {jsonl_path}: {n} lines"),
             Err(e) => {
                 eprintln!("  INVALID {jsonl_path}: {e}");

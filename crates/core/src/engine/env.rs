@@ -6,6 +6,7 @@ use std::sync::{Arc, OnceLock};
 
 use mccio_mem::MemoryModel;
 use mccio_mpiio::{ExtentList, GroupPattern};
+use mccio_net::Ctx;
 use mccio_obs::ObsSink;
 use mccio_pfs::FileSystem;
 use mccio_sim::fault::FaultPlan;
@@ -167,6 +168,17 @@ impl IoEnv {
     #[must_use]
     pub fn obs(&self) -> &ObsSink {
         &self.obs
+    }
+
+    /// Points the calling rank's own message settings at this
+    /// environment for the operation it is entering: the fault plan's
+    /// control-plane delay (zero without one) and the sink's causal hook
+    /// (none unless armed). Every rank calls this before its first send
+    /// of the operation, so each message is priced and stamped by its
+    /// own sender's program order alone.
+    pub(crate) fn enter_op(&self, ctx: &mut Ctx) {
+        ctx.set_control_delay(self.faults.plan().ctl_delay);
+        ctx.set_causal_hook(self.obs.causal_hook());
     }
 
     /// Returns the memoized collective plan for (`pattern`,

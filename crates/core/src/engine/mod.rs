@@ -172,9 +172,12 @@ mod tests {
     use crate::plan::DomainPlan;
     use mccio_mem::MemoryModel;
     use mccio_mpiio::Extent;
-    use mccio_net::{RankSet, World};
+    use mccio_net::{ExecutorKind, RankSet, World};
+    use mccio_obs::ObsSink;
     use mccio_pfs::{FileSystem, PfsParams};
     use mccio_sim::cost::CostModel;
+    use mccio_sim::fault::FaultPlan;
+    use mccio_sim::time::VDuration;
     use mccio_sim::topology::{test_cluster, FillOrder, Placement};
 
     fn env() -> IoEnv {
@@ -186,9 +189,48 @@ mod tests {
     }
 
     fn world() -> std::sync::Arc<World> {
+        world_on(ExecutorKind::Event)
+    }
+
+    fn world_on(kind: ExecutorKind) -> std::sync::Arc<World> {
         let cluster = test_cluster(2, 2);
         let placement = Placement::new(&cluster, 4, FillOrder::Block).unwrap();
-        World::new(CostModel::new(cluster), placement)
+        World::with_executor(CostModel::new(cluster), placement, kind)
+    }
+
+    /// A fault plan that only delays every control-plane message by
+    /// 10 ms.
+    fn delay_plan() -> FaultPlan {
+        FaultPlan::new(7).delay_control(VDuration::from_micros(10_000.0))
+    }
+
+    /// The fault-free env, or one under [`delay_plan`].
+    fn env_with(delayed: bool) -> IoEnv {
+        let cluster = test_cluster(2, 2);
+        let fs = FileSystem::new(4, 64, PfsParams::default());
+        let mem = MemoryModel::pristine(&cluster);
+        if delayed {
+            IoEnv::with_faults(fs, mem, delay_plan())
+        } else {
+            IoEnv::new(fs, mem)
+        }
+    }
+
+    /// One run of a direct `execute_write` + `execute_read` (aggregators
+    /// 0 and 2, several rounds): each rank's reports and final clock bits.
+    fn direct_pair(w: &std::sync::Arc<World>, e: &IoEnv) -> Vec<(IoReport, IoReport, u64)> {
+        w.run(|ctx| {
+            let env = e.clone();
+            let handle = env.fs.open_or_create("direct");
+            let extents = rank_extents(ctx.rank());
+            let data = rank_data(ctx.rank());
+            let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
+            let plan = simple_plan(pattern.global_range().unwrap(), 100, &[0, 2]);
+            let wr = execute_write(ctx, &env, &handle, &plan, &pattern, &extents, &data);
+            let (back, rr) = execute_read(ctx, &env, &handle, &plan, &pattern, &extents);
+            assert_eq!(back, data, "rank {} roundtrip", ctx.rank());
+            (wr, rr, ctx.clock().as_secs().to_bits())
+        })
     }
 
     fn simple_plan(range: Extent, buffer: u64, aggs: &[usize]) -> CollectivePlan {
@@ -398,5 +440,95 @@ mod tests {
             starved > healthy * 2.0,
             "pressure must slow the op: healthy {healthy}, starved {starved}"
         );
+    }
+
+    #[test]
+    fn direct_ops_under_a_control_delay_agree_on_every_schedule() {
+        // Every rank sets the control delay and the causal hook for
+        // itself on op entry, so a rank that runs ahead cannot re-price
+        // or re-stamp the messages of a rank that has not got there yet.
+        let run = |kind| {
+            let sink = ObsSink::enabled().with_causal();
+            let reports = direct_pair(&world_on(kind), &env_with(true).with_obs(sink.clone()));
+            (reports, sink.causal_chains(), sink.causal_edges())
+        };
+        let canonical = run(ExecutorKind::Event);
+        assert!(
+            canonical.1.iter().any(|c| c.hops() > 0),
+            "the delayed run produced no cross-rank hop: the comparison is vacuous"
+        );
+        for kind in ExecutorKind::EXPLORED {
+            assert!(
+                run(kind) == canonical,
+                "{kind:?} diverged from the canonical schedule"
+            );
+        }
+    }
+
+    #[test]
+    fn a_healthy_op_after_a_faulty_one_matches_a_fresh_world() {
+        let w = world();
+        let _ = direct_pair(&w, &env_with(true));
+        assert_eq!(
+            direct_pair(&w, &env_with(false)),
+            direct_pair(&world(), &env_with(false)),
+            "the faulty run's control delay outlived it"
+        );
+    }
+
+    #[test]
+    fn each_causal_sink_receives_exactly_its_own_runs_edges() {
+        let traced = |w: &std::sync::Arc<World>| {
+            let sink = ObsSink::enabled().with_causal();
+            let _ = direct_pair(w, &env_with(true).with_obs(sink.clone()));
+            (sink.causal_edges(), sink.causal_chains())
+        };
+        let fresh = traced(&world());
+        assert!(!fresh.0.is_empty(), "the traced run recorded no edge");
+        let w = world();
+        let first = traced(&w);
+        let second = traced(&w);
+        assert!(first == fresh, "the first sink saw another run's messages");
+        assert!(
+            second == fresh,
+            "the second sink missed its own run's messages"
+        );
+    }
+
+    #[test]
+    fn a_failed_collective_reservation_leaves_one_peak_on_every_schedule() {
+        // Aggregators 0 and 1 share node 0, whose 100 free bytes cannot
+        // hold their 70 + 40: every attempt fails, and which of the two
+        // fits first depends on the schedule. The node's peak must not.
+        let run = |kind| {
+            let cluster = test_cluster(2, 2);
+            let mem = MemoryModel::build(
+                &cluster,
+                |node, cap| if node == 0 { cap - 100 } else { 0 },
+                mccio_mem::MemParams::default(),
+            );
+            let fs = FileSystem::new(4, 64, PfsParams::default());
+            let e = IoEnv::with_faults(fs, mem, delay_plan());
+            let failed = world_on(kind).run(|ctx| {
+                let env = e.clone();
+                let handle = env.fs.open_or_create("starved");
+                let extents = rank_extents(ctx.rank());
+                let data = rank_data(ctx.rank());
+                let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
+                let mut plan = simple_plan(pattern.global_range().unwrap(), 70, &[0, 1]);
+                plan.domains[1].buffer = 40;
+                let mut res = Resilience::default();
+                try_execute_write(
+                    ctx, &env, &handle, &plan, &pattern, &extents, &data, &mut res,
+                )
+                .is_err()
+            });
+            assert!(failed.iter().all(|&f| f), "{kind:?}: the op must fail");
+            e.mem.peak_reserved(0)
+        };
+        let canonical = run(ExecutorKind::Event);
+        for kind in ExecutorKind::EXPLORED {
+            assert_eq!(run(kind), canonical, "{kind:?}: peak diverged");
+        }
     }
 }

@@ -166,7 +166,6 @@ pub(super) fn open(
     let me = ctx.rank();
     let t0 = ctx.group_sync_clocks(&world);
     if active {
-        ctx.world().set_ctl_delay(env.faults().plan().ctl_delay);
         let fired = env.faults().apply_due(ctx.clock(), &env.mem);
         mark_fault_events(env.obs(), &fired);
         ctx.group_barrier(&world);
@@ -339,7 +338,8 @@ pub(super) fn close(
 ///
 /// Success itself is schedule-independent: per node, all `try_reserve`
 /// calls succeed iff the node's total demand fits its free memory, no
-/// matter the order ranks interleave in.
+/// matter the order ranks interleave in. Which calls of a failed
+/// attempt succeeded is not, so peaks are recorded only on success.
 fn reserve_collectively(
     ctx: &mut Ctx,
     env: &IoEnv,
@@ -362,6 +362,11 @@ fn reserve_collectively(
         }
         let anyone_failed = ctx.group_allreduce_max_f64(world, if ok { 0.0 } else { 1.0 }) > 0.0;
         if !anyone_failed {
+            // Every rank's reservations are in place: this node's peak
+            // is now the same on every schedule.
+            if !held.is_empty() {
+                env.mem.note_peak(ctx.node());
+            }
             return Ok(held);
         }
         drop(held);

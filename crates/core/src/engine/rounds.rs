@@ -97,17 +97,9 @@ pub(super) fn execute_op(
     if let Op::Write { data } = op {
         debug_assert!(data.len() as u64 >= my_extents.total_bytes());
     }
+    env.enter_op(ctx);
     let mut state = prologue::open(ctx, env, plan, res)?;
     let me = ctx.rank();
-    // Arm causal tracing on the world the first time an op runs with a
-    // causal-enabled sink; installation is idempotent and the hook is a
-    // pure observer, so the engine's virtual time never moves. The
-    // ladder entry points already installed it before the op's first
-    // send (`resilience::arm_causal`); this covers direct engine callers,
-    // whose chains may miss messages sent before every rank got here.
-    if let Some(hook) = env.obs().causal_hook() {
-        ctx.world().install_causal(hook);
-    }
     // Everything crash recovery needs — payload checksums, the agreed
     // clock, the mutable live plan — is gated on the plan actually
     // scheduling crashes, so crash-free runs execute the exact healthy

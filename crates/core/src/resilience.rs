@@ -251,9 +251,8 @@ pub fn ladder_write(
     data: &[u8],
     rungs: &[&dyn Strategy],
 ) -> IoReport {
+    env.enter_op(ctx);
     let world = ctx.world_ranks();
-    arm_ctl_delay(ctx, env);
-    arm_causal(ctx, env);
     let pattern = GroupPattern::gather(ctx, &world, my_extents);
     if !env.faults().is_active() {
         let plan = rungs[0]
@@ -286,9 +285,8 @@ pub fn ladder_read(
     my_extents: &ExtentList,
     rungs: &[&dyn Strategy],
 ) -> (Vec<u8>, IoReport) {
+    env.enter_op(ctx);
     let world = ctx.world_ranks();
-    arm_ctl_delay(ctx, env);
-    arm_causal(ctx, env);
     let pattern = GroupPattern::gather(ctx, &world, my_extents);
     if !env.faults().is_active() {
         let plan = rungs[0]
@@ -308,33 +306,6 @@ pub fn ladder_read(
         }
     }
     panic!("degradation ladder exhausted: the bottom rung must be infallible");
-}
-
-/// Arms the fault plan's control-plane delay on the world *before* this
-/// op's first message. The pattern gather below sends before
-/// `prologue::open` runs, so arming inside `open` lets a rank race
-/// ahead through `open` and change departure pricing while slower ranks
-/// are still sending pre-open messages — virtual time would depend on
-/// the rank schedule. Every rank arms the same value before its own
-/// first send, so every departure of the op prices identically on every
-/// schedule.
-fn arm_ctl_delay(ctx: &Ctx, env: &IoEnv) {
-    if env.faults().is_active() {
-        ctx.world().set_ctl_delay(env.faults().plan().ctl_delay);
-    }
-}
-
-/// Installs the env's causal-tracing hook on the world before this op's
-/// first message, for the same reason the control delay is armed here:
-/// installed later (after `prologue::open`), a rank racing ahead would
-/// start stamping messages while slower ranks' pre-open messages go
-/// unstamped, and the blame chains would depend on the rank schedule.
-/// Installation is idempotent (the first wins) and the hook is a pure
-/// observer, so virtual time never moves.
-fn arm_causal(ctx: &Ctx, env: &IoEnv) {
-    if let Some(hook) = env.obs().causal_hook() {
-        ctx.world().install_causal(hook);
-    }
 }
 
 /// Marks a ladder-rung outcome on the trace (engine track, world rank 0

@@ -259,10 +259,15 @@ impl MemoryModel {
     /// injection so a revocation forces an explicit re-plan instead of
     /// silently thrashing.
     ///
-    /// Whether a set of concurrent `try_reserve` calls can all succeed
-    /// depends only on the demanded totals, never on arrival order, so
-    /// collective reservation outcomes are schedule-independent when
-    /// (as in the engine) failure of any rank releases and retries all.
+    /// Which of a set of concurrent calls succeed depends on the order
+    /// they arrive in; only whether *all* of them do depends on the
+    /// demanded totals alone. Collective reservation is therefore
+    /// schedule-independent only as a verdict: any failure must release
+    /// and retry every reservation (as the engine does). For the same
+    /// reason a successful call does not raise the node's peak — a
+    /// failed attempt would leave whichever prefix of demands happened
+    /// to fit first — so the caller records it with
+    /// [`MemoryModel::note_peak`] once the collective verdict is in.
     #[must_use]
     pub fn try_reserve(&self, node: usize, bytes: u64) -> Option<Reservation> {
         {
@@ -271,7 +276,6 @@ impl MemoryModel {
                 return None;
             }
             n.reserved += bytes;
-            n.peak_reserved = n.peak_reserved.max(n.reserved);
         }
         self.touch();
         Some(Reservation {
@@ -279,6 +283,17 @@ impl MemoryModel {
             node,
             bytes,
         })
+    }
+
+    /// Raises `node`'s peak to its current reservations: the commit step
+    /// of a collective [`MemoryModel::try_reserve`] that succeeded
+    /// everywhere.
+    pub fn note_peak(&self, node: usize) {
+        {
+            let mut n = self.inner.nodes[node].lock();
+            n.peak_reserved = n.peak_reserved.max(n.reserved);
+        }
+        self.touch();
     }
 
     /// A fault plan reclaims `bytes` of `node`'s memory (the host

@@ -193,8 +193,13 @@ impl std::fmt::Debug for DecodeCache {
 
 /// The shared communication world: the cost model and placement every
 /// rank prices messages against, plus the traffic counters, decode cache
-/// and buffer recycler its runs share. Message queues are not world
-/// state: each run's tasks own their own (see [`crate::mailbox`]).
+/// and buffer recycler its runs share (`DESIGN.md` §13 shows why none
+/// of them lets results depend on the rank schedule). Ranks configure
+/// nothing here: message queues, the control-plane delay and the causal
+/// hook are per-task state that lives for one run (see
+/// [`crate::mailbox`], [`Ctx::set_control_delay`],
+/// [`Ctx::set_causal_hook`]), so no rank can change what another rank's
+/// messages see.
 #[derive(Debug)]
 pub struct World {
     placement: Placement,
@@ -210,15 +215,6 @@ pub struct World {
     /// `RankSet::world(n)` calls are an O(ranks) allocation per rank
     /// that dominated collective prologues at 10k+ ranks.
     world_set: std::sync::OnceLock<Arc<crate::group::RankSet>>,
-    /// Extra latency on every control-plane message, stored as f64 bits
-    /// so fault plans can set it after the world is shared. Zero when no
-    /// faults are injected.
-    ctl_delay_bits: AtomicU64,
-    /// The installed message-causality observer, if any (see
-    /// [`World::install_causal`]). Empty by default: the off path is
-    /// one `OnceLock` load per send and a stamped-zero check per
-    /// settle.
-    causal: std::sync::OnceLock<Arc<dyn mccio_sim::causal::CausalSink>>,
 }
 
 impl World {
@@ -247,8 +243,6 @@ impl World {
             decode_cache: DecodeCache::default(),
             recycle: Arc::new(crate::recycle::BytePool::for_ranks(n_ranks)),
             world_set: std::sync::OnceLock::new(),
-            ctl_delay_bits: AtomicU64::new(0.0_f64.to_bits()),
-            causal: std::sync::OnceLock::new(),
         })
     }
 
@@ -307,36 +301,6 @@ impl World {
             Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
         ));
         value
-    }
-
-    /// Sets the control-message delay injected on every subsequent
-    /// [`Ctx::send_ctl`] (fault modelling: slow management network).
-    pub fn set_ctl_delay(&self, delay: VDuration) {
-        self.ctl_delay_bits
-            .store(delay.as_secs().to_bits(), Ordering::Relaxed);
-    }
-
-    /// The currently injected control-message delay.
-    #[must_use]
-    pub fn ctl_delay(&self) -> VDuration {
-        VDuration::from_secs(f64::from_bits(self.ctl_delay_bits.load(Ordering::Relaxed)))
-    }
-
-    /// Installs a message-causality observer: every subsequent send and
-    /// delivery settlement on this world is reported through it (see
-    /// [`mccio_sim::causal::CausalSink`]). At most one observer per
-    /// world — the first installation wins and later calls are ignored
-    /// (returning `false`), so every rank of an SPMD program can call
-    /// this idempotently before its first send. Messages sent before
-    /// installation carry no causal stamp and are never reported.
-    pub fn install_causal(&self, sink: Arc<dyn mccio_sim::causal::CausalSink>) -> bool {
-        self.causal.set(sink).is_ok()
-    }
-
-    /// The installed causality observer, if any.
-    #[must_use]
-    pub fn causal(&self) -> Option<&Arc<dyn mccio_sim::causal::CausalSink>> {
-        self.causal.get()
     }
 
     /// Number of ranks.
@@ -411,6 +375,11 @@ pub struct Ctx {
     /// The rank's handle into the scheduler: every send delivers
     /// through it, and blocking receives park on it.
     task: TaskHandle,
+    /// Extra latency on this rank's control-plane sends.
+    ctl_delay: VDuration,
+    /// The causality observer this rank's sends and settlements report
+    /// to, if any.
+    causal: Option<Arc<dyn mccio_sim::causal::CausalSink>>,
 }
 
 impl Ctx {
@@ -421,7 +390,28 @@ impl Ctx {
             world: Arc::clone(world),
             clock: VTime::ZERO,
             task,
+            ctl_delay: VDuration::ZERO,
+            causal: None,
         }
+    }
+
+    /// Sets the delay this rank's subsequent [`Ctx::send_ctl`] calls add
+    /// to their departure stamps (fault modelling: a slow management
+    /// network). Zero at the start of every run; it never affects the
+    /// messages this rank receives.
+    pub fn set_control_delay(&mut self, delay: VDuration) {
+        self.ctl_delay = delay;
+    }
+
+    /// Sets (or clears) the message-causality observer this rank reports
+    /// its subsequent sends and settlements to (see
+    /// [`mccio_sim::causal::CausalSink`]). Unset at the start of every
+    /// run. A message is reported only when both ends run with a hook:
+    /// the sender stamps it through its own, the receiver settles it
+    /// through its own, so SPMD ranks set the same hook at the same
+    /// program point.
+    pub fn set_causal_hook(&mut self, hook: Option<Arc<dyn mccio_sim::causal::CausalSink>>) {
+        self.causal = hook;
     }
 
     /// This rank's id, `0..size`.
@@ -514,7 +504,7 @@ impl Ctx {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         self.clock += VDuration::from_secs(self.world.cost.per_message_overhead);
         self.account(dst, payload.len() as u64, true);
-        let causal = match self.world.causal.get() {
+        let causal = match &self.causal {
             Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64, true),
             None => 0,
         };
@@ -546,8 +536,8 @@ impl Ctx {
         // An injected control-network delay shifts the departure stamp:
         // the receiver's causality rule (max with depart) then charges it
         // in virtual time without any wall-clock sleeping.
-        let depart = self.clock + self.world.ctl_delay();
-        let causal = match self.world.causal.get() {
+        let depart = self.clock + self.ctl_delay;
+        let causal = match &self.causal {
             Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64, false),
             None => 0,
         };
@@ -579,7 +569,7 @@ impl Ctx {
             self.clock = self.clock.max(env.depart);
         }
         if env.causal != 0 {
-            if let Some(sink) = self.world.causal.get() {
+            if let Some(sink) = &self.causal {
                 sink.on_delivery(env.src, env.causal, self.rank, before, self.clock);
             }
         }
@@ -712,38 +702,43 @@ mod tests {
 
     #[test]
     fn exploration_catches_a_schedule_dependent_program() {
-        // A deliberately racy program: rank 1 changes the world's
-        // control delay after its receive while the root is still in its
-        // send loop, so the delay later receivers pay depends on whether
-        // rank 1 ran between two of the root's sends. The canonical
-        // schedule never switches inside a send loop; exploration must.
+        // A deliberately racy program: rank 1 stores into a cell every
+        // rank shares after its receive, and the later receivers advance
+        // their clocks by what they read there — so their clocks depend
+        // on whether rank 1 ran before them. The canonical schedule wakes
+        // the receivers in rank order, so rank 1 always stores first;
+        // exploration must find a schedule where it does not.
         let n = 6;
         let run = |kind| {
             let w = world_with(1, n, n, kind);
+            let shared = Arc::new(AtomicU64::new(0));
             w.run(|ctx| {
                 match ctx.rank() {
                     0 => (1..n).for_each(|dst| ctx.send_ctl(dst, 3, vec![])),
                     1 => {
                         let _ = ctx.recv(0, 3);
-                        ctx.world().set_ctl_delay(VDuration::from_secs(1.0));
+                        shared.store(1.0_f64.to_bits(), Ordering::Relaxed);
                     }
                     _ => {
                         let _ = ctx.recv(0, 3);
+                        let d = f64::from_bits(shared.load(Ordering::Relaxed));
+                        ctx.advance(VDuration::from_secs(d));
                     }
                 }
-                ctx.clock().as_secs().to_bits()
+                ctx.clock().as_secs()
             })
         };
         let canonical = run(ExecutorKind::Event);
-        assert!(
-            canonical.iter().all(|&c| c == 0),
-            "the canonical schedule finishes the send loop first"
+        assert_eq!(
+            canonical,
+            [0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+            "the canonical schedule runs rank 1 before the later receivers"
         );
         assert!(
             ExecutorKind::EXPLORED
                 .into_iter()
                 .any(|kind| run(kind) != canonical),
-            "no explored schedule interleaved rank 1 with the root's send loop"
+            "no explored schedule ran a receiver before rank 1's store"
         );
     }
 
@@ -770,19 +765,26 @@ mod tests {
 
     #[test]
     fn injected_ctl_delay_shifts_causality() {
-        let w = world(2, 1, 2);
-        w.set_ctl_delay(VDuration::from_secs(0.25));
-        let results = w.run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.advance(VDuration::from_secs(1.0));
-                ctx.send_ctl(1, 9, vec![]);
-            } else {
-                let _ = ctx.recv(0, 9);
-            }
-            ctx.clock().as_secs()
-        });
-        assert_eq!(results[1], 1.25, "receiver pays the injected delay");
-        assert_eq!(results[0], 1.0, "sender does not");
+        for kind in all_kinds() {
+            let w = world_with(2, 1, 2, kind);
+            let results = w.run(|ctx| {
+                if ctx.rank() == 0 {
+                    ctx.set_control_delay(VDuration::from_secs(0.25));
+                    ctx.advance(VDuration::from_secs(1.0));
+                    ctx.send_ctl(1, 9, vec![]);
+                } else {
+                    // The receiver's own delay prices only its own sends.
+                    ctx.set_control_delay(VDuration::from_secs(4.0));
+                    let _ = ctx.recv(0, 9);
+                }
+                ctx.clock().as_secs()
+            });
+            assert_eq!(
+                results[1], 1.25,
+                "{kind:?}: receiver pays the sender's delay"
+            );
+            assert_eq!(results[0], 1.0, "{kind:?}: sender does not");
+        }
     }
 
     #[test]

@@ -106,9 +106,9 @@ pub struct Envelope {
     /// receiver; control/bookkeeping messages are delivered free (their
     /// cost is priced analytically by the phase model instead).
     pub costed: bool,
-    /// Per-sender causal sequence number stamped by the world's
-    /// installed [`mccio_sim::causal::CausalSink`], or 0 when causal
-    /// tracing is off. `(src, causal)` identifies the happens-before
+    /// Per-sender causal sequence number stamped by the sender's
+    /// [`mccio_sim::causal::CausalSink`], or 0 when the sender runs
+    /// without one. `(src, causal)` identifies the happens-before
     /// edge this delivery closes.
     pub causal: u64,
 }

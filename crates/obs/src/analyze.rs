@@ -1233,6 +1233,15 @@ mod tests {
             let err = from_jsonl(&line("0", attr)).unwrap_err();
             assert!(err.starts_with("line 1:") && err.contains("\"k\""), "{err}");
         }
+        // Every line must be JSON and carry a kind, a name and a track;
+        // blank lines are skipped.
+        let err = from_jsonl("\n{not json}\n").unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        for field in ["kind", "name", "track"] {
+            let doc = line("0", "1").replacen(&format!("\"{field}\""), "\"other\"", 1);
+            let err = from_jsonl(&doc).unwrap_err();
+            assert!(err.contains(&format!("missing \"{field}\"")), "{err}");
+        }
     }
 
     #[test]

@@ -496,7 +496,8 @@ impl CausalSink for CausalAgg {
             .expect("causal inflight lock")
             .remove(&(src, seq))
         else {
-            // Sent before this sink was installed on the world; no edge.
+            // Stamped through another sink (its sender ran with a
+            // different hook); no edge.
             return;
         };
         if let Some(edges) = &self.edges {

@@ -12,11 +12,12 @@
 //! emission sequence)` first, so two runs of the same plan produce
 //! byte-identical artifacts regardless of rank scheduling.
 //!
-//! [`chrome_trace_flows`] additionally renders causal message edges as
-//! Chrome **flow events** (`"ph": "s"` at the send, `"ph": "f"` at the
-//! binding delivery) so Perfetto draws arrows between rank tracks;
-//! flow ids are the deterministic `src · 2³² + seq` and edges are
-//! sorted by `(src, seq)`, keeping the artifact byte-identical too.
+//! [`chrome_trace_flows`] also renders causal message edges, when it is
+//! given any, as Chrome **flow events** (`"ph": "s"` at the send,
+//! `"ph": "f"` at the binding delivery) so Perfetto draws arrows between
+//! rank tracks; flow ids are the deterministic `src · 2³² + seq` and
+//! edges are sorted by `(src, seq)`, keeping the artifact
+//! byte-identical too.
 
 use crate::causal::CausalEdge;
 use crate::json::{self, Value};
@@ -108,27 +109,14 @@ fn track_metadata(tracks: &[u32]) -> Vec<String> {
 }
 
 /// Renders events as a Chrome `trace_event` JSON array in export order
-/// (the input order does not matter).
-#[must_use]
-pub fn chrome_trace(events: &[Event]) -> String {
-    let mut sorted: Vec<&Event> = events.iter().collect();
-    sort_for_export(&mut sorted);
-    // Track-name metadata, one per distinct track.
-    let mut tracks: Vec<u32> = sorted.iter().map(|e| e.track).collect();
-    tracks.sort_unstable();
-    tracks.dedup();
-    let mut lines = track_metadata(&tracks);
-    lines.extend(sorted.iter().map(|e| event_row(e).1));
-    format!("[\n{}\n]\n", lines.join(",\n"))
-}
-
-/// Renders events plus causal message edges as a Chrome `trace_event`
-/// array with **flow events**: each edge becomes a `"ph": "s"` record
-/// on the sender's track at the departure time and a `"ph": "f"`
-/// (binding-point `"e"`) record on the receiver's track at the
-/// arrival, sharing the deterministic id `src · 2³² + seq` — Perfetto
-/// draws the rank → rank arrows of the blame chain. Rows are merged so
-/// `ts` stays monotone per track; byte-identical across runs.
+/// (the input order does not matter), with one track-name metadata
+/// record per track. Each causal message edge becomes a pair of **flow
+/// events**: a `"ph": "s"` record on the sender's track at the
+/// departure time and a `"ph": "f"` (binding-point `"e"`) record on the
+/// receiver's track at the arrival, sharing the deterministic id
+/// `src · 2³² + seq` — Perfetto draws the rank → rank arrows of the
+/// blame chain. Rows are merged so `ts` stays monotone per track;
+/// byte-identical across runs. Callers without edges pass `&[]`.
 #[must_use]
 pub fn chrome_trace_flows(events: &[Event], edges: &[CausalEdge]) -> String {
     let mut sorted: Vec<&Event> = events.iter().collect();
@@ -342,28 +330,6 @@ pub fn validate_chrome_trace(doc: &str) -> Result<ChromeSummary, String> {
     Ok(summary)
 }
 
-/// Validates a JSONL stream: every line parses as a JSON object with
-/// `kind`, `name`, and `track` fields. Returns the line count.
-///
-/// # Errors
-/// Describes the first bad line.
-pub fn validate_jsonl(doc: &str) -> Result<usize, String> {
-    let mut n = 0;
-    for (i, line) in doc.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        for field in ["kind", "name", "track"] {
-            if v.get(field).is_none() {
-                return Err(format!("line {} missing {field:?}", i + 1));
-            }
-        }
-        n += 1;
-    }
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,7 +385,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_validates_and_summarizes() {
-        let doc = chrome_trace(&sample_events());
+        let doc = chrome_trace_flows(&sample_events(), &[]);
         let summary = validate_chrome_trace(&doc).unwrap();
         assert_eq!(summary.events, 4);
         assert_eq!(summary.tracks, 2);
@@ -459,7 +425,10 @@ mod tests {
         let evs = sample_events();
         let mut reversed = evs.clone();
         reversed.reverse();
-        assert_eq!(chrome_trace(&evs), chrome_trace(&reversed));
+        assert_eq!(
+            chrome_trace_flows(&evs, &[]),
+            chrome_trace_flows(&reversed, &[])
+        );
         assert_eq!(jsonl(&evs), jsonl(&reversed));
     }
 
@@ -495,11 +464,6 @@ mod tests {
         let mut reversed = edges.clone();
         reversed.reverse();
         assert_eq!(doc, chrome_trace_flows(&sample_events(), &reversed));
-        // Without edges the flow export degrades to the plain trace.
-        assert_eq!(
-            validate_chrome_trace(&chrome_trace_flows(&sample_events(), &[])).unwrap(),
-            validate_chrome_trace(&chrome_trace(&sample_events())).unwrap()
-        );
     }
 
     #[test]
@@ -531,21 +495,5 @@ mod tests {
         ]"#;
         let err = validate_chrome_trace(duplicate).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn jsonl_lines_parse_and_carry_attrs() {
-        let doc = jsonl(&sample_events());
-        assert_eq!(validate_jsonl(&doc).unwrap(), 4);
-        let span_line = doc
-            .lines()
-            .find(|l| l.contains("\"op\""))
-            .expect("op span exported");
-        let v = crate::json::parse(span_line).unwrap();
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("span"));
-        assert_eq!(
-            v.get("attrs").unwrap().get("dir").unwrap().as_str(),
-            Some("write")
-        );
     }
 }

@@ -60,7 +60,7 @@
 //! let events = sink.take_events();
 //! assert_eq!(events.len(), 1);
 //! assert!(matches!(events[0].kind, EventKind::Span { .. }));
-//! let trace = mccio_obs::export::chrome_trace(&events);
+//! let trace = mccio_obs::export::chrome_trace_flows(&events, &[]);
 //! mccio_obs::export::validate_chrome_trace(&trace).unwrap();
 //! ```
 

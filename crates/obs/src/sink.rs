@@ -39,7 +39,7 @@ struct Inner {
     /// retention and absorbs everything it declines.
     stream: Option<Mutex<StreamAgg>>,
     /// Present once [`ObsSink::with_causal`] is called: the online
-    /// happens-before fold the engine's world hooks into.
+    /// happens-before fold the engine's ranks report to.
     causal: OnceLock<Arc<CausalAgg>>,
 }
 
@@ -85,8 +85,9 @@ impl ObsSink {
     }
 
     /// Arms message-causality tracing on this sink (builder style).
-    /// The engine installs the returned hook on its world at op start
-    /// and every delivery folds into the online frontier
+    /// Every rank of an operation hands the returned hook to its own
+    /// engine context on op entry, and every delivery folds into the
+    /// online frontier
     /// ([`crate::causal`]). Per-edge records for Chrome flow export are
     /// retained only on buffered sinks — a streaming sink keeps causal
     /// memory rank-bounded. A no-op on the disabled sink.
@@ -107,7 +108,8 @@ impl ObsSink {
             .is_some_and(|i| i.causal.get().is_some())
     }
 
-    /// The causal hook for the engine's world, when armed.
+    /// The causal hook each rank's engine context reports to, when
+    /// armed.
     #[must_use]
     pub fn causal_hook(&self) -> Option<Arc<dyn mccio_sim::causal::CausalSink>> {
         let agg = Arc::clone(self.inner.as_ref()?.causal.get()?);

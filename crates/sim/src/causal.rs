@@ -3,9 +3,9 @@
 //!
 //! The network engine (`mccio-net`) cannot depend on the observability
 //! crate (`mccio-obs`) — both sit directly above this crate — so the
-//! hook trait lives here. `obs::causal` implements it; the engine's
-//! `World` holds at most one installed sink and consults it at every
-//! send and at every receive settlement.
+//! hook trait lives here. `obs::causal` implements it; each rank's
+//! engine context holds the sink it was given for its current operation
+//! and consults it at each of its sends and receive settlements.
 //!
 //! Contract, in causality order:
 //!

@@ -5,10 +5,11 @@
 use mccio_suite::core::prelude::*;
 use mccio_suite::mpiio::IoReport;
 use mccio_suite::net::ExecutorKind;
-use mccio_suite::obs::{export, EventKind, ObsSink, ENGINE_TRACK};
+use mccio_suite::obs::{analyze, export, EventKind, ObsSink, ENGINE_TRACK};
 use mccio_suite::sim::cost::CostModel;
+use mccio_suite::sim::time::VTime;
 use mccio_suite::sim::topology::{test_cluster, FillOrder, Placement};
-use mccio_suite::sim::units::KIB;
+use mccio_suite::sim::units::{GIB, KIB, MIB};
 use mccio_suite::workloads::data;
 
 /// Containment tolerance: phase spans tile their round from f64 sums of
@@ -182,10 +183,84 @@ fn span_streams_are_bit_identical_across_executors() {
 }
 
 #[test]
+fn exported_traces_are_byte_identical_across_executors_under_faults() {
+    // Fault events land on the engine track from whichever rank applies
+    // them first, while the root writes the rest of that track. Every
+    // such mark sits between two collectives all ranks take part in, so
+    // the export order — `(track, at, seq)` — cannot depend on the
+    // schedule. The revocations fire mid-write and starve the read's
+    // reservation, whose retry pauses apply the restores.
+    let plan = || {
+        (0..2).fold(FaultPlan::new(0xACE), |plan, node| {
+            plan.revoke_memory_at(VTime::from_secs(1e-9), node, GIB)
+                .restore_memory_at(VTime::from_secs(0.013), node, GIB)
+        })
+    };
+    let strategies: [Box<dyn Strategy>; 2] = [
+        Box::new(TwoPhase(TwoPhaseConfig::with_buffer(96 * KIB))),
+        Box::new(MemoryConscious(MccioConfig::new(
+            Tuning {
+                n_ah: 2,
+                msg_ind: 256 * KIB,
+                mem_min: 128 * KIB,
+                msg_group: MIB,
+            },
+            96 * KIB,
+            16 * KIB,
+        ))),
+    ];
+    for strategy in &strategies {
+        let export = |kind| {
+            let cluster = test_cluster(2, 2);
+            let placement = Placement::new(&cluster, 4, FillOrder::Block).unwrap();
+            let world = World::with_executor(CostModel::new(cluster.clone()), placement, kind);
+            let obs = ObsSink::enabled();
+            let env = IoEnv::with_faults(
+                FileSystem::new(4, 16 * KIB, PfsParams::default()),
+                MemoryModel::pristine(&cluster),
+                plan(),
+            )
+            .with_obs(obs.clone());
+            world.run(|ctx| {
+                let env = env.clone();
+                let handle = env.fs.open_or_create("faulty");
+                let extents = ExtentList::normalize(vec![Extent::new(
+                    ctx.rank() as u64 * 256 * KIB,
+                    256 * KIB,
+                )]);
+                let payload = data::fill(&extents);
+                write_all(ctx, &env, &handle, &extents, &payload, &**strategy);
+                read_all(ctx, &env, &handle, &extents, &**strategy);
+            });
+            let events = obs.events();
+            for name in ["reserve.retry", "fault.mem.restore"] {
+                assert!(
+                    events.iter().any(|e| e.name == name),
+                    "{}: no {name} event",
+                    strategy.name()
+                );
+            }
+            (
+                export::jsonl(&events),
+                export::chrome_trace_flows(&events, &[]),
+            )
+        };
+        let canonical = export(ExecutorKind::Event);
+        for kind in ExecutorKind::EXPLORED {
+            assert!(
+                export(kind) == canonical,
+                "{}: exported trace diverged under {kind:?}",
+                strategy.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn chrome_export_validates_with_full_coverage() {
     let obs = ObsSink::enabled();
     run_op(&obs);
-    let chrome = export::chrome_trace(&obs.events());
+    let chrome = export::chrome_trace_flows(&obs.events(), &[]);
     let summary = export::validate_chrome_trace(&chrome)
         .unwrap_or_else(|e| panic!("chrome trace invalid: {e}"));
     assert!(summary.events > 0);
@@ -196,6 +271,6 @@ fn chrome_export_validates_with_full_coverage() {
     }
 
     let jsonl = export::jsonl(&obs.events());
-    let lines = export::validate_jsonl(&jsonl).expect("jsonl validates");
-    assert_eq!(lines, obs.len());
+    let lines = analyze::from_jsonl(&jsonl).map(|e| e.len());
+    assert_eq!(lines, Ok(obs.len()), "jsonl replays");
 }
