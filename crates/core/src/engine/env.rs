@@ -12,10 +12,11 @@ use mccio_pfs::FileSystem;
 use mccio_sim::fault::FaultPlan;
 use mccio_sim::sync::Mutex;
 
-use super::wire::fnv1a_fmt;
-use crate::plan::CollectivePlan;
+use crate::mccio::MccioConfig;
+use crate::plan::{CollectivePlan, PlanIndex};
 use crate::resilience::FaultState;
 use crate::schedule::CommSchedule;
+use crate::two_phase::TwoPhaseConfig;
 
 /// Entries the plan cache retains. Collective operations are planned in
 /// lock-step, so at any instant the live set is one plan per in-flight
@@ -23,9 +24,24 @@ use crate::schedule::CommSchedule;
 /// ladder rungs, and one in the steady state of a repeated access.
 const PLAN_CACHE_CAP: usize = 16;
 
-/// Retained per-rank schedules of one plan: one slot per group member
-/// (in group order) and per integrity flag (`[healthy, crash-gated]`).
-type ScheduleSlots = [[OnceLock<Arc<CommSchedule>>; 2]];
+/// The strategy half of a plan-cache key: which planner, with which
+/// configuration. Compared with `==`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanKey {
+    /// [`crate::strategy::TwoPhase`]'s planner.
+    TwoPhase(TwoPhaseConfig),
+    /// [`crate::strategy::MemoryConscious`]'s planner.
+    MemoryConscious(MccioConfig),
+}
+
+/// What a cached plan keeps for the schedule builds of its ranks: the
+/// plan-wide index every build reads, and the retained per-rank
+/// schedules — one slot per group member (in group order) and per
+/// integrity flag (`[healthy, crash-gated]`).
+struct Retained {
+    index: PlanIndex,
+    schedules: Box<[[OnceLock<Arc<CommSchedule>>; 2]]>,
+}
 
 /// One memoized collective plan and the schedules built from it.
 ///
@@ -35,8 +51,7 @@ type ScheduleSlots = [[OnceLock<Arc<CommSchedule>>; 2]];
 ///   a group holds the same decoded pattern, and a repeated gather of
 ///   an unchanged access returns that same `Arc` again (see
 ///   [`GroupPattern::gather`]);
-/// * *which* strategy configuration (an FNV-1a fingerprint of its
-///   debug rendering);
+/// * *which* strategy configuration ([`PlanKey`]);
 /// * *which* memory landscape: the per-node free bytes
 ///   ([`MemoryModel::availability`]) the plan was computed against, on
 ///   the memory model `mem`. Equality is exact, so a re-plan after a
@@ -52,13 +67,13 @@ type ScheduleSlots = [[OnceLock<Arc<CommSchedule>>; 2]];
 /// pointers from being recycled while the entry lives.
 struct PlanEntry {
     pattern: Arc<GroupPattern>,
-    strategy_fp: u64,
+    key: PlanKey,
     mem: MemoryModel,
     avail: Vec<u64>,
     /// `(version, verdict)` of the last snapshot comparison.
     seen: (u64, bool),
     plan: Arc<CollectivePlan>,
-    schedules: Arc<ScheduleSlots>,
+    retained: Arc<Retained>,
 }
 
 impl PlanEntry {
@@ -181,10 +196,10 @@ impl IoEnv {
         ctx.set_causal_hook(self.obs.causal_hook());
     }
 
-    /// Returns the memoized collective plan for (`pattern`,
-    /// `strategy_key`, current memory availability), computing it with
-    /// `compute` on the first call. The key is FNV-1a-hashed as it is
-    /// rendered, so callers pass `format_args!` and no string is built.
+    /// Returns the memoized collective plan for (`pattern`, `key`,
+    /// current memory availability), computing it with `compute` on the
+    /// first call. A computed plan's invariants are asserted here, once:
+    /// every operation that executes it afterwards skips the check.
     ///
     /// SPMD redundancy elimination: every rank of a group plans the
     /// identical operation against identical inputs, so the first rank
@@ -206,36 +221,40 @@ impl IoEnv {
     pub fn plan_cached(
         &self,
         pattern: &Arc<GroupPattern>,
-        strategy_key: fmt::Arguments<'_>,
+        key: PlanKey,
         compute: impl FnOnce() -> CollectivePlan,
     ) -> Arc<CollectivePlan> {
-        let strategy_fp = fnv1a_fmt(strategy_key);
         let mut entries = self.plans.entries.lock();
         for e in entries.iter_mut() {
-            if e.strategy_fp == strategy_fp && Arc::ptr_eq(&e.pattern, pattern) && e.sees(&self.mem)
-            {
+            if e.key == key && Arc::ptr_eq(&e.pattern, pattern) && e.sees(&self.mem) {
                 return Arc::clone(&e.plan);
             }
         }
         let avail = self.mem.availability();
         let version = self.mem.state_fingerprint().1;
-        let plan = {
+        let (plan, index) = {
             let _t = mccio_sim::hostprof::timer(mccio_sim::hostprof::HostPhase::PlanBuild);
-            Arc::new(compute())
+            let plan = compute();
+            plan.assert_invariants();
+            let index = PlanIndex::new(&plan);
+            (Arc::new(plan), index)
         };
         if entries.len() == PLAN_CACHE_CAP {
             entries.remove(0);
         }
         entries.push(PlanEntry {
             pattern: Arc::clone(pattern),
-            strategy_fp,
+            key,
             mem: self.mem.clone(),
             avail,
             seen: (version, true),
             plan: Arc::clone(&plan),
-            schedules: (0..pattern.group().len())
-                .map(|_| Default::default())
-                .collect(),
+            retained: Arc::new(Retained {
+                index,
+                schedules: (0..pattern.group().len())
+                    .map(|_| Default::default())
+                    .collect(),
+            }),
         });
         plan
     }
@@ -248,12 +267,12 @@ impl IoEnv {
     /// a fresh build would return: `plan` and `pattern` are the very
     /// objects a [`IoEnv::plan_cached`] entry holds (pointer identity),
     /// `me` is a member, and `my_extents` equals the member's extents in
-    /// the gathered pattern. Anything else — a hand-built plan, a
-    /// pattern from [`GroupPattern::from_parts`] — is built uncached by
-    /// the same [`CommSchedule::build_with_integrity`], so cached and
-    /// fresh schedules come from one builder. Callers that patch a
-    /// schedule (crash recovery) replace their `Arc`, never the shared
-    /// value.
+    /// the gathered pattern. Anything else is built uncached by the same
+    /// [`CommSchedule::build_indexed`]; a plan no entry holds (a
+    /// hand-built one) has its invariants asserted first, as
+    /// [`IoEnv::plan_cached`] asserts a cached plan's once. Callers that
+    /// patch a schedule (crash recovery) replace their `Arc`, never the
+    /// shared value.
     #[must_use]
     pub(crate) fn schedule_cached(
         &self,
@@ -263,20 +282,24 @@ impl IoEnv {
         my_extents: &ExtentList,
         integrity: bool,
     ) -> Arc<CommSchedule> {
-        let build = || {
+        let build = |index: &PlanIndex| {
             let _t = mccio_sim::hostprof::timer(mccio_sim::hostprof::HostPhase::ScheduleBuild);
-            Arc::new(CommSchedule::build_with_integrity(
-                plan, pattern, me, my_extents, integrity,
+            Arc::new(CommSchedule::build_indexed(
+                plan, index, pattern, me, my_extents, integrity,
             ))
         };
-        let Some(slots) = self.schedule_slots(plan, pattern) else {
-            return build();
+        let Some(retained) = self.retained(plan, pattern) else {
+            plan.assert_invariants();
+            return build(&PlanIndex::of_rank(plan, me));
         };
         match pattern.group().index_of(me) {
             Some(idx) if pattern.extents_of_index(idx).as_slice() == my_extents.as_slice() => {
-                Arc::clone(slots[idx][usize::from(integrity)].get_or_init(build))
+                Arc::clone(
+                    retained.schedules[idx][usize::from(integrity)]
+                        .get_or_init(|| build(&retained.index)),
+                )
             }
-            _ => build(),
+            _ => build(&retained.index),
         }
     }
 
@@ -291,23 +314,22 @@ impl IoEnv {
         me: usize,
         integrity: bool,
     ) -> Option<Arc<CommSchedule>> {
-        let slots = self.schedule_slots(plan, pattern)?;
+        let retained = self.retained(plan, pattern)?;
         let idx = pattern.group().index_of(me)?;
-        slots[idx][usize::from(integrity)].get().cloned()
+        retained.schedules[idx][usize::from(integrity)]
+            .get()
+            .cloned()
     }
 
-    /// The schedule slots of the cache entry holding exactly `plan` and
-    /// `pattern`. Cloned out so schedules build outside the lock.
-    fn schedule_slots(
-        &self,
-        plan: &CollectivePlan,
-        pattern: &GroupPattern,
-    ) -> Option<Arc<ScheduleSlots>> {
+    /// What the cache entry holding exactly `plan` and `pattern` keeps
+    /// for its schedule builds. Cloned out so schedules build outside
+    /// the lock.
+    fn retained(&self, plan: &CollectivePlan, pattern: &GroupPattern) -> Option<Arc<Retained>> {
         self.plans
             .entries
             .lock()
             .iter()
             .find(|e| std::ptr::eq(&*e.plan, plan) && std::ptr::eq(&*e.pattern, pattern))
-            .map(|e| Arc::clone(&e.schedules))
+            .map(|e| Arc::clone(&e.retained))
     }
 }

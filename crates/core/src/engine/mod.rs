@@ -55,7 +55,7 @@ mod rounds;
 mod settle;
 mod wire;
 
-pub use env::IoEnv;
+pub use env::{IoEnv, PlanKey};
 pub(crate) use wire::CHECKSUM_TRAILER;
 
 use mccio_mpiio::{ExtentList, GroupPattern, IoReport, Resilience};
@@ -366,6 +366,20 @@ mod tests {
             let plan = simple_plan(pattern.global_range().unwrap(), 64, &[1]);
             let (back, _) = execute_read(ctx, &env, &handle, &plan, &pattern, &extents);
             assert_eq!(back, (0..=255u8).collect::<Vec<_>>());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps its predecessor")]
+    fn a_hand_built_plan_with_overlapping_domains_is_refused() {
+        let e = env();
+        world().run(|ctx| {
+            let (extents, data) = (rank_extents(ctx.rank()), rank_data(ctx.rank()));
+            let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
+            let mut plan = simple_plan(pattern.global_range().unwrap(), 100, &[0, 2]);
+            plan.domains[1].domain.offset -= 1;
+            let handle = e.fs.open_or_create("overlap");
+            execute_write(ctx, &e, &handle, &plan, &pattern, &extents, &data)
         });
     }
 

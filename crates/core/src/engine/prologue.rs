@@ -9,14 +9,13 @@ use std::sync::Arc;
 
 use mccio_mem::Reservation;
 use mccio_mpiio::{IoReport, OpMetrics, Resilience};
-use mccio_net::{Ctx, RankSet, RecycleStats};
+use mccio_net::{Ctx, RankSet};
 use mccio_obs::{AttrValue, ObsSink, ENGINE_TRACK};
 use mccio_pfs::IoFaults;
 use mccio_sim::error::{SimError, SimResult};
 use mccio_sim::fault::{FaultEvent, TimedEvent};
 use mccio_sim::time::VTime;
 
-use crate::plan::CollectivePlan;
 use crate::resilience::MAX_ESCALATIONS;
 
 use super::env::IoEnv;
@@ -38,8 +37,6 @@ pub(super) struct OpState {
     /// Per-rank engine counters accumulated across the round loop
     /// (local facts only — filling them never moves virtual time).
     pub(super) scratch: OpMetrics,
-    /// World-recycler counters at open; [`close`] reports the delta.
-    recycle0: RecycleStats,
     /// Aggregation buffers held for the whole operation.
     reservations: Vec<Reservation>,
 }
@@ -147,8 +144,11 @@ pub(super) fn mark_fault_events(obs: &ObsSink, fired: &[TimedEvent]) {
     }
 }
 
-/// The shared prologue: invariants, clock sync, due fault events, and
-/// the (collective, under faults) aggregation-buffer reservation.
+/// The shared prologue: clock sync, due fault events, and the
+/// (collective, under faults) reservation of `demands`, this rank's
+/// aggregation buffers (its schedule's [`buffers`]).
+///
+/// [`buffers`]: crate::schedule::CommSchedule::buffers
 ///
 /// # Errors
 /// Returns [`SimError::TransientIo`] when aggregation memory cannot be
@@ -157,10 +157,9 @@ pub(super) fn mark_fault_events(obs: &ObsSink, fired: &[TimedEvent]) {
 pub(super) fn open(
     ctx: &mut Ctx,
     env: &IoEnv,
-    plan: &CollectivePlan,
+    demands: &[u64],
     res: &mut Resilience,
 ) -> SimResult<OpState> {
-    plan.assert_invariants();
     let active = env.faults().is_active();
     let world = ctx.world_ranks();
     let me = ctx.rank();
@@ -174,16 +173,10 @@ pub(super) fn open(
     // Aggregators reserve their buffers for the whole operation. The
     // healthy path pages infallibly (pressure, not failure); under a
     // fault plan reservation is collective and can be refused.
-    let my_demands: Vec<u64> = plan
-        .domains
-        .iter()
-        .filter(|d| d.aggregator == me)
-        .map(|d| d.buffer)
-        .collect();
     let reservations: Vec<Reservation> = if active {
-        reserve_collectively(ctx, env, &world, &my_demands, res)?
+        reserve_collectively(ctx, env, &world, demands, res)?
     } else {
-        my_demands
+        demands
             .iter()
             .map(|&bytes| env.mem.reserve(ctx.node(), bytes))
             .collect()
@@ -216,7 +209,6 @@ pub(super) fn open(
         faults,
         pool: BufferPool::backed(Arc::clone(ctx.world().recycler())),
         scratch: OpMetrics::default(),
-        recycle0: ctx.world().recycler().stats(),
         reservations,
     })
 }
@@ -236,9 +228,8 @@ pub(super) fn close(
         "buffer-pool loan leaked out of the round loop"
     );
     // Retire the op pool now so its free list drains into the world
-    // recycler before we snapshot the recycler's counters below.
+    // recycler for the next operation.
     let pstats = state.pool.finish();
-    let recycle = ctx.world().recycler().stats();
     if env.obs().is_enabled() {
         // The paired half of the prologue's `mem.reserve` marks: every
         // buffer held for the operation releases here, at the virtual
@@ -280,25 +271,6 @@ pub(super) fn close(
         obs.counter_add("pool.misses", pstats.misses);
         obs.counter_add("recycle.takes", pstats.recycle_takes);
         obs.counter_add("recycle.returns", pstats.recycle_returns);
-        // Recycler hit/miss splits and live-byte marks are world-global
-        // (and rank-schedule-dependent), so one
-        // rank reports them as gauges — observability, never compared
-        // bit-for-bit.
-        if ctx.rank() == 0 {
-            obs.gauge_set(
-                "recycle.hits",
-                (recycle.hits.saturating_sub(state.recycle0.hits)) as f64,
-            );
-            obs.gauge_set(
-                "recycle.misses",
-                (recycle.misses.saturating_sub(state.recycle0.misses)) as f64,
-            );
-            obs.gauge_max("recycle.peak_live_bytes", recycle.peak_live_bytes as f64);
-            obs.gauge_set("recycle.retained_bytes", recycle.retained_bytes as f64);
-            let slab = mccio_net::slab_stats();
-            obs.gauge_set("exec.stacks_reused", slab.reused as f64);
-            obs.gauge_set("exec.stacks_fresh", slab.fresh as f64);
-        }
         // One rank snapshots the per-node memory high-water marks so the
         // registry's histogram (and its CoV) reflects each node once per
         // operation, not once per rank.

@@ -58,7 +58,7 @@ use mccio_sim::error::{SimError, SimResult};
 use mccio_sim::time::{VDuration, VTime};
 
 use crate::placement::{reelect_aggregator, AggregatorLoad};
-use crate::plan::CollectivePlan;
+use crate::plan::{CollectivePlan, PlanIndex};
 use crate::schedule::CommSchedule;
 
 use super::env::IoEnv;
@@ -272,9 +272,9 @@ impl CrashTracker {
         // cached plan, which later operations reuse, so recovery swaps
         // in a fresh `Arc` and never mutates the shared value.
         let n_rounds = schedule.rounds.len();
-        *schedule = Arc::new(CommSchedule::build_with_integrity(
-            plan, pattern, me, my_extents, true,
-        ));
+        let index = PlanIndex::of_rank(plan, me);
+        let rebuilt = CommSchedule::build_indexed(plan, &index, pattern, me, my_extents, true);
+        *schedule = Arc::new(rebuilt);
         assert_eq!(
             schedule.rounds.len(),
             n_rounds,

@@ -28,7 +28,7 @@
 //! honest and every future engine capability paid for exactly once.
 
 use mccio_mpiio::sieve::{sieved_read_into, sieved_write_r};
-use mccio_mpiio::{ExtentList, GroupPattern, IoReport, Resilience};
+use mccio_mpiio::{Extent, ExtentList, GroupPattern, IoReport, Resilience};
 use mccio_net::wire::put_u64;
 use mccio_net::Ctx;
 use mccio_obs::{AttrValue, ENGINE_TRACK};
@@ -36,16 +36,14 @@ use mccio_pfs::{FileHandle, IoFaults, ServiceReport};
 use mccio_sim::error::SimResult;
 
 use crate::plan::CollectivePlan;
-use crate::schedule::RoundSchedule;
+use crate::schedule::{RankPieces, RoundSchedule};
 
 use super::env::IoEnv;
 use super::pool::BufferPool;
 use super::prologue::{self, drive_storage};
 use super::recover::CrashTracker;
 use super::settle::settle_round;
-use super::wire::{
-    append_section, decode_sections, retry_delta, seal_payload, verify_payload, SectionRef,
-};
+use super::wire::{append_section, retry_delta, seal_payload, Sections};
 
 /// The data plane of a collective operation: what varies between the
 /// write and read directions of the round loop.
@@ -98,7 +96,6 @@ pub(super) fn execute_op(
         debug_assert!(data.len() as u64 >= my_extents.total_bytes());
     }
     env.enter_op(ctx);
-    let mut state = prologue::open(ctx, env, plan, res)?;
     let me = ctx.rank();
     // Everything crash recovery needs — payload checksums, the agreed
     // clock, the mutable live plan — is gated on the plan actually
@@ -107,8 +104,10 @@ pub(super) fn execute_op(
     let integrity = env.faults().plan().has_crashes();
     // Persistent: the schedule is built on this rank's first op under
     // this plan and reused by every later one (the read after the write,
-    // the next repetition of the access).
+    // the next repetition of the access). It also carries the buffers
+    // the prologue reserves.
     let mut schedule = env.schedule_cached(plan, pattern, me, my_extents, integrity);
+    let mut state = prologue::open(ctx, env, &schedule.buffers, res)?;
     let mut tracker = CrashTracker::begin(ctx, env, &state.world);
     let mut live_plan = tracker.as_ref().map(|_| plan.clone());
     let obs = env.obs().clone();
@@ -128,7 +127,6 @@ pub(super) fn execute_op(
             ],
         );
     }
-    let my_cum = my_extents.cumulative_offsets();
     let mut out = match op {
         Op::Write { .. } => None,
         Op::Read => Some(vec![0u8; my_extents.total_bytes() as usize]),
@@ -201,8 +199,7 @@ pub(super) fn execute_op(
                 integrity,
             ),
             Op::Read => scatter_into(
-                my_extents,
-                &my_cum,
+                rs,
                 received,
                 out.as_mut().expect("read allocates its output buffer"),
                 &mut facts,
@@ -327,13 +324,14 @@ fn client_sends(
     per_dst
 }
 
-/// Write absorb-half: decode received sections and store each scheduled
-/// window. A hole-free window (single-extent union) gathers the pieces
-/// straight into the file as the one span write the sieve would issue —
-/// no assembly buffer at all; a window with holes assembles into a
-/// pooled buffer and goes through the sieve's read-modify-write.
-/// Payloads and assembly buffers retire into the pool for the next
-/// round.
+/// Write absorb-half: store each scheduled window, its contributors in
+/// rank order each handing over their payload's next section (checked
+/// against the schedule, never decoded). A hole-free window
+/// (single-extent union) gathers the pieces straight into the file as
+/// the one span write the sieve would issue — no assembly buffer at
+/// all; a window with holes assembles into a pooled buffer and goes
+/// through the sieve's read-modify-write. Payloads and assembly buffers
+/// retire into the pool for the next round.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_and_store(
     handle: &FileHandle,
@@ -345,45 +343,38 @@ fn aggregate_and_store(
     pool: &BufferPool,
     integrity: bool,
 ) {
-    // Pass 1: decode section references (no byte copies), verifying the
-    // end-to-end checksum first under a crash plan. The decoded ranges
-    // index into the payload from its start, so verifying (a body
-    // prefix) and decoding compose without a copy.
-    let decoded: Vec<(Vec<u8>, Vec<SectionRef>)> = received
-        .into_iter()
-        .map(|(_, payload)| {
-            let sections = if integrity {
-                facts.integrity += 1;
-                decode_sections(verify_payload(&payload))
-            } else {
-                decode_sections(&payload)
-            };
-            (payload, sections)
-        })
+    // `received` follows `rs.agg_sources`, so a contributor's payload is
+    // found by binary search there.
+    let mut payloads: Vec<Sections<'_>> = received
+        .iter()
+        .map(|(_, payload)| Sections::new(payload, integrity))
         .collect();
-    // Pass 2: move payload bytes into the file, one priced access per
-    // window.
+    if integrity {
+        facts.integrity += received.len() as u64;
+    }
+    // Lays contributor `rp`'s next section into `dst`, each piece at
+    // `pos(piece)`.
+    let mut land = |rp: &RankPieces, domain, dst: &mut [u8], pos: &dyn Fn(Extent) -> usize| {
+        let i = rs
+            .agg_sources
+            .binary_search(&rp.rank)
+            .expect("every contributor is a scheduled source");
+        let pieces = rp.pieces.as_slice();
+        let bytes = payloads[i].take(domain, pieces.iter().copied());
+        place(bytes, dst, pieces.iter().map(|&e| (pos(e), e.len)));
+    };
     for ws in &rs.agg_windows {
         facts.assembled += ws.assembly_bytes;
         if let [span] = ws.union.as_slice() {
             // The union tiles the span, so the sieve would blind-write
             // exactly this range; scatter the pieces into it directly.
-            // Piece application order matches the assembly path
-            // (payload arrival order), so overlapping writers resolve
-            // identically.
+            // Contributors apply in rank order, as on the assembly path,
+            // so overlapping writers resolve identically. The fill runs
+            // once, on the attempt that succeeds.
             let r = drive_storage(faults, |f| {
                 handle.try_write_at_with(span.offset, span.len, f, |dst| {
-                    for (payload, sections) in &decoded {
-                        for (sd, pieces) in sections {
-                            if *sd as usize != ws.domain {
-                                continue;
-                            }
-                            for (e, range) in pieces {
-                                let pos = (e.offset - span.offset) as usize;
-                                dst[pos..pos + e.len as usize]
-                                    .copy_from_slice(&payload[range.clone()]);
-                            }
-                        }
+                    for rp in &ws.per_rank {
+                        land(rp, ws.domain, dst, &|e| (e.offset - span.offset) as usize);
                     }
                 })
             });
@@ -391,25 +382,29 @@ fn aggregate_and_store(
             continue;
         }
         let mut buf = pool.loan_filled(ws.assembly_bytes as usize);
-        for (payload, sections) in &decoded {
-            for (sd, pieces) in sections {
-                if *sd as usize != ws.domain {
-                    continue;
-                }
-                for (e, range) in pieces {
-                    let pos = ws.position(e.offset);
-                    buf[pos..pos + e.len as usize].copy_from_slice(&payload[range.clone()]);
-                }
-            }
+        for rp in &ws.per_rank {
+            land(rp, ws.domain, &mut buf, &|e| ws.position(e.offset));
         }
         let out = drive_storage(faults, |f| {
             sieved_write_r(handle, &ws.union, &buf, ws.sieve(), f)
         });
         report.merge(&out.report);
     }
-    for (payload, _) in decoded {
+    payloads.into_iter().for_each(Sections::finish);
+    for (_, payload) in received {
         pool.put(payload);
     }
+}
+
+/// Lays a section's packed bytes into `dst`: consecutive runs of
+/// `bytes`, one per `(position, len)` piece.
+fn place(mut bytes: &[u8], dst: &mut [u8], pieces: impl Iterator<Item = (usize, u64)>) {
+    for (pos, len) in pieces {
+        let (piece, rest) = bytes.split_at(len as usize);
+        dst[pos..pos + piece.len()].copy_from_slice(piece);
+        bytes = rest;
+    }
+    debug_assert!(bytes.is_empty(), "a section's bytes are its pieces'");
 }
 
 /// Read contribute-half: fetch each scheduled window with one priced
@@ -483,36 +478,180 @@ fn fetch_and_scatter_sends(
     per_dst
 }
 
-/// Read absorb-half: scatter received pieces into this rank's packed
-/// output buffer via the shared cumulative-offset layout, retiring the
-/// payloads into the pool.
+/// Read absorb-half: walk each aggregator's payload, match every
+/// section to the scheduled client window of its domain, and copy each
+/// piece to the packed position the schedule resolved for it. Every
+/// window is filled exactly once, from its own aggregator; the payloads
+/// retire into the pool.
 fn scatter_into(
-    my_extents: &ExtentList,
-    my_cum: &[u64],
+    rs: &RoundSchedule,
     received: Vec<(usize, Vec<u8>)>,
     out: &mut [u8],
     facts: &mut RoundFacts,
     pool: &BufferPool,
     integrity: bool,
 ) {
-    for (_, payload) in received {
-        let sections = if integrity {
-            facts.integrity += 1;
-            decode_sections(verify_payload(&payload))
-        } else {
-            decode_sections(&payload)
-        };
-        for (_, pieces) in sections {
-            for (e, range) in pieces {
-                // Each piece lies within exactly one of my extents.
-                let slice = my_extents.as_slice();
-                let idx = slice.partition_point(|x| x.end() <= e.offset);
-                let target = slice[idx];
-                debug_assert!(target.contains(e.offset) && e.end() <= target.end());
-                let pos = (my_cum[idx] + (e.offset - target.offset)) as usize;
-                out[pos..pos + e.len as usize].copy_from_slice(&payload[range]);
-            }
+    if integrity {
+        facts.integrity += received.len() as u64;
+    }
+    let mut filled = 0;
+    for (src, payload) in &received {
+        let mut sections = Sections::new(payload, integrity);
+        while let Some(domain) = sections.peek_domain() {
+            let cw = rs
+                .client_windows
+                .binary_search_by_key(&domain, |cw| cw.domain)
+                .map(|i| &rs.client_windows[i])
+                .unwrap_or_else(|_| panic!("rank {src} sent unscheduled domain {domain}"));
+            assert_eq!(
+                rs.client_dsts[cw.dst].rank, *src,
+                "domain {domain} arrived from the wrong aggregator"
+            );
+            let bytes = sections.take(domain, cw.pieces.iter().map(|&(e, _)| e));
+            place(
+                bytes,
+                out,
+                cw.pieces.iter().map(|&(e, at)| (at as usize, e.len)),
+            );
+            filled += 1;
         }
+        sections.finish();
+    }
+    assert_eq!(
+        filled,
+        rs.client_windows.len(),
+        "a scheduled window received no section"
+    );
+    for (_, payload) in received {
         pool.put(payload);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use mccio_net::{BytePool, RankSet};
+    use mccio_pfs::{FileSystem, PfsParams};
+
+    use super::*;
+    use crate::plan::DomainPlan;
+    use crate::schedule::CommSchedule;
+
+    /// Rank 0 owns `[0, 10)` and `[20, 30)`, rank 1 the gaps between;
+    /// rank 1 aggregates both 20-byte domains in one round. Returns each
+    /// rank's schedule of that round.
+    fn schedules() -> [RoundSchedule; 2] {
+        let lists = [[(0, 10), (20, 10)], [(10, 10), (30, 10)]]
+            .map(|l| ExtentList::normalize(l.map(|(o, n)| Extent::new(o, n)).to_vec()));
+        let pattern = GroupPattern::from_parts(RankSet::world(2), lists.to_vec());
+        let domain = |offset| DomainPlan {
+            domain: Extent::new(offset, 20),
+            aggregator: 1,
+            buffer: 20,
+            group: 0,
+        };
+        let plan = CollectivePlan {
+            domains: vec![domain(0), domain(20)],
+        };
+        [0, 1].map(|me| {
+            let mut s = CommSchedule::build(&plan, &pattern, me, &lists[me]);
+            s.rounds.remove(0)
+        })
+    }
+
+    fn pool() -> BufferPool {
+        BufferPool::backed(Arc::new(BytePool::default()))
+    }
+
+    /// Rank 1 stores the round from both ranks' client payloads, the one
+    /// from rank 0 passed through `tamper` first.
+    fn store(tamper: impl FnOnce(&mut Vec<u8>)) {
+        let rs = schedules();
+        let pool = pool();
+        let mut facts = RoundFacts::default();
+        let mut sends = rs
+            .each_ref()
+            .map(|r| client_sends(r, &[9; 20], &mut facts, &pool, false));
+        tamper(&mut sends[0][0].1);
+        let received = sends.map(|mut s| s.remove(0)).to_vec();
+        let fs = FileSystem::new(4, 64, PfsParams::default());
+        aggregate_and_store(
+            &fs.open_or_create("f"),
+            &rs[1],
+            received,
+            &mut IoFaults::none(),
+            &mut ServiceReport::empty(4),
+            &mut facts,
+            &pool,
+            false,
+        );
+        assert_eq!(fs.open("f").unwrap().read_at(0, 40).0, vec![9; 40]);
+    }
+
+    /// Rank 0 scatters one payload from aggregator 1 carrying
+    /// `sections`, each `(domain, [(offset, len)])`.
+    fn scatter(sections: &[(u64, &[(u64, u64)])]) {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, sections.len() as u64);
+        for &(domain, pieces) in sections {
+            let pieces = pieces.iter().map(|&(o, n)| Extent::new(o, n)).collect();
+            append_section(&mut payload, domain, &ExtentList::normalize(pieces), |e| {
+                &[5; 64][..e.len as usize]
+            });
+        }
+        let mut out = vec![0; 20];
+        scatter_into(
+            &schedules()[0],
+            vec![(1, payload)],
+            &mut out,
+            &mut RoundFacts::default(),
+            &pool(),
+            false,
+        );
+        assert_eq!(out, vec![5; 20]);
+    }
+
+    const SCHEDULED: [(u64, &[(u64, u64)]); 2] = [(0, &[(0, 10)]), (1, &[(20, 10)])];
+
+    #[test]
+    fn payloads_that_match_the_schedule_land() {
+        store(|_| {});
+        scatter(&SCHEDULED);
+    }
+
+    #[test]
+    #[should_panic(expected = "piece header (1, 10) disagrees")]
+    fn a_write_piece_header_off_the_schedule_panics() {
+        // Count, domain and piece count precede the first offset word.
+        store(|p| p[24..32].copy_from_slice(&1u64.to_le_bytes()));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload carries 1 unscheduled sections")]
+    fn an_extra_write_section_panics() {
+        store(|p| {
+            p[..8].copy_from_slice(&3u64.to_le_bytes());
+            put_u64(p, 9);
+            put_u64(p, 0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "piece header (20, 5) disagrees")]
+    fn a_short_read_section_panics() {
+        scatter(&[SCHEDULED[0], (1, &[(20, 5)])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scheduled window received no section")]
+    fn a_missing_read_section_panics() {
+        scatter(&SCHEDULED[..1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "in domain order")]
+    fn an_extra_read_section_panics() {
+        scatter(&[SCHEDULED[0], SCHEDULED[1], SCHEDULED[1]]);
     }
 }

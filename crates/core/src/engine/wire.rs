@@ -7,12 +7,10 @@
 //! exact-size buffers — the count goes first, sections append behind
 //! it.
 
-use std::fmt;
-
 use mccio_mpiio::{Extent, ExtentList};
 use mccio_net::wire::{put_u64, Reader};
 use mccio_pfs::{RetryLog, ServerLoad, ServiceReport};
-use mccio_sim::hash::{fnv1a, Fnv1a};
+use mccio_sim::hash::fnv1a;
 use mccio_sim::time::VDuration;
 
 /// Appends one section (`domain`, the clipped extents, their bytes
@@ -38,14 +36,6 @@ pub(super) fn append_section<'p>(
 /// Bytes the end-to-end checksum trailer adds to a sealed payload.
 pub(crate) const CHECKSUM_TRAILER: usize = 8;
 
-/// FNV-1a over the text `args` renders to, streamed: equal to
-/// `fnv1a(format!("{args}").as_bytes())` with no string built.
-pub(super) fn fnv1a_fmt(args: fmt::Arguments<'_>) -> u64 {
-    let mut h = Fnv1a::new();
-    fmt::write(&mut h, args).expect("hashing a rendering cannot fail");
-    h.finish()
-}
-
 /// Seals a fully-encoded shuffle payload with its FNV-1a trailer. Only
 /// called when the fault plan schedules crashes (the schedule sized the
 /// payload for the extra [`CHECKSUM_TRAILER`] bytes).
@@ -60,7 +50,7 @@ pub(super) fn seal_payload(buf: &mut Vec<u8>) {
 /// Panics on checksum mismatch: inside the simulator a corrupt payload
 /// can only mean an engine bug (a replayed round delivering stale
 /// bytes), and that must never be silently priced as success.
-pub(super) fn verify_payload(payload: &[u8]) -> &[u8] {
+fn verify_payload(payload: &[u8]) -> &[u8] {
     assert!(
         payload.len() >= CHECKSUM_TRAILER,
         "sealed payload shorter than its trailer"
@@ -75,37 +65,80 @@ pub(super) fn verify_payload(payload: &[u8]) -> &[u8] {
     body
 }
 
-/// A decoded section referencing payload bytes by range — no copies
-/// until the bytes land in their final buffer. Round volumes reach
-/// gigabytes; every avoided copy is real memory.
-pub(super) type SectionRef = (u64, Vec<(Extent, std::ops::Range<usize>)>);
+/// Walks one received shuffle payload against the schedule. The
+/// receiver knows what each sender put on the wire, so nothing is
+/// decoded: each [`Sections::take`] names the domain and pieces the
+/// schedule expects next and borrows back the section's packed bytes.
+///
+/// # Panics
+/// When the payload disagrees with the schedule — a wrong domain, piece
+/// count or piece header, a missing, repeated or reordered section, or
+/// (at [`Sections::finish`]) an unscheduled section or trailing bytes.
+/// Inside the simulator that is an engine bug, never to be priced as
+/// success.
+pub(super) struct Sections<'p> {
+    r: Reader<'p>,
+    left: u64,
+    /// One past the last domain taken: senders emit ascending domains.
+    next: u64,
+}
 
-pub(super) fn decode_sections(buf: &[u8]) -> Vec<SectionRef> {
-    let mut r = Reader::new(buf);
-    let n_sections = r.u64() as usize;
-    let mut out = Vec::with_capacity(n_sections);
-    for _ in 0..n_sections {
-        let domain = r.u64();
-        let n_pieces = r.u64() as usize;
-        let shapes: Vec<Extent> = (0..n_pieces)
-            .map(|_| {
-                let off = r.u64();
-                let len = r.u64();
-                Extent::new(off, len)
-            })
-            .collect();
-        let pieces = shapes
-            .into_iter()
-            .map(|e| {
-                let start = buf.len() - r.remaining();
-                let _ = r.bytes(e.len as usize);
-                (e, start..start + e.len as usize)
-            })
-            .collect();
-        out.push((domain, pieces));
+impl<'p> Sections<'p> {
+    /// Opens a received payload, verifying and stripping its checksum
+    /// trailer first when it is `sealed`.
+    pub(super) fn new(payload: &'p [u8], sealed: bool) -> Self {
+        let mut r = Reader::new(if sealed {
+            verify_payload(payload)
+        } else {
+            payload
+        });
+        let left = r.u64();
+        Sections { r, left, next: 0 }
     }
-    r.finish();
-    out
+
+    /// The domain of the next section, or `None` after the last.
+    pub(super) fn peek_domain(&self) -> Option<usize> {
+        (self.left > 0).then(|| self.r.clone().u64() as usize)
+    }
+
+    /// Consumes the next section, checking it is `domain`'s and carries
+    /// exactly the headers of `pieces`; returns the pieces' bytes,
+    /// packed in order.
+    pub(super) fn take(
+        &mut self,
+        domain: usize,
+        pieces: impl ExactSizeIterator<Item = Extent>,
+    ) -> &'p [u8] {
+        assert!(self.left > 0, "payload lacks scheduled domain {domain}");
+        self.left -= 1;
+        let (got, n, want) = (self.r.u64(), self.r.u64(), pieces.len() as u64);
+        assert!(
+            got == domain as u64 && got >= self.next && n == want,
+            "payload section (domain {got}, {n} pieces) is not the scheduled \
+             (domain {domain}, {want} pieces) in domain order"
+        );
+        self.next = got + 1;
+        let mut bytes = 0;
+        for e in pieces {
+            let (offset, len) = (self.r.u64(), self.r.u64());
+            assert!(
+                offset == e.offset && len == e.len,
+                "domain {domain} piece header ({offset}, {len}) disagrees with the scheduled {e:?}"
+            );
+            bytes += len;
+        }
+        self.r.bytes(bytes as usize)
+    }
+
+    /// Asserts the payload was consumed exactly.
+    pub(super) fn finish(self) {
+        assert_eq!(
+            self.left, 0,
+            "payload carries {} unscheduled sections",
+            self.left
+        );
+        self.r.finish();
+    }
 }
 
 /// Round facts each rank contributes to the root's pricing:
@@ -234,33 +267,6 @@ mod tests {
         seal_payload(&mut buf);
         buf[4] ^= 0xFF;
         let _ = verify_payload(&buf);
-    }
-
-    #[test]
-    fn streamed_key_hash_equals_hashing_the_formatted_string() {
-        use crate::mccio::MccioConfig;
-        use crate::tuner::Tuning;
-        use crate::two_phase::TwoPhaseConfig;
-        let tuning = Tuning {
-            n_ah: 2,
-            msg_ind: 256 << 10,
-            mem_min: 128 << 10,
-            msg_group: 1 << 20,
-        };
-        let mc = MccioConfig::new(tuning, 4 << 20, 1 << 20);
-        let tp = TwoPhaseConfig::with_buffer(16 << 20);
-        assert_eq!(
-            fnv1a_fmt(format_args!("{}:{:?}", "memory-conscious", mc)),
-            fnv1a(format!("{}:{:?}", "memory-conscious", mc).as_bytes())
-        );
-        assert_eq!(
-            fnv1a_fmt(format_args!("{}:{:?}", "two-phase", tp)),
-            fnv1a(format!("{}:{:?}", "two-phase", tp).as_bytes())
-        );
-        assert_ne!(
-            fnv1a_fmt(format_args!("{mc:?}")),
-            fnv1a_fmt(format_args!("{tp:?}"))
-        );
     }
 
     #[test]

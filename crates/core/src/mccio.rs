@@ -39,7 +39,7 @@ use crate::ptree::PartitionTree;
 use crate::tuner::Tuning;
 
 /// Memory-conscious collective I/O configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MccioConfig {
     /// The tuned platform parameters (`N_ah`, `Msg_ind`, `Mem_min`,
     /// `Msg_group`).

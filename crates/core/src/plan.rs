@@ -116,17 +116,6 @@ impl CollectivePlan {
         v
     }
 
-    /// Indices of the domains aggregated by `rank`.
-    #[must_use]
-    pub fn domains_of(&self, rank: usize) -> Vec<usize> {
-        self.domains
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.aggregator == rank)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Asserts structural invariants: ordered, non-overlapping,
     /// positive-size domains with positive buffers.
     pub fn assert_invariants(&self) {
@@ -140,6 +129,58 @@ impl CollectivePlan {
             );
             cursor = d.domain.end();
         }
+    }
+}
+
+/// What a rank's schedule build reads of a plan as a whole — the round
+/// count and each aggregator's domains — so the build touches only its
+/// own domains. The plan cache builds one per cached plan.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct PlanIndex {
+    rounds: u64,
+    /// `(aggregator, domain index)` pairs, ascending.
+    owned: Vec<(usize, usize)>,
+}
+
+impl PlanIndex {
+    /// Indexes every aggregator of `plan`.
+    #[must_use]
+    pub fn new(plan: &CollectivePlan) -> Self {
+        Self::filtered(plan, |_| true)
+    }
+
+    /// Indexes `rank`'s domains only: all one uncached schedule build
+    /// of `rank` reads, in one pass with no sort.
+    #[must_use]
+    pub fn of_rank(plan: &CollectivePlan, rank: usize) -> Self {
+        Self::filtered(plan, |a| a == rank)
+    }
+
+    fn filtered(plan: &CollectivePlan, keep: impl Fn(usize) -> bool) -> Self {
+        let domains = plan.domains.iter().enumerate();
+        let mut owned: Vec<(usize, usize)> = domains
+            .filter_map(|(i, d)| keep(d.aggregator).then_some((d.aggregator, i)))
+            .collect();
+        owned.sort_unstable();
+        PlanIndex {
+            rounds: plan.rounds(),
+            owned,
+        }
+    }
+
+    /// The plan's lock-step round count ([`CollectivePlan::rounds`]).
+    #[must_use]
+    pub fn rounds(&self) -> u64 {
+        self.rounds
+    }
+
+    /// Indices of the domains aggregated by `rank`, ascending.
+    pub fn domains_of(&self, rank: usize) -> impl Iterator<Item = usize> + '_ {
+        let start = self.owned.partition_point(|&(a, _)| a < rank);
+        self.owned[start..]
+            .iter()
+            .take_while(move |&&(a, _)| a == rank)
+            .map(|&(_, i)| i)
     }
 }
 
@@ -206,8 +247,13 @@ mod tests {
         plan.domains[2].aggregator = 4;
         plan.domains[1].aggregator = 1;
         assert_eq!(plan.aggregators(), vec![1, 4]);
-        assert_eq!(plan.domains_of(4), vec![0, 2]);
-        assert_eq!(plan.domains_of(7), Vec::<usize>::new());
+        let (all, mine) = (PlanIndex::new(&plan), PlanIndex::of_rank(&plan, 4));
+        assert_eq!((all.rounds(), mine.rounds()), (1, 1));
+        assert_eq!(all.domains_of(4).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(all.domains_of(1).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(all.domains_of(7).count(), 0);
+        assert_eq!(mine.domains_of(4).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(mine.domains_of(1).count(), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use mccio_mpiio::{Extent, ExtentList, GroupPattern, SieveConfig};
 
-use crate::plan::CollectivePlan;
+use crate::plan::{CollectivePlan, PlanIndex};
 
 /// Wire cost of one section header: domain word + piece-count word.
 const SECTION_HEADER: usize = 16;
@@ -57,24 +57,31 @@ pub struct SendDst {
     pub payload_bytes: usize,
 }
 
-impl SendDst {
-    /// `trailer` is the per-payload overhead of the end-to-end checksum
-    /// (0 when integrity is off, [`crate::engine::CHECKSUM_TRAILER`]
-    /// under a crash plan) — baked into the size at creation so encoded
-    /// payloads still land exactly on `payload_bytes`.
-    fn new(rank: usize, trailer: usize) -> Self {
-        SendDst {
+/// Adds one section of `n_pieces` pieces and `bytes` data bytes to the
+/// payload for `rank`, creating the destination on first touch, and
+/// returns its slot in `dsts`. `trailer` is the per-payload overhead of
+/// the end-to-end checksum (0 when integrity is off,
+/// [`crate::engine::CHECKSUM_TRAILER`] under a crash plan) — baked into
+/// the size at creation so encoded payloads still land exactly on
+/// `payload_bytes`.
+fn add_section(
+    dsts: &mut Vec<SendDst>,
+    rank: usize,
+    trailer: usize,
+    n_pieces: usize,
+    bytes: u64,
+) -> usize {
+    let slot = dsts.iter().position(|d| d.rank == rank).unwrap_or_else(|| {
+        dsts.push(SendDst {
             rank,
             sections: 0,
             payload_bytes: COUNT_WORD + trailer,
-        }
-    }
-
-    fn add_section(&mut self, pieces: &ExtentList) {
-        self.sections += 1;
-        self.payload_bytes +=
-            SECTION_HEADER + PIECE_HEADER * pieces.len() + pieces.total_bytes() as usize;
-    }
+        });
+        dsts.len() - 1
+    });
+    dsts[slot].sections += 1;
+    dsts[slot].payload_bytes += SECTION_HEADER + PIECE_HEADER * n_pieces + bytes as usize;
+    slot
 }
 
 /// One active window this rank contributes to as a client in the write
@@ -170,11 +177,15 @@ pub struct RoundSchedule {
 }
 
 /// The complete per-rank communication schedule of one collective
-/// operation: one [`RoundSchedule`] per lock-step round.
+/// operation: one [`RoundSchedule`] per lock-step round, and the
+/// aggregation buffers the rank reserves for the whole operation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CommSchedule {
     /// Per-round schedules, index = round number.
     pub rounds: Vec<RoundSchedule>,
+    /// Buffer bytes of every domain this rank aggregates, in domain
+    /// order — the prologue's reservation demands.
+    pub buffers: Vec<u64>,
 }
 
 impl CommSchedule {
@@ -192,16 +203,20 @@ impl CommSchedule {
         me: usize,
         my_extents: &ExtentList,
     ) -> Self {
-        Self::build_with_integrity(plan, pattern, me, my_extents, false)
+        let index = PlanIndex::of_rank(plan, me);
+        Self::build_indexed(plan, &index, pattern, me, my_extents, false)
     }
 
-    /// Like [`CommSchedule::build`], with optional end-to-end payload
-    /// integrity: when `integrity` is set every scheduled payload is
-    /// sized for a trailing checksum word, matching what the engine's
-    /// crash-gated sealing appends at encode time.
+    /// The one schedule builder. It reads the plan-wide facts from
+    /// `index` (which must index `plan`, at least for `me`), so its cost
+    /// depends on this rank's domains and request only. With `integrity`
+    /// set, every scheduled payload is sized for a trailing checksum
+    /// word, matching what the engine's crash-gated sealing appends at
+    /// encode time.
     #[must_use]
-    pub fn build_with_integrity(
+    pub fn build_indexed(
         plan: &CollectivePlan,
+        index: &PlanIndex,
         pattern: &GroupPattern,
         me: usize,
         my_extents: &ExtentList,
@@ -219,12 +234,9 @@ impl CommSchedule {
         // ([`GroupPattern::ranks_touching`]): the candidate list is the
         // identical ascending set the old full-member scan produced,
         // found in `O(log n + k)` instead of `O(members)` per domain.
-        let my_domains: Vec<(usize, Vec<usize>)> = plan
-            .domains
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.aggregator == me)
-            .map(|(di, d)| (di, pattern.ranks_touching(d.domain)))
+        let my_domains: Vec<(usize, Vec<usize>)> = index
+            .domains_of(me)
+            .map(|di| (di, pattern.ranks_touching(plan.domains[di].domain)))
             .collect();
 
         // Domains this rank's own request can intersect, ascending.
@@ -233,7 +245,7 @@ impl CommSchedule {
         // subset of its domain), so the emitted schedule is unchanged.
         let my_client_domains = plan.domains_overlapping(my_extents.as_slice());
 
-        let n_rounds = plan.rounds();
+        let n_rounds = index.rounds();
         let mut rounds = Vec::with_capacity(n_rounds as usize);
         for round in 0..n_rounds {
             let mut rs = RoundSchedule::default();
@@ -257,17 +269,7 @@ impl CommSchedule {
                     continue;
                 }
                 let agg = plan.domains[di].aggregator;
-                let dst = rs
-                    .client_dsts
-                    .iter()
-                    .position(|d| d.rank == agg)
-                    .unwrap_or_else(|| {
-                        rs.client_dsts.push(SendDst::new(agg, trailer));
-                        rs.client_dsts.len() - 1
-                    });
-                rs.client_dsts[dst].sections += 1;
-                rs.client_dsts[dst].payload_bytes +=
-                    SECTION_HEADER + PIECE_HEADER * pieces.len() + bytes as usize;
+                let dst = add_section(&mut rs.client_dsts, agg, trailer, pieces.len(), bytes);
                 rs.client_windows.push(ClientWindow {
                     domain: di,
                     dst,
@@ -297,19 +299,12 @@ impl CommSchedule {
                         continue;
                     }
                     shapes.extend_from_slice(clipped.as_slice());
-                    let dst = rs
-                        .agg_dsts
-                        .iter()
-                        .position(|d| d.rank == rank)
-                        .unwrap_or_else(|| {
-                            rs.agg_dsts.push(SendDst::new(rank, trailer));
-                            rs.agg_dsts.len() - 1
-                        });
-                    rs.agg_dsts[dst].add_section(&clipped);
+                    let bytes = clipped.total_bytes();
+                    let dst = add_section(&mut rs.agg_dsts, rank, trailer, clipped.len(), bytes);
                     per_rank.push(RankPieces {
                         rank,
                         dst,
-                        bytes: clipped.total_bytes(),
+                        bytes,
                         pieces: clipped,
                     });
                 }
@@ -337,7 +332,13 @@ impl CommSchedule {
 
             rounds.push(rs);
         }
-        CommSchedule { rounds }
+        CommSchedule {
+            rounds,
+            buffers: my_domains
+                .iter()
+                .map(|&(di, _)| plan.domains[di].buffer)
+                .collect(),
+        }
     }
 
     /// Total bytes this rank ships as a client across all rounds.
@@ -404,6 +405,8 @@ mod tests {
         let plan = plan_of(vec![(0, 20, 0, 10), (20, 20, 1, 10)]);
         let s0 = CommSchedule::build(&plan, &pattern, 0, &pattern.extents_of_rank(0).to_list());
         assert_eq!(s0.rounds.len(), 2);
+        // Rank 0 reserves the buffer of the one domain it aggregates.
+        assert_eq!(s0.buffers, vec![10]);
         // Round 0: windows [0,10) (agg 0) and [20,30) (agg 1); rank 0
         // owns both pieces.
         let r0 = &s0.rounds[0];
@@ -449,8 +452,9 @@ mod tests {
         let pattern = pattern_of(vec![vec![(0, 5), (8, 4)], vec![]]);
         let plan = plan_of(vec![(0, 12, 1, 12)]);
         let plain = CommSchedule::build(&plan, &pattern, 0, &pattern.extents_of_rank(0).to_list());
-        let sealed = CommSchedule::build_with_integrity(
+        let sealed = CommSchedule::build_indexed(
             &plan,
+            &PlanIndex::new(&plan),
             &pattern,
             0,
             &pattern.extents_of_rank(0).to_list(),

@@ -82,7 +82,8 @@ pub struct OpMetrics {
     /// Buffer requests this rank forwarded to the world-level recycler
     /// (its own free list was empty). A deterministic per-rank fact:
     /// whether the *recycler* then recycled or allocated depends on
-    /// rank scheduling and is reported through `obs` gauges instead.
+    /// rank scheduling, so callers read `World::recycler().stats()`
+    /// after the run instead.
     pub recycle_takes: u64,
     /// Buffers this rank retired into the world-level recycler (free-
     /// list overflow plus the end-of-operation drain).

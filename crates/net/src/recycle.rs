@@ -25,11 +25,11 @@
 //! data plane.
 //!
 //! The pool is shared by every rank of a world, so its hit/miss and
-//! high-water counters depend on the rank schedule. They are
-//! observability data (surfaced through `obs` and the trace report) and
-//! are deliberately kept out of every bit-identity artifact: virtual
-//! times, file bytes, traffic snapshots, and the per-rank engine pool
-//! counters are all computed without consulting this pool's state.
+//! retained-bytes counters depend on the rank schedule. Callers read
+//! them after `World::run` returns, and they are deliberately kept out
+//! of every bit-identity artifact: virtual times, file bytes, traffic
+//! snapshots, and the per-rank engine pool counters are all computed
+//! without consulting this pool's state.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,12 +69,6 @@ pub struct RecycleStats {
     pub hits: u64,
     /// Takes that had to allocate.
     pub misses: u64,
-    /// Bytes of buffer capacity currently handed out (taken, not yet
-    /// returned).
-    pub live_bytes: u64,
-    /// High-water mark of `live_bytes` — the peak payload/assembly
-    /// working set the engine ever held at once.
-    pub peak_live_bytes: u64,
     /// Bytes of retired capacity currently parked in the free lists.
     pub retained_bytes: u64,
 }
@@ -86,8 +80,6 @@ pub struct BytePool {
     bins: Mutex<Bins>,
     hits: AtomicU64,
     misses: AtomicU64,
-    live_bytes: AtomicU64,
-    peak_live_bytes: AtomicU64,
 }
 
 impl Default for BytePool {
@@ -119,8 +111,6 @@ impl BytePool {
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            live_bytes: AtomicU64::new(0),
-            peak_live_bytes: AtomicU64::new(0),
         }
     }
 
@@ -139,7 +129,7 @@ impl BytePool {
         } else {
             None
         };
-        let buf = match recycled {
+        match recycled {
             Some(mut buf) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
@@ -150,13 +140,7 @@ impl BytePool {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 Vec::with_capacity(cap)
             }
-        };
-        let live = self
-            .live_bytes
-            .fetch_add(buf.capacity() as u64, Ordering::Relaxed)
-            + buf.capacity() as u64;
-        self.peak_live_bytes.fetch_max(live, Ordering::Relaxed);
-        buf
+        }
     }
 
     /// Retires a buffer for reuse (dropped when it is tiny or the
@@ -164,13 +148,6 @@ impl BytePool {
     pub fn put(&self, buf: Vec<u8>) {
         let _t = hostprof::timer(HostPhase::RecycleReturn);
         let cap = buf.capacity();
-        // Saturating: callers may retire buffers the pool never handed
-        // out (engine-grown payloads), so live accounting is a floor.
-        let _ = self
-            .live_bytes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(cap as u64))
-            });
         if cap < MIN_POOLED_CAPACITY {
             return;
         }
@@ -190,8 +167,6 @@ impl BytePool {
         RecycleStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            live_bytes: self.live_bytes.load(Ordering::Relaxed),
-            peak_live_bytes: self.peak_live_bytes.load(Ordering::Relaxed),
             retained_bytes: bins.retained_bytes,
         }
     }
@@ -243,17 +218,5 @@ mod tests {
         let b = pool.take(8);
         assert_eq!(b.capacity(), 8);
         assert_eq!(pool.stats().hits, 0);
-    }
-
-    #[test]
-    fn live_bytes_track_outstanding_capacity() {
-        let pool = BytePool::default();
-        let a = pool.take(1 << 20);
-        let cap = a.capacity() as u64;
-        assert_eq!(pool.stats().live_bytes, cap);
-        assert_eq!(pool.stats().peak_live_bytes, cap);
-        pool.put(a);
-        assert_eq!(pool.stats().live_bytes, 0);
-        assert_eq!(pool.stats().peak_live_bytes, cap, "peak is a high-water");
     }
 }

@@ -470,9 +470,6 @@ pub struct TraceAnalysis {
     /// Counter snapshot, when analyzing a live sink (replayed artifacts
     /// carry events only).
     pub counters: BTreeMap<String, u64>,
-    /// Gauge snapshot, when analyzing a live sink — high-water marks and
-    /// latest readings (pool live bytes, executor stack reuse, …).
-    pub gauges: BTreeMap<String, f64>,
     /// Histogram snapshot, when analyzing a live sink (per-node memory
     /// peaks, round client counts, …).
     pub histograms: BTreeMap<String, Histogram>,
@@ -501,7 +498,6 @@ impl TraceAnalysis {
         let mut analysis = sink.with_events(TraceAnalysis::from_events)?;
         let metrics = sink.metrics();
         analysis.counters = metrics.counter_map();
-        analysis.gauges = metrics.gauge_map();
         analysis.histograms = metrics.histogram_map();
         analysis.streaming = sink.stream_stats();
         // Chains and critical paths are both recorded in op order, so

@@ -10,10 +10,10 @@
 //! * [`span`] — the event model: complete spans on virtual-time tracks,
 //!   instants, and counter samples, each carrying structured attributes
 //!   (direction, window id, flows, bytes, …);
-//! * [`metrics`] — a registry of named counters, gauges, and
-//!   log₂-bucketed histograms (bytes shuffled, storage requests,
-//!   buffer-pool hits/misses, retries, per-node aggregation-buffer
-//!   high-water marks and their coefficient of variation);
+//! * [`metrics`] — a registry of named counters and log₂-bucketed
+//!   histograms (bytes shuffled, storage requests, buffer-pool
+//!   hits/misses, retries, per-node aggregation-buffer high-water marks
+//!   and their coefficient of variation);
 //! * [`sink`] — [`ObsSink`], the per-environment collection point. A
 //!   disabled sink (the default) is a `None` behind one branch: every
 //!   record call returns immediately, no locks, no allocation, so the

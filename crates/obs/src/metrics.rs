@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges, and log₂-bucketed
+//! The metrics registry: named counters and log₂-bucketed
 //! histograms.
 //!
 //! Names are static strings from the instrumentation sites (the event
@@ -138,11 +138,10 @@ impl Histogram {
     }
 }
 
-/// Named counters, gauges, and histograms.
+/// Named counters and histograms.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -158,20 +157,6 @@ impl MetricsRegistry {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    /// Sets the named gauge to `value`.
-    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
-    /// Raises the named gauge to `value` if it is higher than the
-    /// current reading (high-water-mark semantics).
-    pub fn gauge_max(&mut self, name: &'static str, value: f64) {
-        let g = self.gauges.entry(name).or_insert(f64::NEG_INFINITY);
-        if value > *g {
-            *g = value;
-        }
-    }
-
     /// Records one observation into the named histogram.
     pub fn observe(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).or_default().observe(value);
@@ -181,12 +166,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named gauge's value, if ever set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// The named histogram, if anything was observed into it.
@@ -210,29 +189,13 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// The gauges as an owned name → value map (the analyzer's
-    /// run-snapshot currency, mirroring [`MetricsRegistry::counter_map`]).
-    #[must_use]
-    pub fn gauge_map(&self) -> std::collections::BTreeMap<String, f64> {
-        self.gauges
-            .iter()
-            .map(|(&k, &v)| (k.to_string(), v))
-            .collect()
-    }
-
     /// All histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(&k, v)| (k, v))
     }
 
-    /// The histograms as an owned name → histogram map, completing the
-    /// [`MetricsRegistry::counter_map`] / [`MetricsRegistry::gauge_map`]
-    /// accessor family.
+    /// The histograms as an owned name → histogram map, mirroring
+    /// [`MetricsRegistry::counter_map`].
     #[must_use]
     pub fn histogram_map(&self) -> std::collections::BTreeMap<String, Histogram> {
         self.histograms
@@ -241,14 +204,11 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Folds another registry into this one: counters add, gauges take
-    /// the maximum, histograms merge bucket-wise.
+    /// Folds another registry into this one: counters add, histograms
+    /// merge bucket-wise.
     pub fn absorb(&mut self, other: &MetricsRegistry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            self.gauge_max(name, *v);
         }
         for (name, h) in &other.histograms {
             let mine = self.histograms.entry(name).or_default();
@@ -273,12 +233,6 @@ impl MetricsRegistry {
             let _ = writeln!(out, "counters:");
             for (name, v) in &self.counters {
                 let _ = writeln!(out, "  {name:<36} {v:>16}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "gauges:");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name:<36} {v:>16.1}");
             }
         }
         if !self.histograms.is_empty() {
@@ -313,17 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_max() {
-        let mut m = MetricsRegistry::new();
-        m.gauge_set("g", 5.0);
-        m.gauge_max("g", 3.0);
-        assert_eq!(m.gauge("g"), Some(5.0));
-        m.gauge_max("g", 9.0);
-        assert_eq!(m.gauge("g"), Some(9.0));
-        assert_eq!(m.gauge("missing"), None);
-    }
-
-    #[test]
     fn histogram_buckets_by_log2() {
         let mut h = Histogram::default();
         for v in [0u64, 1, 2, 3, 4, 1024] {
@@ -355,15 +298,12 @@ mod tests {
     fn absorb_merges_everything() {
         let mut a = MetricsRegistry::new();
         a.counter_add("c", 1);
-        a.gauge_set("g", 2.0);
         a.observe("h", 8);
         let mut b = MetricsRegistry::new();
         b.counter_add("c", 2);
-        b.gauge_set("g", 5.0);
         b.observe("h", 16);
         a.absorb(&b);
         assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge("g"), Some(5.0));
         let h = a.histogram("h").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 24.0);
@@ -373,10 +313,8 @@ mod tests {
     fn map_accessors_mirror_each_other() {
         let mut m = MetricsRegistry::new();
         m.counter_add("c", 1);
-        m.gauge_set("g", 2.0);
         m.observe("h", 8);
         assert_eq!(m.counter_map().get("c"), Some(&1));
-        assert_eq!(m.gauge_map().get("g"), Some(&2.0));
         let hm = m.histogram_map();
         assert_eq!(hm.len(), 1);
         assert_eq!(hm["h"].count(), 1);

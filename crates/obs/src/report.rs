@@ -83,7 +83,6 @@ pub fn render(
     streaming_section(&mut out, analysis);
     host_section(&mut out, analysis);
     counters_section(&mut out, analysis);
-    gauges_section(&mut out, analysis);
     histograms_section(&mut out, analysis);
     if let Some(d) = diff {
         diff_section(&mut out, d);
@@ -677,21 +676,6 @@ fn counters_section(out: &mut String, analysis: &TraceAnalysis) {
         let _ = writeln!(
             out,
             "<tr><td class=\"l\">{}</td><td>{v}</td></tr>",
-            html_escape(name)
-        );
-    }
-    out.push_str("</table>\n");
-}
-
-fn gauges_section(out: &mut String, analysis: &TraceAnalysis) {
-    if analysis.gauges.is_empty() {
-        return;
-    }
-    out.push_str("<h2>Gauges</h2>\n<table>\n<tr><th class=\"l\">gauge</th><th>value</th></tr>\n");
-    for (name, v) in &analysis.gauges {
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{}</td><td>{v:.0}</td></tr>",
             html_escape(name)
         );
     }

@@ -218,28 +218,6 @@ impl ObsSink {
             .counter_add(name, delta);
     }
 
-    /// Sets the named registry gauge.
-    #[inline]
-    pub fn gauge_set(&self, name: &'static str, value: f64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .metrics
-            .lock()
-            .expect("metrics lock")
-            .gauge_set(name, value);
-    }
-
-    /// Raises the named registry gauge to `value` if higher.
-    #[inline]
-    pub fn gauge_max(&self, name: &'static str, value: f64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .metrics
-            .lock()
-            .expect("metrics lock")
-            .gauge_max(name, value);
-    }
-
     /// Records one observation into the named histogram.
     #[inline]
     pub fn observe(&self, name: &'static str, value: u64) {

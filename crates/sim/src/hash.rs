@@ -1,15 +1,11 @@
 //! FNV-1a, the workspace's one in-tree hash: the shuffle payload
-//! integrity trailer, the plan-cache key fingerprint, the RNG stream
-//! labels, the chaos matrix's file hashes and the regression record's
+//! integrity trailer, the RNG stream labels, the chaos matrix's file hashes and the regression record's
 //! blame-chain hash all use it. Kept in-tree so no recorded value ever
 //! depends on an external hasher's stability.
 
-use std::fmt;
-
 /// Streaming FNV-1a (64-bit). The hash folds one byte at a time, so
 /// feeding a byte string in pieces gives the same value as feeding it
-/// whole — a key rendered through [`fmt::Write`] hashes exactly like
-/// its `format!` string, without the string.
+/// whole.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -41,14 +37,6 @@ impl Fnv1a {
 impl Default for Fnv1a {
     fn default() -> Self {
         Fnv1a::new()
-    }
-}
-
-impl fmt::Write for Fnv1a {
-    #[inline]
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
     }
 }
 

@@ -147,6 +147,27 @@ fn round_spans_nest_their_phase_children() {
 }
 
 #[test]
+fn metrics_registries_are_identical_across_executors() {
+    // Everything the registry holds is a function of the ranks' own
+    // program order; world-global state whose value follows the rank
+    // interleaving (the recycler's hit counts, the stack slab's reuse)
+    // is read by callers after the run, never recorded mid-run.
+    let metrics = |kind| {
+        let obs = ObsSink::enabled();
+        run_op_on(&obs, kind);
+        obs.metrics()
+    };
+    let canonical = metrics(ExecutorKind::Event);
+    assert!(
+        canonical.counter("pool.misses") > 0,
+        "the op recorded no pool counters"
+    );
+    for kind in ExecutorKind::EXPLORED {
+        assert_eq!(metrics(kind), canonical, "registry diverged under {kind:?}");
+    }
+}
+
+#[test]
 fn span_streams_are_bit_identical_across_executors() {
     // Schedule matrix for the observability layer: every explored rank
     // schedule must emit the same spans at the same virtual times as

@@ -4,13 +4,14 @@
 //! The caches behind this are pure functions of their keys, so the
 //! tests check both halves of that claim: a repeat *hits* (pointer
 //! identity of the shared `Arc`s), and what it hits is exactly what a
-//! fresh computation would produce (a retained schedule equals a fresh
-//! `CommSchedule::build_with_integrity`). Bit-identity of the virtual
+//! fresh computation would produce (a retained schedule, built from the
+//! cached plan's index, equals a fresh `CommSchedule::build_indexed`
+//! from the rank's own one-pass index). Bit-identity of the virtual
 //! results themselves is pinned by `tests/golden_determinism.rs`.
 
 use std::sync::Arc;
 
-use mccio_suite::core::plan::CollectivePlan;
+use mccio_suite::core::plan::{CollectivePlan, PlanIndex};
 use mccio_suite::core::prelude::*;
 use mccio_suite::core::CommSchedule;
 use mccio_suite::mpiio::GroupPattern;
@@ -85,8 +86,14 @@ fn assert_retained_is_fresh(
     let retained = env
         .retained_schedule(plan, pattern, rank, integrity)
         .unwrap_or_else(|| panic!("rank {rank}: the op retained no schedule"));
-    let fresh =
-        CommSchedule::build_with_integrity(plan, pattern, rank, &extents_of(rank), integrity);
+    let fresh = CommSchedule::build_indexed(
+        plan,
+        &PlanIndex::of_rank(plan, rank),
+        pattern,
+        rank,
+        &extents_of(rank),
+        integrity,
+    );
     assert_eq!(*retained, fresh, "rank {rank}: retained schedule is stale");
 }
 
