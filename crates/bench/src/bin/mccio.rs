@@ -271,13 +271,12 @@ fn main() {
     if m.any() {
         println!(
             "engine   : {} rounds, shuffle {}, storage {} in {} requests, \
-             pool {}/{} hits",
+             {} pooled buffers",
             m.rounds,
             fmt_bytes(m.shuffle_bytes),
             fmt_bytes(m.storage_bytes),
             m.storage_requests,
-            m.pool_hits,
-            m.pool_hits + m.pool_misses,
+            m.recycle_takes,
         );
     }
     let peaks = result.peak_mem;

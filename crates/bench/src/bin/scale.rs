@@ -20,9 +20,10 @@
 //! * **10,080 ranks** (`10k` below), memory-conscious: canonical and
 //!   streaming obs on.
 //!
-//! Each row holds the virtual write/read seconds, every `OpMetrics`
-//! field and the traffic scalars; obs-on passes add the stream (or
-//! event) counters and every host phase's *call count*; the causal pass
+//! Each row holds the virtual write/read seconds, the `OpMetrics`
+//! round, shuffle, storage and memory fields and the traffic scalars;
+//! obs-on passes add the stream (or event) counters and every host
+//! phase's *call count* but the recycler's; the causal pass
 //! adds its virtual times, the blame-chain count, total hops and one
 //! hash over every chain's segments. Nothing comes from the wall clock.
 //! Checked live instead of recorded: obs on and off give bit-identical
@@ -426,8 +427,10 @@ fn push_virtual(row: &mut Row, prefix: &str, r: &RunResult) {
     row.push(format!("{prefix}read_secs"), Value::Real(r.read_secs));
 }
 
-/// Records the virtual times, every `OpMetrics` field and the traffic
-/// scalars.
+/// Records the virtual times, the `OpMetrics` round, shuffle, storage
+/// and memory fields and the traffic scalars. The buffer-pool fields
+/// are left out: they count header-message and assembly buffers, a
+/// detail of how the engine reuses memory rather than what it does.
 fn push_run(row: &mut Row, r: &RunResult) {
     push_virtual(row, "", r);
     let m = &r.metrics;
@@ -437,14 +440,6 @@ fn push_run(row: &mut Row, r: &RunResult) {
         ("metrics.shuffle_bytes", Value::Count(m.shuffle_bytes)),
         ("metrics.storage_requests", Value::Count(m.storage_requests)),
         ("metrics.storage_bytes", Value::Count(m.storage_bytes)),
-        ("metrics.pool_hits", Value::Count(m.pool_hits)),
-        ("metrics.pool_misses", Value::Count(m.pool_misses)),
-        ("metrics.recycle_takes", Value::Count(m.recycle_takes)),
-        ("metrics.recycle_returns", Value::Count(m.recycle_returns)),
-        (
-            "metrics.payload_peak_bytes",
-            Value::Count(m.payload_peak_bytes),
-        ),
         ("metrics.mem_peak_mean", Value::Real(m.mem_peak_mean)),
         ("metrics.mem_peak_max", Value::Real(m.mem_peak_max)),
         ("metrics.mem_peak_cov", Value::Real(m.mem_peak_cov)),
@@ -459,7 +454,8 @@ fn push_run(row: &mut Row, r: &RunResult) {
 
 /// Records what an obs-on pass observed under `prefix`: the stream
 /// counters (or the event count of a buffered sink) and every host
-/// phase's call count — never its time.
+/// phase's call count but the recycler's (see [`push_run`]) — never
+/// its time.
 fn push_obs(row: &mut Row, prefix: &str, sink: &ObsSink, pass: &Pass) {
     if let Some(agg) = sink.stream_stats() {
         row.push(
@@ -478,7 +474,9 @@ fn push_obs(row: &mut Row, prefix: &str, sink: &ObsSink, pass: &Pass) {
         row.push(format!("{prefix}events"), Value::Count(sink.len() as u64));
     }
     for p in &pass.profile.phases {
-        row.push(format!("{prefix}calls.{}", p.name), Value::Count(p.calls));
+        if !p.name.starts_with("recycle.") {
+            row.push(format!("{prefix}calls.{}", p.name), Value::Count(p.calls));
+        }
     }
 }
 
@@ -571,12 +569,8 @@ fn run_scale(mode: &str) {
                 r.traffic.data_msgs + r.traffic.ctl_msgs
             );
             eprintln!(
-                "  pool hits {} misses {}, recycler takes {} returns {}, peak held {} KiB",
-                m.pool_hits,
-                m.pool_misses,
-                m.recycle_takes,
-                m.recycle_returns,
-                m.payload_peak_bytes / KIB
+                "  recycler takes {} returns {}",
+                m.recycle_takes, m.recycle_returns
             );
             let bits = (r.write_secs.to_bits(), r.read_secs.to_bits());
             let want = *canonical.get_or_insert(bits);

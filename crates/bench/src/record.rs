@@ -24,7 +24,11 @@ use mccio_sim::hash::Fnv1a;
 pub const BENCH: &str = "mccio-record";
 
 /// The schema version. Bump it whenever a row's fields change meaning.
-pub const VERSION: u64 = 1;
+/// Version 2 dropped the buffer-pool fields (`metrics.pool_*`,
+/// `metrics.recycle_*`, `metrics.payload_peak_bytes` and the
+/// `recycle.*` host-phase call counts): they measured the pooled
+/// shuffle payloads, which the one-sided shuffle deleted.
+pub const VERSION: u64 = 2;
 
 /// Smallest integer JSON's `f64` numbers cannot hold exactly next to
 /// its neighbours.
@@ -391,7 +395,7 @@ mod tests {
         let text = sample().render().unwrap();
         for (from, to) in [
             ("\"mccio-record\"", "\"scale-obs\""),
-            ("\"version\": 1,", "\"version\": 2,"),
+            (&*format!("\"version\": {VERSION},"), "\"version\": 1,"),
             ("\"ranks\": 24,", "\"ranks\": 24, \"mode\": \"ci\","),
             ("\"0x1000000000003039\"", "\"1000000000003039\""),
         ] {

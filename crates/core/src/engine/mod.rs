@@ -3,31 +3,37 @@
 //! Both strategies reduce to the same execution shape, the two phases of
 //! two-phase collective I/O run `rounds` times:
 //!
-//! * **write round**: every rank clips its request against each active
-//!   domain window and ships the pieces to the window's aggregator
-//!   (shuffle); aggregators assemble the pieces and issue one sieved
-//!   storage access per window (I/O);
+//! * **write round**: every rank announces the pieces of its request
+//!   that fall in each active domain window to the window's aggregator
+//!   (shuffle); aggregators copy the pieces out of their owners' buffers
+//!   and issue one sieved storage access per window (I/O);
 //! * **read round**: aggregators fetch their windows with one sieved
-//!   access and scatter the pieces back to the requesting ranks.
+//!   access and copy the pieces into the requesting ranks' outputs.
 //!
-//! Bytes move for real (the tests check round trips bit-for-bit). Time
-//! is charged once per round, computed at the world root from the
-//! gathered round facts — the exchange flow list, every aggregator's
-//! storage [`mccio_pfs::ServiceReport`], assembled-buffer volumes, and
-//! the memory model's current pressure factors — and broadcast, so
-//! virtual time is a pure function of the plan and never of thread
-//! scheduling.
+//! Bytes move for real (the tests check round trips bit-for-bit), and
+//! one-sided: for the length of an op each rank exposes its packed
+//! buffer ([`mccio_net::rma`]), and each shuffled byte is copied once,
+//! between that buffer and the file window. Messages still flow as a
+//! two-sided shuffle's would, but carry only section headers, which
+//! receivers check against their schedule; each is accounted at its
+//! *wire length*, the two-sided payload's (`wire`). Time is charged once
+//! per round, computed at the world root from the gathered round facts —
+//! the exchange flow list, every aggregator's storage
+//! [`mccio_pfs::ServiceReport`], assembled-buffer volumes, and the memory
+//! model's current pressure factors — and broadcast, so virtual time is a
+//! pure function of the plan and never of thread scheduling.
 //!
 //! Before the first byte moves, the executor fetches this rank's
 //! [`crate::schedule::CommSchedule`] for the plan — per round: send
-//! destinations with exact payload sizes, receive lists, and each
-//! aggregated window's union layout and assembly size. It is built on
-//! the rank's first operation under that plan and retained with the
-//! cached plan (`IoEnv::schedule_cached`), so the read after a write
-//! and every repetition of the same access reuse it. The round loop is
-//! then pure data movement, with payload and assembly buffers recycled
-//! through a bounded pool instead of reallocated per window per round.
-//! The schedule reproduces the legacy per-round discovery exactly, so
+//! destinations with exact message and wire lengths, receive lists,
+//! each section's run in its owner's packed buffer, and each aggregated
+//! window's union layout and assembly size. It is built on the rank's
+//! first operation under that plan and retained with the cached plan
+//! (`IoEnv::schedule_cached`), so the read after a write and every
+//! repetition of the same access reuse it. The round loop is then pure
+//! data movement, with header and assembly buffers recycled through a
+//! bounded pool instead of reallocated per window per round. The
+//! schedule reproduces the legacy per-round discovery exactly, so
 //! virtual time, file bytes, and traffic are bit-identical
 //! (`tests/golden_determinism.rs`) while host wall clock drops (the
 //! `perfbench/` package at the repository root measures it).
@@ -36,9 +42,10 @@
 //! one thing that differs between directions:
 //!
 //! * [`env`](self) — [`IoEnv`], the environment operations run against;
-//! * `wire` — section/fact codecs for shuffle and pricing messages;
+//! * `wire` — header-message and fact codecs for shuffle and pricing
+//!   messages;
 //! * `pool` — the bounded buffer free-list the round loop recycles
-//!   assembly and payload buffers through;
+//!   header-message and assembly buffers through;
 //! * `prologue` — clock sync, fault application, collective reservation,
 //!   and the matching epilogue;
 //! * `rounds` — the single direction-agnostic round executor, driven by
@@ -177,7 +184,7 @@ mod tests {
     use mccio_pfs::{FileSystem, PfsParams};
     use mccio_sim::cost::CostModel;
     use mccio_sim::fault::FaultPlan;
-    use mccio_sim::time::VDuration;
+    use mccio_sim::time::{VDuration, VTime};
     use mccio_sim::topology::{test_cluster, FillOrder, Placement};
 
     fn env() -> IoEnv {
@@ -232,6 +239,10 @@ mod tests {
             (wr, rr, ctx.clock().as_secs().to_bits())
         })
     }
+
+    /// When [`sieved_windows_and_a_crash_replay_agree_on_every_schedule`]
+    /// crashes aggregator 2: inside the write.
+    const CRASH_AT: f64 = 0.003;
 
     fn simple_plan(range: Extent, buffer: u64, aggs: &[usize]) -> CollectivePlan {
         let n = aggs.len() as u64;
@@ -470,6 +481,53 @@ mod tests {
         assert!(
             canonical.1.iter().any(|c| c.hops() > 0),
             "the delayed run produced no cross-rank hop: the comparison is vacuous"
+        );
+        for kind in ExecutorKind::EXPLORED {
+            assert!(
+                run(kind) == canonical,
+                "{kind:?} diverged from the canonical schedule"
+            );
+        }
+    }
+
+    #[test]
+    fn sieved_windows_and_a_crash_replay_agree_on_every_schedule() {
+        // Rank 3 requests nothing, so every window has holes and goes
+        // through the sieve; aggregator 2 crashes mid-write, so its
+        // windows are replayed by a re-elected one under sealed messages.
+        let run = |kind| {
+            let cluster = test_cluster(2, 2);
+            let plan = FaultPlan::new(7).crash_rank_at(VTime::from_secs(CRASH_AT), 2);
+            let fs = FileSystem::new(4, 64, PfsParams::default());
+            let e = IoEnv::with_faults(fs, MemoryModel::pristine(&cluster), plan);
+            let ranks = world_on(kind).run(|ctx| {
+                let me = ctx.rank();
+                let extents = if me == 3 {
+                    ExtentList::default()
+                } else {
+                    rank_extents(me)
+                };
+                let data = &rank_data(me)[..extents.total_bytes() as usize];
+                let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
+                let plan = simple_plan(pattern.global_range().unwrap(), 100, &[0, 2]);
+                let handle = e.fs.open_or_create("holes");
+                let mut res = Resilience::default();
+                let w =
+                    try_execute_write(ctx, &e, &handle, &plan, &pattern, &extents, data, &mut res);
+                let (back, r) = execute_read(ctx, &e, &handle, &plan, &pattern, &extents);
+                assert_eq!(back, data, "rank {me} roundtrip");
+                (w.expect("recovered"), r, back, res.crashes_detected)
+            });
+            let handle = e.fs.open("holes").unwrap();
+            (
+                ranks,
+                mccio_sim::hash::fnv1a(&handle.read_at(0, handle.len()).0),
+            )
+        };
+        let canonical = run(ExecutorKind::Event);
+        assert!(
+            canonical.0.iter().all(|r| r.3 > 0),
+            "the crash never landed"
         );
         for kind in ExecutorKind::EXPLORED {
             assert!(

@@ -32,7 +32,8 @@ pub(super) struct OpState {
     pub(super) active: bool,
     /// This rank's per-operation transient-failure context.
     pub(super) faults: IoFaults,
-    /// Assembly/payload buffers recycled across rounds and domains.
+    /// Header-message and assembly buffers recycled across rounds and
+    /// domains.
     pub(super) pool: BufferPool,
     /// Per-rank engine counters accumulated across the round loop
     /// (local facts only — filling them never moves virtual time).
@@ -227,8 +228,6 @@ pub(super) fn close(
         0,
         "buffer-pool loan leaked out of the round loop"
     );
-    // Retire the op pool now so its free list drains into the world
-    // recycler for the next operation.
     let pstats = state.pool.finish();
     if env.obs().is_enabled() {
         // The paired half of the prologue's `mem.reserve` marks: every
@@ -260,17 +259,15 @@ pub(super) fn close(
     metrics.shuffle_bytes = state.scratch.shuffle_bytes;
     metrics.storage_requests = state.scratch.storage_requests;
     metrics.storage_bytes = state.scratch.storage_bytes;
-    metrics.pool_hits = pstats.hits;
-    metrics.pool_misses = pstats.misses;
-    metrics.recycle_takes = pstats.recycle_takes;
-    metrics.recycle_returns = pstats.recycle_returns;
-    metrics.payload_peak_bytes = pstats.payload_peak_bytes;
+    // The op keeps no free list of its own: every take is a pool miss.
+    metrics.pool_misses = pstats.takes;
+    metrics.recycle_takes = pstats.takes;
+    metrics.recycle_returns = pstats.returns;
+    metrics.payload_peak_bytes = bytes;
     let obs = env.obs();
     if obs.is_enabled() {
-        obs.counter_add("pool.hits", pstats.hits);
-        obs.counter_add("pool.misses", pstats.misses);
-        obs.counter_add("recycle.takes", pstats.recycle_takes);
-        obs.counter_add("recycle.returns", pstats.recycle_returns);
+        obs.counter_add("pool.misses", pstats.takes);
+        obs.counter_add("recycle.returns", pstats.returns);
         // One rank snapshots the per-node memory high-water marks so the
         // registry's histogram (and its CoV) reflects each node once per
         // operation, not once per rank.

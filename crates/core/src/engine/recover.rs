@@ -41,8 +41,8 @@
 //! and rebuilds its [`CommSchedule`]. Window geometry never changes —
 //! only who services each window — so the round count is preserved and
 //! the round being recovered simply executes against the new schedule
-//! (clients re-encode the lost round's payloads from their pooled send
-//! path). The flows that died with the old aggregator are appended to
+//! (clients re-announce the lost round's sections, and the new
+//! aggregators copy them from the same exposed buffers). The flows that died with the old aggregator are appended to
 //! the round's fact list so the wasted shuffle attempt is priced.
 //! Replacements reserve the adopted buffers collectively; a failed
 //! verdict — or an empty survivor set — returns

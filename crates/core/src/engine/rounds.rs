@@ -4,32 +4,41 @@
 //! One executor ([`execute_op`]) runs both directions of two-phase
 //! collective I/O; the data plane — which bytes this rank contributes
 //! before the shuffle and which bytes it absorbs after — is the only
-//! thing [`Op`] varies:
+//! thing [`Op`] varies.
 //!
-//! * [`Op::Write`]: clients ship the scheduled pieces of their request
-//!   to each window's aggregator (shuffle); aggregators store each
-//!   window with one priced storage access — gathered straight from
-//!   the payloads when the union is hole-free, assembled and sieved
-//!   when it is not;
+//! The shuffle is one-sided. For the length of the operation each rank
+//! exposes its packed buffer — the write payload, or the read output —
+//! in the world's exposure table ([`mccio_net::rma`]), and aggregators
+//! copy every section directly between its owner's buffer and the file
+//! window. Each shuffled byte is copied once:
+//!
+//! * [`Op::Write`]: aggregators store each window with one priced
+//!   storage access, copying the contributors' runs straight into the
+//!   file when the union is hole-free, into an assembly buffer for the
+//!   sieve's read-modify-write when it is not;
 //! * [`Op::Read`]: aggregators fetch their windows with one priced
 //!   access (a zero-copy file view when hole-free, a sieved read
-//!   otherwise) and scatter the scheduled pieces back to the
-//!   requesting ranks.
+//!   otherwise) and copy each requester's pieces into its output.
+//!
+//! Messages still flow exactly as a two-sided shuffle's would, one per
+//! (sender, receiver) pair and round, but carry only the section
+//! headers (`super::wire`), which receivers check against their own
+//! schedule. The output of a read is allocated once and never
+//! zero-filled: the schedule build proves that every rank's client
+//! windows tile its buffer, and every window is filled before its
+//! header arrives.
 //!
 //! Nothing is discovered here: send destinations, receive lists, piece
-//! routings, union layouts, and buffer sizes all come from the
-//! [`crate::schedule::CommSchedule`] built once per plan and rank (and
-//! reused by every operation that repeats the plan), so the loop is pure
-//! data movement — payloads are allocated at exact final size, and assembly
-//! buffers are recycled through the [`BufferPool`] instead of
-//! reallocated per window per round. Everything else — prologue,
-//! reservation, exchange, pricing, epilogue — is shared code in the
-//! sibling modules, which keeps the comparison between strategies
-//! honest and every future engine capability paid for exactly once.
+//! routings, packed positions, union layouts, and buffer sizes all come
+//! from the [`crate::schedule::CommSchedule`] built once per plan and
+//! rank (and reused by every operation that repeats the plan).
+//! Everything else — prologue, reservation, exchange, pricing, epilogue
+//! — is shared code in the sibling modules, which keeps the comparison
+//! between strategies honest and every future engine capability paid
+//! for exactly once.
 
 use mccio_mpiio::sieve::{sieved_read_into, sieved_write_r};
 use mccio_mpiio::{Extent, ExtentList, GroupPattern, IoReport, Resilience};
-use mccio_net::wire::put_u64;
 use mccio_net::Ctx;
 use mccio_obs::{AttrValue, ENGINE_TRACK};
 use mccio_pfs::{FileHandle, IoFaults, ServiceReport};
@@ -43,19 +52,20 @@ use super::pool::BufferPool;
 use super::prologue::{self, drive_storage};
 use super::recover::CrashTracker;
 use super::settle::settle_round;
-use super::wire::{append_section, retry_delta, seal_payload, Sections};
+use super::wire::{retry_delta, Headers, Sections};
 
 /// The data plane of a collective operation: what varies between the
 /// write and read directions of the round loop.
 #[derive(Clone, Copy)]
 pub(super) enum Op<'d> {
-    /// Clients push `data` (this rank's extents packed in offset order)
-    /// to aggregators, which assemble and store it.
+    /// Aggregators copy `data` (this rank's extents packed in offset
+    /// order) into the file.
     Write {
         /// This rank's payload, packed in extent offset order.
         data: &'d [u8],
     },
-    /// Aggregators fetch their windows and scatter the pieces back.
+    /// Aggregators fetch their windows and copy the pieces into each
+    /// requester's output.
     Read,
 }
 
@@ -68,7 +78,7 @@ pub(super) struct RoundFacts {
     pub(super) flows: Vec<(usize, u64)>,
     /// Bytes this rank assembled in aggregation buffers.
     pub(super) assembled: u64,
-    /// Payload checksums this rank verified (crash-gated, else zero).
+    /// Message seals this rank verified (crash-gated, else zero).
     pub(super) integrity: u64,
 }
 
@@ -92,12 +102,10 @@ pub(super) fn execute_op(
     op: Op<'_>,
     res: &mut Resilience,
 ) -> SimResult<(Option<Vec<u8>>, IoReport)> {
-    if let Op::Write { data } = op {
-        debug_assert!(data.len() as u64 >= my_extents.total_bytes());
-    }
+    let total = my_extents.total_bytes() as usize;
     env.enter_op(ctx);
     let me = ctx.rank();
-    // Everything crash recovery needs — payload checksums, the agreed
+    // Everything crash recovery needs — message seals, the agreed
     // clock, the mutable live plan — is gated on the plan actually
     // scheduling crashes, so crash-free runs execute the exact healthy
     // path (bit-identical goldens).
@@ -107,6 +115,19 @@ pub(super) fn execute_op(
     // the next repetition of the access). It also carries the buffers
     // the prologue reserves.
     let mut schedule = env.schedule_cached(plan, pattern, me, my_extents, integrity);
+    // Exposed before the prologue's clock sync, withdrawn after the
+    // epilogue's barrier: no peer touches the buffer outside that span.
+    let mut out = Vec::new();
+    let exposure = match op {
+        Op::Write { data } => ctx.expose(data),
+        Op::Read => {
+            out.reserve_exact(total);
+            // SAFETY: a rank reads its output only to check a seal, over
+            // a window whose header arrived, and the window's aggregator
+            // put its bytes before sending that header.
+            unsafe { ctx.expose_uninit(&mut out.spare_capacity_mut()[..total]) }
+        }
+    };
     let mut state = prologue::open(ctx, env, &schedule.buffers, res)?;
     let mut tracker = CrashTracker::begin(ctx, env, &state.world);
     let mut live_plan = tracker.as_ref().map(|_| plan.clone());
@@ -127,11 +148,6 @@ pub(super) fn execute_op(
             ],
         );
     }
-    let mut out = match op {
-        Op::Write { .. } => None,
-        Op::Read => Some(vec![0u8; my_extents.total_bytes() as usize]),
-    };
-
     let n_rounds = schedule.rounds.len();
     for round in 0..n_rounds {
         let log_before = state.faults.log;
@@ -170,7 +186,8 @@ pub(super) fn execute_op(
                 rs.agg_sources.as_slice(),
             ),
             Op::Read => (
-                fetch_and_scatter_sends(
+                fetch_and_put(
+                    ctx,
                     handle,
                     rs,
                     &mut state.faults,
@@ -189,6 +206,7 @@ pub(super) fn execute_op(
         // --- absorb: what this rank does with what arrived ---
         match op {
             Op::Write { .. } => aggregate_and_store(
+                ctx,
                 handle,
                 rs,
                 received,
@@ -198,14 +216,7 @@ pub(super) fn execute_op(
                 &state.pool,
                 integrity,
             ),
-            Op::Read => scatter_into(
-                rs,
-                received,
-                out.as_mut().expect("read allocates its output buffer"),
-                &mut facts,
-                &state.pool,
-                integrity,
-            ),
+            Op::Read => check_headers(ctx, rs, received, &mut facts, &state.pool, integrity),
         }
 
         let delta = retry_delta(state.faults.log, log_before);
@@ -256,6 +267,14 @@ pub(super) fn execute_op(
     let bytes = my_extents.total_bytes();
     let rounds = state.scratch.rounds;
     let report = prologue::close(ctx, env, state, bytes, res);
+    drop(exposure);
+    let out = matches!(op, Op::Read).then(|| {
+        // SAFETY: the schedule's client windows tile `[0, total)` (its
+        // build asserts it), and each window's aggregator put its bytes
+        // before the header `check_headers` matched to it.
+        unsafe { out.set_len(total) };
+        out
+    });
     if obs.is_enabled() && me == 0 {
         let dir = match op {
             Op::Write { .. } => "write",
@@ -282,58 +301,39 @@ pub(super) fn execute_op(
     Ok((out, report))
 }
 
-/// Write contribute-half: encode the scheduled pieces of this rank's
-/// request, one exact-size payload per destination aggregator. The
-/// section count is known up front, so each payload is written straight
-/// through with no patching and no reallocation.
+/// Write contribute-half: one header message per destination
+/// aggregator, announcing the scheduled sections of this rank's request
+/// (their bytes stay in `data` for the aggregator to copy), each
+/// accounted at its wire length.
 fn client_sends(
     rs: &RoundSchedule,
     data: &[u8],
     facts: &mut RoundFacts,
     pool: &BufferPool,
     integrity: bool,
-) -> Vec<(usize, Vec<u8>)> {
-    let mut per_dst: Vec<(usize, Vec<u8>)> = rs
-        .client_dsts
-        .iter()
-        .map(|d| {
-            let mut buf = pool.take(d.payload_bytes);
-            put_u64(&mut buf, d.sections);
-            (d.rank, buf)
-        })
-        .collect();
+) -> Vec<(usize, u64, Vec<u8>)> {
+    let mut headers = Headers::new(&rs.client_dsts, pool, integrity);
     for cw in &rs.client_windows {
         facts.flows.push((rs.client_dsts[cw.dst].rank, cw.bytes));
-        let buf = &mut per_dst[cw.dst].1;
-        put_u64(buf, cw.domain as u64);
-        put_u64(buf, cw.pieces.len() as u64);
-        for (e, _) in &cw.pieces {
-            put_u64(buf, e.offset);
-            put_u64(buf, e.len);
-        }
-        for &(e, start) in &cw.pieces {
-            let start = start as usize;
-            buf.extend_from_slice(&data[start..start + e.len as usize]);
-        }
+        headers.section(cw.dst, cw.domain, cw.pieces.iter().map(|&(e, _)| e));
+        let start = cw.pieces[0].1 as usize;
+        headers.fold(cw.dst, &data[start..start + cw.bytes as usize]);
     }
-    if integrity {
-        for (_, buf) in &mut per_dst {
-            seal_payload(buf);
-        }
-    }
-    per_dst
+    headers.finish()
 }
 
 /// Write absorb-half: store each scheduled window, its contributors in
-/// rank order each handing over their payload's next section (checked
-/// against the schedule, never decoded). A hole-free window
-/// (single-extent union) gathers the pieces straight into the file as
-/// the one span write the sieve would issue — no assembly buffer at
-/// all; a window with holes assembles into a pooled buffer and goes
-/// through the sieve's read-modify-write. Payloads and assembly buffers
-/// retire into the pool for the next round.
+/// rank order each announcing their next section in their header
+/// message (checked against the schedule, never decoded) and the bytes
+/// copied from the run of their exposed buffer the schedule names. A
+/// hole-free window (single-extent union) copies the pieces straight
+/// into the file as the one span write the sieve would issue — no
+/// assembly buffer at all; a window with holes assembles into a pooled
+/// buffer and goes through the sieve's read-modify-write. Header
+/// buffers retire into the pool for the next round.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_and_store(
+    ctx: &Ctx,
     handle: &FileHandle,
     rs: &RoundSchedule,
     received: Vec<(usize, Vec<u8>)>,
@@ -343,11 +343,11 @@ fn aggregate_and_store(
     pool: &BufferPool,
     integrity: bool,
 ) {
-    // `received` follows `rs.agg_sources`, so a contributor's payload is
+    // `received` follows `rs.agg_sources`, so a contributor's message is
     // found by binary search there.
-    let mut payloads: Vec<Sections<'_>> = received
+    let mut msgs: Vec<Sections<'_>> = received
         .iter()
-        .map(|(_, payload)| Sections::new(payload, integrity))
+        .map(|(_, msg)| Sections::new(msg, integrity))
         .collect();
     if integrity {
         facts.integrity += received.len() as u64;
@@ -360,14 +360,23 @@ fn aggregate_and_store(
             .binary_search(&rp.rank)
             .expect("every contributor is a scheduled source");
         let pieces = rp.pieces.as_slice();
-        let bytes = payloads[i].take(domain, pieces.iter().copied());
-        place(bytes, dst, pieces.iter().map(|&e| (pos(e), e.len)));
+        msgs[i].take(domain, pieces.iter().copied());
+        // SAFETY: write data is exposed read-only, and `rp.rank` withdraws
+        // it only after `close`'s barrier, which this rank has not reached.
+        let mut bytes = unsafe { ctx.exposed(rp.rank, rp.packed as usize, rp.bytes as usize) };
+        msgs[i].fold(bytes);
+        for &e in pieces {
+            let (piece, rest) = bytes.split_at(e.len as usize);
+            let at = pos(e);
+            dst[at..at + piece.len()].copy_from_slice(piece);
+            bytes = rest;
+        }
     };
     for ws in &rs.agg_windows {
         facts.assembled += ws.assembly_bytes;
         if let [span] = ws.union.as_slice() {
             // The union tiles the span, so the sieve would blind-write
-            // exactly this range; scatter the pieces into it directly.
+            // exactly this range; copy the pieces into it directly.
             // Contributors apply in rank order, as on the assembly path,
             // so overlapping writers resolve identically. The fill runs
             // once, on the attempt that succeeds.
@@ -390,31 +399,22 @@ fn aggregate_and_store(
         });
         report.merge(&out.report);
     }
-    payloads.into_iter().for_each(Sections::finish);
-    for (_, payload) in received {
-        pool.put(payload);
+    msgs.into_iter().for_each(Sections::finish);
+    for (_, msg) in received {
+        pool.put(msg);
     }
-}
-
-/// Lays a section's packed bytes into `dst`: consecutive runs of
-/// `bytes`, one per `(position, len)` piece.
-fn place(mut bytes: &[u8], dst: &mut [u8], pieces: impl Iterator<Item = (usize, u64)>) {
-    for (pos, len) in pieces {
-        let (piece, rest) = bytes.split_at(len as usize);
-        dst[pos..pos + piece.len()].copy_from_slice(piece);
-        bytes = rest;
-    }
-    debug_assert!(bytes.is_empty(), "a section's bytes are its pieces'");
 }
 
 /// Read contribute-half: fetch each scheduled window with one priced
-/// storage access and append the per-rank scatter sections to
-/// exact-size payloads. A hole-free window inside EOF scatters the
-/// pieces straight out of a zero-copy file view; otherwise the union is
+/// storage access and copy each requester's pieces into its exposed
+/// output, as the one run the schedule names, announcing the section in
+/// that requester's header message. A hole-free window inside EOF is
+/// copied straight out of a zero-copy file view; otherwise the union is
 /// sieved into a pooled buffer first (which also supplies the zero
 /// bytes of any beyond-EOF tail).
 #[allow(clippy::too_many_arguments)]
-fn fetch_and_scatter_sends(
+fn fetch_and_put(
+    ctx: &Ctx,
     handle: &FileHandle,
     rs: &RoundSchedule,
     faults: &mut IoFaults,
@@ -422,16 +422,20 @@ fn fetch_and_scatter_sends(
     facts: &mut RoundFacts,
     pool: &BufferPool,
     integrity: bool,
-) -> Vec<(usize, Vec<u8>)> {
-    let mut per_dst: Vec<(usize, Vec<u8>)> = rs
-        .agg_dsts
-        .iter()
-        .map(|d| {
-            let mut buf = pool.take(d.payload_bytes);
-            put_u64(&mut buf, d.sections);
-            (d.rank, buf)
-        })
-        .collect();
+) -> Vec<(usize, u64, Vec<u8>)> {
+    let mut headers = Headers::new(&rs.agg_dsts, pool, integrity);
+    // Puts requester `rp`'s pieces, each read from `src` at `pos(piece)`.
+    let mut put = |rp: &RankPieces, domain, src: &[u8], pos: &dyn Fn(Extent) -> usize| {
+        headers.section(rp.dst, domain, rp.pieces.as_slice().iter().copied());
+        let mut at = rp.packed as usize;
+        for &e in rp.pieces.as_slice() {
+            let from = pos(e);
+            let piece = &src[from..from + e.len as usize];
+            headers.fold(rp.dst, piece);
+            ctx.put_exposed(rp.rank, at, piece);
+            at += piece.len();
+        }
+    };
     for ws in &rs.agg_windows {
         facts.assembled += ws.assembly_bytes;
         for rp in &ws.per_rank {
@@ -442,15 +446,7 @@ fn fetch_and_scatter_sends(
                 let ((), r) = drive_storage(faults, |f| {
                     handle.try_read_at_with(span.offset, span.len, f, |view| {
                         for rp in &ws.per_rank {
-                            append_section(
-                                &mut per_dst[rp.dst].1,
-                                ws.domain as u64,
-                                &rp.pieces,
-                                |e| {
-                                    let pos = (e.offset - span.offset) as usize;
-                                    &view[pos..pos + e.len as usize]
-                                },
-                            );
+                            put(rp, ws.domain, view, &|e| (e.offset - span.offset) as usize);
                         }
                     })
                 });
@@ -464,29 +460,22 @@ fn fetch_and_scatter_sends(
         });
         report.merge(&sv.report);
         for rp in &ws.per_rank {
-            append_section(&mut per_dst[rp.dst].1, ws.domain as u64, &rp.pieces, |e| {
-                let pos = ws.position(e.offset);
-                &packed[pos..pos + e.len as usize]
-            });
+            put(rp, ws.domain, &packed, &|e| ws.position(e.offset));
         }
     }
-    if integrity {
-        for (_, buf) in &mut per_dst {
-            seal_payload(buf);
-        }
-    }
-    per_dst
+    headers.finish()
 }
 
-/// Read absorb-half: walk each aggregator's payload, match every
-/// section to the scheduled client window of its domain, and copy each
-/// piece to the packed position the schedule resolved for it. Every
-/// window is filled exactly once, from its own aggregator; the payloads
-/// retire into the pool.
-fn scatter_into(
+/// Read absorb-half: walk each aggregator's header message and match
+/// every section to the scheduled client window of its domain. The
+/// aggregator has already put the window's bytes into this rank's
+/// output; under a crash plan the seal is checked over them where they
+/// now sit. Every window must be announced exactly once, by its own
+/// aggregator; the header buffers retire into the pool.
+fn check_headers(
+    ctx: &Ctx,
     rs: &RoundSchedule,
     received: Vec<(usize, Vec<u8>)>,
-    out: &mut [u8],
     facts: &mut RoundFacts,
     pool: &BufferPool,
     integrity: bool,
@@ -495,8 +484,8 @@ fn scatter_into(
         facts.integrity += received.len() as u64;
     }
     let mut filled = 0;
-    for (src, payload) in &received {
-        let mut sections = Sections::new(payload, integrity);
+    for (src, msg) in &received {
+        let mut sections = Sections::new(msg, integrity);
         while let Some(domain) = sections.peek_domain() {
             let cw = rs
                 .client_windows
@@ -507,12 +496,14 @@ fn scatter_into(
                 rs.client_dsts[cw.dst].rank, *src,
                 "domain {domain} arrived from the wrong aggregator"
             );
-            let bytes = sections.take(domain, cw.pieces.iter().map(|&(e, _)| e));
-            place(
-                bytes,
-                out,
-                cw.pieces.iter().map(|&(e, at)| (at as usize, e.len)),
-            );
+            sections.take(domain, cw.pieces.iter().map(|&(e, _)| e));
+            if integrity {
+                let start = cw.pieces[0].1 as usize;
+                // SAFETY: the aggregator put these bytes before sending the
+                // header just taken, nobody puts them again, and this rank
+                // withdraws its output only after `close`.
+                sections.fold(unsafe { ctx.exposed(ctx.rank(), start, cw.bytes as usize) });
+            }
             filled += 1;
         }
         sections.finish();
@@ -522,17 +513,17 @@ fn scatter_into(
         rs.client_windows.len(),
         "a scheduled window received no section"
     );
-    for (_, payload) in received {
-        pool.put(payload);
+    for (_, msg) in received {
+        pool.put(msg);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use mccio_net::{BytePool, RankSet};
+    use mccio_net::{RankSet, World};
     use mccio_pfs::{FileSystem, PfsParams};
+    use mccio_sim::cost::CostModel;
+    use mccio_sim::topology::{test_cluster, FillOrder, Placement};
 
     use super::*;
     use crate::plan::DomainPlan;
@@ -560,62 +551,76 @@ mod tests {
         })
     }
 
-    fn pool() -> BufferPool {
-        BufferPool::backed(Arc::new(BytePool::default()))
+    /// Runs `f` on rank `me` of a two-rank world in which rank `r`
+    /// exposes `exposed[r]` bytes of value `r + 1` (nothing for `None`).
+    fn on_rank(me: usize, exposed: [Option<usize>; 2], f: impl Fn(&Ctx) + Send + Sync) {
+        let cluster = test_cluster(1, 2);
+        let placement = Placement::new(&cluster, 2, FillOrder::Block).unwrap();
+        World::new(CostModel::new(cluster), placement).run(|ctx| {
+            let data = [ctx.rank() as u8 + 1; 20];
+            let _e = exposed[ctx.rank()].map(|n| ctx.expose(&data[..n]));
+            ctx.barrier();
+            if ctx.rank() == me {
+                f(ctx);
+            }
+            ctx.barrier();
+        });
     }
 
-    /// Rank 1 stores the round from both ranks' client payloads, the one
+    /// Rank 1 stores the round from both ranks' header messages, the one
     /// from rank 0 passed through `tamper` first.
-    fn store(tamper: impl FnOnce(&mut Vec<u8>)) {
-        let rs = schedules();
-        let pool = pool();
-        let mut facts = RoundFacts::default();
-        let mut sends = rs
-            .each_ref()
-            .map(|r| client_sends(r, &[9; 20], &mut facts, &pool, false));
-        tamper(&mut sends[0][0].1);
-        let received = sends.map(|mut s| s.remove(0)).to_vec();
-        let fs = FileSystem::new(4, 64, PfsParams::default());
-        aggregate_and_store(
-            &fs.open_or_create("f"),
-            &rs[1],
-            received,
-            &mut IoFaults::none(),
-            &mut ServiceReport::empty(4),
-            &mut facts,
-            &pool,
-            false,
-        );
-        assert_eq!(fs.open("f").unwrap().read_at(0, 40).0, vec![9; 40]);
+    fn store_exposing(exposed: [Option<usize>; 2], tamper: impl Fn(&mut Vec<u8>) + Send + Sync) {
+        on_rank(1, exposed, |ctx| {
+            let rs = schedules();
+            let pool = BufferPool::default();
+            let mut facts = RoundFacts::default();
+            let mut sends = rs
+                .each_ref()
+                .map(|r| client_sends(r, &[9; 20], &mut facts, &pool, false));
+            tamper(&mut sends[0][0].2);
+            let received = sends.map(|mut s| s.remove(0).2).into_iter().enumerate();
+            let fs = FileSystem::new(4, 64, PfsParams::default());
+            aggregate_and_store(
+                ctx,
+                &fs.open_or_create("f"),
+                &rs[1],
+                received.collect(),
+                &mut IoFaults::none(),
+                &mut ServiceReport::empty(4),
+                &mut facts,
+                &pool,
+                false,
+            );
+            let want = [1, 2, 1, 2].map(|b| [b; 10]).concat();
+            assert_eq!(fs.open("f").unwrap().read_at(0, 40).0, want);
+        });
     }
 
-    /// Rank 0 scatters one payload from aggregator 1 carrying
+    fn store(tamper: impl Fn(&mut Vec<u8>) + Send + Sync) {
+        store_exposing([Some(20); 2], tamper);
+    }
+
+    /// Rank 0 checks one header message from aggregator 1 announcing
     /// `sections`, each `(domain, [(offset, len)])`.
-    fn scatter(sections: &[(u64, &[(u64, u64)])]) {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, sections.len() as u64);
+    fn scatter(sections: &[(usize, &[(u64, u64)])]) {
+        let mut dst = schedules()[1].agg_dsts[0].clone();
+        dst.sections = sections.len() as u64;
+        let mut h = Headers::new(&[dst], &BufferPool::default(), false);
         for &(domain, pieces) in sections {
-            let pieces = pieces.iter().map(|&(o, n)| Extent::new(o, n)).collect();
-            append_section(&mut payload, domain, &ExtentList::normalize(pieces), |e| {
-                &[5; 64][..e.len as usize]
-            });
+            h.section(0, domain, pieces.iter().map(|&(o, n)| Extent::new(o, n)));
         }
-        let mut out = vec![0; 20];
-        scatter_into(
-            &schedules()[0],
-            vec![(1, payload)],
-            &mut out,
-            &mut RoundFacts::default(),
-            &pool(),
-            false,
-        );
-        assert_eq!(out, vec![5; 20]);
+        let msg = h.finish().remove(0).2;
+        on_rank(0, [None; 2], |ctx| {
+            let (pool, mut facts) = (BufferPool::default(), RoundFacts::default());
+            let received = vec![(1, msg.clone())];
+            check_headers(ctx, &schedules()[0], received, &mut facts, &pool, false);
+        });
     }
 
-    const SCHEDULED: [(u64, &[(u64, u64)]); 2] = [(0, &[(0, 10)]), (1, &[(20, 10)])];
+    const SCHEDULED: [(usize, &[(u64, u64)]); 2] = [(0, &[(0, 10)]), (1, &[(20, 10)])];
 
     #[test]
-    fn payloads_that_match_the_schedule_land() {
+    fn messages_that_match_the_schedule_land() {
         store(|_| {});
         scatter(&SCHEDULED);
     }
@@ -628,13 +633,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "payload carries 1 unscheduled sections")]
+    #[should_panic(expected = "message carries 1 unscheduled sections")]
     fn an_extra_write_section_panics() {
         store(|p| {
             p[..8].copy_from_slice(&3u64.to_le_bytes());
-            put_u64(p, 9);
-            put_u64(p, 0);
+            p.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 15 bytes rank 0 exposes")]
+    fn a_section_past_its_owners_exposed_bytes_names_the_rank() {
+        // Rank 0's second section is packed bytes [10, 20).
+        store_exposing([Some(15), Some(20)], |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 exposes no buffer")]
+    fn a_section_of_a_withdrawn_buffer_names_the_rank() {
+        store_exposing([None, Some(20)], |_| {});
     }
 
     #[test]

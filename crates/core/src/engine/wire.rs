@@ -1,79 +1,117 @@
-//! Message codecs for the round engine: shuffle-section payloads and
-//! the per-round fact records the root prices.
+//! Message codecs for the round engine: the header messages of the
+//! one-sided shuffle and the per-round fact records the root prices.
 //!
-//! Message layout: `[n_sections]{domain, n_pieces, {off,len}*, bytes}`.
-//! Senders know their section counts from the communication schedule
-//! (`crate::schedule`), so payloads are written straight through into
-//! exact-size buffers — the count goes first, sections append behind
-//! it.
+//! A shuffle's bytes never travel in a message: aggregators copy each
+//! section straight between its owner's exposed buffer and the file
+//! window (`super::rounds`). What each sender still sends each
+//! receiver is one header message,
+//! `[n_sections]{domain, n_pieces, {off,len}*}`, with the section count
+//! known from the schedule and written first. Under a crash plan an
+//! 8-byte FNV-1a seal follows: the hash of the two-sided payload the
+//! message stands for, `[n_sections]{domain, n_pieces, {off,len}*,
+//! bytes}`, so both ends compute it over the headers and the section
+//! bytes they copy, in section order. That payload's length is the
+//! message's *wire length*
+//! ([`SendDst::payload_bytes`](crate::schedule::SendDst::payload_bytes)):
+//! the traffic counters and the causal hook see it, so traffic, blame
+//! chains and virtual time are what a two-sided shuffle produces.
 
-use mccio_mpiio::{Extent, ExtentList};
+use mccio_mpiio::Extent;
 use mccio_net::wire::{put_u64, Reader};
 use mccio_pfs::{RetryLog, ServerLoad, ServiceReport};
-use mccio_sim::hash::fnv1a;
+use mccio_sim::hash::Fnv1a;
 use mccio_sim::time::VDuration;
 
-/// Appends one section (`domain`, the clipped extents, their bytes
-/// produced by `bytes_of`) to an in-progress payload carrying its
-/// scheduled section count up front.
-pub(super) fn append_section<'p>(
-    buf: &mut Vec<u8>,
-    domain: u64,
-    pieces: &ExtentList,
-    bytes_of: impl Fn(Extent) -> &'p [u8],
-) {
-    put_u64(buf, domain);
-    put_u64(buf, pieces.len() as u64);
-    for e in pieces.as_slice() {
-        put_u64(buf, e.offset);
-        put_u64(buf, e.len);
-    }
-    for &e in pieces.as_slice() {
-        buf.extend_from_slice(bytes_of(e));
-    }
-}
+use super::pool::BufferPool;
+use crate::schedule::SendDst;
 
-/// Bytes the end-to-end checksum trailer adds to a sealed payload.
+/// Bytes the seal adds to a header message under a crash plan.
 pub(crate) const CHECKSUM_TRAILER: usize = 8;
 
-/// Seals a fully-encoded shuffle payload with its FNV-1a trailer. Only
-/// called when the fault plan schedules crashes (the schedule sized the
-/// payload for the extra [`CHECKSUM_TRAILER`] bytes).
-pub(super) fn seal_payload(buf: &mut Vec<u8>) {
-    let h = fnv1a(buf);
-    put_u64(buf, h);
+/// The header messages of one round and direction, one per scheduled
+/// destination: each opens with its section count, then each section's
+/// headers, then (under a crash plan) the seal. Buffers come from the
+/// pool, sized exactly by the schedule.
+pub(super) struct Headers {
+    /// `(destination, wire length, message)`, as the exchange sends them.
+    msgs: Vec<(usize, u64, Vec<u8>)>,
+    /// Each message's running seal; empty unless sealed.
+    seals: Vec<Fnv1a>,
 }
 
-/// Verifies and strips a sealed payload's trailer, returning the body.
-///
-/// # Panics
-/// Panics on checksum mismatch: inside the simulator a corrupt payload
-/// can only mean an engine bug (a replayed round delivering stale
-/// bytes), and that must never be silently priced as success.
-fn verify_payload(payload: &[u8]) -> &[u8] {
-    assert!(
-        payload.len() >= CHECKSUM_TRAILER,
-        "sealed payload shorter than its trailer"
-    );
-    let (body, trailer) = payload.split_at(payload.len() - CHECKSUM_TRAILER);
-    let want = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    let got = fnv1a(body);
-    assert_eq!(
-        got, want,
-        "end-to-end checksum mismatch: payload corrupted in flight"
-    );
-    body
+impl Headers {
+    /// Opens one message per destination of `dsts`.
+    pub(super) fn new(dsts: &[SendDst], pool: &BufferPool, sealed: bool) -> Self {
+        let msgs: Vec<_> = dsts
+            .iter()
+            .map(|d| {
+                let mut buf = pool.take(d.header_bytes);
+                put_u64(&mut buf, d.sections);
+                (d.rank, d.payload_bytes as u64, buf)
+            })
+            .collect();
+        let seals = if sealed {
+            msgs.iter()
+                .map(|(_, _, buf)| {
+                    let mut h = Fnv1a::new();
+                    h.write(buf);
+                    h
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Headers { msgs, seals }
+    }
+
+    /// Appends a section's headers, `domain` and its `pieces`, to the
+    /// message in `slot`.
+    pub(super) fn section(
+        &mut self,
+        slot: usize,
+        domain: usize,
+        pieces: impl ExactSizeIterator<Item = Extent>,
+    ) {
+        let buf = &mut self.msgs[slot].2;
+        let at = buf.len();
+        put_u64(buf, domain as u64);
+        put_u64(buf, pieces.len() as u64);
+        for e in pieces {
+            put_u64(buf, e.offset);
+            put_u64(buf, e.len);
+        }
+        if let Some(h) = self.seals.get_mut(slot) {
+            h.write(&buf[at..]);
+        }
+    }
+
+    /// Folds the bytes of the last section in `slot`, in order, into
+    /// its seal.
+    pub(super) fn fold(&mut self, slot: usize, bytes: &[u8]) {
+        if let Some(h) = self.seals.get_mut(slot) {
+            h.write(bytes);
+        }
+    }
+
+    /// The finished messages, seals appended.
+    pub(super) fn finish(mut self) -> Vec<(usize, u64, Vec<u8>)> {
+        for ((_, _, buf), h) in self.msgs.iter_mut().zip(self.seals) {
+            put_u64(buf, h.finish());
+        }
+        self.msgs
+    }
 }
 
-/// Walks one received shuffle payload against the schedule. The
-/// receiver knows what each sender put on the wire, so nothing is
-/// decoded: each [`Sections::take`] names the domain and pieces the
-/// schedule expects next and borrows back the section's packed bytes.
+/// Walks one received header message against the schedule. The
+/// receiver knows what each sender sends, so nothing is decoded: each
+/// [`Sections::take`] names the domain and pieces the schedule expects
+/// next and checks the message agrees.
 ///
 /// # Panics
-/// When the payload disagrees with the schedule — a wrong domain, piece
+/// When the message disagrees with the schedule — a wrong domain, piece
 /// count or piece header, a missing, repeated or reordered section, or
-/// (at [`Sections::finish`]) an unscheduled section or trailing bytes.
+/// (at [`Sections::finish`]) an unscheduled section, trailing bytes or
+/// a seal that does not match the headers and the bytes folded in.
 /// Inside the simulator that is an engine bug, never to be priced as
 /// success.
 pub(super) struct Sections<'p> {
@@ -81,19 +119,39 @@ pub(super) struct Sections<'p> {
     left: u64,
     /// One past the last domain taken: senders emit ascending domains.
     next: u64,
+    /// The sender's seal and the hash so far, under a crash plan.
+    seal: Option<(u64, Fnv1a)>,
 }
 
 impl<'p> Sections<'p> {
-    /// Opens a received payload, verifying and stripping its checksum
-    /// trailer first when it is `sealed`.
-    pub(super) fn new(payload: &'p [u8], sealed: bool) -> Self {
-        let mut r = Reader::new(if sealed {
-            verify_payload(payload)
+    /// Opens a received message, splitting off its seal when `sealed`.
+    pub(super) fn new(msg: &'p [u8], sealed: bool) -> Self {
+        let (body, seal) = if sealed {
+            assert!(
+                msg.len() >= CHECKSUM_TRAILER,
+                "sealed message shorter than its seal"
+            );
+            let (body, trailer) = msg.split_at(msg.len() - CHECKSUM_TRAILER);
+            let want = u64::from_le_bytes(trailer.try_into().expect("8-byte seal"));
+            (body, Some((want, Fnv1a::new())))
         } else {
-            payload
-        });
-        let left = r.u64();
-        Sections { r, left, next: 0 }
+            (msg, None)
+        };
+        let mut s = Sections {
+            r: Reader::new(body),
+            left: 0,
+            next: 0,
+            seal,
+        };
+        s.left = s.word();
+        s
+    }
+
+    /// Reads one header word, folding it into the seal.
+    fn word(&mut self) -> u64 {
+        let w = self.r.u64();
+        self.fold(&w.to_le_bytes());
+        w
     }
 
     /// The domain of the next section, or `None` after the last.
@@ -101,43 +159,55 @@ impl<'p> Sections<'p> {
         (self.left > 0).then(|| self.r.clone().u64() as usize)
     }
 
-    /// Consumes the next section, checking it is `domain`'s and carries
-    /// exactly the headers of `pieces`; returns the pieces' bytes,
-    /// packed in order.
-    pub(super) fn take(
-        &mut self,
-        domain: usize,
-        pieces: impl ExactSizeIterator<Item = Extent>,
-    ) -> &'p [u8] {
-        assert!(self.left > 0, "payload lacks scheduled domain {domain}");
+    /// Consumes the next section's headers, checking it is `domain`'s
+    /// and carries exactly the headers of `pieces`. Its bytes are then
+    /// copied one-sided, and [`Sections::fold`]ed in under a crash plan.
+    pub(super) fn take(&mut self, domain: usize, pieces: impl ExactSizeIterator<Item = Extent>) {
+        assert!(self.left > 0, "message lacks scheduled domain {domain}");
         self.left -= 1;
-        let (got, n, want) = (self.r.u64(), self.r.u64(), pieces.len() as u64);
+        let (got, n, want) = (self.word(), self.word(), pieces.len() as u64);
         assert!(
             got == domain as u64 && got >= self.next && n == want,
-            "payload section (domain {got}, {n} pieces) is not the scheduled \
+            "message section (domain {got}, {n} pieces) is not the scheduled \
              (domain {domain}, {want} pieces) in domain order"
         );
         self.next = got + 1;
-        let mut bytes = 0;
         for e in pieces {
-            let (offset, len) = (self.r.u64(), self.r.u64());
+            let (offset, len) = (self.word(), self.word());
             assert!(
                 offset == e.offset && len == e.len,
                 "domain {domain} piece header ({offset}, {len}) disagrees with the scheduled {e:?}"
             );
-            bytes += len;
         }
-        self.r.bytes(bytes as usize)
     }
 
-    /// Asserts the payload was consumed exactly.
+    /// Folds the last section's bytes, in order, into the seal.
+    pub(super) fn fold(&mut self, bytes: &[u8]) {
+        if let Some((_, h)) = &mut self.seal {
+            h.write(bytes);
+        }
+    }
+
+    /// Asserts the message was consumed exactly and, under a crash
+    /// plan, that its seal matches.
+    ///
+    /// # Panics
+    /// On a seal mismatch, too: a replayed round that copied stale
+    /// bytes must never be priced as success.
     pub(super) fn finish(self) {
         assert_eq!(
             self.left, 0,
-            "payload carries {} unscheduled sections",
+            "message carries {} unscheduled sections",
             self.left
         );
         self.r.finish();
+        if let Some((want, h)) = self.seal {
+            assert_eq!(
+                h.finish(),
+                want,
+                "end-to-end checksum mismatch: section bytes differ from what the sender sealed"
+            );
+        }
     }
 }
 
@@ -145,7 +215,7 @@ impl<'p> Sections<'p> {
 /// `[n_flows]{dst, bytes}` (flows this rank *sends*), `[2 × n_servers]`
 /// then each server's `{bytes, requests}`, the bytes it assembled in
 /// aggregation buffers, the retry activity it endured this round, and
-/// the payload checksums it verified (crash-gated, zero otherwise). The
+/// the message seals it verified (crash-gated, zero otherwise). The
 /// record rides `send_ctl`, whose traffic accounting counts messages
 /// rather than bytes, so growing it never disturbs crash-free goldens.
 /// Written into an exact-size buffer.
@@ -252,21 +322,42 @@ pub(super) fn retry_delta(now: RetryLog, before: RetryLog) -> RetryLog {
 mod tests {
     use super::*;
 
+    /// A sealed one-section message over `sent`, read back with
+    /// `received` folded in as the section's bytes; returns the seal.
+    fn seal_roundtrip(sent: &[u8], received: &[u8]) -> u64 {
+        let dst = SendDst {
+            rank: 0,
+            sections: 1,
+            payload_bytes: 0,
+            header_bytes: 48,
+        };
+        let piece = [Extent::new(40, sent.len() as u64)];
+        let mut h = Headers::new(&[dst], &BufferPool::default(), true);
+        h.section(0, 3, piece.iter().copied());
+        h.fold(0, sent);
+        let msg = h.finish().remove(0).2;
+        let mut s = Sections::new(&msg, true);
+        s.take(3, piece.iter().copied());
+        s.fold(received);
+        s.finish();
+        u64::from_le_bytes(msg[40..].try_into().unwrap())
+    }
+
     #[test]
-    fn sealed_payload_roundtrips() {
-        let mut buf = vec![1u8, 2, 3, 4, 5];
-        seal_payload(&mut buf);
-        assert_eq!(buf.len(), 5 + CHECKSUM_TRAILER);
-        assert_eq!(verify_payload(&buf), &[1, 2, 3, 4, 5]);
+    fn the_seal_is_the_two_sided_payloads_hash() {
+        let mut payload = Vec::new();
+        for w in [1, 3, 1, 40, 5] {
+            put_u64(&mut payload, w);
+        }
+        payload.extend_from_slice(&[1, 2, 3, 4, 5]);
+        let seal = seal_roundtrip(&[1, 2, 3, 4, 5], &[1, 2, 3, 4, 5]);
+        assert_eq!(seal, mccio_sim::hash::fnv1a(&payload));
     }
 
     #[test]
     #[should_panic(expected = "checksum mismatch")]
-    fn corrupted_payload_is_caught() {
-        let mut buf = vec![9u8; 32];
-        seal_payload(&mut buf);
-        buf[4] ^= 0xFF;
-        let _ = verify_payload(&buf);
+    fn stale_section_bytes_are_caught() {
+        seal_roundtrip(&[9; 32], &[[9; 16], [0; 16]].concat());
     }
 
     #[test]

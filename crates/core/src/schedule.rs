@@ -11,7 +11,7 @@
 //! [`CommSchedule`] front-loads all of it:
 //!
 //! * per round, this rank's **client sends** — destination aggregators
-//!   in first-touch order with exact encoded payload sizes, and the
+//!   in first-touch order with exact message and wire lengths, and the
 //!   pieces of this rank's request routed to each ([`ClientWindow`]);
 //! * per round, the windows this rank **aggregates** — contributing
 //!   ranks with their clipped extents, the precomputed union
@@ -44,26 +44,29 @@ const PIECE_HEADER: usize = 16;
 const COUNT_WORD: usize = 8;
 
 /// One send destination of a round: the peer rank, how many sections
-/// the payload will carry, and its exact encoded byte length — so the
-/// payload buffer can be allocated once at final size and the section
-/// count written up front instead of patched afterwards.
+/// its message carries, and two lengths. The message itself carries
+/// only the section headers ([`SendDst::header_bytes`]): the bytes move
+/// one-sided, between their owner's exposed buffer and the file window.
+/// It is accounted at [`SendDst::payload_bytes`], the length of the
+/// two-sided payload that would also have carried the bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendDst {
     /// Destination rank.
     pub rank: usize,
-    /// Number of sections the payload carries.
+    /// Number of sections the message carries.
     pub sections: u64,
-    /// Exact encoded payload length in bytes.
+    /// Wire length: headers plus the sections' bytes.
     pub payload_bytes: usize,
+    /// Exact length of the message sent: the section count, every
+    /// section and piece header, and the seal under a crash plan.
+    pub header_bytes: usize,
 }
 
 /// Adds one section of `n_pieces` pieces and `bytes` data bytes to the
-/// payload for `rank`, creating the destination on first touch, and
-/// returns its slot in `dsts`. `trailer` is the per-payload overhead of
-/// the end-to-end checksum (0 when integrity is off,
-/// [`crate::engine::CHECKSUM_TRAILER`] under a crash plan) — baked into
-/// the size at creation so encoded payloads still land exactly on
-/// `payload_bytes`.
+/// message for `rank`, creating the destination on first touch, and
+/// returns its slot in `dsts`. `trailer` is the per-message seal (0
+/// when integrity is off, [`crate::engine::CHECKSUM_TRAILER`] under a
+/// crash plan), baked into both lengths at creation.
 fn add_section(
     dsts: &mut Vec<SendDst>,
     rank: usize,
@@ -76,11 +79,14 @@ fn add_section(
             rank,
             sections: 0,
             payload_bytes: COUNT_WORD + trailer,
+            header_bytes: COUNT_WORD + trailer,
         });
         dsts.len() - 1
     });
-    dsts[slot].sections += 1;
-    dsts[slot].payload_bytes += SECTION_HEADER + PIECE_HEADER * n_pieces + bytes as usize;
+    let d = &mut dsts[slot];
+    d.sections += 1;
+    d.header_bytes += SECTION_HEADER + PIECE_HEADER * n_pieces;
+    d.payload_bytes += SECTION_HEADER + PIECE_HEADER * n_pieces + bytes as usize;
     slot
 }
 
@@ -100,8 +106,8 @@ pub struct ClientWindow {
 }
 
 /// One contributing rank within an aggregated window: its clipped
-/// extents and (for the read direction) which scatter payload they
-/// feed.
+/// extents, where their bytes sit in its packed buffer, and (for the
+/// read direction) which header message they are announced in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankPieces {
     /// The contributing (write) / requesting (read) rank.
@@ -110,6 +116,9 @@ pub struct RankPieces {
     pub dst: usize,
     /// Bytes of this rank inside the window (the priced read flow).
     pub bytes: u64,
+    /// Start of the pieces' bytes in the rank's packed buffer: they are
+    /// the one run `[packed, packed + bytes)` there.
+    pub packed: u64,
     /// The rank's extents clipped to the window.
     pub pieces: ExtentList,
 }
@@ -188,6 +197,25 @@ pub struct CommSchedule {
     pub buffers: Vec<u64>,
 }
 
+/// Asserts that rank `me`'s client windows tile its packed buffer
+/// `[0, total)`: every byte in exactly one window. On a read, each
+/// window's aggregator fills exactly that window's run of the output,
+/// so this is what proves every output byte is written once. The
+/// windows are disjoint — each domain's are, and an executed plan's
+/// domains are (`CollectivePlan::assert_invariants`) — so covering
+/// `total` bytes is tiling them.
+fn assert_tiles(rounds: &[RoundSchedule], me: usize, total: u64) {
+    let covered: u64 = rounds
+        .iter()
+        .flat_map(|r| &r.client_windows)
+        .map(|cw| cw.bytes)
+        .sum();
+    assert!(
+        covered == total,
+        "rank {me}'s client windows do not tile its {total} packed bytes: they cover {covered}"
+    );
+}
+
 impl CommSchedule {
     /// Builds rank `me`'s schedule for executing `plan` against
     /// `pattern`. `my_extents` is the rank's own request (what the
@@ -210,9 +238,13 @@ impl CommSchedule {
     /// The one schedule builder. It reads the plan-wide facts from
     /// `index` (which must index `plan`, at least for `me`), so its cost
     /// depends on this rank's domains and request only. With `integrity`
-    /// set, every scheduled payload is sized for a trailing checksum
+    /// set, every scheduled message is sized for a trailing checksum
     /// word, matching what the engine's crash-gated sealing appends at
     /// encode time.
+    ///
+    /// # Panics
+    /// Panics, naming `me`, unless the rank's client windows tile its
+    /// packed buffer: a plan whose windows miss a requested byte.
     #[must_use]
     pub fn build_indexed(
         plan: &CollectivePlan,
@@ -294,7 +326,7 @@ impl CommSchedule {
                 let mut shapes: Vec<Extent> = Vec::new();
                 let mut per_rank: Vec<RankPieces> = Vec::new();
                 for &rank in candidates {
-                    let clipped = pattern.extents_of_rank(rank).clip(w);
+                    let (clipped, packed) = pattern.clip_packed(rank, w);
                     if clipped.is_empty() {
                         continue;
                     }
@@ -305,6 +337,7 @@ impl CommSchedule {
                         rank,
                         dst,
                         bytes,
+                        packed,
                         pieces: clipped,
                     });
                 }
@@ -332,6 +365,7 @@ impl CommSchedule {
 
             rounds.push(rs);
         }
+        assert_tiles(&rounds, me, my_extents.total_bytes());
         CommSchedule {
             rounds,
             buffers: my_domains
@@ -437,12 +471,13 @@ mod tests {
         let dst = &s.rounds[0].client_dsts[0];
         // count + (domain + n_pieces) + 2 piece headers + 9 data bytes.
         assert_eq!(dst.payload_bytes, 8 + 16 + 2 * 16 + 9);
+        assert_eq!(dst.header_bytes, 8 + 16 + 2 * 16);
         assert_eq!(dst.sections, 1);
         // The aggregator's view prices the same volume.
         let s1 = CommSchedule::build(&plan, &pattern, 1, &pattern.extents_of_rank(1).to_list());
         let ws = &s1.rounds[0].agg_windows[0];
         assert_eq!(ws.assembly_bytes, 9);
-        assert_eq!(ws.per_rank[0].bytes, 9);
+        assert_eq!((ws.per_rank[0].bytes, ws.per_rank[0].packed), (9, 0));
         assert_eq!(ws.position(8), 5);
         assert_eq!(ws.sieve().buffer_size, 12);
     }
@@ -470,6 +505,15 @@ mod tests {
             sealed.rounds[0].client_windows
         );
         assert_eq!(plain.client_bytes(), sealed.client_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0's client windows do not tile its 12 packed bytes")]
+    fn a_plan_that_misses_a_requested_byte_trips_the_tiling_assertion() {
+        // The domains skip byte 5 of rank 0's request.
+        let pattern = pattern_of(vec![vec![(0, 12)], vec![]]);
+        let plan = plan_of(vec![(0, 5, 1, 5), (6, 6, 1, 6)]);
+        let _ = CommSchedule::build(&plan, &pattern, 0, &pattern.extents_of_rank(0).to_list());
     }
 
     #[test]

@@ -25,6 +25,9 @@ pub struct GroupPattern {
     /// [`GroupPattern::ranks_touching`] call — the gathered pattern is
     /// shared by every member, so one build serves the whole world.
     index: OnceLock<TouchIndex>,
+    /// `table`'s [`ExtentTable::packed_offsets`], built lazily on the
+    /// first [`GroupPattern::clip_packed`] call and shared like `index`.
+    packed: OnceLock<Vec<u64>>,
 }
 
 impl Clone for GroupPattern {
@@ -33,6 +36,7 @@ impl Clone for GroupPattern {
             group: self.group.clone(),
             table: self.table.clone(),
             index: OnceLock::new(),
+            packed: OnceLock::new(),
         }
     }
 }
@@ -87,6 +91,7 @@ impl GroupPattern {
                     group: group.clone(),
                     table,
                     index: OnceLock::new(),
+                    packed: OnceLock::new(),
                 }
             },
         )
@@ -104,6 +109,7 @@ impl GroupPattern {
             group,
             table: ExtentTable::from_lists(per_rank),
             index: OnceLock::new(),
+            packed: OnceLock::new(),
         }
     }
 
@@ -130,6 +136,36 @@ impl GroupPattern {
             .index_of(rank)
             .unwrap_or_else(|| panic!("rank {rank} not in group"));
         self.table.view(idx)
+    }
+
+    /// Member `rank`'s extents clipped to `window`, with the position of
+    /// the first clipped byte in the member's packed buffer. Clipping a
+    /// sorted, disjoint list to one window keeps a run of consecutive
+    /// extents, so the clipped bytes are one contiguous run of that
+    /// buffer starting there. `O(log n + k)` after the first call, which
+    /// builds the pattern's packed-offset table.
+    ///
+    /// # Panics
+    /// Panics if `rank` is not in the group.
+    #[must_use]
+    pub fn clip_packed(&self, rank: usize, window: Extent) -> (ExtentList, u64) {
+        let idx = self
+            .group
+            .index_of(rank)
+            .unwrap_or_else(|| panic!("rank {rank} not in group"));
+        let offsets =
+            &self.packed.get_or_init(|| self.table.packed_offsets())[self.table.bounds(idx)];
+        let view = self.table.view(idx);
+        let mut start = None;
+        let pieces = view
+            .clip_indexed(window)
+            .map(|(i, piece)| {
+                let base = view.as_slice()[i];
+                start.get_or_insert(offsets[i] + (piece.offset - base.offset));
+                piece
+            })
+            .collect();
+        (ExtentList::from_sorted(pieces), start.unwrap_or(0))
     }
 
     /// The smallest extent covering every member's accesses, or `None`

@@ -181,13 +181,7 @@ impl ExtentList {
     /// operation and reuse with [`ExtentList::clip_indexed`].
     #[must_use]
     pub fn cumulative_offsets(&self) -> Vec<u64> {
-        let mut cum = Vec::with_capacity(self.extents.len());
-        let mut total = 0u64;
-        for e in &self.extents {
-            cum.push(total);
-            total += e.len;
-        }
-        cum
+        packed_starts(&self.extents).collect()
     }
 
     /// Iterates `(extent, buffer_range)` pairs: the byte range each
@@ -363,6 +357,15 @@ fn overlaps_slice(extents: &[Extent], window: Extent) -> bool {
     extents.get(start).is_some_and(|e| e.offset < window.end())
 }
 
+/// Each extent's start in the packed buffer of `extents`.
+fn packed_starts(extents: &[Extent]) -> impl Iterator<Item = u64> + '_ {
+    extents.iter().scan(0, |total, e| {
+        let start = *total;
+        *total += e.len;
+        Some(start)
+    })
+}
+
 /// A borrowed canonical extent slice with [`ExtentList`]'s read API.
 /// `Copy`, so it passes by value; [`ExtentsView::to_list`] materializes
 /// an owned list for the few callers that need one.
@@ -526,11 +529,24 @@ impl ExtentTable {
     /// Member `i`'s extents.
     #[must_use]
     pub fn view(&self, i: usize) -> ExtentsView<'_> {
-        let lo = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        let hi = self.ends[i] as usize;
         ExtentsView {
-            extents: &self.extents[lo..hi],
+            extents: &self.extents[self.bounds(i)],
         }
+    }
+
+    /// Where member `i`'s extents sit in [`ExtentTable::all_extents`].
+    pub(crate) fn bounds(&self, i: usize) -> std::ops::Range<usize> {
+        let lo = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        lo..self.ends[i] as usize
+    }
+
+    /// Each extent's start in its member's packed buffer, parallel to
+    /// [`ExtentTable::all_extents`]: every member's
+    /// [`ExtentList::cumulative_offsets`], back to back.
+    pub(crate) fn packed_offsets(&self) -> Vec<u64> {
+        self.views()
+            .flat_map(|v| packed_starts(v.extents))
+            .collect()
     }
 
     /// Every member's extents back to back (grouped by member).

@@ -75,21 +75,25 @@ pub struct OpMetrics {
     pub storage_requests: u64,
     /// Bytes this rank moved through storage.
     pub storage_bytes: u64,
-    /// Buffer-pool takes served from a retired buffer.
+    /// Always zero: the per-op buffer pool keeps no free list of its
+    /// own, so no take is served without the world-level recycler.
     pub pool_hits: u64,
-    /// Buffer-pool takes that had to allocate.
+    /// Buffers this rank took for an operation — its shuffle header
+    /// messages and its assembly buffers — all from the world-level
+    /// recycler. Shuffled bytes never sit in one: they are copied
+    /// one-sided between their owner's buffer and the file window. A
+    /// deterministic per-rank fact: whether the *recycler* then recycled
+    /// or allocated depends on rank scheduling, so callers read
+    /// `World::recycler().stats()` after the run instead.
     pub pool_misses: u64,
-    /// Buffer requests this rank forwarded to the world-level recycler
-    /// (its own free list was empty). A deterministic per-rank fact:
-    /// whether the *recycler* then recycled or allocated depends on
-    /// rank scheduling, so callers read `World::recycler().stats()`
-    /// after the run instead.
+    /// Equal to `pool_misses`: every take goes to the recycler.
     pub recycle_takes: u64,
-    /// Buffers this rank retired into the world-level recycler (free-
-    /// list overflow plus the end-of-operation drain).
+    /// Buffers this rank retired into the world-level recycler: the
+    /// header messages it received and its assembly buffers.
     pub recycle_returns: u64,
-    /// High-water mark of pooled payload/assembly buffer bytes this
-    /// rank held out of its pool at once.
+    /// Bytes of the packed buffer this rank exposed for one-sided
+    /// access — its write data or its read output, which is the whole
+    /// of its shuffle payload; the largest over absorbed operations.
     pub payload_peak_bytes: u64,
     /// Mean per-node aggregation-buffer high-water mark, bytes.
     pub mem_peak_mean: f64,

@@ -112,7 +112,8 @@ impl Ctx {
         if self.rank() == root {
             let shared: Arc<[u8]> = payload.as_slice().into();
             for dst in group.iter().filter(|&r| r != root) {
-                self.send_ctl_payload(dst, TAG_BCAST, Payload::Shared(Arc::clone(&shared)));
+                let payload = Payload::Shared(Arc::clone(&shared));
+                self.send_ctl_payload(dst, TAG_BCAST, payload, shared.len() as u64);
             }
             payload
         } else {
@@ -130,7 +131,8 @@ impl Ctx {
         if self.rank() == root {
             let shared: Arc<[u8]> = payload.into();
             for dst in group.iter().filter(|&r| r != root) {
-                self.send_ctl_payload(dst, TAG_BCAST, Payload::Shared(Arc::clone(&shared)));
+                let payload = Payload::Shared(Arc::clone(&shared));
+                self.send_ctl_payload(dst, TAG_BCAST, payload, shared.len() as u64);
             }
             shared
         } else {
@@ -218,27 +220,32 @@ impl Ctx {
     }
 
     /// Personalized all-to-all within a group (data plane): `sends` maps
-    /// each destination to a payload; `recv_from` lists the sources this
-    /// rank expects a message from. Both sides of the exchange must be
-    /// derivable from shared metadata — in collective I/O they always
-    /// are. Self-sends short-circuit locally. Returns `(src, payload)`
-    /// pairs in `recv_from` order.
+    /// each destination to a `(wire, payload)` message; `recv_from` lists
+    /// the sources this rank expects a message from. Both sides of the
+    /// exchange must be derivable from shared metadata — in collective
+    /// I/O they always are. Self-sends short-circuit locally. Returns
+    /// `(src, payload)` pairs in `recv_from` order.
     ///
-    /// The exchange is uncosted (callers price the whole phase
-    /// analytically) but is counted in the traffic statistics.
+    /// A message is accounted at its `wire` length, which may exceed the
+    /// payload: a one-sided shuffle moves its bytes between exposed
+    /// buffers ([`crate::rma`]) and sends only the headers, but stands
+    /// for the two-sided message that would have carried them. The
+    /// exchange is uncosted (callers price the whole phase analytically)
+    /// but is counted in the traffic statistics and reported to the
+    /// causal hook at that length.
     ///
     /// # Panics
     /// Panics if a destination or source is outside the group.
     pub fn exchange(
         &mut self,
         group: &RankSet,
-        sends: Vec<(usize, Vec<u8>)>,
+        sends: Vec<(usize, u64, Vec<u8>)>,
         recv_from: &[usize],
     ) -> Vec<(usize, Vec<u8>)> {
         self.assert_member(group, "exchange");
         let me = self.rank();
         let mut self_payload = None;
-        for (dst, payload) in sends {
+        for (dst, wire, payload) in sends {
             assert!(
                 group.contains(dst),
                 "exchange destination {dst} outside group"
@@ -250,8 +257,8 @@ impl Ctx {
                 );
                 self_payload = Some(payload);
             } else {
-                self.account_exchange(dst, payload.len() as u64);
-                self.send_ctl(dst, TAG_EXCHANGE, payload);
+                self.account_exchange(dst, wire);
+                self.send_ctl_payload(dst, TAG_EXCHANGE, payload.into(), wire);
             }
         }
         let mut received = Vec::with_capacity(recv_from.len());
@@ -420,8 +427,8 @@ mod tests {
             let group = RankSet::world(ctx.size());
             let me = ctx.rank();
             // Everyone sends one byte [me*10+dst] to every rank (self included).
-            let sends: Vec<(usize, Vec<u8>)> = (0..4)
-                .map(|dst| (dst, vec![(me * 10 + dst) as u8]))
+            let sends: Vec<(usize, u64, Vec<u8>)> = (0..4)
+                .map(|dst| (dst, 1, vec![(me * 10 + dst) as u8]))
                 .collect();
             let recv_from: Vec<usize> = (0..4).collect();
             let got = ctx.exchange(&group, sends, &recv_from);
@@ -443,7 +450,8 @@ mod tests {
         let _ = w.run(|ctx| {
             let group = RankSet::world(ctx.size());
             if ctx.rank() == 0 {
-                let got = ctx.exchange(&group, vec![(2, vec![0u8; 100])], &[]);
+                // Accounted at its wire length, not the payload's.
+                let got = ctx.exchange(&group, vec![(2, 100, vec![0u8; 8])], &[]);
                 assert!(got.is_empty());
             } else if ctx.rank() == 2 {
                 let _ = ctx.exchange(&group, vec![], &[0]);

@@ -207,10 +207,12 @@ pub struct World {
     traffic: Traffic,
     executor: ExecutorKind,
     decode_cache: DecodeCache,
-    /// World-level byte-buffer recycler: payload and assembly buffers
-    /// retired by one operation serve the next, so the steady-state hot
-    /// path allocates nothing (see [`crate::recycle`]).
+    /// World-level byte-buffer recycler: header-message and assembly
+    /// buffers retired by one operation serve the next, so the
+    /// steady-state hot path allocates nothing (see [`crate::recycle`]).
     recycle: Arc<crate::recycle::BytePool>,
+    /// Each rank's one-sided exposure slot (see [`crate::rma`]).
+    exposures: crate::rma::ExposureTable,
     /// The full-world rank set, built once and shared: per-op
     /// `RankSet::world(n)` calls are an O(ranks) allocation per rank
     /// that dominated collective prologues at 10k+ ranks.
@@ -235,6 +237,7 @@ impl World {
     ) -> Arc<World> {
         let n_ranks = placement.n_ranks();
         let n_nodes = placement.n_nodes();
+        crate::recycle::keep_freed_buffers_mapped();
         Arc::new(World {
             placement,
             cost,
@@ -242,6 +245,7 @@ impl World {
             executor,
             decode_cache: DecodeCache::default(),
             recycle: Arc::new(crate::recycle::BytePool::for_ranks(n_ranks)),
+            exposures: crate::rma::ExposureTable::new(n_ranks),
             world_set: std::sync::OnceLock::new(),
         })
     }
@@ -331,6 +335,10 @@ impl World {
     #[must_use]
     pub fn recycler(&self) -> &Arc<crate::recycle::BytePool> {
         &self.recycle
+    }
+
+    pub(crate) fn exposures(&self) -> &crate::rma::ExposureTable {
+        &self.exposures
     }
 
     /// The rank set containing every rank, built once per world and
@@ -524,13 +532,16 @@ impl Ctx {
     /// Sends a control-plane message: causality only, no transfer cost
     /// (the bulk-data phases it coordinates are priced analytically).
     pub fn send_ctl(&mut self, dst: usize, tag: u32, payload: Vec<u8>) {
-        self.send_ctl_payload(dst, tag, payload.into());
+        let wire = payload.len() as u64;
+        self.send_ctl_payload(dst, tag, payload.into(), wire);
     }
 
     /// Control-plane send of an owned *or shared* payload; collectives
     /// use the shared form so a broadcast queues one buffer, not one
-    /// clone per destination.
-    pub(crate) fn send_ctl_payload(&mut self, dst: usize, tag: u32, payload: Payload) {
+    /// clone per destination. `wire` is the length the causal hook is
+    /// told: the payload's own, except where a message stands for a
+    /// longer one (a one-sided shuffle's headers, see [`Ctx::exchange`]).
+    pub(crate) fn send_ctl_payload(&mut self, dst: usize, tag: u32, payload: Payload, wire: u64) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         self.account(dst, payload.len() as u64, false);
         // An injected control-network delay shifts the departure stamp:
@@ -538,7 +549,7 @@ impl Ctx {
         // in virtual time without any wall-clock sleeping.
         let depart = self.clock + self.ctl_delay;
         let causal = match &self.causal {
-            Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64, false),
+            Some(sink) => sink.on_send(self.rank, dst, self.clock, wire, false),
             None => 0,
         };
         self.deliver(

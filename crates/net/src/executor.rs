@@ -64,7 +64,12 @@
 //!
 //! Task stacks are carved out of one lazily-committed slab allocation
 //! (100k separate mappings would exhaust `vm.max_map_count`), sized by
-//! `MCCIO_STACK_KIB` (default 512 KiB, min 64). Each stack's low end
+//! `MCCIO_STACK_KIB` (default 128 KiB, min 64). The default is sized
+//! from measurement: scanning freshly zeroed slabs after each run, tasks
+//! peak at 10.7–12.1 KiB on the three perfbench workloads (release) and
+//! at 32.7 KiB across the workspace's test suite (debug). At 100,800
+//! ranks it is a 12.3 GiB slab, which `vm.overcommit_memory=0` still
+//! grants on a 16 GiB host; 512 KiB was refused. Each stack's low end
 //! carries a canary word; a clobbered canary aborts with advice to raise
 //! the knob. The slab has no guard pages — the canary is the tripwire.
 
@@ -83,8 +88,9 @@ use mccio_sim::VTime;
 use crate::engine::{Ctx, World};
 use crate::mailbox::{Envelope, Mailbox, Pattern};
 
-/// Default per-task stack size when `MCCIO_STACK_KIB` is unset.
-const DEFAULT_STACK_KIB: usize = 512;
+/// Default per-task stack size when `MCCIO_STACK_KIB` is unset: about
+/// 4× the deepest task measured (see the module docs).
+const DEFAULT_STACK_KIB: usize = 128;
 /// Smallest accepted stack; below this even the entry thunk is unsafe.
 const MIN_STACK_KIB: usize = 64;
 /// Written at the low end of every task stack; checked when the task

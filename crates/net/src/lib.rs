@@ -38,6 +38,7 @@ mod executor;
 pub mod group;
 pub mod mailbox;
 pub mod recycle;
+pub mod rma;
 pub mod wire;
 
 pub use collective::INTERNAL_TAG_BASE;
@@ -45,3 +46,4 @@ pub use engine::{Ctx, ExecutorKind, Traffic, TrafficSnapshot, World};
 pub use executor::{slab_stats, SlabStats};
 pub use group::RankSet;
 pub use recycle::{BytePool, RecycleStats};
+pub use rma::Exposure;

@@ -1,35 +1,33 @@
 //! World-level size-classed byte-buffer recycler.
 //!
-//! The per-op engine pool (`core::engine::pool`) retires buffers when
-//! its operation closes; before this module existed those buffers went
-//! back to the allocator, and the next operation re-faulted a fresh
-//! generation of pages (at 10k+ ranks that is gigabytes of `mmap` /
-//! `munmap` churn per collective). The recycler lives on the `World`,
-//! so payload and assembly buffers survive operation boundaries: a
-//! steady-state operation allocates nothing on its hot path, it just
-//! circulates committed slabs.
+//! The collective engine (`core::engine::pool`) takes every header
+//! message and assembly buffer from here and retires it back; before
+//! this module existed those buffers went back to the allocator, and
+//! the next operation re-faulted a fresh generation of pages (at 10k+
+//! ranks that is gigabytes of `mmap` / `munmap` churn per collective).
+//! The recycler lives on the `World`, so those buffers survive
+//! operation boundaries: a steady-state operation allocates nothing on
+//! its hot path, it just circulates committed slabs.
 //!
 //! ## Exact-capacity classes
 //!
 //! Buffers are binned by their *exact* capacity, and [`BytePool::take`]
 //! recycles only a bin whose capacity equals the request — a miss
 //! allocates `Vec::with_capacity(cap)`, which is also exactly `cap`
-//! bytes. The strictness is deliberate: a recycled buffer must be
-//! indistinguishable (capacity included) from a fresh allocation,
-//! because the per-rank engine pool makes hit/miss decisions from
-//! buffer capacities and its counters are pinned exactly by the perf
-//! regression gate. Which buffers sit in this shared pool depends on
-//! how ranks interleave; their *capacities* must not. Collective
-//! schedules repeat the same payload and assembly sizes across rounds
-//! and operations, so exact matching still recycles the bulk of the
-//! data plane.
+//! bytes. The strictness is deliberate: a recycled buffer is
+//! indistinguishable (capacity included) from a fresh allocation, so
+//! which buffers sit in this shared pool, which depends on how ranks
+//! interleave, never shows in what a take returns. Collective schedules
+//! repeat the same message and assembly sizes across rounds and
+//! operations, so exact matching still recycles the bulk of the data
+//! plane.
 //!
 //! The pool is shared by every rank of a world, so its hit/miss and
 //! retained-bytes counters depend on the rank schedule. Callers read
 //! them after `World::run` returns, and they are deliberately kept out
 //! of every bit-identity artifact: virtual times, file bytes, traffic
-//! snapshots, and the per-rank engine pool counters are all computed
-//! without consulting this pool's state.
+//! snapshots, and the per-rank engine counters are all computed without
+//! consulting this pool's state.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,14 +41,41 @@ use mccio_sim::hostprof::{self, HostPhase};
 const DEFAULT_RETAIN_BYTES: u64 = 1 << 30;
 
 /// Per-rank retirement headroom used by [`BytePool::for_ranks`]: a
-/// collective op's payload + assembly working set lands around tens of
+/// collective op's message + assembly working set lands around tens of
 /// KiB per rank, and a ceiling below the working set makes the *next*
 /// operation re-allocate everything the ceiling refused to park.
 const RETAIN_BYTES_PER_RANK: u64 = 32 * 1024;
 
-/// Smallest capacity worth pooling; tinier buffers cost more to bin
-/// than to reallocate.
-const MIN_POOLED_CAPACITY: usize = 64;
+/// Pins glibc's dynamic malloc thresholds at their maxima, once per
+/// process: the 32 MiB mmap threshold and twice that for trimming, the
+/// values glibc's own adaptive rule ends at.
+///
+/// Some buffers leave the engine and are freed by their owner instead of
+/// parked here: a read's output, a workload's payload. Under glibc's
+/// default, adaptive thresholds, buffers of a few hundred KiB freed that
+/// way can go back to the kernel, and the next operation faults every
+/// page in again: 14,849 minor faults a pass on perfbench `ior-120-2ph`
+/// with two workers (2-vCPU host, glibc 2.36), whose one-sided shuffle
+/// has no parked payloads left to hold the heap in place. Fixed thresholds keep such buffers inside
+/// malloc's heap, committed for the next operation, as the recycler
+/// keeps its own.
+pub(crate) fn keep_freed_buffers_mapped() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        // SAFETY: plain setters of allocator tunables; glibc serialises
+        // them against concurrent allocation.
+        ONCE.call_once(|| unsafe {
+            mallopt(M_MMAP_THRESHOLD, 32 << 20);
+            mallopt(M_TRIM_THRESHOLD, 64 << 20);
+        });
+    }
+}
 
 #[derive(Debug)]
 struct Bins {
@@ -119,15 +144,13 @@ impl BytePool {
     /// otherwise. Contents never leak between uses.
     pub fn take(&self, cap: usize) -> Vec<u8> {
         let _t = hostprof::timer(HostPhase::RecycleTake);
-        let recycled = if cap >= MIN_POOLED_CAPACITY {
+        let recycled = {
             let mut bins = self.bins.lock().expect("byte pool poisoned");
             let found = bins.by_capacity.get_mut(&cap).and_then(Vec::pop);
             if found.is_some() {
                 bins.retained_bytes -= cap as u64;
             }
             found
-        } else {
-            None
         };
         match recycled {
             Some(mut buf) => {
@@ -143,12 +166,15 @@ impl BytePool {
         }
     }
 
-    /// Retires a buffer for reuse (dropped when it is tiny or the
-    /// retention ceiling is reached).
+    /// Retires a buffer for reuse (dropped when it holds no allocation
+    /// or the retention ceiling is reached). Small buffers are binned
+    /// too: a one-sided shuffle's header messages are often a few dozen
+    /// bytes, and reusing them keeps a steady-state operation from
+    /// allocating per message.
     pub fn put(&self, buf: Vec<u8>) {
         let _t = hostprof::timer(HostPhase::RecycleReturn);
         let cap = buf.capacity();
-        if cap < MIN_POOLED_CAPACITY {
+        if cap == 0 {
             return;
         }
         let mut bins = self.bins.lock().expect("byte pool poisoned");
@@ -211,12 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn tiny_buffers_are_not_pooled() {
+    fn small_buffers_are_pooled() {
         let pool = BytePool::default();
         pool.put(Vec::with_capacity(8));
-        assert_eq!(pool.stats().retained_bytes, 0);
+        assert_eq!(pool.stats().retained_bytes, 8);
         let b = pool.take(8);
         assert_eq!(b.capacity(), 8);
-        assert_eq!(pool.stats().hits, 0);
+        assert_eq!(pool.stats().hits, 1);
     }
 }
