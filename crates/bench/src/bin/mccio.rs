@@ -270,13 +270,11 @@ fn main() {
     let m = result.metrics;
     if m.any() {
         println!(
-            "engine   : {} rounds, shuffle {}, storage {} in {} requests, \
-             {} pooled buffers",
+            "engine   : {} rounds, shuffle {}, storage {} in {} requests",
             m.rounds,
             fmt_bytes(m.shuffle_bytes),
             fmt_bytes(m.storage_bytes),
             m.storage_requests,
-            m.recycle_takes,
         );
     }
     let peaks = result.peak_mem;

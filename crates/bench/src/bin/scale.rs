@@ -23,7 +23,7 @@
 //! Each row holds the virtual write/read seconds, the `OpMetrics`
 //! round, shuffle, storage and memory fields and the traffic scalars;
 //! obs-on passes add the stream (or event) counters and every host
-//! phase's *call count* but the recycler's; the causal pass
+//! phase's *call count* but the recycler's (no producer); the causal pass
 //! adds its virtual times, the blame-chain count, total hops and one
 //! hash over every chain's segments. Nothing comes from the wall clock.
 //! Checked live instead of recorded: obs on and off give bit-identical
@@ -429,8 +429,7 @@ fn push_virtual(row: &mut Row, prefix: &str, r: &RunResult) {
 
 /// Records the virtual times, the `OpMetrics` round, shuffle, storage
 /// and memory fields and the traffic scalars. The buffer-pool fields
-/// are left out: they count header-message and assembly buffers, a
-/// detail of how the engine reuses memory rather than what it does.
+/// are left out: they read zero, kept only for the benchmark package.
 fn push_run(row: &mut Row, r: &RunResult) {
     push_virtual(row, "", r);
     let m = &r.metrics;
@@ -454,8 +453,8 @@ fn push_run(row: &mut Row, r: &RunResult) {
 
 /// Records what an obs-on pass observed under `prefix`: the stream
 /// counters (or the event count of a buffered sink) and every host
-/// phase's call count but the recycler's (see [`push_run`]) — never
-/// its time.
+/// phase's call count but the recycler's, which have no producer —
+/// never its time.
 fn push_obs(row: &mut Row, prefix: &str, sink: &ObsSink, pass: &Pass) {
     if let Some(agg) = sink.stream_stats() {
         row.push(
@@ -567,10 +566,6 @@ fn run_scale(mode: &str) {
                 m.rounds,
                 m.shuffle_bytes / MIB,
                 r.traffic.data_msgs + r.traffic.ctl_msgs
-            );
-            eprintln!(
-                "  recycler takes {} returns {}",
-                m.recycle_takes, m.recycle_returns
             );
             let bits = (r.write_secs.to_bits(), r.read_secs.to_bits());
             let want = *canonical.get_or_insert(bits);

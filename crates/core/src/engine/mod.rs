@@ -14,8 +14,9 @@
 //! one-sided: for the length of an op each rank exposes its packed
 //! buffer ([`mccio_net::rma`]), and each shuffled byte is copied once,
 //! between that buffer and the file window. Messages still flow as a
-//! two-sided shuffle's would, but carry only section headers, which
-//! receivers check against their schedule; each is accounted at its
+//! two-sided shuffle's would, but carry only section headers, encoded
+//! once per schedule and compared by each receiver with its own
+//! encoding for that peer; each is accounted at its
 //! *wire length*, the two-sided payload's (`wire`). Time is charged once
 //! per round, computed at the world root from the gathered round facts —
 //! the exchange flow list, every aggregator's storage
@@ -30,10 +31,10 @@
 //! window's union layout and assembly size. It is built on the rank's
 //! first operation under that plan and retained with the cached plan
 //! (`IoEnv::schedule_cached`), so the read after a write and every
-//! repetition of the same access reuse it. The round loop is then pure
-//! data movement, with header and assembly buffers recycled through a
-//! bounded pool instead of reallocated per window per round. The
-//! schedule reproduces the legacy per-round discovery exactly, so
+//! repetition of the same access reuse it, header messages included.
+//! The round loop is then pure data movement: a healthy message is a
+//! slice of the schedule's encoding, and only a window with holes
+//! allocates, its assembly buffer. The schedule reproduces the legacy per-round discovery exactly, so
 //! virtual time, file bytes, and traffic are bit-identical
 //! (`tests/golden_determinism.rs`) while host wall clock drops (the
 //! `perfbench/` package at the repository root measures it).
@@ -42,10 +43,8 @@
 //! one thing that differs between directions:
 //!
 //! * [`env`](self) — [`IoEnv`], the environment operations run against;
-//! * `wire` — header-message and fact codecs for shuffle and pricing
-//!   messages;
-//! * `pool` — the bounded buffer free-list the round loop recycles
-//!   header-message and assembly buffers through;
+//! * `wire` — header-message checks and seals, and the fact codec of
+//!   the pricing messages;
 //! * `prologue` — clock sync, fault application, collective reservation,
 //!   and the matching epilogue;
 //! * `rounds` — the single direction-agnostic round executor, driven by
@@ -55,7 +54,6 @@
 //! * `settle` — round pricing at the world root.
 
 mod env;
-mod pool;
 mod prologue;
 mod recover;
 mod rounds;

@@ -19,7 +19,6 @@ use mccio_sim::time::VTime;
 use crate::resilience::MAX_ESCALATIONS;
 
 use super::env::IoEnv;
-use super::pool::BufferPool;
 
 /// Everything the prologue established, carried through the round loop
 /// and consumed by [`close`].
@@ -32,9 +31,6 @@ pub(super) struct OpState {
     pub(super) active: bool,
     /// This rank's per-operation transient-failure context.
     pub(super) faults: IoFaults,
-    /// Header-message and assembly buffers recycled across rounds and
-    /// domains.
-    pub(super) pool: BufferPool,
     /// Per-rank engine counters accumulated across the round loop
     /// (local facts only — filling them never moves virtual time).
     pub(super) scratch: OpMetrics,
@@ -208,7 +204,6 @@ pub(super) fn open(
         t0,
         active,
         faults,
-        pool: BufferPool::backed(Arc::clone(ctx.world().recycler())),
         scratch: OpMetrics::default(),
         reservations,
     })
@@ -223,12 +218,6 @@ pub(super) fn close(
     bytes: u64,
     res: &mut Resilience,
 ) -> IoReport {
-    assert_eq!(
-        state.pool.loans_outstanding(),
-        0,
-        "buffer-pool loan leaked out of the round loop"
-    );
-    let pstats = state.pool.finish();
     if env.obs().is_enabled() {
         // The paired half of the prologue's `mem.reserve` marks: every
         // buffer held for the operation releases here, at the virtual
@@ -259,15 +248,9 @@ pub(super) fn close(
     metrics.shuffle_bytes = state.scratch.shuffle_bytes;
     metrics.storage_requests = state.scratch.storage_requests;
     metrics.storage_bytes = state.scratch.storage_bytes;
-    // The op keeps no free list of its own: every take is a pool miss.
-    metrics.pool_misses = pstats.takes;
-    metrics.recycle_takes = pstats.takes;
-    metrics.recycle_returns = pstats.returns;
     metrics.payload_peak_bytes = bytes;
     let obs = env.obs();
     if obs.is_enabled() {
-        obs.counter_add("pool.misses", pstats.takes);
-        obs.counter_add("recycle.returns", pstats.returns);
         // One rank snapshots the per-node memory high-water marks so the
         // registry's histogram (and its CoV) reflects each node once per
         // operation, not once per rank.

@@ -22,8 +22,9 @@
 //!
 //! Messages still flow exactly as a two-sided shuffle's would, one per
 //! (sender, receiver) pair and round, but carry only the section
-//! headers (`super::wire`), which receivers check against their own
-//! schedule. The output of a read is allocated once and never
+//! headers, encoded once per schedule and sent as slices of that
+//! encoding (`super::wire`); each receiver compares every message with
+//! its own encoding for that peer. The output of a read is allocated once and never
 //! zero-filled: the schedule build proves that every rank's client
 //! windows tile its buffer, and every window is filled before its
 //! header arrives.
@@ -31,28 +32,29 @@
 //! Nothing is discovered here: send destinations, receive lists, piece
 //! routings, packed positions, union layouts, and buffer sizes all come
 //! from the [`crate::schedule::CommSchedule`] built once per plan and
-//! rank (and reused by every operation that repeats the plan).
+//! rank (and reused by every operation that repeats the plan), header
+//! messages included.
 //! Everything else — prologue, reservation, exchange, pricing, epilogue
 //! — is shared code in the sibling modules, which keeps the comparison
 //! between strategies honest and every future engine capability paid
 //! for exactly once.
 
-use mccio_mpiio::sieve::{sieved_read_into, sieved_write_r};
+use mccio_mpiio::sieve::{sieved_read_r, sieved_write_r};
 use mccio_mpiio::{Extent, ExtentList, GroupPattern, IoReport, Resilience};
+use mccio_net::mailbox::Payload;
 use mccio_net::Ctx;
 use mccio_obs::{AttrValue, ENGINE_TRACK};
 use mccio_pfs::{FileHandle, IoFaults, ServiceReport};
 use mccio_sim::error::SimResult;
 
 use crate::plan::CollectivePlan;
-use crate::schedule::{RankPieces, RoundSchedule};
+use crate::schedule::{ClientWindow, CommSchedule, RankPieces};
 
 use super::env::IoEnv;
-use super::pool::BufferPool;
 use super::prologue::{self, drive_storage};
 use super::recover::CrashTracker;
 use super::settle::settle_round;
-use super::wire::{retry_delta, Headers, Sections};
+use super::wire::{check_messages, messages, retry_delta, sealers};
 
 /// The data plane of a collective operation: what varies between the
 /// write and read directions of the round loop.
@@ -182,18 +184,18 @@ pub(super) fn execute_op(
         // --- contribute: what this rank puts on the wire ---
         let (sends, recv_from) = match op {
             Op::Write { data } => (
-                client_sends(rs, data, &mut facts, &state.pool, integrity),
+                client_sends(&schedule, round, data, &mut facts, integrity),
                 rs.agg_sources.as_slice(),
             ),
             Op::Read => (
                 fetch_and_put(
                     ctx,
                     handle,
-                    rs,
+                    &schedule,
+                    round,
                     &mut state.faults,
                     &mut report,
                     &mut facts,
-                    &state.pool,
                     integrity,
                 ),
                 rs.client_sources.as_slice(),
@@ -202,21 +204,24 @@ pub(super) fn execute_op(
 
         // --- shuffle: the one exchange both directions share ---
         let received = ctx.exchange(&state.world, sends, recv_from);
+        if integrity {
+            facts.integrity += received.len() as u64;
+        }
 
         // --- absorb: what this rank does with what arrived ---
         match op {
             Op::Write { .. } => aggregate_and_store(
                 ctx,
                 handle,
-                rs,
-                received,
+                &schedule,
+                round,
+                &received,
                 &mut state.faults,
                 &mut report,
                 &mut facts,
-                &state.pool,
                 integrity,
             ),
-            Op::Read => check_headers(ctx, rs, received, &mut facts, &state.pool, integrity),
+            Op::Read => check_read(ctx, &schedule, round, &received, integrity),
         }
 
         let delta = retry_delta(state.faults.log, log_before);
@@ -271,7 +276,7 @@ pub(super) fn execute_op(
     let out = matches!(op, Op::Read).then(|| {
         // SAFETY: the schedule's client windows tile `[0, total)` (its
         // build asserts it), and each window's aggregator put its bytes
-        // before the header `check_headers` matched to it.
+        // before the header `check_read` compared.
         unsafe { out.set_len(total) };
         out
     });
@@ -304,68 +309,60 @@ pub(super) fn execute_op(
 /// Write contribute-half: one header message per destination
 /// aggregator, announcing the scheduled sections of this rank's request
 /// (their bytes stay in `data` for the aggregator to copy), each
-/// accounted at its wire length.
+/// accounted at its wire length; under a crash plan each is sealed over
+/// the sections' bytes.
 fn client_sends(
-    rs: &RoundSchedule,
+    schedule: &CommSchedule,
+    round: usize,
     data: &[u8],
     facts: &mut RoundFacts,
-    pool: &BufferPool,
     integrity: bool,
-) -> Vec<(usize, u64, Vec<u8>)> {
-    let mut headers = Headers::new(&rs.client_dsts, pool, integrity);
+) -> Vec<(usize, u64, Payload)> {
+    let rs = &schedule.rounds[round];
     for cw in &rs.client_windows {
         facts.flows.push((rs.client_dsts[cw.dst].rank, cw.bytes));
-        headers.section(cw.dst, cw.domain, cw.pieces.iter().map(|&(e, _)| e));
-        let start = cw.pieces[0].1 as usize;
-        headers.fold(cw.dst, &data[start..start + cw.bytes as usize]);
     }
-    headers.finish()
+    let run = |cw: &ClientWindow| &data[cw.packed as usize..(cw.packed + cw.bytes) as usize];
+    let runs = rs.client_windows.iter().map(|cw| (cw.dst, run(cw)));
+    let seals = sealers(schedule, &rs.client_dsts, integrity, runs);
+    messages(schedule, &rs.client_dsts, seals)
 }
 
-/// Write absorb-half: store each scheduled window, its contributors in
-/// rank order each announcing their next section in their header
-/// message (checked against the schedule, never decoded) and the bytes
-/// copied from the run of their exposed buffer the schedule names. A
-/// hole-free window (single-extent union) copies the pieces straight
-/// into the file as the one span write the sieve would issue — no
-/// assembly buffer at all; a window with holes assembles into a pooled
-/// buffer and goes through the sieve's read-modify-write. Header
-/// buffers retire into the pool for the next round.
+/// Write absorb-half: check every contributor's header message against
+/// this rank's own encoding of it (and its seal, under a crash plan,
+/// against the bytes about to land), then store each scheduled window,
+/// its contributors in rank order, copying each one's bytes from the
+/// run of its exposed buffer the schedule names. A hole-free window
+/// (single-extent union) copies the pieces straight into the file as
+/// the one span write the sieve would issue — no assembly buffer at
+/// all; a window with holes assembles into a buffer of its own and goes
+/// through the sieve's read-modify-write.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_and_store(
     ctx: &Ctx,
     handle: &FileHandle,
-    rs: &RoundSchedule,
-    received: Vec<(usize, Vec<u8>)>,
+    schedule: &CommSchedule,
+    round: usize,
+    received: &[(usize, Payload)],
     faults: &mut IoFaults,
     report: &mut ServiceReport,
     facts: &mut RoundFacts,
-    pool: &BufferPool,
     integrity: bool,
 ) {
-    // `received` follows `rs.agg_sources`, so a contributor's message is
-    // found by binary search there.
-    let mut msgs: Vec<Sections<'_>> = received
-        .iter()
-        .map(|(_, msg)| Sections::new(msg, integrity))
-        .collect();
-    if integrity {
-        facts.integrity += received.len() as u64;
-    }
-    // Lays contributor `rp`'s next section into `dst`, each piece at
-    // `pos(piece)`.
-    let mut land = |rp: &RankPieces, domain, dst: &mut [u8], pos: &dyn Fn(Extent) -> usize| {
-        let i = rs
-            .agg_sources
-            .binary_search(&rp.rank)
-            .expect("every contributor is a scheduled source");
-        let pieces = rp.pieces.as_slice();
-        msgs[i].take(domain, pieces.iter().copied());
-        // SAFETY: write data is exposed read-only, and `rp.rank` withdraws
-        // it only after `close`'s barrier, which this rank has not reached.
-        let mut bytes = unsafe { ctx.exposed(rp.rank, rp.packed as usize, rp.bytes as usize) };
-        msgs[i].fold(bytes);
-        for &e in pieces {
+    let rs = &schedule.rounds[round];
+    // SAFETY (every `exposed` below): write data is exposed read-only,
+    // and its owner withdraws it only after `close`'s barrier, which
+    // this rank has not reached.
+    let run =
+        |rp: &RankPieces| unsafe { ctx.exposed(rp.rank, rp.packed as usize, rp.bytes as usize) };
+    let runs = rs.agg_windows.iter().flat_map(|ws| &ws.per_rank);
+    let runs = runs.map(|rp| (rp.dst, run(rp)));
+    let seals = sealers(schedule, &rs.agg_dsts, integrity, runs);
+    check_messages(schedule, &rs.agg_dsts, received, seals, ctx.rank(), round);
+    // Lays contributor `rp`'s bytes into `dst`, each piece at `pos(piece)`.
+    let land = |rp: &RankPieces, dst: &mut [u8], pos: &dyn Fn(Extent) -> usize| {
+        let mut bytes = run(rp);
+        for &e in rp.pieces.as_slice() {
             let (piece, rest) = bytes.split_at(e.len as usize);
             let at = pos(e);
             dst[at..at + piece.len()].copy_from_slice(piece);
@@ -383,55 +380,57 @@ fn aggregate_and_store(
             let r = drive_storage(faults, |f| {
                 handle.try_write_at_with(span.offset, span.len, f, |dst| {
                     for rp in &ws.per_rank {
-                        land(rp, ws.domain, dst, &|e| (e.offset - span.offset) as usize);
+                        land(rp, dst, &|e| (e.offset - span.offset) as usize);
                     }
                 })
             });
             report.merge(&r);
             continue;
         }
-        let mut buf = pool.loan_filled(ws.assembly_bytes as usize);
+        let mut buf = vec![0; ws.assembly_bytes as usize];
         for rp in &ws.per_rank {
-            land(rp, ws.domain, &mut buf, &|e| ws.position(e.offset));
+            land(rp, &mut buf, &|e| ws.position(e.offset));
         }
         let out = drive_storage(faults, |f| {
             sieved_write_r(handle, &ws.union, &buf, ws.sieve(), f)
         });
         report.merge(&out.report);
     }
-    msgs.into_iter().for_each(Sections::finish);
-    for (_, msg) in received {
-        pool.put(msg);
-    }
 }
 
 /// Read contribute-half: fetch each scheduled window with one priced
 /// storage access and copy each requester's pieces into its exposed
-/// output, as the one run the schedule names, announcing the section in
-/// that requester's header message. A hole-free window inside EOF is
-/// copied straight out of a zero-copy file view; otherwise the union is
-/// sieved into a pooled buffer first (which also supplies the zero
-/// bytes of any beyond-EOF tail).
+/// output, as the one run the schedule names; then send each requester
+/// its header message, sealed under a crash plan over the bytes put. A
+/// hole-free window inside EOF is copied straight out of a zero-copy
+/// file view; otherwise the union is sieved into a buffer first (which
+/// also supplies the zero bytes of any beyond-EOF tail).
 #[allow(clippy::too_many_arguments)]
 fn fetch_and_put(
     ctx: &Ctx,
     handle: &FileHandle,
-    rs: &RoundSchedule,
+    schedule: &CommSchedule,
+    round: usize,
     faults: &mut IoFaults,
     report: &mut ServiceReport,
     facts: &mut RoundFacts,
-    pool: &BufferPool,
     integrity: bool,
-) -> Vec<(usize, u64, Vec<u8>)> {
-    let mut headers = Headers::new(&rs.agg_dsts, pool, integrity);
+) -> Vec<(usize, u64, Payload)> {
+    let rs = &schedule.rounds[round];
+    let mut seals = sealers(schedule, &rs.agg_dsts, integrity, []);
     // Puts requester `rp`'s pieces, each read from `src` at `pos(piece)`.
-    let mut put = |rp: &RankPieces, domain, src: &[u8], pos: &dyn Fn(Extent) -> usize| {
-        headers.section(rp.dst, domain, rp.pieces.as_slice().iter().copied());
+    let mut put = |rp: &RankPieces, src: &[u8], pos: &dyn Fn(Extent) -> usize| {
+        let mut seal = seals.get_mut(rp.dst);
+        if let Some(s) = seal.as_mut() {
+            s.section();
+        }
         let mut at = rp.packed as usize;
         for &e in rp.pieces.as_slice() {
             let from = pos(e);
             let piece = &src[from..from + e.len as usize];
-            headers.fold(rp.dst, piece);
+            if let Some(s) = seal.as_mut() {
+                s.bytes(piece);
+            }
             ctx.put_exposed(rp.rank, at, piece);
             at += piece.len();
         }
@@ -446,7 +445,7 @@ fn fetch_and_put(
                 let ((), r) = drive_storage(faults, |f| {
                     handle.try_read_at_with(span.offset, span.len, f, |view| {
                         for rp in &ws.per_rank {
-                            put(rp, ws.domain, view, &|e| (e.offset - span.offset) as usize);
+                            put(rp, view, &|e| (e.offset - span.offset) as usize);
                         }
                     })
                 });
@@ -454,68 +453,45 @@ fn fetch_and_put(
                 continue;
             }
         }
-        let mut packed = pool.loan(ws.assembly_bytes as usize);
-        let sv = drive_storage(faults, |f| {
-            sieved_read_into(handle, &ws.union, ws.sieve(), f, &mut packed)
-        });
+        let (packed, sv) =
+            drive_storage(faults, |f| sieved_read_r(handle, &ws.union, ws.sieve(), f));
         report.merge(&sv.report);
         for rp in &ws.per_rank {
-            put(rp, ws.domain, &packed, &|e| ws.position(e.offset));
+            put(rp, &packed, &|e| ws.position(e.offset));
         }
     }
-    headers.finish()
+    messages(schedule, &rs.agg_dsts, seals)
 }
 
-/// Read absorb-half: walk each aggregator's header message and match
-/// every section to the scheduled client window of its domain. The
-/// aggregator has already put the window's bytes into this rank's
+/// Read absorb-half: check each aggregator's header message against
+/// this rank's own encoding of its message to that aggregator. The
+/// aggregator has already put the announced bytes into this rank's
 /// output; under a crash plan the seal is checked over them where they
-/// now sit. Every window must be announced exactly once, by its own
-/// aggregator; the header buffers retire into the pool.
-fn check_headers(
+/// now sit.
+fn check_read(
     ctx: &Ctx,
-    rs: &RoundSchedule,
-    received: Vec<(usize, Vec<u8>)>,
-    facts: &mut RoundFacts,
-    pool: &BufferPool,
+    schedule: &CommSchedule,
+    round: usize,
+    received: &[(usize, Payload)],
     integrity: bool,
 ) {
-    if integrity {
-        facts.integrity += received.len() as u64;
-    }
-    let mut filled = 0;
-    for (src, msg) in &received {
-        let mut sections = Sections::new(msg, integrity);
-        while let Some(domain) = sections.peek_domain() {
-            let cw = rs
-                .client_windows
-                .binary_search_by_key(&domain, |cw| cw.domain)
-                .map(|i| &rs.client_windows[i])
-                .unwrap_or_else(|_| panic!("rank {src} sent unscheduled domain {domain}"));
-            assert_eq!(
-                rs.client_dsts[cw.dst].rank, *src,
-                "domain {domain} arrived from the wrong aggregator"
-            );
-            sections.take(domain, cw.pieces.iter().map(|&(e, _)| e));
-            if integrity {
-                let start = cw.pieces[0].1 as usize;
-                // SAFETY: the aggregator put these bytes before sending the
-                // header just taken, nobody puts them again, and this rank
-                // withdraws its output only after `close`.
-                sections.fold(unsafe { ctx.exposed(ctx.rank(), start, cw.bytes as usize) });
-            }
-            filled += 1;
-        }
-        sections.finish();
-    }
-    assert_eq!(
-        filled,
-        rs.client_windows.len(),
-        "a scheduled window received no section"
+    let rs = &schedule.rounds[round];
+    // SAFETY: the aggregator put these bytes before sending the header
+    // now in `received`, nobody puts them again, and this rank withdraws
+    // its output only after `close`.
+    let run = |cw: &ClientWindow| unsafe {
+        ctx.exposed(ctx.rank(), cw.packed as usize, cw.bytes as usize)
+    };
+    let runs = rs.client_windows.iter().map(|cw| (cw.dst, run(cw)));
+    let seals = sealers(schedule, &rs.client_dsts, integrity, runs);
+    check_messages(
+        schedule,
+        &rs.client_dsts,
+        received,
+        seals,
+        ctx.rank(),
+        round,
     );
-    for (_, msg) in received {
-        pool.put(msg);
-    }
 }
 
 #[cfg(test)]
@@ -525,14 +501,15 @@ mod tests {
     use mccio_sim::cost::CostModel;
     use mccio_sim::topology::{test_cluster, FillOrder, Placement};
 
+    use mccio_net::wire::put_u64;
+
     use super::*;
     use crate::plan::DomainPlan;
-    use crate::schedule::CommSchedule;
 
     /// Rank 0 owns `[0, 10)` and `[20, 30)`, rank 1 the gaps between;
     /// rank 1 aggregates both 20-byte domains in one round. Returns each
-    /// rank's schedule of that round.
-    fn schedules() -> [RoundSchedule; 2] {
+    /// rank's schedule.
+    fn schedules() -> [CommSchedule; 2] {
         let lists = [[(0, 10), (20, 10)], [(10, 10), (30, 10)]]
             .map(|l| ExtentList::normalize(l.map(|(o, n)| Extent::new(o, n)).to_vec()));
         let pattern = GroupPattern::from_parts(RankSet::world(2), lists.to_vec());
@@ -545,10 +522,7 @@ mod tests {
         let plan = CollectivePlan {
             domains: vec![domain(0), domain(20)],
         };
-        [0, 1].map(|me| {
-            let mut s = CommSchedule::build(&plan, &pattern, me, &lists[me]);
-            s.rounds.remove(0)
-        })
+        [0, 1].map(|me| CommSchedule::build(&plan, &pattern, me, &lists[me]))
     }
 
     /// Runs `f` on rank `me` of a two-rank world in which rank `r`
@@ -567,108 +541,151 @@ mod tests {
         });
     }
 
-    /// Rank 1 stores the round from both ranks' header messages, the one
-    /// from rank 0 passed through `tamper` first.
-    fn store_exposing(exposed: [Option<usize>; 2], tamper: impl Fn(&mut Vec<u8>) + Send + Sync) {
+    /// Rank 1 stores the round from both ranks' header messages, each
+    /// passed through `tamper` with its sender first. With `sealed`
+    /// holding each sender's byte value, every sender seals its message
+    /// as if its 20 bytes all had that value (the exposed ones are its
+    /// rank plus one).
+    fn store_with(
+        exposed: [Option<usize>; 2],
+        sealed: Option<[u8; 2]>,
+        tamper: impl Fn(usize, &mut Vec<u8>) + Send + Sync,
+    ) {
         on_rank(1, exposed, |ctx| {
-            let rs = schedules();
-            let pool = BufferPool::default();
+            let schedules = schedules();
             let mut facts = RoundFacts::default();
-            let mut sends = rs
-                .each_ref()
-                .map(|r| client_sends(r, &[9; 20], &mut facts, &pool, false));
-            tamper(&mut sends[0][0].2);
-            let received = sends.map(|mut s| s.remove(0).2).into_iter().enumerate();
+            let integrity = sealed.is_some();
+            let received: Vec<_> = (0..2)
+                .map(|src| {
+                    let data = [sealed.map_or(0, |b| b[src]); 20];
+                    let sends = client_sends(&schedules[src], 0, &data, &mut facts, integrity);
+                    let mut msg = sends[0].2.as_slice().to_vec();
+                    tamper(src, &mut msg);
+                    (src, Payload::from(msg))
+                })
+                .collect();
             let fs = FileSystem::new(4, 64, PfsParams::default());
             aggregate_and_store(
                 ctx,
                 &fs.open_or_create("f"),
-                &rs[1],
-                received.collect(),
+                &schedules[1],
+                0,
+                &received,
                 &mut IoFaults::none(),
                 &mut ServiceReport::empty(4),
                 &mut facts,
-                &pool,
-                false,
+                integrity,
             );
             let want = [1, 2, 1, 2].map(|b| [b; 10]).concat();
             assert_eq!(fs.open("f").unwrap().read_at(0, 40).0, want);
         });
     }
 
-    fn store(tamper: impl Fn(&mut Vec<u8>) + Send + Sync) {
-        store_exposing([Some(20); 2], tamper);
+    fn store(tamper: impl Fn(usize, &mut Vec<u8>) + Send + Sync) {
+        store_with([Some(20); 2], None, tamper);
     }
 
     /// Rank 0 checks one header message from aggregator 1 announcing
-    /// `sections`, each `(domain, [(offset, len)])`.
-    fn scatter(sections: &[(usize, &[(u64, u64)])]) {
-        let mut dst = schedules()[1].agg_dsts[0].clone();
-        dst.sections = sections.len() as u64;
-        let mut h = Headers::new(&[dst], &BufferPool::default(), false);
+    /// `sections`, each `(domain, [(offset, len)])`, in the wire format.
+    fn scatter(sections: &[(u64, &[(u64, u64)])]) {
+        let mut msg = Vec::new();
+        put_u64(&mut msg, sections.len() as u64);
         for &(domain, pieces) in sections {
-            h.section(0, domain, pieces.iter().map(|&(o, n)| Extent::new(o, n)));
+            put_u64(&mut msg, domain);
+            put_u64(&mut msg, pieces.len() as u64);
+            for &(offset, len) in pieces {
+                put_u64(&mut msg, offset);
+                put_u64(&mut msg, len);
+            }
         }
-        let msg = h.finish().remove(0).2;
         on_rank(0, [None; 2], |ctx| {
-            let (pool, mut facts) = (BufferPool::default(), RoundFacts::default());
-            let received = vec![(1, msg.clone())];
-            check_headers(ctx, &schedules()[0], received, &mut facts, &pool, false);
+            let received = [(1, Payload::from(msg.clone()))];
+            check_read(ctx, &schedules()[0], 0, &received, false);
         });
     }
 
-    const SCHEDULED: [(usize, &[(u64, u64)]); 2] = [(0, &[(0, 10)]), (1, &[(20, 10)])];
+    const SCHEDULED: [(u64, &[(u64, u64)]); 2] = [(0, &[(0, 10)]), (1, &[(20, 10)])];
 
     #[test]
     fn messages_that_match_the_schedule_land() {
-        store(|_| {});
+        store(|_, _| {});
+        store_with([Some(20); 2], Some([1, 2]), |_, _| {});
         scatter(&SCHEDULED);
     }
 
     #[test]
-    #[should_panic(expected = "piece header (1, 10) disagrees")]
-    fn a_write_piece_header_off_the_schedule_panics() {
+    #[should_panic(
+        expected = "rank 1's round 0 header from rank 0 differs from its schedule at word 3: \
+                    got 0x1, expected 0x0"
+    )]
+    fn a_wrong_piece_header_panics() {
         // Count, domain and piece count precede the first offset word.
-        store(|p| p[24..32].copy_from_slice(&1u64.to_le_bytes()));
+        store(|src, p| {
+            if src == 0 {
+                p[24..32].copy_from_slice(&1u64.to_le_bytes());
+            }
+        });
     }
 
     #[test]
-    #[should_panic(expected = "message carries 1 unscheduled sections")]
-    fn an_extra_write_section_panics() {
-        store(|p| {
-            p[..8].copy_from_slice(&3u64.to_le_bytes());
-            p.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+    #[should_panic(expected = "rank 0 differs from its schedule at word 0: got 0x3, expected 0x2")]
+    fn an_extra_section_panics() {
+        store(|src, p| {
+            if src == 0 {
+                p[..8].copy_from_slice(&3u64.to_le_bytes());
+                p.extend_from_slice(&[[2, 0, 0, 0, 0, 0, 0, 0], [0; 8]].concat());
+            }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 differs from its schedule at word 8: got 0x5, expected 0xa")]
+    fn a_short_section_panics() {
+        scatter(&[SCHEDULED[0], (1, &[(20, 5)])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 differs from its schedule at word 0: got 0x1, expected 0x2")]
+    fn a_missing_section_panics() {
+        scatter(&SCHEDULED[..1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 differs from its schedule at word 1: got 0x1, expected 0x0")]
+    fn a_reordered_section_panics() {
+        scatter(&[SCHEDULED[1], SCHEDULED[0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 differs from its schedule at word 3: got 0xa, expected 0x0")]
+    fn a_header_from_the_wrong_peer_panics() {
+        // Rank 0's message is the one rank 1 sends.
+        let s = &schedules()[1];
+        let theirs = s.header(&s.rounds[0].client_dsts[0]).to_vec();
+        store(move |src, p| {
+            if src == 0 {
+                p.clone_from(&theirs);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1's round 0 header from rank 0: end-to-end checksum mismatch")]
+    fn stale_section_bytes_under_a_seal_panic() {
+        // Rank 0 sealed bytes other than the ones rank 1 copies.
+        store_with([Some(20); 2], Some([9, 2]), |_, _| {});
     }
 
     #[test]
     #[should_panic(expected = "outside the 15 bytes rank 0 exposes")]
     fn a_section_past_its_owners_exposed_bytes_names_the_rank() {
         // Rank 0's second section is packed bytes [10, 20).
-        store_exposing([Some(15), Some(20)], |_| {});
+        store_with([Some(15), Some(20)], None, |_, _| {});
     }
 
     #[test]
     #[should_panic(expected = "rank 0 exposes no buffer")]
     fn a_section_of_a_withdrawn_buffer_names_the_rank() {
-        store_exposing([None, Some(20)], |_| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "piece header (20, 5) disagrees")]
-    fn a_short_read_section_panics() {
-        scatter(&[SCHEDULED[0], (1, &[(20, 5)])]);
-    }
-
-    #[test]
-    #[should_panic(expected = "a scheduled window received no section")]
-    fn a_missing_read_section_panics() {
-        scatter(&SCHEDULED[..1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "in domain order")]
-    fn an_extra_read_section_panics() {
-        scatter(&[SCHEDULED[0], SCHEDULED[1], SCHEDULED[1]]);
+        store_with([None, Some(20)], None, |_, _| {});
     }
 }

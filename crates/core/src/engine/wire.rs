@@ -5,210 +5,191 @@
 //! section straight between its owner's exposed buffer and the file
 //! window (`super::rounds`). What each sender still sends each
 //! receiver is one header message,
-//! `[n_sections]{domain, n_pieces, {off,len}*}`, with the section count
-//! known from the schedule and written first. Under a crash plan an
-//! 8-byte FNV-1a seal follows: the hash of the two-sided payload the
-//! message stands for, `[n_sections]{domain, n_pieces, {off,len}*,
-//! bytes}`, so both ends compute it over the headers and the section
-//! bytes they copy, in section order. That payload's length is the
-//! message's *wire length*
-//! ([`SendDst::payload_bytes`](crate::schedule::SendDst::payload_bytes)):
+//! `[n_sections]{domain, n_pieces, {off,len}*}`, encoded once per
+//! schedule ([`CommSchedule::header`]) and sent as a slice of that
+//! encoding. The schedule is symmetric: a client's message to an
+//! aggregator is byte for byte the aggregator's message back to that
+//! client, so each receiver checks a message by comparing it with its
+//! own encoding for that peer ([`check_messages`]).
+//!
+//! Under a crash plan the sender copies its message and appends an
+//! 8-byte FNV-1a seal: the hash of the two-sided payload the message
+//! stands for, `[n_sections]{domain, n_pieces, {off,len}*, bytes}`, so
+//! both ends compute it ([`Sealer`]) over their own copy of the headers
+//! and the section bytes they copy, in section order. That payload's
+//! length is the message's *wire length* ([`SendDst::payload_bytes`]):
 //! the traffic counters and the causal hook see it, so traffic, blame
 //! chains and virtual time are what a two-sided shuffle produces.
 
-use mccio_mpiio::Extent;
+use mccio_net::mailbox::Payload;
 use mccio_net::wire::{put_u64, Reader};
 use mccio_pfs::{RetryLog, ServerLoad, ServiceReport};
 use mccio_sim::hash::Fnv1a;
 use mccio_sim::time::VDuration;
 
-use super::pool::BufferPool;
-use crate::schedule::SendDst;
+use crate::schedule::{CommSchedule, SendDst};
 
 /// Bytes the seal adds to a header message under a crash plan.
 pub(crate) const CHECKSUM_TRAILER: usize = 8;
 
-/// The header messages of one round and direction, one per scheduled
-/// destination: each opens with its section count, then each section's
-/// headers, then (under a crash plan) the seal. Buffers come from the
-/// pool, sized exactly by the schedule.
-pub(super) struct Headers {
-    /// `(destination, wire length, message)`, as the exchange sends them.
-    msgs: Vec<(usize, u64, Vec<u8>)>,
-    /// Each message's running seal; empty unless sealed.
-    seals: Vec<Fnv1a>,
+/// The running seal of one header message, fed the message's own
+/// headers a section at a time ([`Sealer::section`]) and each section's
+/// bytes after them ([`Sealer::bytes`]).
+pub(super) struct Sealer<'h> {
+    header: &'h [u8],
+    /// Start of the next section's headers in `header`.
+    at: usize,
+    hash: Fnv1a,
 }
 
-impl Headers {
-    /// Opens one message per destination of `dsts`.
-    pub(super) fn new(dsts: &[SendDst], pool: &BufferPool, sealed: bool) -> Self {
-        let msgs: Vec<_> = dsts
-            .iter()
-            .map(|d| {
-                let mut buf = pool.take(d.header_bytes);
-                put_u64(&mut buf, d.sections);
-                (d.rank, d.payload_bytes as u64, buf)
-            })
-            .collect();
-        let seals = if sealed {
-            msgs.iter()
-                .map(|(_, _, buf)| {
-                    let mut h = Fnv1a::new();
-                    h.write(buf);
-                    h
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Headers { msgs, seals }
-    }
-
-    /// Appends a section's headers, `domain` and its `pieces`, to the
-    /// message in `slot`.
-    pub(super) fn section(
-        &mut self,
-        slot: usize,
-        domain: usize,
-        pieces: impl ExactSizeIterator<Item = Extent>,
-    ) {
-        let buf = &mut self.msgs[slot].2;
-        let at = buf.len();
-        put_u64(buf, domain as u64);
-        put_u64(buf, pieces.len() as u64);
-        for e in pieces {
-            put_u64(buf, e.offset);
-            put_u64(buf, e.len);
-        }
-        if let Some(h) = self.seals.get_mut(slot) {
-            h.write(&buf[at..]);
+impl<'h> Sealer<'h> {
+    /// Starts the seal of `header`, folding in its section count.
+    pub(super) fn new(header: &'h [u8]) -> Self {
+        let mut hash = Fnv1a::new();
+        hash.write(&header[..8]);
+        Sealer {
+            header,
+            at: 8,
+            hash,
         }
     }
 
-    /// Folds the bytes of the last section in `slot`, in order, into
-    /// its seal.
-    pub(super) fn fold(&mut self, slot: usize, bytes: &[u8]) {
-        if let Some(h) = self.seals.get_mut(slot) {
-            h.write(bytes);
-        }
+    /// Folds in the next section's headers: its domain, piece count and
+    /// piece headers.
+    pub(super) fn section(&mut self) {
+        let mut r = Reader::new(&self.header[self.at..]);
+        let (_domain, n_pieces) = (r.u64(), r.u64());
+        let end = self.at + 16 + 16 * n_pieces as usize;
+        self.hash.write(&self.header[self.at..end]);
+        self.at = end;
     }
 
-    /// The finished messages, seals appended.
-    pub(super) fn finish(mut self) -> Vec<(usize, u64, Vec<u8>)> {
-        for ((_, _, buf), h) in self.msgs.iter_mut().zip(self.seals) {
-            put_u64(buf, h.finish());
-        }
-        self.msgs
+    /// Folds in bytes of the current section, in order.
+    pub(super) fn bytes(&mut self, bytes: &[u8]) {
+        self.hash.write(bytes);
+    }
+
+    /// The seal, once every section is folded in.
+    pub(super) fn finish(self) -> u64 {
+        debug_assert_eq!(self.at, self.header.len(), "a section was not sealed");
+        self.hash.finish()
     }
 }
 
-/// Walks one received header message against the schedule. The
-/// receiver knows what each sender sends, so nothing is decoded: each
-/// [`Sections::take`] names the domain and pieces the schedule expects
-/// next and checks the message agrees.
+/// One [`Sealer`] per destination of `dsts` under a crash plan, fed
+/// each section's bytes in order from `sections`, `(slot in dsts,
+/// bytes)`; none otherwise, and `sections` is not read.
+pub(super) fn sealers<'s, 'b>(
+    schedule: &'s CommSchedule,
+    dsts: &[SendDst],
+    sealed: bool,
+    sections: impl IntoIterator<Item = (usize, &'b [u8])>,
+) -> Vec<Sealer<'s>> {
+    if !sealed {
+        return Vec::new();
+    }
+    let mut seals: Vec<_> = dsts
+        .iter()
+        .map(|d| Sealer::new(schedule.header(d)))
+        .collect();
+    for (slot, bytes) in sections {
+        seals[slot].section();
+        seals[slot].bytes(bytes);
+    }
+    seals
+}
+
+/// The header messages to `dsts` as the exchange sends them, each
+/// accounted at its wire length: a slice of the schedule's encoding,
+/// or, when `seals` holds one sealer per destination, a copy with the
+/// seal appended.
+pub(super) fn messages(
+    schedule: &CommSchedule,
+    dsts: &[SendDst],
+    seals: Vec<Sealer<'_>>,
+) -> Vec<(usize, u64, Payload)> {
+    let mut seals = seals.into_iter();
+    dsts.iter()
+        .map(|d| {
+            let msg = match seals.next() {
+                None => schedule.header_payload(d),
+                Some(seal) => {
+                    let mut msg = Vec::with_capacity(d.header_bytes);
+                    msg.extend_from_slice(schedule.header(d));
+                    put_u64(&mut msg, seal.finish());
+                    msg.into()
+                }
+            };
+            (d.rank, d.payload_bytes as u64, msg)
+        })
+        .collect()
+}
+
+/// Checks the header messages rank `me` received in `round`. `received`
+/// is in ascending source order, one message from each rank of `dsts`,
+/// and each must equal `me`'s own encoding of its message to that rank.
+/// Under a crash plan (`seals` holds one sealer per destination, fed
+/// the bytes `me` lands or landed) each message's seal must match too.
 ///
 /// # Panics
-/// When the message disagrees with the schedule — a wrong domain, piece
-/// count or piece header, a missing, repeated or reordered section, or
-/// (at [`Sections::finish`]) an unscheduled section, trailing bytes or
-/// a seal that does not match the headers and the bytes folded in.
-/// Inside the simulator that is an engine bug, never to be priced as
-/// success.
-pub(super) struct Sections<'p> {
-    r: Reader<'p>,
-    left: u64,
-    /// One past the last domain taken: senders emit ascending domains.
-    next: u64,
-    /// The sender's seal and the hash so far, under a crash plan.
-    seal: Option<(u64, Fnv1a)>,
+/// On the first message that differs, naming the sender, the receiver,
+/// the round and the first differing 8-byte word; or on a seal
+/// mismatch. Inside the simulator either is an engine bug, never to be
+/// priced as success.
+pub(super) fn check_messages(
+    schedule: &CommSchedule,
+    dsts: &[SendDst],
+    received: &[(usize, Payload)],
+    seals: Vec<Sealer<'_>>,
+    me: usize,
+    round: usize,
+) {
+    assert_eq!(received.len(), dsts.len(), "one message per scheduled peer");
+    let mut seals = seals.into_iter();
+    for d in dsts {
+        let i = received
+            .binary_search_by_key(&d.rank, |&(src, _)| src)
+            .expect("a message from every scheduled peer");
+        let msg = received[i].1.as_slice();
+        let seal = seals.next();
+        let trailer = if seal.is_some() { CHECKSUM_TRAILER } else { 0 };
+        let (body, trailer) = msg.split_at(msg.len().saturating_sub(trailer));
+        check_header(body, schedule.header(d), d.rank, me, round);
+        if let Some(seal) = seal {
+            assert!(
+                trailer == seal.finish().to_le_bytes(),
+                "rank {me}'s round {round} header from rank {}: end-to-end checksum \
+                 mismatch: section bytes differ from what the sender sealed",
+                d.rank
+            );
+        }
+    }
 }
 
-impl<'p> Sections<'p> {
-    /// Opens a received message, splitting off its seal when `sealed`.
-    pub(super) fn new(msg: &'p [u8], sealed: bool) -> Self {
-        let (body, seal) = if sealed {
-            assert!(
-                msg.len() >= CHECKSUM_TRAILER,
-                "sealed message shorter than its seal"
-            );
-            let (body, trailer) = msg.split_at(msg.len() - CHECKSUM_TRAILER);
-            let want = u64::from_le_bytes(trailer.try_into().expect("8-byte seal"));
-            (body, Some((want, Fnv1a::new())))
-        } else {
-            (msg, None)
-        };
-        let mut s = Sections {
-            r: Reader::new(body),
-            left: 0,
-            next: 0,
-            seal,
-        };
-        s.left = s.word();
-        s
+/// Panics unless `got`, the header rank `src` sent rank `me` in
+/// `round`, is byte for byte `want`, `me`'s encoding of it.
+fn check_header(got: &[u8], want: &[u8], src: usize, me: usize, round: usize) {
+    if got == want {
+        return;
     }
-
-    /// Reads one header word, folding it into the seal.
-    fn word(&mut self) -> u64 {
-        let w = self.r.u64();
-        self.fold(&w.to_le_bytes());
-        w
-    }
-
-    /// The domain of the next section, or `None` after the last.
-    pub(super) fn peek_domain(&self) -> Option<usize> {
-        (self.left > 0).then(|| self.r.clone().u64() as usize)
-    }
-
-    /// Consumes the next section's headers, checking it is `domain`'s
-    /// and carries exactly the headers of `pieces`. Its bytes are then
-    /// copied one-sided, and [`Sections::fold`]ed in under a crash plan.
-    pub(super) fn take(&mut self, domain: usize, pieces: impl ExactSizeIterator<Item = Extent>) {
-        assert!(self.left > 0, "message lacks scheduled domain {domain}");
-        self.left -= 1;
-        let (got, n, want) = (self.word(), self.word(), pieces.len() as u64);
-        assert!(
-            got == domain as u64 && got >= self.next && n == want,
-            "message section (domain {got}, {n} pieces) is not the scheduled \
-             (domain {domain}, {want} pieces) in domain order"
-        );
-        self.next = got + 1;
-        for e in pieces {
-            let (offset, len) = (self.word(), self.word());
-            assert!(
-                offset == e.offset && len == e.len,
-                "domain {domain} piece header ({offset}, {len}) disagrees with the scheduled {e:?}"
-            );
+    let at = got
+        .chunks(8)
+        .zip(want.chunks(8))
+        .position(|(g, w)| g != w)
+        .unwrap_or(got.len().min(want.len()) / 8);
+    let word = |m: &[u8]| match m.chunks(8).nth(at) {
+        Some(w) if w.len() == 8 => {
+            format!("{:#x}", u64::from_le_bytes(w.try_into().expect("8 bytes")))
         }
-    }
-
-    /// Folds the last section's bytes, in order, into the seal.
-    pub(super) fn fold(&mut self, bytes: &[u8]) {
-        if let Some((_, h)) = &mut self.seal {
-            h.write(bytes);
-        }
-    }
-
-    /// Asserts the message was consumed exactly and, under a crash
-    /// plan, that its seal matches.
-    ///
-    /// # Panics
-    /// On a seal mismatch, too: a replayed round that copied stale
-    /// bytes must never be priced as success.
-    pub(super) fn finish(self) {
-        assert_eq!(
-            self.left, 0,
-            "message carries {} unscheduled sections",
-            self.left
-        );
-        self.r.finish();
-        if let Some((want, h)) = self.seal {
-            assert_eq!(
-                h.finish(),
-                want,
-                "end-to-end checksum mismatch: section bytes differ from what the sender sealed"
-            );
-        }
-    }
+        Some(w) => format!("{} trailing bytes", w.len()),
+        None => "the end".to_string(),
+    };
+    panic!(
+        "rank {me}'s round {round} header from rank {src} differs from its schedule at word \
+         {at}: got {}, expected {}",
+        word(got),
+        word(want)
+    );
 }
 
 /// Round facts each rank contributes to the root's pricing:
@@ -322,42 +303,19 @@ pub(super) fn retry_delta(now: RetryLog, before: RetryLog) -> RetryLog {
 mod tests {
     use super::*;
 
-    /// A sealed one-section message over `sent`, read back with
-    /// `received` folded in as the section's bytes; returns the seal.
-    fn seal_roundtrip(sent: &[u8], received: &[u8]) -> u64 {
-        let dst = SendDst {
-            rank: 0,
-            sections: 1,
-            payload_bytes: 0,
-            header_bytes: 48,
-        };
-        let piece = [Extent::new(40, sent.len() as u64)];
-        let mut h = Headers::new(&[dst], &BufferPool::default(), true);
-        h.section(0, 3, piece.iter().copied());
-        h.fold(0, sent);
-        let msg = h.finish().remove(0).2;
-        let mut s = Sections::new(&msg, true);
-        s.take(3, piece.iter().copied());
-        s.fold(received);
-        s.finish();
-        u64::from_le_bytes(msg[40..].try_into().unwrap())
-    }
-
     #[test]
     fn the_seal_is_the_two_sided_payloads_hash() {
-        let mut payload = Vec::new();
+        let mut header = Vec::new();
         for w in [1, 3, 1, 40, 5] {
-            put_u64(&mut payload, w);
+            put_u64(&mut header, w);
         }
+        let mut seal = Sealer::new(&header);
+        seal.section();
+        seal.bytes(&[1, 2, 3]);
+        seal.bytes(&[4, 5]);
+        let mut payload = header.clone();
         payload.extend_from_slice(&[1, 2, 3, 4, 5]);
-        let seal = seal_roundtrip(&[1, 2, 3, 4, 5], &[1, 2, 3, 4, 5]);
-        assert_eq!(seal, mccio_sim::hash::fnv1a(&payload));
-    }
-
-    #[test]
-    #[should_panic(expected = "checksum mismatch")]
-    fn stale_section_bytes_are_caught() {
-        seal_roundtrip(&[9; 32], &[[9; 16], [0; 16]].concat());
+        assert_eq!(seal.finish(), mccio_sim::hash::fnv1a(&payload));
     }
 
     #[test]

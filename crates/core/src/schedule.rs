@@ -11,14 +11,20 @@
 //! [`CommSchedule`] front-loads all of it:
 //!
 //! * per round, this rank's **client sends** — destination aggregators
-//!   in first-touch order with exact message and wire lengths, and the
-//!   pieces of this rank's request routed to each ([`ClientWindow`]);
+//!   in first-touch order with exact message and wire lengths, and
+//!   where each window's bytes sit in this rank's buffer
+//!   ([`ClientWindow`]);
 //! * per round, the windows this rank **aggregates** — contributing
 //!   ranks with their clipped extents, the precomputed union
 //!   [`ExtentList`], its packed-buffer layout, and the assembly-buffer
 //!   size ([`WindowSchedule`]);
 //! * both **receive lists**: who sends to this aggregator (write) and
-//!   which aggregators cover this client (read).
+//!   which aggregators cover this client (read);
+//! * every **header message** the rank sends, encoded once into one
+//!   buffer ([`CommSchedule::header`]). The encoding is symmetric: a
+//!   client's header to an aggregator is byte for byte that
+//!   aggregator's header back to the client, so a receiver checks a
+//!   message by comparing it with its own.
 //!
 //! The round executor (`crate::engine`) then reduces to a pure
 //! data-movement loop. Virtual time is unaffected by construction: the
@@ -32,7 +38,11 @@
 //! is `O(rounds × (my windows + my domains' candidates))`, not
 //! `O(rounds × members × windows)`.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use mccio_mpiio::{Extent, ExtentList, GroupPattern, SieveConfig};
+use mccio_net::mailbox::Payload;
 
 use crate::plan::{CollectivePlan, PlanIndex};
 
@@ -43,30 +53,33 @@ const PIECE_HEADER: usize = 16;
 /// Wire cost of the leading section-count word.
 const COUNT_WORD: usize = 8;
 
-/// One send destination of a round: the peer rank, how many sections
-/// its message carries, and two lengths. The message itself carries
-/// only the section headers ([`SendDst::header_bytes`]): the bytes move
-/// one-sided, between their owner's exposed buffer and the file window.
-/// It is accounted at [`SendDst::payload_bytes`], the length of the
-/// two-sided payload that would also have carried the bytes.
+/// One send destination of a round: the peer rank, two lengths, and
+/// where the message's headers sit in the schedule's encoding
+/// ([`CommSchedule::header`]), which opens with their section count. The
+/// message carries only the section headers: the bytes move one-sided,
+/// between their owner's exposed buffer and the file window. It is
+/// accounted at [`SendDst::payload_bytes`], the length of the two-sided
+/// payload that would also have carried the bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendDst {
     /// Destination rank.
     pub rank: usize,
-    /// Number of sections the message carries.
-    pub sections: u64,
     /// Wire length: headers plus the sections' bytes.
     pub payload_bytes: usize,
     /// Exact length of the message sent: the section count, every
     /// section and piece header, and the seal under a crash plan.
     pub header_bytes: usize,
+    /// The message's encoded headers in [`CommSchedule::header`]'s
+    /// buffer: `header_bytes` without the seal.
+    pub header: Range<usize>,
 }
 
 /// Adds one section of `n_pieces` pieces and `bytes` data bytes to the
 /// message for `rank`, creating the destination on first touch, and
 /// returns its slot in `dsts`. `trailer` is the per-message seal (0
 /// when integrity is off, [`crate::engine::CHECKSUM_TRAILER`] under a
-/// crash plan), baked into both lengths at creation.
+/// crash plan), baked into both lengths at creation. The header range
+/// is placed once the round is complete ([`Encoder::place`]).
 fn add_section(
     dsts: &mut Vec<SendDst>,
     rank: usize,
@@ -77,21 +90,71 @@ fn add_section(
     let slot = dsts.iter().position(|d| d.rank == rank).unwrap_or_else(|| {
         dsts.push(SendDst {
             rank,
-            sections: 0,
             payload_bytes: COUNT_WORD + trailer,
             header_bytes: COUNT_WORD + trailer,
+            header: 0..0,
         });
         dsts.len() - 1
     });
     let d = &mut dsts[slot];
-    d.sections += 1;
     d.header_bytes += SECTION_HEADER + PIECE_HEADER * n_pieces;
     d.payload_bytes += SECTION_HEADER + PIECE_HEADER * n_pieces + bytes as usize;
     slot
 }
 
+/// Writes a schedule's header messages into its one buffer, in the wire
+/// format `[n_sections]{domain, n_pieces, {off,len}*}`: each
+/// destination's count word where [`Encoder::place`] puts it, then each
+/// section at the end of its destination's range, which grows as
+/// sections are appended, each counted as it is.
+struct Encoder<'b> {
+    buf: &'b mut [u8],
+    at: usize,
+}
+
+impl Encoder<'_> {
+    /// Gives each destination of `dsts` the next range of the buffer,
+    /// its count word zeroed and room for its sections after it.
+    fn place(&mut self, dsts: &mut [SendDst], trailer: usize) {
+        for d in dsts {
+            let start = self.at;
+            self.at += d.header_bytes - trailer;
+            d.header = start..start + 8;
+        }
+    }
+
+    /// Appends the word `w` to `d`'s message.
+    fn word(&mut self, d: &mut SendDst, w: u64) {
+        let at = d.header.end;
+        self.buf[at..at + 8].copy_from_slice(&w.to_le_bytes());
+        d.header.end += 8;
+    }
+
+    /// Adds `n` to the word at `at`.
+    fn bump(&mut self, at: usize, n: u64) {
+        let w = &mut self.buf[at..at + 8];
+        let v = u64::from_le_bytes((&*w).try_into().expect("8 bytes")) + n;
+        w.copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a section, `domain` and its `pieces`, to `d`'s message.
+    fn section(&mut self, d: &mut SendDst, domain: usize, pieces: impl Iterator<Item = Extent>) {
+        self.bump(d.header.start, 1);
+        self.word(d, domain as u64);
+        let count_at = d.header.end;
+        self.word(d, 0);
+        for e in pieces {
+            self.word(d, e.offset);
+            self.word(d, e.len);
+        }
+        let n_pieces = (d.header.end - count_at - 8) / PIECE_HEADER;
+        self.bump(count_at, n_pieces as u64);
+    }
+}
+
 /// One active window this rank contributes to as a client in the write
-/// direction: where the pieces go and exactly which bytes they are.
+/// direction: where its bytes go and where they sit. The pieces are
+/// announced in the encoded header message to [`ClientWindow::dst`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientWindow {
     /// Index of the window's domain in the plan.
@@ -100,9 +163,9 @@ pub struct ClientWindow {
     pub dst: usize,
     /// Bytes this rank ships for this window (the priced flow).
     pub bytes: u64,
-    /// The pieces: each clipped file extent paired with its start
-    /// offset in this rank's packed data buffer.
-    pub pieces: Vec<(Extent, u64)>,
+    /// Start of the window's bytes in this rank's packed buffer: they
+    /// are the one run `[packed, packed + bytes)` there.
+    pub packed: u64,
 }
 
 /// One contributing rank within an aggregated window: its clipped
@@ -186,8 +249,9 @@ pub struct RoundSchedule {
 }
 
 /// The complete per-rank communication schedule of one collective
-/// operation: one [`RoundSchedule`] per lock-step round, and the
-/// aggregation buffers the rank reserves for the whole operation.
+/// operation: one [`RoundSchedule`] per lock-step round, the
+/// aggregation buffers the rank reserves for the whole operation, and
+/// every header message the rank sends, encoded once.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CommSchedule {
     /// Per-round schedules, index = round number.
@@ -195,6 +259,9 @@ pub struct CommSchedule {
     /// Buffer bytes of every domain this rank aggregates, in domain
     /// order — the prologue's reservation demands.
     pub buffers: Vec<u64>,
+    /// Every round's header messages, back to back; each [`SendDst`]
+    /// names its range.
+    headers: Arc<[u8]>,
 }
 
 /// Asserts that rank `me`'s client windows tile its packed buffer
@@ -214,6 +281,51 @@ fn assert_tiles(rounds: &[RoundSchedule], me: usize, total: u64) {
         covered == total,
         "rank {me}'s client windows do not tile its {total} packed bytes: they cover {covered}"
     );
+}
+
+/// Encodes every header message of `rounds` into one buffer, allocated
+/// once at its exact length, and sets each destination's range. A
+/// client section's pieces are its request clipped to the window again
+/// (the schedule keeps only their run); an aggregator's are the
+/// contributor's clipped pieces it keeps for landing.
+fn encode_headers(
+    plan: &CollectivePlan,
+    my_extents: &ExtentList,
+    rounds: &mut [RoundSchedule],
+    trailer: usize,
+) -> Arc<[u8]> {
+    let total: usize = rounds
+        .iter()
+        .flat_map(|rs| rs.client_dsts.iter().chain(&rs.agg_dsts))
+        .map(|d| d.header_bytes - trailer)
+        .sum();
+    // Collected from an iterator of known length: one allocation.
+    let mut headers: Arc<[u8]> = std::iter::repeat_n(0, total).collect();
+    let mut enc = Encoder {
+        buf: Arc::get_mut(&mut headers).expect("a fresh buffer is unique"),
+        at: 0,
+    };
+    for (round, rs) in rounds.iter_mut().enumerate() {
+        enc.place(&mut rs.client_dsts, trailer);
+        enc.place(&mut rs.agg_dsts, trailer);
+        for cw in &rs.client_windows {
+            let w = plan.domains[cw.domain]
+                .window(round as u64)
+                .expect("a client window is active");
+            let pieces = my_extents.clip_indexed(w).map(|(_, piece)| piece);
+            enc.section(&mut rs.client_dsts[cw.dst], cw.domain, pieces);
+        }
+        for ws in &rs.agg_windows {
+            for rp in &ws.per_rank {
+                let pieces = rp.pieces.as_slice().iter().copied();
+                enc.section(&mut rs.agg_dsts[rp.dst], ws.domain, pieces);
+            }
+        }
+        let filled = |d: &SendDst| d.header.len() == d.header_bytes - trailer;
+        debug_assert!(rs.client_dsts.iter().chain(&rs.agg_dsts).all(filled));
+    }
+    debug_assert_eq!(enc.at, total);
+    headers
 }
 
 impl CommSchedule {
@@ -288,25 +400,25 @@ impl CommSchedule {
                 .iter()
                 .filter_map(|&di| plan.domains[di].window(round).map(|w| (di, w)))
             {
-                let mut bytes = 0u64;
-                let pieces: Vec<(Extent, u64)> = my_extents
-                    .clip_indexed(w)
-                    .map(|(idx, piece)| {
-                        bytes += piece.len;
+                let (mut n_pieces, mut bytes, mut packed) = (0, 0u64, 0u64);
+                for (idx, piece) in my_extents.clip_indexed(w) {
+                    if n_pieces == 0 {
                         let base = my_extents.as_slice()[idx];
-                        (piece, my_cum[idx] + (piece.offset - base.offset))
-                    })
-                    .collect();
-                if pieces.is_empty() {
+                        packed = my_cum[idx] + (piece.offset - base.offset);
+                    }
+                    n_pieces += 1;
+                    bytes += piece.len;
+                }
+                if n_pieces == 0 {
                     continue;
                 }
                 let agg = plan.domains[di].aggregator;
-                let dst = add_section(&mut rs.client_dsts, agg, trailer, pieces.len(), bytes);
+                let dst = add_section(&mut rs.client_dsts, agg, trailer, n_pieces, bytes);
                 rs.client_windows.push(ClientWindow {
                     domain: di,
                     dst,
                     bytes,
-                    pieces,
+                    packed,
                 });
             }
             rs.client_sources = rs
@@ -366,13 +478,28 @@ impl CommSchedule {
             rounds.push(rs);
         }
         assert_tiles(&rounds, me, my_extents.total_bytes());
+        let headers = encode_headers(plan, my_extents, &mut rounds, trailer);
         CommSchedule {
             rounds,
             buffers: my_domains
                 .iter()
                 .map(|&(di, _)| plan.domains[di].buffer)
                 .collect(),
+            headers,
         }
+    }
+
+    /// The encoded header message to `dst`, a destination of one of
+    /// this schedule's rounds, without its seal.
+    #[must_use]
+    pub fn header(&self, dst: &SendDst) -> &[u8] {
+        &self.headers[dst.header.clone()]
+    }
+
+    /// The header message to `dst` as a payload: a slice of the
+    /// schedule's encoding, shared, not copied.
+    pub(crate) fn header_payload(&self, dst: &SendDst) -> Payload {
+        Payload::Slice(Arc::clone(&self.headers), dst.header.clone())
     }
 
     /// Total bytes this rank ships as a client across all rounds.
@@ -472,7 +599,10 @@ mod tests {
         // count + (domain + n_pieces) + 2 piece headers + 9 data bytes.
         assert_eq!(dst.payload_bytes, 8 + 16 + 2 * 16 + 9);
         assert_eq!(dst.header_bytes, 8 + 16 + 2 * 16);
-        assert_eq!(dst.sections, 1);
+        // The encoded range is the message without a seal (none here).
+        assert_eq!(dst.header.len(), dst.header_bytes);
+        let words = [1u64, 0, 2, 0, 5, 8, 4].map(u64::to_le_bytes);
+        assert_eq!(s.header(dst), words.as_flattened());
         // The aggregator's view prices the same volume.
         let s1 = CommSchedule::build(&plan, &pattern, 1, &pattern.extents_of_rank(1).to_list());
         let ws = &s1.rounds[0].agg_windows[0];
@@ -480,6 +610,8 @@ mod tests {
         assert_eq!((ws.per_rank[0].bytes, ws.per_rank[0].packed), (9, 0));
         assert_eq!(ws.position(8), 5);
         assert_eq!(ws.sieve().buffer_size, 12);
+        // The aggregator's header back is the same bytes.
+        assert_eq!(s1.header(&s1.rounds[0].agg_dsts[0]), s.header(dst));
     }
 
     #[test]
@@ -498,7 +630,10 @@ mod tests {
         let p = &plain.rounds[0].client_dsts[0];
         let s = &sealed.rounds[0].client_dsts[0];
         assert_eq!(s.payload_bytes, p.payload_bytes + 8);
-        assert_eq!(s.sections, p.sections);
+        // The encoded range is `header_bytes` minus the seal either way.
+        assert_eq!(p.header.len(), p.header_bytes);
+        assert_eq!(s.header.len(), s.header_bytes - 8);
+        assert_eq!(sealed.header(s), plain.header(p));
         // Everything but payload sizing is identical.
         assert_eq!(
             plain.rounds[0].client_windows,

@@ -75,21 +75,16 @@ pub struct OpMetrics {
     pub storage_requests: u64,
     /// Bytes this rank moved through storage.
     pub storage_bytes: u64,
-    /// Always zero: the per-op buffer pool keeps no free list of its
-    /// own, so no take is served without the world-level recycler.
+    /// Always zero, like the next three: the engine keeps no buffer
+    /// pool (a shuffle's header messages are slices of its schedule's
+    /// encoding). The four fields stay because the `perfbench` package
+    /// reads them.
     pub pool_hits: u64,
-    /// Buffers this rank took for an operation — its shuffle header
-    /// messages and its assembly buffers — all from the world-level
-    /// recycler. Shuffled bytes never sit in one: they are copied
-    /// one-sided between their owner's buffer and the file window. A
-    /// deterministic per-rank fact: whether the *recycler* then recycled
-    /// or allocated depends on rank scheduling, so callers read
-    /// `World::recycler().stats()` after the run instead.
+    /// Always zero (see `pool_hits`).
     pub pool_misses: u64,
-    /// Equal to `pool_misses`: every take goes to the recycler.
+    /// Always zero (see `pool_hits`).
     pub recycle_takes: u64,
-    /// Buffers this rank retired into the world-level recycler: the
-    /// header messages it received and its assembly buffers.
+    /// Always zero (see `pool_hits`).
     pub recycle_returns: u64,
     /// Bytes of the packed buffer this rank exposed for one-sided
     /// access — its write data or its read output, which is the whole
@@ -120,10 +115,6 @@ impl OpMetrics {
         self.shuffle_bytes += other.shuffle_bytes;
         self.storage_requests += other.storage_requests;
         self.storage_bytes += other.storage_bytes;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.recycle_takes += other.recycle_takes;
-        self.recycle_returns += other.recycle_returns;
         self.payload_peak_bytes = self.payload_peak_bytes.max(other.payload_peak_bytes);
         if other.mem_peak_max > 0.0 {
             self.mem_peak_mean = other.mem_peak_mean;

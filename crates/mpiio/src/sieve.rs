@@ -85,7 +85,12 @@ pub fn sieved_read(
 }
 
 /// [`sieved_read`] over a fallible request path: each covering access
-/// may transiently fail and retry per `faults`.
+/// may transiently fail and retry per `faults`. A window without holes
+/// is read straight into the returned buffer — no staging buffer, no
+/// second copy; the staging path only runs for windows that sieve over
+/// gaps. The accounting (`SieveOutcome`) is identical either way:
+/// `copied_bytes` counts the bytes delivered to the caller, not the
+/// staging traffic, so the fast path changes wall cost only.
 ///
 /// # Errors
 /// Propagates [`mccio_sim::SimError::TransientIo`]/`Timeout` from the
@@ -97,34 +102,7 @@ pub fn sieved_read_r(
     cfg: SieveConfig,
     faults: &mut IoFaults,
 ) -> SimResult<(Vec<u8>, SieveOutcome)> {
-    let mut packed = Vec::new();
-    let outcome = sieved_read_into(handle, extents, cfg, faults, &mut packed)?;
-    Ok((packed, outcome))
-}
-
-/// [`sieved_read_r`] into a caller-supplied buffer, so hot loops (the
-/// round engine) can recycle one allocation across calls. `packed` is
-/// cleared first; on success it holds the extents' bytes in offset
-/// order. A window without holes is read straight into `packed` — no
-/// staging buffer, no second copy; the staging path only runs for
-/// windows that sieve over gaps. The accounting (`SieveOutcome`) is
-/// identical either way: `copied_bytes` counts the bytes delivered to
-/// the caller, not the staging traffic, so the fast path changes wall
-/// cost only.
-///
-/// # Errors
-/// Propagates storage-retry exhaustion, as [`sieved_read_r`]. The
-/// buffer's contents are unspecified after an error; the operation is
-/// safe to re-drive (it clears the buffer again).
-pub fn sieved_read_into(
-    handle: &FileHandle,
-    extents: &ExtentList,
-    cfg: SieveConfig,
-    faults: &mut IoFaults,
-    packed: &mut Vec<u8>,
-) -> SimResult<SieveOutcome> {
-    packed.clear();
-    packed.reserve(extents.total_bytes() as usize);
+    let mut packed = Vec::with_capacity(extents.total_bytes() as usize);
     let mut report = ServiceReport::empty(handle_servers(handle));
     let mut copied = 0u64;
     let mut covered = 0u64;
@@ -147,11 +125,12 @@ pub fn sieved_read_into(
         covered += span.len;
         copied += parts.iter().map(|e| e.len).sum::<u64>();
     }
-    Ok(SieveOutcome {
+    let outcome = SieveOutcome {
         report,
         copied_bytes: copied,
         covered_bytes: covered,
-    })
+    };
+    Ok((packed, outcome))
 }
 
 /// Sieved write: `data` holds the extents' bytes packed in offset order.

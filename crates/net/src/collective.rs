@@ -224,7 +224,8 @@ impl Ctx {
     /// the sources this rank expects a message from. Both sides of the
     /// exchange must be derivable from shared metadata — in collective
     /// I/O they always are. Self-sends short-circuit locally. Returns
-    /// `(src, payload)` pairs in `recv_from` order.
+    /// `(src, payload)` pairs in `recv_from` order, each payload as it
+    /// was sent: a [`Payload::Slice`] arrives as the same slice, uncopied.
     ///
     /// A message is accounted at its `wire` length, which may exceed the
     /// payload: a one-sided shuffle moves its bytes between exposed
@@ -239,9 +240,9 @@ impl Ctx {
     pub fn exchange(
         &mut self,
         group: &RankSet,
-        sends: Vec<(usize, u64, Vec<u8>)>,
+        sends: Vec<(usize, u64, Payload)>,
         recv_from: &[usize],
-    ) -> Vec<(usize, Vec<u8>)> {
+    ) -> Vec<(usize, Payload)> {
         self.assert_member(group, "exchange");
         let me = self.rank();
         let mut self_payload = None;
@@ -258,7 +259,7 @@ impl Ctx {
                 self_payload = Some(payload);
             } else {
                 self.account_exchange(dst, wire);
-                self.send_ctl_payload(dst, TAG_EXCHANGE, payload.into(), wire);
+                self.send_ctl_payload(dst, TAG_EXCHANGE, payload, wire);
             }
         }
         let mut received = Vec::with_capacity(recv_from.len());
@@ -270,7 +271,7 @@ impl Ctx {
                     .expect("recv_from lists self but sends has no self-payload");
                 received.push((me, payload));
             } else {
-                received.push((src, self.recv(src, TAG_EXCHANGE)));
+                received.push((src, self.recv_payload(src, TAG_EXCHANGE)));
             }
         }
         assert!(
@@ -426,20 +427,28 @@ mod tests {
         let r = w.run(|ctx| {
             let group = RankSet::world(ctx.size());
             let me = ctx.rank();
-            // Everyone sends one byte [me*10+dst] to every rank (self included).
-            let sends: Vec<(usize, u64, Vec<u8>)> = (0..4)
-                .map(|dst| (dst, 1, vec![(me * 10 + dst) as u8]))
+            // Everyone sends one byte [me*10+dst] to every rank (self
+            // included), a slice of one buffer shared with all of them.
+            let buf: Arc<[u8]> = (0..4).map(|dst| (me * 10 + dst) as u8).collect();
+            let sends = (0..4)
+                .map(|dst| (dst, 1, Payload::Slice(Arc::clone(&buf), dst..dst + 1)))
                 .collect();
             let recv_from: Vec<usize> = (0..4).collect();
             let got = ctx.exchange(&group, sends, &recv_from);
-            got.into_iter()
-                .map(|(src, p)| (src, p[0]))
-                .collect::<Vec<_>>()
+            let got: Vec<_> = got
+                .into_iter()
+                .map(|(src, p)| match p {
+                    Payload::Slice(s, range) => (src, s[range.start], s.as_ptr() as usize),
+                    other => panic!("a slice arrived as {other:?}"),
+                })
+                .collect();
+            (buf.as_ptr() as usize, got)
         });
-        for (me, got) in r.into_iter().enumerate() {
-            for (i, (src, byte)) in got.into_iter().enumerate() {
+        for (me, (_, got)) in r.iter().enumerate() {
+            for (i, &(src, byte, at)) in got.iter().enumerate() {
                 assert_eq!(src, i);
                 assert_eq!(byte as usize, src * 10 + me);
+                assert_eq!(at, r[src].0, "the slice was copied");
             }
         }
     }
@@ -451,7 +460,7 @@ mod tests {
             let group = RankSet::world(ctx.size());
             if ctx.rank() == 0 {
                 // Accounted at its wire length, not the payload's.
-                let got = ctx.exchange(&group, vec![(2, 100, vec![0u8; 8])], &[]);
+                let got = ctx.exchange(&group, vec![(2, 100, vec![0u8; 8].into())], &[]);
                 assert!(got.is_empty());
             } else if ctx.rank() == 2 {
                 let _ = ctx.exchange(&group, vec![], &[0]);

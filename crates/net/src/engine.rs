@@ -191,9 +191,65 @@ impl std::fmt::Debug for DecodeCache {
     }
 }
 
+/// Pins glibc's dynamic malloc thresholds at their maxima, once per
+/// process: the 32 MiB mmap threshold and twice that for trimming, the
+/// values glibc's own adaptive rule ends at.
+///
+/// Some buffers leave the engine and are freed by their owner: a read's
+/// output, a workload's payload. Under glibc's default, adaptive
+/// thresholds, buffers of a few hundred KiB freed that way can go back
+/// to the kernel, and the next operation faults every page in again:
+/// 14,849 minor faults a pass on perfbench `ior-120-2ph` with two
+/// workers (2-vCPU host, glibc 2.36), whose one-sided shuffle keeps no
+/// parked buffers to hold the heap in place. Fixed thresholds keep such
+/// buffers inside malloc's heap, committed for the next operation.
+fn keep_freed_buffers_mapped() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        // SAFETY: plain setters of allocator tunables; glibc serialises
+        // them against concurrent allocation.
+        ONCE.call_once(|| unsafe {
+            mallopt(M_MMAP_THRESHOLD, 32 << 20);
+            mallopt(M_TRIM_THRESHOLD, 64 << 20);
+        });
+    }
+}
+
+/// Cumulative counters of the world's byte-buffer recycler; see
+/// [`World::recycler`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecycleStats {
+    /// Takes served from a retired buffer: always zero.
+    pub hits: u64,
+    /// Takes that had to allocate: always zero.
+    pub misses: u64,
+}
+
+/// What is left of the world's byte-buffer recycler: counters that
+/// read zero. Shuffle header messages, the last buffers it served, are
+/// slices of each schedule's encoding, so nothing is taken or retired;
+/// it stays so that code reading it after a run, such as the
+/// `perfbench` package, still builds.
+#[derive(Debug, Default)]
+pub struct BytePool;
+
+impl BytePool {
+    /// Cumulative counters: all zero.
+    #[must_use]
+    pub fn stats(&self) -> RecycleStats {
+        RecycleStats::default()
+    }
+}
+
 /// The shared communication world: the cost model and placement every
 /// rank prices messages against, plus the traffic counters, decode cache
-/// and buffer recycler its runs share (`DESIGN.md` §13 shows why none
+/// and exposure table its runs share (`DESIGN.md` §13 shows why none
 /// of them lets results depend on the rank schedule). Ranks configure
 /// nothing here: message queues, the control-plane delay and the causal
 /// hook are per-task state that lives for one run (see
@@ -207,10 +263,6 @@ pub struct World {
     traffic: Traffic,
     executor: ExecutorKind,
     decode_cache: DecodeCache,
-    /// World-level byte-buffer recycler: header-message and assembly
-    /// buffers retired by one operation serve the next, so the
-    /// steady-state hot path allocates nothing (see [`crate::recycle`]).
-    recycle: Arc<crate::recycle::BytePool>,
     /// Each rank's one-sided exposure slot (see [`crate::rma`]).
     exposures: crate::rma::ExposureTable,
     /// The full-world rank set, built once and shared: per-op
@@ -237,14 +289,13 @@ impl World {
     ) -> Arc<World> {
         let n_ranks = placement.n_ranks();
         let n_nodes = placement.n_nodes();
-        crate::recycle::keep_freed_buffers_mapped();
+        keep_freed_buffers_mapped();
         Arc::new(World {
             placement,
             cost,
             traffic: Traffic::new(n_nodes),
             executor,
             decode_cache: DecodeCache::default(),
-            recycle: Arc::new(crate::recycle::BytePool::for_ranks(n_ranks)),
             exposures: crate::rma::ExposureTable::new(n_ranks),
             world_set: std::sync::OnceLock::new(),
         })
@@ -331,10 +382,11 @@ impl World {
         &self.traffic
     }
 
-    /// The world-level byte-buffer recycler (see [`crate::recycle`]).
+    /// The world-level byte-buffer recycler, which holds nothing and
+    /// counts zero (see [`BytePool`]).
     #[must_use]
-    pub fn recycler(&self) -> &Arc<crate::recycle::BytePool> {
-        &self.recycle
+    pub fn recycler(&self) -> &BytePool {
+        &BytePool
     }
 
     pub(crate) fn exposures(&self) -> &crate::rma::ExposureTable {
@@ -588,9 +640,14 @@ impl Ctx {
 
     /// Blocks for a message from `src` with `tag`; returns the payload.
     pub fn recv(&mut self, src: usize, tag: u32) -> Vec<u8> {
+        self.recv_payload(src, tag).into_vec()
+    }
+
+    /// Like [`Ctx::recv`] but returns the payload as it was sent.
+    pub(crate) fn recv_payload(&mut self, src: usize, tag: u32) -> Payload {
         let env = self.task.recv(Pattern { src, tag }, self.clock);
         self.settle(&env);
-        env.payload.into_vec()
+        env.payload
     }
 
     /// Like [`Ctx::recv`] but keeps the payload shared: at a broadcast
@@ -598,9 +655,7 @@ impl Ctx {
     /// never copied and its identity can key per-world decode caches.
     /// Clock and traffic behave exactly like [`Ctx::recv`].
     pub fn recv_shared(&mut self, src: usize, tag: u32) -> Arc<[u8]> {
-        let env = self.task.recv(Pattern { src, tag }, self.clock);
-        self.settle(&env);
-        env.payload.into_shared()
+        self.recv_payload(src, tag).into_shared()
     }
 
     /// Deadline-bounded receive from `src`: the failure-detection

@@ -37,13 +37,11 @@ pub mod engine;
 mod executor;
 pub mod group;
 pub mod mailbox;
-pub mod recycle;
 pub mod rma;
 pub mod wire;
 
 pub use collective::INTERNAL_TAG_BASE;
-pub use engine::{Ctx, ExecutorKind, Traffic, TrafficSnapshot, World};
+pub use engine::{BytePool, Ctx, ExecutorKind, RecycleStats, Traffic, TrafficSnapshot, World};
 pub use executor::{slab_stats, SlabStats};
 pub use group::RankSet;
-pub use recycle::{BytePool, RecycleStats};
 pub use rma::Exposure;

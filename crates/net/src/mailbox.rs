@@ -21,6 +21,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use mccio_sim::VTime;
@@ -28,23 +29,24 @@ use mccio_sim::VTime;
 /// Message payload bytes. Point-to-point sends own their buffer;
 /// broadcast-style fan-outs share one allocation between all receivers
 /// so a megabyte plan broadcast to 100k ranks queues one buffer, not
-/// 100k copies.
+/// 100k copies; and a message that is a range of a buffer its sender
+/// keeps (a shuffle header encoded once per schedule) travels as that
+/// range, with no allocation and no copy.
 #[derive(Debug, Clone)]
 pub enum Payload {
     /// Exclusively owned bytes (moved, never copied after send).
     Owned(Vec<u8>),
     /// One buffer shared by many in-flight envelopes.
     Shared(Arc<[u8]>),
+    /// The bytes `range` of a shared buffer.
+    Slice(Arc<[u8]>, Range<usize>),
 }
 
 impl Payload {
     /// Number of payload bytes.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            Payload::Owned(v) => v.len(),
-            Payload::Shared(s) => s.len(),
-        }
+        self.as_slice().len()
     }
 
     /// True when the payload is empty.
@@ -59,6 +61,7 @@ impl Payload {
         match self {
             Payload::Owned(v) => v,
             Payload::Shared(s) => s,
+            Payload::Slice(s, range) => &s[range.clone()],
         }
     }
 
@@ -68,19 +71,21 @@ impl Payload {
     pub fn into_vec(self) -> Vec<u8> {
         match self {
             Payload::Owned(v) => v,
-            Payload::Shared(s) => s.to_vec(),
+            shared => shared.as_slice().to_vec(),
         }
     }
 
     /// Extracts the bytes as a shared buffer: free for shared payloads
     /// (the receiver aliases the sender's allocation — at a broadcast
     /// every receiver holds the *same* `Arc`, which downstream caches
-    /// exploit as an identity key), one move for owned ones.
+    /// exploit as an identity key); an owned payload or a slice is
+    /// copied into a new allocation.
     #[must_use]
     pub fn into_shared(self) -> Arc<[u8]> {
         match self {
             Payload::Owned(v) => v.into(),
             Payload::Shared(s) => s,
+            Payload::Slice(s, range) => s[range].into(),
         }
     }
 }

@@ -11,9 +11,9 @@
 //!   instants, and counter samples, each carrying structured attributes
 //!   (direction, window id, flows, bytes, …);
 //! * [`metrics`] — a registry of named counters and log₂-bucketed
-//!   histograms (bytes shuffled, storage requests, buffer-pool
-//!   hits/misses, retries, per-node aggregation-buffer high-water marks
-//!   and their coefficient of variation);
+//!   histograms (bytes shuffled, storage requests, retries, per-node
+//!   aggregation-buffer high-water marks and their coefficient of
+//!   variation);
 //! * [`sink`] — [`ObsSink`], the per-environment collection point. A
 //!   disabled sink (the default) is a `None` behind one branch: every
 //!   record call returns immediately, no locks, no allocation, so the

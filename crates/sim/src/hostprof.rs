@@ -26,9 +26,10 @@
 //! The phase set mirrors the simulator's hot loop: executor scheduling
 //! (runnable-heap pops, slot transitions, context-switch bookkeeping),
 //! plan and communication-schedule construction, extent codec
-//! encode/decode, recycler take/return, and the storage hop that
-//! drives PFS requests. [`snapshot`] returns a [`HostProfile`] the
-//! trace report renders as a virtual-vs-host section.
+//! encode/decode, and the storage hop that drives PFS requests (plus
+//! two recycler phases with no producer left). [`snapshot`] returns a
+//! [`HostProfile`] the trace report renders as a virtual-vs-host
+//! section.
 //!
 //! This crate otherwise performs no I/O and spawns no threads; reading
 //! the host monotonic clock keeps that contract (it is observability of
@@ -56,9 +57,11 @@ pub enum HostPhase {
     ExtentEncode = 3,
     /// Extent-list compact decoding.
     ExtentDecode = 4,
-    /// World byte-recycler `take` (hit lookup or fresh allocation).
+    /// No producer: the world byte-recycler it timed is gone. Kept at
+    /// its position because the `perfbench` package indexes the first
+    /// eight phases by discriminant.
     RecycleTake = 5,
-    /// World byte-recycler `put` (retirement binning).
+    /// No producer (see [`HostPhase::RecycleTake`]).
     RecycleReturn = 6,
     /// Storage hop: driving queued PFS requests to completion.
     StorageHop = 7,
@@ -195,9 +198,9 @@ pub struct HostProfile {
 }
 
 impl HostProfile {
-    /// Sum of profiled host seconds across phases. Phases can nest
-    /// (e.g. a recycler take inside a storage hop), so this may
-    /// exceed exclusive time; it is an attribution, not a partition.
+    /// Sum of profiled host seconds across phases. Phases can nest, so
+    /// this may exceed exclusive time; it is an attribution, not a
+    /// partition.
     #[must_use]
     pub fn profiled_secs(&self) -> f64 {
         self.phases.iter().map(HostPhaseStat::secs).sum()

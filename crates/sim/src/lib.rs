@@ -30,8 +30,8 @@
 //!   keys, RNG stream labels, file and blame-chain fingerprints);
 //! * [`hostprof`] — the host-wall profiler: process-global scoped
 //!   timers around the simulator's own hot phases (executor
-//!   scheduling, plan/schedule build, extent codec, recycler, storage
-//!   hop), free when disabled;
+//!   scheduling, plan/schedule build, extent codec, storage hop),
+//!   free when disabled;
 //! * [`error`] — the shared error type.
 //!
 //! Nothing in this crate performs I/O or spawns threads (the [`sync`]

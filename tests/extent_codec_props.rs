@@ -1,6 +1,5 @@
 //! Property tests for the compact extent codec and its consumers, plus
-//! the allocation-free steady-state guarantee the codec and the
-//! world-level recycler exist to deliver.
+//! the steady-state reuse of the executor's coroutine stacks.
 //!
 //! * the delta varint wire form round-trips arbitrary canonical extent
 //!   lists and stays a fraction of the fixed-width form's size;
@@ -9,9 +8,9 @@
 //! * [`TouchIndex`] window queries agree with a naive every-member scan;
 //! * `CollectivePlan::domains_overlapping` agrees with a naive
 //!   every-domain scan;
-//! * a repeated collective operation takes every payload and assembly
-//!   buffer from the recycler (zero misses) and re-enters the cached
-//!   coroutine stack slab (zero fresh stacks).
+//! * a repeated collective operation re-enters the cached coroutine
+//!   stack slab (zero fresh stacks). Its allocations are bounded in
+//!   `tests/data_plane_allocs.rs`, which counts them.
 //!
 //! Cases come from the workspace's seeded PRNG; failures reproduce by
 //! case index.
@@ -179,10 +178,8 @@ fn domains_overlapping_agrees_with_naive_domain_scan() {
     }
 }
 
-/// The tentpole invariant: once the recycler has seen one operation's
-/// working set, a repeat of the same operation allocates nothing on the
-/// hot path — every payload/assembly take is a recycler hit and the
-/// event executor re-enters its committed stack slab.
+/// A repeat of an operation re-enters the event executor's committed
+/// stack slab instead of committing a fresh one.
 #[test]
 fn steady_state_op_is_allocation_free() {
     const RANKS: usize = 8;
@@ -215,22 +212,12 @@ fn steady_state_op_is_allocation_free() {
         });
     };
 
-    one_op(&world); // first generation: populates the recycler + slab
-    let warm = world.recycler().stats();
+    one_op(&world); // first generation: commits the slab
     let slab_warm = mccio_suite::net::slab_stats();
 
     one_op(&world); // steady state
-    let steady = world.recycler().stats();
     let slab_steady = mccio_suite::net::slab_stats();
 
-    assert_eq!(
-        steady.misses, warm.misses,
-        "steady-state op allocated fresh payload/assembly buffers"
-    );
-    assert!(
-        steady.hits > warm.hits,
-        "steady-state op never touched the recycler"
-    );
     assert_eq!(
         slab_steady.fresh, slab_warm.fresh,
         "steady-state op committed a fresh stack slab"

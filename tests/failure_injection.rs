@@ -437,10 +437,9 @@ fn crashing_every_rank_falls_down_the_ladder() {
 fn crash_with_transient_faults_and_revocation_still_recovers() {
     // The full chaos stack at once: a mid-write aggregator crash, 5 %
     // transient storage failures, and a memory revocation. Recovery,
-    // retries, and the revocation all surface in the reports; the
-    // buffer-pool balance assertion in the engine epilogue (loans
-    // outstanding must be zero) runs implicitly on every operation
-    // here, including the replayed rounds.
+    // retries, and the revocation all surface in the reports; every
+    // sealed header message, the replayed rounds' included, is compared
+    // and its seal checked by its receiver.
     for strategy in both_collectives() {
         let plan = FaultPlan::new(0x0C7)
             .transient_io_rate(0.05)

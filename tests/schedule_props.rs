@@ -5,14 +5,16 @@
 //! rescans, union re-normalization, payload patching). These seeded-loop
 //! properties pin the equivalence: for randomized patterns, plans, and
 //! round counts, the schedule-derived send/receive lists, byte counts,
-//! and assembly shapes must match a straight reimplementation of the
-//! legacy per-round discovery — and a full engine write/read round trip
-//! under the pooled buffers must stay bit-exact.
+//! header encodings and assembly shapes must match a straight
+//! reimplementation of the legacy per-round discovery; every header a
+//! client sends an aggregator must be byte for byte the aggregator's
+//! header back; and a full engine write/read round trip must stay
+//! bit-exact.
 
 use mccio_suite::core::mccio::MccioConfig;
 use mccio_suite::core::plan::{CollectivePlan, DomainPlan};
 use mccio_suite::core::prelude::*;
-use mccio_suite::core::schedule::CommSchedule;
+use mccio_suite::core::schedule::{CommSchedule, RoundSchedule, SendDst};
 use mccio_suite::core::two_phase::TwoPhaseConfig;
 use mccio_suite::mem::MemoryModel;
 use mccio_suite::mpiio::GroupPattern;
@@ -177,6 +179,17 @@ fn legacy_client_sources(
     recv_from
 }
 
+/// The legacy encoding of a header message,
+/// `[count]{domain, n_pieces, {off, len}*}`, all words 8 bytes.
+fn legacy_header(sections: &[(usize, ExtentList)]) -> Vec<u8> {
+    let mut words = vec![sections.len() as u64];
+    for (domain, pieces) in sections {
+        words.extend([*domain as u64, pieces.len() as u64]);
+        words.extend(pieces.as_slice().iter().flat_map(|e| [e.offset, e.len]));
+    }
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
 /// Exact wire size of a legacy-encoded payload:
 /// `[count]{domain, n_pieces, {off, len}*, bytes}`, all words 8 bytes.
 fn encoded_len(sections: &[(usize, ExtentList)]) -> usize {
@@ -204,9 +217,13 @@ fn schedule_matches_legacy_discovery() {
         let rounds = plan.rounds();
         assert!(rounds > 0, "case {case}: non-empty range plans rounds");
 
-        for me in 0..n_ranks {
+        let schedules: Vec<CommSchedule> = (0..n_ranks)
+            .map(|me| {
+                CommSchedule::build(&plan, &pattern, me, &pattern.extents_of_rank(me).to_list())
+            })
+            .collect();
+        for (me, schedule) in schedules.iter().enumerate() {
             let mine = pattern.extents_of_rank(me).to_list();
-            let schedule = CommSchedule::build(&plan, &pattern, me, &mine);
             assert_eq!(
                 schedule.rounds.len(),
                 rounds as usize,
@@ -216,8 +233,8 @@ fn schedule_matches_legacy_discovery() {
                 let windows = legacy_windows(&plan, r as u64);
                 let ctx = format!("case {case} rank {me} round {r}");
 
-                // Write direction: flows, destination order, section
-                // counts, and exact payload sizes.
+                // Write direction: flows, destination order and exact
+                // payload sizes.
                 let (flows, per_dst) = legacy_client(&plan, &windows, &mine);
                 let got_flows: Vec<(usize, u64)> = rs
                     .client_windows
@@ -232,21 +249,29 @@ fn schedule_matches_legacy_discovery() {
                 );
                 for (slot, (_, sections)) in per_dst.iter().enumerate() {
                     assert_eq!(
-                        rs.client_dsts[slot].sections as usize,
-                        sections.len(),
-                        "{ctx}: section count"
-                    );
-                    assert_eq!(
                         rs.client_dsts[slot].payload_bytes,
                         encoded_len(sections),
                         "{ctx}: payload size"
                     );
                 }
-                // Piece shapes per window match the legacy clip.
-                for cw in &rs.client_windows {
-                    let w = plan.domains[cw.domain].window(r as u64).unwrap();
-                    let got: Vec<Extent> = cw.pieces.iter().map(|&(e, _)| e).collect();
-                    assert_eq!(got, mine.clip(w).as_slice(), "{ctx}: piece shapes");
+                // Symmetry: each header to an aggregator is the legacy
+                // encoding of the clipped sections, and byte for byte
+                // the aggregator's header back; and each header to a
+                // client has its match in that client's schedule.
+                let peer_header = |peer: &CommSchedule, dsts: fn(&RoundSchedule) -> &[SendDst]| {
+                    let d = dsts(&peer.rounds[r]).iter().find(|d| d.rank == me);
+                    d.map(|d| peer.header(d).to_vec())
+                };
+                for (d, (_, sections)) in rs.client_dsts.iter().zip(&per_dst) {
+                    let legacy = legacy_header(sections);
+                    assert_eq!(schedule.header(d), legacy, "{ctx}: header to {}", d.rank);
+                    let back = peer_header(&schedules[d.rank], |rs| &rs.agg_dsts);
+                    assert_eq!(back, Some(legacy), "{ctx}: header back from {}", d.rank);
+                }
+                for d in &rs.agg_dsts {
+                    let back = peer_header(&schedules[d.rank], |rs| &rs.client_dsts);
+                    let sent = schedule.header(d).to_vec();
+                    assert_eq!(back, Some(sent), "{ctx}: header from client {}", d.rank);
                 }
 
                 // Both receive lists.
@@ -290,7 +315,7 @@ fn schedule_matches_legacy_discovery() {
     }
 }
 
-/// Write→read round trips through the pooled, schedule-driven engine:
+/// Write→read round trips through the schedule-driven engine:
 /// random non-overlapping patterns through both collective strategies
 /// must read back bit-exactly what each rank wrote.
 #[test]
