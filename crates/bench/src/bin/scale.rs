@@ -38,7 +38,10 @@
 //! point on a fig7-shaped platform (testbed nodes of 12 cores, 8 OSTs,
 //! Normal(320 MiB, 64 MiB) per-node memory, IOR interleaved, the
 //! per-rank volume shrinking as ranks grow so the axis measures executor
-//! overhead):
+//! overhead), and on stderr its allocations, the minor page faults the
+//! process took during it and the process's peak resident set
+//! (`VmHWM`, a running maximum: the point's own peak only for the first
+//! point of a run):
 //!
 //! * `full` (default) — 120 / 1008 / 10080 / 100800 ranks;
 //! * `ci`, `fig7`, `10k`, `100k` — one of those points (the 1008- and
@@ -107,6 +110,29 @@ fn alloc_snapshot() -> (u64, u64) {
         ALLOCS.load(Ordering::Relaxed),
         ALLOC_BYTES.load(Ordering::Relaxed),
     )
+}
+
+/// The process's minor page faults so far (`/proc/self/stat` field
+/// 10); 0 without procfs.
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // The command name (field 2) may contain spaces; fields resume
+    // after its closing parenthesis, starting at field 3.
+    stat.rsplit_once(')')
+        .and_then(|(_, rest)| rest.split_whitespace().nth(7))
+        .and_then(|f| f.parse().ok())
+        .unwrap_or(0)
+}
+
+/// The process's peak resident set so far (`VmHWM` in
+/// `/proc/self/status`) in MiB; 0 without procfs.
+fn peak_rss_mib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .map_or(0, |kib| kib / 1024)
 }
 
 /// Fixed budget for observability allocations in an obs-on run: the
@@ -244,12 +270,17 @@ fn main() {
     }
 }
 
-/// One run of a shape: its result, host wall, allocations, and — when
-/// the sink records — the host profile.
+/// One run of a shape: its result, host wall, allocations, host memory
+/// and — when the sink records — the host profile.
 struct Pass {
     result: RunResult,
     wall: f64,
     allocs: (u64, u64),
+    /// Minor page faults the process took during the pass.
+    minflt: u64,
+    /// The process's peak resident set after the pass: the pass's own
+    /// peak on a run's first (or only) point, a running maximum after.
+    peak_rss_mib: u64,
     profile: HostProfile,
 }
 
@@ -267,6 +298,7 @@ impl Pass {
         hostprof::reset();
         hostprof::set_enabled(sink.is_enabled());
         let a0 = alloc_snapshot();
+        let f0 = minor_faults();
         let t0 = Instant::now();
         let result = run_with(
             &platform.world(executor),
@@ -276,6 +308,7 @@ impl Pass {
         );
         let wall = t0.elapsed().as_secs_f64();
         let a1 = alloc_snapshot();
+        let minflt = minor_faults() - f0;
         hostprof::set_enabled(false);
         let mut profile = hostprof::snapshot();
         profile.wall_secs = wall;
@@ -284,6 +317,8 @@ impl Pass {
             result,
             wall,
             allocs: (a1.0 - a0.0, a1.1 - a0.1),
+            minflt,
+            peak_rss_mib: peak_rss_mib(),
             profile,
         }
     }
@@ -560,9 +595,12 @@ fn run_scale(mode: &str) {
                 r.read_mbps()
             );
             eprintln!(
-                "  allocs {} ({} MiB), rounds {}, shuffle {} MiB, msgs {}",
+                "  allocs {} ({} MiB), peak rss {} MiB, minflt {}, rounds {}, shuffle {} MiB, \
+                 msgs {}",
                 p.allocs.0,
                 p.allocs.1 / MIB,
+                p.peak_rss_mib,
+                p.minflt,
                 m.rounds,
                 m.shuffle_bytes / MIB,
                 r.traffic.data_msgs + r.traffic.ctl_msgs

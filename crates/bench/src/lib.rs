@@ -207,6 +207,10 @@ pub fn run_with(
         let extents = workload.extents(ctx.rank(), n_ranks);
         let payload = data::fill(&extents);
         let w = mccio_core::strategy::write_all(ctx, &env, &handle, &extents, &payload, strategy);
+        // The write's exposure of `payload` ends inside `write_all` (the
+        // guard borrows it), so the buffer is dead: free it before the
+        // read allocates its output.
+        drop(payload);
         ctx.barrier();
         let (back, r) = mccio_core::strategy::read_all(ctx, &env, &handle, &extents, strategy);
         if let Some(bad) = data::verify(&extents, &back) {

@@ -7,11 +7,15 @@
 //!
 //! [`fill`] and [`verify`] are the simulator's byte kernel: every rank
 //! runs them on its whole access pattern around each collective op. Both
-//! walk the extents with one branch-free loop per extent that computes
-//! [`byte_at`] lane-wise, so the compiler vectorises it. `verify` folds
-//! `byte ^ byte_at(o)` over fixed 64-byte blocks, branches once per
-//! block, and rescans only a block that differs, byte by byte, so it
-//! still reports the exact first mismatching offset.
+//! walk the extents with branch-free loops that compute [`byte_at`]
+//! lane-wise, so the compiler vectorises them. A run that holds two
+//! whole 64-byte chunks after its head splits in three: a lane-wise
+//! head up to the first offset whose splitmix input is 64-aligned, the
+//! chunks, which share splitmix's first product (one scalar multiply
+//! per chunk, one lane multiply per byte), and a lane-wise tail.
+//! `verify` folds `byte ^ byte_at(o)` over each 64-byte block or chunk,
+//! branches once per block, and rescans only a block that differs, byte
+//! by byte, so it still reports the exact first mismatching offset.
 //!
 //! The extent loops are compiled three times from the same body: for
 //! the baseline target, for AVX2, and for AVX-512 (F, DQ, BW, VL — the
@@ -26,19 +30,86 @@ use std::mem::MaybeUninit;
 
 use mccio_mpiio::{Extent, ExtentList};
 
-/// Bytes [`verify`] compares per branch. Only a block that differs is
-/// rescanned byte by byte.
+/// Bytes [`verify`] compares per branch, and bytes per chunk of the
+/// shared-product path. Only a block that differs is rescanned byte by
+/// byte. A chunk must divide 2^30 so that `z >> 30` is fixed across it.
 const BLOCK: usize = 64;
+
+/// splitmix64's increment and its two multipliers.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+const MIX1: u64 = 0xBF58_476D_1CE4_E5B9;
+const MIX2: u64 = 0x94D0_49BB_1331_11EB;
 
 /// The canonical content of file byte `offset`.
 #[inline(always)]
 #[must_use]
 pub fn byte_at(offset: u64) -> u8 {
     // A cheap 64-bit mix (splitmix64 finalizer) truncated to one byte.
-    let mut z = offset.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    let z = offset.wrapping_add(GAMMA);
+    finish((z ^ (z >> 30)).wrapping_mul(MIX1))
+}
+
+/// [`byte_at`] from its first product on: the second xor-shift and
+/// multiply, the last xor-shift and the truncation.
+#[inline(always)]
+fn finish(z: u64) -> u8 {
+    let z = (z ^ (z >> 27)).wrapping_mul(MIX2);
     (z ^ (z >> 31)) as u8
+}
+
+/// The first products of [`byte_at`] for chunks of [`BLOCK`] offsets
+/// whose splitmix input `z = o + GAMMA` is a multiple of `BLOCK`.
+///
+/// For such a `z`, `H = z >> 30` is the same at `z + j` for every
+/// `j < BLOCK` (the chunk divides 2^30), `z + j` has `j` in its low bits
+/// and `H & (BLOCK - 1)` lives in those bits alone, so
+/// `(z + j) ^ H = (z ^ (H & !(BLOCK - 1))) + (j ^ (H & (BLOCK - 1)))`.
+/// Wrapping multiplication distributes over wrapping addition, so the
+/// first product of offset `j` is the chunk's base product plus
+/// `lanes[j] = (j ^ (H & (BLOCK - 1))) * MIX1`: one scalar multiply per
+/// chunk. The lane table is rebuilt only when `H` changes, once per
+/// 2^30 bytes of file offset.
+struct FirstProducts {
+    /// The `H` the table was built for; `u64::MAX` (never `z >> 30`)
+    /// before the first chunk.
+    high: u64,
+    lanes: [u64; BLOCK],
+}
+
+impl FirstProducts {
+    fn new() -> Self {
+        FirstProducts {
+            high: u64::MAX,
+            lanes: [0; BLOCK],
+        }
+    }
+
+    /// The base product and the lane table of the chunk whose first
+    /// offset has splitmix input `z` (a multiple of [`BLOCK`]).
+    #[inline(always)]
+    fn chunk(&mut self, z: u64) -> (u64, &[u64; BLOCK]) {
+        let high = z >> 30;
+        if high != self.high {
+            self.high = high;
+            let low = high & (BLOCK as u64 - 1);
+            for (j, lane) in (0..).zip(&mut self.lanes) {
+                *lane = (j ^ low).wrapping_mul(MIX1);
+            }
+        }
+        let base = (z ^ (high & !(BLOCK as u64 - 1))).wrapping_mul(MIX1);
+        (base, &self.lanes)
+    }
+}
+
+/// The lane-wise head of a run of `len` bytes from file offset
+/// `offset`: the bytes before the first offset whose splitmix input is
+/// a multiple of [`BLOCK`]. `None` when fewer than two whole chunks fit
+/// after it; such a run stays on the lane-wise loop, whose single loop
+/// beats a three-part split on short extents.
+#[inline(always)]
+fn aligned_head(offset: u64, len: usize) -> Option<usize> {
+    let head = (offset.wrapping_add(GAMMA).wrapping_neg() % BLOCK as u64) as usize;
+    (len >= head + 2 * BLOCK).then_some(head)
 }
 
 /// Produces the packed write buffer for `extents` (offset order).
@@ -48,9 +119,9 @@ pub fn fill(extents: &ExtentList) -> Vec<u8> {
     let mut out = Vec::with_capacity(total);
     fill_with_best(extents.as_slice(), &mut out.spare_capacity_mut()[..total]);
     // SAFETY: `fill_extents` splits the `total`-slot buffer into one run
-    // per extent and writes each run whole; it panics before this line
-    // if a run does not fit or a slot is left over, so all `total`
-    // slots are initialised here.
+    // per extent and writes each run whole (its head, chunks and tail
+    // partition it); it panics before this line if a run does not fit
+    // or a slot is left over, so all `total` slots are initialised here.
     unsafe { out.set_len(total) };
     out
 }
@@ -75,36 +146,92 @@ pub fn verify(extents: &ExtentList, data: &[u8]) -> Option<u64> {
 /// `out`. `out` must be exactly as long as the extents are in total.
 #[inline(always)]
 fn fill_extents(extents: &[Extent], out: &mut [MaybeUninit<u8>]) {
+    let mut products = FirstProducts::new();
     let mut rest = out;
     for e in extents {
         let (run, tail) = rest.split_at_mut(e.len as usize);
-        for (o, slot) in (e.offset..).zip(run) {
-            slot.write(byte_at(o));
-        }
         rest = tail;
+        let Some(head) = aligned_head(e.offset, run.len()) else {
+            fill_lanes(e.offset, run);
+            continue;
+        };
+        let (head_run, body) = run.split_at_mut(head);
+        fill_lanes(e.offset, head_run);
+        let mut offset = e.offset + head as u64;
+        let (chunks, tail_run) = body.as_chunks_mut::<BLOCK>();
+        for chunk in chunks {
+            let (base, lanes) = products.chunk(offset.wrapping_add(GAMMA));
+            for (slot, &lane) in chunk.iter_mut().zip(lanes) {
+                slot.write(finish(base.wrapping_add(lane)));
+            }
+            offset += BLOCK as u64;
+        }
+        fill_lanes(offset, tail_run);
     }
     assert!(rest.is_empty(), "fill: buffer longer than the extents");
+}
+
+/// Writes `byte_at(o)` into a run starting at file offset `offset`,
+/// one offset per lane.
+#[inline(always)]
+fn fill_lanes(offset: u64, run: &mut [MaybeUninit<u8>]) {
+    for (o, slot) in (offset..).zip(run) {
+        slot.write(byte_at(o));
+    }
 }
 
 /// The first offset at which packed `data` differs from `extents`'
 /// content. `data` must be exactly as long as the extents are in total.
 #[inline(always)]
 fn verify_extents(extents: &[Extent], data: &[u8]) -> Option<u64> {
+    let mut products = FirstProducts::new();
     let mut rest = data;
     for e in extents {
         let (run, tail) = rest.split_at(e.len as usize);
         rest = tail;
-        let (blocks, partial) = run.as_chunks::<BLOCK>();
-        let mut offset = e.offset;
-        for block in blocks {
-            if diff(offset, block) != 0 {
-                return first_mismatch(offset, block);
+        let Some(head) = aligned_head(e.offset, run.len()) else {
+            if let Some(bad) = verify_lanes(e.offset, run) {
+                return Some(bad);
+            }
+            continue;
+        };
+        let (head_run, body) = run.split_at(head);
+        if diff(e.offset, head_run) != 0 {
+            return first_mismatch(e.offset, head_run);
+        }
+        let mut offset = e.offset + head as u64;
+        let (chunks, tail_run) = body.as_chunks::<BLOCK>();
+        for chunk in chunks {
+            let (base, lanes) = products.chunk(offset.wrapping_add(GAMMA));
+            let d = chunk.iter().zip(lanes).fold(0, |acc, (&b, &lane)| {
+                acc | (b ^ finish(base.wrapping_add(lane)))
+            });
+            if d != 0 {
+                return first_mismatch(offset, chunk);
             }
             offset += BLOCK as u64;
         }
-        if diff(offset, partial) != 0 {
-            return first_mismatch(offset, partial);
+        if diff(offset, tail_run) != 0 {
+            return first_mismatch(offset, tail_run);
         }
+    }
+    None
+}
+
+/// The first offset of a run starting at `offset` whose byte is wrong,
+/// checked one [`BLOCK`] per branch, one offset per lane.
+#[inline(always)]
+fn verify_lanes(offset: u64, run: &[u8]) -> Option<u64> {
+    let (blocks, partial) = run.as_chunks::<BLOCK>();
+    let mut offset = offset;
+    for block in blocks {
+        if diff(offset, block) != 0 {
+            return first_mismatch(offset, block);
+        }
+        offset += BLOCK as u64;
+    }
+    if diff(offset, partial) != 0 {
+        return first_mismatch(offset, partial);
     }
     None
 }
@@ -257,15 +384,92 @@ mod tests {
             .collect()
     }
 
+    /// Fills with every build and the public API and checks each
+    /// against [`reference`]; verifies the reference bytes clean. The
+    /// reference comparison is what catches a wrong lane table: `fill`
+    /// and `verify` share it, so their round trip alone would not.
+    fn assert_fills(extents: &[Extent]) {
+        let want = reference(extents);
+        for (name, fill_build, verify_build) in builds() {
+            assert_eq!(fill_by(fill_build, extents), want, "{name}: {extents:?}");
+            assert_eq!(verify_build(extents, &want), None, "{name}: {extents:?}");
+        }
+        let list = ExtentList::from_sorted(extents.to_vec());
+        assert_eq!(fill(&list), want, "public fill: {extents:?}");
+        assert_eq!(verify(&list, &want), None, "public verify: {extents:?}");
+    }
+
+    /// Asserts every build's `verify` names `first` on `data`.
+    fn assert_first_corruption(extents: &[Extent], data: &[u8], first: u64) {
+        for (name, _, verify_build) in builds() {
+            assert_eq!(
+                verify_build(extents, data),
+                Some(first),
+                "{name}: {extents:?}"
+            );
+        }
+        let list = ExtentList::from_sorted(extents.to_vec());
+        assert_eq!(verify(&list, data), Some(first), "public verify");
+    }
+
+    /// Candidate corruption sites `(packed index, file offset)`: each
+    /// extent's first and last byte and its block edges; on the chunk
+    /// path also both sides of the head's end, of the first chunk's end
+    /// and of the tail's start.
+    fn corruption_sites(extents: &[Extent]) -> Vec<(usize, u64)> {
+        let mut sites = Vec::new();
+        let mut start = 0usize;
+        for e in extents {
+            let len = e.len as usize;
+            let mut at = vec![0, BLOCK - 1, BLOCK, BLOCK + 1, len - 1];
+            if let Some(head) = aligned_head(e.offset, len) {
+                let tail = head + (len - head) / BLOCK * BLOCK;
+                at.extend([head, head + 1, head + BLOCK - 1, head + BLOCK]);
+                at.extend([tail - 1, tail]);
+                at.extend(head.checked_sub(1));
+            }
+            for at in at.into_iter().filter(|&at| at < len) {
+                sites.push((start + at, e.offset + at as u64));
+            }
+            start += len;
+        }
+        sites.sort_unstable();
+        sites.dedup();
+        sites
+    }
+
+    /// Corrupts each site of `extents` alone and checks every build
+    /// names it.
+    fn assert_every_site_caught(extents: &[Extent]) {
+        let clean = reference(extents);
+        for (at, offset) in corruption_sites(extents) {
+            let mut data = clean.clone();
+            data[at] = !clean[at];
+            assert_first_corruption(extents, &data, offset);
+        }
+    }
+
+    /// The file offset whose splitmix input is `z`.
+    fn offset_of_z(z: u64) -> u64 {
+        z.wrapping_sub(GAMMA)
+    }
+
     /// A sorted, disjoint extent list that exercises the block edges:
     /// lengths of 1 to 3 blocks (and some longer), unaligned starts and
-    /// gaps, and a base near a random multiple of 2^30 up to 2^62, so
-    /// runs straddle those multiples.
+    /// gaps, and a base just below an offset whose splitmix input `z`
+    /// is a random multiple of 2^30 (where the chunk path's `z >> 30`
+    /// changes), or just below the `z` wrap at `2^64 - GAMMA`, so runs
+    /// straddle both.
     fn random_extents(rng: &mut Prng) -> Vec<Extent> {
+        // The multiples of 2^30 at or above GAMMA map to offsets from 0 up.
+        let first_m = GAMMA.div_ceil(1 << 30);
         let base = match rng.gen_range(0..=2u32) {
             0 => rng.gen_range(0..=4096u64),
-            1 => (rng.gen_range(1..=4096u64) << 30) - rng.gen_range(0..=2 * BLOCK as u64),
-            _ => (1u64 << 62) - rng.gen_range(1..=16 * BLOCK as u64),
+            1 => {
+                let m = first_m + rng.gen_range(0..=1u64 << 32);
+                offset_of_z(m << 30) - rng.gen_range(0..=4 * BLOCK as u64)
+            }
+            _ => offset_of_z(0) - rng.gen_range(1..=16 * BLOCK as u64),
         };
         let mut offset = base;
         (0..rng.gen_range(1..=8usize))
@@ -286,14 +490,7 @@ mod tests {
     fn every_build_fills_the_reference_bytes() {
         let mut rng = Prng::seed_from_u64(0xDA7A);
         for _ in 0..400 {
-            let extents = random_extents(&mut rng);
-            let want = reference(&extents);
-            for (name, fill_build, _) in builds() {
-                assert_eq!(fill_by(fill_build, &extents), want, "{name}: {extents:?}");
-            }
-            let list = ExtentList::from_sorted(extents.clone());
-            assert_eq!(fill(&list), want, "public fill: {extents:?}");
-            assert_eq!(verify(&list, &want), None, "public verify: {extents:?}");
+            assert_fills(&random_extents(&mut rng));
         }
     }
 
@@ -303,19 +500,7 @@ mod tests {
         for _ in 0..200 {
             let extents = random_extents(&mut rng);
             let clean = reference(&extents);
-            // Candidate positions (packed index, file offset): each
-            // extent's first and last byte and its block edges.
-            let mut sites = Vec::new();
-            let mut start = 0usize;
-            for e in &extents {
-                let len = e.len as usize;
-                for at in [0, BLOCK - 1, BLOCK, BLOCK + 1, len - 1] {
-                    if at < len {
-                        sites.push((start + at, e.offset + at as u64));
-                    }
-                }
-                start += len;
-            }
+            let sites = corruption_sites(&extents);
             for k in 1..=3 {
                 let mut data = clean.clone();
                 let mut first = u64::MAX;
@@ -324,15 +509,67 @@ mod tests {
                     data[at] = !clean[at];
                     first = first.min(offset);
                 }
-                for (name, _, verify_build) in builds() {
-                    assert_eq!(
-                        verify_build(&extents, &data),
-                        Some(first),
-                        "{name}: {extents:?}"
-                    );
-                }
-                let list = ExtentList::from_sorted(extents.clone());
-                assert_eq!(verify(&list, &data), Some(first), "public verify");
+                assert_first_corruption(&extents, &data, first);
+            }
+        }
+    }
+
+    #[test]
+    fn every_value_of_the_lane_tables_low_bits_is_exact() {
+        // One run across z = m * 2^30 for each of the 64 values of
+        // m % 64, so chunks on both sides of the boundary use the lane
+        // tables of m - 1 and m; alone and together in one list (the
+        // table is rebuilt from extent to extent).
+        let mut rng = Prng::seed_from_u64(0x64);
+        let m0 = (GAMMA.div_ceil(1 << 30) + 64 + rng.gen_range(0..=1u64 << 30)) & !63;
+        let extents: Vec<Extent> = (0..64u64)
+            .map(|low| {
+                let before = rng.gen_range(2 * BLOCK as u64..=5 * BLOCK as u64);
+                let len = before + rng.gen_range(2 * BLOCK as u64..=5 * BLOCK as u64);
+                Extent::new(offset_of_z((m0 + low) << 30) - before, len)
+            })
+            .collect();
+        for e in &extents {
+            assert_fills(&[*e]);
+            assert_every_site_caught(&[*e]);
+        }
+        assert_fills(&extents);
+    }
+
+    #[test]
+    fn the_z_wrap_is_exact() {
+        // z = o + GAMMA wraps to zero at o = 2^64 - GAMMA.
+        let wrap = offset_of_z(0);
+        for before in [0, 1, 63, 64, 65, 2 * BLOCK as u64, 3 * BLOCK as u64 + 5] {
+            for len in [2 * BLOCK as u64, 3 * BLOCK as u64 + 9, 4096] {
+                let extents = [Extent::new(wrap - before, len)];
+                assert_fills(&extents);
+                assert_every_site_caught(&extents);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_on_both_sides_of_the_short_run_cut_are_exact() {
+        // For every head length, runs just short of two chunks after it
+        // (the lane-wise loop), exactly two, and longer.
+        let z0 = (GAMMA.div_ceil(1 << 30) << 30) + (1 << 20);
+        for head in 0..BLOCK as u64 {
+            let offset = offset_of_z(z0 - head);
+            let cut = head + 2 * BLOCK as u64;
+            for len in [
+                1,
+                head.max(1),
+                cut - 1,
+                cut,
+                cut + 1,
+                cut + BLOCK as u64 + 7,
+            ] {
+                let takes_chunks = aligned_head(offset, len as usize).is_some();
+                assert_eq!(takes_chunks, len >= cut, "head {head}, len {len}");
+                let extents = [Extent::new(offset, len)];
+                assert_fills(&extents);
+                assert_every_site_caught(&extents);
             }
         }
     }
