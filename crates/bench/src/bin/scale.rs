@@ -135,6 +135,39 @@ fn peak_rss_mib() -> u64 {
         .map_or(0, |kib| kib / 1024)
 }
 
+/// The bytes the calling thread's coroutine stack slab has committed:
+/// its mapping's `Rss` in `/proc/self/smaps`, which leaves out pages
+/// only read (they map the kernel's shared zero page); 0 without procfs
+/// or before the thread's first run.
+fn slab_committed() -> u64 {
+    let Some(slab) = mccio_net::thread_slab() else {
+        return 0;
+    };
+    let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap_or_default();
+    let mut in_slab = false;
+    for line in smaps.lines() {
+        // A mapping's header line starts with its `start-end` range.
+        let head = line.split_whitespace().next().unwrap_or("");
+        if let Some((lo, hi)) = head.split_once('-') {
+            if let (Ok(lo), Ok(hi)) = (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+            {
+                in_slab = (lo..hi).contains(&slab.start);
+                continue;
+            }
+        }
+        if let Some(kib) = line.strip_prefix("Rss:").filter(|_| in_slab) {
+            return kib
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .unwrap_or(0)
+                * 1024;
+        }
+    }
+    0
+}
+
 /// Fixed budget for observability allocations in an obs-on run: the
 /// streaming sink, its aggregation cells, and the exemplar lanes must
 /// fit in this regardless of rank count — the bound that makes
@@ -207,6 +240,14 @@ fn points(mode: &str) -> Vec<(usize, u64, u64)> {
         }
     }
 }
+
+/// Stack bytes a task commits, on average, on a fresh slab at the `ci`
+/// point: measured 5.07 KiB in release on x86_64 (most tasks commit
+/// their stack's top page, aggregators two or three), rounded up to
+/// whole pages. A frame regression that pushes the tasks that park
+/// past a page boundary fails here instead of silently adding 4 KiB
+/// per rank.
+const CI_STACK_BYTES_PER_RANK: u64 = 8 * KIB;
 
 /// The 1,008-rank point: the `ci` mode and the record's middle row.
 const CI: (usize, u64, u64) = (1008, 256, 4);
@@ -281,6 +322,9 @@ struct Pass {
     /// The process's peak resident set after the pass: the pass's own
     /// peak on a run's first (or only) point, a running maximum after.
     peak_rss_mib: u64,
+    /// Bytes the stack slab has committed after the pass; see
+    /// [`slab_committed`].
+    stack_committed: u64,
     profile: HostProfile,
 }
 
@@ -319,6 +363,7 @@ impl Pass {
             allocs: (a1.0 - a0.0, a1.1 - a0.1),
             minflt,
             peak_rss_mib: peak_rss_mib(),
+            stack_committed: slab_committed(),
             profile,
         }
     }
@@ -594,17 +639,27 @@ fn run_scale(mode: &str) {
                 r.write_mbps(),
                 r.read_mbps()
             );
+            let stack_per_rank = p.stack_committed as f64 / ranks as f64;
             eprintln!(
                 "  allocs {} ({} MiB), peak rss {} MiB, minflt {}, rounds {}, shuffle {} MiB, \
-                 msgs {}",
+                 msgs {}, deepest park {} B, stacks {:.2} KiB/rank",
                 p.allocs.0,
                 p.allocs.1 / MIB,
                 p.peak_rss_mib,
                 p.minflt,
                 m.rounds,
                 m.shuffle_bytes / MIB,
-                r.traffic.data_msgs + r.traffic.ctl_msgs
+                r.traffic.data_msgs + r.traffic.ctl_msgs,
+                mccio_net::slab_stats().deepest_park,
+                stack_per_rank / KIB as f64
             );
+            if (ranks, per_rank_kib, segments) == CI && canonical.is_none() {
+                assert!(
+                    p.stack_committed <= CI_STACK_BYTES_PER_RANK * ranks as u64,
+                    "{ranks} ranks: task stacks committed {stack_per_rank:.0} B per rank, \
+                     over the {CI_STACK_BYTES_PER_RANK} B bound: a frame on the park path grew"
+                );
+            }
             let bits = (r.write_secs.to_bits(), r.read_secs.to_bits());
             let want = *canonical.get_or_insert(bits);
             assert_eq!(

@@ -294,10 +294,15 @@ impl IoEnv {
         };
         match pattern.group().index_of(me) {
             Some(idx) if pattern.extents_of_index(idx).as_slice() == my_extents.as_slice() => {
-                Arc::clone(
-                    retained.schedules[idx][usize::from(integrity)]
-                        .get_or_init(|| build(&retained.index)),
-                )
+                let slot = &retained.schedules[idx][usize::from(integrity)];
+                if let Some(schedule) = slot.get() {
+                    return Arc::clone(schedule);
+                }
+                // Built outside the cell's once-guard, whose frames would
+                // otherwise sit under the build's: only this rank fills
+                // its slot.
+                let built = build(&retained.index);
+                Arc::clone(slot.get_or_init(|| built))
             }
             _ => build(&retained.index),
         }

@@ -120,7 +120,7 @@ pub fn try_execute_write(
     data: &[u8],
     res: &mut Resilience,
 ) -> SimResult<IoReport> {
-    let (_, report) = execute_op(
+    execute_op(
         ctx,
         env,
         handle,
@@ -128,9 +128,9 @@ pub fn try_execute_write(
         pattern,
         my_extents,
         Op::Write { data },
+        &mut Vec::new(),
         res,
-    )?;
-    Ok(report)
+    )
 }
 
 /// Executes a collective read; returns this rank's data packed in extent
@@ -148,8 +148,20 @@ pub fn execute_read(
     my_extents: &ExtentList,
 ) -> (Vec<u8>, IoReport) {
     let mut res = Resilience::default();
-    try_execute_read(ctx, env, handle, plan, pattern, my_extents, &mut res)
-        .expect("collective read failed: aggregation memory unavailable after retries")
+    let mut out = Vec::new();
+    let report = execute_op(
+        ctx,
+        env,
+        handle,
+        plan,
+        pattern,
+        my_extents,
+        Op::Read,
+        &mut out,
+        &mut res,
+    )
+    .expect("collective read failed: aggregation memory unavailable after retries");
+    (out, report)
 }
 
 /// Fallible collective read; see [`try_execute_write`].
@@ -167,8 +179,19 @@ pub fn try_execute_read(
     my_extents: &ExtentList,
     res: &mut Resilience,
 ) -> SimResult<(Vec<u8>, IoReport)> {
-    let (out, report) = execute_op(ctx, env, handle, plan, pattern, my_extents, Op::Read, res)?;
-    Ok((out.expect("read always produces an output buffer"), report))
+    let mut out = Vec::new();
+    let report = execute_op(
+        ctx,
+        env,
+        handle,
+        plan,
+        pattern,
+        my_extents,
+        Op::Read,
+        &mut out,
+        res,
+    )?;
+    Ok((out, report))
 }
 
 #[cfg(test)]

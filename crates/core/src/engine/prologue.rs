@@ -39,6 +39,19 @@ pub(super) struct OpState {
 }
 
 impl OpState {
+    /// The state before [`open`]: the world, whether a fault plan is
+    /// active, and nothing reserved.
+    pub(super) fn new(ctx: &Ctx, env: &IoEnv) -> OpState {
+        OpState {
+            world: ctx.world_ranks(),
+            t0: VTime::ZERO,
+            active: env.faults().is_active(),
+            faults: IoFaults::none(),
+            scratch: OpMetrics::default(),
+            reservations: Vec::new(),
+        }
+    }
+
     /// Releases every aggregation buffer this rank holds, with the
     /// paired `mem.release` trace marks. Used when this rank's
     /// aggregator role dies mid-operation (the replacement re-reserves)
@@ -143,7 +156,10 @@ pub(super) fn mark_fault_events(obs: &ObsSink, fired: &[TimedEvent]) {
 
 /// The shared prologue: clock sync, due fault events, and the
 /// (collective, under faults) reservation of `demands`, this rank's
-/// aggregation buffers (its schedule's [`buffers`]).
+/// aggregation buffers (its schedule's [`buffers`]), all kept in
+/// `state` (fresh from [`OpState::new`]), which the round loop and
+/// [`close`] carry on. The state lives in the caller's frame, so no
+/// copy of it is under the parks here.
 ///
 /// [`buffers`]: crate::schedule::CommSchedule::buffers
 ///
@@ -151,131 +167,166 @@ pub(super) fn mark_fault_events(obs: &ObsSink, fired: &[TimedEvent]) {
 /// Returns [`SimError::TransientIo`] when aggregation memory cannot be
 /// reserved within the retry budget; the verdict is collective, so every
 /// rank returns `Err` together.
+#[inline(never)]
 pub(super) fn open(
     ctx: &mut Ctx,
     env: &IoEnv,
+    state: &mut OpState,
     demands: &[u64],
     res: &mut Resilience,
-) -> SimResult<OpState> {
-    let active = env.faults().is_active();
-    let world = ctx.world_ranks();
-    let me = ctx.rank();
-    let t0 = ctx.group_sync_clocks(&world);
-    if active {
-        let fired = env.faults().apply_due(ctx.clock(), &env.mem);
-        mark_fault_events(env.obs(), &fired);
-        ctx.group_barrier(&world);
-    }
-
+) -> SimResult<()> {
+    state.t0 = ctx.group_sync_clocks(&state.world);
     // Aggregators reserve their buffers for the whole operation. The
     // healthy path pages infallibly (pressure, not failure); under a
     // fault plan reservation is collective and can be refused.
-    let reservations: Vec<Reservation> = if active {
-        reserve_collectively(ctx, env, &world, demands, res)?
+    if state.active {
+        open_faulty(ctx, env, state, demands, res)?;
     } else {
-        demands
-            .iter()
-            .map(|&bytes| env.mem.reserve(ctx.node(), bytes))
-            .collect()
-    };
-    ctx.group_barrier(&world);
-    let faults = if active {
-        env.faults().take_io_faults(me)
-    } else {
-        IoFaults::none()
-    };
-    let obs = env.obs();
-    if obs.is_enabled() {
-        for r in &reservations {
-            mark_mem_event(obs, me as u32, "mem.reserve", ctx.clock(), env, r);
-            obs.counter_add("mem.reserve.bytes", r.bytes());
-        }
-        obs.span(
-            me as u32,
-            "prologue",
-            "engine",
-            t0,
-            ctx.clock() - t0,
-            &[("reservations", AttrValue::U64(reservations.len() as u64))],
-        );
+        let node = ctx.node();
+        state
+            .reservations
+            .extend(demands.iter().map(|&bytes| env.mem.reserve(node, bytes)));
+        ctx.group_barrier(&state.world);
     }
-    Ok(OpState {
-        world,
-        t0,
-        active,
-        faults,
-        scratch: OpMetrics::default(),
-        reservations,
-    })
+    if env.obs().is_enabled() {
+        trace_open(ctx, env, state.t0, &state.reservations);
+    }
+    Ok(())
 }
 
-/// The shared epilogue: releases the aggregation buffers, parks the
-/// fault stream, folds revocations into `res`, and builds the report.
-pub(super) fn close(
+/// [`open`] under an active fault plan: applies the events now due,
+/// reserves `demands` collectively and takes this rank's fault stream.
+/// Outlined, like the traces below, so its frame is not under every
+/// healthy op's parks.
+#[inline(never)]
+fn open_faulty(
     ctx: &mut Ctx,
     env: &IoEnv,
-    state: OpState,
-    bytes: u64,
+    state: &mut OpState,
+    demands: &[u64],
     res: &mut Resilience,
-) -> IoReport {
-    if env.obs().is_enabled() {
-        // The paired half of the prologue's `mem.reserve` marks: every
-        // buffer held for the operation releases here, at the virtual
-        // time the epilogue runs, so occupancy timelines balance to zero.
-        for r in &state.reservations {
-            mark_mem_event(
-                env.obs(),
-                ctx.rank() as u32,
-                "mem.release",
-                ctx.clock(),
-                env,
-                r,
-            );
-            env.obs().counter_add("mem.release.bytes", r.bytes());
-        }
+) -> SimResult<()> {
+    let fired = env.faults().apply_due(ctx.clock(), &env.mem);
+    mark_fault_events(env.obs(), &fired);
+    ctx.group_barrier(&state.world);
+    state.reservations = reserve_collectively(ctx, env, &state.world, demands, res)?;
+    ctx.group_barrier(&state.world);
+    state.faults = env.faults().take_io_faults(ctx.rank());
+    Ok(())
+}
+
+/// Marks this rank's reservations and its prologue span.
+#[inline(never)]
+fn trace_open(ctx: &Ctx, env: &IoEnv, t0: VTime, reservations: &[Reservation]) {
+    let obs = env.obs();
+    let me = ctx.rank() as u32;
+    for r in reservations {
+        mark_mem_event(obs, me, "mem.reserve", ctx.clock(), env, r);
+        obs.counter_add("mem.reserve.bytes", r.bytes());
     }
-    drop(state.reservations);
+    obs.span(
+        me,
+        "prologue",
+        "engine",
+        t0,
+        ctx.clock() - t0,
+        &[("reservations", AttrValue::U64(reservations.len() as u64))],
+    );
+}
+
+/// The shared epilogue: releases the aggregation buffers, waits for
+/// every rank, and parks the fault stream, folding revocations into
+/// `res`. The caller then builds the op's report with [`report`], in its
+/// own frame rather than under this one's park.
+#[inline(never)]
+pub(super) fn close(ctx: &mut Ctx, env: &IoEnv, state: &mut OpState, res: &mut Resilience) {
+    if env.obs().is_enabled() {
+        trace_close(ctx, env, &state.reservations);
+    }
+    state.reservations.clear();
     ctx.group_barrier(&state.world);
     if state.active {
-        env.faults().return_io_faults(ctx.rank(), state.faults, res);
-        res.revocations += env
-            .faults()
-            .plan()
-            .revocations_between(state.t0, ctx.clock());
+        close_faulty(ctx, env, state, res);
     }
+    if env.obs().is_enabled() && ctx.rank() == 0 {
+        trace_node_peaks(ctx, env);
+    }
+}
+
+/// The op's report once [`close`] has run: `bytes` moved in
+/// `ctx.clock() - t0`, the round counters and the memory high-water
+/// marks. `Ok` always, so that it can be an op's tail call and build the
+/// report in its caller's return slot.
+pub(super) fn report(
+    ctx: &Ctx,
+    env: &IoEnv,
+    state: &OpState,
+    bytes: u64,
+    res: &Resilience,
+) -> SimResult<IoReport> {
     let mut metrics = crate::resilience::mem_metrics(env);
     metrics.rounds = state.scratch.rounds;
     metrics.shuffle_bytes = state.scratch.shuffle_bytes;
     metrics.storage_requests = state.scratch.storage_requests;
     metrics.storage_bytes = state.scratch.storage_bytes;
     metrics.payload_peak_bytes = bytes;
-    let obs = env.obs();
-    if obs.is_enabled() {
-        // One rank snapshots the per-node memory high-water marks so the
-        // registry's histogram (and its CoV) reflects each node once per
-        // operation, not once per rank.
-        if ctx.rank() == 0 {
-            for node in 0..env.mem.n_nodes() {
-                let peak = env.mem.peak_reserved(node);
-                if peak > 0 {
-                    obs.observe("mem.node_peak_bytes", peak);
-                    obs.counter_sample(
-                        ENGINE_TRACK,
-                        "mem.peak_reserved",
-                        "mem",
-                        ctx.clock(),
-                        peak as f64,
-                        &[("node", AttrValue::U64(node as u64))],
-                    );
-                }
-            }
-        }
-    }
-    IoReport::builder(bytes)
+    Ok(IoReport::builder(bytes)
         .elapsed(ctx.clock() - state.t0)
         .resilience(*res)
         .metrics(metrics)
-        .build()
+        .build())
+}
+
+/// The paired half of the prologue's `mem.reserve` marks: every buffer
+/// held for the operation releases here, at the virtual time the
+/// epilogue runs, so occupancy timelines balance to zero.
+#[inline(never)]
+fn trace_close(ctx: &Ctx, env: &IoEnv, reservations: &[Reservation]) {
+    for r in reservations {
+        mark_mem_event(
+            env.obs(),
+            ctx.rank() as u32,
+            "mem.release",
+            ctx.clock(),
+            env,
+            r,
+        );
+        env.obs().counter_add("mem.release.bytes", r.bytes());
+    }
+}
+
+/// One rank snapshots the per-node memory high-water marks so the
+/// registry's histogram (and its CoV) reflects each node once per
+/// operation, not once per rank.
+#[inline(never)]
+fn trace_node_peaks(ctx: &Ctx, env: &IoEnv) {
+    let obs = env.obs();
+    for node in 0..env.mem.n_nodes() {
+        let peak = env.mem.peak_reserved(node);
+        if peak > 0 {
+            obs.observe("mem.node_peak_bytes", peak);
+            obs.counter_sample(
+                ENGINE_TRACK,
+                "mem.peak_reserved",
+                "mem",
+                ctx.clock(),
+                peak as f64,
+                &[("node", AttrValue::U64(node as u64))],
+            );
+        }
+    }
+}
+
+/// [`close`] under an active fault plan: parks this rank's fault stream
+/// and folds the op's revocations into `res`.
+#[inline(never)]
+fn close_faulty(ctx: &Ctx, env: &IoEnv, state: &mut OpState, res: &mut Resilience) {
+    let faults = std::mem::replace(&mut state.faults, IoFaults::none());
+    env.faults().return_io_faults(ctx.rank(), faults, res);
+    res.revocations += env
+        .faults()
+        .plan()
+        .revocations_between(state.t0, ctx.clock());
 }
 
 /// Collectively reserves this rank's aggregation buffers under the

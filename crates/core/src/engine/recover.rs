@@ -117,6 +117,7 @@ impl CrashTracker {
     /// when no survivor can be elected or the replacements cannot
     /// reserve the adopted buffers. The caller releases its held
     /// reservations and falls down the degradation ladder.
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     pub(super) fn begin_round(
         &mut self,

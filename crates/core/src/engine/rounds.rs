@@ -39,19 +39,22 @@
 //! between strategies honest and every future engine capability paid
 //! for exactly once.
 
+use std::sync::Arc;
+
 use mccio_mpiio::sieve::{sieved_read_r, sieved_write_r};
 use mccio_mpiio::{Extent, ExtentList, GroupPattern, IoReport, Resilience};
 use mccio_net::mailbox::Payload;
-use mccio_net::Ctx;
-use mccio_obs::{AttrValue, ENGINE_TRACK};
+use mccio_net::{Ctx, RankSet};
+use mccio_obs::{AttrValue, ObsSink, ENGINE_TRACK};
 use mccio_pfs::{FileHandle, IoFaults, ServiceReport};
 use mccio_sim::error::SimResult;
+use mccio_sim::time::VTime;
 
 use crate::plan::CollectivePlan;
 use crate::schedule::{ClientWindow, CommSchedule, RankPieces};
 
 use super::env::IoEnv;
-use super::prologue::{self, drive_storage};
+use super::prologue::{self, drive_storage, OpState};
 use super::recover::CrashTracker;
 use super::settle::settle_round;
 use super::wire::{check_messages, messages, retry_delta, sealers};
@@ -85,9 +88,9 @@ pub(super) struct RoundFacts {
 }
 
 /// Executes one collective operation of either direction. SPMD: every
-/// rank of the world calls in with the same `plan` and `pattern`.
-/// Returns this rank's packed data for [`Op::Read`], `None` for
-/// [`Op::Write`].
+/// rank of the world calls in with the same `plan` and `pattern`. An
+/// [`Op::Read`] leaves this rank's packed data in `out` (which must be
+/// empty); an [`Op::Write`] leaves `out` alone.
 ///
 /// # Errors
 /// Returns [`mccio_sim::error::SimError::TransientIo`] when aggregation
@@ -102,11 +105,10 @@ pub(super) fn execute_op(
     pattern: &GroupPattern,
     my_extents: &ExtentList,
     op: Op<'_>,
+    out: &mut Vec<u8>,
     res: &mut Resilience,
-) -> SimResult<(Option<Vec<u8>>, IoReport)> {
-    let total = my_extents.total_bytes() as usize;
+) -> SimResult<IoReport> {
     env.enter_op(ctx);
-    let me = ctx.rank();
     // Everything crash recovery needs — message seals, the agreed
     // clock, the mutable live plan — is gated on the plan actually
     // scheduling crashes, so crash-free runs execute the exact healthy
@@ -115,14 +117,39 @@ pub(super) fn execute_op(
     // Persistent: the schedule is built on this rank's first op under
     // this plan and reused by every later one (the read after the write,
     // the next repetition of the access). It also carries the buffers
-    // the prologue reserves.
-    let mut schedule = env.schedule_cached(plan, pattern, me, my_extents, integrity);
+    // the prologue reserves. Fetched here, above `run_op`'s frame, so a
+    // first op's build does not run under it.
+    let schedule = env.schedule_cached(plan, pattern, ctx.rank(), my_extents, integrity);
+    run_op(
+        ctx, env, handle, plan, pattern, my_extents, op, out, res, schedule, integrity,
+    )
+}
+
+/// [`execute_op`] once the schedule is in hand.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn run_op(
+    ctx: &mut Ctx,
+    env: &IoEnv,
+    handle: &FileHandle,
+    plan: &CollectivePlan,
+    pattern: &GroupPattern,
+    my_extents: &ExtentList,
+    op: Op<'_>,
+    out: &mut Vec<u8>,
+    res: &mut Resilience,
+    mut schedule: Arc<CommSchedule>,
+    integrity: bool,
+) -> SimResult<IoReport> {
+    let bytes = my_extents.total_bytes();
+    let total = bytes as usize;
+    let me = ctx.rank();
     // Exposed before the prologue's clock sync, withdrawn after the
     // epilogue's barrier: no peer touches the buffer outside that span.
-    let mut out = Vec::new();
     let exposure = match op {
         Op::Write { data } => ctx.expose(data),
         Op::Read => {
+            debug_assert!(out.is_empty(), "a read fills an empty output");
             out.reserve_exact(total);
             // SAFETY: a rank reads its output only to check a seal, over
             // a window whose header arrived, and the window's aggregator
@@ -130,30 +157,18 @@ pub(super) fn execute_op(
             unsafe { ctx.expose_uninit(&mut out.spare_capacity_mut()[..total]) }
         }
     };
-    let mut state = prologue::open(ctx, env, &schedule.buffers, res)?;
+    let mut state = OpState::new(ctx, env);
+    prologue::open(ctx, env, &mut state, &schedule.buffers, res)?;
     let mut tracker = CrashTracker::begin(ctx, env, &state.world);
     let mut live_plan = tracker.as_ref().map(|_| plan.clone());
     let obs = env.obs().clone();
     if obs.is_enabled() {
-        obs.instant(
-            me as u32,
-            "schedule",
-            "plan",
-            ctx.clock(),
-            &[
-                ("rounds", AttrValue::U64(schedule.rounds.len() as u64)),
-                ("client_bytes", AttrValue::U64(schedule.client_bytes())),
-                (
-                    "assembled_bytes",
-                    AttrValue::U64(schedule.assembled_bytes()),
-                ),
-            ],
-        );
+        trace_schedule(ctx, &obs, &schedule);
     }
+    let is_write = matches!(op, Op::Write { .. });
     let n_rounds = schedule.rounds.len();
     for round in 0..n_rounds {
         let log_before = state.faults.log;
-        let mut report = ServiceReport::empty(env.fs.n_servers());
         let mut facts = RoundFacts::default();
 
         // --- recover: detect crashes, re-elect, re-plan (crash-gated) ---
@@ -168,7 +183,7 @@ pub(super) fn execute_op(
                 my_extents,
                 &mut schedule,
                 round as u64,
-                matches!(op, Op::Write { .. }),
+                is_write,
                 &mut facts,
                 res,
             ) {
@@ -179,50 +194,19 @@ pub(super) fn execute_op(
                 return Err(e);
             }
         }
-        let rs = &schedule.rounds[round];
 
-        // --- contribute: what this rank puts on the wire ---
-        let (sends, recv_from) = match op {
-            Op::Write { data } => (
-                client_sends(&schedule, round, data, &mut facts, integrity),
-                rs.agg_sources.as_slice(),
-            ),
-            Op::Read => (
-                fetch_and_put(
-                    ctx,
-                    handle,
-                    &schedule,
-                    round,
-                    &mut state.faults,
-                    &mut report,
-                    &mut facts,
-                    integrity,
-                ),
-                rs.client_sources.as_slice(),
-            ),
-        };
-
-        // --- shuffle: the one exchange both directions share ---
-        let received = ctx.exchange(&state.world, sends, recv_from);
-        if integrity {
-            facts.integrity += received.len() as u64;
-        }
-
-        // --- absorb: what this rank does with what arrived ---
-        match op {
-            Op::Write { .. } => aggregate_and_store(
-                ctx,
-                handle,
-                &schedule,
-                round,
-                &received,
-                &mut state.faults,
-                &mut report,
-                &mut facts,
-                integrity,
-            ),
-            Op::Read => check_read(ctx, &schedule, round, &received, integrity),
-        }
+        let report = shuffle(
+            ctx,
+            env,
+            &state.world,
+            handle,
+            &schedule,
+            round,
+            op,
+            &mut state.faults,
+            &mut facts,
+            integrity,
+        );
 
         let delta = retry_delta(state.faults.log, log_before);
         let sent: u64 = facts.flows.iter().map(|&(_, b)| b).sum();
@@ -231,24 +215,7 @@ pub(super) fn execute_op(
         state.scratch.storage_requests += report.total_requests();
         state.scratch.storage_bytes += report.total_bytes();
         if obs.is_enabled() {
-            // Rank clocks stand still between settlements, so per-rank
-            // round facts are zero-duration marks at the round's start.
-            obs.instant(
-                me as u32,
-                "rank.round",
-                "engine",
-                ctx.clock(),
-                &[
-                    ("sent_bytes", AttrValue::U64(sent)),
-                    ("assembled_bytes", AttrValue::U64(facts.assembled)),
-                    ("storage_requests", AttrValue::U64(report.total_requests())),
-                    ("storage_bytes", AttrValue::U64(report.total_bytes())),
-                    ("retries", AttrValue::U64(delta.retries)),
-                ],
-            );
-            obs.counter_add("shuffle.bytes", sent);
-            obs.counter_add("storage.requests", report.total_requests());
-            obs.counter_add("storage.bytes", report.total_bytes());
+            trace_rank_round(ctx, &obs, sent, facts.assembled, &report, delta.retries);
         }
 
         res.integrity_verified += facts.integrity;
@@ -260,7 +227,7 @@ pub(super) fn execute_op(
             &report,
             facts.assembled,
             delta,
-            matches!(op, Op::Write { .. }),
+            is_write,
             facts.integrity,
         );
         if let Some(t) = tracker.as_mut() {
@@ -268,42 +235,162 @@ pub(super) fn execute_op(
         }
     }
 
-    let t0 = state.t0;
-    let bytes = my_extents.total_bytes();
-    let rounds = state.scratch.rounds;
-    let report = prologue::close(ctx, env, state, bytes, res);
+    prologue::close(ctx, env, &mut state, res);
     drop(exposure);
-    let out = matches!(op, Op::Read).then(|| {
+    if matches!(op, Op::Read) {
         // SAFETY: the schedule's client windows tile `[0, total)` (its
         // build asserts it), and each window's aggregator put its bytes
         // before the header `check_read` compared.
         unsafe { out.set_len(total) };
-        out
-    });
+    }
     if obs.is_enabled() && me == 0 {
         let dir = match op {
             Op::Write { .. } => "write",
             Op::Read => "read",
         };
-        obs.span(
-            ENGINE_TRACK,
-            "op",
-            "engine",
-            t0,
-            ctx.clock() - t0,
-            &[
-                ("dir", AttrValue::Str(dir)),
-                ("bytes", AttrValue::U64(bytes)),
-                ("rounds", AttrValue::U64(rounds)),
-            ],
-        );
-        obs.counter_add("op.count", 1);
-        // Walk the causal frontier back from this op's end: the blame
-        // chain's [t0, clock] window is exactly the op span above, so
-        // its total is bit-equal to the span duration by construction.
-        obs.causal_op_end(t0, ctx.clock(), dir);
+        trace_op(ctx, &obs, state.t0, dir, bytes, state.scratch.rounds);
     }
-    Ok((out, report))
+    prologue::report(ctx, env, &state, bytes, res)
+}
+
+/// One round's data plane: what this rank contributes, the exchange,
+/// and what it does with what arrived. Returns the round's storage
+/// report. Its own frame, so none of it is live under the settlement.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn shuffle(
+    ctx: &mut Ctx,
+    env: &IoEnv,
+    world: &RankSet,
+    handle: &FileHandle,
+    schedule: &CommSchedule,
+    round: usize,
+    op: Op<'_>,
+    faults: &mut IoFaults,
+    facts: &mut RoundFacts,
+    integrity: bool,
+) -> ServiceReport {
+    let mut report = ServiceReport::empty(env.fs.n_servers());
+    let rs = &schedule.rounds[round];
+
+    // --- contribute: what this rank puts on the wire ---
+    let (sends, recv_from) = match op {
+        Op::Write { data } => (
+            client_sends(schedule, round, data, facts, integrity),
+            rs.agg_sources.as_slice(),
+        ),
+        Op::Read => (
+            fetch_and_put(
+                ctx,
+                handle,
+                schedule,
+                round,
+                faults,
+                &mut report,
+                facts,
+                integrity,
+            ),
+            rs.client_sources.as_slice(),
+        ),
+    };
+
+    // --- shuffle: the one exchange both directions share ---
+    let received = ctx.exchange(world, sends, recv_from);
+    if integrity {
+        facts.integrity += received.len() as u64;
+    }
+
+    // --- absorb: what this rank does with what arrived ---
+    match op {
+        Op::Write { .. } => aggregate_and_store(
+            ctx,
+            handle,
+            schedule,
+            round,
+            &received,
+            faults,
+            &mut report,
+            facts,
+            integrity,
+        ),
+        Op::Read => check_read(ctx, schedule, round, &received, integrity),
+    }
+    report
+}
+
+// The traces below are outlined (as are the round's data-plane halves)
+// so their frames are never live under `execute_op`'s parks: every
+// rank's stack holds this frame through every round's settlement.
+
+/// Marks this rank's schedule on its trace track.
+#[inline(never)]
+fn trace_schedule(ctx: &Ctx, obs: &ObsSink, schedule: &CommSchedule) {
+    obs.instant(
+        ctx.rank() as u32,
+        "schedule",
+        "plan",
+        ctx.clock(),
+        &[
+            ("rounds", AttrValue::U64(schedule.rounds.len() as u64)),
+            ("client_bytes", AttrValue::U64(schedule.client_bytes())),
+            (
+                "assembled_bytes",
+                AttrValue::U64(schedule.assembled_bytes()),
+            ),
+        ],
+    );
+}
+
+/// Marks this rank's facts for one round. Rank clocks stand still
+/// between settlements, so they are zero-duration marks at the round's
+/// start.
+#[inline(never)]
+fn trace_rank_round(
+    ctx: &Ctx,
+    obs: &ObsSink,
+    sent: u64,
+    assembled: u64,
+    report: &ServiceReport,
+    retries: u64,
+) {
+    obs.instant(
+        ctx.rank() as u32,
+        "rank.round",
+        "engine",
+        ctx.clock(),
+        &[
+            ("sent_bytes", AttrValue::U64(sent)),
+            ("assembled_bytes", AttrValue::U64(assembled)),
+            ("storage_requests", AttrValue::U64(report.total_requests())),
+            ("storage_bytes", AttrValue::U64(report.total_bytes())),
+            ("retries", AttrValue::U64(retries)),
+        ],
+    );
+    obs.counter_add("shuffle.bytes", sent);
+    obs.counter_add("storage.requests", report.total_requests());
+    obs.counter_add("storage.bytes", report.total_bytes());
+}
+
+/// The world root's op span, and the causal blame chain that tiles it.
+#[inline(never)]
+fn trace_op(ctx: &Ctx, obs: &ObsSink, t0: VTime, dir: &'static str, bytes: u64, rounds: u64) {
+    obs.span(
+        ENGINE_TRACK,
+        "op",
+        "engine",
+        t0,
+        ctx.clock() - t0,
+        &[
+            ("dir", AttrValue::Str(dir)),
+            ("bytes", AttrValue::U64(bytes)),
+            ("rounds", AttrValue::U64(rounds)),
+        ],
+    );
+    obs.counter_add("op.count", 1);
+    // Walk the causal frontier back from this op's end: the blame
+    // chain's [t0, clock] window is exactly the op span above, so its
+    // total is bit-equal to the span duration by construction.
+    obs.causal_op_end(t0, ctx.clock(), dir);
 }
 
 /// Write contribute-half: one header message per destination
@@ -311,6 +398,7 @@ pub(super) fn execute_op(
 /// (their bytes stay in `data` for the aggregator to copy), each
 /// accounted at its wire length; under a crash plan each is sealed over
 /// the sections' bytes.
+#[inline(never)]
 fn client_sends(
     schedule: &CommSchedule,
     round: usize,
@@ -338,6 +426,7 @@ fn client_sends(
 /// all; a window with holes assembles into a buffer of its own and goes
 /// through the sieve's read-modify-write.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn aggregate_and_store(
     ctx: &Ctx,
     handle: &FileHandle,
@@ -406,6 +495,7 @@ fn aggregate_and_store(
 /// file view; otherwise the union is sieved into a buffer first (which
 /// also supplies the zero bytes of any beyond-EOF tail).
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn fetch_and_put(
     ctx: &Ctx,
     handle: &FileHandle,
@@ -468,6 +558,7 @@ fn fetch_and_put(
 /// aggregator has already put the announced bytes into this rank's
 /// output; under a crash plan the seal is checked over them where they
 /// now sit.
+#[inline(never)]
 fn check_read(
     ctx: &Ctx,
     schedule: &CommSchedule,

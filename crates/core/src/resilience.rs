@@ -27,7 +27,7 @@
 
 use mccio_mpiio::independent::{read_sieved_r, write_sieved_r};
 use mccio_mpiio::{ExtentList, GroupPattern, IoReport, Resilience, SieveConfig};
-use mccio_net::Ctx;
+use mccio_net::{Ctx, RankSet};
 use mccio_obs::{AttrValue, ENGINE_TRACK};
 use mccio_pfs::{FileHandle, IoFaults};
 use mccio_sim::fault::{FaultPlan, FaultStream, TimedEvent};
@@ -260,10 +260,27 @@ pub fn ladder_write(
             .expect("ladder top must be a collective strategy");
         return execute_write(ctx, env, handle, &plan, &pattern, my_extents, data);
     }
-    let t0 = ctx.group_sync_clocks(&world);
+    descend_write(ctx, env, handle, &world, &pattern, my_extents, data, rungs)
+}
+
+/// [`ladder_write`]'s descent under an active fault plan. Outlined so
+/// its frame is not under every healthy op's parks.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn descend_write(
+    ctx: &mut Ctx,
+    env: &IoEnv,
+    handle: &FileHandle,
+    world: &RankSet,
+    pattern: &Arc<GroupPattern>,
+    my_extents: &ExtentList,
+    data: &[u8],
+    rungs: &[&dyn Strategy],
+) -> IoReport {
+    let t0 = ctx.group_sync_clocks(world);
     let mut res = Resilience::default();
     for (rung, strategy) in rungs.iter().enumerate() {
-        match strategy.try_write(ctx, env, handle, &pattern, my_extents, data, &mut res) {
+        match strategy.try_write(ctx, env, handle, pattern, my_extents, data, &mut res) {
             Ok(report) => {
                 mark_rung(ctx, env, rung, strategy.name(), true);
                 return finish(ctx, t0, report, res, rung as u32);
@@ -294,10 +311,25 @@ pub fn ladder_read(
             .expect("ladder top must be a collective strategy");
         return execute_read(ctx, env, handle, &plan, &pattern, my_extents);
     }
-    let t0 = ctx.group_sync_clocks(&world);
+    descend_read(ctx, env, handle, &world, &pattern, my_extents, rungs)
+}
+
+/// [`ladder_read`]'s descent under an active fault plan; see
+/// [`descend_write`].
+#[inline(never)]
+fn descend_read(
+    ctx: &mut Ctx,
+    env: &IoEnv,
+    handle: &FileHandle,
+    world: &RankSet,
+    pattern: &Arc<GroupPattern>,
+    my_extents: &ExtentList,
+    rungs: &[&dyn Strategy],
+) -> (Vec<u8>, IoReport) {
+    let t0 = ctx.group_sync_clocks(world);
     let mut res = Resilience::default();
     for (rung, strategy) in rungs.iter().enumerate() {
-        match strategy.try_read(ctx, env, handle, &pattern, my_extents, &mut res) {
+        match strategy.try_read(ctx, env, handle, pattern, my_extents, &mut res) {
             Ok((data, report)) => {
                 mark_rung(ctx, env, rung, strategy.name(), true);
                 return (data, finish(ctx, t0, report, res, rung as u32));

@@ -193,7 +193,7 @@ impl std::fmt::Debug for DecodeCache {
 
 /// Pins glibc's dynamic malloc thresholds at their maxima, once per
 /// process: the 32 MiB mmap threshold and twice that for trimming, the
-/// values glibc's own adaptive rule ends at.
+/// values glibc's own adaptive rule ends at, and 64 MiB of top padding.
 ///
 /// Some buffers leave the engine and are freed by their owner: a read's
 /// output, a workload's payload. Under glibc's default, adaptive
@@ -203,6 +203,14 @@ impl std::fmt::Debug for DecodeCache {
 /// workers (2-vCPU host, glibc 2.36), whose one-sided shuffle keeps no
 /// parked buffers to hold the heap in place. Fixed thresholds keep such
 /// buffers inside malloc's heap, committed for the next operation.
+///
+/// The padding does the same for the heaps of a thread's own arena,
+/// which glibc unmaps whenever one empties, whatever the trim threshold:
+/// perfbench's workers run on such threads. Whether a heap empties at
+/// the end of a pass depends on where a pass's long-lived allocations
+/// happen to land (the coroutine stack slab, once a heap allocation,
+/// held one in place), so without it a small change of allocation
+/// order cost `collperf-120-mc` 11,588 minor faults a pass.
 fn keep_freed_buffers_mapped() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -210,6 +218,7 @@ fn keep_freed_buffers_mapped() {
             fn mallopt(param: i32, value: i32) -> i32;
         }
         const M_TRIM_THRESHOLD: i32 = -1;
+        const M_TOP_PAD: i32 = -2;
         const M_MMAP_THRESHOLD: i32 = -3;
         static ONCE: std::sync::Once = std::sync::Once::new();
         // SAFETY: plain setters of allocator tunables; glibc serialises
@@ -217,6 +226,7 @@ fn keep_freed_buffers_mapped() {
         ONCE.call_once(|| unsafe {
             mallopt(M_MMAP_THRESHOLD, 32 << 20);
             mallopt(M_TRIM_THRESHOLD, 64 << 20);
+            mallopt(M_TOP_PAD, 64 << 20);
         });
     }
 }

@@ -62,20 +62,44 @@
 //!
 //! ## Stacks
 //!
-//! Task stacks are carved out of one lazily-committed slab allocation
-//! (100k separate mappings would exhaust `vm.max_map_count`), sized by
-//! `MCCIO_STACK_KIB` (default 128 KiB, min 64). The default is sized
-//! from measurement: scanning freshly zeroed slabs after each run, tasks
-//! peak at 10.7–12.1 KiB on the three perfbench workloads (release) and
-//! at 32.7 KiB across the workspace's test suite (debug). At 100,800
-//! ranks it is a 12.3 GiB slab, which `vm.overcommit_memory=0` still
-//! grants on a 16 GiB host; 512 KiB was refused. Each stack's low end
-//! carries a canary word; a clobbered canary aborts with advice to raise
-//! the knob. The slab has no guard pages — the canary is the tripwire.
+//! Task stacks are carved out of one private anonymous mapping (100k
+//! separate mappings would exhaust `vm.max_map_count`), reserved with
+//! `MAP_NORESERVE` so that it commits only the pages tasks touch, and
+//! sized by `MCCIO_STACK_KIB` (default 128 KiB, min 64, rounded up to
+//! whole 4 KiB pages). The stack tops are page-aligned and the executor
+//! writes nothing but each top's seeded frame, so a task whose frames
+//! stay within 4 KiB of its top commits exactly one page. On the
+//! perfbench `ior-5k` workload (5,040 ranks, release) the deepest park
+//! is 3.4 KiB down and 4,696 tasks commit one page; aggregators, whose
+//! storage hops run deeper, commit two or three. The frames on the park
+//! path are kept small for this: work that never yields (root pricing,
+//! traces, fault-ladder rungs, storage hops, schedule builds) runs in
+//! frames of its own that are gone before the task parks.
+//!
+//! Overflow has two checks, neither of which commits a page:
+//!
+//! * **the red zone** — at every switch out of a task, the scheduler
+//!   compares the task's saved stack pointer with its stack's low end
+//!   and panics, naming the rank, if it is within [`RED_ZONE`] of it,
+//!   before any other task runs. The same comparison records the
+//!   deepest park ([`SlabStats::deepest_park`]);
+//! * **the tripwire** — a stack's low word is never written, so after
+//!   the run it must still read zero; only low words on resident pages
+//!   are read, so the check faults nothing in.
+//!
+//! The slab has no guard pages: a frame that steps over the low word
+//! without writing it, and returns before the next switch, is caught by
+//! neither. The default is about 4× the deepest task measured across
+//! the workspace's test suite (32.7 KiB, debug). `MAP_NORESERVE` keeps
+//! the slab out of the kernel's overcommit accounting: 49 GiB, what
+//! 100,800 ranks at 512 KiB reserve, maps on a 16 GiB host with
+//! `vm.overcommit_memory=0`, where a zeroed allocation was refused.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
+use std::ffi::{c_int, c_void};
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,12 +117,18 @@ use crate::mailbox::{Envelope, Mailbox, Pattern};
 const DEFAULT_STACK_KIB: usize = 128;
 /// Smallest accepted stack; below this even the entry thunk is unsafe.
 const MIN_STACK_KIB: usize = 64;
-/// Written at the low end of every task stack; checked when the task
-/// finishes and again when the world drains.
-const STACK_CANARY: u64 = 0x5AFE_57AC_CA4A_717E;
+/// Stack sizes round up to whole pages of this many KiB, so every stack
+/// top is page-aligned and a task that stays in its top page commits
+/// exactly one.
+const PAGE_KIB: usize = 4;
+/// A task that switches out with its saved stack pointer this close to
+/// its stack's low end panics: its next excursion could run off the end.
+const RED_ZONE: usize = 16 * 1024;
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 compile_error!("mccio-net's rank executor has a context switch for x86_64 and aarch64 only");
+#[cfg(not(any(target_os = "linux", target_os = "macos")))]
+compile_error!("mccio-net's stack slab uses the Linux and macOS `mmap` flags only");
 
 // ---------------------------------------------------------------------
 // Context switch: save callee-saved state on the current stack, store
@@ -192,12 +222,14 @@ type EntryFn = extern "C" fn(*mut u8);
 /// `ctx_entry_thunk` with `data`/`entry` in the thunk's registers.
 /// Returns the initial saved stack pointer.
 ///
-/// Layout (both arches): the top of the region holds the seeded
-/// callee-saved frame; everything below is free stack.
-fn init_stack(region: &mut [u8], entry: EntryFn, data: *mut u8) -> usize {
-    let base = region.as_mut_ptr() as usize;
-    // Stacks grow down from a 16-byte-aligned top.
-    let top = (base + region.len()) & !15;
+/// Layout (both arches): the words just below `top` (page-aligned, so
+/// 16-byte aligned) hold the seeded callee-saved frame; everything below
+/// is free stack.
+///
+/// # Safety
+/// The `< 200` bytes below `top` must be writable stack memory that no
+/// live task uses.
+unsafe fn init_stack(top: usize, entry: EntryFn, data: *mut u8) -> usize {
     let mut sp = top;
     #[cfg(target_arch = "x86_64")]
     {
@@ -590,7 +622,8 @@ fn stack_size_bytes() -> usize {
 }
 
 /// The task stack size in KiB for a raw `MCCIO_STACK_KIB` value: the
-/// default when unset or blank, never below the minimum.
+/// default when unset or blank, never below the minimum, rounded up to
+/// whole pages.
 ///
 /// # Panics
 /// Panics naming the variable and the value when it is not a whole
@@ -602,37 +635,196 @@ fn stack_kib(raw: Option<&str>) -> usize {
         Some(v) => v
             .parse::<usize>()
             .unwrap_or_else(|_| panic!("MCCIO_STACK_KIB must be a whole number of KiB, got {v:?}"))
-            .max(MIN_STACK_KIB),
+            .max(MIN_STACK_KIB)
+            .next_multiple_of(PAGE_KIB),
     }
 }
 
 /// Stacks whose pages came from the thread's cached slab vs stacks that
-/// required a fresh (zeroed, to-be-faulted) slab allocation, process
-/// cumulative. See [`slab_stats`].
+/// required a fresh (zeroed, to-be-faulted) slab mapping, process
+/// cumulative; and the deepest any task parked. See [`slab_stats`].
 static STACKS_REUSED: AtomicU64 = AtomicU64::new(0);
 static STACKS_FRESH: AtomicU64 = AtomicU64::new(0);
+static DEEPEST_PARK: AtomicU64 = AtomicU64::new(0);
 
-/// Process-cumulative slab reuse counters; see [`slab_stats`].
+/// Process-cumulative slab counters; see [`slab_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlabStats {
     /// Task stacks carved from a previously committed slab.
     pub reused: u64,
-    /// Task stacks that came from a fresh allocation (first-touch page
+    /// Task stacks that came from a fresh mapping (first-touch page
     /// faults still ahead of them).
     pub fresh: u64,
+    /// The deepest any task has switched out, in bytes from its stack
+    /// top to its saved stack pointer: the lowest saved stack pointer,
+    /// measured at every switch, over every run of the process.
+    pub deepest_park: u64,
 }
 
 /// How many task stacks were served from a recycled slab versus freshly
-/// committed, cumulative over the process. The event executor keeps one
-/// committed slab per driving thread and reuses it across `World::run`
-/// calls whenever it is large enough, so repeated runs (benchmarks,
-/// test suites, multi-phase jobs) stop paying the slab's first-touch
-/// page faults after the first run.
+/// mapped, cumulative over the process, and the deepest park. The event
+/// executor keeps one slab per driving thread and reuses it across
+/// `World::run` calls at the same stack size whenever it holds enough
+/// stacks, so repeated runs (benchmarks, test suites, multi-phase jobs)
+/// stop paying the slab's first-touch page faults after the first run.
 #[must_use]
 pub fn slab_stats() -> SlabStats {
     SlabStats {
         reused: STACKS_REUSED.load(Ordering::Relaxed),
         fresh: STACKS_FRESH.load(Ordering::Relaxed),
+        deepest_park: DEEPEST_PARK.load(Ordering::Relaxed),
+    }
+}
+
+/// The addresses of the calling thread's cached stack slab, or `None`
+/// before its first clean run. The mapping's `Rss` in
+/// `/proc/self/smaps` is what its stacks committed.
+#[must_use]
+pub fn thread_slab() -> Option<Range<usize>> {
+    SLAB_CACHE.with(|c| {
+        c.borrow()
+            .as_ref()
+            .map(|s| s.base as usize..s.base as usize + s.len)
+    })
+}
+
+const PROT_READ: c_int = 0x1;
+const PROT_WRITE: c_int = 0x2;
+const MAP_PRIVATE: c_int = 0x02;
+#[cfg(target_os = "linux")]
+const MAP_ANONYMOUS: c_int = 0x20;
+#[cfg(target_os = "linux")]
+const MAP_NORESERVE: c_int = 0x4000;
+#[cfg(target_os = "macos")]
+const MAP_ANONYMOUS: c_int = 0x1000;
+#[cfg(target_os = "macos")]
+const MAP_NORESERVE: c_int = 0x40;
+#[cfg(target_os = "linux")]
+const MADV_NOHUGEPAGE: c_int = 15;
+
+// From the libc std already links: no crate needed.
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: i64,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
+    fn getpagesize() -> c_int;
+    #[cfg(target_os = "linux")]
+    fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+}
+
+/// Every task stack of a run, back to back in one private anonymous
+/// mapping (100k separate mappings would exhaust `vm.max_map_count`).
+/// The mapping is page-aligned and reserves no swap, so each stack
+/// commits only the pages its task touches; the executor writes nothing
+/// but each stack's seeded top frame.
+struct Slab {
+    base: *mut u8,
+    len: usize,
+    /// Bytes per stack, a whole number of pages.
+    stack: usize,
+}
+
+impl Slab {
+    fn map(stacks: usize, stack: usize) -> Slab {
+        let len = stacks.checked_mul(stack).expect("stack slab size overflow");
+        // SAFETY: an anonymous mapping at an address of the kernel's
+        // choosing aliases nothing.
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len.max(1),
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base as isize != -1,
+            "cannot map {stacks} task stacks of {stack} bytes: {}",
+            std::io::Error::last_os_error()
+        );
+        // A host that backs anonymous memory with huge pages by default
+        // would commit 2 MiB where a task touches 4 KiB. Advisory: a
+        // refusal leaves the slab correct, only larger.
+        #[cfg(target_os = "linux")]
+        // SAFETY: advice on the mapping just made; it moves no data.
+        unsafe {
+            madvise(base, len.max(1), MADV_NOHUGEPAGE)
+        };
+        Slab {
+            base: base.cast(),
+            len,
+            stack,
+        }
+    }
+
+    /// Whether this slab can serve `stacks` stacks of `stack` bytes.
+    /// Only at the same stack size: elsewhere a stale frame of an
+    /// earlier run could sit on a stack's low word.
+    fn fits(&self, stacks: usize, stack: usize) -> bool {
+        self.stack == stack && self.len / stack >= stacks
+    }
+
+    /// The low end of `rank`'s stack; its top is one stack higher.
+    fn low(&self, rank: usize) -> usize {
+        self.base as usize + rank * self.stack
+    }
+
+    /// The low word of `rank`'s stack. The executor never writes it, so
+    /// it reads zero unless a frame ran past the stack's end. Reading an
+    /// untouched page maps the kernel's shared zero page: it commits
+    /// nothing, but costs a page fault.
+    fn tripwire(&self, rank: usize) -> u64 {
+        // SAFETY: inside the mapping, aligned, and no task is running.
+        unsafe { (self.low(rank) as *const u64).read_volatile() }
+    }
+
+    /// The first of stacks `0..n` whose tripwire is not zero. A low word
+    /// on a page the process holds no frame for was never written, so
+    /// only low words on resident pages are read (one `mincore` per
+    /// 1,024 stacks): the check faults in nothing. A page swapped out
+    /// since its task wrote it would go unread; the red zone at every
+    /// switch is the check that does not depend on paging.
+    fn first_tripped(&self, n: usize) -> Option<usize> {
+        const CHUNK: usize = 1024;
+        // SAFETY: no arguments; returns the system page size.
+        let page = unsafe { getpagesize() } as usize;
+        let mut resident = Vec::new();
+        for first in (0..n).step_by(CHUNK) {
+            let ranks = first..n.min(first + CHUNK);
+            let start = self.low(first) & !(page - 1);
+            let len = self.low(ranks.end - 1) + 8 - start;
+            resident.clear();
+            resident.resize(len.div_ceil(page), 0u8);
+            // SAFETY: `start` is page-aligned and `[start, start + len)`
+            // lies in the mapping; `resident` holds a byte per page.
+            let queried =
+                unsafe { mincore(start as *mut _, len, resident.as_mut_ptr().cast()) } == 0;
+            let hit = ranks.clone().find(|&rank| {
+                let mapped = !queried || resident[(self.low(rank) - start) / page] & 1 != 0;
+                mapped && self.tripwire(rank) != 0
+            });
+            if hit.is_some() {
+                return hit;
+            }
+        }
+        None
+    }
+}
+
+impl Drop for Slab {
+    fn drop(&mut self) {
+        // SAFETY: unmaps exactly the mapping `map` made; nothing
+        // borrows it once the slab is dropped.
+        unsafe { munmap(self.base.cast(), self.len.max(1)) };
     }
 }
 
@@ -641,7 +833,7 @@ thread_local! {
     /// `run_event` on this thread). Taken at entry, returned on the
     /// clean exit path; runs that panic abandon their slab because
     /// suspended sibling stacks inside it were leaked mid-frame.
-    static SLAB_CACHE: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    static SLAB_CACHE: RefCell<Option<Slab>> = const { RefCell::new(None) };
 }
 
 /// Runs `f` once per rank as cooperative tasks over virtual time —
@@ -655,28 +847,37 @@ where
     F: Fn(&mut Ctx) -> R + Send + Sync,
     R: Send,
 {
+    run_on_stacks(world, f, explore, stack_size_bytes())
+}
+
+/// [`run_event`] with `stack` bytes per task stack (a whole number of
+/// pages, at least [`RED_ZONE`] plus the seeded frame).
+fn run_on_stacks<F, R>(world: &Arc<World>, f: F, explore: Option<u64>, stack: usize) -> Vec<R>
+where
+    F: Fn(&mut Ctx) -> R + Send + Sync,
+    R: Send,
+{
     let n = world.n_ranks();
     let rt = EventRt::new(n, explore);
-    let stack = stack_size_bytes();
-    let need = n.checked_mul(stack).expect("stack slab size overflow");
-    // One slab, lazily committed by the OS page by page: individual
-    // mappings would trip vm.max_map_count near 100k ranks. A slab that
-    // served an earlier run on this thread is reused as-is when large
-    // enough — its pages are already committed, so repeat runs skip the
-    // first-touch fault storm entirely. Stale bytes in a reused slab
-    // are fine: `init_stack` writes every word a resumed task reads.
+    // A slab that served an earlier run on this thread at this stack
+    // size is reused as-is: its pages are already committed, so repeat
+    // runs skip the first-touch faults. Stale bytes in it are fine:
+    // `init_stack` writes every word a resumed task reads.
     let cached = SLAB_CACHE.with(|c| c.take());
-    let mut slab = if cached.len() >= need {
-        STACKS_REUSED.fetch_add(n as u64, Ordering::Relaxed);
-        cached
-    } else {
-        STACKS_FRESH.fetch_add(n as u64, Ordering::Relaxed);
-        vec![0u8; need]
+    let slab = match cached {
+        Some(s) if s.fits(n, stack) => {
+            STACKS_REUSED.fetch_add(n as u64, Ordering::Relaxed);
+            s
+        }
+        other => {
+            drop(other);
+            STACKS_FRESH.fetch_add(n as u64, Ordering::Relaxed);
+            Slab::map(n, stack)
+        }
     };
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
 
-    for (rank, (region, result)) in slab[..need].chunks_mut(stack).zip(&mut results).enumerate() {
-        region[..8].copy_from_slice(&STACK_CANARY.to_ne_bytes());
+    for (rank, result) in results.iter_mut().enumerate() {
         let data = Box::new(TaskData::<F, R> {
             rank,
             world: Arc::clone(world),
@@ -684,13 +885,21 @@ where
             f: &raw const f,
             result: &raw mut *result,
         });
-        let sp = init_stack(region, task_entry::<F, R>, Box::into_raw(data).cast());
+        // SAFETY: the top of `rank`'s stack, which no task uses yet.
+        let sp = unsafe {
+            init_stack(
+                slab.low(rank) + stack,
+                task_entry::<F, R>,
+                Box::into_raw(data).cast(),
+            )
+        };
         // No task is running yet: the exclusive reference cannot alias
         // a ctx_swap-held pointer.
         unsafe { (&mut *rt.sps.get())[rank] = sp };
         rt.push_runnable(rank, 0);
     }
 
+    let mut deepest = 0;
     loop {
         // Scheduler work (heap pop, quiescence resolution, slot
         // bookkeeping) is host-profiled per iteration; the guard drops
@@ -744,30 +953,30 @@ where
         let (save, load) = rt.sp_ptrs(n, rank);
         drop(sched_t);
         unsafe { ctx_swap(save, load) };
+        // The task just switched out: its saved stack pointer is how
+        // deep it sits. Checked before any other task runs, and without
+        // loading anything from the task's stack.
+        let depth = slab.low(rank) + stack - unsafe { *load };
+        deepest = deepest.max(depth);
+        assert!(
+            depth <= stack - RED_ZONE,
+            "rank {rank} switched out {depth} bytes deep in its {stack}-byte task stack, \
+             inside the {RED_ZONE}-byte red zone at its low end; raise MCCIO_STACK_KIB"
+        );
         if rt.panic.borrow().is_some() {
             break;
         }
     }
-
-    for (rank, region) in slab[..need].chunks(stack).enumerate() {
-        assert_eq!(
-            u64::from_ne_bytes(region[..8].try_into().unwrap()),
-            STACK_CANARY,
-            "rank {rank} overflowed its {stack}-byte task stack; \
-             raise MCCIO_STACK_KIB"
-        );
+    DEEPEST_PARK.fetch_max(deepest as u64, Ordering::Relaxed);
+    if let Some(rank) = slab.first_tripped(n) {
+        panic!("rank {rank} overflowed its {stack}-byte task stack; raise MCCIO_STACK_KIB");
     }
     if let Some(payload) = rt.panic.borrow_mut().take() {
         resume_unwind(payload);
     }
     // Clean exit: every task unwound its own stack, so the slab holds
     // nothing live and its committed pages can serve the next run.
-    SLAB_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        if cache.len() < slab.len() {
-            *cache = slab;
-        }
-    });
+    SLAB_CACHE.with(|c| *c.borrow_mut() = Some(slab));
     rt.check_drained();
     results
         .into_iter()
@@ -799,7 +1008,36 @@ fn deadlock_panic(rt: &EventRt) -> ! {
 
 #[cfg(test)]
 mod tests {
+    use std::hint::black_box;
+
+    use mccio_sim::cost::CostModel;
+    use mccio_sim::topology::{test_cluster, FillOrder, Placement};
+
     use super::*;
+
+    const KIB: usize = 1024;
+
+    fn world(ranks: usize) -> Arc<World> {
+        let cluster = test_cluster(ranks.div_ceil(12), 12);
+        let placement = Placement::new(&cluster, ranks, FillOrder::Block).unwrap();
+        World::new(CostModel::new(cluster), placement)
+    }
+
+    /// Parks at a barrier with `PAD` bytes of its own frame live, which
+    /// puts the saved stack pointer at least that deep.
+    #[inline(never)]
+    fn park_under<const PAD: usize>(ctx: &mut Ctx) {
+        let mut pad = [0u8; PAD];
+        black_box(&mut pad);
+        ctx.barrier();
+        black_box(&pad);
+    }
+
+    /// Dirties `PAD` bytes of stack below the caller without parking.
+    #[inline(never)]
+    fn dirty<const PAD: usize>() {
+        black_box(&mut [0xA5u8; PAD]);
+    }
 
     #[test]
     fn stack_kib_parses_whole_kib_with_a_floor() {
@@ -807,6 +1045,69 @@ mod tests {
         assert_eq!(stack_kib(Some(" ")), DEFAULT_STACK_KIB);
         assert_eq!(stack_kib(Some(" 2048 ")), 2048);
         assert_eq!(stack_kib(Some("8")), MIN_STACK_KIB);
+        // Whole pages: every stack top stays page-aligned.
+        assert_eq!(stack_kib(Some("65")), 68);
+        assert_eq!(stack_kib(Some("130")), 132);
+        assert_eq!(stack_kib(Some("132")), 132);
+    }
+
+    #[test]
+    fn a_task_parked_in_the_red_zone_panics_naming_its_rank() {
+        for explore in [None, Some(1)] {
+            let err = catch_unwind(|| {
+                run_on_stacks(
+                    &world(4),
+                    |ctx| {
+                        if ctx.rank() == 2 {
+                            // 52 KiB of 64: inside the 16 KiB red zone.
+                            park_under::<{ 52 * 1024 }>(ctx);
+                        } else {
+                            ctx.barrier();
+                        }
+                    },
+                    explore,
+                    64 * KIB,
+                )
+            })
+            .unwrap_err();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.starts_with("rank 2 switched out") && msg.contains("red zone"),
+                "{explore:?}: got panic {msg:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_task_parked_above_the_red_zone_runs_clean() {
+        for explore in [None, Some(1)] {
+            run_on_stacks(&world(4), park_under::<{ 24 * 1024 }>, explore, 64 * KIB);
+        }
+    }
+
+    #[test]
+    fn runs_at_different_stack_sizes_on_one_thread_report_no_overflow() {
+        // The 128 KiB run leaves 80 KiB of stale bytes under each stack
+        // top: with a 64 KiB stride, every other stack's low word would
+        // sit in them if the slab were reused across sizes.
+        let deep = |_: &mut Ctx| dirty::<{ 80 * 1024 }>();
+        run_on_stacks(&world(8), deep, None, 128 * KIB);
+        run_on_stacks(&world(16), |ctx| ctx.barrier(), None, 64 * KIB);
+        run_on_stacks(&world(8), deep, None, 128 * KIB);
+        run_on_stacks(&world(4), |ctx| ctx.barrier(), None, 128 * KIB);
+    }
+
+    #[test]
+    fn no_stack_low_word_is_written_by_a_1008_rank_run() {
+        run_on_stacks(&world(1008), |ctx| ctx.barrier(), None, 64 * KIB);
+        SLAB_CACHE.with(|c| {
+            let cache = c.borrow();
+            let slab = cache.as_ref().expect("a clean run caches its slab");
+            assert!(slab.fits(1008, 64 * KIB));
+            for rank in 0..1008 {
+                assert_eq!(slab.tripwire(rank), 0, "rank {rank}'s low word");
+            }
+        });
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub mod wire;
 
 pub use collective::INTERNAL_TAG_BASE;
 pub use engine::{BytePool, Ctx, ExecutorKind, RecycleStats, Traffic, TrafficSnapshot, World};
-pub use executor::{slab_stats, SlabStats};
+pub use executor::{slab_stats, thread_slab, SlabStats};
 pub use group::RankSet;
 pub use rma::Exposure;

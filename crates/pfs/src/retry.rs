@@ -50,6 +50,7 @@ pub struct IoFaults {
 impl IoFaults {
     /// The healthy context: no access through it can fail.
     #[must_use]
+    #[inline]
     pub fn none() -> Self {
         IoFaults {
             stream: None,
