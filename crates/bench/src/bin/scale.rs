@@ -39,9 +39,10 @@
 //! Normal(320 MiB, 64 MiB) per-node memory, IOR interleaved, the
 //! per-rank volume shrinking as ranks grow so the axis measures executor
 //! overhead), and on stderr its allocations, the minor page faults the
-//! process took during it and the process's peak resident set
-//! (`VmHWM`, a running maximum: the point's own peak only for the first
-//! point of a run):
+//! process took during it, the process's peak resident set (`VmHWM`, a
+//! running maximum: the point's own peak only for the first point of a
+//! run), and the executor's task resumes per rank with the pass's host
+//! wall per resume:
 //!
 //! * `full` (default) — 120 / 1008 / 10080 / 100800 ranks;
 //! * `ci`, `fig7`, `10k`, `100k` — one of those points (the 1008- and
@@ -325,6 +326,8 @@ struct Pass {
     /// Bytes the stack slab has committed after the pass; see
     /// [`slab_committed`].
     stack_committed: u64,
+    /// Task resumes the executor made during the pass.
+    resumes: u64,
     profile: HostProfile,
 }
 
@@ -343,6 +346,7 @@ impl Pass {
         hostprof::set_enabled(sink.is_enabled());
         let a0 = alloc_snapshot();
         let f0 = minor_faults();
+        let r0 = mccio_net::slab_stats().resumes;
         let t0 = Instant::now();
         let result = run_with(
             &platform.world(executor),
@@ -353,6 +357,7 @@ impl Pass {
         let wall = t0.elapsed().as_secs_f64();
         let a1 = alloc_snapshot();
         let minflt = minor_faults() - f0;
+        let resumes = mccio_net::slab_stats().resumes - r0;
         hostprof::set_enabled(false);
         let mut profile = hostprof::snapshot();
         profile.wall_secs = wall;
@@ -364,6 +369,7 @@ impl Pass {
             minflt,
             peak_rss_mib: peak_rss_mib(),
             stack_committed: slab_committed(),
+            resumes,
             profile,
         }
     }
@@ -642,7 +648,8 @@ fn run_scale(mode: &str) {
             let stack_per_rank = p.stack_committed as f64 / ranks as f64;
             eprintln!(
                 "  allocs {} ({} MiB), peak rss {} MiB, minflt {}, rounds {}, shuffle {} MiB, \
-                 msgs {}, deepest park {} B, stacks {:.2} KiB/rank",
+                 msgs {}, deepest park {} B, stacks {:.2} KiB/rank, \
+                 resumes {:.1}/rank at {:.0} ns of host wall each",
                 p.allocs.0,
                 p.allocs.1 / MIB,
                 p.peak_rss_mib,
@@ -651,7 +658,9 @@ fn run_scale(mode: &str) {
                 m.shuffle_bytes / MIB,
                 r.traffic.data_msgs + r.traffic.ctl_msgs,
                 mccio_net::slab_stats().deepest_park,
-                stack_per_rank / KIB as f64
+                stack_per_rank / KIB as f64,
+                p.resumes as f64 / ranks as f64,
+                p.wall * 1e9 / p.resumes.max(1) as f64
             );
             if (ranks, per_rank_kib, segments) == CI && canonical.is_none() {
                 assert!(

@@ -18,8 +18,6 @@
 //! extents so "which members touch this window" is `O(log n + k)`
 //! instead of a scan over every member.
 
-use std::cmp::Ordering;
-
 /// A half-open byte range `[offset, offset + len)` in a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Extent {
@@ -75,13 +73,18 @@ pub struct ExtentList {
 impl ExtentList {
     /// Builds the canonical form from arbitrary extents: drops empties,
     /// sorts by offset, and coalesces adjacent or overlapping ranges.
+    ///
+    /// Input that is already sorted by `(offset, len)`, such as a
+    /// subarray's rows, is not sorted again; other input is sorted
+    /// unstably, which needs no scratch buffer and gives the same order
+    /// as a stable sort, because extents with equal keys are equal.
     #[must_use]
     pub fn normalize(mut raw: Vec<Extent>) -> Self {
         raw.retain(|e| !e.is_empty());
-        raw.sort_by(|a, b| match a.offset.cmp(&b.offset) {
-            Ordering::Equal => a.len.cmp(&b.len),
-            o => o,
-        });
+        let key = |e: &Extent| (e.offset, e.len);
+        if !raw.is_sorted_by_key(key) {
+            raw.sort_unstable_by_key(key);
+        }
         let mut extents: Vec<Extent> = Vec::with_capacity(raw.len());
         for e in raw {
             match extents.last_mut() {
@@ -715,6 +718,38 @@ mod tests {
         assert_eq!(l.total_bytes(), 20);
         assert_eq!(l.begin(), Some(0));
         assert_eq!(l.end(), Some(25));
+    }
+
+    #[test]
+    fn normalize_matches_a_stable_sort_and_merge() {
+        use mccio_sim::rng::{stream_rng, Rng};
+        let mut rng = stream_rng(0xE7, "normalize");
+        for case in 0..500 {
+            let n = rng.gen_range(0usize..=600);
+            let mut raw: Vec<Extent> = (0..n)
+                .map(|_| Extent::new(rng.gen_range(0u64..=2_000), rng.gen_range(0u64..=40)))
+                .collect();
+            if rng.gen_bool(0.3) {
+                raw.sort_by_key(|e| (e.offset, e.len)); // sorted input skips the sort
+            }
+            let mut want = raw.clone();
+            want.retain(|e| !e.is_empty());
+            want.sort_by_key(|e| (e.offset, e.len));
+            let mut merged: Vec<Extent> = Vec::new();
+            for e in want {
+                match merged.last_mut() {
+                    Some(last) if e.offset <= last.end() => {
+                        last.len = last.end().max(e.end()) - last.offset;
+                    }
+                    _ => merged.push(e),
+                }
+            }
+            assert_eq!(
+                ExtentList::normalize(raw).as_slice(),
+                &merged[..],
+                "case {case}"
+            );
+        }
     }
 
     #[test]

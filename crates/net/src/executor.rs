@@ -1,7 +1,7 @@
 //! The event executor: every rank is a stackful coroutine on one thread.
 //!
 //! [`run_event`] drives the ranks cooperatively: a scheduler repeatedly
-//! resumes the runnable task at the top of its heap, and a task runs
+//! resumes the runnable task at the head of its run queue, and a task runs
 //! until it blocks on a receive with no queued match, finishes, or
 //! panics. Blocking receives become yield points — `Ctx::recv` parks
 //! the task with its match [`Pattern`] — so a 100k-rank world costs 100k
@@ -23,7 +23,7 @@
 //! parked receiver has no queued match, or it would not have parked, so
 //! "the new envelope matches the parked pattern" is exactly "a match is
 //! queued after delivery"; the receiver is pushed with the clock bits it
-//! parked with, so heap keys, wake sequence numbers and exploration
+//! parked with, so queue keys, wake sequence numbers and exploration
 //! preemption points depend on the program alone, not on which path a
 //! message took. Per-pair FIFO holds because a handoff only happens
 //! while no envelope of that pair is queued.
@@ -34,14 +34,14 @@
 //! name their sources, clock math is pure), so every legal schedule must
 //! reproduce the same times, reports and bytes bit for bit. The
 //! canonical mode (`ExecutorKind::Event`) fixes *one* schedule: the
-//! runnable heap is ordered by `(clock bits, rank, wake-seq)`, which
+//! run queue is ordered by `(clock bits, rank, wake-seq)`, which
 //! makes execution order itself reproducible across platforms and runs.
 //!
 //! Exploration mode (`ExecutorKind::Explore(seed)`) runs *other* legal
 //! schedules, chosen by seed, so differential suites can test the
 //! invariance instead of assuming it. It changes two things:
 //!
-//! * **seeded pick** — the heap key is `splitmix64(seed, wake-seq)`
+//! * **seeded pick** — the queue key is `splitmix64(seed, wake-seq)`
 //!   instead of the clock bits, so any runnable task may run next;
 //! * **preempt on send** — every send is a preemption point: the sender
 //!   re-queues itself under a fresh seeded key and yields.
@@ -50,6 +50,18 @@
 //! send loop never blocks, so its receivers would always observe its
 //! sends (and any shared state it changes between them) in one order.
 //! Preempting on send lets a receiver run between any two sends.
+//!
+//! ## Resume cost
+//!
+//! A pass's flat collectives resume every rank in turn, and thousands
+//! of parked frames do not fit in L2, so two things keep a resume from
+//! stalling on memory without changing which task runs when:
+//!
+//! * **the run queue** ([`RunQueue`]) pops exactly what one
+//!   `BinaryHeap` would, but keys pushed in rising order (a barrier
+//!   release, a broadcast) go to a sorted FIFO lane, O(1) each way;
+//! * **a prefetch** ([`prefetch_next`]): while one task runs, the
+//!   parked frames and slot of the task queued after it are loaded.
 //!
 //! ## Deadline waits without wall clocks
 //!
@@ -97,7 +109,7 @@
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::ffi::{c_int, c_void};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -276,7 +288,7 @@ unsafe fn init_stack(top: usize, entry: EntryFn, data: *mut u8) -> usize {
 
 #[derive(Debug)]
 enum TaskState {
-    /// Queued in the runnable heap (or about to be).
+    /// Queued in the run queue (or about to be).
     Runnable,
     /// Currently on the CPU.
     Running,
@@ -299,28 +311,85 @@ enum TaskState {
 struct TaskSlot {
     state: TaskState,
     /// The task's virtual clock when it last yielded; the canonical
-    /// heap key uses it so the smallest-clock task always runs next.
+    /// queue key uses it so the smallest-clock task always runs next.
     clock_bits: u64,
     /// The task's unexpected messages: envelopes that arrived while it
     /// was not parked on their pair.
     mailbox: Mailbox,
 }
 
+/// A runnable task's place in line: `(key, rank, wake seq)`. The
+/// canonical key is the clock bits — non-negative f64 bit patterns order
+/// exactly like the values, and the `(rank, seq)` tie-break pins one
+/// schedule; an exploring run keys by seeded hash. The wake seq makes
+/// every key unique.
+type RunKey = (u64, usize, u64);
+
+/// The runnable queue: a min-queue of unique [`RunKey`]s that pops
+/// exactly what one `BinaryHeap` would, in O(1) for keys pushed in
+/// rising order.
+///
+/// A push goes to the back of the `lane` when its key is greater than
+/// the lane's last key, and into the `heap` otherwise; a pop takes the
+/// smaller of the lane's front and the heap's top. The lane is sorted by
+/// construction and keys are unique, so the smaller head is the minimum
+/// of everything queued: the pop order is the heap's, on the canonical
+/// schedule and on explored ones alike. A broadcast or barrier release
+/// wakes its receivers in key order, so those pushes and pops work on a
+/// contiguous ring; only out-of-order wakes (a gather root's, seeded
+/// keys) pay the heap's log n.
+#[derive(Debug)]
+struct RunQueue {
+    lane: VecDeque<RunKey>,
+    heap: BinaryHeap<Reverse<RunKey>>,
+}
+
+impl RunQueue {
+    fn with_capacity(n: usize) -> RunQueue {
+        RunQueue {
+            lane: VecDeque::with_capacity(n),
+            heap: BinaryHeap::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, key: RunKey) {
+        if self.lane.back().is_none_or(|&last| key > last) {
+            self.lane.push_back(key);
+        } else {
+            self.heap.push(Reverse(key));
+        }
+    }
+
+    /// The smallest queued key.
+    fn peek(&self) -> Option<RunKey> {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(&a), Some(&Reverse(b))) => Some(a.min(b)),
+            (a, b) => a.copied().or(b.map(|r| r.0)),
+        }
+    }
+
+    fn pop(&mut self) -> Option<RunKey> {
+        let min = self.peek()?;
+        if self.lane.front() == Some(&min) {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(key)| key)
+        }
+    }
+}
+
 /// Shared scheduler core. One per `run_event` call; tasks hold it via
 /// [`TaskHandle`] inside their `Ctx`.
 pub(crate) struct EventRt {
     slots: RefCell<Vec<TaskSlot>>,
-    /// Min-heap of runnable tasks keyed `(key, rank, wake seq)`. The
-    /// canonical key is the clock bits — non-negative f64 bit patterns
-    /// order exactly like the values, and the `(rank, seq)` tie-break
-    /// pins one schedule; an exploring run keys by seeded hash.
-    runnable: RefCell<BinaryHeap<Reverse<(u64, usize, u64)>>>,
-    /// `Some(seed)` in exploration mode: seeded heap keys and a
+    /// Runnable tasks, smallest [`RunKey`] first.
+    runnable: RefCell<RunQueue>,
+    /// `Some(seed)` in exploration mode: seeded queue keys and a
     /// preemption point at every send.
     explore: Option<u64>,
     /// Blocked `recv_deadline` waiters, earliest `(deadline, rank)` first.
     waiters: RefCell<BTreeSet<(u64, usize)>>,
-    /// Monotone wake-sequence counter (satellite of the heap key).
+    /// Monotone wake-sequence counter (satellite of the queue key).
     wake_seq: Cell<u64>,
     /// Saved stack pointers: one per task plus the scheduler's own at
     /// index `n`. UnsafeCell because ctx_swap writes through raw
@@ -357,7 +426,7 @@ impl EventRt {
                     })
                     .collect(),
             ),
-            runnable: RefCell::new(BinaryHeap::with_capacity(n)),
+            runnable: RefCell::new(RunQueue::with_capacity(n)),
             explore,
             waiters: RefCell::new(BTreeSet::new()),
             wake_seq: Cell::new(0),
@@ -383,7 +452,7 @@ impl EventRt {
             None => clock_bits,
             Some(seed) => splitmix64(seed, seq),
         };
-        self.runnable.borrow_mut().push(Reverse((key, rank, seq)));
+        self.runnable.borrow_mut().push((key, rank, seq));
     }
 
     /// Swap pointers for entering task `rank` from the scheduler, or
@@ -642,10 +711,12 @@ fn stack_kib(raw: Option<&str>) -> usize {
 
 /// Stacks whose pages came from the thread's cached slab vs stacks that
 /// required a fresh (zeroed, to-be-faulted) slab mapping, process
-/// cumulative; and the deepest any task parked. See [`slab_stats`].
+/// cumulative; the deepest any task parked; and the task resumes. See
+/// [`slab_stats`].
 static STACKS_REUSED: AtomicU64 = AtomicU64::new(0);
 static STACKS_FRESH: AtomicU64 = AtomicU64::new(0);
 static DEEPEST_PARK: AtomicU64 = AtomicU64::new(0);
+static RESUMES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-cumulative slab counters; see [`slab_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -659,13 +730,17 @@ pub struct SlabStats {
     /// top to its saved stack pointer: the lowest saved stack pointer,
     /// measured at every switch, over every run of the process.
     pub deepest_park: u64,
+    /// Task resumes: scheduler iterations that switched into a task,
+    /// over every run of the process.
+    pub resumes: u64,
 }
 
 /// How many task stacks were served from a recycled slab versus freshly
-/// mapped, cumulative over the process, and the deepest park. The event
-/// executor keeps one slab per driving thread and reuses it across
-/// `World::run` calls at the same stack size whenever it holds enough
-/// stacks, so repeated runs (benchmarks, test suites, multi-phase jobs)
+/// mapped, cumulative over the process, the deepest park and the number
+/// of task resumes. The event executor keeps one slab per driving thread
+/// and reuses it across `World::run` calls at the same stack size
+/// whenever it holds enough stacks, so repeated runs (benchmarks, test
+/// suites, multi-phase jobs)
 /// stop paying the slab's first-touch page faults after the first run.
 #[must_use]
 pub fn slab_stats() -> SlabStats {
@@ -673,6 +748,7 @@ pub fn slab_stats() -> SlabStats {
         reused: STACKS_REUSED.load(Ordering::Relaxed),
         fresh: STACKS_FRESH.load(Ordering::Relaxed),
         deepest_park: DEEPEST_PARK.load(Ordering::Relaxed),
+        resumes: RESUMES.load(Ordering::Relaxed),
     }
 }
 
@@ -899,20 +975,20 @@ where
         rt.push_runnable(rank, 0);
     }
 
-    let mut deepest = 0;
+    let (mut deepest, mut resumes) = (0, 0);
     loop {
-        // Scheduler work (heap pop, quiescence resolution, slot
+        // Scheduler work (queue pop, quiescence resolution, slot
         // bookkeeping) is host-profiled per iteration; the guard drops
         // before the switch so the task's own run time is not charged.
         let sched_t = hostprof::timer(HostPhase::ExecSchedule);
         let next = rt.runnable.borrow_mut().pop();
-        let Some(Reverse((_, rank, _))) = next else {
+        let Some((_, rank, _)) = next else {
             if rt.n_done.get() == n {
                 break;
             }
             // Quiescence: nothing can run, so every queued deadline wait
             // is now provably silent. Wake the earliest; it resumes with
-            // `timed_out` and re-enters the heap.
+            // `timed_out` and re-enters the queue.
             let woken = {
                 let mut waiters = rt.waiters.borrow_mut();
                 let first = waiters.iter().next().copied();
@@ -950,8 +1026,10 @@ where
                 ref mut s => *s = TaskState::Running,
             }
         }
+        prefetch_next(&rt, &slab);
         let (save, load) = rt.sp_ptrs(n, rank);
         drop(sched_t);
+        resumes += 1;
         unsafe { ctx_swap(save, load) };
         // The task just switched out: its saved stack pointer is how
         // deep it sits. Checked before any other task runs, and without
@@ -968,6 +1046,7 @@ where
         }
     }
     DEEPEST_PARK.fetch_max(deepest as u64, Ordering::Relaxed);
+    RESUMES.fetch_add(resumes, Ordering::Relaxed);
     if let Some(rank) = slab.first_tripped(n) {
         panic!("rank {rank} overflowed its {stack}-byte task stack; raise MCCIO_STACK_KIB");
     }
@@ -982,6 +1061,39 @@ where
         .into_iter()
         .map(|r| r.expect("every rank produced a result"))
         .collect()
+}
+
+/// Starts loading what the task after the one about to run will touch
+/// first when resumed — its parked frames, from its saved stack pointer
+/// up to its stack top, and its task slot — so the loads overlap the
+/// current task's run instead of stalling the next resume. A parked
+/// frame was written by its task, so the range lies in committed pages
+/// above the low word. If the current task wakes a task that sorts
+/// earlier, the hint is only wasted.
+fn prefetch_next(rt: &EventRt, slab: &Slab) {
+    let Some((_, next, _)) = rt.runnable.borrow().peek() else {
+        return;
+    };
+    // SAFETY: no task is running, so no ctx_swap writes the vector.
+    let sp = unsafe { (&*rt.sps.get())[next] };
+    prefetch(sp.max(slab.low(next))..slab.low(next) + slab.stack);
+    let slot = &raw const rt.slots.borrow()[next] as usize;
+    prefetch(slot..slot + size_of::<TaskSlot>());
+}
+
+/// Prefetches the cache lines of `range` into L2, where they wait
+/// without displacing the running task's L1 working set: a hint that
+/// neither faults nor writes memory. A no-op off x86_64.
+#[inline]
+fn prefetch(range: Range<usize>) {
+    #[cfg(target_arch = "x86_64")]
+    for line in (range.start & !63..range.end).step_by(64) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
+        // SAFETY: a prefetch never faults, whatever the address.
+        unsafe { _mm_prefetch::<_MM_HINT_T1>(line as *const i8) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = range;
 }
 
 fn deadlock_panic(rt: &EventRt) -> ! {
@@ -1037,6 +1149,71 @@ mod tests {
     #[inline(never)]
     fn dirty<const PAD: usize>() {
         black_box(&mut [0xA5u8; PAD]);
+    }
+
+    /// Drives a [`RunQueue`] and a reference `BinaryHeap` with the same
+    /// stream — `Some((key, rank))` pushes under the next wake seq,
+    /// `None` pops — then drains both; every peek and pop must agree.
+    fn queue_matches_heap(case: &str, ops: impl IntoIterator<Item = Option<(u64, usize)>>) {
+        let mut queue = RunQueue::with_capacity(0);
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0;
+        let pop = |queue: &mut RunQueue, heap: &mut BinaryHeap<Reverse<RunKey>>| {
+            let want = heap.peek().map(|r| r.0);
+            assert_eq!(queue.peek(), want, "{case}: peek");
+            assert_eq!(queue.pop(), heap.pop().map(|r| r.0), "{case}: pop");
+        };
+        for op in ops {
+            match op {
+                Some((key, rank)) => {
+                    queue.push((key, rank, seq));
+                    heap.push(Reverse((key, rank, seq)));
+                    seq += 1;
+                }
+                None => pop(&mut queue, &mut heap),
+            }
+        }
+        while !heap.is_empty() {
+            pop(&mut queue, &mut heap);
+        }
+        assert_eq!(queue.pop(), None, "{case}: drained");
+    }
+
+    #[test]
+    fn run_queue_pops_exactly_what_a_heap_pops() {
+        use mccio_sim::rng::{stream_rng, Rng};
+        for case in 0..64 {
+            // Canonical-shaped: runs of one clock with rising ranks (a
+            // release), interleaved with wakes that sort lower (a gather
+            // root), repeated ranks and clocks, and partial drains.
+            let mut rng = stream_rng(case, "run-queue-canonical");
+            let mut ops = Vec::new();
+            let mut clock = 0u64;
+            for _ in 0..64 {
+                clock += rng.gen_range(0u64..=3);
+                let first = rng.gen_range(0usize..=16);
+                let n = rng.gen_range(1usize..=48);
+                for rank in first..first + n {
+                    ops.push(Some((clock, rank)));
+                    if rng.gen_bool(0.1) {
+                        ops.push(Some((clock - rng.gen_range(0..=clock.min(2)), 0)));
+                    }
+                    if rng.gen_bool(0.3) {
+                        ops.push(None);
+                    }
+                }
+                ops.extend((0..rng.gen_range(0..=n)).map(|_| None));
+            }
+            queue_matches_heap(&format!("canonical case {case}"), ops);
+
+            // Explored-shaped: seeded keys in no order.
+            let mut rng = stream_rng(case, "run-queue-explored");
+            let ops = (0..2_000).map(|_| {
+                rng.gen_bool(0.55)
+                    .then(|| (rng.next_u64(), rng.gen_range(0usize..=1_000)))
+            });
+            queue_matches_heap(&format!("explored case {case}"), ops.collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl FileHandle {
         if data.is_empty() {
             return report;
         }
-        for ext in self.striping.map_range(offset, data.len() as u64) {
+        for ext in self.striping.extents(offset, data.len() as u64) {
             report.add_request(ext.server, ext.len);
         }
         let end = offset as usize + data.len();
@@ -268,7 +268,7 @@ impl FileHandle {
         if buf.is_empty() {
             return report;
         }
-        for ext in self.striping.map_range(offset, buf.len() as u64) {
+        for ext in self.striping.extents(offset, buf.len() as u64) {
             report.add_request(ext.server, ext.len);
         }
         {
@@ -310,7 +310,7 @@ impl FileHandle {
         if len == 0 {
             return report;
         }
-        for ext in self.striping.map_range(offset, len) {
+        for ext in self.striping.extents(offset, len) {
             report.add_request(ext.server, ext.len);
         }
         let end = (offset + len) as usize;
@@ -374,7 +374,7 @@ impl FileHandle {
     ) -> (R, ServiceReport) {
         let mut report = ServiceReport::empty(self.n_servers);
         if len > 0 {
-            for ext in self.striping.map_range(offset, len) {
+            for ext in self.striping.extents(offset, len) {
                 report.add_request(ext.server, ext.len);
             }
         }
@@ -427,7 +427,7 @@ impl FileHandle {
     /// touched server, but moves no payload.
     fn failed_attempt_report(&self, offset: u64, len: u64) -> ServiceReport {
         let mut wasted = ServiceReport::empty(self.n_servers);
-        for ext in self.striping.map_range(offset, len) {
+        for ext in self.striping.extents(offset, len) {
             wasted.add_request(ext.server, 0);
         }
         wasted

@@ -57,47 +57,49 @@ impl Striping {
     /// Splits a file byte range into per-server object extents, merging
     /// extents that are contiguous on the same server object (so a
     /// full-stripe access yields exactly one extent per server). Extents
-    /// are returned grouped by server, in object-offset order.
+    /// are returned grouped by server, in object-offset order: one per
+    /// touched server, see [`Striping::extents`].
     #[must_use]
     pub fn map_range(&self, offset: u64, len: u64) -> Vec<ObjectExtent> {
-        if len == 0 {
-            return Vec::new();
-        }
-        // Walk stripe units, accumulating one open extent per server.
-        let mut open: Vec<Option<ObjectExtent>> = vec![None; self.n_servers];
-        let mut done: Vec<Vec<ObjectExtent>> = vec![Vec::new(); self.n_servers];
-        let mut pos = offset;
+        let mut extents: Vec<ObjectExtent> = self.extents(offset, len).collect();
+        extents.sort_unstable_by_key(|e| e.server);
+        extents
+    }
+
+    /// The object extents of the file range `offset..offset + len`
+    /// without allocating: one per touched server, in the order the
+    /// range first reaches each server. A contiguous range reaches a
+    /// server in units `k, k + S, k + 2S, …`, which lie back to back on
+    /// its object (unit `k` sits at object unit `k / S`), so each
+    /// server's share of the range is a single extent.
+    ///
+    /// # Panics
+    /// Panics if the range overflows the u64 address space.
+    pub fn extents(&self, offset: u64, len: u64) -> impl Iterator<Item = ObjectExtent> {
+        let this = *self;
         let end = offset
             .checked_add(len)
             .expect("file range overflows u64 address space");
-        while pos < end {
-            let unit_end = (pos / self.unit + 1) * self.unit;
-            let chunk_end = unit_end.min(end);
-            let chunk_len = chunk_end - pos;
-            let (server, obj_off) = self.locate(pos);
-            match &mut open[server] {
-                Some(ext) if ext.offset + ext.len == obj_off => {
-                    ext.len += chunk_len;
-                }
-                slot => {
-                    if let Some(prev) = slot.take() {
-                        done[server].push(prev);
-                    }
-                    *slot = Some(ObjectExtent {
-                        server,
-                        offset: obj_off,
-                        len: chunk_len,
-                    });
-                }
+        let first = offset / this.unit;
+        // The range's last unit; unused when the range is empty.
+        let last = end.saturating_sub(1) / this.unit;
+        let servers = this.n_servers as u64;
+        let touched = if len == 0 {
+            0
+        } else {
+            (last - first + 1).min(servers)
+        };
+        (first..first + touched).map(move |k| {
+            // This server's last unit in the range.
+            let k_last = k + (last - k) / servers * servers;
+            let (server, lo) = this.locate(offset.max(k * this.unit));
+            let (_, hi) = this.locate(end.min((k_last + 1) * this.unit) - 1);
+            ObjectExtent {
+                server,
+                offset: lo,
+                len: hi + 1 - lo,
             }
-            pos = chunk_end;
-        }
-        for (server, slot) in open.into_iter().enumerate() {
-            if let Some(ext) = slot {
-                done[server].push(ext);
-            }
-        }
-        done.into_iter().flatten().collect()
+        })
     }
 
     /// The inverse of [`Striping::locate`]: file offset for
@@ -204,6 +206,51 @@ mod tests {
             }
         }
         assert!(covered.into_iter().all(|c| c));
+    }
+
+    /// The unit-by-unit walk `map_range` used to be: one open extent
+    /// per server, closed when the next unit is not contiguous with it.
+    fn map_range_by_units(s: &Striping, offset: u64, len: u64) -> Vec<ObjectExtent> {
+        let mut done: Vec<Vec<ObjectExtent>> = vec![Vec::new(); s.n_servers];
+        let mut pos = offset;
+        while pos < offset + len {
+            let chunk_end = ((pos / s.unit + 1) * s.unit).min(offset + len);
+            let (server, obj_off) = s.locate(pos);
+            match done[server].last_mut() {
+                Some(ext) if ext.offset + ext.len == obj_off => ext.len += chunk_end - pos,
+                _ => done[server].push(ObjectExtent {
+                    server,
+                    offset: obj_off,
+                    len: chunk_end - pos,
+                }),
+            }
+            pos = chunk_end;
+        }
+        done.into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn the_walk_matches_a_unit_by_unit_walk() {
+        use mccio_sim::rng::{stream_rng, Rng};
+        let mut rng = stream_rng(0x57A1, "striping-walk");
+        for case in 0..2_000 {
+            let s = Striping::new(rng.gen_range(1usize..=9), rng.gen_range(1u64..=300));
+            let offset = rng.gen_range(0u64..=5_000);
+            let len = rng.gen_range(0u64..=4_000);
+            let want = map_range_by_units(&s, offset, len);
+            assert_eq!(
+                s.map_range(offset, len),
+                want,
+                "case {case}: {s:?} {offset}+{len}"
+            );
+            let mut walked: Vec<_> = s.extents(offset, len).collect();
+            assert!(
+                walked.len() <= s.n_servers,
+                "case {case}: one extent per server"
+            );
+            walked.sort_unstable_by_key(|e| e.server);
+            assert_eq!(walked, want, "case {case}");
+        }
     }
 
     #[test]
