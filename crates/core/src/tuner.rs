@@ -89,7 +89,7 @@ pub fn client_bandwidth_at(size: u64, pfs: &PfsParams, n_servers: usize) -> f64 
     assert!(size > 0);
     let striping = mccio_pfs::Striping::new(n_servers, MIB);
     let mut report = ServiceReport::empty(n_servers);
-    for ext in striping.map_range(0, size) {
+    for ext in striping.extents(0, size) {
         report.add_request(ext.server, ext.len);
     }
     let t = pfs.phase_time(&report, size).as_secs();
@@ -140,7 +140,7 @@ fn measure_n_ah(cluster: &ClusterSpec, pfs: &PfsParams, n_servers: usize, msg_in
         let bytes = aggs as u64 * msg_ind;
         let mut report = ServiceReport::empty(n_servers);
         for a in 0..aggs as u64 {
-            for ext in striping.map_range(a * msg_ind, msg_ind) {
+            for ext in striping.extents(a * msg_ind, msg_ind) {
                 report.add_request(ext.server, ext.len);
             }
         }

@@ -1,7 +1,7 @@
 //! The event executor: every rank is a stackful coroutine on one thread.
 //!
 //! [`run_event`] drives the ranks cooperatively: a scheduler repeatedly
-//! resumes the runnable task at the head of its run queue, and a task runs
+//! resumes the runnable task at the top of its heap, and a task runs
 //! until it blocks on a receive with no queued match, finishes, or
 //! panics. Blocking receives become yield points — `Ctx::recv` parks
 //! the task with its match [`Pattern`] — so a 100k-rank world costs 100k
@@ -23,7 +23,7 @@
 //! parked receiver has no queued match, or it would not have parked, so
 //! "the new envelope matches the parked pattern" is exactly "a match is
 //! queued after delivery"; the receiver is pushed with the clock bits it
-//! parked with, so queue keys, wake sequence numbers and exploration
+//! parked with, so heap keys, wake sequence numbers and exploration
 //! preemption points depend on the program alone, not on which path a
 //! message took. Per-pair FIFO holds because a handoff only happens
 //! while no envelope of that pair is queued.
@@ -34,14 +34,14 @@
 //! name their sources, clock math is pure), so every legal schedule must
 //! reproduce the same times, reports and bytes bit for bit. The
 //! canonical mode (`ExecutorKind::Event`) fixes *one* schedule: the
-//! run queue is ordered by `(clock bits, rank, wake-seq)`, which
+//! runnable heap is ordered by `(clock bits, rank, wake-seq)`, which
 //! makes execution order itself reproducible across platforms and runs.
 //!
 //! Exploration mode (`ExecutorKind::Explore(seed)`) runs *other* legal
 //! schedules, chosen by seed, so differential suites can test the
 //! invariance instead of assuming it. It changes two things:
 //!
-//! * **seeded pick** — the queue key is `splitmix64(seed, wake-seq)`
+//! * **seeded pick** — the heap key is `splitmix64(seed, wake-seq)`
 //!   instead of the clock bits, so any runnable task may run next;
 //! * **preempt on send** — every send is a preemption point: the sender
 //!   re-queues itself under a fresh seeded key and yields.
@@ -54,14 +54,11 @@
 //! ## Resume cost
 //!
 //! A pass's flat collectives resume every rank in turn, and thousands
-//! of parked frames do not fit in L2, so two things keep a resume from
-//! stalling on memory without changing which task runs when:
-//!
-//! * **the run queue** ([`RunQueue`]) pops exactly what one
-//!   `BinaryHeap` would, but keys pushed in rising order (a barrier
-//!   release, a broadcast) go to a sorted FIFO lane, O(1) each way;
-//! * **a prefetch** ([`prefetch_next`]): while one task runs, the
-//!   parked frames and slot of the task queued after it are loaded.
+//! of parked frames do not fit in L2, so a resume would stall on its
+//! task's stack lines. A prefetch ([`prefetch_next`]) keeps it from
+//! stalling without changing which task runs when: while one task runs,
+//! the parked frames and slot of the task at the top of the heap after
+//! it are loaded.
 //!
 //! ## Deadline waits without wall clocks
 //!
@@ -109,7 +106,7 @@
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::ffi::{c_int, c_void};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -288,7 +285,7 @@ unsafe fn init_stack(top: usize, entry: EntryFn, data: *mut u8) -> usize {
 
 #[derive(Debug)]
 enum TaskState {
-    /// Queued in the run queue (or about to be).
+    /// Queued in the runnable heap (or about to be).
     Runnable,
     /// Currently on the CPU.
     Running,
@@ -311,85 +308,28 @@ enum TaskState {
 struct TaskSlot {
     state: TaskState,
     /// The task's virtual clock when it last yielded; the canonical
-    /// queue key uses it so the smallest-clock task always runs next.
+    /// heap key uses it so the smallest-clock task always runs next.
     clock_bits: u64,
     /// The task's unexpected messages: envelopes that arrived while it
     /// was not parked on their pair.
     mailbox: Mailbox,
 }
 
-/// A runnable task's place in line: `(key, rank, wake seq)`. The
-/// canonical key is the clock bits — non-negative f64 bit patterns order
-/// exactly like the values, and the `(rank, seq)` tie-break pins one
-/// schedule; an exploring run keys by seeded hash. The wake seq makes
-/// every key unique.
-type RunKey = (u64, usize, u64);
-
-/// The runnable queue: a min-queue of unique [`RunKey`]s that pops
-/// exactly what one `BinaryHeap` would, in O(1) for keys pushed in
-/// rising order.
-///
-/// A push goes to the back of the `lane` when its key is greater than
-/// the lane's last key, and into the `heap` otherwise; a pop takes the
-/// smaller of the lane's front and the heap's top. The lane is sorted by
-/// construction and keys are unique, so the smaller head is the minimum
-/// of everything queued: the pop order is the heap's, on the canonical
-/// schedule and on explored ones alike. A broadcast or barrier release
-/// wakes its receivers in key order, so those pushes and pops work on a
-/// contiguous ring; only out-of-order wakes (a gather root's, seeded
-/// keys) pay the heap's log n.
-#[derive(Debug)]
-struct RunQueue {
-    lane: VecDeque<RunKey>,
-    heap: BinaryHeap<Reverse<RunKey>>,
-}
-
-impl RunQueue {
-    fn with_capacity(n: usize) -> RunQueue {
-        RunQueue {
-            lane: VecDeque::with_capacity(n),
-            heap: BinaryHeap::with_capacity(n),
-        }
-    }
-
-    fn push(&mut self, key: RunKey) {
-        if self.lane.back().is_none_or(|&last| key > last) {
-            self.lane.push_back(key);
-        } else {
-            self.heap.push(Reverse(key));
-        }
-    }
-
-    /// The smallest queued key.
-    fn peek(&self) -> Option<RunKey> {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(&a), Some(&Reverse(b))) => Some(a.min(b)),
-            (a, b) => a.copied().or(b.map(|r| r.0)),
-        }
-    }
-
-    fn pop(&mut self) -> Option<RunKey> {
-        let min = self.peek()?;
-        if self.lane.front() == Some(&min) {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop().map(|Reverse(key)| key)
-        }
-    }
-}
-
 /// Shared scheduler core. One per `run_event` call; tasks hold it via
 /// [`TaskHandle`] inside their `Ctx`.
 pub(crate) struct EventRt {
     slots: RefCell<Vec<TaskSlot>>,
-    /// Runnable tasks, smallest [`RunKey`] first.
-    runnable: RefCell<RunQueue>,
-    /// `Some(seed)` in exploration mode: seeded queue keys and a
+    /// Min-heap of runnable tasks keyed `(key, rank, wake seq)`. The
+    /// canonical key is the clock bits — non-negative f64 bit patterns
+    /// order exactly like the values, and the `(rank, seq)` tie-break
+    /// pins one schedule; an exploring run keys by seeded hash.
+    runnable: RefCell<BinaryHeap<Reverse<(u64, usize, u64)>>>,
+    /// `Some(seed)` in exploration mode: seeded heap keys and a
     /// preemption point at every send.
     explore: Option<u64>,
     /// Blocked `recv_deadline` waiters, earliest `(deadline, rank)` first.
     waiters: RefCell<BTreeSet<(u64, usize)>>,
-    /// Monotone wake-sequence counter (satellite of the queue key).
+    /// Monotone wake-sequence counter (satellite of the heap key).
     wake_seq: Cell<u64>,
     /// Saved stack pointers: one per task plus the scheduler's own at
     /// index `n`. UnsafeCell because ctx_swap writes through raw
@@ -426,7 +366,7 @@ impl EventRt {
                     })
                     .collect(),
             ),
-            runnable: RefCell::new(RunQueue::with_capacity(n)),
+            runnable: RefCell::new(BinaryHeap::with_capacity(n)),
             explore,
             waiters: RefCell::new(BTreeSet::new()),
             wake_seq: Cell::new(0),
@@ -452,7 +392,7 @@ impl EventRt {
             None => clock_bits,
             Some(seed) => splitmix64(seed, seq),
         };
-        self.runnable.borrow_mut().push((key, rank, seq));
+        self.runnable.borrow_mut().push(Reverse((key, rank, seq)));
     }
 
     /// Swap pointers for entering task `rank` from the scheduler, or
@@ -740,8 +680,8 @@ pub struct SlabStats {
 /// of task resumes. The event executor keeps one slab per driving thread
 /// and reuses it across `World::run` calls at the same stack size
 /// whenever it holds enough stacks, so repeated runs (benchmarks, test
-/// suites, multi-phase jobs)
-/// stop paying the slab's first-touch page faults after the first run.
+/// suites, multi-phase jobs) stop paying the slab's first-touch page
+/// faults after the first run.
 #[must_use]
 pub fn slab_stats() -> SlabStats {
     SlabStats {
@@ -977,18 +917,18 @@ where
 
     let (mut deepest, mut resumes) = (0, 0);
     loop {
-        // Scheduler work (queue pop, quiescence resolution, slot
+        // Scheduler work (heap pop, quiescence resolution, slot
         // bookkeeping) is host-profiled per iteration; the guard drops
         // before the switch so the task's own run time is not charged.
         let sched_t = hostprof::timer(HostPhase::ExecSchedule);
         let next = rt.runnable.borrow_mut().pop();
-        let Some((_, rank, _)) = next else {
+        let Some(Reverse((_, rank, _))) = next else {
             if rt.n_done.get() == n {
                 break;
             }
             // Quiescence: nothing can run, so every queued deadline wait
             // is now provably silent. Wake the earliest; it resumes with
-            // `timed_out` and re-enters the queue.
+            // `timed_out` and re-enters the heap.
             let woken = {
                 let mut waiters = rt.waiters.borrow_mut();
                 let first = waiters.iter().next().copied();
@@ -1071,7 +1011,7 @@ where
 /// above the low word. If the current task wakes a task that sorts
 /// earlier, the hint is only wasted.
 fn prefetch_next(rt: &EventRt, slab: &Slab) {
-    let Some((_, next, _)) = rt.runnable.borrow().peek() else {
+    let Some(&Reverse((_, next, _))) = rt.runnable.borrow().peek() else {
         return;
     };
     // SAFETY: no task is running, so no ctx_swap writes the vector.
@@ -1149,71 +1089,6 @@ mod tests {
     #[inline(never)]
     fn dirty<const PAD: usize>() {
         black_box(&mut [0xA5u8; PAD]);
-    }
-
-    /// Drives a [`RunQueue`] and a reference `BinaryHeap` with the same
-    /// stream — `Some((key, rank))` pushes under the next wake seq,
-    /// `None` pops — then drains both; every peek and pop must agree.
-    fn queue_matches_heap(case: &str, ops: impl IntoIterator<Item = Option<(u64, usize)>>) {
-        let mut queue = RunQueue::with_capacity(0);
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0;
-        let pop = |queue: &mut RunQueue, heap: &mut BinaryHeap<Reverse<RunKey>>| {
-            let want = heap.peek().map(|r| r.0);
-            assert_eq!(queue.peek(), want, "{case}: peek");
-            assert_eq!(queue.pop(), heap.pop().map(|r| r.0), "{case}: pop");
-        };
-        for op in ops {
-            match op {
-                Some((key, rank)) => {
-                    queue.push((key, rank, seq));
-                    heap.push(Reverse((key, rank, seq)));
-                    seq += 1;
-                }
-                None => pop(&mut queue, &mut heap),
-            }
-        }
-        while !heap.is_empty() {
-            pop(&mut queue, &mut heap);
-        }
-        assert_eq!(queue.pop(), None, "{case}: drained");
-    }
-
-    #[test]
-    fn run_queue_pops_exactly_what_a_heap_pops() {
-        use mccio_sim::rng::{stream_rng, Rng};
-        for case in 0..64 {
-            // Canonical-shaped: runs of one clock with rising ranks (a
-            // release), interleaved with wakes that sort lower (a gather
-            // root), repeated ranks and clocks, and partial drains.
-            let mut rng = stream_rng(case, "run-queue-canonical");
-            let mut ops = Vec::new();
-            let mut clock = 0u64;
-            for _ in 0..64 {
-                clock += rng.gen_range(0u64..=3);
-                let first = rng.gen_range(0usize..=16);
-                let n = rng.gen_range(1usize..=48);
-                for rank in first..first + n {
-                    ops.push(Some((clock, rank)));
-                    if rng.gen_bool(0.1) {
-                        ops.push(Some((clock - rng.gen_range(0..=clock.min(2)), 0)));
-                    }
-                    if rng.gen_bool(0.3) {
-                        ops.push(None);
-                    }
-                }
-                ops.extend((0..rng.gen_range(0..=n)).map(|_| None));
-            }
-            queue_matches_heap(&format!("canonical case {case}"), ops);
-
-            // Explored-shaped: seeded keys in no order.
-            let mut rng = stream_rng(case, "run-queue-explored");
-            let ops = (0..2_000).map(|_| {
-                rng.gen_bool(0.55)
-                    .then(|| (rng.next_u64(), rng.gen_range(0usize..=1_000)))
-            });
-            queue_matches_heap(&format!("explored case {case}"), ops.collect::<Vec<_>>());
-        }
     }
 
     #[test]

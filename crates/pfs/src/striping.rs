@@ -54,24 +54,13 @@ impl Striping {
         (server, obj_off)
     }
 
-    /// Splits a file byte range into per-server object extents, merging
-    /// extents that are contiguous on the same server object (so a
-    /// full-stripe access yields exactly one extent per server). Extents
-    /// are returned grouped by server, in object-offset order: one per
-    /// touched server, see [`Striping::extents`].
-    #[must_use]
-    pub fn map_range(&self, offset: u64, len: u64) -> Vec<ObjectExtent> {
-        let mut extents: Vec<ObjectExtent> = self.extents(offset, len).collect();
-        extents.sort_unstable_by_key(|e| e.server);
-        extents
-    }
-
-    /// The object extents of the file range `offset..offset + len`
-    /// without allocating: one per touched server, in the order the
-    /// range first reaches each server. A contiguous range reaches a
-    /// server in units `k, k + S, k + 2S, …`, which lie back to back on
-    /// its object (unit `k` sits at object unit `k / S`), so each
-    /// server's share of the range is a single extent.
+    /// Splits the file range `offset..offset + len` into per-server
+    /// object extents without allocating: one per touched server, in the
+    /// order the range first reaches each server, so a full-stripe
+    /// access yields exactly one extent per server. A contiguous range
+    /// reaches a server in units `k, k + S, k + 2S, …`, which lie back
+    /// to back on its object (unit `k` sits at object unit `k / S`), so
+    /// each server's share of the range is a single extent.
     ///
     /// # Panics
     /// Panics if the range overflows the u64 address space.
@@ -116,6 +105,13 @@ impl Striping {
 mod tests {
     use super::*;
 
+    /// The extents of a range, grouped by server.
+    fn by_server(s: &Striping, offset: u64, len: u64) -> Vec<ObjectExtent> {
+        let mut extents: Vec<_> = s.extents(offset, len).collect();
+        extents.sort_unstable_by_key(|e| e.server);
+        extents
+    }
+
     #[test]
     fn locate_round_robins_units() {
         let s = Striping::new(3, 100);
@@ -140,7 +136,7 @@ mod tests {
     fn full_stripe_width_is_one_extent_per_server() {
         let s = Striping::new(4, 100);
         // Two full stripes: units 0..8.
-        let extents = s.map_range(0, 800);
+        let extents = by_server(&s, 0, 800);
         assert_eq!(extents.len(), 4, "{extents:?}");
         for (srv, e) in extents.iter().enumerate() {
             assert_eq!(e.server, srv);
@@ -152,7 +148,7 @@ mod tests {
     #[test]
     fn sub_unit_range_touches_one_server() {
         let s = Striping::new(3, 100);
-        let extents = s.map_range(110, 50);
+        let extents = by_server(&s, 110, 50);
         assert_eq!(
             extents,
             vec![ObjectExtent {
@@ -167,7 +163,7 @@ mod tests {
     fn unaligned_range_splits_at_unit_boundaries() {
         let s = Striping::new(2, 100);
         // 150..370: units 1 (50 B), 2 (100 B), 3 (100 B partial 70 B).
-        let extents = s.map_range(150, 220);
+        let extents = by_server(&s, 150, 220);
         // Server 0: unit 2 → object 100..200. Server 1: unit 1 tail
         // (object 50..100) then unit 3 head (object 100..170) — contiguous
         // on the object, so merged.
@@ -192,7 +188,7 @@ mod tests {
     fn every_byte_maps_to_exactly_one_extent() {
         let s = Striping::new(3, 7);
         let (offset, len) = (5u64, 100u64);
-        let extents = s.map_range(offset, len);
+        let extents = by_server(&s, offset, len);
         let total: u64 = extents.iter().map(|e| e.len).sum();
         assert_eq!(total, len);
         // Reconstruct file coverage through the inverse mapping.
@@ -208,8 +204,9 @@ mod tests {
         assert!(covered.into_iter().all(|c| c));
     }
 
-    /// The unit-by-unit walk `map_range` used to be: one open extent
-    /// per server, closed when the next unit is not contiguous with it.
+    /// The reference walk, unit by unit: one open extent per server,
+    /// closed when the next unit is not contiguous with it; grouped by
+    /// server.
     fn map_range_by_units(s: &Striping, offset: u64, len: u64) -> Vec<ObjectExtent> {
         let mut done: Vec<Vec<ObjectExtent>> = vec![Vec::new(); s.n_servers];
         let mut pos = offset;
@@ -237,32 +234,29 @@ mod tests {
             let s = Striping::new(rng.gen_range(1usize..=9), rng.gen_range(1u64..=300));
             let offset = rng.gen_range(0u64..=5_000);
             let len = rng.gen_range(0u64..=4_000);
-            let want = map_range_by_units(&s, offset, len);
-            assert_eq!(
-                s.map_range(offset, len),
-                want,
-                "case {case}: {s:?} {offset}+{len}"
-            );
-            let mut walked: Vec<_> = s.extents(offset, len).collect();
+            let walked = by_server(&s, offset, len);
             assert!(
                 walked.len() <= s.n_servers,
                 "case {case}: one extent per server"
             );
-            walked.sort_unstable_by_key(|e| e.server);
-            assert_eq!(walked, want, "case {case}");
+            assert_eq!(
+                walked,
+                map_range_by_units(&s, offset, len),
+                "case {case}: {s:?} {offset}+{len}"
+            );
         }
     }
 
     #[test]
     fn empty_range_maps_to_nothing() {
         let s = Striping::new(2, 100);
-        assert!(s.map_range(12345, 0).is_empty());
+        assert_eq!(s.extents(12345, 0).count(), 0);
     }
 
     #[test]
     fn single_server_striping_degenerates_to_contiguous() {
         let s = Striping::new(1, 100);
-        let extents = s.map_range(50, 500);
+        let extents = by_server(&s, 50, 500);
         assert_eq!(
             extents,
             vec![ObjectExtent {
