@@ -608,8 +608,8 @@ fn write_report(sink: &ObsSink, pass: &Pass, title: &str, path: &str) {
         .with_host_profile(pass.profile.clone());
     if sink.is_causal() {
         assert!(
-            analysis.causal.as_ref().is_some_and(|c| !c.is_empty()),
-            "{title}: analysis carries no causal layer"
+            !analysis.ops.is_empty() && analysis.ops.iter().all(|op| op.chain.is_some()),
+            "{title}: an op carries no blame chain"
         );
     }
     let html = sink

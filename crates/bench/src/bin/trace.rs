@@ -17,18 +17,20 @@
 //!   (critical path, occupancy timelines), and writes one self-contained
 //!   HTML report per strategy — the second carries the A/B diff against
 //!   the first. Exits nonzero unless every op's critical-path total is
-//!   bit-identical to its op span and the JSONL artifact replays into a
+//!   bit-identical to its op span, its segments tile the span with
+//!   bit-equal joints, and the JSONL artifact replays into a
 //!   bit-identical analysis;
 //! * `causal` — root-cause analysis: runs both paper strategies with
 //!   message-causality tracing under the deterministic control-plane
 //!   latency of `mccio_bench::causal_plan` (so clocks genuinely diverge
 //!   and blame chains hop ranks), on the canonical rank schedule and 8
 //!   explored ones. Exits nonzero unless the blame chains are
-//!   bit-identical across schedules, every chain tiles its op span to
-//!   the bit, the live DP frontier stayed bounded, and the
-//!   flow-annotated Chrome trace validates. Writes one causal HTML
-//!   report and one flow-annotated Chrome trace per strategy, and
-//!   prints each op's blame chain and what-if projections.
+//!   bit-identical across schedules, every op carries a chain that
+//!   tiles its op span to the bit (and so does the op's critical path,
+//!   the chain cut at its phase windows), the live DP frontier stayed
+//!   bounded, and the flow-annotated Chrome trace validates. Writes one
+//!   causal HTML report and one flow-annotated Chrome trace per
+//!   strategy, and prints each op's blame chain and what-if projections.
 //!
 //! Every emitted artifact is validated before the binary exits 0, so CI
 //! can treat "trace ran" as "trace is loadable". The tracing-overhead
@@ -130,8 +132,9 @@ fn emit(mode: &str, outdir: &str) {
 /// one self-contained HTML report per strategy (the second carrying the
 /// A/B diff against the first). Fails unless the analysis is exact: the
 /// critical-path total must equal the op span's virtual duration to the
-/// bit, the phase tiling must close, and the JSONL artifact must replay
-/// into a bit-identical analysis.
+/// bit, the segments must tile the span with bit-equal joints, the
+/// phase attribution must close, and the JSONL artifact must replay into
+/// a bit-identical analysis.
 fn report_mode(mode: &str, outdir: &str) {
     let (platform, workload, buffer) = platform_for(mode);
     std::fs::create_dir_all(outdir).expect("create output directory");
@@ -171,10 +174,14 @@ fn report_mode(mode: &str, outdir: &str) {
                 eprintln!("report[{name}]: op {i} total does not match its span event");
                 failures += 1;
             }
-            if op.tiling_error.abs() > analyze::TILING_EPS * op.rounds.len().max(1) as f64 {
+            if let Err(e) = op.verify_tiling() {
+                eprintln!("report[{name}]: op {i} segments do not tile the op: {e}");
+                failures += 1;
+            }
+            if op.tiling_error().abs() > analyze::TILING_EPS * op.rounds.len().max(1) as f64 {
                 eprintln!(
                     "report[{name}]: op {i} tiling error {} over {} rounds",
-                    op.tiling_error,
+                    op.tiling_error(),
                     op.rounds.len()
                 );
                 failures += 1;
@@ -184,7 +191,7 @@ fn report_mode(mode: &str, outdir: &str) {
         // identical set of critical paths — every segment, decoded round
         // and per-phase attribution.
         let replayed = analyze::from_jsonl(&export::jsonl(&events))
-            .and_then(|evs| analyze::TraceAnalysis::from_events(&evs))
+            .and_then(|evs| analyze::TraceAnalysis::from_events(&evs, &[]))
             .unwrap_or_else(|e| {
                 eprintln!("report[{name}]: JSONL replay failed: {e}");
                 exit(1);
@@ -237,9 +244,9 @@ fn report_mode(mode: &str, outdir: &str) {
 /// Root-cause analysis over both paper strategies: runs each with
 /// causal tracing armed under [`causal_plan`] on the canonical rank
 /// schedule and every explored one, requires the recorded blame chains
-/// to be bit-identical across them,
-/// requires every chain to tile its op span to the bit and to actually
-/// hop ranks, then writes one causal HTML report and one flow-annotated
+/// to be bit-identical across them, requires every op to carry a chain
+/// that tiles its op span to the bit and actually hops ranks, then
+/// writes one causal HTML report and one flow-annotated
 /// Chrome trace per strategy and prints the blame chains and what-if
 /// projections.
 fn causal_mode(mode: &str, outdir: &str) {
@@ -306,43 +313,48 @@ fn causal_mode(mode: &str, outdir: &str) {
             eprintln!("causal[{name}]: analysis failed: {e}");
             exit(1);
         });
-        let causal = analysis.causal.as_ref().unwrap_or_else(|| {
-            eprintln!("causal[{name}]: analysis carries no causal layer");
+        if analysis.ops.is_empty() {
+            eprintln!("causal[{name}]: analysis found no ops");
             exit(1);
-        });
-        for (i, op) in causal.ops.iter().enumerate() {
-            if let Err(e) = op.chain.verify_tiling() {
+        }
+        for (i, op) in analysis.ops.iter().enumerate() {
+            let Some(chain) = &op.chain else {
+                eprintln!("causal[{name}]: op {i} carries no blame chain");
+                failures += 1;
+                continue;
+            };
+            if let Err(e) = chain.verify_tiling() {
                 eprintln!("causal[{name}]: op {i} blame chain does not tile: {e}");
+                failures += 1;
+            }
+            if let Err(e) = op.verify_tiling() {
+                eprintln!("causal[{name}]: op {i} critical path does not tile: {e}");
                 failures += 1;
             }
             // The chain's [t0, end] window is the op span itself, so its
             // total must be the critical-path total to the bit.
-            if analysis
-                .ops
-                .get(i)
-                .is_none_or(|p| p.total.as_secs().to_bits() != op.chain.total().as_secs().to_bits())
-            {
+            if op.total.as_secs().to_bits() != chain.total().as_secs().to_bits() {
                 eprintln!(
                     "causal[{name}]: op {i} chain total {} is not the op span",
-                    op.chain.total().as_secs()
+                    chain.total().as_secs()
                 );
                 failures += 1;
             }
-            if op.chain.hops() == 0 {
+            if chain.hops() == 0 {
                 eprintln!("causal[{name}]: op {i} blame chain never leaves rank 0");
                 failures += 1;
             }
             println!(
                 "causal[{name}]: {} op {:.6}s, {} hop(s) across ranks {:?}, \
                  wait {:.6}s / work {:.6}s",
-                op.chain.dir,
-                op.chain.total().as_secs(),
-                op.chain.hops(),
-                op.chain.ranks(),
-                op.wait_secs,
-                op.work_secs,
+                chain.dir,
+                chain.total().as_secs(),
+                chain.hops(),
+                chain.ranks(),
+                chain.wait_secs(),
+                chain.work_secs(),
             );
-            for w in &op.what_ifs {
+            for w in op.what_ifs() {
                 println!(
                     "  what-if {:>14}: {:.6}s projected ({:.2}x)",
                     w.name, w.projected_secs, w.speedup

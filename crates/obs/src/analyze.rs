@@ -4,15 +4,19 @@
 //! The raw trace (spans, instants, counters) answers *what happened*;
 //! this module answers the questions the paper asks of it:
 //!
-//! * **Critical path** — the engine prices every round at the world
-//!   root, so the longest virtual-time chain through an operation is
-//!   the op span itself, tiled by its rounds' phase terms (sync →
-//!   shuffle → storage → assembly → backoff, in pricing order) plus
-//!   whatever the rounds do not cover (prologue, inter-round gaps,
-//!   epilogue). [`CriticalPath`] reconstructs that tiling from the
-//!   round spans, each decoded once into a [`Round`], attributes every
-//!   virtual second to a [`Phase`], and names the straggler rank that
-//!   set each max-over-ranks phase term.
+//! * **Critical path** — one [`CriticalPath`] per op, built from two
+//!   inputs: the op's rounds, each decoded once from its round span into
+//!   a [`Round`], and the op's chain. The chain is the recorded
+//!   [`BlameChain`] when causal tracing is armed; otherwise it is one
+//!   implicit work segment on rank 0 over the op span (rank 0 is the
+//!   root that prices the op). The rounds' phase terms (sync → shuffle →
+//!   storage → assembly → backoff, in pricing order) plus the prologue,
+//!   inter-round gaps and epilogue partition the op span into phase
+//!   windows; one linear merge-walk cuts the chain at their boundaries,
+//!   so every [`Segment`] names its rank, causal class, [`Phase`], round
+//!   and straggler, with bit-equal joints from op start to op end. The
+//!   per-phase [`Attribution`], the top straggler and the what-if
+//!   projections are views of that one path.
 //! * **Memory pressure** — paired `mem.reserve` / `mem.release`
 //!   instants (plus `fault.mem.revoke` / `fault.mem.restore`) replay
 //!   into exact per-node occupancy step functions ([`MemTimeline`]),
@@ -22,25 +26,26 @@
 //!   attribution tables and counters with per-phase deltas
 //!   ([`RunDiff`]); a run diffed against itself is exactly zero.
 //!
-//! Input is either a live [`ObsSink`] ([`TraceAnalysis::of_sink`]) or a
-//! replayed JSONL artifact: [`from_jsonl`] parses the
-//! [`crate::export::jsonl`] format back into the engine's own [`Event`]
-//! type bit-exactly (f64s are printed shortest-roundtrip), interning its
-//! strings through [`crate::span::intern`].
+//! Input is either a live [`ObsSink`] ([`TraceAnalysis::of_sink`], which
+//! also picks up the sink's blame chains) or a replayed JSONL artifact:
+//! [`from_jsonl`] parses the [`crate::export::jsonl`] format back into
+//! the engine's own [`Event`] type bit-exactly (f64s are printed
+//! shortest-roundtrip), interning its strings through
+//! [`crate::span::intern`].
 
 use std::collections::BTreeMap;
 
 use mccio_sim::hostprof::HostProfile;
 use mccio_sim::time::{VDuration, VTime};
 
-use crate::causal::CausalAnalysis;
+use crate::causal::{verify_joints, BlameChain, BlameSegment, SegClass};
 use crate::json::{self, Value};
 use crate::metrics::Histogram;
 use crate::sink::ObsSink;
-use crate::span::{intern, AttrValue, Event, EventKind, ENGINE_TRACK, PHASE_NAMES};
+use crate::span::{intern, AttrValue, Event, EventKind, ENGINE_TRACK};
 use crate::stream::StreamAgg;
 
-/// Tolerance for tiling checks: segment sums are f64 accumulations of
+/// Tolerance for tiling checks: phase sums are f64 accumulations of
 /// attribute values, so they match the priced durations to rounding.
 pub const TILING_EPS: f64 = 1e-9;
 
@@ -154,7 +159,8 @@ pub struct Round {
     pub requests: u64,
     /// Ranks that touched storage this round (the active aggregators).
     pub clients: u64,
-    /// Seconds of each priced phase, in [`PHASE_NAMES`] order.
+    /// Seconds of each priced phase, in [`Phase::ALL`] order (the five
+    /// round phases lead it).
     pub phase_secs: [f64; 5],
     /// The rank that set each max-over-ranks phase term, aligned with
     /// `phase_secs`. Storage, assembly and backoff name one; sync and
@@ -171,23 +177,10 @@ impl Round {
     /// no straggler); a missing direction decodes as `"?"`.
     #[must_use]
     pub fn from_span(e: &Event) -> Round {
-        // Per-phase seconds, in `PHASE_NAMES` order.
-        const PHASE_KEYS: [&str; 5] = [
-            "sync_secs",
-            "shuffle_secs",
-            "storage_secs",
-            "assembly_secs",
-            "backoff_secs",
-        ];
-        // Straggler ranks, aligned with `PHASE_KEYS`: sync and shuffle
-        // are priced globally and name none.
-        const STRAGGLER_KEYS: [Option<&str>; 5] = [
-            None,
-            None,
-            Some("storage_rank"),
-            Some("assembly_rank"),
-            Some("backoff_rank"),
-        ];
+        // Each round phase's seconds ride on `<phase>_secs` and its
+        // straggler on `<phase>_rank` (sync and shuffle are priced
+        // globally and name none).
+        let key = |k: usize, suffix: &str| format!("{}_{suffix}", Phase::ALL[k].name());
         let u64_attr = |k: &str| e.attr_u64(k).unwrap_or(0);
         let (start, dur) = match e.kind {
             EventKind::Span { start, dur } => (start, dur),
@@ -201,8 +194,8 @@ impl Round {
             volume: u64_attr("volume"),
             requests: u64_attr("requests"),
             clients: u64_attr("clients"),
-            phase_secs: PHASE_KEYS.map(|k| e.attr_f64(k).unwrap_or(0.0)),
-            stragglers: STRAGGLER_KEYS.map(|k| k.and_then(|k| e.attr_u64(k)).map(|v| v as u32)),
+            phase_secs: std::array::from_fn(|k| e.attr_f64(&key(k, "secs")).unwrap_or(0.0)),
+            stragglers: std::array::from_fn(|k| e.attr_u64(&key(k, "rank")).map(|v| v as u32)),
             transient_faults: u64_attr("transient_faults"),
             retries: u64_attr("retries"),
         }
@@ -271,89 +264,56 @@ impl Phase {
             Phase::Epilogue => "epilogue",
         }
     }
-
-    /// The round phase with this name (`"sync"` … `"backoff"`), if any.
-    /// Round phases lead [`Phase::ALL`] in [`PHASE_NAMES`] order.
-    #[must_use]
-    pub fn round_phase(name: &str) -> Option<Phase> {
-        PHASE_NAMES
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| Phase::ALL[i])
-    }
 }
 
-/// One contiguous slice of an operation's critical path.
-#[derive(Debug, Clone, PartialEq)]
+/// One contiguous slice of an operation's critical path: the piece of
+/// the op's chain that lies in one phase window.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
-    /// What the time was spent on.
+    /// The rank whose timeline the slice lies on (for wait classes, the
+    /// receiving rank; rank 0 on a path without a recorded chain).
+    pub rank: u32,
+    /// What the chain spent the slice on: local work or a message in
+    /// flight.
+    pub class: SegClass,
+    /// The phase window the slice falls in.
     pub phase: Phase,
-    /// Virtual start of the slice.
-    pub start: VTime,
-    /// Virtual duration of the slice.
-    pub dur: VDuration,
-    /// Index of the round this slice belongs to (round phases only).
+    /// Index of the round the slice belongs to (round phases only).
     pub round: Option<usize>,
     /// The rank that set this max-over-ranks phase term — the round's
     /// straggler. Named for storage (the busiest aggregator), assembly,
     /// and backoff; sync and shuffle are priced globally.
     pub straggler: Option<u32>,
+    /// Absolute virtual start; bit-equal to the previous slice's `to`.
+    pub from: VTime,
+    /// Absolute virtual end.
+    pub to: VTime,
 }
 
-/// Seconds of critical-path time attributed to each phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Attribution {
-    /// Control-synchronization seconds.
-    pub sync: f64,
-    /// Shuffle seconds.
-    pub shuffle: f64,
-    /// Storage seconds.
-    pub storage: f64,
-    /// Assembly seconds.
-    pub assembly: f64,
-    /// Retry-backoff seconds.
-    pub backoff: f64,
-    /// Prologue seconds.
-    pub prologue: f64,
-    /// Inter-round gap seconds.
-    pub gap: f64,
-    /// Epilogue seconds.
-    pub epilogue: f64,
+impl Segment {
+    /// The slice's virtual duration.
+    #[must_use]
+    pub fn dur(&self) -> VDuration {
+        self.to - self.from
+    }
 }
+
+/// Seconds of critical-path time attributed to each phase, indexed by
+/// `Phase as usize` (which is [`Phase::ALL`] order).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Attribution(pub [f64; 8]);
 
 impl Attribution {
     /// Seconds attributed to `phase`.
     #[must_use]
     pub fn get(&self, phase: Phase) -> f64 {
-        match phase {
-            Phase::Sync => self.sync,
-            Phase::Shuffle => self.shuffle,
-            Phase::Storage => self.storage,
-            Phase::Assembly => self.assembly,
-            Phase::Backoff => self.backoff,
-            Phase::Prologue => self.prologue,
-            Phase::Gap => self.gap,
-            Phase::Epilogue => self.epilogue,
-        }
+        self.0[phase as usize]
     }
 
-    fn add(&mut self, phase: Phase, secs: f64) {
-        match phase {
-            Phase::Sync => self.sync += secs,
-            Phase::Shuffle => self.shuffle += secs,
-            Phase::Storage => self.storage += secs,
-            Phase::Assembly => self.assembly += secs,
-            Phase::Backoff => self.backoff += secs,
-            Phase::Prologue => self.prologue += secs,
-            Phase::Gap => self.gap += secs,
-            Phase::Epilogue => self.epilogue += secs,
-        }
-    }
-
-    /// Sum over every phase.
+    /// Sum over every phase, in [`Phase::ALL`] order.
     #[must_use]
     pub fn total(&self) -> f64 {
-        Phase::ALL.iter().map(|&p| self.get(p)).sum()
+        self.0.iter().sum()
     }
 
     /// The phase holding the most time.
@@ -369,12 +329,26 @@ impl Attribution {
     }
 }
 
+/// One what-if projection: the path re-priced under a re-weighting of
+/// its segments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WhatIf {
+    /// Scenario name (`"zero-network"`, `"infinite-pfs"`,
+    /// `"uniform-memory"`).
+    pub name: &'static str,
+    /// Projected path seconds under the scenario.
+    pub projected_secs: f64,
+    /// `total / projected` (∞ when the scenario removes the whole
+    /// path).
+    pub speedup: f64,
+}
+
 /// The critical path of one collective operation.
 ///
-/// The engine advances every rank's clock by the same root-priced
-/// duration each round, so the op span *is* the longest virtual-time
-/// chain; what this adds is the tiling — which phase of which round
-/// each slice belongs to, and who the straggler was.
+/// The op span is the longest virtual-time chain (the engine prices
+/// every round at the root); the path says which rank, which message
+/// and which phase of which round each slice of it belongs to, and who
+/// the straggler was.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPath {
     /// `"write"` or `"read"`.
@@ -385,32 +359,107 @@ pub struct CriticalPath {
     /// duration, verbatim (bit-identical, never re-derived from the
     /// segment sum).
     pub total: VDuration,
-    /// The path, tiled in virtual-time order.
+    /// The op's chain cut at its phase-window boundaries, in
+    /// virtual-time order; joints are bit-equal from `start` to the op's
+    /// end and zero-length slices are elided.
     pub segments: Vec<Segment>,
-    /// Per-phase attribution (sums of the segments).
+    /// Per-phase seconds as the engine priced them: each round's phase
+    /// terms plus the prologue, gap and epilogue the rounds leave.
     pub attribution: Attribution,
     /// The rounds on the path, decoded, in virtual-time order.
     pub rounds: Vec<Round>,
-    /// `attribution.total() - total.as_secs()` — how far the f64
-    /// segment sum drifts from the priced duration. Bounded by
-    /// [`TILING_EPS`] × rounds on any trace the engine emitted.
-    pub tiling_error: f64,
+    /// The recorded blame chain, when causal tracing was armed; `None`
+    /// stands for the implicit chain, one work segment on rank 0.
+    pub chain: Option<BlameChain>,
 }
 
 impl CriticalPath {
+    /// `attribution.total() - total` — how far the f64 phase sum drifts
+    /// from the priced duration. Bounded by [`TILING_EPS`] × rounds on
+    /// any trace the engine emitted.
+    #[must_use]
+    pub fn tiling_error(&self) -> f64 {
+        self.attribution.total() - self.total.as_secs()
+    }
+
     /// The rank named as straggler most often across this path's
-    /// storage/assembly/backoff segments, with its count.
+    /// priced storage/assembly/backoff terms (one count per round and
+    /// phase, however many slices the chain cuts it into), with its
+    /// count.
     #[must_use]
     pub fn top_straggler(&self) -> Option<(u32, usize)> {
         let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-        for s in &self.segments {
-            if let Some(r) = s.straggler {
-                *counts.entry(r).or_insert(0) += 1;
+        for r in &self.rounds {
+            for (&secs, &straggler) in r.phase_secs.iter().zip(&r.stragglers) {
+                if let Some(rank) = straggler.filter(|_| secs > 0.0) {
+                    *counts.entry(rank).or_insert(0) += 1;
+                }
             }
         }
         counts
             .into_iter()
             .max_by_key(|&(r, n)| (n, std::cmp::Reverse(r)))
+    }
+
+    /// Checks that the segments tile `[start, end]` with bit-equal
+    /// joints, where `end` is the chain's end (or `start + total` on a
+    /// path without a recorded chain).
+    ///
+    /// # Errors
+    /// Describes the first violated joint.
+    pub fn verify_tiling(&self) -> Result<(), String> {
+        let end = match &self.chain {
+            Some(c) => c.end,
+            None => self.start + self.total,
+        };
+        let slices = self.segments.iter().map(|s| (s.from, s.to));
+        verify_joints(self.start, end, slices)
+    }
+
+    /// Re-prices the path under `weight`: each segment's duration is
+    /// scaled by `weight(class, phase) ∈ [0, 1]` and the projection is
+    /// `total − Σ (1 − w)·dur`. The identity weighting (`w ≡ 1`)
+    /// subtracts an exact `+0.0` per segment and therefore reproduces
+    /// `total` **bit-exactly**.
+    #[must_use]
+    pub fn project(&self, weight: impl Fn(SegClass, Phase) -> f64) -> f64 {
+        let removed: f64 = self
+            .segments
+            .iter()
+            .map(|s| (1.0 - weight(s.class, s.phase)) * s.dur().as_secs())
+            .sum();
+        self.total.as_secs() - removed
+    }
+
+    /// The standard speed-of-light scenarios: zero network cost
+    /// (sync-wait and transfer segments free), infinite PFS bandwidth
+    /// (storage-phase segments free), and uniform memory ceilings
+    /// (backoff-phase segments free).
+    #[must_use]
+    pub fn what_ifs(&self) -> Vec<WhatIf> {
+        // Each scenario names the segments it makes free.
+        type Frees = fn(SegClass, Phase) -> bool;
+        let scenarios: [(&'static str, Frees); 3] = [
+            ("zero-network", |c, _| c != SegClass::Work),
+            ("infinite-pfs", |_, p| p == Phase::Storage),
+            ("uniform-memory", |_, p| p == Phase::Backoff),
+        ];
+        let total = self.total.as_secs();
+        scenarios
+            .into_iter()
+            .map(|(name, free)| {
+                let projected_secs = self.project(|c, p| if free(c, p) { 0.0 } else { 1.0 });
+                WhatIf {
+                    name,
+                    projected_secs,
+                    speedup: if projected_secs > 0.0 {
+                        total / projected_secs
+                    } else {
+                        f64::INFINITY
+                    },
+                }
+            })
+            .collect()
     }
 }
 
@@ -482,31 +531,23 @@ pub struct TraceAnalysis {
     /// nondeterministic observability data, never part of bit-identity
     /// checks.
     pub host: Option<HostProfile>,
-    /// Per-op causal analyses (blame chains, wait-vs-work, what-if
-    /// projections), when the analyzed sink had causal tracing armed
-    /// ([`ObsSink::with_causal`]); `None` otherwise.
-    pub causal: Option<CausalAnalysis>,
 }
 
 impl TraceAnalysis {
-    /// Analyzes a live sink: events plus the metrics registry's
-    /// counters. The sink is read, not drained.
+    /// Analyzes a live sink: events, the blame chains when causal
+    /// tracing is armed ([`ObsSink::with_causal`]), and the metrics
+    /// registry's counters. The sink is read, not drained.
     ///
     /// # Errors
     /// Propagates [`TraceAnalysis::from_events`] errors.
     pub fn of_sink(sink: &ObsSink) -> Result<TraceAnalysis, String> {
-        let mut analysis = sink.with_events(TraceAnalysis::from_events)?;
+        let chains = sink.causal_chains();
+        let mut analysis =
+            sink.with_events(|events| TraceAnalysis::from_events(events, &chains))?;
         let metrics = sink.metrics();
         analysis.counters = metrics.counter_map();
         analysis.histograms = metrics.histogram_map();
         analysis.streaming = sink.stream_stats();
-        // Chains and critical paths are both recorded in op order, so
-        // the causal layer pairs them positionally (bit-checked inside
-        // `from_chains`).
-        let chains = sink.causal_chains();
-        if !chains.is_empty() {
-            analysis.causal = Some(CausalAnalysis::from_chains(&chains, &analysis.ops));
-        }
         Ok(analysis)
     }
 
@@ -518,13 +559,17 @@ impl TraceAnalysis {
         self
     }
 
-    /// Analyzes a live or replayed event stream, in any order.
+    /// Analyzes a live or replayed event stream, in any order, with the
+    /// blame chains recorded alongside it (empty when causal tracing was
+    /// off). Each chain belongs to the op span whose start it matches to
+    /// the bit; an op without one gets the implicit chain.
     ///
     /// # Errors
-    /// Returns a description when the trace is structurally broken —
-    /// a round span outside any op span, or a round whose phase terms
-    /// do not tile its duration.
-    pub fn from_events(events: &[Event]) -> Result<TraceAnalysis, String> {
+    /// Returns a description when the trace is structurally broken — a
+    /// round span outside any op span, a round whose phase terms do not
+    /// tile its duration, or a chain that matches no op span or does
+    /// not tile its op.
+    pub fn from_events(events: &[Event], chains: &[BlameChain]) -> Result<TraceAnalysis, String> {
         let mut ops: Vec<&Event> = Vec::new();
         let mut rounds: Vec<&Event> = Vec::new();
         for e in events {
@@ -543,34 +588,46 @@ impl TraceAnalysis {
         };
         ops.sort_by(by_time);
         rounds.sort_by(by_time);
-        let rounds: Vec<Round> = rounds.into_iter().map(Round::from_span).collect();
 
+        // Ops run one after another, so one merge-walk in time order
+        // hands each op the rounds it contains and, chains being recorded
+        // in op order, the chain whose start matches it to the bit.
+        let mut rounds = rounds.into_iter().map(Round::from_span).peekable();
+        let bits = |t: VTime| t.as_secs().to_bits();
+        let mut chains = chains.iter().enumerate().peekable();
         let mut paths = Vec::with_capacity(ops.len());
-        let mut used = vec![false; rounds.len()];
         for op in &ops {
-            let (start, dur) = match op.kind {
-                EventKind::Span { start, dur } => (start, dur),
-                _ => unreachable!("filtered to spans"),
+            let EventKind::Span { start, dur } = op.kind else {
+                unreachable!("filtered to spans")
             };
             let end = start + dur;
-            let mut mine: Vec<Round> = Vec::new();
-            for (r, claimed) in rounds.iter().zip(used.iter_mut()) {
-                if *claimed {
-                    continue;
-                }
-                let contained = r.start.as_secs() >= start.as_secs() - TILING_EPS
-                    && r.end().as_secs() <= end.as_secs() + TILING_EPS;
-                if contained {
-                    *claimed = true;
-                    mine.push(*r);
-                }
+            let contained = |r: &Round| {
+                r.start.as_secs() >= start.as_secs() - TILING_EPS
+                    && r.end().as_secs() <= end.as_secs() + TILING_EPS
+            };
+            let mine: Vec<Round> = std::iter::from_fn(|| rounds.next_if(contained)).collect();
+            let chain = chains.next_if(|(_, c)| bits(c.start) == bits(start));
+            if let Some((k, c)) = chain {
+                let tiled = if c.total() == dur {
+                    c.verify_tiling()
+                } else {
+                    let (mine, op) = (c.total().as_secs(), dur.as_secs());
+                    Err(format!("it lasts {mine}s but its op span lasts {op}s"))
+                };
+                tiled.map_err(|e| format!("blame chain {k} ({}): {e}", c.dir))?;
             }
-            paths.push(critical_path(op, start, dur, mine)?);
+            paths.push(critical_path(op, start, dur, mine, chain.map(|(_, c)| c))?);
         }
-        if let Some(pos) = used.iter().position(|&u| !u) {
+        if let Some(r) = rounds.next() {
             return Err(format!(
                 "round span at t={} lies outside every op span",
-                rounds[pos].start
+                r.start
+            ));
+        }
+        if let Some((k, c)) = chains.next() {
+            let (dir, at) = (c.dir, c.start);
+            return Err(format!(
+                "blame chain {k} ({dir} at t={at}) matches no op span"
             ));
         }
         Ok(TraceAnalysis {
@@ -584,22 +641,17 @@ impl TraceAnalysis {
     /// (summed across each run's ops) and counter deltas.
     #[must_use]
     pub fn diff(&self, other: &TraceAnalysis) -> RunDiff {
-        let sum = |a: &TraceAnalysis| {
-            let mut acc = Attribution::default();
-            for op in &a.ops {
-                for &p in &Phase::ALL {
-                    acc.add(p, op.attribution.get(p));
-                }
-            }
-            acc
+        let sum = |a: &TraceAnalysis, p| {
+            a.ops
+                .iter()
+                .fold(0.0, |acc, op| acc + op.attribution.get(p))
         };
-        let (a, b) = (sum(self), sum(other));
         let phases = Phase::ALL
             .iter()
             .map(|&p| PhaseDelta {
                 phase: p,
-                a_secs: a.get(p),
-                b_secs: b.get(p),
+                a_secs: sum(self, p),
+                b_secs: sum(other, p),
             })
             .collect();
         let mut names: Vec<&String> = self.counters.keys().collect();
@@ -686,88 +738,80 @@ impl RunDiff {
             && self.phases.iter().all(|p| p.delta().abs() <= eps)
             && self.counters.iter().all(|c| c.delta() == 0)
     }
-
-    /// A fixed-width text rendering of the comparison.
-    #[must_use]
-    pub fn table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "ops: a={} b={}", self.ops_a, self.ops_b);
-        let _ = writeln!(
-            out,
-            "{:<10} {:>14} {:>14} {:>14}",
-            "phase", "a_secs", "b_secs", "delta"
-        );
-        for p in &self.phases {
-            let _ = writeln!(
-                out,
-                "{:<10} {:>14.6} {:>14.6} {:>+14.6}",
-                p.phase.name(),
-                p.a_secs,
-                p.b_secs,
-                p.delta()
-            );
-        }
-        let changed: Vec<&CounterDelta> = self.counters.iter().filter(|c| c.delta() != 0).collect();
-        if changed.is_empty() {
-            let _ = writeln!(out, "counters: no deltas");
-        } else {
-            let _ = writeln!(
-                out,
-                "{:<36} {:>14} {:>14} {:>10}",
-                "counter", "a", "b", "delta"
-            );
-            for c in changed {
-                let _ = writeln!(
-                    out,
-                    "{:<36} {:>14} {:>14} {:>+10}",
-                    c.name,
-                    c.a,
-                    c.b,
-                    c.delta()
-                );
-            }
-        }
-        out
-    }
 }
 
-/// Tiles one op span with its rounds' phase terms.
+/// Builds one op's path: attributes the rounds' priced phase terms,
+/// partitions the op span into phase windows, and cuts the chain (the
+/// recorded one, or one work segment on rank 0) at their boundaries in
+/// one merge-walk.
 fn critical_path(
     op: &Event,
     start: VTime,
-    dur: VDuration,
+    total: VDuration,
     rounds: Vec<Round>,
+    chain: Option<&BlameChain>,
 ) -> Result<CriticalPath, String> {
     let dir = op.attr_str("dir").unwrap_or("?");
-    let end = start + dur;
+    // The chain ends at the root's clock; the span's `start + total`
+    // may round one ulp away from it.
+    let end = chain.map_or(start + total, |c| c.end);
+    let implicit = [BlameSegment {
+        rank: 0,
+        class: SegClass::Work,
+        from: start,
+        to: end,
+    }];
+    let mut links = chain
+        .map_or(&implicit[..], |c| &c.segments)
+        .iter()
+        .peekable();
     let mut segments = Vec::new();
     let mut attribution = Attribution::default();
-    let mut push =
-        |phase: Phase, at: VTime, secs: f64, round: Option<usize>, straggler: Option<u32>| {
-            if secs > 0.0 {
+    let mut from = start;
+    // Closes the phase window ending at `to`, clamped into the op so the
+    // windows partition it whatever the rounds' rounding: every chain
+    // link the window overlaps yields one segment. `secs` is the time
+    // the engine priced for the window, which is what it attributes.
+    let mut window = |phase: Phase, round, straggler, secs: f64, to: VTime| {
+        attribution.0[phase as usize] += secs;
+        let to = to.min(end);
+        while from.as_secs() < to.as_secs() {
+            let Some(&l) = links.peek() else { break };
+            let cut = l.to.min(to);
+            if cut.as_secs() > from.as_secs() {
                 segments.push(Segment {
+                    rank: l.rank,
+                    class: l.class,
                     phase,
-                    start: at,
-                    dur: VDuration::from_secs(secs),
                     round,
                     straggler,
+                    from,
+                    to: cut,
                 });
+                from = cut;
             }
-            attribution.add(phase, secs);
-        };
+            if l.to.as_secs() <= cut.as_secs() {
+                links.next();
+            }
+        }
+    };
+    // Filler of at most `TILING_EPS` is rounding, not priced time.
+    let filler = |secs: f64| if secs > TILING_EPS { secs } else { 0.0 };
     let mut cursor = start;
     for (i, r) in rounds.iter().enumerate() {
-        let lead = r.start.as_secs() - cursor.as_secs();
-        if lead > TILING_EPS {
-            let phase = if i == 0 { Phase::Prologue } else { Phase::Gap };
-            push(phase, cursor, lead, None, None);
-        }
+        let phase = if i == 0 { Phase::Prologue } else { Phase::Gap };
+        let lead = filler(r.start.as_secs() - cursor.as_secs());
+        window(phase, None, None, lead, r.start);
+        // The last priced term runs to the span's end, so the rounding
+        // between the summed terms and the span falls in a phase too.
+        let last = r.phase_secs.iter().rposition(|&secs| secs > 0.0);
         let mut t = r.start;
-        for ((&phase, &secs), &straggler) in Phase::ALL.iter().zip(&r.phase_secs).zip(&r.stragglers)
-        {
-            push(phase, t, secs, Some(i), straggler.filter(|_| secs > 0.0));
+        for (k, (&secs, &straggler)) in r.phase_secs.iter().zip(&r.stragglers).enumerate() {
             t += VDuration::from_secs(secs);
+            if secs > 0.0 {
+                let to = if last == Some(k) { r.end() } else { t };
+                window(Phase::ALL[k], Some(i), straggler, secs, to);
+            }
         }
         if (t.as_secs() - r.end().as_secs()).abs() > TILING_EPS * 10.0 {
             return Err(format!(
@@ -778,24 +822,21 @@ fn critical_path(
         }
         cursor = r.end();
     }
-    let tail = end.as_secs() - cursor.as_secs();
-    if tail > TILING_EPS {
-        let phase = if rounds.is_empty() {
-            Phase::Prologue
-        } else {
-            Phase::Epilogue
-        };
-        push(phase, cursor, tail, None, None);
-    }
-    let tiling_error = attribution.total() - dur.as_secs();
+    let phase = if rounds.is_empty() {
+        Phase::Prologue
+    } else {
+        Phase::Epilogue
+    };
+    let tail = filler((start + total).as_secs() - cursor.as_secs());
+    window(phase, None, None, tail, end);
     Ok(CriticalPath {
         dir,
         start,
-        total: dur,
+        total,
         segments,
         attribution,
         rounds,
-        tiling_error,
+        chain: chain.cloned(),
     })
 }
 
@@ -905,11 +946,11 @@ fn mem_timelines(events: &[Event]) -> Vec<MemTimeline> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::span::sort_for_export;
 
-    fn ev(
+    pub(crate) fn ev(
         name: &'static str,
         track: u32,
         kind: EventKind,
@@ -926,20 +967,20 @@ mod tests {
         }
     }
 
-    fn span(start: f64, dur: f64) -> EventKind {
+    pub(crate) fn span(start: f64, dur: f64) -> EventKind {
         EventKind::Span {
             start: VTime::from_secs(start),
             dur: VDuration::from_secs(dur),
         }
     }
 
-    fn at(t: f64) -> EventKind {
+    pub(crate) fn at(t: f64) -> EventKind {
         EventKind::Instant {
             at: VTime::from_secs(t),
         }
     }
 
-    fn round(start: f64, secs: [f64; 5], straggler: u64, seq: u64) -> Event {
+    pub(crate) fn round(start: f64, secs: [f64; 5], straggler: u64, seq: u64) -> Event {
         let dur: f64 = secs.iter().sum();
         ev(
             "round",
@@ -974,7 +1015,7 @@ mod tests {
             round(1.0, [0.5, 1.0, 1.5, 0.0, 0.0], 3, 1),
             round(5.0, [0.5, 0.5, 2.0, 1.0, 0.0], 7, 2),
         ];
-        let a = TraceAnalysis::from_events(&events).unwrap();
+        let a = TraceAnalysis::from_events(&events, &[]).unwrap();
         assert_eq!(a.ops.len(), 1);
         let cp = &a.ops[0];
         assert_eq!(cp.dir, "write");
@@ -982,11 +1023,11 @@ mod tests {
         // Total is the op span's duration verbatim.
         assert_eq!(cp.total.as_secs().to_bits(), 10.0f64.to_bits());
         // Prologue [0,1), round1 3s, gap [4,5), round2 4s, epilogue [9,10).
-        assert!((cp.attribution.prologue - 1.0).abs() < 1e-12);
-        assert!((cp.attribution.gap - 1.0).abs() < 1e-12);
-        assert!((cp.attribution.epilogue - 1.0).abs() < 1e-12);
-        assert!((cp.attribution.storage - 3.5).abs() < 1e-12);
-        assert!(cp.tiling_error.abs() < TILING_EPS);
+        assert!((cp.attribution.get(Phase::Prologue) - 1.0).abs() < 1e-12);
+        assert!((cp.attribution.get(Phase::Gap) - 1.0).abs() < 1e-12);
+        assert!((cp.attribution.get(Phase::Epilogue) - 1.0).abs() < 1e-12);
+        assert!((cp.attribution.get(Phase::Storage) - 3.5).abs() < 1e-12);
+        assert!(cp.tiling_error().abs() < TILING_EPS);
         assert_eq!(cp.attribution.dominant(), Phase::Storage);
         // Stragglers named only on nonzero storage/assembly/backoff.
         let stragglers: Vec<(Phase, u32)> = cp
@@ -1003,13 +1044,88 @@ mod tests {
             ]
         );
         assert_eq!(cp.top_straggler(), Some((3, 1)));
-        // Segments are contiguous from start to end.
-        let mut t = cp.start;
-        for s in &cp.segments {
-            assert!((s.start.as_secs() - t.as_secs()).abs() < 1e-9);
-            t = s.start + s.dur;
+        // Without a recorded chain the path is rank 0's work, cut at
+        // every window, with bit-equal joints from start to end.
+        assert!(cp
+            .segments
+            .iter()
+            .all(|s| s.rank == 0 && s.class == SegClass::Work));
+        assert_eq!(cp.segments.len(), 10);
+        cp.verify_tiling().unwrap();
+        assert_eq!(cp.segments.last().unwrap().to.as_secs(), 10.0);
+    }
+
+    /// One op `[0, 4]` priced as one round: sync 1, shuffle 1, storage 2
+    /// (straggler rank 3).
+    fn one_round_op() -> Vec<Event> {
+        vec![
+            ev(
+                "op",
+                ENGINE_TRACK,
+                span(0.0, 4.0),
+                vec![("dir", AttrValue::Str("write"))],
+                0,
+            ),
+            round(0.0, [1.0, 1.0, 2.0, 0.0, 0.0], 3, 1),
+        ]
+    }
+
+    /// The chain the causal fold records over `[t0, end]` at rank 1
+    /// when a transfer from rank 0 binds it over `[2.5, 3]`.
+    fn chain(t0: f64, end: f64) -> BlameChain {
+        use mccio_sim::causal::CausalSink as _;
+        let agg = crate::causal::CausalAgg::new(false);
+        let seq = agg.on_send(0, 1, VTime::from_secs(2.5), 8, true);
+        agg.on_delivery(0, seq, 1, VTime::ZERO, VTime::from_secs(3.0));
+        agg.op_end(1, VTime::from_secs(t0), VTime::from_secs(end), "write");
+        agg.chains().remove(0)
+    }
+
+    #[test]
+    fn a_chain_cut_inside_a_storage_window_counts_its_straggler_once() {
+        // The transfer on [2.5, 3] cuts the storage window [2, 4] in three.
+        use SegClass::{Transfer, Work};
+        let c = chain(0.0, 4.0);
+        let a = TraceAnalysis::from_events(&one_round_op(), std::slice::from_ref(&c)).unwrap();
+        let cp = &a.ops[0];
+        assert_eq!(cp.chain.as_ref(), Some(&c));
+        cp.verify_tiling().unwrap();
+        let pieces: Vec<_> = cp
+            .segments
+            .iter()
+            .map(|s| (s.rank, s.class, s.phase, s.to.as_secs()))
+            .collect();
+        assert_eq!(
+            pieces,
+            [
+                (0, Work, Phase::Sync, 1.0),
+                (0, Work, Phase::Shuffle, 2.0),
+                (0, Work, Phase::Storage, 2.5),
+                (1, Transfer, Phase::Storage, 3.0),
+                (1, Work, Phase::Storage, 4.0),
+            ]
+        );
+        assert!(cp.segments[2..].iter().all(|s| s.straggler == Some(3)));
+        assert_eq!(cp.top_straggler(), Some((3, 1)), "one storage term");
+        // Zero-network frees the transfer, infinite-pfs all three
+        // storage pieces; the identity is the total to the bit.
+        let projected: Vec<f64> = cp.what_ifs().iter().map(|w| w.projected_secs).collect();
+        assert_eq!(projected, [3.5, 2.0, 4.0]);
+        assert_eq!(cp.project(|_, _| 1.0).to_bits(), 4.0f64.to_bits());
+    }
+
+    #[test]
+    fn a_chain_that_matches_no_op_is_an_error() {
+        let (stray, short, mut torn) = (chain(0.5, 4.0), chain(0.0, 3.0), chain(0.0, 4.0));
+        torn.segments[1].from = VTime::from_secs(2.0);
+        for (c, why) in [
+            (stray, "matches no op span"),
+            (short, "lasts"),
+            (torn, "joint"),
+        ] {
+            let err = TraceAnalysis::from_events(&one_round_op(), &[c]).unwrap_err();
+            assert!(err.contains("blame chain 0") && err.contains(why), "{err}");
         }
-        assert!((t.as_secs() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1018,7 +1134,7 @@ mod tests {
             ev("op", ENGINE_TRACK, span(0.0, 1.0), vec![], 0),
             round(5.0, [1.0, 0.0, 0.0, 0.0, 0.0], 0, 1),
         ];
-        let err = TraceAnalysis::from_events(&events).unwrap_err();
+        let err = TraceAnalysis::from_events(&events, &[]).unwrap_err();
         assert!(err.contains("outside"), "{err}");
     }
 
@@ -1027,7 +1143,7 @@ mod tests {
         let mut bad = round(0.0, [1.0, 0.0, 0.0, 0.0, 0.0], 0, 1);
         bad.kind = span(0.0, 2.0); // claims 2s, terms sum to 1s
         let events = vec![ev("op", ENGINE_TRACK, span(0.0, 2.0), vec![], 0), bad];
-        let err = TraceAnalysis::from_events(&events).unwrap_err();
+        let err = TraceAnalysis::from_events(&events, &[]).unwrap_err();
         assert!(err.contains("phase terms"), "{err}");
     }
 
@@ -1053,7 +1169,7 @@ mod tests {
             mem_ev("mem.release", 2.0, 0, 100, 150, 2),
             mem_ev("mem.release", 2.0, 0, 40, 150, 3),
         ];
-        let a = TraceAnalysis::from_events(&events).unwrap();
+        let a = TraceAnalysis::from_events(&events, &[]).unwrap();
         assert_eq!(a.memory.len(), 1);
         let tl = &a.memory[0];
         assert_eq!(tl.node, 0);
@@ -1088,7 +1204,7 @@ mod tests {
             ),
             mem_ev("mem.release", 5.0, 2, 100, 150, 3),
         ];
-        let a = TraceAnalysis::from_events(&events).unwrap();
+        let a = TraceAnalysis::from_events(&events, &[]).unwrap();
         let tl = &a.memory[0];
         assert!(!tl.within_ceiling());
         assert_eq!(tl.overflow.len(), 1);
@@ -1106,15 +1222,14 @@ mod tests {
             ev("op", ENGINE_TRACK, span(0.0, 2.0), vec![], 0),
             round(0.0, [1.0, 1.0, 0.0, 0.0, 0.0], 0, 1),
         ];
-        let mut a = TraceAnalysis::from_events(&events).unwrap();
+        let mut a = TraceAnalysis::from_events(&events, &[]).unwrap();
         a.counters.insert("round.count".into(), 1);
         let d = a.diff(&a.clone());
         assert!(d.is_zero(0.0));
-        assert!(d.table().contains("no deltas"));
 
         let mut b = a.clone();
         b.counters.insert("round.count".into(), 3);
-        b.ops[0].attribution.shuffle += 0.5;
+        b.ops[0].attribution.0[Phase::Shuffle as usize] += 0.5;
         let d = a.diff(&b);
         assert!(!d.is_zero(1e-12));
         let shuffle = d.phases.iter().find(|p| p.phase == Phase::Shuffle).unwrap();
@@ -1127,7 +1242,6 @@ mod tests {
                 .delta(),
             2
         );
-        assert!(d.table().contains("round.count"));
     }
 
     #[test]
@@ -1261,14 +1375,5 @@ mod tests {
         assert_eq!(r.secs(Phase::Assembly), 0.4);
         assert_eq!(r.secs(Phase::Gap), 0.0);
         assert_eq!(r.stragglers, [None, None, Some(6), Some(7), Some(8)]);
-    }
-
-    #[test]
-    fn phase_names_agree_with_round_phase() {
-        for name in PHASE_NAMES {
-            let p = Phase::round_phase(name).unwrap();
-            assert_eq!(p.name(), name);
-        }
-        assert_eq!(Phase::round_phase("prologue"), None);
     }
 }

@@ -1,11 +1,9 @@
-//! Message-level happens-before tracing: cross-rank critical paths,
-//! blame chains, and what-if projection.
+//! Message-level happens-before tracing: cross-rank blame chains.
 //!
-//! PR 5's critical path ([`crate::analyze::CriticalPath`]) tiles the
-//! *engine-track* op span by phase — it can say "shuffle dominated" but
-//! not *which* rank's send actually blocked *which* aggregator. This
-//! module follows real message causality instead: the network engine
-//! reports every send and every delivery settlement through the
+//! The round spans say which phase an op's time went to — "shuffle
+//! dominated" — but not *which* rank's send actually blocked *which*
+//! aggregator. This module follows real message causality: the network
+//! engine reports every send and every delivery settlement through the
 //! [`CausalSink`] hook, and an online longest-path DP folds them into a
 //! **per-rank frontier** at record time.
 //!
@@ -44,18 +42,17 @@
 //! every `ExecutorKind::Explore(seed)` — the same canonical-order
 //! argument as the streaming cells.
 //!
-//! ## Blame chains and what-if
+//! ## Blame chains
 //!
 //! At each op end the engine calls [`CausalAgg::op_end`] with the op
 //! window `[t0, end]`; walking the root frontier backwards and clamping
 //! at `t0` materializes the [`BlameChain`]: the actual
 //! rank → rank → storage sequence of segments whose joints are
 //! **bit-equal** and whose total is the single subtraction `end - t0` —
-//! bit-identical to `IoReport.elapsed` and the PR 5 op span. What-if
-//! projection ([`what_ifs`]) re-weights segment classes (optionally
-//! refined by PR 5 phase tiling) and reports the projected
-//! speed-of-light durations; the identity re-weighting reproduces the
-//! baseline bit-exactly.
+//! bit-identical to `IoReport.elapsed` and the op span. The analyzer
+//! cuts each chain at its op's phase windows into the op's
+//! [`crate::analyze::CriticalPath`], whose what-if projections re-price
+//! it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,8 +61,6 @@ use std::sync::{Arc, Mutex};
 use mccio_sim::causal::CausalSink;
 use mccio_sim::hostprof::{self, HostPhase};
 use mccio_sim::time::{VDuration, VTime};
-
-use crate::analyze::{CriticalPath, Phase};
 
 /// What a blame-chain segment's virtual time was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,30 +187,45 @@ impl BlameChain {
     /// # Errors
     /// Describes the first violated joint.
     pub fn verify_tiling(&self) -> Result<(), String> {
-        let bits = |t: VTime| t.as_secs().to_bits();
-        let mut cursor = self.start;
-        for (i, s) in self.segments.iter().enumerate() {
-            if bits(s.from) != bits(cursor) {
-                return Err(format!(
-                    "segment {i} starts at {} but the chain stands at {} (joint not bit-equal)",
-                    s.from.as_secs(),
-                    cursor.as_secs()
-                ));
-            }
-            if s.to.as_secs() < s.from.as_secs() {
-                return Err(format!("segment {i} has negative length"));
-            }
-            cursor = s.to;
-        }
-        if bits(cursor) != bits(self.end) {
+        verify_joints(
+            self.start,
+            self.end,
+            self.segments.iter().map(|s| (s.from, s.to)),
+        )
+    }
+}
+
+/// Checks that `(from, to)` slices tile `[start, end]`: the first starts
+/// at `start`, each starts where the previous ended and the last ends
+/// at `end`, all to the bit, and none has negative length.
+pub(crate) fn verify_joints(
+    start: VTime,
+    end: VTime,
+    slices: impl Iterator<Item = (VTime, VTime)>,
+) -> Result<(), String> {
+    let bits = |t: VTime| t.as_secs().to_bits();
+    let mut cursor = start;
+    for (i, (from, to)) in slices.enumerate() {
+        if bits(from) != bits(cursor) {
             return Err(format!(
-                "chain ends at {} but the op ends at {} (tail not bit-equal)",
-                cursor.as_secs(),
-                self.end.as_secs()
+                "segment {i} starts at {} but the path stands at {} (joint not bit-equal)",
+                from.as_secs(),
+                cursor.as_secs()
             ));
         }
-        Ok(())
+        if to.as_secs() < from.as_secs() {
+            return Err(format!("segment {i} has negative length"));
+        }
+        cursor = to;
     }
+    if bits(cursor) != bits(end) {
+        return Err(format!(
+            "segments end at {} but the op ends at {} (tail not bit-equal)",
+            cursor.as_secs(),
+            end.as_secs()
+        ));
+    }
+    Ok(())
 }
 
 /// One recorded message edge, retained on buffered (non-streaming)
@@ -532,227 +542,6 @@ impl CausalSink for CausalAgg {
     }
 }
 
-/// A blame-chain slice refined against the PR 5 phase tiling: the
-/// intersection of one [`BlameSegment`] with one engine phase segment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefinedSegment {
-    /// The rank whose timeline the slice lies on.
-    pub rank: u32,
-    /// The causal class of the parent blame segment.
-    pub class: SegClass,
-    /// The engine phase covering this slice, when a PR 5 critical path
-    /// was available to refine against.
-    pub phase: Option<Phase>,
-    /// Absolute virtual start.
-    pub from: VTime,
-    /// Absolute virtual end.
-    pub to: VTime,
-}
-
-impl RefinedSegment {
-    /// The slice's duration in seconds.
-    #[must_use]
-    pub fn secs(&self) -> f64 {
-        (self.to - self.from).as_secs()
-    }
-}
-
-/// Splits each blame segment at the PR 5 phase-tiling boundaries and
-/// labels each piece with the phase covering its midpoint. Without a
-/// path the chain passes through unrefined (`phase: None`).
-#[must_use]
-pub fn refine(chain: &BlameChain, path: Option<&CriticalPath>) -> Vec<RefinedSegment> {
-    let Some(path) = path else {
-        return chain
-            .segments
-            .iter()
-            .map(|s| RefinedSegment {
-                rank: s.rank,
-                class: s.class,
-                phase: None,
-                from: s.from,
-                to: s.to,
-            })
-            .collect();
-    };
-    // Phase windows in virtual-time order: (start, end, phase).
-    let windows: Vec<(f64, f64, Phase)> = path
-        .segments
-        .iter()
-        .map(|s| (s.start.as_secs(), (s.start + s.dur).as_secs(), s.phase))
-        .collect();
-    let phase_at = |t: f64| -> Option<Phase> {
-        windows
-            .iter()
-            .find(|&&(a, b, _)| t >= a && t < b)
-            .map(|&(_, _, p)| p)
-    };
-    let mut out = Vec::new();
-    for s in &chain.segments {
-        let (a, b) = (s.from.as_secs(), s.to.as_secs());
-        let mut cuts: Vec<f64> = windows
-            .iter()
-            .flat_map(|&(w0, w1, _)| [w0, w1])
-            .filter(|&c| c > a && c < b)
-            .collect();
-        cuts.sort_by(|x, y| x.partial_cmp(y).expect("virtual times are finite"));
-        cuts.dedup();
-        let mut lo = s.from;
-        for c in cuts.into_iter().map(VTime::from_secs).chain([s.to]) {
-            if c.as_secs() > lo.as_secs() {
-                let mid = (lo.as_secs() + c.as_secs()) / 2.0;
-                out.push(RefinedSegment {
-                    rank: s.rank,
-                    class: s.class,
-                    phase: phase_at(mid),
-                    from: lo,
-                    to: c,
-                });
-                lo = c;
-            }
-        }
-    }
-    out
-}
-
-/// One what-if projection: the chain re-priced under a re-weighting of
-/// its segment classes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WhatIf {
-    /// Scenario name (`"zero-network"`, `"infinite-pfs"`,
-    /// `"uniform-memory"`).
-    pub name: &'static str,
-    /// Projected chain seconds under the scenario.
-    pub projected_secs: f64,
-    /// `total / projected` (∞ when the scenario removes the whole
-    /// chain).
-    pub speedup: f64,
-}
-
-/// Re-prices the chain under `weight`: each refined slice's duration is
-/// scaled by `weight(class, phase) ∈ [0, 1]` and the projection is
-/// `total − Σ (1 − w)·dur`. The identity weighting (`w ≡ 1`) subtracts
-/// an exact `+0.0` per slice and therefore reproduces the baseline
-/// total **bit-exactly** — the no-op re-weight invariant the tests pin.
-#[must_use]
-pub fn project(
-    chain: &BlameChain,
-    refined: &[RefinedSegment],
-    weight: impl Fn(SegClass, Option<Phase>) -> f64,
-) -> f64 {
-    let removed: f64 = refined
-        .iter()
-        .map(|s| (1.0 - weight(s.class, s.phase)) * s.secs())
-        .sum();
-    chain.total().as_secs() - removed
-}
-
-/// The standard speed-of-light scenarios: zero network cost (transfer
-/// and sync-wait edges free), infinite PFS bandwidth (storage-phase
-/// chain time free), and uniform memory ceilings (backoff-phase chain
-/// time free). Phase-gated scenarios need a PR 5 `path` to refine
-/// against; without one they degrade to no-ops.
-#[must_use]
-pub fn what_ifs(chain: &BlameChain, path: Option<&CriticalPath>) -> Vec<WhatIf> {
-    let refined = refine(chain, path);
-    let total = chain.total().as_secs();
-    type ScenarioWeight = fn(SegClass, Option<Phase>) -> f64;
-    let scenarios: [(&'static str, ScenarioWeight); 3] = [
-        (
-            "zero-network",
-            |c, _| {
-                if c == SegClass::Work {
-                    1.0
-                } else {
-                    0.0
-                }
-            },
-        ),
-        ("infinite-pfs", |_, p| {
-            if p == Some(Phase::Storage) {
-                0.0
-            } else {
-                1.0
-            }
-        }),
-        ("uniform-memory", |_, p| {
-            if p == Some(Phase::Backoff) {
-                0.0
-            } else {
-                1.0
-            }
-        }),
-    ];
-    scenarios
-        .into_iter()
-        .map(|(name, w)| {
-            let projected = project(chain, &refined, w);
-            WhatIf {
-                name,
-                projected_secs: projected,
-                speedup: if projected > 0.0 {
-                    total / projected
-                } else {
-                    f64::INFINITY
-                },
-            }
-        })
-        .collect()
-}
-
-/// One op's causal analysis: its blame chain, the wait-vs-work split,
-/// and the standard what-if projections.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CausalOp {
-    /// The cross-rank blame chain.
-    pub chain: BlameChain,
-    /// Seconds on the chain spent waiting on in-flight messages.
-    pub wait_secs: f64,
-    /// Seconds on the chain spent in local work.
-    pub work_secs: f64,
-    /// Standard what-if projections ([`what_ifs`]).
-    pub what_ifs: Vec<WhatIf>,
-}
-
-/// The causal layer of a [`crate::analyze::TraceAnalysis`]: one
-/// [`CausalOp`] per collective operation, in op order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CausalAnalysis {
-    /// Per-op causal analyses.
-    pub ops: Vec<CausalOp>,
-}
-
-impl CausalAnalysis {
-    /// Pairs recorded chains with the PR 5 critical paths of the same
-    /// run (both are in op order; a chain is refined against the path
-    /// whose start matches it to the bit).
-    #[must_use]
-    pub fn from_chains(chains: &[BlameChain], paths: &[CriticalPath]) -> CausalAnalysis {
-        let ops = chains
-            .iter()
-            .enumerate()
-            .map(|(i, chain)| {
-                let path = paths
-                    .get(i)
-                    .filter(|p| p.start.as_secs().to_bits() == chain.start.as_secs().to_bits());
-                CausalOp {
-                    chain: chain.clone(),
-                    wait_secs: chain.wait_secs(),
-                    work_secs: chain.work_secs(),
-                    what_ifs: what_ifs(chain, path),
-                }
-            })
-            .collect();
-        CausalAnalysis { ops }
-    }
-
-    /// True when no chains were recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,52 +637,5 @@ mod tests {
             agg.on_delivery(0, seq, dst, t(0.1), t(1.0 + dst as f64 * 1e-9));
         }
         assert_eq!(agg.live_nodes(), 8, "one private node per bound rank");
-    }
-
-    #[test]
-    fn identity_reweight_reproduces_the_total_bit_exactly() {
-        let agg = CausalAgg::new(false);
-        let s = agg.on_send(0, 1, t(0.3), 16, true);
-        agg.on_delivery(0, s, 1, t(0.1), t(0.7));
-        agg.op_end(1, VTime::ZERO, t(1.1), "write");
-        let c = &agg.chains()[0];
-        let refined = refine(c, None);
-        let projected = project(c, &refined, |_, _| 1.0);
-        assert_eq!(
-            projected.to_bits(),
-            c.total().as_secs().to_bits(),
-            "no-op re-weight must be bit-identical to the baseline"
-        );
-        let zero_net = project(
-            c,
-            &refined,
-            |class, _| {
-                if class == SegClass::Work {
-                    1.0
-                } else {
-                    0.0
-                }
-            },
-        );
-        assert!((zero_net - (c.total().as_secs() - 0.4)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn what_ifs_without_a_path_gate_phase_scenarios_off() {
-        let agg = CausalAgg::new(false);
-        let s = agg.on_send(0, 1, t(0.3), 16, true);
-        agg.on_delivery(0, s, 1, t(0.1), t(0.7));
-        agg.op_end(1, VTime::ZERO, t(1.0), "write");
-        let c = &agg.chains()[0];
-        let wi = what_ifs(c, None);
-        assert_eq!(wi.len(), 3);
-        let by_name = |n: &str| wi.iter().find(|w| w.name == n).unwrap();
-        assert!(by_name("zero-network").projected_secs < c.total().as_secs());
-        // Phase-gated scenarios degrade to no-ops without a path.
-        assert_eq!(
-            by_name("infinite-pfs").projected_secs.to_bits(),
-            c.total().as_secs().to_bits()
-        );
-        assert_eq!(by_name("uniform-memory").speedup, 1.0);
     }
 }

@@ -26,8 +26,10 @@
 //!   emitted artifacts (the workspace is dependency-free by design);
 //! * [`analyze`] — trace analytics over a sink or a replayed JSONL
 //!   artifact (parsed back into the same [`Event`] type): the one
-//!   decoder of the round span ([`Round`]), critical-path extraction
-//!   with per-phase attribution and straggler naming, exact per-node
+//!   decoder of the round span ([`Round`]), one critical path per op —
+//!   its blame chain (or, untraced, rank 0's work) cut at the rounds'
+//!   phase windows, with per-phase attribution, straggler naming and
+//!   what-if projections as views of it — exact per-node
 //!   memory-occupancy timelines, and structured A/B run diffing;
 //! * [`stream`] — bounded-memory streaming aggregation for extreme
 //!   rank counts: online per-cell statistics, deterministic top-k
@@ -35,11 +37,11 @@
 //!   [`ObsSink::streaming`]);
 //! * [`causal`] — message-level happens-before tracing: an online
 //!   longest-path fold over every network delivery (O(ranks + path)
-//!   memory), cross-rank blame chains that tile each op's elapsed time
-//!   to the bit, and what-if projection under re-weighted edge classes
-//!   (armed via [`ObsSink::with_causal`]);
+//!   memory) and cross-rank blame chains that tile each op's elapsed
+//!   time to the bit (armed via [`ObsSink::with_causal`]);
 //! * [`report`] — a self-contained HTML report (inline SVG timeline
-//!   lanes, critical path, occupancy strip charts; zero dependencies).
+//!   lanes, the critical path with its blame-chain table, occupancy
+//!   strip charts; zero dependencies).
 //!
 //! ## Quick example
 //!
@@ -76,14 +78,12 @@ pub mod sink;
 pub mod span;
 pub mod stream;
 
-pub use analyze::{CriticalPath, MemTimeline, Phase, Round, RunDiff, TraceAnalysis};
-pub use causal::{
-    BlameChain, BlameSegment, CausalAgg, CausalAnalysis, CausalEdge, CausalOp, SegClass, WhatIf,
-};
+pub use analyze::{CriticalPath, MemTimeline, Phase, Round, RunDiff, TraceAnalysis, WhatIf};
+pub use causal::{BlameChain, BlameSegment, CausalAgg, CausalEdge, SegClass};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use sink::ObsSink;
 pub use span::{
-    AttrValue, Event, EventKind, CRASH_DETECTED, ENGINE_TRACK, INTEGRITY_VERIFIED, PHASE_NAMES,
-    REELECTION, ROUNDS_REPLAYED,
+    AttrValue, Event, EventKind, CRASH_DETECTED, ENGINE_TRACK, INTEGRITY_VERIFIED, REELECTION,
+    ROUNDS_REPLAYED,
 };
 pub use stream::{OnlineStat, StreamAgg, StreamCell, StreamConfig};

@@ -25,11 +25,6 @@ use mccio_sim::time::{VDuration, VTime};
 /// the rank number; this sits far above any plausible rank count.
 pub const ENGINE_TRACK: u32 = 1_000_000;
 
-/// The five priced round phases in pricing order — the names the engine
-/// gives the child spans tiling each `"round"` span, and the order the
-/// analyzer walks them back in.
-pub const PHASE_NAMES: [&str; 5] = ["sync", "shuffle", "storage", "assembly", "backoff"];
-
 /// The crash-recovery event family the engine emits when a fault plan
 /// schedules rank crashes. Grouped here so trace consumers (and the
 /// chaos sweep) key off one vocabulary:

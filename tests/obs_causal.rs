@@ -9,7 +9,7 @@
 use mccio_suite::core::prelude::*;
 use mccio_suite::mpiio::IoReport;
 use mccio_suite::net::ExecutorKind;
-use mccio_suite::obs::{causal, BlameChain, ObsSink, SegClass, StreamConfig, TraceAnalysis};
+use mccio_suite::obs::{BlameChain, ObsSink, SegClass, StreamConfig, TraceAnalysis};
 use mccio_suite::sim::cost::CostModel;
 use mccio_suite::sim::time::{VDuration, VTime};
 use mccio_suite::sim::topology::{test_cluster, FillOrder, Placement};
@@ -129,21 +129,26 @@ fn blame_chain_tiles_op_elapsed_to_the_bit() {
             let sink = ObsSink::enabled().with_causal();
             let reports = run_traced(&*strategy, kind, &sink, Some(skew_plan()));
             let analysis = TraceAnalysis::of_sink(&sink).expect("analyzable trace");
-            let causal = analysis.causal.as_ref().expect("causal layer populated");
-            assert_eq!(causal.ops.len(), 2, "one chain per op (write, read)");
-            assert_eq!(analysis.ops.len(), 2);
+            assert_eq!(analysis.ops.len(), 2, "one op per direction (write, read)");
             let (w0, r0) = &reports[0];
-            for (i, (op, rank0_elapsed)) in
-                causal.ops.iter().zip([w0.elapsed, r0.elapsed]).enumerate()
+            for (i, (op, rank0_elapsed)) in analysis
+                .ops
+                .iter()
+                .zip([w0.elapsed, r0.elapsed])
+                .enumerate()
             {
                 let who = format!("{} {kind:?} op {i}", strategy.name());
-                let chain = &op.chain;
+                let chain = op.chain.as_ref().expect("one chain per op");
                 assert_well_formed(chain, &who);
+                // The op's critical path is that chain cut at its phase
+                // windows, so it tiles the same span to the bit.
+                op.verify_tiling()
+                    .unwrap_or_else(|e| panic!("{who}: critical path: {e}"));
                 // The chain total is the op span's priced duration and
                 // rank 0's reported elapsed time, to the bit.
                 assert_eq!(
                     chain.total().as_secs().to_bits(),
-                    analysis.ops[i].total.as_secs().to_bits(),
+                    op.total.as_secs().to_bits(),
                     "{who}: chain total != critical-path total"
                 );
                 // Under an active fault plan `IoReport.elapsed` spans
@@ -164,7 +169,7 @@ fn blame_chain_tiles_op_elapsed_to_the_bit() {
                 // The wait/work split partitions the total (f64 sums,
                 // so up to rounding).
                 assert!(
-                    (op.wait_secs + op.work_secs - chain.total().as_secs()).abs() < 1e-9,
+                    (chain.wait_secs() + chain.work_secs() - chain.total().as_secs()).abs() < 1e-9,
                     "{who}: wait+work does not partition the total"
                 );
             }
@@ -268,14 +273,11 @@ fn identity_what_if_reproduces_baseline_bit_exactly() {
         Some(skew_plan()),
     );
     let analysis = TraceAnalysis::of_sink(&sink).unwrap();
-    let causal = analysis.causal.as_ref().unwrap();
-    for (i, op) in causal.ops.iter().enumerate() {
-        let chain = &op.chain;
-        let path = &analysis.ops[i];
-        // Refined against the real PR 5 phase tiling, the identity
-        // re-weighting must reproduce the total bit-exactly.
-        let refined = causal::refine(chain, Some(path));
-        let projected = causal::project(chain, &refined, |_, _| 1.0);
+    for (i, op) in analysis.ops.iter().enumerate() {
+        let chain = op.chain.as_ref().expect("one chain per op");
+        // Cut at the real phase windows, the identity re-weighting must
+        // reproduce the total bit-exactly.
+        let projected = op.project(|_, _| 1.0);
         assert_eq!(
             projected.to_bits(),
             chain.total().as_secs().to_bits(),
@@ -283,7 +285,8 @@ fn identity_what_if_reproduces_baseline_bit_exactly() {
         );
         // Real scenarios can only help, and zero-network must help on
         // any chain with a message hop.
-        for w in &op.what_ifs {
+        let what_ifs = op.what_ifs();
+        for w in &what_ifs {
             assert!(
                 w.projected_secs <= chain.total().as_secs() + 1e-12,
                 "op {i} {}: projection exceeds the baseline",
@@ -291,14 +294,28 @@ fn identity_what_if_reproduces_baseline_bit_exactly() {
             );
             assert!(w.speedup >= 1.0, "op {i} {}: speedup below 1", w.name);
         }
-        let zero_net = op
-            .what_ifs
-            .iter()
-            .find(|w| w.name == "zero-network")
-            .unwrap();
+        let zero_net = what_ifs.iter().find(|w| w.name == "zero-network").unwrap();
         assert!(
             zero_net.projected_secs < chain.total().as_secs(),
             "op {i}: zero-network must remove the chain's wait time"
+        );
+    }
+    // Without its chains the same trace analyzes to rank 0's work alone:
+    // nothing waits, so zero-network, like the identity, is the total to
+    // the bit.
+    let unchained = sink
+        .with_events(|events| TraceAnalysis::from_events(events, &[]))
+        .unwrap();
+    assert_eq!(unchained.ops.len(), analysis.ops.len());
+    for (i, op) in unchained.ops.iter().enumerate() {
+        assert!(op.chain.is_none());
+        let total = op.total.as_secs().to_bits();
+        assert_eq!(op.project(|_, _| 1.0).to_bits(), total, "op {i}: identity");
+        let zero_net = op.what_ifs().into_iter().find(|w| w.name == "zero-network");
+        assert_eq!(
+            zero_net.map(|w| w.projected_secs.to_bits()),
+            Some(total),
+            "op {i}: zero-network without a chain"
         );
     }
 }
