@@ -219,7 +219,7 @@ fn report_mode(mode: &str, outdir: &str) {
                 op.attribution.dominant().name(),
                 op.top_straggler()
                     .map_or("none".to_string(), |(r, n)| format!(
-                        "rank {r} ({n} rounds)"
+                        "rank {r} ({n} priced terms)"
                     )),
             );
         }

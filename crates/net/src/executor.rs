@@ -72,12 +72,12 @@
 //! ## Stacks
 //!
 //! Task stacks are carved out of one private anonymous mapping (100k
-//! separate mappings would exhaust `vm.max_map_count`), reserved with
-//! `MAP_NORESERVE` so that it commits only the pages tasks touch, and
-//! sized by `MCCIO_STACK_KIB` (default 128 KiB, min 64, rounded up to
-//! whole 4 KiB pages). The stack tops are page-aligned and the executor
-//! writes nothing but each top's seeded frame, so a task whose frames
-//! stay within 4 KiB of its top commits exactly one page. On the
+//! separate mappings would exhaust `vm.max_map_count`), a base-page
+//! [`mccio_sim::vmem::Reservation`] that commits only the pages tasks
+//! touch, sized by `MCCIO_STACK_KIB` (default 128 KiB, min 64, rounded
+//! up to whole 4 KiB pages). The stack tops are page-aligned and the
+//! executor writes nothing but each top's seeded frame, so a task whose
+//! frames stay within 4 KiB of its top commits exactly one page. On the
 //! perfbench `ior-5k` workload (5,040 ranks, release) the deepest park
 //! is 3.4 KiB down and 4,696 tasks commit one page; aggregators, whose
 //! storage hops run deeper, commit two or three. The frames on the park
@@ -107,7 +107,6 @@
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
-use std::ffi::{c_int, c_void};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -116,6 +115,7 @@ use std::sync::Arc;
 
 use mccio_sim::hostprof::{self, HostPhase};
 use mccio_sim::rng::splitmix64;
+use mccio_sim::vmem;
 use mccio_sim::VTime;
 
 use crate::engine::{Ctx, World};
@@ -136,8 +136,6 @@ const RED_ZONE: usize = 16 * 1024;
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 compile_error!("mccio-net's rank executor has a context switch for x86_64 and aarch64 only");
-#[cfg(not(any(target_os = "linux", target_os = "macos")))]
-compile_error!("mccio-net's stack slab uses the Linux and macOS `mmap` flags only");
 
 // ---------------------------------------------------------------------
 // Context switch: save callee-saved state on the current stack, store
@@ -700,49 +698,15 @@ pub fn thread_slab() -> Option<Range<usize>> {
     SLAB_CACHE.with(|c| {
         c.borrow()
             .as_ref()
-            .map(|s| s.base as usize..s.base as usize + s.len)
+            .map(|s| s.map.base() as usize..s.map.base() as usize + s.map.size())
     })
 }
 
-const PROT_READ: c_int = 0x1;
-const PROT_WRITE: c_int = 0x2;
-const MAP_PRIVATE: c_int = 0x02;
-#[cfg(target_os = "linux")]
-const MAP_ANONYMOUS: c_int = 0x20;
-#[cfg(target_os = "linux")]
-const MAP_NORESERVE: c_int = 0x4000;
-#[cfg(target_os = "macos")]
-const MAP_ANONYMOUS: c_int = 0x1000;
-#[cfg(target_os = "macos")]
-const MAP_NORESERVE: c_int = 0x40;
-#[cfg(target_os = "linux")]
-const MADV_NOHUGEPAGE: c_int = 15;
-
-// From the libc std already links: no crate needed.
-extern "C" {
-    fn mmap(
-        addr: *mut c_void,
-        len: usize,
-        prot: c_int,
-        flags: c_int,
-        fd: c_int,
-        offset: i64,
-    ) -> *mut c_void;
-    fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
-    fn getpagesize() -> c_int;
-    #[cfg(target_os = "linux")]
-    fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-}
-
-/// Every task stack of a run, back to back in one private anonymous
-/// mapping (100k separate mappings would exhaust `vm.max_map_count`).
-/// The mapping is page-aligned and reserves no swap, so each stack
-/// commits only the pages its task touches; the executor writes nothing
-/// but each stack's seeded top frame.
+/// Every task stack of a run, back to back in one [`vmem::Reservation`]
+/// mapping: each stack commits only the pages its task touches, and the
+/// executor writes nothing but each stack's seeded top frame.
 struct Slab {
-    base: *mut u8,
-    len: usize,
+    map: vmem::Reservation,
     /// Bytes per stack, a whole number of pages.
     stack: usize,
 }
@@ -750,48 +714,21 @@ struct Slab {
 impl Slab {
     fn map(stacks: usize, stack: usize) -> Slab {
         let len = stacks.checked_mul(stack).expect("stack slab size overflow");
-        // SAFETY: an anonymous mapping at an address of the kernel's
-        // choosing aliases nothing.
-        let base = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len.max(1),
-                PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
-                -1,
-                0,
-            )
-        };
-        assert!(
-            base as isize != -1,
-            "cannot map {stacks} task stacks of {stack} bytes: {}",
-            std::io::Error::last_os_error()
-        );
-        // A host that backs anonymous memory with huge pages by default
-        // would commit 2 MiB where a task touches 4 KiB. Advisory: a
-        // refusal leaves the slab correct, only larger.
-        #[cfg(target_os = "linux")]
-        // SAFETY: advice on the mapping just made; it moves no data.
-        unsafe {
-            madvise(base, len.max(1), MADV_NOHUGEPAGE)
-        };
-        Slab {
-            base: base.cast(),
-            len,
-            stack,
-        }
+        let map = vmem::Reservation::new(len, false)
+            .unwrap_or_else(|e| panic!("cannot map {stacks} task stacks of {stack} bytes: {e}"));
+        Slab { map, stack }
     }
 
     /// Whether this slab can serve `stacks` stacks of `stack` bytes.
     /// Only at the same stack size: elsewhere a stale frame of an
     /// earlier run could sit on a stack's low word.
     fn fits(&self, stacks: usize, stack: usize) -> bool {
-        self.stack == stack && self.len / stack >= stacks
+        self.stack == stack && self.map.size() / stack >= stacks
     }
 
     /// The low end of `rank`'s stack; its top is one stack higher.
     fn low(&self, rank: usize) -> usize {
-        self.base as usize + rank * self.stack
+        self.map.base() as usize + rank * self.stack
     }
 
     /// The low word of `rank`'s stack. The executor never writes it, so
@@ -812,7 +749,7 @@ impl Slab {
     fn first_tripped(&self, n: usize) -> Option<usize> {
         const CHUNK: usize = 1024;
         // SAFETY: no arguments; returns the system page size.
-        let page = unsafe { getpagesize() } as usize;
+        let page = unsafe { vmem::getpagesize() } as usize;
         let mut resident = Vec::new();
         for first in (0..n).step_by(CHUNK) {
             let ranks = first..n.min(first + CHUNK);
@@ -823,7 +760,7 @@ impl Slab {
             // SAFETY: `start` is page-aligned and `[start, start + len)`
             // lies in the mapping; `resident` holds a byte per page.
             let queried =
-                unsafe { mincore(start as *mut _, len, resident.as_mut_ptr().cast()) } == 0;
+                unsafe { vmem::mincore(start as *mut _, len, resident.as_mut_ptr().cast()) } == 0;
             let hit = ranks.clone().find(|&rank| {
                 let mapped = !queried || resident[(self.low(rank) - start) / page] & 1 != 0;
                 mapped && self.tripwire(rank) != 0
@@ -833,14 +770,6 @@ impl Slab {
             }
         }
         None
-    }
-}
-
-impl Drop for Slab {
-    fn drop(&mut self) {
-        // SAFETY: unmaps exactly the mapping `map` made; nothing
-        // borrows it once the slab is dropped.
-        unsafe { munmap(self.base.cast(), self.len.max(1)) };
     }
 }
 

@@ -11,22 +11,102 @@
 //! There is deliberately no client-side cache: the paper's evaluation
 //! flushes caches between write and read phases, so cold reads are the
 //! behaviour to reproduce.
+//!
+//! Each file's bytes live in one [`FILE_CAP`]-byte reservation on
+//! transparent huge pages ([`mccio_sim::vmem::Reservation`]), unmapped
+//! when its last handle drops. A write past EOF grows the file by a
+//! length update, after one `MADV_POPULATE_WRITE` faults in the new
+//! whole pages (where the kernel refuses it, they fault in on first
+//! touch). Nothing is copied or zero-filled: the mapping starts zeroed
+//! and the file never shrinks, so every byte at or past its length
+//! reads zero.
 
 use std::collections::HashMap;
+use std::ffi::c_int;
 use std::sync::Arc;
 
 use mccio_sim::error::{SimError, SimResult};
 use mccio_sim::sync::{Mutex, MutexGuard, RwLock};
+use mccio_sim::vmem;
 
 use crate::retry::IoFaults;
 use crate::service::{PfsParams, ServiceReport};
 use crate::striping::Striping;
 
+/// Bytes one file can hold: the size of its reservation. It commits
+/// nothing until written, is ~40× the largest file a shipped run
+/// writes (1.5 GiB at 100,800 ranks), and 2,048 of them fit in the
+/// 128 TiB user address space of x86_64 and 48-bit aarch64.
+pub const FILE_CAP: u64 = 64 << 30;
+
+/// One file: the first `len` bytes of its reservation.
 #[derive(Debug)]
 struct FileObject {
-    data: RwLock<Vec<u8>>,
+    name: String,
+    map: vmem::Reservation,
+    /// The file's length; the lock also guards the bytes.
+    len: RwLock<usize>,
     /// Serializes read-modify-write cycles (data sieving writes).
     rmw: Mutex<()>,
+}
+
+impl FileObject {
+    fn new(name: &str) -> FileObject {
+        let map = vmem::Reservation::new(FILE_CAP as usize, true)
+            .unwrap_or_else(|e| panic!("file {name:?}: cannot reserve {FILE_CAP} bytes: {e}"));
+        FileObject {
+            name: name.to_string(),
+            map,
+            len: RwLock::new(0),
+            rmw: Mutex::new(()),
+        }
+    }
+
+    fn len(&self) -> u64 {
+        *self.len.read() as u64
+    }
+
+    /// Runs `consume` on the file's bytes.
+    fn read<R>(&self, consume: impl FnOnce(&[u8]) -> R) -> R {
+        let len = self.len.read();
+        // SAFETY: `[0, len)` lies in the reservation, and writers hold
+        // the write lock.
+        consume(unsafe { std::slice::from_raw_parts(self.map.base(), *len) })
+    }
+
+    /// Runs `fill` on bytes `[offset, end)`, growing the file to `end`
+    /// first if it is shorter.
+    fn write(&self, offset: usize, end: usize, fill: impl FnOnce(&mut [u8])) {
+        let mut len = self.len.write();
+        if *len < end {
+            self.grow(&mut len, end, vmem::POPULATE_WRITE);
+        }
+        // SAFETY: `offset <= end <= len`, inside the reservation, and
+        // the write lock excludes every other access.
+        fill(unsafe { std::slice::from_raw_parts_mut(self.map.base().add(offset), end - offset) });
+    }
+
+    /// Sets the length to `end`, first asking the kernel with `advice`
+    /// to fault in the new whole pages. Returns whether it did; if not,
+    /// they fault in on first touch.
+    fn grow(&self, len: &mut usize, end: usize, advice: Option<c_int>) -> bool {
+        assert!(
+            end as u64 <= FILE_CAP,
+            "file {:?} is capped at {FILE_CAP} bytes; a write would end at byte {end}",
+            self.name
+        );
+        // SAFETY: no arguments; returns the system page size.
+        let page = unsafe { vmem::getpagesize() } as usize;
+        let (from, to) = (len.next_multiple_of(page), end.next_multiple_of(page));
+        *len = end;
+        // SAFETY: whole pages inside the reservation, past every byte
+        // ever written; the advice moves no data.
+        advice.is_some_and(|advice| {
+            to > from
+                && unsafe { vmem::madvise(self.map.base().add(from).cast(), to - from, advice) }
+                    == 0
+        })
+    }
 }
 
 /// The file system: a namespace of striped files plus the cost
@@ -43,6 +123,19 @@ struct FsInner {
     files: Mutex<HashMap<String, Arc<FileObject>>>,
     /// Cumulative per-server traffic since construction.
     server_stats: Vec<ServerCounters>,
+}
+
+impl FsInner {
+    fn account(&self, report: &ServiceReport) {
+        use std::sync::atomic::Ordering;
+        for (srv, load) in report.loads().iter().enumerate() {
+            if load.requests > 0 {
+                let c = &self.server_stats[srv];
+                c.bytes.fetch_add(load.bytes, Ordering::Relaxed);
+                c.requests.fetch_add(load.requests, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -75,12 +168,6 @@ impl FileSystem {
         }
     }
 
-    /// The striping layout applied to every file.
-    #[must_use]
-    pub fn striping(&self) -> Striping {
-        self.inner.striping
-    }
-
     /// Storage cost parameters.
     #[must_use]
     pub fn params(&self) -> PfsParams {
@@ -99,10 +186,7 @@ impl FileSystem {
         if files.contains_key(name) {
             return Err(SimError::FileExists(name.to_string()));
         }
-        let obj = Arc::new(FileObject {
-            data: RwLock::new(Vec::new()),
-            rmw: Mutex::new(()),
-        });
+        let obj = Arc::new(FileObject::new(name));
         files.insert(name.to_string(), Arc::clone(&obj));
         Ok(self.handle(obj))
     }
@@ -157,11 +241,7 @@ impl FileSystem {
     /// attribute the store tracks).
     #[must_use]
     pub fn stat(&self, name: &str) -> Option<u64> {
-        self.inner
-            .files
-            .lock()
-            .get(name)
-            .map(|f| f.data.read().len() as u64)
+        self.inner.files.lock().get(name).map(|f| f.len())
     }
 
     /// Cumulative per-server usage since the file system was created —
@@ -179,22 +259,9 @@ impl FileSystem {
             .collect()
     }
 
-    fn account(&self, report: &ServiceReport) {
-        use std::sync::atomic::Ordering;
-        for (srv, load) in report.loads().iter().enumerate() {
-            if load.requests > 0 {
-                let c = &self.inner.server_stats[srv];
-                c.bytes.fetch_add(load.bytes, Ordering::Relaxed);
-                c.requests.fetch_add(load.requests, Ordering::Relaxed);
-            }
-        }
-    }
-
     fn handle(&self, file: Arc<FileObject>) -> FileHandle {
         FileHandle {
             file,
-            striping: self.inner.striping,
-            n_servers: self.inner.striping.n_servers,
             fs: Arc::clone(&self.inner),
         }
     }
@@ -205,8 +272,6 @@ impl FileSystem {
 #[derive(Debug, Clone)]
 pub struct FileHandle {
     file: Arc<FileObject>,
-    striping: Striping,
-    n_servers: usize,
     fs: Arc<FsInner>,
 }
 
@@ -214,19 +279,13 @@ impl FileHandle {
     /// Number of servers the file is striped over.
     #[must_use]
     pub fn n_servers(&self) -> usize {
-        self.n_servers
-    }
-
-    /// The striping layout of this file.
-    #[must_use]
-    pub fn striping(&self) -> Striping {
-        self.striping
+        self.fs.striping.n_servers
     }
 
     /// Current file length in bytes.
     #[must_use]
     pub fn len(&self) -> u64 {
-        self.file.data.read().len() as u64
+        self.file.len()
     }
 
     /// True when the file holds no bytes.
@@ -235,54 +294,19 @@ impl FileHandle {
         self.len() == 0
     }
 
-    /// Writes `data` at `offset`, growing (zero-filling) the file as
-    /// needed. Returns the per-server request shape of the access.
+    /// Writes `data` at `offset`, growing the file as needed (a hole
+    /// before `offset` reads as zero). Returns the per-server request
+    /// shape of the access.
     pub fn write_at(&self, offset: u64, data: &[u8]) -> ServiceReport {
-        let mut report = ServiceReport::empty(self.n_servers);
-        if data.is_empty() {
-            return report;
-        }
-        for ext in self.striping.extents(offset, data.len() as u64) {
-            report.add_request(ext.server, ext.len);
-        }
-        let end = offset as usize + data.len();
-        {
-            let mut bytes = self.file.data.write();
-            if bytes.len() < end {
-                bytes.resize(end, 0);
-            }
-            bytes[offset as usize..end].copy_from_slice(data);
-        }
-        FileSystem {
-            inner: Arc::clone(&self.fs),
-        }
-        .account(&report);
-        report
+        self.write_at_with(offset, data.len() as u64, |dst| dst.copy_from_slice(data))
     }
 
     /// Reads `buf.len()` bytes at `offset` into `buf`. Bytes beyond EOF
     /// read as zero (sparse-file semantics — collective readers may
     /// legitimately cover holes). Returns the request shape.
     pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> ServiceReport {
-        let mut report = ServiceReport::empty(self.n_servers);
-        if buf.is_empty() {
-            return report;
-        }
-        for ext in self.striping.extents(offset, buf.len() as u64) {
-            report.add_request(ext.server, ext.len);
-        }
-        {
-            let bytes = self.file.data.read();
-            let start = (offset.min(bytes.len() as u64)) as usize;
-            let n = (bytes.len() - start).min(buf.len());
-            buf[..n].copy_from_slice(&bytes[start..start + n]);
-            buf[n..].fill(0);
-        }
-        FileSystem {
-            inner: Arc::clone(&self.fs),
-        }
-        .account(&report);
-        report
+        self.read_at_with(offset, buf.len() as u64, copy_into(buf))
+            .1
     }
 
     /// Convenience allocation-returning read.
@@ -297,34 +321,22 @@ impl FileHandle {
     /// produced in place: `fill` receives the destination file slice
     /// and must write every byte of it. Built for gather-style callers
     /// (the collective round engine) that would otherwise assemble the
-    /// span in a staging buffer only to copy it here — the request
-    /// shape, growth, and server accounting are identical to a
-    /// `write_at` of the same range.
+    /// span in a staging buffer only to copy it here.
+    ///
+    /// # Panics
+    /// If the write would end past [`FILE_CAP`].
     pub fn write_at_with(
         &self,
         offset: u64,
         len: u64,
         fill: impl FnOnce(&mut [u8]),
     ) -> ServiceReport {
-        let mut report = ServiceReport::empty(self.n_servers);
-        if len == 0 {
-            return report;
+        let report = self.requests(offset, len, true);
+        if len > 0 {
+            self.file
+                .write(offset as usize, (offset + len) as usize, fill);
+            self.fs.account(&report);
         }
-        for ext in self.striping.extents(offset, len) {
-            report.add_request(ext.server, ext.len);
-        }
-        let end = (offset + len) as usize;
-        {
-            let mut bytes = self.file.data.write();
-            if bytes.len() < end {
-                bytes.resize(end, 0);
-            }
-            fill(&mut bytes[offset as usize..end]);
-        }
-        FileSystem {
-            inner: Arc::clone(&self.fs),
-        }
-        .account(&report);
         report
     }
 
@@ -342,20 +354,10 @@ impl FileHandle {
         faults: &mut IoFaults,
         fill: impl FnOnce(&mut [u8]),
     ) -> SimResult<ServiceReport> {
-        if len == 0 || !faults.can_fail() {
-            return Ok(self.write_at_with(offset, len, fill));
-        }
-        let mut wasted = ServiceReport::empty(self.n_servers);
-        let mut report = faults.run(
-            || wasted.merge(&self.failed_attempt_report(offset, len)),
-            || self.write_at_with(offset, len, fill),
-        )?;
-        FileSystem {
-            inner: Arc::clone(&self.fs),
-        }
-        .account(&wasted);
-        report.merge(&wasted);
-        Ok(report)
+        self.fallible(offset, len, faults, || {
+            ((), self.write_at_with(offset, len, fill))
+        })
+        .map(|((), report)| report)
     }
 
     /// One contiguous read of `len` bytes at `offset`, priced and
@@ -372,23 +374,14 @@ impl FileHandle {
         len: u64,
         consume: impl FnOnce(&[u8]) -> R,
     ) -> (R, ServiceReport) {
-        let mut report = ServiceReport::empty(self.n_servers);
-        if len > 0 {
-            for ext in self.striping.extents(offset, len) {
-                report.add_request(ext.server, ext.len);
-            }
-        }
-        let r = {
-            let bytes = self.file.data.read();
-            let start = (offset.min(bytes.len() as u64)) as usize;
+        let report = self.requests(offset, len, true);
+        let r = self.file.read(|bytes| {
+            let start = offset.min(bytes.len() as u64) as usize;
             let n = (bytes.len() - start).min(len as usize);
             consume(&bytes[start..start + n])
-        };
+        });
         if len > 0 {
-            FileSystem {
-                inner: Arc::clone(&self.fs),
-            }
-            .account(&report);
+            self.fs.account(&report);
         }
         (r, report)
     }
@@ -406,31 +399,9 @@ impl FileHandle {
         faults: &mut IoFaults,
         consume: impl FnOnce(&[u8]) -> R,
     ) -> SimResult<(R, ServiceReport)> {
-        if len == 0 || !faults.can_fail() {
-            return Ok(self.read_at_with(offset, len, consume));
-        }
-        let mut wasted = ServiceReport::empty(self.n_servers);
-        let (r, mut report) = faults.run(
-            || wasted.merge(&self.failed_attempt_report(offset, len)),
-            || self.read_at_with(offset, len, consume),
-        )?;
-        FileSystem {
-            inner: Arc::clone(&self.fs),
-        }
-        .account(&wasted);
-        report.merge(&wasted);
-        Ok((r, report))
-    }
-
-    /// The wasted per-server round-trips of one *failed* attempt at this
-    /// access: the request fans out and pays its overhead at every
-    /// touched server, but moves no payload.
-    fn failed_attempt_report(&self, offset: u64, len: u64) -> ServiceReport {
-        let mut wasted = ServiceReport::empty(self.n_servers);
-        for ext in self.striping.extents(offset, len) {
-            wasted.add_request(ext.server, 0);
-        }
-        wasted
+        self.fallible(offset, len, faults, || {
+            self.read_at_with(offset, len, consume)
+        })
     }
 
     /// [`FileHandle::write_at`] through a fallible request path: each
@@ -450,20 +421,9 @@ impl FileHandle {
         data: &[u8],
         faults: &mut IoFaults,
     ) -> SimResult<ServiceReport> {
-        if data.is_empty() || !faults.can_fail() {
-            return Ok(self.write_at(offset, data));
-        }
-        let mut wasted = ServiceReport::empty(self.n_servers);
-        let mut report = faults.run(
-            || wasted.merge(&self.failed_attempt_report(offset, data.len() as u64)),
-            || self.write_at(offset, data),
-        )?;
-        FileSystem {
-            inner: Arc::clone(&self.fs),
-        }
-        .account(&wasted);
-        report.merge(&wasted);
-        Ok(report)
+        self.try_write_at_with(offset, data.len() as u64, faults, |dst| {
+            dst.copy_from_slice(data);
+        })
     }
 
     /// [`FileHandle::read_into`] through a fallible request path; see
@@ -478,26 +438,43 @@ impl FileHandle {
         buf: &mut [u8],
         faults: &mut IoFaults,
     ) -> SimResult<ServiceReport> {
-        if buf.is_empty() || !faults.can_fail() {
-            return Ok(self.read_into(offset, buf));
-        }
-        let mut wasted = ServiceReport::empty(self.n_servers);
-        let len = buf.len() as u64;
-        let mut report = faults.run(
-            || wasted.merge(&self.failed_attempt_report(offset, len)),
-            || self.read_into(offset, buf),
-        )?;
-        FileSystem {
-            inner: Arc::clone(&self.fs),
-        }
-        .account(&wasted);
-        report.merge(&wasted);
-        Ok(report)
+        self.try_read_at_with(offset, buf.len() as u64, faults, copy_into(buf))
+            .map(|((), report)| report)
     }
 
-    /// Truncates (or zero-extends) the file to `len` bytes.
-    pub fn truncate(&self, len: u64) {
-        self.file.data.write().resize(len as usize, 0);
+    /// The request shape of an access: one request per touched object
+    /// extent, carrying its bytes when `moved` (a failed attempt's
+    /// requests move none).
+    fn requests(&self, offset: u64, len: u64, moved: bool) -> ServiceReport {
+        let mut report = ServiceReport::empty(self.n_servers());
+        if len > 0 {
+            for ext in self.fs.striping.extents(offset, len) {
+                report.add_request(ext.server, if moved { ext.len } else { 0 });
+            }
+        }
+        report
+    }
+
+    /// Runs `access` of `len` bytes at `offset` under `faults`' retry
+    /// policy: every failed attempt charges the access's requests with
+    /// no payload, accounted and merged into the successful attempt's
+    /// report.
+    fn fallible<R>(
+        &self,
+        offset: u64,
+        len: u64,
+        faults: &mut IoFaults,
+        access: impl FnOnce() -> (R, ServiceReport),
+    ) -> SimResult<(R, ServiceReport)> {
+        if len == 0 || !faults.can_fail() {
+            return Ok(access());
+        }
+        let mut wasted = ServiceReport::empty(self.n_servers());
+        let (r, mut report) =
+            faults.run(|| wasted.merge(&self.requests(offset, len, false)), access)?;
+        self.fs.account(&wasted);
+        report.merge(&wasted);
+        Ok((r, report))
     }
 
     /// Takes the file's read-modify-write lock. Data-sieving writes hold
@@ -505,6 +482,15 @@ impl FileHandle {
     /// to overlapping regions cannot lose updates.
     pub fn rmw_lock(&self) -> MutexGuard<'_, ()> {
         self.file.rmw.lock()
+    }
+}
+
+/// A read consumer that copies the in-file bytes into `buf` and zeroes
+/// the rest of it, past EOF.
+fn copy_into(buf: &mut [u8]) -> impl FnOnce(&[u8]) + '_ {
+    |src| {
+        buf[..src.len()].copy_from_slice(src);
+        buf[src.len()..].fill(0);
     }
 }
 
@@ -553,6 +539,56 @@ mod tests {
         assert!(past.iter().all(|&b| b == 0));
         let (exact, _) = h.read_at(99, 5);
         assert_eq!(exact, [0, b'x', b'y', b'z', 0]);
+        // Far past EOF: the hole reads zero, and so does the reservation
+        // itself past the new EOF, to the next page.
+        let far = 10 * MIB + 100;
+        h.write_at(far, b"abc");
+        assert_eq!(h.len(), far + 3);
+        let (hole, _) = h.read_at(103, far - 103);
+        assert!(hole.iter().all(|&b| b == 0));
+        let tail = h.file.read(|bytes| {
+            // SAFETY: the page after EOF lies in the reservation.
+            unsafe { std::slice::from_raw_parts(bytes.as_ptr(), bytes.len() + 4096) }.to_vec()
+        });
+        assert_eq!(&tail[far as usize..far as usize + 3], b"abc");
+        assert!(tail[far as usize + 3..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_write_past_the_cap_panics_naming_the_file_and_the_cap() {
+        let fs = fs();
+        let h = fs.create("big").unwrap();
+        let err = std::panic::catch_unwind(|| h.write_at(FILE_CAP - 2, b"end")).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(
+            msg.contains("\"big\"") && msg.contains(&FILE_CAP.to_string()),
+            "{msg}"
+        );
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn dropped_files_unmap_their_reservations() {
+        // 5,000 leaked 64 GiB reservations would need 320 TiB, past the
+        // 128 TiB user address space.
+        let fs = fs();
+        for i in 0..5_000 {
+            let h = fs.create("cycle").unwrap();
+            h.write_at(i % 4096, b"x");
+            fs.delete("cycle").unwrap();
+        }
+    }
+
+    #[test]
+    fn a_refused_populate_falls_back_to_first_touch() {
+        let f = FileObject::new("f");
+        let data: Vec<u8> = (0..3 * 4096 + 5).map(|i| (i % 253) as u8).collect();
+        // No kernel knows advice -1: it is refused with `EINVAL`, as
+        // `MADV_POPULATE_WRITE` is before Linux 5.14.
+        assert!(!f.grow(&mut f.len.write(), data.len(), Some(-1)));
+        assert_eq!(std::io::Error::last_os_error().raw_os_error(), Some(22));
+        f.write(0, data.len(), |dst| dst.copy_from_slice(&data));
+        assert_eq!(f.read(<[u8]>::to_vec), data);
     }
 
     #[test]
@@ -641,25 +677,6 @@ mod tests {
         assert!(reqs >= 3, "{usage:?}");
         // Round-robin balance: servers within one unit of each other.
         assert!(usage[0].bytes.abs_diff(usage[1].bytes) <= 64);
-    }
-
-    #[test]
-    fn truncate_shrinks_and_extends() {
-        let fs = fs();
-        let h = fs.create("t").unwrap();
-        h.write_at(0, b"hello world");
-        h.truncate(5);
-        assert_eq!(h.len(), 5);
-        let (got, _) = h.read_at(0, 11);
-        assert_eq!(&got[..5], b"hello");
-        assert!(
-            got[5..].iter().all(|&b| b == 0),
-            "truncated tail reads zero"
-        );
-        h.truncate(8);
-        assert_eq!(h.len(), 8);
-        let (got, _) = h.read_at(0, 8);
-        assert_eq!(&got, b"hello\0\0\0");
     }
 
     #[test]

@@ -32,11 +32,14 @@
 //!   timers around the simulator's own hot phases (executor
 //!   scheduling, plan/schedule build, extent codec, storage hop),
 //!   free when disabled;
+//! * [`vmem`] — the raw `mmap`/`madvise` calls behind the executor's
+//!   stack slab and the file store's reservations;
 //! * [`error`] — the shared error type.
 //!
 //! Nothing in this crate performs I/O or spawns threads (the [`sync`]
-//! test suite aside); it is pure data and arithmetic, which keeps the
-//! higher layers deterministic and easy to property-test.
+//! test suite aside); apart from [`vmem`]'s mappings it is pure data
+//! and arithmetic, which keeps the higher layers deterministic and easy
+//! to property-test.
 
 #![warn(missing_docs)]
 
@@ -53,6 +56,7 @@ pub mod sync;
 pub mod time;
 pub mod topology;
 pub mod units;
+pub mod vmem;
 
 pub use cost::CostModel;
 pub use error::{SimError, SimResult};
