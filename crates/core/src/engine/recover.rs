@@ -91,7 +91,7 @@ impl CrashTracker {
         if !env.faults().plan().has_crashes() {
             return None;
         }
-        let raw = ctx.group_bcast(world, mccio_net::wire::encode_f64(ctx.clock().as_secs()));
+        let raw = ctx.group_bcast_shared(world, mccio_net::wire::encode_f64(ctx.clock().as_secs()));
         Some(CrashTracker {
             agreed: VTime::from_secs(mccio_net::wire::decode_f64(&raw)),
             dead: Vec::new(),

@@ -1,13 +1,13 @@
 //! Group collectives over the point-to-point layer.
 //!
-//! All collectives here are *control-plane*: they move driver metadata
-//! (offset lists, clocks, exchange matrices) and enforce causality, but
-//! charge no transfer time — the bulk-data phases they coordinate are
-//! priced analytically through [`mccio_sim::CostModel::shuffle_phase`].
-//! The one data-plane collective, [`Ctx::exchange`], moves real payload
-//! bytes but is likewise uncosted, because every caller immediately
-//! follows it with an analytic phase charge; it still updates the traffic
-//! counters so experiments can report shuffle volumes.
+//! Every collective here sends the engine's one message kind: it moves
+//! driver metadata (offset lists, clocks, exchange matrices) and
+//! enforces causality, but charges no transfer time — the bulk-data
+//! phases it coordinates are priced analytically through
+//! [`mccio_sim::CostModel::shuffle_phase`]. [`Ctx::exchange`]'s
+//! messages stand for shuffled data, so it also updates the traffic
+//! counters' byte totals and `data_msgs`, letting experiments report
+//! shuffle volumes.
 //!
 //! Every operation is defined over a [`RankSet`] and must be called by
 //! *all* members of the set, SPMD-style, in the same order — exactly
@@ -100,33 +100,13 @@ impl Ctx {
         true
     }
 
-    /// Broadcasts the root's payload to every member; all members return
-    /// the payload. Non-roots pass anything (conventionally empty).
-    ///
-    /// All in-flight copies share one buffer: a plan broadcast to 100k
-    /// ranks queues O(plan) bytes, not O(ranks × plan). Receivers copy
-    /// out on delivery.
-    pub fn group_bcast(&mut self, group: &RankSet, payload: Vec<u8>) -> Vec<u8> {
-        self.assert_member(group, "group_bcast");
-        let root = group.root();
-        if self.rank() == root {
-            let shared: Arc<[u8]> = payload.as_slice().into();
-            for dst in group.iter().filter(|&r| r != root) {
-                let payload = Payload::Shared(Arc::clone(&shared));
-                self.send_ctl_payload(dst, TAG_BCAST, payload, shared.len() as u64);
-            }
-            payload
-        } else {
-            self.recv(root, TAG_BCAST)
-        }
-    }
-
-    /// [`Ctx::group_bcast`] without the receive-side copy: every member
-    /// (root included) returns a clone of the *same* shared allocation,
-    /// whose identity can key [`crate::World::decode_shared`]. Wire
-    /// traffic and clocks are identical to [`Ctx::group_bcast`].
+    /// Broadcasts the root's payload to every member; non-roots pass
+    /// anything (conventionally empty). Every member (root included)
+    /// returns a clone of the *same* shared allocation: a plan broadcast
+    /// to 100k ranks queues O(plan) bytes, not O(ranks × plan), and the
+    /// buffer's identity can key [`crate::World::decode_shared`].
     pub fn group_bcast_shared(&mut self, group: &RankSet, payload: Vec<u8>) -> Arc<[u8]> {
-        self.assert_member(group, "group_bcast");
+        self.assert_member(group, "group_bcast_shared");
         let root = group.root();
         if self.rank() == root {
             let shared: Arc<[u8]> = payload.into();
@@ -141,27 +121,16 @@ impl Ctx {
     }
 
     /// All-gather: every member returns all members' payloads in group
-    /// order. Implemented as gather + bcast of the concatenation.
-    pub fn group_allgather(&mut self, group: &RankSet, payload: Vec<u8>) -> Vec<Vec<u8>> {
-        let packed = self.group_allgather_shared(group, payload);
-        let mut r = Reader::new(&packed);
-        let n = r.u64() as usize;
-        let lens: Vec<usize> = (0..n).map(|_| r.u64() as usize).collect();
-        let parts = lens.iter().map(|&len| r.bytes(len).to_vec()).collect();
-        r.finish();
-        parts
-    }
-
-    /// [`Ctx::group_allgather`], returning the packed concatenation as
-    /// one shared buffer instead of splitting it into per-member copies:
-    /// a `u64` member count, the `u64` length of each part, then the
-    /// parts back to back ([`Ctx::allgather_parts`] iterates them).
+    /// order, packed into one shared buffer (gather + broadcast of the
+    /// concatenation) instead of split into per-member copies: a `u64`
+    /// member count, the `u64` length of each part, then the parts back
+    /// to back ([`Ctx::allgather_parts`] iterates them).
     /// Every member returns a clone of the same allocation, so decoding
     /// can be done once per world ([`crate::World::decode_shared`])
     /// instead of once per rank — the difference between O(n) and O(n²)
     /// total work for the metadata exchanges at 10k+ ranks.
     pub fn group_allgather_shared(&mut self, group: &RankSet, payload: Vec<u8>) -> Arc<[u8]> {
-        self.assert_member(group, "group_allgather");
+        self.assert_member(group, "group_allgather_shared");
         // The root packs each part as it lands, while it is still in
         // cache, and frees it at once; the length slots are filled in
         // as parts arrive. Other members contribute nothing to the
@@ -219,9 +188,9 @@ impl Ctx {
         self.clock()
     }
 
-    /// Personalized all-to-all within a group (data plane): `sends` maps
-    /// each destination to a `(wire, payload)` message; `recv_from` lists
-    /// the sources this rank expects a message from. Both sides of the
+    /// Personalized all-to-all within a group: `sends` maps each
+    /// destination to a `(wire, payload)` message; `recv_from` lists the
+    /// sources this rank expects a message from. Both sides of the
     /// exchange must be derivable from shared metadata — in collective
     /// I/O they always are. Self-sends short-circuit locally. Returns
     /// `(src, payload)` pairs in `recv_from` order, each payload as it
@@ -230,10 +199,11 @@ impl Ctx {
     /// A message is accounted at its `wire` length, which may exceed the
     /// payload: a one-sided shuffle moves its bytes between exposed
     /// buffers ([`crate::rma`]) and sends only the headers, but stands
-    /// for the two-sided message that would have carried them. The
-    /// exchange is uncosted (callers price the whole phase analytically)
-    /// but is counted in the traffic statistics and reported to the
-    /// causal hook at that length.
+    /// for the two-sided message that would have carried them. Like
+    /// every message it costs no time (callers price the whole phase
+    /// analytically), but it counts in `data_msgs` and the byte totals
+    /// of the traffic statistics, and is reported to the causal hook,
+    /// at that length.
     ///
     /// # Panics
     /// Panics if a destination or source is outside the group.
@@ -360,10 +330,11 @@ mod tests {
                 } else {
                     vec![]
                 };
-                ctx.group_bcast(&group, payload)
+                ctx.group_bcast_shared(&group, payload)
             });
-            for p in r {
-                assert_eq!(p, b"hello");
+            for p in &r {
+                assert_eq!(**p, *b"hello");
+                assert!(Arc::ptr_eq(p, &r[0]), "every member shares one buffer");
             }
         }
     }
@@ -374,12 +345,13 @@ mod tests {
             let w = world_with(2, 2, 4, kind);
             let r = w.run(|ctx| {
                 let group = RankSet::world(ctx.size());
-                ctx.group_allgather(&group, vec![ctx.rank() as u8; ctx.rank() + 1])
+                ctx.group_allgather_shared(&group, vec![ctx.rank() as u8; ctx.rank() + 1])
             });
-            for parts in r {
+            for packed in r {
+                let parts: Vec<&[u8]> = Ctx::allgather_parts(&packed).collect();
                 assert_eq!(parts.len(), 4);
                 for (i, p) in parts.iter().enumerate() {
-                    assert_eq!(p, &vec![i as u8; i + 1]);
+                    assert_eq!(*p, vec![i as u8; i + 1]);
                 }
             }
         }
@@ -406,8 +378,8 @@ mod tests {
             } else {
                 RankSet::new(vec![2, 3])
             };
-            let all = ctx.group_allgather(&group, vec![ctx.rank() as u8]);
-            all.into_iter().map(|p| p[0]).collect::<Vec<_>>()
+            let all = ctx.group_allgather_shared(&group, vec![ctx.rank() as u8]);
+            Ctx::allgather_parts(&all).map(|p| p[0]).collect::<Vec<_>>()
         });
         assert_eq!(r[0], vec![0, 1]);
         assert_eq!(r[1], vec![0, 1]);
@@ -472,6 +444,13 @@ mod tests {
         assert_eq!(t.inter_bytes, 100);
         assert_eq!(t.node_egress[0], 100);
         assert_eq!(t.node_ingress[1], 100);
+        // One exchange message counts once as data and once as a message.
+        assert_eq!((t.data_msgs, t.ctl_msgs), (1, 1));
+        // A barrier's messages count as messages only: 3 in, 3 out.
+        let _ = w.run(|ctx| ctx.barrier());
+        let t = w.traffic().snapshot();
+        assert_eq!((t.data_msgs, t.ctl_msgs), (1, 7));
+        assert_eq!(t.inter_bytes, 100);
     }
 
     #[test]

@@ -11,15 +11,13 @@
 //!
 //! ## Virtual time
 //!
-//! Each rank carries a logical clock. A *costed* send advances the
-//! sender by the per-message software overhead and stamps the envelope
-//! with its departure time; the matching receive advances the receiver to
-//! `max(receiver clock, departure + transfer time)` using the
-//! [`CostModel`]'s point-to-point price. *Control* messages (driver
-//! metadata whose real-world cost is priced analytically by the phase
-//! model) carry causality only: the receiver advances to the departure
-//! time but pays no transfer cost. Wall-clock never enters either path,
-//! which is why every schedule produces bit-identical times.
+//! Each rank carries a logical clock. There is one message kind: a send
+//! stamps the envelope with the sender's clock (plus any injected
+//! control delay) and the matching receive advances the receiver to
+//! `max(receiver clock, departure)`. Messages carry causality only: the
+//! cost of the bulk-data phases they coordinate is priced analytically
+//! by the phase model. Wall-clock never enters, which is why every
+//! schedule produces bit-identical times.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,19 +61,20 @@ impl ExecutorKind {
     ];
 }
 
-/// Aggregate traffic counters, updated on every delivery.
+/// Aggregate traffic counters, updated on every send.
 #[derive(Debug)]
 pub struct Traffic {
-    /// Bytes moved between ranks on the same node (data plane).
+    /// Shuffled bytes between ranks on the same node (see `data_msgs`).
     pub intra_bytes: AtomicU64,
-    /// Bytes moved between ranks on different nodes (data plane).
+    /// Shuffled bytes between ranks on different nodes.
     pub inter_bytes: AtomicU64,
-    /// Data-plane message count.
+    /// Exchange messages, each standing for the shuffled data it
+    /// describes (see [`Ctx::exchange`]).
     pub data_msgs: AtomicU64,
-    /// Control-plane message count (metadata, barriers, clock sync).
+    /// Every message sent (metadata, barriers, clock sync, exchanges).
     pub ctl_msgs: AtomicU64,
     /// Per-node NIC counters, allocated on the first inter-node byte so
-    /// control-plane-only worlds never pay O(nodes) memory.
+    /// worlds that exchange no data never pay O(nodes) memory.
     node_flows: OnceLock<NodeFlows>,
     n_nodes: usize,
 }
@@ -102,9 +101,9 @@ pub struct TrafficSnapshot {
     pub intra_bytes: u64,
     /// Bytes moved inter-node.
     pub inter_bytes: u64,
-    /// Data-plane messages.
+    /// Exchange messages standing for shuffled data.
     pub data_msgs: u64,
-    /// Control-plane messages.
+    /// Every message sent.
     pub ctl_msgs: u64,
     /// Per-node ingress bytes.
     pub node_ingress: Vec<u64>,
@@ -124,9 +123,9 @@ impl Traffic {
         }
     }
 
-    /// Counts one data-plane message of `bytes` from `src_node` to
-    /// `dst_node`, maintaining the per-node NIC counters for the
-    /// inter-node case.
+    /// Counts one exchange message standing for `bytes` of shuffled
+    /// data from `src_node` to `dst_node`, maintaining the per-node NIC
+    /// counters for the inter-node case.
     pub(crate) fn account_data(&self, src_node: usize, dst_node: usize, bytes: u64) {
         self.data_msgs.fetch_add(1, Ordering::Relaxed);
         if src_node == dst_node {
@@ -257,15 +256,15 @@ impl BytePool {
     }
 }
 
-/// The shared communication world: the cost model and placement every
-/// rank prices messages against, plus the traffic counters, decode cache
-/// and exposure table its runs share (`DESIGN.md` §13 shows why none
-/// of them lets results depend on the rank schedule). Ranks configure
-/// nothing here: message queues, the control-plane delay and the causal
-/// hook are per-task state that lives for one run (see
-/// [`crate::mailbox`], [`Ctx::set_control_delay`],
-/// [`Ctx::set_causal_hook`]), so no rank can change what another rank's
-/// messages see.
+/// The shared communication world: the placement ranks run on and the
+/// cost model their drivers price phases with, plus the traffic
+/// counters, decode cache and exposure table its runs share
+/// (`DESIGN.md` §13 shows why none of them lets results depend on the
+/// rank schedule). Ranks configure nothing here: message queues, the
+/// control-plane delay and the causal hook are per-task state that
+/// lives for one run (see [`crate::mailbox`],
+/// [`Ctx::set_control_delay`], [`Ctx::set_causal_hook`]), so no rank
+/// can change what another rank's messages see.
 #[derive(Debug)]
 pub struct World {
     placement: Placement,
@@ -380,7 +379,7 @@ impl World {
         &self.placement
     }
 
-    /// The cost model pricing this world's messages.
+    /// The cost model this world's drivers price phases with.
     #[must_use]
     pub fn cost(&self) -> &CostModel {
         &self.cost
@@ -445,7 +444,7 @@ pub struct Ctx {
     /// The rank's handle into the scheduler: every send delivers
     /// through it, and blocking receives park on it.
     task: TaskHandle,
-    /// Extra latency on this rank's control-plane sends.
+    /// Extra latency on this rank's sends.
     ctl_delay: VDuration,
     /// The causality observer this rank's sends and settlements report
     /// to, if any.
@@ -551,15 +550,6 @@ impl Ctx {
         self.clock += d;
     }
 
-    fn account(&self, dst: usize, bytes: u64, costed: bool) {
-        let t = &self.world.traffic;
-        if !costed {
-            t.ctl_msgs.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        t.account_data(self.node, self.world.placement.node_of(dst), bytes);
-    }
-
     /// Delivers `env` to `dst` — handed to `dst` if it is parked on
     /// this pair, queued otherwise — then gives the scheduler its
     /// preemption point.
@@ -568,50 +558,27 @@ impl Ctx {
         self.task.preempt(self.clock);
     }
 
-    /// Sends a data-plane message: the sender pays injection overhead and
-    /// the receiver will pay the transfer.
-    pub fn send(&mut self, dst: usize, tag: u32, payload: Vec<u8>) {
-        assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
-        self.clock += VDuration::from_secs(self.world.cost.per_message_overhead);
-        self.account(dst, payload.len() as u64, true);
-        let causal = match &self.causal {
-            Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64, true),
-            None => 0,
-        };
-        self.deliver(
-            dst,
-            Envelope {
-                src: self.rank,
-                tag,
-                payload: payload.into(),
-                depart: self.clock,
-                costed: true,
-                causal,
-            },
-        );
-    }
-
-    /// Sends a control-plane message: causality only, no transfer cost
-    /// (the bulk-data phases it coordinates are priced analytically).
+    /// Sends a message: causality only, no transfer cost (the bulk-data
+    /// phases it coordinates are priced analytically).
     pub fn send_ctl(&mut self, dst: usize, tag: u32, payload: Vec<u8>) {
         let wire = payload.len() as u64;
         self.send_ctl_payload(dst, tag, payload.into(), wire);
     }
 
-    /// Control-plane send of an owned *or shared* payload; collectives
-    /// use the shared form so a broadcast queues one buffer, not one
-    /// clone per destination. `wire` is the length the causal hook is
-    /// told: the payload's own, except where a message stands for a
-    /// longer one (a one-sided shuffle's headers, see [`Ctx::exchange`]).
+    /// Send of an owned *or shared* payload; collectives use the shared
+    /// form so a broadcast queues one buffer, not one clone per
+    /// destination. `wire` is the length the causal hook is told: the
+    /// payload's own, except where a message stands for a longer one (a
+    /// one-sided shuffle's headers, see [`Ctx::exchange`]).
     pub(crate) fn send_ctl_payload(&mut self, dst: usize, tag: u32, payload: Payload, wire: u64) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
-        self.account(dst, payload.len() as u64, false);
+        self.world.traffic.ctl_msgs.fetch_add(1, Ordering::Relaxed);
         // An injected control-network delay shifts the departure stamp:
         // the receiver's causality rule (max with depart) then charges it
         // in virtual time without any wall-clock sleeping.
         let depart = self.clock + self.ctl_delay;
         let causal = match &self.causal {
-            Some(sink) => sink.on_send(self.rank, dst, self.clock, wire, false),
+            Some(sink) => sink.on_send(self.rank, self.clock, wire),
             None => 0,
         };
         self.deliver(
@@ -621,7 +588,6 @@ impl Ctx {
                 tag,
                 payload,
                 depart,
-                costed: false,
                 causal,
             },
         );
@@ -629,18 +595,7 @@ impl Ctx {
 
     fn settle(&mut self, env: &Envelope) {
         let before = self.clock;
-        if env.costed {
-            let src_node = self.world.placement.node_of(env.src);
-            let d = self.world.cost.pt2pt(
-                env.payload.len() as u64,
-                src_node == self.node,
-                src_node,
-                self.node,
-            );
-            self.clock = self.clock.max(env.depart + d);
-        } else {
-            self.clock = self.clock.max(env.depart);
-        }
+        self.clock = self.clock.max(env.depart);
         if env.causal != 0 {
             if let Some(sink) = &self.causal {
                 sink.on_delivery(env.src, env.causal, self.rank, before, self.clock);
@@ -664,7 +619,7 @@ impl Ctx {
     /// every receiver gets a clone of the *same* `Arc`, so the buffer is
     /// never copied and its identity can key per-world decode caches.
     /// Clock and traffic behave exactly like [`Ctx::recv`].
-    pub fn recv_shared(&mut self, src: usize, tag: u32) -> Arc<[u8]> {
+    pub(crate) fn recv_shared(&mut self, src: usize, tag: u32) -> Arc<[u8]> {
         self.recv_payload(src, tag).into_shared()
     }
 
@@ -722,33 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_moves_data_and_time() {
-        for kind in all_kinds() {
-            let w = world_with(2, 1, 2, kind);
-            let results = w.run(|ctx| {
-                if ctx.rank() == 0 {
-                    ctx.send(1, 1, vec![42; 1024]);
-                    let back = ctx.recv(1, 2);
-                    (back.len(), ctx.clock().as_secs())
-                } else {
-                    let msg = ctx.recv(0, 1);
-                    ctx.send(0, 2, msg);
-                    (0, ctx.clock().as_secs())
-                }
-            });
-            assert_eq!(results[0].0, 1024);
-            // Two inter-node hops: time strictly positive on both ranks.
-            assert!(results[0].1 > 0.0);
-            assert!(results[1].1 > 0.0);
-            let t = w.traffic().snapshot();
-            assert_eq!(t.data_msgs, 2);
-            assert_eq!(t.inter_bytes, 2048);
-            assert_eq!(t.node_egress[0], 1024);
-            assert_eq!(t.node_ingress[0], 1024);
-        }
-    }
-
-    #[test]
     fn explored_schedules_agree_bit_for_bit() {
         let run = |kind| {
             let w = world_with(2, 2, 4, kind);
@@ -757,7 +685,7 @@ mod tests {
                 ctx.advance(VDuration::from_secs(me as f64 * 0.125));
                 let next = (me + 1) % ctx.size();
                 let prev = (me + ctx.size() - 1) % ctx.size();
-                ctx.send(next, 5, vec![me as u8; 256 * (me + 1)]);
+                ctx.send_ctl(next, 5, vec![me as u8; 256 * (me + 1)]);
                 let got = ctx.recv(prev, 5);
                 assert_eq!(got.len(), 256 * (prev + 1));
                 ctx.barrier();
@@ -861,23 +789,6 @@ mod tests {
             );
             assert_eq!(results[0], 1.0, "{kind:?}: sender does not");
         }
-    }
-
-    #[test]
-    fn costed_transfer_advances_receiver_by_bandwidth() {
-        let w = world(2, 1, 2);
-        let results = w.run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 3, vec![0u8; MIB as usize]);
-            } else {
-                let _ = ctx.recv(0, 3);
-            }
-            ctx.clock().as_secs()
-        });
-        // 1 MiB over 1 GiB/s link ≈ ~1 ms at the receiver.
-        assert!(results[1] > 0.9e-3 && results[1] < 1.5e-3, "{}", results[1]);
-        // Sender only paid injection overhead.
-        assert!(results[0] < 1e-4);
     }
 
     #[test]

@@ -11,17 +11,16 @@
 //! [`Ctx`] with point-to-point messaging and MPI-style collectives over
 //! arbitrary [`RankSet`]s, and keeps a *virtual* clock per rank:
 //!
-//! * **data-plane** sends ([`Ctx::send`]) are priced by the
-//!   [`mccio_sim::CostModel`] point-to-point rule — the sender pays
-//!   injection overhead, the receiver pays latency + transfer;
-//! * **control-plane** sends ([`Ctx::send_ctl`]) and all collectives move
-//!   driver metadata: they enforce causality (a receiver can never
-//!   observe a message "before" it was sent) but charge no transfer time,
-//!   because collective-I/O drivers price whole shuffle rounds
-//!   analytically with [`mccio_sim::CostModel::shuffle_phase`] — that
-//!   keeps virtual time deterministic regardless of rank scheduling;
-//! * the [`engine::Traffic`] counters record every byte either way, so
-//!   experiments can report shuffle volumes and per-node NIC pressure.
+//! * there is one message kind: every send ([`Ctx::send_ctl`]) and every
+//!   collective moves driver metadata or section headers and enforces
+//!   causality (a receiver can never observe a message "before" it was
+//!   sent) but charges no transfer time, because collective-I/O drivers
+//!   price whole shuffle rounds analytically with
+//!   [`mccio_sim::CostModel::shuffle_phase`] — that keeps virtual time
+//!   deterministic regardless of rank scheduling;
+//! * the [`engine::Traffic`] counters count every message, and the
+//!   bytes each [`Ctx::exchange`] message stands for, so experiments
+//!   can report shuffle volumes and per-node NIC pressure.
 //!
 //! Message matching follows MPI semantics: receives match on
 //! `(source, tag)` with non-overtaking order per pair. Like an MPI

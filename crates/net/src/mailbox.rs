@@ -107,10 +107,6 @@ pub struct Envelope {
     pub payload: Payload,
     /// Virtual time at which the message left the sender.
     pub depart: VTime,
-    /// True when the message should be charged transfer cost at the
-    /// receiver; control/bookkeeping messages are delivered free (their
-    /// cost is priced analytically by the phase model instead).
-    pub costed: bool,
     /// Per-sender causal sequence number stamped by the sender's
     /// [`mccio_sim::causal::CausalSink`], or 0 when the sender runs
     /// without one. `(src, causal)` identifies the happens-before
@@ -216,7 +212,6 @@ mod tests {
             tag,
             payload: vec![byte].into(),
             depart: VTime::ZERO,
-            costed: false,
             causal: 0,
         }
     }
@@ -290,7 +285,6 @@ mod tests {
                 tag: 6,
                 payload: Payload::Shared(Arc::clone(&shared)),
                 depart: VTime::ZERO,
-                costed: false,
                 causal: 0,
             });
         }

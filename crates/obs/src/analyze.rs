@@ -432,7 +432,7 @@ impl CriticalPath {
     }
 
     /// The standard speed-of-light scenarios: zero network cost
-    /// (sync-wait and transfer segments free), infinite PFS bandwidth
+    /// (sync-wait segments free), infinite PFS bandwidth
     /// (storage-phase segments free), and uniform memory ceilings
     /// (backoff-phase segments free).
     #[must_use]
@@ -1071,11 +1071,11 @@ pub(crate) mod tests {
     }
 
     /// The chain the causal fold records over `[t0, end]` at rank 1
-    /// when a transfer from rank 0 binds it over `[2.5, 3]`.
+    /// when a message from rank 0 binds it over `[2.5, 3]`.
     fn chain(t0: f64, end: f64) -> BlameChain {
         use mccio_sim::causal::CausalSink as _;
         let agg = crate::causal::CausalAgg::new(false);
-        let seq = agg.on_send(0, 1, VTime::from_secs(2.5), 8, true);
+        let seq = agg.on_send(0, VTime::from_secs(2.5), 8);
         agg.on_delivery(0, seq, 1, VTime::ZERO, VTime::from_secs(3.0));
         agg.op_end(1, VTime::from_secs(t0), VTime::from_secs(end), "write");
         agg.chains().remove(0)
@@ -1083,8 +1083,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_chain_cut_inside_a_storage_window_counts_its_straggler_once() {
-        // The transfer on [2.5, 3] cuts the storage window [2, 4] in three.
-        use SegClass::{Transfer, Work};
+        // The sync-wait on [2.5, 3] cuts the storage window [2, 4] in three.
+        use SegClass::{SyncWait, Work};
         let c = chain(0.0, 4.0);
         let a = TraceAnalysis::from_events(&one_round_op(), std::slice::from_ref(&c)).unwrap();
         let cp = &a.ops[0];
@@ -1101,13 +1101,13 @@ pub(crate) mod tests {
                 (0, Work, Phase::Sync, 1.0),
                 (0, Work, Phase::Shuffle, 2.0),
                 (0, Work, Phase::Storage, 2.5),
-                (1, Transfer, Phase::Storage, 3.0),
+                (1, SyncWait, Phase::Storage, 3.0),
                 (1, Work, Phase::Storage, 4.0),
             ]
         );
         assert!(cp.segments[2..].iter().all(|s| s.straggler == Some(3)));
         assert_eq!(cp.top_straggler(), Some((3, 1)), "one storage term");
-        // Zero-network frees the transfer, infinite-pfs all three
+        // Zero-network frees the sync-wait, infinite-pfs all three
         // storage pieces; the identity is the total to the bit.
         let projected: Vec<f64> = cp.what_ifs().iter().map(|w| w.projected_secs).collect();
         assert_eq!(projected, [3.5, 2.0, 4.0]);

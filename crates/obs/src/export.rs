@@ -132,18 +132,13 @@ pub fn chrome_trace_flows(events: &[Event], edges: &[CausalEdge]) -> String {
     }
     for e in &edges {
         let id = e.flow_id();
-        let cat = if e.costed {
-            "causal.data"
-        } else {
-            "causal.ctl"
-        };
         let depart = e.depart.as_secs() * US;
         let arrive = e.arrive.as_secs() * US;
         rows.push((
             e.src,
             depart,
             format!(
-                "{{\"name\": \"msg\", \"cat\": \"{cat}\", \"ph\": \"s\", \"id\": {id}, \
+                "{{\"name\": \"msg\", \"cat\": \"causal.ctl\", \"ph\": \"s\", \"id\": {id}, \
                  \"pid\": 0, \"tid\": {}, \"ts\": {depart:.3}, \
                  \"args\": {{\"bytes\": {}}}}}",
                 e.src, e.bytes
@@ -153,7 +148,7 @@ pub fn chrome_trace_flows(events: &[Event], edges: &[CausalEdge]) -> String {
             e.dst,
             arrive,
             format!(
-                "{{\"name\": \"msg\", \"cat\": \"{cat}\", \"ph\": \"f\", \"bp\": \"e\", \
+                "{{\"name\": \"msg\", \"cat\": \"causal.ctl\", \"ph\": \"f\", \"bp\": \"e\", \
                  \"id\": {id}, \"pid\": 0, \"tid\": {}, \"ts\": {arrive:.3}, \
                  \"args\": {{\"bytes\": {}}}}}",
                 e.dst, e.bytes
@@ -441,7 +436,6 @@ mod tests {
                 dst: 0,
                 seq: 2,
                 bytes: 512,
-                costed: true,
                 depart: VTime::from_secs(0.2),
                 arrive: VTime::from_secs(0.35),
             },
@@ -450,7 +444,6 @@ mod tests {
                 dst: 3,
                 seq: 1,
                 bytes: 0,
-                costed: false,
                 depart: VTime::from_secs(0.05),
                 arrive: VTime::from_secs(0.1),
             },

@@ -822,16 +822,16 @@ mod tests {
 
         let (events, _) = sample();
         let agg = CausalAgg::new(true);
-        let seq = agg.on_send(0, 1, VTime::from_secs(0.8), 64, true);
+        let seq = agg.on_send(0, VTime::from_secs(0.8), 64);
         agg.on_delivery(0, seq, 1, VTime::from_secs(0.2), VTime::from_secs(1.2));
         agg.op_end(1, VTime::ZERO, VTime::from_secs(2.0), "write");
         let analysis = TraceAnalysis::from_events(&events, &agg.chains()).unwrap();
         let html = render_checked("causal", &events, &analysis);
         assert!(html.contains("Root cause (blame chains)"));
-        // The transfer [0.8, 1.2] lies in the shuffle window [0.5, 1]
+        // The sync-wait [0.8, 1.2] lies in the shuffle window [0.5, 1]
         // and the storage window [1, 2]: it is cut in two.
-        assert_eq!(html.matches(">transfer</td>").count(), 2);
-        assert!(html.contains(">transfer</td><td class=\"l\">storage</td>"));
+        assert_eq!(html.matches(">sync-wait</td>").count(), 2);
+        assert!(html.contains(">sync-wait</td><td class=\"l\">storage</td>"));
         assert!(html.contains("zero-network"));
         assert!(html.contains("infinite-pfs"));
         assert!(html.contains("uniform-memory"));

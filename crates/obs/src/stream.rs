@@ -27,14 +27,15 @@
 //! ## Determinism rule
 //!
 //! Events arrive in rank-schedule order, which differs between the
-//! canonical and every explored schedule, so every folded quantity must be order-independent: sums accumulate in
-//! `u128` over exact integer inputs (span durations are converted to
-//! whole nanoseconds, a deterministic function of the priced `f64`),
-//! min/max and log₂ bucket counts are trivially commutative, and the
-//! top-k straggler list keeps the k largest `(value, rank)` entries
-//! under the canonical order *value descending, rank ascending* — a
-//! total order on the folded value bits, so the surviving set (not just
-//! its statistics) is bit-stable across executors.
+//! canonical and every explored schedule, so every folded quantity
+//! must be order-independent: sums accumulate in `u128` over exact
+//! integer inputs (span durations are converted to whole nanoseconds, a
+//! deterministic function of the priced `f64`), counts and min/max are
+//! trivially commutative, and the top-k straggler list keeps the k
+//! largest `(value, rank)` entries under the canonical order *value
+//! descending, rank ascending* — a total order on the folded value
+//! bits, so the surviving set (not just its statistics) is bit-stable
+//! across executors.
 //!
 //! ## Memory bound
 //!
@@ -42,8 +43,8 @@
 //! in lockstep between rounds, so the per-rank events of one logical
 //! point share one virtual time and land in one cell: the cell count
 //! grows with *rounds and faults*, never with ranks. Each cell holds
-//! fixed-size statistics (65 log₂ buckets, k straggler slots per
-//! tracked quantity), so steady-state folding allocates nothing.
+//! fixed-size statistics (count, sum, extremes and k straggler slots
+//! per tracked quantity), so steady-state folding allocates nothing.
 
 use std::collections::BTreeMap;
 
@@ -88,11 +89,6 @@ impl StreamConfig {
     }
 }
 
-/// Number of log₂ buckets in an [`OnlineStat`] (bucket `i` counts
-/// values whose bit length is `i`; identical to
-/// [`Histogram`](crate::metrics::Histogram) binning).
-pub const N_BUCKETS: usize = 65;
-
 /// Order-independent online statistics over one folded `u64` quantity,
 /// with a canonical top-k `(value, rank)` straggler list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,8 +101,6 @@ pub struct OnlineStat {
     pub min: u64,
     /// Largest observation (0 when empty).
     pub max: u64,
-    /// Log₂ bucket counts; see [`N_BUCKETS`].
-    pub buckets: Vec<u64>,
     /// The k largest `(value, rank)` observations, ordered value
     /// descending then rank ascending (the canonical straggler order;
     /// see the module docs).
@@ -120,7 +114,6 @@ impl OnlineStat {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            buckets: vec![0; N_BUCKETS],
             top: Vec::new(),
         }
     }
@@ -130,8 +123,6 @@ impl OnlineStat {
         self.sum += u128::from(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        let idx = (64 - value.leading_zeros() as usize).min(N_BUCKETS - 1);
-        self.buckets[idx] += 1;
         if top_k == 0 {
             return;
         }
@@ -166,20 +157,6 @@ impl OnlineStat {
         } else {
             self.min
         }
-    }
-
-    /// `(upper bound, count)` per non-empty log₂ bucket.
-    #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let bound = if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
-                (bound, c)
-            })
-            .collect()
     }
 }
 
@@ -491,18 +468,16 @@ mod tests {
     }
 
     #[test]
-    fn bucket_binning_matches_histogram_rule() {
+    fn fold_keeps_exact_count_sum_and_extremes() {
         let mut s = OnlineStat::new();
-        for v in [0u64, 1, 2, 3, 4, u64::MAX] {
+        assert_eq!(s.min_or_zero(), 0, "empty");
+        for v in [3u64, 1, 4, u64::MAX] {
             s.fold(v, 0, 0);
         }
-        assert_eq!(s.buckets[0], 1); // 0
-        assert_eq!(s.buckets[1], 1); // 1
-        assert_eq!(s.buckets[2], 2); // 2, 3
-        assert_eq!(s.buckets[3], 1); // 4
-        assert_eq!(s.buckets[64], 1); // u64::MAX
-        assert_eq!(s.nonzero_buckets().len(), 5);
-        assert_eq!(s.min_or_zero(), 0);
+        assert_eq!(s.count, 4);
+        assert_eq!(s.sum, u128::from(u64::MAX) + 8, "no overflow");
+        assert_eq!(s.min_or_zero(), 1);
         assert_eq!(s.max, u64::MAX);
+        assert!(s.top.is_empty(), "k = 0 keeps no stragglers");
     }
 }

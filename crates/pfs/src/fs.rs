@@ -121,36 +121,6 @@ struct FsInner {
     striping: Striping,
     params: PfsParams,
     files: Mutex<HashMap<String, Arc<FileObject>>>,
-    /// Cumulative per-server traffic since construction.
-    server_stats: Vec<ServerCounters>,
-}
-
-impl FsInner {
-    fn account(&self, report: &ServiceReport) {
-        use std::sync::atomic::Ordering;
-        for (srv, load) in report.loads().iter().enumerate() {
-            if load.requests > 0 {
-                let c = &self.server_stats[srv];
-                c.bytes.fetch_add(load.bytes, Ordering::Relaxed);
-                c.requests.fetch_add(load.requests, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct ServerCounters {
-    bytes: std::sync::atomic::AtomicU64,
-    requests: std::sync::atomic::AtomicU64,
-}
-
-/// Cumulative per-server usage snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerUsage {
-    /// Bytes the server has moved (reads + writes).
-    pub bytes: u64,
-    /// Requests the server has handled.
-    pub requests: u64,
 }
 
 impl FileSystem {
@@ -163,7 +133,6 @@ impl FileSystem {
                 striping: Striping::new(n_servers, unit),
                 params,
                 files: Mutex::new(HashMap::new()),
-                server_stats: (0..n_servers).map(|_| ServerCounters::default()).collect(),
             }),
         }
     }
@@ -244,21 +213,6 @@ impl FileSystem {
         self.inner.files.lock().get(name).map(|f| f.len())
     }
 
-    /// Cumulative per-server usage since the file system was created —
-    /// the load-balance view an administrator would read off the OSTs.
-    #[must_use]
-    pub fn server_usage(&self) -> Vec<ServerUsage> {
-        use std::sync::atomic::Ordering;
-        self.inner
-            .server_stats
-            .iter()
-            .map(|c| ServerUsage {
-                bytes: c.bytes.load(Ordering::Relaxed),
-                requests: c.requests.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
     fn handle(&self, file: Arc<FileObject>) -> FileHandle {
         FileHandle {
             file,
@@ -335,7 +289,6 @@ impl FileHandle {
         if len > 0 {
             self.file
                 .write(offset as usize, (offset + len) as usize, fill);
-            self.fs.account(&report);
         }
         report
     }
@@ -380,9 +333,6 @@ impl FileHandle {
             let n = (bytes.len() - start).min(len as usize);
             consume(&bytes[start..start + n])
         });
-        if len > 0 {
-            self.fs.account(&report);
-        }
         (r, report)
     }
 
@@ -457,8 +407,7 @@ impl FileHandle {
 
     /// Runs `access` of `len` bytes at `offset` under `faults`' retry
     /// policy: every failed attempt charges the access's requests with
-    /// no payload, accounted and merged into the successful attempt's
-    /// report.
+    /// no payload, merged into the successful attempt's report.
     fn fallible<R>(
         &self,
         offset: u64,
@@ -472,7 +421,6 @@ impl FileHandle {
         let mut wasted = ServiceReport::empty(self.n_servers());
         let (r, mut report) =
             faults.run(|| wasted.merge(&self.requests(offset, len, false)), access)?;
-        self.fs.account(&wasted);
         report.merge(&wasted);
         Ok((r, report))
     }
@@ -664,22 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn server_usage_accumulates_across_handles() {
-        let fs = FileSystem::new(2, 64, PfsParams::default());
-        let h = fs.create("u").unwrap();
-        h.write_at(0, &vec![1u8; 256]); // 2 units per server
-        let (_, _) = h.read_at(0, 128);
-        let usage = fs.server_usage();
-        assert_eq!(usage.len(), 2);
-        let bytes: u64 = usage.iter().map(|u| u.bytes).sum();
-        let reqs: u64 = usage.iter().map(|u| u.requests).sum();
-        assert_eq!(bytes, 256 + 128);
-        assert!(reqs >= 3, "{usage:?}");
-        // Round-robin balance: servers within one unit of each other.
-        assert!(usage[0].bytes.abs_diff(usage[1].bytes) <= 64);
-    }
-
-    #[test]
     fn fallible_paths_with_healthy_context_match_infallible() {
         let fs = fs();
         let h = fs.create("f").unwrap();
@@ -702,10 +634,12 @@ mod tests {
         let mut iof = IoFaults::new(plan.io_stream(0), RetryPolicy::default());
         let data: Vec<u8> = (0..50_000u64).map(|i| (i % 249) as u8).collect();
         let mut completed = Vec::new();
+        let mut charged = ServiceReport::empty(fs.n_servers());
         let chunk = 5000;
         for (i, c) in data.chunks(chunk).enumerate() {
             let off = (i * chunk) as u64;
-            if h.try_write_at(off, c, &mut iof).is_ok() {
+            if let Ok(report) = h.try_write_at(off, c, &mut iof) {
+                charged.merge(&report);
                 completed.push((off, c));
             }
         }
@@ -717,13 +651,17 @@ mod tests {
             let (back, _) = h.read_at(*off, c.len() as u64);
             assert_eq!(&back, c, "chunk at {off}");
         }
-        // Wasted round-trips are visible in server accounting: more
-        // requests than a fault-free run would make, but no extra bytes.
-        let reqs: u64 = fs.server_usage().iter().map(|u| u.requests).sum();
-        let bytes: u64 = fs.server_usage().iter().map(|u| u.bytes).sum();
+        // Wasted round-trips are visible in the returned reports: more
+        // requests than the same writes make fault-free, but no extra
+        // bytes.
+        let clean = fs.create("clean").unwrap();
+        let clean_reqs: u64 = completed
+            .iter()
+            .map(|(off, c)| clean.write_at(*off, c).total_requests())
+            .sum();
         let payload: u64 = completed.iter().map(|(_, c)| c.len() as u64).sum();
-        assert_eq!(bytes, payload * 2, "writes + read-backs only");
-        assert!(reqs > 0);
+        assert_eq!(charged.total_bytes(), payload, "completed writes only");
+        assert!(charged.total_requests() > clean_reqs, "{charged:?}");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod retry;
 pub mod service;
 pub mod striping;
 
-pub use fs::{FileHandle, FileSystem, ServerUsage};
+pub use fs::{FileHandle, FileSystem};
 pub use retry::{IoFaults, RetryLog};
 pub use service::{PfsParams, ServerLoad, ServiceReport};
 pub use striping::{ObjectExtent, Striping};

@@ -9,12 +9,11 @@
 //!
 //! Contract, in causality order:
 //!
-//! 1. [`CausalSink::on_send`] fires in the *sender's* context, after
-//!    the sender has paid its injection cost but before the envelope is
-//!    delivered. It returns a **per-sender** sequence number (≥ 1) the
-//!    engine stamps into the envelope; `(src, seq)` is the edge's
-//!    identity. Sequence numbers are per-sender — a global counter
-//!    would be allocated in rank-schedule order and break
+//! 1. [`CausalSink::on_send`] fires in the *sender's* context before
+//!    the envelope is delivered. It returns a **per-sender** sequence
+//!    number (≥ 1) the engine stamps into the envelope; `(src, seq)` is
+//!    the edge's identity. Sequence numbers are per-sender — a global
+//!    counter would be allocated in rank-schedule order and break
 //!    determinism across explored schedules.
 //! 2. [`CausalSink::on_delivery`] fires in the *receiver's* context
 //!    when the matching receive settles the envelope, with the
@@ -34,14 +33,11 @@ use crate::time::VTime;
 /// call contract. Implementations must be cheap and lock-light: both
 /// hooks sit on the engine's per-message hot path.
 pub trait CausalSink: Send + Sync + std::fmt::Debug {
-    /// A message is departing `src` for `dst` at the sender's current
+    /// A message of `bytes` is departing `src` at the sender's current
     /// clock. Returns the per-sender sequence number (≥ 1) identifying
     /// this message; the engine stamps it into the envelope so the
     /// delivery can be matched back to this send.
-    ///
-    /// `costed` distinguishes data-plane messages (the receiver pays a
-    /// modeled transfer) from control-plane messages (causality only).
-    fn on_send(&self, src: usize, dst: usize, clock: VTime, bytes: u64, costed: bool) -> u64;
+    fn on_send(&self, src: usize, clock: VTime, bytes: u64) -> u64;
 
     /// The message `(src, seq)` settled at `dst`, moving the receiver's
     /// clock from `before` to `after` (equal when the message arrived

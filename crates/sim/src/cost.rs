@@ -21,8 +21,7 @@
 //!   rounds.
 //!
 //! The round time is the max of the serialization terms (they overlap)
-//! plus the latency of the longest dependency chain. Point-to-point
-//! messages outside collective phases use the simpler [`CostModel::pt2pt`].
+//! plus the latency of the longest dependency chain.
 
 use std::sync::LazyLock;
 
@@ -63,9 +62,6 @@ struct NodeLoad {
 #[derive(Debug, Clone)]
 pub struct CostModel {
     cluster: ClusterSpec,
-    /// Fixed software cost per message at an endpoint (matching, copies,
-    /// injection), seconds. ~1 µs matches MPI on InfiniBand-class fabrics.
-    pub per_message_overhead: f64,
     /// Software cost per *shuffle* message at an endpoint, seconds.
     /// Shuffle messages carry derived-datatype pieces: matching against
     /// many posted receives, unpacking noncontiguous payloads. ~20 µs is
@@ -83,7 +79,6 @@ impl CostModel {
     pub fn new(cluster: ClusterSpec) -> Self {
         CostModel {
             cluster,
-            per_message_overhead: 1.0e-6,
             shuffle_message_overhead: 20.0e-6,
             sync_per_rank: 2.0e-6,
         }
@@ -104,25 +99,6 @@ impl CostModel {
     #[must_use]
     pub fn cluster(&self) -> &ClusterSpec {
         &self.cluster
-    }
-
-    /// Cost of a single point-to-point message of `bytes` between two
-    /// ranks; `intra` selects the shared-memory path.
-    #[must_use]
-    pub fn pt2pt(&self, bytes: u64, intra: bool, src_node: usize, dst_node: usize) -> VDuration {
-        if intra {
-            let bw = self.cluster.nodes[src_node].mem_bandwidth;
-            VDuration::from_secs(self.cluster.intra_latency + self.per_message_overhead)
-                + VDuration::transfer(bytes, bw)
-        } else {
-            let bw = self
-                .cluster
-                .link_bandwidth
-                .min(self.cluster.nodes[src_node].nic_bandwidth)
-                .min(self.cluster.nodes[dst_node].nic_bandwidth);
-            VDuration::from_secs(self.cluster.link_latency + self.per_message_overhead)
-                + VDuration::transfer(bytes, bw)
-        }
     }
 
     /// Prices one shuffle round described by `flows`.
@@ -238,16 +214,6 @@ mod tests {
         let cluster = test_cluster(nodes, cores);
         let placement = Placement::new(&cluster, ranks, FillOrder::Block).unwrap();
         (CostModel::new(cluster), placement)
-    }
-
-    #[test]
-    fn pt2pt_inter_node_pays_link_bandwidth() {
-        let (m, _) = setup(2, 2, 4);
-        let d = m.pt2pt(GIB, false, 0, 1);
-        // 1 GiB over a 1 GiB/s link ≈ 1 s.
-        assert!((d.as_secs() - 1.0).abs() < 1e-3, "{d:?}");
-        let intra = m.pt2pt(GIB, true, 0, 0);
-        assert!(intra < d, "shared memory should beat the NIC");
     }
 
     #[test]

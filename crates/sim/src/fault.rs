@@ -159,8 +159,12 @@ pub struct FaultPlan {
     pub ctl_delay: VDuration,
     /// Retry policy governing fallible request paths.
     pub retry: RetryPolicy,
-    detect_timeout: VDuration,
 }
+
+/// How long a rank waits on a silent peer before declaring it dead, in
+/// microseconds: the virtual-time price of failure detection, charged
+/// per probed aggregator at the detection point.
+const DETECT_TIMEOUT_US: f64 = 250.0;
 
 impl FaultPlan {
     /// An empty plan (injects nothing) with the given seed.
@@ -174,7 +178,6 @@ impl FaultPlan {
             stragglers: Vec::new(),
             ctl_delay: VDuration::ZERO,
             retry: RetryPolicy::default(),
-            detect_timeout: VDuration::from_micros(250.0),
         }
     }
 
@@ -257,19 +260,6 @@ impl FaultPlan {
             });
         }
         self.sort_events();
-        self
-    }
-
-    /// Sets how long a rank waits on a silent peer before declaring it
-    /// dead — the virtual-time price of failure detection, charged per
-    /// probed aggregator at the detection point.
-    #[must_use]
-    pub fn detection_timeout(mut self, timeout: VDuration) -> Self {
-        assert!(
-            timeout > VDuration::ZERO,
-            "detection timeout must be positive"
-        );
-        self.detect_timeout = timeout;
         self
     }
 
@@ -444,7 +434,7 @@ impl FaultPlan {
     /// How long a rank waits on a silent peer before declaring it dead.
     #[must_use]
     pub fn detect_timeout(&self) -> VDuration {
-        self.detect_timeout
+        VDuration::from_micros(DETECT_TIMEOUT_US)
     }
 
     /// True if the plan injects anything at all.

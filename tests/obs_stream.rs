@@ -72,8 +72,8 @@ fn streaming_aggregate_matches_buffered_derivation_on_both_executors() {
             .expect("streaming sink exposes its aggregate");
 
         // The streaming path must be a bit-exact re-encoding: same
-        // cells, same counts, sums, min/max, histogram buckets, top-k
-        // stragglers, same folded/retained split.
+        // cells, same counts, sums, min/max, top-k stragglers, same
+        // folded/retained split.
         assert_eq!(
             derived, live,
             "{kind:?}: streaming aggregate diverges from buffered derivation"
