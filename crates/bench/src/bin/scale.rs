@@ -70,7 +70,7 @@ use mccio_obs::{analyze, report, BlameChain, ObsSink, StreamConfig};
 use mccio_sim::fault::FaultPlan;
 use mccio_sim::hostprof::{self, HostPhase, HostProfile};
 use mccio_sim::units::{KIB, MIB};
-use mccio_workloads::Ior;
+use mccio_workloads::{data, Ior};
 
 /// Counting wrapper around the system allocator: the obs allocation
 /// budget is measured with it.
@@ -256,6 +256,7 @@ const CI: (usize, u64, u64) = (1008, 256, 4);
 const TEN_K: (usize, u64, u64) = (10_080, 64, 2);
 
 fn main() {
+    eprintln!("scale: byte kernel build {}", data::kernel_build());
     let args: Vec<String> = std::env::args().skip(1).collect();
     let obs_flag = args.iter().any(|a| a == "--obs");
     let args: Vec<&str> = args

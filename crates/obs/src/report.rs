@@ -101,8 +101,7 @@ th{background:#f2f2f2}td.l,th.l{text-align:left}\n\
 svg{display:block;margin:6px 0}\n\
 .legend span{display:inline-block;margin-right:12px;font-size:12px}\n\
 .legend i{display:inline-block;width:10px;height:10px;margin-right:4px}\n\
-td.work{border-left:6px solid #54a24b}td.sync-wait{border-left:6px solid #888888}\
-td.transfer{border-left:6px solid #4c78a8}";
+td.work{border-left:6px solid #54a24b}td.sync-wait{border-left:6px solid #888888}";
 
 struct Scale {
     t0: f64,

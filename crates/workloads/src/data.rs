@@ -7,24 +7,30 @@
 //!
 //! [`fill`] and [`verify`] are the simulator's byte kernel: every rank
 //! runs them on its whole access pattern around each collective op. Both
-//! walk the extents with branch-free loops that compute [`byte_at`]
-//! lane-wise, so the compiler vectorises them. A run that holds two
-//! whole 64-byte chunks after its head splits in three: a lane-wise
-//! head up to the first offset whose splitmix input is 64-aligned, the
-//! chunks, which share splitmix's first product (one scalar multiply
-//! per chunk, one lane multiply per byte), and a lane-wise tail.
-//! `verify` folds `byte ^ byte_at(o)` over each 64-byte block or chunk,
-//! branches once per block, and rescans only a block that differs, byte
-//! by byte, so it still reports the exact first mismatching offset.
+//! walk the extents once. A run that holds two whole 64-byte chunks
+//! after its head splits in three: a lane-wise head up to the first
+//! offset whose splitmix input is 64-aligned, the chunks, which share
+//! splitmix's first product (one scalar multiply per chunk, one lane
+//! multiply per byte), and a lane-wise tail. `verify` checks 64 bytes
+//! per branch and finds the exact first mismatching offset inside a
+//! block that differs.
 //!
-//! The extent loops are compiled three times from the same body: for
-//! the baseline target, for AVX2, and for AVX-512 (F, DQ, BW, VL — the
-//! 64-bit lane multiply `byte_at` needs is AVX-512DQ). The best build the
-//! host supports runs the whole extent list, so short extents pay no
-//! per-extent dispatch. The standard library probes the CPU once per
-//! process and caches the answer. Each build computes the same integer
-//! function, so the bytes never depend on the host. Non-x86 targets run
-//! the baseline build.
+//! The walk is written once, generic over a build's two primitives: a
+//! 64-byte chunk from its shared product and a lane-wise run from an
+//! offset. Three builds share one pair of primitives, branch-free loops
+//! that compute [`byte_at`] lane-wise so the compiler vectorises them:
+//! the baseline target, AVX2 and AVX-512 (F, DQ, BW, VL — the 64-bit
+//! lane multiply `byte_at` needs is AVX-512DQ). A fourth build, for
+//! AVX-512 IFMA and VBMI hosts, has its own primitives: the second
+//! product is one 52-bit fused multiply per lane (the byte reads only
+//! bits 0..=38 of it), byte permutes pack 64 lanes into one store or
+//! compare, and a run's last bytes are one masked store or load. The
+//! best build the host supports runs the whole extent list, so short
+//! extents pay no per-extent dispatch. The standard library probes the
+//! CPU once per process and caches the answer; [`kernel_build`] names
+//! the build. Each build computes the same integer function, so the
+//! bytes never depend on the host. Non-x86 targets run the baseline
+//! build.
 
 use std::mem::MaybeUninit;
 
@@ -50,11 +56,37 @@ pub fn byte_at(offset: u64) -> u8 {
 }
 
 /// [`byte_at`] from its first product on: the second xor-shift and
-/// multiply, the last xor-shift and the truncation.
+/// multiply, then [`truncate`].
 #[inline(always)]
 fn finish(z: u64) -> u8 {
-    let z = (z ^ (z >> 27)).wrapping_mul(MIX2);
-    (z ^ (z >> 31)) as u8
+    truncate((z ^ (z >> 27)).wrapping_mul(MIX2))
+}
+
+/// The last xor-shift and the truncation of the second product `p`. The
+/// byte holds bits 0..=7 and 31..=38 of `p` and no other, so any
+/// product that agrees with `p` in bits 0..=38 gives the same byte.
+#[inline(always)]
+fn truncate(p: u64) -> u8 {
+    (p ^ (p >> 31)) as u8
+}
+
+/// The name of the byte kernel build that [`fill`] and [`verify`] run
+/// on this host: `"ifma"`, `"avx512"`, `"avx2"` or `"baseline"`.
+#[must_use]
+pub fn kernel_build() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if isa::has_ifma() {
+            return "ifma";
+        }
+        if isa::has_avx512() {
+            return "avx512";
+        }
+        if isa::has_avx2() {
+            return "avx2";
+        }
+    }
+    "baseline"
 }
 
 /// The first products of [`byte_at`] for chunks of [`BLOCK`] offsets
@@ -119,9 +151,12 @@ pub fn fill(extents: &ExtentList) -> Vec<u8> {
     let mut out = Vec::with_capacity(total);
     fill_with_best(extents.as_slice(), &mut out.spare_capacity_mut()[..total]);
     // SAFETY: `fill_extents` splits the `total`-slot buffer into one run
-    // per extent and writes each run whole (its head, chunks and tail
-    // partition it); it panics before this line if a run does not fit
-    // or a slot is left over, so all `total` slots are initialised here.
+    // per extent and hands each run whole to its build's primitives (its
+    // head, chunks and tail partition it); every primitive writes every
+    // slot it is given, the IFMA build's 64-byte and masked stores
+    // included (a masked store's mask covers exactly the run's last
+    // bytes). `fill_extents` panics before this line if a run does not
+    // fit or a slot is left over, so all `total` slots are initialised.
     unsafe { out.set_len(total) };
     out
 }
@@ -142,98 +177,138 @@ pub fn verify(extents: &ExtentList, data: &[u8]) -> Option<u64> {
     verify_with_best(extents.as_slice(), &data[..total])
 }
 
+/// A build's two primitives, for `fill` and for `verify`: a 64-byte
+/// chunk from its shared first product `base` and lane table `lanes`
+/// (byte `j` is `finish(base + lanes[j])`), and a lane-wise run from
+/// file offset `offset` (byte `i` is `byte_at(offset + i)`). A fill
+/// primitive writes every slot it is given; a verify primitive returns
+/// the index of the first wrong byte.
+trait Kernel: Copy {
+    fn fill_chunk(self, base: u64, lanes: &[u64; BLOCK], chunk: &mut [MaybeUninit<u8>; BLOCK]);
+    fn fill_run(self, offset: u64, run: &mut [MaybeUninit<u8>]);
+    fn verify_chunk(self, base: u64, lanes: &[u64; BLOCK], chunk: &[u8; BLOCK]) -> Option<usize>;
+    fn verify_run(self, offset: u64, run: &[u8]) -> Option<usize>;
+}
+
 /// Writes `byte_at(o)` for every offset of `extents`, packed, into
 /// `out`. `out` must be exactly as long as the extents are in total.
 #[inline(always)]
-fn fill_extents(extents: &[Extent], out: &mut [MaybeUninit<u8>]) {
+fn fill_extents<K: Kernel>(kernel: K, extents: &[Extent], out: &mut [MaybeUninit<u8>]) {
     let mut products = FirstProducts::new();
     let mut rest = out;
     for e in extents {
         let (run, tail) = rest.split_at_mut(e.len as usize);
         rest = tail;
         let Some(head) = aligned_head(e.offset, run.len()) else {
-            fill_lanes(e.offset, run);
+            kernel.fill_run(e.offset, run);
             continue;
         };
         let (head_run, body) = run.split_at_mut(head);
-        fill_lanes(e.offset, head_run);
+        kernel.fill_run(e.offset, head_run);
         let mut offset = e.offset + head as u64;
         let (chunks, tail_run) = body.as_chunks_mut::<BLOCK>();
         for chunk in chunks {
             let (base, lanes) = products.chunk(offset.wrapping_add(GAMMA));
-            for (slot, &lane) in chunk.iter_mut().zip(lanes) {
-                slot.write(finish(base.wrapping_add(lane)));
-            }
+            kernel.fill_chunk(base, lanes, chunk);
             offset += BLOCK as u64;
         }
-        fill_lanes(offset, tail_run);
+        kernel.fill_run(offset, tail_run);
     }
     assert!(rest.is_empty(), "fill: buffer longer than the extents");
-}
-
-/// Writes `byte_at(o)` into a run starting at file offset `offset`,
-/// one offset per lane.
-#[inline(always)]
-fn fill_lanes(offset: u64, run: &mut [MaybeUninit<u8>]) {
-    for (o, slot) in (offset..).zip(run) {
-        slot.write(byte_at(o));
-    }
 }
 
 /// The first offset at which packed `data` differs from `extents`'
 /// content. `data` must be exactly as long as the extents are in total.
 #[inline(always)]
-fn verify_extents(extents: &[Extent], data: &[u8]) -> Option<u64> {
+fn verify_extents<K: Kernel>(kernel: K, extents: &[Extent], data: &[u8]) -> Option<u64> {
+    let at = |offset: u64, bad: Option<usize>| bad.map(|i| offset + i as u64);
     let mut products = FirstProducts::new();
     let mut rest = data;
     for e in extents {
         let (run, tail) = rest.split_at(e.len as usize);
         rest = tail;
         let Some(head) = aligned_head(e.offset, run.len()) else {
-            if let Some(bad) = verify_lanes(e.offset, run) {
+            if let Some(bad) = at(e.offset, kernel.verify_run(e.offset, run)) {
                 return Some(bad);
             }
             continue;
         };
         let (head_run, body) = run.split_at(head);
-        if diff(e.offset, head_run) != 0 {
-            return first_mismatch(e.offset, head_run);
+        if let Some(bad) = at(e.offset, kernel.verify_run(e.offset, head_run)) {
+            return Some(bad);
         }
         let mut offset = e.offset + head as u64;
         let (chunks, tail_run) = body.as_chunks::<BLOCK>();
         for chunk in chunks {
             let (base, lanes) = products.chunk(offset.wrapping_add(GAMMA));
-            let d = chunk.iter().zip(lanes).fold(0, |acc, (&b, &lane)| {
-                acc | (b ^ finish(base.wrapping_add(lane)))
-            });
-            if d != 0 {
-                return first_mismatch(offset, chunk);
+            if let Some(bad) = at(offset, kernel.verify_chunk(base, lanes, chunk)) {
+                return Some(bad);
             }
             offset += BLOCK as u64;
         }
-        if diff(offset, tail_run) != 0 {
-            return first_mismatch(offset, tail_run);
+        if let Some(bad) = at(offset, kernel.verify_run(offset, tail_run)) {
+            return Some(bad);
         }
     }
     None
 }
 
-/// The first offset of a run starting at `offset` whose byte is wrong,
-/// checked one [`BLOCK`] per branch, one offset per lane.
-#[inline(always)]
-fn verify_lanes(offset: u64, run: &[u8]) -> Option<u64> {
-    let (blocks, partial) = run.as_chunks::<BLOCK>();
-    let mut offset = offset;
-    for block in blocks {
-        if diff(offset, block) != 0 {
-            return first_mismatch(offset, block);
+/// The primitives of the baseline, AVX2 and AVX-512 builds: branch-free
+/// loops over [`finish`] and [`byte_at`] that the compiler vectorises
+/// for whatever target features the calling build enables.
+#[derive(Clone, Copy)]
+struct Portable;
+
+impl Kernel for Portable {
+    #[inline(always)]
+    fn fill_chunk(self, base: u64, lanes: &[u64; BLOCK], chunk: &mut [MaybeUninit<u8>; BLOCK]) {
+        for (slot, &lane) in chunk.iter_mut().zip(lanes) {
+            slot.write(finish(base.wrapping_add(lane)));
         }
-        offset += BLOCK as u64;
     }
-    if diff(offset, partial) != 0 {
-        return first_mismatch(offset, partial);
+
+    #[inline(always)]
+    fn fill_run(self, offset: u64, run: &mut [MaybeUninit<u8>]) {
+        for (o, slot) in (offset..).zip(run) {
+            slot.write(byte_at(o));
+        }
     }
-    None
+
+    /// Folds `b ^ finish(..)` over the chunk and rescans it only if the
+    /// fold is nonzero.
+    #[inline(always)]
+    fn verify_chunk(self, base: u64, lanes: &[u64; BLOCK], chunk: &[u8; BLOCK]) -> Option<usize> {
+        let expected = |&lane: &u64| finish(base.wrapping_add(lane));
+        let d = chunk
+            .iter()
+            .zip(lanes)
+            .fold(0, |acc, (&b, lane)| acc | (b ^ expected(lane)));
+        if d == 0 {
+            return None;
+        }
+        chunk
+            .iter()
+            .zip(lanes)
+            .position(|(&b, lane)| b != expected(lane))
+    }
+
+    /// Checks one [`BLOCK`] per branch and rescans only a block that
+    /// differs.
+    #[inline(always)]
+    fn verify_run(self, offset: u64, run: &[u8]) -> Option<usize> {
+        let (blocks, partial) = run.as_chunks::<BLOCK>();
+        let mut offset = offset;
+        for (k, block) in blocks.iter().enumerate() {
+            if diff(offset, block) != 0 {
+                return first_mismatch(offset, block).map(|i| k * BLOCK + i);
+            }
+            offset += BLOCK as u64;
+        }
+        if diff(offset, partial) != 0 {
+            return first_mismatch(offset, partial).map(|i| blocks.len() * BLOCK + i);
+        }
+        None
+    }
 }
 
 /// The OR of `b ^ byte_at(o)` over a run starting at file offset
@@ -245,19 +320,21 @@ fn diff(offset: u64, run: &[u8]) -> u8 {
         .fold(0, |acc, (o, &b)| acc | (b ^ byte_at(o)))
 }
 
-/// The first offset of a run starting at `offset` whose byte is wrong.
+/// The index of the first byte of a run starting at `offset` that is
+/// wrong.
 #[inline(always)]
-fn first_mismatch(offset: u64, run: &[u8]) -> Option<u64> {
-    (offset..)
-        .zip(run)
-        .find(|&(o, &b)| b != byte_at(o))
-        .map(|(o, _)| o)
+fn first_mismatch(offset: u64, run: &[u8]) -> Option<usize> {
+    (offset..).zip(run).position(|(o, &b)| b != byte_at(o))
 }
 
 /// [`fill_extents`] in the best build this host supports.
 fn fill_with_best(extents: &[Extent], out: &mut [MaybeUninit<u8>]) {
     #[cfg(target_arch = "x86_64")]
     {
+        if isa::has_ifma() {
+            // SAFETY: the host supports every feature the build enables.
+            return unsafe { isa::fill_ifma(extents, out) };
+        }
         if isa::has_avx512() {
             // SAFETY: the host supports every feature the build enables.
             return unsafe { isa::fill_avx512(extents, out) };
@@ -267,13 +344,17 @@ fn fill_with_best(extents: &[Extent], out: &mut [MaybeUninit<u8>]) {
             return unsafe { isa::fill_avx2(extents, out) };
         }
     }
-    fill_extents(extents, out);
+    fill_extents(Portable, extents, out);
 }
 
 /// [`verify_extents`] in the best build this host supports.
 fn verify_with_best(extents: &[Extent], data: &[u8]) -> Option<u64> {
     #[cfg(target_arch = "x86_64")]
     {
+        if isa::has_ifma() {
+            // SAFETY: the host supports every feature the build enables.
+            return unsafe { isa::verify_ifma(extents, data) };
+        }
         if isa::has_avx512() {
             // SAFETY: the host supports every feature the build enables.
             return unsafe { isa::verify_avx512(extents, data) };
@@ -283,17 +364,32 @@ fn verify_with_best(extents: &[Extent], data: &[u8]) -> Option<u64> {
             return unsafe { isa::verify_avx2(extents, data) };
         }
     }
-    verify_extents(extents, data)
+    verify_extents(Portable, extents, data)
 }
 
-/// The x86-64 builds of the extent loops: the same bodies, compiled
-/// with wider vector instructions enabled. Calling one is sound only
-/// once its `has_*` check returned true.
+/// The x86-64 builds of the extent walk, compiled with wider vector
+/// instructions enabled. Calling one is sound only once its `has_*`
+/// check returned true.
 #[cfg(target_arch = "x86_64")]
 mod isa {
+    use std::arch::x86_64::{
+        __m512i, _mm512_add_epi64, _mm512_cmpneq_epi8_mask, _mm512_loadu_si512,
+        _mm512_madd52lo_epu64, _mm512_mask_cmpneq_epi8_mask, _mm512_mask_storeu_epi8,
+        _mm512_maskz_loadu_epi8, _mm512_mullo_epi64, _mm512_permutex2var_epi8, _mm512_set1_epi64,
+        _mm512_setzero_si512, _mm512_srli_epi64, _mm512_storeu_si512, _mm512_xor_si512,
+    };
     use std::mem::MaybeUninit;
 
     use mccio_mpiio::Extent;
+
+    use super::{Kernel, Portable, BLOCK, GAMMA, MIX1, MIX2};
+
+    /// True when the host runs the IFMA build.
+    pub(super) fn has_ifma() -> bool {
+        has_avx512()
+            && is_x86_feature_detected!("avx512ifma")
+            && is_x86_feature_detected!("avx512vbmi")
+    }
 
     /// True when the host runs the AVX-512 build.
     pub(super) fn has_avx512() -> bool {
@@ -308,24 +404,214 @@ mod isa {
         is_x86_feature_detected!("avx2")
     }
 
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512ifma,avx512vbmi")]
+    pub(super) fn fill_ifma(extents: &[Extent], out: &mut [MaybeUninit<u8>]) {
+        super::fill_extents(Ifma(()), extents, out);
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512ifma,avx512vbmi")]
+    pub(super) fn verify_ifma(extents: &[Extent], data: &[u8]) -> Option<u64> {
+        super::verify_extents(Ifma(()), extents, data)
+    }
+
     #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
     pub(super) fn fill_avx512(extents: &[Extent], out: &mut [MaybeUninit<u8>]) {
-        super::fill_extents(extents, out);
+        super::fill_extents(Portable, extents, out);
     }
 
     #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
     pub(super) fn verify_avx512(extents: &[Extent], data: &[u8]) -> Option<u64> {
-        super::verify_extents(extents, data)
+        super::verify_extents(Portable, extents, data)
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) fn fill_avx2(extents: &[Extent], out: &mut [MaybeUninit<u8>]) {
-        super::fill_extents(extents, out);
+        super::fill_extents(Portable, extents, out);
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) fn verify_avx2(extents: &[Extent], data: &[u8]) -> Option<u64> {
-        super::verify_extents(extents, data)
+        super::verify_extents(Portable, extents, data)
+    }
+
+    /// The IFMA build's primitives. A value is made only inside
+    /// [`fill_ifma`] and [`verify_ifma`], which run only on hosts that
+    /// support every feature they enable, so its methods may call the
+    /// functions below that need those features.
+    #[derive(Clone, Copy)]
+    struct Ifma(());
+
+    impl Kernel for Ifma {
+        #[inline(always)]
+        fn fill_chunk(self, base: u64, lanes: &[u64; BLOCK], chunk: &mut [MaybeUninit<u8>; BLOCK]) {
+            // SAFETY: see `Ifma`; the store writes the chunk's 64 bytes.
+            unsafe { _mm512_storeu_si512(chunk.as_mut_ptr().cast(), chunk_bytes(base, lanes)) }
+        }
+
+        #[inline(always)]
+        fn fill_run(self, offset: u64, run: &mut [MaybeUninit<u8>]) {
+            let (groups, last) = run.as_chunks_mut::<BLOCK>();
+            let mut offset = offset;
+            for group in groups {
+                // SAFETY: see `Ifma`; the store writes the group's 64 bytes.
+                unsafe { _mm512_storeu_si512(group.as_mut_ptr().cast(), run_bytes(offset, 8)) }
+                offset += BLOCK as u64;
+            }
+            if !last.is_empty() {
+                // SAFETY: see `Ifma`; the mask holds one bit per byte of
+                // `last`, so the store writes exactly those bytes.
+                unsafe {
+                    _mm512_mask_storeu_epi8(
+                        last.as_mut_ptr().cast(),
+                        last_mask(last.len()),
+                        run_bytes(offset, last.len().div_ceil(8)),
+                    );
+                }
+            }
+        }
+
+        #[inline(always)]
+        fn verify_chunk(
+            self,
+            base: u64,
+            lanes: &[u64; BLOCK],
+            chunk: &[u8; BLOCK],
+        ) -> Option<usize> {
+            // SAFETY: see `Ifma`; the load reads the chunk's 64 bytes.
+            let bad = unsafe {
+                _mm512_cmpneq_epi8_mask(
+                    chunk_bytes(base, lanes),
+                    _mm512_loadu_si512(chunk.as_ptr().cast()),
+                )
+            };
+            first_set(bad)
+        }
+
+        #[inline(always)]
+        fn verify_run(self, offset: u64, run: &[u8]) -> Option<usize> {
+            let (groups, last) = run.as_chunks::<BLOCK>();
+            let mut offset = offset;
+            for (k, group) in groups.iter().enumerate() {
+                // SAFETY: see `Ifma`; the load reads the group's 64 bytes.
+                let bad = unsafe {
+                    _mm512_cmpneq_epi8_mask(
+                        run_bytes(offset, 8),
+                        _mm512_loadu_si512(group.as_ptr().cast()),
+                    )
+                };
+                if let Some(i) = first_set(bad) {
+                    return Some(k * BLOCK + i);
+                }
+                offset += BLOCK as u64;
+            }
+            if last.is_empty() {
+                return None;
+            }
+            let keep = last_mask(last.len());
+            // SAFETY: see `Ifma`; the mask holds one bit per byte of
+            // `last`, so the load reads exactly those bytes.
+            let bad = unsafe {
+                let data = _mm512_maskz_loadu_epi8(keep, last.as_ptr().cast());
+                _mm512_mask_cmpneq_epi8_mask(keep, run_bytes(offset, last.len().div_ceil(8)), data)
+            };
+            first_set(bad).map(|i| groups.len() * BLOCK + i)
+        }
+    }
+
+    /// One bit per byte of a run's last `len` bytes, `0 < len < 64`.
+    #[inline(always)]
+    fn last_mask(len: usize) -> u64 {
+        u64::MAX >> (BLOCK - len)
+    }
+
+    /// The index of the lowest set bit of a byte mask: the first wrong
+    /// byte.
+    #[inline(always)]
+    fn first_set(bad: u64) -> Option<usize> {
+        (bad != 0).then(|| bad.trailing_zeros() as usize)
+    }
+
+    /// The 64 bytes of the chunk whose first products are
+    /// `base + lanes[j]`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512ifma,avx512vbmi")]
+    fn chunk_bytes(base: u64, lanes: &[u64; BLOCK]) -> __m512i {
+        let base = _mm512_set1_epi64(base as i64);
+        let mut bytes = [_mm512_setzero_si512(); 8];
+        for (r, lanes) in bytes.iter_mut().zip(lanes.as_chunks::<8>().0) {
+            // SAFETY: `lanes` is 8 `u64`s, the 64 bytes the load reads.
+            let lanes = unsafe { _mm512_loadu_si512(lanes.as_ptr().cast()) };
+            *r = finish8(_mm512_add_epi64(base, lanes));
+        }
+        pack(bytes)
+    }
+
+    /// The bytes of the `8 * vectors` offsets from `offset` on, one
+    /// offset per lane, in bytes `0..8 * vectors` (`vectors <= 8`; the
+    /// other bytes are left over). A run's last bytes compute only the
+    /// vectors they need.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512ifma,avx512vbmi")]
+    fn run_bytes(offset: u64, vectors: usize) -> __m512i {
+        let eight = _mm512_set1_epi64(8);
+        let mix1 = _mm512_set1_epi64(MIX1 as i64);
+        let mut z = _mm512_add_epi64(_mm512_set1_epi64(offset.wrapping_add(GAMMA) as i64), IOTA);
+        let mut bytes = [_mm512_setzero_si512(); 8];
+        for r in &mut bytes[..vectors] {
+            let x = _mm512_xor_si512(z, _mm512_srli_epi64::<30>(z));
+            *r = finish8(_mm512_mullo_epi64(x, mix1));
+            z = _mm512_add_epi64(z, eight);
+        }
+        pack(bytes)
+    }
+
+    /// `finish` of each lane's first product `y`, in the lane's low byte
+    /// (the lane's other bytes are left over). The second product is
+    /// exact in bits 0..=51, and the byte reads bits 0..=38 of it.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512ifma,avx512vbmi")]
+    fn finish8(y: __m512i) -> __m512i {
+        let w = _mm512_xor_si512(y, _mm512_srli_epi64::<27>(y));
+        let p = _mm512_madd52lo_epu64(_mm512_setzero_si512(), w, _mm512_set1_epi64(MIX2 as i64));
+        _mm512_xor_si512(p, _mm512_srli_epi64::<31>(p))
+    }
+
+    /// Byte 0 of every lane of `r`, vector `k`'s lanes at bytes
+    /// `8k..8k + 8`: pairs of vectors, then pairs of pairs, then halves.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl,avx512ifma,avx512vbmi")]
+    fn pack(r: [__m512i; 8]) -> __m512i {
+        let q0 = _mm512_permutex2var_epi8(r[0], LOW_BYTES, r[1]);
+        let q1 = _mm512_permutex2var_epi8(r[2], LOW_BYTES, r[3]);
+        let q2 = _mm512_permutex2var_epi8(r[4], LOW_BYTES, r[5]);
+        let q3 = _mm512_permutex2var_epi8(r[6], LOW_BYTES, r[7]);
+        let h0 = _mm512_permutex2var_epi8(q0, FIRST_16, q1);
+        let h1 = _mm512_permutex2var_epi8(q2, FIRST_16, q3);
+        _mm512_permutex2var_epi8(h0, FIRST_32, h1)
+    }
+
+    /// Lanes `0..8` as 64-bit integers.
+    // SAFETY: any 64 bytes are a valid 512-bit vector.
+    const IOTA: __m512i = unsafe { std::mem::transmute([0u64, 1, 2, 3, 4, 5, 6, 7]) };
+    /// Byte 0 of each lane of the first table, then of the second.
+    const LOW_BYTES: __m512i = interleave(8, 8);
+    /// Bytes `0..16` of the first table, then of the second.
+    const FIRST_16: __m512i = interleave(16, 1);
+    /// Bytes `0..32` of the first table, then of the second.
+    const FIRST_32: __m512i = interleave(32, 1);
+
+    /// Byte permute indices into two tables: byte `m` selects byte
+    /// `stride * (m % width)` of the first table when `m / width` is
+    /// even, of the second when it is odd.
+    const fn interleave(width: usize, stride: usize) -> __m512i {
+        let mut index = [0u8; BLOCK];
+        let mut m = 0;
+        while m < BLOCK {
+            index[m] = (stride * (m % width) + BLOCK * (m / width % 2)) as u8;
+            m += 1;
+        }
+        // SAFETY: any 64 bytes are a valid 512-bit vector.
+        unsafe { std::mem::transmute::<[u8; BLOCK], __m512i>(index) }
     }
 }
 
@@ -337,10 +623,14 @@ mod tests {
     type FillFn = fn(&[Extent], &mut [MaybeUninit<u8>]);
     type VerifyFn = fn(&[Extent], &[u8]) -> Option<u64>;
 
-    /// Every build of the extent loops this host can run, baseline first.
+    /// Every build of the extent walk this host can run, baseline first
+    /// and the one `fill`/`verify` dispatch to last.
     fn builds() -> Vec<(&'static str, FillFn, VerifyFn)> {
-        let mut out: Vec<(&'static str, FillFn, VerifyFn)> =
-            vec![("baseline", fill_extents, verify_extents)];
+        let mut out: Vec<(&'static str, FillFn, VerifyFn)> = vec![(
+            "baseline",
+            |e, o| fill_extents(Portable, e, o),
+            |e, d| verify_extents(Portable, e, d),
+        )];
         #[cfg(target_arch = "x86_64")]
         {
             if isa::has_avx2() {
@@ -360,6 +650,16 @@ mod tests {
                     |e, o| unsafe { isa::fill_avx512(e, o) },
                     // SAFETY: as above.
                     |e, d| unsafe { isa::verify_avx512(e, d) },
+                ));
+            }
+            if isa::has_ifma() {
+                out.push((
+                    "ifma",
+                    // SAFETY: built only after the host reported every
+                    // feature the build enables.
+                    |e, o| unsafe { isa::fill_ifma(e, o) },
+                    // SAFETY: as above.
+                    |e, d| unsafe { isa::verify_ifma(e, d) },
                 ));
             }
         }
@@ -488,10 +788,70 @@ mod tests {
 
     #[test]
     fn every_build_fills_the_reference_bytes() {
+        let names: Vec<&str> = builds().iter().map(|&(name, ..)| name).collect();
+        println!("byte kernel builds compared with byte_at: {names:?}");
         let mut rng = Prng::seed_from_u64(0xDA7A);
         for _ in 0..400 {
             assert_fills(&random_extents(&mut rng));
         }
+    }
+
+    #[test]
+    fn kernel_build_names_the_best_build_compared() {
+        let (best, ..) = *builds().last().expect("the baseline build");
+        assert_eq!(kernel_build(), best);
+    }
+
+    #[test]
+    fn truncate_reads_only_bits_0_to_38_of_the_second_product() {
+        // The IFMA build's second product is exact in bits 0..=51 only.
+        let mut rng = Prng::seed_from_u64(39);
+        for _ in 0..100_000 {
+            let p = rng.next_u64();
+            let high = rng.next_u64() & !((1 << 39) - 1);
+            assert_eq!(truncate(p ^ high), truncate(p), "p {p:#x}, flip {high:#x}");
+            // Bit 38 lands in the byte's top bit: the bound is tight.
+            assert_ne!(truncate(p ^ 1 << 38), truncate(p), "p {p:#x}");
+        }
+    }
+
+    #[test]
+    fn a_product_of_the_low_52_bits_is_exact_mod_2_52() {
+        const LOW_52: u64 = (1 << 52) - 1;
+        let mut rng = Prng::seed_from_u64(52);
+        let mut ws: Vec<u64> = (0..100_000).map(|_| rng.next_u64()).collect();
+        ws.extend((0..1000).map(|_| rng.next_u64() | !LOW_52));
+        ws.extend([0, LOW_52, u64::MAX, !LOW_52]);
+        for &w in &ws {
+            let low = (u128::from(w & LOW_52) * u128::from(MIX2 & LOW_52)) as u64 & LOW_52;
+            assert_eq!(low, w.wrapping_mul(MIX2) & LOW_52, "w {w:#x}");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if isa::has_ifma() {
+            for w in ws.chunks_exact(8) {
+                let w: [u64; 8] = w.try_into().expect("8 lanes");
+                // SAFETY: the host reported AVX-512F and IFMA.
+                let got = unsafe { madd52lo(w, MIX2) };
+                for (&w, got) in w.iter().zip(got) {
+                    assert_eq!(got, w.wrapping_mul(MIX2) & LOW_52, "w {w:#x}");
+                }
+            }
+        }
+    }
+
+    /// `vpmadd52luq` with a zero accumulator: the low 52 bits of the
+    /// product of the low 52 bits of each lane of `w` and of `c`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn madd52lo(w: [u64; 8], c: u64) -> [u64; 8] {
+        use std::arch::x86_64::{
+            __m512i, _mm512_madd52lo_epu64, _mm512_set1_epi64, _mm512_setzero_si512,
+        };
+        // SAFETY: `[u64; 8]` and `__m512i` are the same 64 bytes.
+        let w = unsafe { std::mem::transmute::<[u64; 8], __m512i>(w) };
+        let p = _mm512_madd52lo_epu64(_mm512_setzero_si512(), w, _mm512_set1_epi64(c as i64));
+        // SAFETY: as above.
+        unsafe { std::mem::transmute::<__m512i, [u64; 8]>(p) }
     }
 
     #[test]
