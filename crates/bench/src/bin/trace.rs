@@ -1,8 +1,8 @@
 //! `trace` — run a figure-scale collective I/O config with the
 //! observability layer enabled and emit its artifacts: a Chrome
 //! `trace_event` JSON per strategy (loadable in Perfetto /
-//! `chrome://tracing`), a JSONL event stream, and a metrics summary
-//! table.
+//! `chrome://tracing`), a JSONL event stream, and the counters the
+//! analysis derives from the events.
 //!
 //! ```text
 //! cargo run --release -p mccio-bench --bin trace -- [ci|fig7] [outdir]
@@ -19,7 +19,7 @@
 //!   the first. Exits nonzero unless every op's critical-path total is
 //!   bit-identical to its op span, its segments tile the span with
 //!   bit-equal joints, and the JSONL artifact replays into a
-//!   bit-identical analysis;
+//!   bit-identical analysis, counters included;
 //! * `causal` — root-cause analysis: runs both paper strategies with
 //!   message-causality tracing under the deterministic control-plane
 //!   latency of `mccio_bench::causal_plan` (so clocks genuinely diverge
@@ -119,8 +119,18 @@ fn emit(mode: &str, outdir: &str) {
             }
         }
 
-        println!("metrics [{name}]:");
-        print!("{}", obs.metrics().summary_table());
+        match analyze::TraceAnalysis::of_sink(&obs) {
+            Ok(analysis) => {
+                println!("counters [{name}]:");
+                for (counter, v) in &analysis.counters {
+                    println!("  {counter:<36} {v:>16}");
+                }
+            }
+            Err(e) => {
+                eprintln!("  analysis failed: {e}");
+                failures += 1;
+            }
+        }
     }
     if failures > 0 {
         eprintln!("trace: {failures} artifact validation failure(s)");
@@ -134,7 +144,7 @@ fn emit(mode: &str, outdir: &str) {
 /// critical-path total must equal the op span's virtual duration to the
 /// bit, the segments must tile the span with bit-equal joints, the
 /// phase attribution must close, and the JSONL artifact must replay into
-/// a bit-identical analysis.
+/// a bit-identical analysis: the same critical paths and counters.
 fn report_mode(mode: &str, outdir: &str) {
     let (platform, workload, buffer) = platform_for(mode);
     std::fs::create_dir_all(outdir).expect("create output directory");
@@ -189,14 +199,14 @@ fn report_mode(mode: &str, outdir: &str) {
         }
         // Acceptance invariant 2: the JSONL artifact replays into an
         // identical set of critical paths — every segment, decoded round
-        // and per-phase attribution.
+        // and per-phase attribution — and identical derived counters.
         let replayed = analyze::from_jsonl(&export::jsonl(&events))
             .and_then(|evs| analyze::TraceAnalysis::from_events(&evs, &[]))
             .unwrap_or_else(|e| {
                 eprintln!("report[{name}]: JSONL replay failed: {e}");
                 exit(1);
             });
-        if replayed.ops != analysis.ops {
+        if replayed.ops != analysis.ops || replayed.counters != analysis.counters {
             eprintln!("report[{name}]: JSONL replay is not bit-identical to the live analysis");
             failures += 1;
         }

@@ -62,7 +62,6 @@ impl OpState {
         if obs.is_enabled() {
             for r in &self.reservations {
                 mark_mem_event(obs, ctx.rank() as u32, "mem.release", ctx.clock(), env, r);
-                obs.counter_add("mem.release.bytes", r.bytes());
             }
         }
         self.reservations.clear();
@@ -75,7 +74,6 @@ impl OpState {
         let obs = env.obs();
         if obs.is_enabled() {
             mark_mem_event(obs, ctx.rank() as u32, "mem.reserve", ctx.clock(), env, &r);
-            obs.counter_add("mem.reserve.bytes", r.bytes());
         }
         self.reservations.push(r);
     }
@@ -106,7 +104,6 @@ fn mark_mem_event(
             ("ceiling", AttrValue::U64(env.mem.ceiling(r.node()))),
         ],
     );
-    obs.counter_add(name, 1);
 }
 
 /// Marks fault events applied by this rank on the trace's engine track.
@@ -133,7 +130,6 @@ pub(super) fn mark_fault_events(obs: &ObsSink, fired: &[TimedEvent]) {
                         ("bytes", AttrValue::U64(bytes)),
                     ],
                 );
-                obs.counter_add("fault.mem.events", 1);
             }
             FaultEvent::RankCrash { rank } | FaultEvent::RankRecover { rank } => {
                 let name = if matches!(timed.event, FaultEvent::RankCrash { .. }) {
@@ -148,7 +144,6 @@ pub(super) fn mark_fault_events(obs: &ObsSink, fired: &[TimedEvent]) {
                     timed.at,
                     &[("rank", AttrValue::U64(rank as u64))],
                 );
-                obs.counter_add("fault.rank.events", 1);
             }
         }
     }
@@ -222,7 +217,6 @@ fn trace_open(ctx: &Ctx, env: &IoEnv, t0: VTime, reservations: &[Reservation]) {
     let me = ctx.rank() as u32;
     for r in reservations {
         mark_mem_event(obs, me, "mem.reserve", ctx.clock(), env, r);
-        obs.counter_add("mem.reserve.bytes", r.bytes());
     }
     obs.span(
         me,
@@ -291,20 +285,18 @@ fn trace_close(ctx: &Ctx, env: &IoEnv, reservations: &[Reservation]) {
             env,
             r,
         );
-        env.obs().counter_add("mem.release.bytes", r.bytes());
     }
 }
 
-/// One rank snapshots the per-node memory high-water marks so the
-/// registry's histogram (and its CoV) reflects each node once per
-/// operation, not once per rank.
+/// One rank samples the per-node memory high-water marks, so the
+/// `mem.peak_reserved` samples hold each node once per operation, not
+/// once per rank.
 #[inline(never)]
 fn trace_node_peaks(ctx: &Ctx, env: &IoEnv) {
     let obs = env.obs();
     for node in 0..env.mem.n_nodes() {
         let peak = env.mem.peak_reserved(node);
         if peak > 0 {
-            obs.observe("mem.node_peak_bytes", peak);
             obs.counter_sample(
                 ENGINE_TRACK,
                 "mem.peak_reserved",
@@ -387,7 +379,6 @@ fn reserve_collectively(
                 ctx.clock(),
                 &[("attempt", AttrValue::U64(u64::from(attempt)))],
             );
-            env.obs().counter_add("reserve.retries", 1);
             // A restoration event may fire during the pause and rescue
             // the next attempt.
             let fired = env.faults().apply_due(ctx.clock(), &env.mem);
@@ -403,7 +394,6 @@ fn reserve_collectively(
         ctx.clock(),
         &[],
     );
-    env.obs().counter_add("reserve.exhausted", 1);
     Err(SimError::TransientIo {
         attempts: policy.max_attempts,
     })

@@ -302,7 +302,6 @@ impl CrashTracker {
                     ],
                 );
             }
-            obs.counter_add(CRASH_DETECTED, newly.len() as u64);
             for &(di, agg) in &moves {
                 obs.instant(
                     ENGINE_TRACK,
@@ -315,7 +314,6 @@ impl CrashTracker {
                     ],
                 );
             }
-            obs.counter_add(REELECTION, moves.len() as u64);
             if !moves.is_empty() {
                 obs.instant(
                     ENGINE_TRACK,
@@ -324,7 +322,6 @@ impl CrashTracker {
                     ctx.clock(),
                     &[("round", AttrValue::U64(round))],
                 );
-                obs.counter_add(ROUNDS_REPLAYED, 1);
             }
         }
         Ok(())

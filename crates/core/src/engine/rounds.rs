@@ -366,9 +366,6 @@ fn trace_rank_round(
             ("retries", AttrValue::U64(retries)),
         ],
     );
-    obs.counter_add("shuffle.bytes", sent);
-    obs.counter_add("storage.requests", report.total_requests());
-    obs.counter_add("storage.bytes", report.total_bytes());
 }
 
 /// The world root's op span, and the causal blame chain that tiles it.
@@ -386,7 +383,6 @@ fn trace_op(ctx: &Ctx, obs: &ObsSink, t0: VTime, dir: &'static str, bytes: u64, 
             ("rounds", AttrValue::U64(rounds)),
         ],
     );
-    obs.counter_add("op.count", 1);
     // Walk the causal frontier back from this op's end: the blame
     // chain's [t0, clock] window is exactly the op span above, so its
     // total is bit-equal to the span duration by construction.

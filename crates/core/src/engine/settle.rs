@@ -2,8 +2,6 @@
 //! world root from gathered facts and broadcast, so time is a pure
 //! function of the plan and never of rank scheduling.
 
-use std::sync::LazyLock;
-
 use mccio_net::{Ctx, RankSet};
 use mccio_obs::{AttrValue, ENGINE_TRACK};
 use mccio_pfs::{RetryLog, ServiceReport};
@@ -13,10 +11,6 @@ use mccio_sim::time::VDuration;
 use super::env::IoEnv;
 use super::prologue::mark_fault_events;
 use super::wire::{decode_facts, encode_facts};
-
-/// Whether `MCCIO_TRACE` asks for one stderr line per priced round;
-/// read once per process.
-static TRACE_ROUNDS: LazyLock<bool> = LazyLock::new(|| std::env::var_os("MCCIO_TRACE").is_some());
 
 /// Gathers every rank's round facts at the world root, prices the round,
 /// broadcasts the duration, and advances every rank's clock by it.
@@ -71,7 +65,6 @@ struct Priced {
     n_clients: usize,
     transient_faults: u64,
     retries: u64,
-    integrity: u64,
     /// Straggler attribution: the rank whose contribution set each
     /// max-over-ranks phase term. Critical-path analysis names these per
     /// round (`obs::analyze`).
@@ -101,7 +94,6 @@ fn price_round(ctx: &Ctx, env: &IoEnv, world: &RankSet, parts: &[Vec<u8>], is_wr
     let mut waiting = VDuration::ZERO;
     let mut transient_faults = 0u64;
     let mut retries = 0u64;
-    let mut integrity = 0u64;
     let mut assembly_rank = 0u64;
     let mut storage_rank = 0u64;
     let mut backoff_rank = 0u64;
@@ -143,7 +135,6 @@ fn price_round(ctx: &Ctx, env: &IoEnv, world: &RankSet, parts: &[Vec<u8>], is_wr
         waiting = waiting.max(facts.retry.backoff);
         transient_faults += facts.retry.transient_faults;
         retries += facts.retry.retries;
-        integrity += facts.integrity;
     }
     let slowdowns = if fault_plan.has_slow_servers() {
         fault_plan.server_slowdowns(env.fs.n_servers())
@@ -165,7 +156,6 @@ fn price_round(ctx: &Ctx, env: &IoEnv, world: &RankSet, parts: &[Vec<u8>], is_wr
         n_clients,
         transient_faults,
         retries,
-        integrity,
         storage_rank,
         assembly_rank,
         backoff_rank,
@@ -174,27 +164,11 @@ fn price_round(ctx: &Ctx, env: &IoEnv, world: &RankSet, parts: &[Vec<u8>], is_wr
     if env.obs().is_enabled() {
         trace_round(ctx, env, &priced, is_write);
     }
-    if *TRACE_ROUNDS {
-        eprintln!(
-            "[mccio round] {} flows={} vol={}B reqs={} sync={} shuffle={} storage={} assembly={} backoff={} faults={}",
-            if is_write { "write" } else { "read" },
-            priced.flows,
-            priced.merged.total_bytes(),
-            priced.merged.total_requests(),
-            priced.sync,
-            priced.shuffle,
-            priced.storage,
-            priced.assembly,
-            priced.waiting,
-            priced.transient_faults,
-        );
-    }
     priced.total().as_secs()
 }
 
 /// Traces one priced round at the root: the round span, one span per
-/// non-zero phase term in pricing order, the settle mark and the round
-/// counters.
+/// non-zero phase term in pricing order and the settle mark.
 #[inline(never)]
 fn trace_round(ctx: &Ctx, env: &IoEnv, p: &Priced, is_write: bool) {
     let obs = env.obs();
@@ -264,13 +238,5 @@ fn trace_round(ctx: &Ctx, env: &IoEnv, p: &Priced, is_write: bool) {
                 AttrValue::U64(p.slowdowns.iter().filter(|&&f| f > 1.0).count() as u64),
             )],
         );
-    }
-    obs.counter_add("round.count", 1);
-    obs.counter_add("storage.volume_bytes", p.merged.total_bytes());
-    obs.observe("round.clients", p.n_clients as u64);
-    // Crash-gated: zero on healthy runs, so traces never grow a dead
-    // counter.
-    if p.integrity > 0 {
-        obs.counter_add(mccio_obs::INTEGRITY_VERIFIED, p.integrity);
     }
 }

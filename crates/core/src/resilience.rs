@@ -364,9 +364,6 @@ fn mark_rung(ctx: &Ctx, env: &IoEnv, rung: usize, strategy: &'static str, comple
             ("strategy", AttrValue::Str(strategy)),
         ],
     );
-    if !completed {
-        obs.counter_add("ladder.descents", 1);
-    }
 }
 
 /// Stamps the ladder outcome onto the final report: elapsed spans the

@@ -404,16 +404,6 @@ impl MemoryModel {
         self.inner.nodes[node].lock().capacity
     }
 
-    /// Resets every node's high-water mark (between experiment runs).
-    pub fn reset_peaks(&self) {
-        for n in &self.inner.nodes {
-            let mut n = n.lock();
-            n.peak_reserved = n.reserved;
-        }
-        // Peaks feed `peak_statistics`; its memo must not outlive them.
-        self.touch();
-    }
-
     /// Summary of peak aggregation memory across nodes that aggregated
     /// anything — mean, stddev and CV quantify the paper's "variance
     /// among processes".
@@ -622,9 +612,6 @@ mod tests {
         let stats = m.peak_statistics();
         assert_eq!(stats.count(), 2);
         assert!((stats.mean() - 20.0 * MIB as f64).abs() < 1.0);
-        m.reset_peaks();
-        // Peaks reset to live reservations, still 2 nodes counted.
-        assert_eq!(m.peak_statistics().count(), 2);
     }
 
     #[test]

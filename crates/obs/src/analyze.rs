@@ -40,7 +40,6 @@ use mccio_sim::time::{VDuration, VTime};
 
 use crate::causal::{verify_joints, BlameChain, BlameSegment, SegClass};
 use crate::json::{self, Value};
-use crate::metrics::Histogram;
 use crate::sink::ObsSink;
 use crate::span::{intern, AttrValue, Event, EventKind, ENGINE_TRACK};
 use crate::stream::StreamAgg;
@@ -516,12 +515,10 @@ pub struct TraceAnalysis {
     /// Per-node occupancy timelines, in node order (only nodes that
     /// reserved anything appear).
     pub memory: Vec<MemTimeline>,
-    /// Counter snapshot, when analyzing a live sink (replayed artifacts
-    /// carry events only).
+    /// The run's counters, derived from its events (see
+    /// [`TraceAnalysis::from_events`]), so a replayed artifact carries
+    /// the same ones as the live run.
     pub counters: BTreeMap<String, u64>,
-    /// Histogram snapshot, when analyzing a live sink (per-node memory
-    /// peaks, round client counts, …).
-    pub histograms: BTreeMap<String, Histogram>,
     /// The streaming aggregate, when the analyzed sink folds through
     /// one (`ObsSink::streaming`); `None` on buffered sinks and
     /// replayed artifacts.
@@ -534,20 +531,20 @@ pub struct TraceAnalysis {
 }
 
 impl TraceAnalysis {
-    /// Analyzes a live sink: events, the blame chains when causal
-    /// tracing is armed ([`ObsSink::with_causal`]), and the metrics
-    /// registry's counters. The sink is read, not drained.
+    /// Analyzes a live sink: its retained events, the blame chains when
+    /// causal tracing is armed ([`ObsSink::with_causal`]) and, on a
+    /// streaming sink, the folded cells, whose counts and attribute sums
+    /// add to the counters, so a streamed run reports the same counters
+    /// as a buffered one. The sink is read, not drained.
     ///
     /// # Errors
     /// Propagates [`TraceAnalysis::from_events`] errors.
     pub fn of_sink(sink: &ObsSink) -> Result<TraceAnalysis, String> {
         let chains = sink.causal_chains();
+        let streaming = sink.stream_stats();
         let mut analysis =
-            sink.with_events(|events| TraceAnalysis::from_events(events, &chains))?;
-        let metrics = sink.metrics();
-        analysis.counters = metrics.counter_map();
-        analysis.histograms = metrics.histogram_map();
-        analysis.streaming = sink.stream_stats();
+            sink.with_events(|events| TraceAnalysis::analyze(events, &chains, streaming.as_ref()))?;
+        analysis.streaming = streaming;
         Ok(analysis)
     }
 
@@ -564,12 +561,30 @@ impl TraceAnalysis {
     /// off). Each chain belongs to the op span whose start it matches to
     /// the bit; an op without one gets the implicit chain.
     ///
+    /// The counters are derived from the events in one pass: `<event>`
+    /// is the number of events of that name, `<event>.<attr>` the sum of
+    /// that `u64` attribute, and `<event>.value` the sum of a counter
+    /// sample's value rounded to an integer (the stream fold's domain).
+    /// Keys that total zero are left out: the exporters print an f64
+    /// zero as `0`, which replays as a `u64`, and a zero key would then
+    /// exist on one side only.
+    ///
     /// # Errors
     /// Returns a description when the trace is structurally broken — a
     /// round span outside any op span, a round whose phase terms do not
     /// tile its duration, or a chain that matches no op span or does
     /// not tile its op.
     pub fn from_events(events: &[Event], chains: &[BlameChain]) -> Result<TraceAnalysis, String> {
+        TraceAnalysis::analyze(events, chains, None)
+    }
+
+    /// [`TraceAnalysis::from_events`], with a streaming sink's `folded`
+    /// cells adding to the counters.
+    fn analyze(
+        events: &[Event],
+        chains: &[BlameChain],
+        folded: Option<&StreamAgg>,
+    ) -> Result<TraceAnalysis, String> {
         let mut ops: Vec<&Event> = Vec::new();
         let mut rounds: Vec<&Event> = Vec::new();
         for e in events {
@@ -633,6 +648,7 @@ impl TraceAnalysis {
         Ok(TraceAnalysis {
             ops: paths,
             memory: mem_timelines(events),
+            counters: derive_counters(events, folded),
             ..TraceAnalysis::default()
         })
     }
@@ -676,6 +692,45 @@ impl TraceAnalysis {
             counters,
         }
     }
+}
+
+/// The counters of [`TraceAnalysis::from_events`], plus the `count` and
+/// per-attribute `sum` of each `folded` cell: the events a streaming
+/// sink did not retain. Sums wrap at 2⁶⁴ on both paths (the cells' `u128`
+/// sums are cut to their low 64 bits), so a streamed run and a buffered
+/// one agree to the bit.
+fn derive_counters(events: &[Event], folded: Option<&StreamAgg>) -> BTreeMap<String, u64> {
+    let mut tally: BTreeMap<(&'static str, &'static str), u64> = BTreeMap::new();
+    let mut add = |name, key, v: u64| {
+        let sum = tally.entry((name, key)).or_insert(0);
+        *sum = sum.wrapping_add(v);
+    };
+    for e in events {
+        add(e.name, "", 1);
+        if let EventKind::Counter { value, .. } = e.kind {
+            add(e.name, "value", value.round() as u64);
+        }
+        for &(key, v) in &e.attrs {
+            if let AttrValue::U64(v) = v {
+                add(e.name, key, v);
+            }
+        }
+    }
+    for (name, _, cell) in folded.into_iter().flat_map(StreamAgg::cells) {
+        add(name, "", cell.count);
+        add(name, "value", cell.value.sum as u64);
+        for (&key, stat) in &cell.attrs {
+            add(name, key, stat.sum as u64);
+        }
+    }
+    tally
+        .into_iter()
+        .filter(|&(_, v)| v > 0)
+        .map(|((name, key), v)| match key {
+            "" => (name.to_string(), v),
+            _ => (format!("{name}.{key}"), v),
+        })
+        .collect()
 }
 
 /// One phase's attribution in two runs.
@@ -1222,13 +1277,13 @@ pub(crate) mod tests {
             ev("op", ENGINE_TRACK, span(0.0, 2.0), vec![], 0),
             round(0.0, [1.0, 1.0, 0.0, 0.0, 0.0], 0, 1),
         ];
-        let mut a = TraceAnalysis::from_events(&events, &[]).unwrap();
-        a.counters.insert("round.count".into(), 1);
+        let a = TraceAnalysis::from_events(&events, &[]).unwrap();
+        assert_eq!(a.counters["round"], 1);
         let d = a.diff(&a.clone());
         assert!(d.is_zero(0.0));
 
         let mut b = a.clone();
-        b.counters.insert("round.count".into(), 3);
+        b.counters.insert("round".into(), 3);
         b.ops[0].attribution.0[Phase::Shuffle as usize] += 0.5;
         let d = a.diff(&b);
         assert!(!d.is_zero(1e-12));
@@ -1237,11 +1292,67 @@ pub(crate) mod tests {
         assert_eq!(
             d.counters
                 .iter()
-                .find(|c| c.name == "round.count")
+                .find(|c| c.name == "round")
                 .unwrap()
                 .delta(),
             2
         );
+    }
+
+    #[test]
+    fn counters_derive_from_events_and_folded_cells() {
+        use crate::stream::{StreamAgg, StreamConfig};
+        let reserve = |track, bytes, seq| {
+            let attrs = vec![
+                ("bytes", AttrValue::U64(bytes)),
+                ("node", AttrValue::U64(0)),
+            ];
+            ev("mem.reserve", track, at(0.0), attrs, seq)
+        };
+        let peak = EventKind::Counter {
+            at: VTime::ZERO,
+            value: 2.6,
+        };
+        let events = vec![
+            reserve(0, 3, 0),
+            reserve(5, 4, 1),
+            ev("mem.peak_reserved", ENGINE_TRACK, peak, vec![], 2),
+            ev(
+                "settle",
+                ENGINE_TRACK,
+                at(0.0),
+                vec![("secs", AttrValue::F64(0.0))],
+                3,
+            ),
+        ];
+        let want: BTreeMap<String, u64> = [
+            ("mem.peak_reserved", 1),
+            ("mem.peak_reserved.value", 3),
+            ("mem.reserve", 2),
+            ("mem.reserve.bytes", 7),
+            ("settle", 1),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+        // f64 attributes and keys that total zero (`mem.reserve.node`)
+        // make no counter.
+        assert_eq!(derive_counters(&events, None), want);
+        // A streaming sink keeps the rank-0 lane and the engine-track
+        // instant; its cells stand for the rest.
+        let cfg = StreamConfig {
+            top_k: 1,
+            exemplar_stride: 4,
+            exemplar_max: 1,
+        };
+        let agg = StreamAgg::from_events(&events, cfg);
+        let retained: Vec<Event> = events
+            .iter()
+            .filter(|e| agg.retains(e.track, &e.kind))
+            .cloned()
+            .collect();
+        assert_eq!(retained.len(), 2);
+        assert_eq!(derive_counters(&retained, Some(&agg)), want);
     }
 
     #[test]

@@ -4,16 +4,14 @@
 //! time goes per phase (Figures 6–8), how much aggregation memory each
 //! node holds and how much that varies across nodes (Table 1). This
 //! crate is the first-class form of those measurements — a scoped span
-//! tracer, a metrics registry, and exporters — shared by every layer of
-//! the stack:
+//! tracer, its analysis, and exporters — shared by every layer of the
+//! stack. The events are the one record of a run: every counter (bytes
+//! shuffled, storage requests, retries, per-node high-water marks) is
+//! derived from them, so a replayed artifact carries the same ones.
 //!
 //! * [`span`] — the event model: complete spans on virtual-time tracks,
 //!   instants, and counter samples, each carrying structured attributes
 //!   (direction, window id, flows, bytes, …);
-//! * [`metrics`] — a registry of named counters and log₂-bucketed
-//!   histograms (bytes shuffled, storage requests, retries, per-node
-//!   aggregation-buffer high-water marks and their coefficient of
-//!   variation);
 //! * [`sink`] — [`ObsSink`], the per-environment collection point. A
 //!   disabled sink (the default) is a `None` behind one branch: every
 //!   record call returns immediately, no locks, no allocation, so the
@@ -30,7 +28,8 @@
 //!   its blame chain (or, untraced, rank 0's work) cut at the rounds'
 //!   phase windows, with per-phase attribution, straggler naming and
 //!   what-if projections as views of it — exact per-node
-//!   memory-occupancy timelines, and structured A/B run diffing;
+//!   memory-occupancy timelines, counters derived from the events, and
+//!   structured A/B run diffing;
 //! * [`stream`] — bounded-memory streaming aggregation for extreme
 //!   rank counts: online per-cell statistics, deterministic top-k
 //!   straggler retention, and strided exemplar-rank sampling (used by
@@ -58,7 +57,6 @@
 //!     VDuration::from_secs(0.5),
 //!     &[("dir", AttrValue::Str("write")), ("flows", AttrValue::U64(12))],
 //! );
-//! sink.counter_add("shuffle.bytes", 4096);
 //! let events = sink.take_events();
 //! assert_eq!(events.len(), 1);
 //! assert!(matches!(events[0].kind, EventKind::Span { .. }));
@@ -72,7 +70,6 @@ pub mod analyze;
 pub mod causal;
 pub mod export;
 pub mod json;
-pub mod metrics;
 pub mod report;
 pub mod sink;
 pub mod span;
@@ -80,10 +77,8 @@ pub mod stream;
 
 pub use analyze::{CriticalPath, MemTimeline, Phase, Round, RunDiff, TraceAnalysis, WhatIf};
 pub use causal::{BlameChain, BlameSegment, CausalAgg, CausalEdge, SegClass};
-pub use metrics::{Histogram, MetricsRegistry};
 pub use sink::ObsSink;
 pub use span::{
-    AttrValue, Event, EventKind, CRASH_DETECTED, ENGINE_TRACK, INTEGRITY_VERIFIED, REELECTION,
-    ROUNDS_REPLAYED,
+    AttrValue, Event, EventKind, CRASH_DETECTED, ENGINE_TRACK, REELECTION, ROUNDS_REPLAYED,
 };
 pub use stream::{OnlineStat, StreamAgg, StreamCell, StreamConfig};

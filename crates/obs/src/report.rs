@@ -85,7 +85,6 @@ pub fn render(
     streaming_section(&mut out, analysis);
     host_section(&mut out, analysis);
     counters_section(&mut out, analysis);
-    histograms_section(&mut out, analysis);
     if let Some(d) = diff {
         diff_section(&mut out, d);
     }
@@ -625,38 +624,6 @@ fn host_section(out: &mut String, analysis: &TraceAnalysis) {
     out.push_str("</table>\n");
 }
 
-fn histograms_section(out: &mut String, analysis: &TraceAnalysis) {
-    if analysis.histograms.is_empty() {
-        return;
-    }
-    out.push_str(
-        "<h2>Histograms</h2>\n<table>\n<tr><th class=\"l\">histogram</th><th>n</th>\
-         <th>mean</th><th>cov</th><th>min</th><th>max</th>\
-         <th class=\"l\">log2 buckets (&lt;bound: count)</th></tr>\n",
-    );
-    for (name, h) in &analysis.histograms {
-        let buckets = h
-            .nonzero_buckets()
-            .iter()
-            .map(|(bound, count)| format!("<{bound}: {count}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{}</td><td>{}</td><td>{:.1}</td><td>{:.3}</td>\
-             <td>{:.0}</td><td>{:.0}</td><td class=\"l\">{}</td></tr>",
-            html_escape(name),
-            h.count(),
-            h.mean(),
-            h.cov(),
-            h.min(),
-            h.max(),
-            html_escape(&buckets)
-        );
-    }
-    out.push_str("</table>\n");
-}
-
 fn counters_section(out: &mut String, analysis: &TraceAnalysis) {
     if analysis.counters.is_empty() {
         return;
@@ -763,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_host_and_histogram_sections_render() {
+    fn streaming_and_host_sections_render() {
         use crate::sink::ObsSink;
         use crate::stream::StreamConfig;
         use mccio_sim::hostprof::{HostPhaseStat, HostProfile};
@@ -801,16 +768,11 @@ mod tests {
             wall_secs: 1.25,
             virtual_secs: 2.0,
         });
-        let mut m = crate::metrics::MetricsRegistry::new();
-        m.observe("mem.node_peak_bytes", 4096);
-        analysis.histograms = m.histogram_map();
 
         let html = render_checked("scaled", &events, &analysis);
         assert!(html.contains("Streaming attribution"));
         assert!(html.contains("Host-wall profile"));
-        assert!(html.contains("Histograms"));
         assert!(html.contains("exec.schedule"));
-        assert!(html.contains("mem.node_peak_bytes"));
         assert!(html.contains("rank.round"));
     }
 

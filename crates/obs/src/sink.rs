@@ -1,5 +1,4 @@
-//! [`ObsSink`] — the per-environment collection point for spans and
-//! metrics.
+//! [`ObsSink`] — the per-environment collection point for events.
 //!
 //! One sink is carried by each `IoEnv` (cheaply cloned alongside it, all
 //! clones share the same buffers), so concurrent simulation worlds each
@@ -26,14 +25,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 use mccio_sim::time::{VDuration, VTime};
 
 use crate::causal::{BlameChain, CausalAgg, CausalEdge};
-use crate::metrics::MetricsRegistry;
 use crate::span::{AttrValue, Event, EventKind};
 use crate::stream::{StreamAgg, StreamConfig};
 
 #[derive(Debug, Default)]
 struct Inner {
     events: Mutex<Vec<Event>>,
-    metrics: Mutex<MetricsRegistry>,
     seq: AtomicU64,
     /// Present on streaming sinks: the bounded aggregate that decides
     /// retention and absorbs everything it declines.
@@ -43,7 +40,7 @@ struct Inner {
     causal: OnceLock<Arc<CausalAgg>>,
 }
 
-/// A handle to a span/metrics sink; see the module docs. Clones share
+/// A handle to an event sink; see the module docs. Clones share
 /// the same buffers.
 #[derive(Debug, Clone, Default)]
 pub struct ObsSink {
@@ -207,28 +204,6 @@ impl ObsSink {
         inner.record(track, name, cat, EventKind::Counter { at, value }, attrs);
     }
 
-    /// Adds `delta` to the named registry counter.
-    #[inline]
-    pub fn counter_add(&self, name: &'static str, delta: u64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .metrics
-            .lock()
-            .expect("metrics lock")
-            .counter_add(name, delta);
-    }
-
-    /// Records one observation into the named histogram.
-    #[inline]
-    pub fn observe(&self, name: &'static str, value: u64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .metrics
-            .lock()
-            .expect("metrics lock")
-            .observe(name, value);
-    }
-
     /// Events recorded so far (copied, in emission order). Prefer
     /// [`ObsSink::with_events`] when a borrow suffices — this clones
     /// the entire buffer, O(events).
@@ -274,15 +249,6 @@ impl ObsSink {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// A snapshot of the metrics registry (empty when disabled).
-    #[must_use]
-    pub fn metrics(&self) -> MetricsRegistry {
-        match &self.inner {
-            Some(inner) => inner.metrics.lock().expect("metrics lock").clone(),
-            None => MetricsRegistry::new(),
-        }
     }
 }
 
@@ -332,10 +298,8 @@ mod tests {
         assert!(!s.is_enabled());
         s.span(0, "a", "t", VTime::ZERO, VDuration::ZERO, &[]);
         s.instant(0, "b", "t", VTime::ZERO, &[]);
-        s.counter_add("c", 1);
-        s.observe("h", 2);
+        s.counter_sample(0, "c", "t", VTime::ZERO, 1.0, &[]);
         assert!(s.is_empty());
-        assert_eq!(s.metrics().counter("c"), 0);
     }
 
     #[test]
@@ -363,9 +327,7 @@ mod tests {
     fn clones_share_buffers() {
         let s = ObsSink::enabled();
         let t = s.clone();
-        t.counter_add("c", 5);
         t.instant(0, "x", "t", VTime::ZERO, &[]);
-        assert_eq!(s.metrics().counter("c"), 5);
         assert_eq!(s.len(), 1);
     }
 
@@ -443,13 +405,11 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..100u64 {
                         s.instant(rank, "tick", "t", VTime::from_secs(i as f64), &[]);
-                        s.counter_add("ticks", 1);
                     }
                 });
             }
         });
         assert_eq!(s.len(), 800);
-        assert_eq!(s.metrics().counter("ticks"), 800);
         // Sequence numbers are unique.
         let mut seqs: Vec<u64> = s.events().iter().map(|e| e.seq).collect();
         seqs.sort_unstable();

@@ -29,21 +29,20 @@ pub const ENGINE_TRACK: u32 = 1_000_000;
 /// schedules rank crashes. Grouped here so trace consumers (and the
 /// chaos sweep) key off one vocabulary:
 ///
-/// * [`CRASH_DETECTED`] — instant + counter: a receive deadline expired
-///   and a rank was declared dead.
-/// * [`REELECTION`] — instant + counter: a replacement aggregator was
-///   elected from the survivor set for one domain.
-/// * [`ROUNDS_REPLAYED`] — counter: a round's shuffle payloads were
+/// * [`CRASH_DETECTED`] — instant: a receive deadline expired and a
+///   rank was declared dead.
+/// * [`REELECTION`] — instant: a replacement aggregator was elected from
+///   the survivor set for one domain.
+/// * [`ROUNDS_REPLAYED`] — instant: a round's shuffle payloads were
 ///   re-sent against the re-planned schedule.
-/// * [`INTEGRITY_VERIFIED`] — counter: end-to-end payload checksums
-///   verified at assembly.
+///
+/// Each name is also the derived counter of its instants
+/// (`analyze::TraceAnalysis::counters`).
 pub const CRASH_DETECTED: &str = "crash.detected";
 /// See [`CRASH_DETECTED`].
 pub const REELECTION: &str = "reelection";
 /// See [`CRASH_DETECTED`].
 pub const ROUNDS_REPLAYED: &str = "rounds.replayed";
-/// See [`CRASH_DETECTED`].
-pub const INTEGRITY_VERIFIED: &str = "integrity.verified";
 
 /// One structured attribute value.
 #[derive(Debug, Clone, Copy, PartialEq)]

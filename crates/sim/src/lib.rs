@@ -12,7 +12,8 @@
 //! * [`projection`] — the exascale design-point table the paper motivates
 //!   with (its Table 1) plus the memory-per-core trend formula;
 //! * [`stats`] — small statistics helpers (Welford mean/variance,
-//!   percentiles) used by the tuner and the experiment harness;
+//!   min/max, coefficient of variation) used by the memory ledger and
+//!   the experiment harness;
 //! * [`rng`] — deterministic seeded random generation (an in-tree
 //!   SplitMix64 + xoshiro256++ generator), including the Normal sampler
 //!   used for per-node memory variance (the paper draws aggregation

@@ -76,12 +76,6 @@ impl Synthetic {
         }
         ExtentList::normalize(out)
     }
-
-    /// Total bytes rank `rank` moves.
-    #[must_use]
-    pub fn bytes_of(&self, rank: usize) -> u64 {
-        self.extents(rank).total_bytes()
-    }
 }
 
 #[cfg(test)]

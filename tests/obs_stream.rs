@@ -2,7 +2,7 @@
 //! sink must be a lossless re-encoding of the buffered sink for
 //! everything it folds. On small configs where we can afford to buffer
 //! everything, the online per-cell statistics (counts, sums, min/max,
-//! log2 histograms, top-k stragglers) derived offline from the full
+//! top-k stragglers) derived offline from the full
 //! event list must *exactly* equal the ones the streaming sink folded
 //! live — on both executor kinds, the canonical rank schedule and every
 //! explored one — and streaming must not move virtual time by a bit.
@@ -10,7 +10,7 @@
 use mccio_suite::core::prelude::*;
 use mccio_suite::mpiio::IoReport;
 use mccio_suite::net::ExecutorKind;
-use mccio_suite::obs::{EventKind, ObsSink, StreamAgg, StreamConfig, ENGINE_TRACK};
+use mccio_suite::obs::{EventKind, ObsSink, StreamAgg, StreamConfig, TraceAnalysis, ENGINE_TRACK};
 use mccio_suite::sim::cost::CostModel;
 use mccio_suite::sim::topology::{test_cluster, FillOrder, Placement};
 use mccio_suite::sim::units::KIB;
@@ -81,6 +81,15 @@ fn streaming_aggregate_matches_buffered_derivation_on_both_executors() {
         assert!(live.folded_events > 0, "{kind:?}: nothing folded");
         assert!(live.retained_events > 0, "{kind:?}: no exemplar lanes kept");
         assert!(live.cell_count() > 0, "{kind:?}: no cells");
+
+        // The counters count the folded cells with the retained events,
+        // so a streamed run reports what a buffered one does.
+        let counters = |sink: &ObsSink| TraceAnalysis::of_sink(sink).expect("analyzes").counters;
+        assert_eq!(
+            counters(&streaming),
+            counters(&buffered),
+            "{kind:?}: streamed counters diverge from buffered ones"
+        );
 
         // Aggregation is observability only: per-rank reports are
         // identical whether events were buffered or folded.

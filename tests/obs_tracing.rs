@@ -50,11 +50,10 @@ fn disabled_sink_records_nothing() {
     let obs = ObsSink::disabled();
     let reports = run_op(&obs);
     assert!(obs.is_empty(), "disabled sink must stay empty");
-    let metrics = obs.metrics();
-    assert_eq!(
-        metrics.counters().count() + metrics.histograms().count(),
-        0,
-        "disabled registry must stay empty"
+    let analysis = analyze::TraceAnalysis::of_sink(&obs).expect("an empty trace analyzes");
+    assert!(
+        analysis.counters.is_empty(),
+        "disabled sink derives no counters"
     );
     // The reports themselves still carry metrics: those are per-rank
     // facts on the report, not sink state.
@@ -147,23 +146,31 @@ fn round_spans_nest_their_phase_children() {
 }
 
 #[test]
-fn metrics_registries_are_identical_across_executors() {
-    // Everything the registry holds is a function of the ranks' own
-    // program order; world-global state whose value follows the rank
-    // interleaving (the stack slab's reuse) is read by callers after
-    // the run, never recorded mid-run.
-    let metrics = |kind| {
+fn derived_counters_are_identical_across_executors() {
+    // Every event is a function of the ranks' own program order, so the
+    // counters derived from them are too; world-global state whose value
+    // follows the rank interleaving (the stack slab's reuse) is read by
+    // callers after the run, never recorded mid-run.
+    let counters = |kind| {
         let obs = ObsSink::enabled();
         run_op_on(&obs, kind);
-        obs.metrics()
+        analyze::TraceAnalysis::of_sink(&obs)
+            .expect("traced op analyzes")
+            .counters
     };
-    let canonical = metrics(ExecutorKind::Event);
+    let canonical = counters(ExecutorKind::Event);
     assert!(
-        canonical.counter("shuffle.bytes") > 0,
-        "the op recorded no shuffle counters"
+        canonical
+            .get("rank.round.sent_bytes")
+            .is_some_and(|&v| v > 0),
+        "the op recorded no shuffled bytes"
     );
     for kind in ExecutorKind::EXPLORED {
-        assert_eq!(metrics(kind), canonical, "registry diverged under {kind:?}");
+        assert_eq!(
+            counters(kind),
+            canonical,
+            "counters diverged under {kind:?}"
+        );
     }
 }
 

@@ -163,8 +163,9 @@ fn occupancy_never_exceeds_ceiling_and_balances_to_zero() {
             assert!(p.occupancy <= p.ceiling, "point over ceiling: {p:?}");
         }
     }
-    // The sink counters double-check the pairing, and the timelines
-    // must account for every reserved byte the counters saw.
+    // The counters derived from the `mem.reserve`/`mem.release` marks
+    // double-check the pairing, and the timelines must account for every
+    // reserved byte the counters saw.
     let reserved = analysis.counters.get("mem.reserve.bytes").copied();
     let released = analysis.counters.get("mem.release.bytes").copied();
     assert!(reserved.is_some(), "runs must reserve buffers");
@@ -216,4 +217,9 @@ fn jsonl_replay_reproduces_the_analysis_bit_for_bit() {
         assert_eq!(r.segments.len(), l.segments.len());
     }
     assert_eq!(replayed.memory, live.memory, "occupancy timelines agree");
+    assert!(!live.counters.is_empty(), "the live run derives counters");
+    assert_eq!(
+        replayed.counters, live.counters,
+        "a replay derives the live run's counters"
+    );
 }
