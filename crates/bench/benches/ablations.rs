@@ -18,10 +18,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mccio_bench::{run, run_with, Platform, RunResult};
-use mccio_core::engine::{execute_read, execute_write, IoEnv};
+use mccio_core::engine::{execute, IoEnv};
 use mccio_core::mccio::plan_mccio;
 use mccio_core::prelude::*;
 use mccio_mem::MemoryModel;
+use mccio_mpiio::Resilience;
 use mccio_sim::cost::CostModel;
 use mccio_sim::topology::{FillOrder, Placement};
 use mccio_sim::units::{KIB, MIB};
@@ -119,8 +120,13 @@ fn bench_placement_awareness() {
                     d.aggregator = ctx.placement().ranks_on(i % nodes)[0];
                 }
             }
-            let w = execute_write(ctx, &env, &handle, &plan, &pattern, &extents, &payload);
-            let (_, r) = execute_read(ctx, &env, &handle, &plan, &pattern, &extents);
+            let mut collective = |op| {
+                let mut res = Resilience::default();
+                execute(ctx, &env, &handle, &plan, &pattern, &extents, op, &mut res)
+                    .expect("a healthy collective cannot be refused")
+            };
+            let w = collective(Op::Write(&payload));
+            let r = collective(Op::Read(&mut Vec::new()));
             (w, r)
         });
         let total = Workload::total_bytes(&ior, n) as f64;

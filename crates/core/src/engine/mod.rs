@@ -1,4 +1,5 @@
-//! The lock-step round engine: executes any [`CollectivePlan`].
+//! The lock-step round engine: executes any
+//! [`CollectivePlan`](crate::plan::CollectivePlan).
 //!
 //! Both strategies reduce to the same execution shape, the two phases of
 //! two-phase collective I/O run `rounds` times:
@@ -47,8 +48,8 @@
 //!   the pricing messages;
 //! * `prologue` — clock sync, fault application, collective reservation,
 //!   and the matching epilogue;
-//! * `rounds` — the single direction-agnostic round executor, driven by
-//!   an `Op::Write`/`Op::Read` data-plane parameter over the schedule;
+//! * `rounds` — [`execute`], the single direction-agnostic round
+//!   executor, driven by an [`mccio_mpiio::Op`] over the schedule;
 //! * `recover` — crash detection, aggregator re-election, and mid-op
 //!   re-planning when the fault plan schedules rank crashes;
 //! * `settle` — round pricing at the world root.
@@ -61,152 +62,64 @@ mod settle;
 mod wire;
 
 pub use env::{IoEnv, PlanKey};
+pub use rounds::execute;
 pub(crate) use wire::CHECKSUM_TRAILER;
-
-use mccio_mpiio::{ExtentList, GroupPattern, IoReport, Resilience};
-use mccio_net::Ctx;
-use mccio_pfs::FileHandle;
-use mccio_sim::error::SimResult;
-
-use crate::plan::CollectivePlan;
-
-use rounds::{execute_op, Op};
-
-/// Executes a collective write of `data` (this rank's extents packed in
-/// offset order). SPMD: every rank of the world calls this with the same
-/// `plan` and `pattern`.
-///
-/// Infallible facade over [`try_execute_write`] for healthy
-/// environments.
-///
-/// # Panics
-/// Panics if the environment carries an active fault plan and
-/// aggregation memory cannot be reserved within the retry budget —
-/// callers running under faults should use the degradation ladder
-/// (`crate::resilience::ladder_write`) or [`try_execute_write`]
-/// directly.
-pub fn execute_write(
-    ctx: &mut Ctx,
-    env: &IoEnv,
-    handle: &FileHandle,
-    plan: &CollectivePlan,
-    pattern: &GroupPattern,
-    my_extents: &ExtentList,
-    data: &[u8],
-) -> IoReport {
-    let mut res = Resilience::default();
-    try_execute_write(ctx, env, handle, plan, pattern, my_extents, data, &mut res)
-        .expect("collective write failed: aggregation memory unavailable after retries")
-}
-
-/// Fallible collective write: the engine under an active fault plan.
-///
-/// Accumulates everything endured into `res` (which the returned
-/// report's `resilience` mirrors on success) so a caller falling down
-/// the degradation ladder keeps the counts from failed rungs.
-///
-/// # Errors
-/// Returns [`mccio_sim::error::SimError::TransientIo`] when aggregation
-/// memory cannot be reserved within the retry budget. The decision is
-/// collective: every rank returns `Err` together.
-#[allow(clippy::too_many_arguments)]
-pub fn try_execute_write(
-    ctx: &mut Ctx,
-    env: &IoEnv,
-    handle: &FileHandle,
-    plan: &CollectivePlan,
-    pattern: &GroupPattern,
-    my_extents: &ExtentList,
-    data: &[u8],
-    res: &mut Resilience,
-) -> SimResult<IoReport> {
-    execute_op(
-        ctx,
-        env,
-        handle,
-        plan,
-        pattern,
-        my_extents,
-        Op::Write { data },
-        &mut Vec::new(),
-        res,
-    )
-}
-
-/// Executes a collective read; returns this rank's data packed in extent
-/// offset order. SPMD like [`execute_write`].
-///
-/// # Panics
-/// Like [`execute_write`], panics if an active fault plan defeats
-/// reservation — use the ladder entry points or [`try_execute_read`].
-pub fn execute_read(
-    ctx: &mut Ctx,
-    env: &IoEnv,
-    handle: &FileHandle,
-    plan: &CollectivePlan,
-    pattern: &GroupPattern,
-    my_extents: &ExtentList,
-) -> (Vec<u8>, IoReport) {
-    let mut res = Resilience::default();
-    let mut out = Vec::new();
-    let report = execute_op(
-        ctx,
-        env,
-        handle,
-        plan,
-        pattern,
-        my_extents,
-        Op::Read,
-        &mut out,
-        &mut res,
-    )
-    .expect("collective read failed: aggregation memory unavailable after retries");
-    (out, report)
-}
-
-/// Fallible collective read; see [`try_execute_write`].
-///
-/// # Errors
-/// Returns [`mccio_sim::error::SimError::TransientIo`] when aggregation
-/// memory cannot be reserved within the retry budget, collectively on
-/// every rank.
-pub fn try_execute_read(
-    ctx: &mut Ctx,
-    env: &IoEnv,
-    handle: &FileHandle,
-    plan: &CollectivePlan,
-    pattern: &GroupPattern,
-    my_extents: &ExtentList,
-    res: &mut Resilience,
-) -> SimResult<(Vec<u8>, IoReport)> {
-    let mut out = Vec::new();
-    let report = execute_op(
-        ctx,
-        env,
-        handle,
-        plan,
-        pattern,
-        my_extents,
-        Op::Read,
-        &mut out,
-        res,
-    )?;
-    Ok((out, report))
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::DomainPlan;
+    use crate::plan::{CollectivePlan, DomainPlan};
     use mccio_mem::MemoryModel;
-    use mccio_mpiio::Extent;
+    use mccio_mpiio::{Extent, ExtentList, GroupPattern, IoReport, Op, Resilience};
+    use mccio_net::Ctx;
     use mccio_net::{ExecutorKind, RankSet, World};
     use mccio_obs::ObsSink;
+    use mccio_pfs::FileHandle;
     use mccio_pfs::{FileSystem, PfsParams};
     use mccio_sim::cost::CostModel;
     use mccio_sim::fault::FaultPlan;
     use mccio_sim::time::{VDuration, VTime};
     use mccio_sim::topology::{test_cluster, FillOrder, Placement};
+
+    /// A healthy collective write through [`execute`].
+    fn write(
+        ctx: &mut Ctx,
+        env: &IoEnv,
+        handle: &FileHandle,
+        plan: &CollectivePlan,
+        pattern: &GroupPattern,
+        extents: &ExtentList,
+        data: &[u8],
+    ) -> IoReport {
+        let mut res = Resilience::default();
+        execute(
+            ctx,
+            env,
+            handle,
+            plan,
+            pattern,
+            extents,
+            Op::Write(data),
+            &mut res,
+        )
+        .unwrap()
+    }
+
+    /// A healthy collective read through [`execute`].
+    fn read(
+        ctx: &mut Ctx,
+        env: &IoEnv,
+        handle: &FileHandle,
+        plan: &CollectivePlan,
+        pattern: &GroupPattern,
+        extents: &ExtentList,
+    ) -> (Vec<u8>, IoReport) {
+        let mut out = Vec::new();
+        let mut res = Resilience::default();
+        let op = Op::Read(&mut out);
+        let report = execute(ctx, env, handle, plan, pattern, extents, op, &mut res).unwrap();
+        (out, report)
+    }
 
     fn env() -> IoEnv {
         let cluster = test_cluster(2, 2);
@@ -244,7 +157,7 @@ mod tests {
         }
     }
 
-    /// One run of a direct `execute_write` + `execute_read` (aggregators
+    /// One run of a direct write + read through [`execute`] (aggregators
     /// 0 and 2, several rounds): each rank's reports and final clock bits.
     fn direct_pair(w: &std::sync::Arc<World>, e: &IoEnv) -> Vec<(IoReport, IoReport, u64)> {
         w.run(|ctx| {
@@ -254,8 +167,8 @@ mod tests {
             let data = rank_data(ctx.rank());
             let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
             let plan = simple_plan(pattern.global_range().unwrap(), 100, &[0, 2]);
-            let wr = execute_write(ctx, &env, &handle, &plan, &pattern, &extents, &data);
-            let (back, rr) = execute_read(ctx, &env, &handle, &plan, &pattern, &extents);
+            let wr = write(ctx, &env, &handle, &plan, &pattern, &extents, &data);
+            let (back, rr) = read(ctx, &env, &handle, &plan, &pattern, &extents);
             assert_eq!(back, data, "rank {} roundtrip", ctx.rank());
             (wr, rr, ctx.clock().as_secs().to_bits())
         })
@@ -314,8 +227,8 @@ mod tests {
             // Two aggregators, small buffers → several rounds.
             let plan = simple_plan(pattern.global_range().unwrap(), 100, &[0, 2]);
             assert!(plan.rounds() > 1);
-            let wr = execute_write(ctx, &env, &handle, &plan, &pattern, &extents, &data);
-            let (back, rr) = execute_read(ctx, &env, &handle, &plan, &pattern, &extents);
+            let wr = write(ctx, &env, &handle, &plan, &pattern, &extents, &data);
+            let (back, rr) = read(ctx, &env, &handle, &plan, &pattern, &extents);
             assert_eq!(back, data, "rank {} roundtrip", ctx.rank());
             (wr, rr)
         });
@@ -337,7 +250,7 @@ mod tests {
             let data = rank_data(ctx.rank());
             let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
             let plan = simple_plan(pattern.global_range().unwrap(), 1 << 20, &[1]);
-            let _ = execute_write(ctx, &env, &handle, &plan, &pattern, &extents, &data);
+            let _ = write(ctx, &env, &handle, &plan, &pattern, &extents, &data);
         });
         // Check the file directly against the generators.
         let handle = e.fs.open("g").unwrap();
@@ -370,8 +283,8 @@ mod tests {
             let data = vec![0xCDu8; extents.total_bytes() as usize];
             let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
             let plan = simple_plan(pattern.global_range().unwrap(), 512, &[0, 3]);
-            let _ = execute_write(ctx, &env, &handle, &plan, &pattern, &extents, &data);
-            let (back, _) = execute_read(ctx, &env, &handle, &plan, &pattern, &extents);
+            let _ = write(ctx, &env, &handle, &plan, &pattern, &extents, &data);
+            let (back, _) = read(ctx, &env, &handle, &plan, &pattern, &extents);
             assert_eq!(back, data);
         });
         let handle = e.fs.open("sparse").unwrap();
@@ -396,7 +309,7 @@ mod tests {
             let extents = ExtentList::normalize(vec![Extent::new(0, 256)]);
             let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
             let plan = simple_plan(pattern.global_range().unwrap(), 64, &[1]);
-            let (back, _) = execute_read(ctx, &env, &handle, &plan, &pattern, &extents);
+            let (back, _) = read(ctx, &env, &handle, &plan, &pattern, &extents);
             assert_eq!(back, (0..=255u8).collect::<Vec<_>>());
         });
     }
@@ -411,7 +324,7 @@ mod tests {
             let mut plan = simple_plan(pattern.global_range().unwrap(), 100, &[0, 2]);
             plan.domains[1].domain.offset -= 1;
             let handle = e.fs.open_or_create("overlap");
-            execute_write(ctx, &e, &handle, &plan, &pattern, &extents, &data)
+            write(ctx, &e, &handle, &plan, &pattern, &extents, &data)
         });
     }
 
@@ -425,7 +338,7 @@ mod tests {
             let extents = ExtentList::default();
             let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
             let plan = CollectivePlan::default();
-            execute_write(ctx, &env, &handle, &plan, &pattern, &extents, &[])
+            write(ctx, &env, &handle, &plan, &pattern, &extents, &[])
         });
         for r in reports {
             assert_eq!(r.bytes, 0);
@@ -444,7 +357,7 @@ mod tests {
                 let data = rank_data(ctx.rank());
                 let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
                 let plan = simple_plan(pattern.global_range().unwrap(), 128, &[0, 2]);
-                execute_write(ctx, &env, &handle, &plan, &pattern, &extents, &data)
+                write(ctx, &env, &handle, &plan, &pattern, &extents, &data)
             });
             reports
                 .into_iter()
@@ -470,7 +383,7 @@ mod tests {
                 let pattern = GroupPattern::gather(ctx, &RankSet::world(4), &extents);
                 // Aggregator rank 0 sits on node 0 with a huge buffer.
                 let plan = simple_plan(pattern.global_range().unwrap(), 16 << 20, &[0]);
-                execute_write(ctx, &env, &handle, &plan, &pattern, &extents, &data)
+                write(ctx, &env, &handle, &plan, &pattern, &extents, &data)
             });
             reports[0].elapsed.as_secs()
         };
@@ -533,9 +446,9 @@ mod tests {
                 let plan = simple_plan(pattern.global_range().unwrap(), 100, &[0, 2]);
                 let handle = e.fs.open_or_create("holes");
                 let mut res = Resilience::default();
-                let w =
-                    try_execute_write(ctx, &e, &handle, &plan, &pattern, &extents, data, &mut res);
-                let (back, r) = execute_read(ctx, &e, &handle, &plan, &pattern, &extents);
+                let op = Op::Write(data);
+                let w = execute(ctx, &e, &handle, &plan, &pattern, &extents, op, &mut res);
+                let (back, r) = read(ctx, &e, &handle, &plan, &pattern, &extents);
                 assert_eq!(back, data, "rank {me} roundtrip");
                 (w.expect("recovered"), r, back, res.crashes_detected)
             });
@@ -611,10 +524,8 @@ mod tests {
                 let mut plan = simple_plan(pattern.global_range().unwrap(), 70, &[0, 1]);
                 plan.domains[1].buffer = 40;
                 let mut res = Resilience::default();
-                try_execute_write(
-                    ctx, &env, &handle, &plan, &pattern, &extents, &data, &mut res,
-                )
-                .is_err()
+                let op = Op::Write(&data);
+                execute(ctx, &env, &handle, &plan, &pattern, &extents, op, &mut res).is_err()
             });
             assert!(failed.iter().all(|&f| f), "{kind:?}: the op must fail");
             e.mem.peak_reserved(0)

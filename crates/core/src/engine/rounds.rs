@@ -1,7 +1,7 @@
 //! The direction-agnostic round loop, driven by the plan-time
 //! communication schedule.
 //!
-//! One executor ([`execute_op`]) runs both directions of two-phase
+//! One executor ([`execute`]) runs both directions of two-phase
 //! collective I/O; the data plane — which bytes this rank contributes
 //! before the shuffle and which bytes it absorbs after — is the only
 //! thing [`Op`] varies.
@@ -41,8 +41,8 @@
 
 use std::sync::Arc;
 
-use mccio_mpiio::sieve::{sieved_read_r, sieved_write_r};
-use mccio_mpiio::{Extent, ExtentList, GroupPattern, IoReport, Resilience};
+use mccio_mpiio::sieve::{sieved_read, sieved_write};
+use mccio_mpiio::{Extent, ExtentList, GroupPattern, IoReport, Op, Resilience};
 use mccio_net::mailbox::Payload;
 use mccio_net::{Ctx, RankSet};
 use mccio_obs::{AttrValue, ObsSink, ENGINE_TRACK};
@@ -59,21 +59,6 @@ use super::recover::CrashTracker;
 use super::settle::settle_round;
 use super::wire::{check_messages, messages, retry_delta, sealers};
 
-/// The data plane of a collective operation: what varies between the
-/// write and read directions of the round loop.
-#[derive(Clone, Copy)]
-pub(super) enum Op<'d> {
-    /// Aggregators copy `data` (this rank's extents packed in offset
-    /// order) into the file.
-    Write {
-        /// This rank's payload, packed in extent offset order.
-        data: &'d [u8],
-    },
-    /// Aggregators fetch their windows and copy the pieces into each
-    /// requester's output.
-    Read,
-}
-
 /// Mutable per-round facts both directions fill in and settle with.
 #[derive(Default)]
 pub(super) struct RoundFacts {
@@ -88,16 +73,22 @@ pub(super) struct RoundFacts {
 }
 
 /// Executes one collective operation of either direction. SPMD: every
-/// rank of the world calls in with the same `plan` and `pattern`. An
-/// [`Op::Read`] leaves this rank's packed data in `out` (which must be
-/// empty); an [`Op::Write`] leaves `out` alone.
+/// rank of the world calls in with the same `plan` and `pattern`, and
+/// `my_extents` equal to its extents in `pattern`. An [`Op::Read`]
+/// leaves this rank's packed data in its vector, which must be empty
+/// and stays empty when the operation fails.
+///
+/// Accumulates everything endured into `res` (which the returned
+/// report's `resilience` mirrors on success), so a caller falling down
+/// the degradation ladder keeps the counts from failed rungs. A healthy
+/// environment never fails.
 ///
 /// # Errors
 /// Returns [`mccio_sim::error::SimError::TransientIo`] when aggregation
 /// memory cannot be reserved within the retry budget, collectively on
 /// every rank.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn execute_op(
+pub fn execute(
     ctx: &mut Ctx,
     env: &IoEnv,
     handle: &FileHandle,
@@ -105,7 +96,6 @@ pub(super) fn execute_op(
     pattern: &GroupPattern,
     my_extents: &ExtentList,
     op: Op<'_>,
-    out: &mut Vec<u8>,
     res: &mut Resilience,
 ) -> SimResult<IoReport> {
     env.enter_op(ctx);
@@ -121,11 +111,11 @@ pub(super) fn execute_op(
     // first op's build does not run under it.
     let schedule = env.schedule_cached(plan, pattern, ctx.rank(), my_extents, integrity);
     run_op(
-        ctx, env, handle, plan, pattern, my_extents, op, out, res, schedule, integrity,
+        ctx, env, handle, plan, pattern, my_extents, op, res, schedule, integrity,
     )
 }
 
-/// [`execute_op`] once the schedule is in hand.
+/// [`execute`] once the schedule is in hand.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn run_op(
@@ -135,8 +125,7 @@ fn run_op(
     plan: &CollectivePlan,
     pattern: &GroupPattern,
     my_extents: &ExtentList,
-    op: Op<'_>,
-    out: &mut Vec<u8>,
+    mut op: Op<'_>,
     res: &mut Resilience,
     mut schedule: Arc<CommSchedule>,
     integrity: bool,
@@ -144,12 +133,17 @@ fn run_op(
     let bytes = my_extents.total_bytes();
     let total = bytes as usize;
     let me = ctx.rank();
+    // What this rank contributes to each round's shuffle; `None` on a
+    // read, whose output the exposure below borrows.
+    let data = match op {
+        Op::Write(data) => Some(data),
+        Op::Read(_) => None,
+    };
     // Exposed before the prologue's clock sync, withdrawn after the
     // epilogue's barrier: no peer touches the buffer outside that span.
-    let exposure = match op {
-        Op::Write { data } => ctx.expose(data),
-        Op::Read => {
-            debug_assert!(out.is_empty(), "a read fills an empty output");
+    let exposure = match &mut op {
+        Op::Write(data) => ctx.expose(data),
+        Op::Read(out) => {
             out.reserve_exact(total);
             // SAFETY: a rank reads its output only to check a seal, over
             // a window whose header arrived, and the window's aggregator
@@ -165,7 +159,7 @@ fn run_op(
     if obs.is_enabled() {
         trace_schedule(ctx, &obs, &schedule);
     }
-    let is_write = matches!(op, Op::Write { .. });
+    let is_write = data.is_some();
     let n_rounds = schedule.rounds.len();
     for round in 0..n_rounds {
         let log_before = state.faults.log;
@@ -202,7 +196,7 @@ fn run_op(
             handle,
             &schedule,
             round,
-            op,
+            data,
             &mut state.faults,
             &mut facts,
             integrity,
@@ -237,25 +231,23 @@ fn run_op(
 
     prologue::close(ctx, env, &mut state, res);
     drop(exposure);
-    if matches!(op, Op::Read) {
+    if let Op::Read(out) = &mut op {
         // SAFETY: the schedule's client windows tile `[0, total)` (its
         // build asserts it), and each window's aggregator put its bytes
         // before the header `check_read` compared.
         unsafe { out.set_len(total) };
     }
     if obs.is_enabled() && me == 0 {
-        let dir = match op {
-            Op::Write { .. } => "write",
-            Op::Read => "read",
-        };
+        let dir = if op.is_write() { "write" } else { "read" };
         trace_op(ctx, &obs, state.t0, dir, bytes, state.scratch.rounds);
     }
     prologue::report(ctx, env, &state, bytes, res)
 }
 
 /// One round's data plane: what this rank contributes, the exchange,
-/// and what it does with what arrived. Returns the round's storage
-/// report. Its own frame, so none of it is live under the settlement.
+/// and what it does with what arrived; `data` is this rank's write
+/// payload, `None` on a read. Returns the round's storage report. Its
+/// own frame, so none of it is live under the settlement.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn shuffle(
@@ -265,7 +257,7 @@ fn shuffle(
     handle: &FileHandle,
     schedule: &CommSchedule,
     round: usize,
-    op: Op<'_>,
+    data: Option<&[u8]>,
     faults: &mut IoFaults,
     facts: &mut RoundFacts,
     integrity: bool,
@@ -274,12 +266,12 @@ fn shuffle(
     let rs = &schedule.rounds[round];
 
     // --- contribute: what this rank puts on the wire ---
-    let (sends, recv_from) = match op {
-        Op::Write { data } => (
+    let (sends, recv_from) = match data {
+        Some(data) => (
             client_sends(schedule, round, data, facts, integrity),
             rs.agg_sources.as_slice(),
         ),
-        Op::Read => (
+        None => (
             fetch_and_put(
                 ctx,
                 handle,
@@ -301,8 +293,8 @@ fn shuffle(
     }
 
     // --- absorb: what this rank does with what arrived ---
-    match op {
-        Op::Write { .. } => aggregate_and_store(
+    match data {
+        Some(_) => aggregate_and_store(
             ctx,
             handle,
             schedule,
@@ -313,13 +305,13 @@ fn shuffle(
             facts,
             integrity,
         ),
-        Op::Read => check_read(ctx, schedule, round, &received, integrity),
+        None => check_read(ctx, schedule, round, &received, integrity),
     }
     report
 }
 
 // The traces below are outlined (as are the round's data-plane halves)
-// so their frames are never live under `execute_op`'s parks: every
+// so their frames are never live under `run_op`'s parks: every
 // rank's stack holds this frame through every round's settlement.
 
 /// Marks this rank's schedule on its trace track.
@@ -477,7 +469,7 @@ fn aggregate_and_store(
             land(rp, &mut buf, &|e| ws.position(e.offset));
         }
         let out = drive_storage(faults, |f| {
-            sieved_write_r(handle, &ws.union, &buf, ws.sieve(), f)
+            sieved_write(handle, &ws.union, &buf, ws.sieve(), f)
         });
         report.merge(&out.report);
     }
@@ -539,8 +531,7 @@ fn fetch_and_put(
                 continue;
             }
         }
-        let (packed, sv) =
-            drive_storage(faults, |f| sieved_read_r(handle, &ws.union, ws.sieve(), f));
+        let (packed, sv) = drive_storage(faults, |f| sieved_read(handle, &ws.union, ws.sieve(), f));
         report.merge(&sv.report);
         for rp in &ws.per_rank {
             put(rp, &packed, &|e| ws.position(e.offset));

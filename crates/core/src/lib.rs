@@ -21,8 +21,9 @@
 //!   the collective entry points retry, re-plan, and finally degrade
 //!   (memory-conscious → re-planned memory-conscious → two-phase →
 //!   independent I/O) instead of failing;
-//! * [`strategy`] — the [`strategy::Strategy`] trait (`plan`/`write`/
-//!   `read`) and its implementations (`Independent`, sieved, two-phase,
+//! * [`strategy`] — the [`strategy::Strategy`] trait (`plan`/`run`/
+//!   `rung`, one [`mccio_mpiio::Op`] for either direction) and its
+//!   implementations (`Independent`, sieved, two-phase,
 //!   memory-conscious), the uniform dispatch surface for workloads,
 //!   benches, and hint resolution.
 //!
@@ -46,7 +47,7 @@
 //!     let handle = env.fs.open_or_create("demo");
 //!     let extents = ExtentList::normalize(vec![Extent::new(ctx.rank() as u64 * 1024, 1024)]);
 //!     let data = vec![ctx.rank() as u8; 1024];
-//!     strat.write(ctx, &env, &handle, &extents, &data)
+//!     strat.run(ctx, &env, &handle, &extents, Op::Write(&data))
 //! });
 //! assert!(reports.iter().all(|r| r.bytes == 1024));
 //! ```
@@ -85,7 +86,7 @@ pub mod prelude {
     pub use crate::tuner::Tuning;
     pub use crate::two_phase::TwoPhaseConfig;
     pub use mccio_mem::MemoryModel;
-    pub use mccio_mpiio::{Datatype, Extent, ExtentList, FileView, IoReport};
+    pub use mccio_mpiio::{Datatype, Extent, ExtentList, FileView, IoReport, Op};
     pub use mccio_net::{Ctx, RankSet, World};
     pub use mccio_pfs::{FileSystem, PfsParams};
     pub use mccio_sim::fault::{FaultPlan, RetryPolicy};

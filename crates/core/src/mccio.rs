@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn end_to_end_roundtrip_with_memory_variance() {
         use crate::engine::IoEnv;
-        use crate::strategy::{MemoryConscious, Strategy};
+        use crate::strategy::{read_all, write_all, MemoryConscious};
         use mccio_net::World;
         use mccio_pfs::{FileSystem, PfsParams};
         use mccio_sim::cost::CostModel;
@@ -311,8 +311,8 @@ mod tests {
                 .map(|i| (i as u8).wrapping_add(r as u8 * 13))
                 .collect();
             let strat = MemoryConscious(cfg);
-            let wr = strat.write(ctx, &env, &handle, &extents, &data);
-            let (back, rr) = strat.read(ctx, &env, &handle, &extents);
+            let wr = write_all(ctx, &env, &handle, &extents, &data, &strat);
+            let (back, rr) = read_all(ctx, &env, &handle, &extents, &strat);
             assert_eq!(back, data, "rank {r}");
             (wr, rr)
         });

@@ -14,19 +14,19 @@
 //!   operations ([`FaultState::take_io_faults`] /
 //!   [`FaultState::return_io_faults`]), so a write followed by a read
 //!   continues the same decision sequence instead of replaying it.
-//! * [`ladder_write`] / [`ladder_read`] are the generic degradation
-//!   ladder: an ordered slice of [`Strategy`] rungs descended
-//!   collectively until one completes. MC-CIO composes a four-rung
-//!   ladder (planned → re-planned → two-phase → independent sieved),
-//!   the baseline a two-rung one — but the descent logic exists once,
-//!   here, for any rung composition.
-//! * [`independent_write`] / [`independent_read`] are the ladder's
-//!   bottom rung: per-rank sieved I/O that needs no aggregation memory
-//!   at all, driven through the fallible request path with bounded
-//!   escalation.
+//! * [`ladder`] is the generic degradation ladder: an ordered slice of
+//!   [`Strategy`] rungs descended collectively until one completes.
+//!   MC-CIO composes a four-rung ladder (planned → re-planned →
+//!   two-phase → independent sieved), the baseline a two-rung one — but
+//!   the descent logic exists once, here, for any rung composition and
+//!   either direction.
+//! * [`independent`] is the ladder's bottom rung and the whole of a
+//!   standalone sieved operation: per-rank sieved I/O that needs no
+//!   aggregation memory at all, driven through the fallible request
+//!   path with bounded escalation.
 
-use mccio_mpiio::independent::{read_sieved_r, write_sieved_r};
-use mccio_mpiio::{ExtentList, GroupPattern, IoReport, Resilience, SieveConfig};
+use mccio_mpiio::independent::sieved;
+use mccio_mpiio::{ExtentList, GroupPattern, IoReport, Op, Resilience, SieveConfig};
 use mccio_net::{Ctx, RankSet};
 use mccio_obs::{AttrValue, ENGINE_TRACK};
 use mccio_pfs::{FileHandle, IoFaults};
@@ -38,7 +38,7 @@ use mccio_mem::MemoryModel;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::engine::{execute_read, execute_write, IoEnv};
+use crate::engine::{execute, IoEnv};
 use crate::strategy::Strategy;
 
 /// How many times the engine re-drives a storage access whose whole
@@ -178,27 +178,34 @@ fn escalate<T>(
     );
 }
 
-/// The ladder's bottom rung for writes: per-rank sieved I/O through the
-/// fallible request path. Needs no aggregation memory, so it cannot be
-/// defeated by revocation; storage faults are retried and, past the
-/// budget, escalated.
-pub fn independent_write(
+/// Per-rank sieved I/O through the fallible request path, taking the
+/// rank's fault stream from `env`: the ladder's bottom rung, and the
+/// whole of a standalone sieved operation. Needs no aggregation memory,
+/// so it cannot be defeated by revocation; storage faults are retried
+/// and, past the budget, escalated.
+///
+/// # Panics
+/// Panics if `op` is a read whose vector is not empty
+/// ([`Op::assert_fresh`]).
+pub fn independent(
     ctx: &mut Ctx,
     env: &IoEnv,
     handle: &FileHandle,
     extents: &ExtentList,
-    data: &[u8],
+    mut op: Op<'_>,
     cfg: SieveConfig,
     res: &mut Resilience,
 ) -> IoReport {
+    op.assert_fresh();
+    let params = env.fs.params();
     let mut faults = env.faults().take_io_faults(ctx.rank());
     let mut report = escalate(ctx, faults.policy(), |ctx| {
-        write_sieved_r(
+        sieved(
             ctx,
             handle,
             extents,
-            data,
-            &env.fs.params(),
+            op.reborrow(),
+            &params,
             cfg,
             &mut faults,
         )
@@ -209,48 +216,32 @@ pub fn independent_write(
     report
 }
 
-/// The ladder's bottom rung for reads; see [`independent_write`].
-pub fn independent_read(
-    ctx: &mut Ctx,
-    env: &IoEnv,
-    handle: &FileHandle,
-    extents: &ExtentList,
-    cfg: SieveConfig,
-    res: &mut Resilience,
-) -> (Vec<u8>, IoReport) {
-    let mut faults = env.faults().take_io_faults(ctx.rank());
-    let (data, mut report) = escalate(ctx, faults.policy(), |ctx| {
-        read_sieved_r(ctx, handle, extents, &env.fs.params(), cfg, &mut faults)
-    });
-    env.faults().return_io_faults(ctx.rank(), faults, res);
-    report.resilience = *res;
-    report.metrics = mem_metrics(env);
-    (data, report)
-}
-
-/// Collective write down a degradation ladder of `rungs`, ordered most
-/// to least preferred. SPMD over all ranks.
+/// One collective operation down a degradation ladder of `rungs`,
+/// ordered most to least preferred. SPMD over all ranks.
 ///
 /// On a healthy environment this is exactly the top rung: plan once,
 /// run the engine, no ladder machinery at all (bit-identical to the
 /// engine before fault injection existed). Under an active fault plan
-/// the rungs are attempted in order through [`Strategy::try_write`];
+/// the rungs are attempted in order through [`Strategy::rung`];
 /// reservation verdicts are collective, so every rank descends
 /// together, and the rung that completes is recorded in the report's
 /// `resilience.fallbacks`.
 ///
 /// # Panics
-/// Panics if the top rung is not a collective strategy, or if every
-/// rung fails — the bottom rung of any ladder must be infallible
-/// (independent I/O needs no aggregation memory and always completes).
-pub fn ladder_write(
+/// Panics if `op` is a read whose vector is not empty
+/// ([`Op::assert_fresh`]), if the top rung is not a collective
+/// strategy, or if every rung fails — the bottom rung of any ladder
+/// must be infallible (independent I/O needs no aggregation memory and
+/// always completes).
+pub fn ladder(
     ctx: &mut Ctx,
     env: &IoEnv,
     handle: &FileHandle,
     my_extents: &ExtentList,
-    data: &[u8],
+    op: Op<'_>,
     rungs: &[&dyn Strategy],
 ) -> IoReport {
+    op.assert_fresh();
     env.enter_op(ctx);
     let world = ctx.world_ranks();
     let pattern = GroupPattern::gather(ctx, &world, my_extents);
@@ -258,81 +249,35 @@ pub fn ladder_write(
         let plan = rungs[0]
             .plan(ctx, env, &pattern)
             .expect("ladder top must be a collective strategy");
-        return execute_write(ctx, env, handle, &plan, &pattern, my_extents, data);
+        let mut res = Resilience::default();
+        return execute(ctx, env, handle, &plan, &pattern, my_extents, op, &mut res)
+            .expect("a healthy collective cannot be refused");
     }
-    descend_write(ctx, env, handle, &world, &pattern, my_extents, data, rungs)
+    descend(ctx, env, handle, &world, &pattern, my_extents, op, rungs)
 }
 
-/// [`ladder_write`]'s descent under an active fault plan. Outlined so
-/// its frame is not under every healthy op's parks.
+/// [`ladder`]'s descent under an active fault plan. Outlined so its
+/// frame is not under every healthy op's parks.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn descend_write(
+fn descend(
     ctx: &mut Ctx,
     env: &IoEnv,
     handle: &FileHandle,
     world: &RankSet,
     pattern: &Arc<GroupPattern>,
     my_extents: &ExtentList,
-    data: &[u8],
+    mut op: Op<'_>,
     rungs: &[&dyn Strategy],
 ) -> IoReport {
     let t0 = ctx.group_sync_clocks(world);
     let mut res = Resilience::default();
     for (rung, strategy) in rungs.iter().enumerate() {
-        match strategy.try_write(ctx, env, handle, pattern, my_extents, data, &mut res) {
+        let attempt = op.reborrow();
+        match strategy.rung(ctx, env, handle, pattern, my_extents, attempt, &mut res) {
             Ok(report) => {
                 mark_rung(ctx, env, rung, strategy.name(), true);
                 return finish(ctx, t0, report, res, rung as u32);
-            }
-            Err(_) => mark_rung(ctx, env, rung, strategy.name(), false),
-        }
-    }
-    panic!("degradation ladder exhausted: the bottom rung must be infallible");
-}
-
-/// Collective read down a degradation ladder; see [`ladder_write`].
-///
-/// # Panics
-/// Panics under the same conditions as [`ladder_write`].
-pub fn ladder_read(
-    ctx: &mut Ctx,
-    env: &IoEnv,
-    handle: &FileHandle,
-    my_extents: &ExtentList,
-    rungs: &[&dyn Strategy],
-) -> (Vec<u8>, IoReport) {
-    env.enter_op(ctx);
-    let world = ctx.world_ranks();
-    let pattern = GroupPattern::gather(ctx, &world, my_extents);
-    if !env.faults().is_active() {
-        let plan = rungs[0]
-            .plan(ctx, env, &pattern)
-            .expect("ladder top must be a collective strategy");
-        return execute_read(ctx, env, handle, &plan, &pattern, my_extents);
-    }
-    descend_read(ctx, env, handle, &world, &pattern, my_extents, rungs)
-}
-
-/// [`ladder_read`]'s descent under an active fault plan; see
-/// [`descend_write`].
-#[inline(never)]
-fn descend_read(
-    ctx: &mut Ctx,
-    env: &IoEnv,
-    handle: &FileHandle,
-    world: &RankSet,
-    pattern: &Arc<GroupPattern>,
-    my_extents: &ExtentList,
-    rungs: &[&dyn Strategy],
-) -> (Vec<u8>, IoReport) {
-    let t0 = ctx.group_sync_clocks(world);
-    let mut res = Resilience::default();
-    for (rung, strategy) in rungs.iter().enumerate() {
-        match strategy.try_read(ctx, env, handle, pattern, my_extents, &mut res) {
-            Ok((data, report)) => {
-                mark_rung(ctx, env, rung, strategy.name(), true);
-                return (data, finish(ctx, t0, report, res, rung as u32));
             }
             Err(_) => mark_rung(ctx, env, rung, strategy.name(), false),
         }

@@ -2,14 +2,14 @@
 //! strategy, so workloads, tests, benches, the hint resolver, and the
 //! degradation ladder dispatch through one interface.
 //!
-//! A strategy answers four questions: what it is called ([`Strategy::name`]),
-//! how it would aggregate a pattern ([`Strategy::plan`], `None` for
-//! non-collective strategies), and how it moves data in each direction
-//! ([`Strategy::write`] / [`Strategy::read`]). Collective strategies
-//! additionally serve as degradation-ladder rungs through
-//! [`Strategy::try_write`] / [`Strategy::try_read`], whose default
-//! implementations plan fresh (so a re-plan rung sees post-revocation
-//! memory) and run the shared round engine.
+//! A strategy answers three questions: what it is called
+//! ([`Strategy::name`]), how it would aggregate a pattern
+//! ([`Strategy::plan`], `None` for non-collective strategies), and how
+//! it serves one operation ([`Strategy::run`]), in either direction: an
+//! [`Op`] carries the direction with its buffer. Strategies additionally
+//! serve as degradation-ladder rungs through [`Strategy::rung`], whose
+//! default plans fresh (so a re-plan rung sees post-revocation memory)
+//! and runs the shared round engine.
 //!
 //! Adding a strategy means implementing this trait — the engine, the
 //! ladder, the hint resolver, and every harness pick it up unchanged.
@@ -17,22 +17,22 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use mccio_mpiio::independent::{read_direct, read_sieved, write_direct, write_sieved};
-use mccio_mpiio::{ExtentList, GroupPattern, IoReport, Resilience, SieveConfig};
+use mccio_mpiio::independent::direct;
+use mccio_mpiio::{ExtentList, GroupPattern, IoReport, Op, Resilience, SieveConfig};
 use mccio_net::Ctx;
 use mccio_pfs::FileHandle;
 use mccio_sim::error::SimResult;
 
-use crate::engine::{try_execute_read, try_execute_write, IoEnv, PlanKey};
+use crate::engine::{execute, IoEnv, PlanKey};
 use crate::mccio::{plan_mccio, MccioConfig};
 use crate::plan::CollectivePlan;
-use crate::resilience::{independent_read, independent_write, ladder_read, ladder_write};
+use crate::resilience::{independent, ladder};
 use crate::two_phase::{plan_two_phase, TwoPhaseConfig};
 
 /// One I/O strategy under study.
 ///
 /// SPMD: collective strategies require every rank of the world to call
-/// [`Strategy::write`] / [`Strategy::read`] together.
+/// [`Strategy::run`] together.
 pub trait Strategy: Send + Sync + std::fmt::Debug {
     /// A short label for tables, bench ids, and file names.
     fn name(&self) -> &'static str;
@@ -56,69 +56,47 @@ pub trait Strategy: Send + Sync + std::fmt::Debug {
         pattern: &Arc<GroupPattern>,
     ) -> Option<Arc<CollectivePlan>>;
 
-    /// Writes `data` (this rank's extents packed in offset order).
-    fn write(
+    /// Serves one whole operation on this rank's extents: stores an
+    /// [`Op::Write`]'s bytes, or fills an [`Op::Read`]'s vector with the
+    /// extents' bytes packed in offset order.
+    ///
+    /// # Panics
+    /// Panics if `op` is a read whose vector is not empty
+    /// ([`Op::assert_fresh`]).
+    fn run(
         &self,
         ctx: &mut Ctx,
         env: &IoEnv,
         handle: &FileHandle,
         my_extents: &ExtentList,
-        data: &[u8],
+        op: Op<'_>,
     ) -> IoReport;
-
-    /// Reads the extents, returning this rank's data packed in offset
-    /// order.
-    fn read(
-        &self,
-        ctx: &mut Ctx,
-        env: &IoEnv,
-        handle: &FileHandle,
-        my_extents: &ExtentList,
-    ) -> (Vec<u8>, IoReport);
 
     /// One degradation-ladder rung attempt: plan against the current
     /// memory state and run the fallible engine, accumulating endured
-    /// faults into `res`.
+    /// faults into `res`. A failed attempt leaves a read's vector empty
+    /// for the next rung. The default serves collective strategies; a
+    /// non-collective rung (the sieved bottom) overrides it.
     ///
     /// # Errors
     /// Returns [`mccio_sim::error::SimError::TransientIo`] when the
     /// strategy's aggregation memory cannot be reserved — collectively,
     /// on every rank — so the ladder can descend without divergence.
     #[allow(clippy::too_many_arguments)]
-    fn try_write(
+    fn rung(
         &self,
         ctx: &mut Ctx,
         env: &IoEnv,
         handle: &FileHandle,
         pattern: &Arc<GroupPattern>,
         my_extents: &ExtentList,
-        data: &[u8],
+        op: Op<'_>,
         res: &mut Resilience,
     ) -> SimResult<IoReport> {
         let plan = self
             .plan(ctx, env, pattern)
             .expect("collective strategy must produce a plan");
-        try_execute_write(ctx, env, handle, &plan, pattern, my_extents, data, res)
-    }
-
-    /// One ladder rung attempt for reads; see [`Strategy::try_write`].
-    ///
-    /// # Errors
-    /// Returns [`mccio_sim::error::SimError::TransientIo`] collectively
-    /// when aggregation memory cannot be reserved.
-    fn try_read(
-        &self,
-        ctx: &mut Ctx,
-        env: &IoEnv,
-        handle: &FileHandle,
-        pattern: &Arc<GroupPattern>,
-        my_extents: &ExtentList,
-        res: &mut Resilience,
-    ) -> SimResult<(Vec<u8>, IoReport)> {
-        let plan = self
-            .plan(ctx, env, pattern)
-            .expect("collective strategy must produce a plan");
-        try_execute_read(ctx, env, handle, &plan, pattern, my_extents, res)
+        execute(ctx, env, handle, &plan, pattern, my_extents, op, res)
     }
 
     /// Downcast support, so hint-resolution callers can inspect the
@@ -127,7 +105,8 @@ pub trait Strategy: Send + Sync + std::fmt::Debug {
 }
 
 /// Per-rank direct I/O, one request per extent. No aggregation, no
-/// collective calls.
+/// collective calls. Fault-oblivious: it takes no fault stream, so a
+/// fault plan injects nothing into it; nothing runs it under one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Independent;
 
@@ -145,51 +124,15 @@ impl Strategy for Independent {
         None
     }
 
-    fn write(
+    fn run(
         &self,
         ctx: &mut Ctx,
         env: &IoEnv,
         handle: &FileHandle,
         my_extents: &ExtentList,
-        data: &[u8],
+        op: Op<'_>,
     ) -> IoReport {
-        write_direct(ctx, handle, my_extents, data, &env.fs.params())
-    }
-
-    fn read(
-        &self,
-        ctx: &mut Ctx,
-        env: &IoEnv,
-        handle: &FileHandle,
-        my_extents: &ExtentList,
-    ) -> (Vec<u8>, IoReport) {
-        read_direct(ctx, handle, my_extents, &env.fs.params())
-    }
-
-    fn try_write(
-        &self,
-        ctx: &mut Ctx,
-        env: &IoEnv,
-        handle: &FileHandle,
-        _pattern: &Arc<GroupPattern>,
-        my_extents: &ExtentList,
-        data: &[u8],
-        _res: &mut Resilience,
-    ) -> SimResult<IoReport> {
-        // Direct I/O holds no aggregation state, so it cannot be refused.
-        Ok(self.write(ctx, env, handle, my_extents, data))
-    }
-
-    fn try_read(
-        &self,
-        ctx: &mut Ctx,
-        env: &IoEnv,
-        handle: &FileHandle,
-        _pattern: &Arc<GroupPattern>,
-        my_extents: &ExtentList,
-        _res: &mut Resilience,
-    ) -> SimResult<(Vec<u8>, IoReport)> {
-        Ok(self.read(ctx, env, handle, my_extents))
+        direct(ctx, handle, my_extents, op, &env.fs.params())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -197,9 +140,10 @@ impl Strategy for Independent {
     }
 }
 
-/// Per-rank data sieving. As a ladder rung it runs the fallible sieved
-/// path with bounded escalation — it needs no aggregation memory, so it
-/// always completes, which makes it the ladder's bottom.
+/// Per-rank data sieving through the fallible sieved path with bounded
+/// escalation, under the environment's fault plan whether it runs
+/// standalone or as a ladder rung. It needs no aggregation memory, so
+/// it always completes, which makes it the ladder's bottom.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndependentSieved(pub SieveConfig);
 
@@ -217,52 +161,29 @@ impl Strategy for IndependentSieved {
         None
     }
 
-    fn write(
+    fn run(
         &self,
         ctx: &mut Ctx,
         env: &IoEnv,
         handle: &FileHandle,
         my_extents: &ExtentList,
-        data: &[u8],
+        op: Op<'_>,
     ) -> IoReport {
-        write_sieved(ctx, handle, my_extents, data, &env.fs.params(), self.0)
+        let res = &mut Resilience::default();
+        independent(ctx, env, handle, my_extents, op, self.0, res)
     }
 
-    fn read(
-        &self,
-        ctx: &mut Ctx,
-        env: &IoEnv,
-        handle: &FileHandle,
-        my_extents: &ExtentList,
-    ) -> (Vec<u8>, IoReport) {
-        read_sieved(ctx, handle, my_extents, &env.fs.params(), self.0)
-    }
-
-    fn try_write(
+    fn rung(
         &self,
         ctx: &mut Ctx,
         env: &IoEnv,
         handle: &FileHandle,
         _pattern: &Arc<GroupPattern>,
         my_extents: &ExtentList,
-        data: &[u8],
+        op: Op<'_>,
         res: &mut Resilience,
     ) -> SimResult<IoReport> {
-        Ok(independent_write(
-            ctx, env, handle, my_extents, data, self.0, res,
-        ))
-    }
-
-    fn try_read(
-        &self,
-        ctx: &mut Ctx,
-        env: &IoEnv,
-        handle: &FileHandle,
-        _pattern: &Arc<GroupPattern>,
-        my_extents: &ExtentList,
-        res: &mut Resilience,
-    ) -> SimResult<(Vec<u8>, IoReport)> {
-        Ok(independent_read(ctx, env, handle, my_extents, self.0, res))
+        Ok(independent(ctx, env, handle, my_extents, op, self.0, res))
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -297,27 +218,16 @@ impl Strategy for TwoPhase {
         }))
     }
 
-    fn write(
+    fn run(
         &self,
         ctx: &mut Ctx,
         env: &IoEnv,
         handle: &FileHandle,
         my_extents: &ExtentList,
-        data: &[u8],
+        op: Op<'_>,
     ) -> IoReport {
         let bottom = IndependentSieved::default();
-        ladder_write(ctx, env, handle, my_extents, data, &[self, &bottom])
-    }
-
-    fn read(
-        &self,
-        ctx: &mut Ctx,
-        env: &IoEnv,
-        handle: &FileHandle,
-        my_extents: &ExtentList,
-    ) -> (Vec<u8>, IoReport) {
-        let bottom = IndependentSieved::default();
-        ladder_read(ctx, env, handle, my_extents, &[self, &bottom])
+        ladder(ctx, env, handle, my_extents, op, &[self, &bottom])
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -365,33 +275,20 @@ impl Strategy for MemoryConscious {
         )
     }
 
-    fn write(
+    fn run(
         &self,
         ctx: &mut Ctx,
         env: &IoEnv,
         handle: &FileHandle,
         my_extents: &ExtentList,
-        data: &[u8],
+        op: Op<'_>,
     ) -> IoReport {
         let baseline = self.baseline();
         let bottom = IndependentSieved::default();
-        // The second `self` is the re-plan rung: `try_write` plans
-        // fresh, so it sees the post-revocation memory landscape.
+        // The second `self` is the re-plan rung: `rung` plans fresh, so
+        // it sees the post-revocation memory landscape.
         let rungs: [&dyn Strategy; 4] = [self, self, &baseline, &bottom];
-        ladder_write(ctx, env, handle, my_extents, data, &rungs)
-    }
-
-    fn read(
-        &self,
-        ctx: &mut Ctx,
-        env: &IoEnv,
-        handle: &FileHandle,
-        my_extents: &ExtentList,
-    ) -> (Vec<u8>, IoReport) {
-        let baseline = self.baseline();
-        let bottom = IndependentSieved::default();
-        let rungs: [&dyn Strategy; 4] = [self, self, &baseline, &bottom];
-        ladder_read(ctx, env, handle, my_extents, &rungs)
+        ladder(ctx, env, handle, my_extents, op, &rungs)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -409,7 +306,7 @@ pub fn write_all(
     data: &[u8],
     strategy: &dyn Strategy,
 ) -> IoReport {
-    strategy.write(ctx, env, handle, extents, data)
+    strategy.run(ctx, env, handle, extents, Op::Write(data))
 }
 
 /// Reads the extents with the chosen strategy, returning packed data.
@@ -420,7 +317,9 @@ pub fn read_all(
     extents: &ExtentList,
     strategy: &dyn Strategy,
 ) -> (Vec<u8>, IoReport) {
-    strategy.read(ctx, env, handle, extents)
+    let mut out = Vec::new();
+    let report = strategy.run(ctx, env, handle, extents, Op::Read(&mut out));
+    (out, report)
 }
 
 #[cfg(test)]
@@ -488,6 +387,28 @@ mod tests {
                 assert!(r.bandwidth() > 0.0, "{}", strategy.name());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a read fills an empty vector, got one holding 3 bytes")]
+    fn a_collective_read_into_a_non_empty_vector_panics() {
+        // Unchecked, the engine would put the bytes read after the stale
+        // ones and cut the vector at the read's length: wrong bytes, no
+        // panic.
+        let cluster = test_cluster(2, 2);
+        let placement = Placement::new(&cluster, 4, FillOrder::Block).unwrap();
+        let world = World::new(CostModel::new(cluster.clone()), placement);
+        let env = IoEnv::new(
+            FileSystem::new(4, 64 * KIB, PfsParams::default()),
+            MemoryModel::pristine(&cluster),
+        );
+        let strat = TwoPhase(TwoPhaseConfig::with_buffer(256 * KIB));
+        world.run(|ctx| {
+            let handle = env.fs.open_or_create("stale");
+            let extents = ExtentList::normalize(vec![Extent::new(ctx.rank() as u64 * KIB, KIB)]);
+            let mut stale = vec![1, 2, 3];
+            strat.run(ctx, &env, &handle, &extents, Op::Read(&mut stale))
+        });
     }
 
     #[test]

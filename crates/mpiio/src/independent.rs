@@ -19,131 +19,78 @@ use mccio_pfs::{FileHandle, IoFaults, PfsParams};
 use mccio_sim::error::SimResult;
 
 use crate::extent::ExtentList;
+use crate::op::Op;
 use crate::report::IoReport;
-use crate::sieve::{sieved_read, sieved_read_r, sieved_write, sieved_write_r, SieveConfig};
+use crate::sieve::{sieved_read, sieved_write, SieveConfig};
 
-/// Writes `data` (extents packed in offset order) with one access per
-/// extent.
-pub fn write_direct(
+/// Serves `op` with one access per extent. Fault-oblivious: nothing
+/// runs direct I/O under a fault plan.
+///
+/// # Panics
+/// Panics if a write's buffer is shorter than the extents, or a read's
+/// vector is not empty ([`Op::assert_fresh`]).
+pub fn direct(
     ctx: &mut Ctx,
     handle: &FileHandle,
     extents: &ExtentList,
-    data: &[u8],
+    mut op: Op<'_>,
     params: &PfsParams,
 ) -> IoReport {
-    assert!(
-        data.len() as u64 >= extents.total_bytes(),
-        "packed buffer shorter than extents"
-    );
+    op.assert_fresh();
+    let is_write = op.is_write();
+    match &mut op {
+        Op::Write(data) => assert!(
+            data.len() as u64 >= extents.total_bytes(),
+            "packed buffer shorter than extents"
+        ),
+        Op::Read(out) => out.resize(extents.total_bytes() as usize, 0),
+    }
     let mut report = IoReport::empty();
     for (e, range) in extents.with_buffer_ranges() {
-        let r = handle.write_at(e.offset, &data[range]);
-        let d = params.phase_time_dir(&r, e.len, true, 1);
+        let r = match &mut op {
+            Op::Write(data) => handle.write_at(e.offset, &data[range]),
+            Op::Read(out) => handle.read_into(e.offset, &mut out[range]),
+        };
+        let d = params.phase_time_dir(&r, e.len, is_write, 1);
         ctx.advance(d);
         report.absorb(IoReport::new(e.len, d));
     }
     report
 }
 
-/// Reads the extents with one access per extent; returns the packed
-/// data.
-pub fn read_direct(
-    ctx: &mut Ctx,
-    handle: &FileHandle,
-    extents: &ExtentList,
-    params: &PfsParams,
-) -> (Vec<u8>, IoReport) {
-    let mut packed = vec![0u8; extents.total_bytes() as usize];
-    let mut report = IoReport::empty();
-    for (e, range) in extents.with_buffer_ranges() {
-        let r = handle.read_into(e.offset, &mut packed[range]);
-        let d = params.phase_time(&r, e.len);
-        ctx.advance(d);
-        report.absorb(IoReport::new(e.len, d));
-    }
-    (packed, report)
-}
-
-/// Writes via per-rank data sieving.
-pub fn write_sieved(
-    ctx: &mut Ctx,
-    handle: &FileHandle,
-    extents: &ExtentList,
-    data: &[u8],
-    params: &PfsParams,
-    cfg: SieveConfig,
-) -> IoReport {
-    let t0 = ctx.clock();
-    let out = sieved_write(handle, extents, data, cfg);
-    let d = params.phase_time_dir(&out.report, out.covered_bytes, true, 1);
-    ctx.advance(d);
-    ctx.charge_local_copy(out.copied_bytes, 1.0);
-    IoReport::new(extents.total_bytes(), ctx.clock() - t0)
-}
-
-/// Reads via per-rank data sieving; returns the packed data.
-pub fn read_sieved(
-    ctx: &mut Ctx,
-    handle: &FileHandle,
-    extents: &ExtentList,
-    params: &PfsParams,
-    cfg: SieveConfig,
-) -> (Vec<u8>, IoReport) {
-    let t0 = ctx.clock();
-    let (packed, out) = sieved_read(handle, extents, cfg);
-    let d = params.phase_time(&out.report, out.covered_bytes);
-    ctx.advance(d);
-    ctx.charge_local_copy(out.copied_bytes, 1.0);
-    let report = IoReport::new(extents.total_bytes(), ctx.clock() - t0);
-    (packed, report)
-}
-
-/// [`write_sieved`] over a fallible request path: storage attempts may
-/// transiently fail and retry per `faults`; accumulated backoff is
-/// charged to the rank's virtual clock here.
+/// Serves `op` by per-rank data sieving over a fallible request path:
+/// storage attempts may transiently fail and retry per `faults`
+/// (healthy callers pass [`IoFaults::none`]), and the backoff they
+/// accumulate is charged to the rank's virtual clock here. A read's
+/// vector is filled only when the whole access succeeds.
 ///
 /// # Errors
 /// Propagates retry exhaustion from the storage layer; safe to re-drive.
-pub fn write_sieved_r(
+pub fn sieved(
     ctx: &mut Ctx,
     handle: &FileHandle,
     extents: &ExtentList,
-    data: &[u8],
+    op: Op<'_>,
     params: &PfsParams,
     cfg: SieveConfig,
     faults: &mut IoFaults,
 ) -> SimResult<IoReport> {
     let t0 = ctx.clock();
     let log_before = faults.log;
-    let out = sieved_write_r(handle, extents, data, cfg, faults)?;
-    let d = params.phase_time_dir(&out.report, out.covered_bytes, true, 1);
+    let is_write = op.is_write();
+    let out = match op {
+        Op::Write(data) => sieved_write(handle, extents, data, cfg, faults)?,
+        Op::Read(buf) => {
+            let (packed, out) = sieved_read(handle, extents, cfg, faults)?;
+            *buf = packed;
+            out
+        }
+    };
+    let d = params.phase_time_dir(&out.report, out.covered_bytes, is_write, 1);
     ctx.advance(d);
     ctx.advance(backoff_delta(faults, log_before));
     ctx.charge_local_copy(out.copied_bytes, 1.0);
     Ok(IoReport::new(extents.total_bytes(), ctx.clock() - t0))
-}
-
-/// [`read_sieved`] over a fallible request path; see [`write_sieved_r`].
-///
-/// # Errors
-/// Propagates retry exhaustion from the storage layer; safe to re-drive.
-pub fn read_sieved_r(
-    ctx: &mut Ctx,
-    handle: &FileHandle,
-    extents: &ExtentList,
-    params: &PfsParams,
-    cfg: SieveConfig,
-    faults: &mut IoFaults,
-) -> SimResult<(Vec<u8>, IoReport)> {
-    let t0 = ctx.clock();
-    let log_before = faults.log;
-    let (packed, out) = sieved_read_r(handle, extents, cfg, faults)?;
-    let d = params.phase_time(&out.report, out.covered_bytes);
-    ctx.advance(d);
-    ctx.advance(backoff_delta(faults, log_before));
-    ctx.charge_local_copy(out.copied_bytes, 1.0);
-    let report = IoReport::new(extents.total_bytes(), ctx.clock() - t0);
-    Ok((packed, report))
 }
 
 /// Backoff accumulated in `faults` since the `before` snapshot.
@@ -173,6 +120,27 @@ mod tests {
         world.run(|ctx| f(ctx, &fs))
     }
 
+    fn write(ctx: &mut Ctx, fs: &FileSystem, h: &FileHandle, e: &ExtentList, d: &[u8]) -> IoReport {
+        direct(ctx, h, e, Op::Write(d), &fs.params())
+    }
+
+    fn read(ctx: &mut Ctx, fs: &FileSystem, h: &FileHandle, e: &ExtentList) -> (Vec<u8>, IoReport) {
+        let mut out = Vec::new();
+        let r = direct(ctx, h, e, Op::Read(&mut out), &fs.params());
+        (out, r)
+    }
+
+    fn sieve(
+        ctx: &mut Ctx,
+        fs: &FileSystem,
+        h: &FileHandle,
+        e: &ExtentList,
+        op: Op<'_>,
+    ) -> IoReport {
+        let cfg = SieveConfig::default();
+        sieved(ctx, h, e, op, &fs.params(), cfg, &mut IoFaults::none()).unwrap()
+    }
+
     fn interleaved(rank: usize, block: u64, count: u64) -> ExtentList {
         ExtentList::normalize(
             (0..count)
@@ -187,9 +155,9 @@ mod tests {
             let h = fs.open_or_create("f");
             let extents = interleaved(ctx.rank(), 32, 8);
             let data = vec![ctx.rank() as u8 + 1; 256];
-            let w = write_direct(ctx, &h, &extents, &data, &fs.params());
+            let w = write(ctx, fs, &h, &extents, &data);
             ctx.barrier();
-            let (back, r) = read_direct(ctx, &h, &extents, &fs.params());
+            let (back, r) = read(ctx, fs, &h, &extents);
             assert_eq!(back, data, "rank {} readback", ctx.rank());
             assert_eq!(w.bytes, 256);
             r
@@ -206,16 +174,10 @@ mod tests {
             let h = fs.open_or_create("f");
             let extents = interleaved(ctx.rank(), 16, 16);
             let data: Vec<u8> = (0..256).map(|i| (i as u8) ^ (ctx.rank() as u8)).collect();
-            let r = write_sieved(
-                ctx,
-                &h,
-                &extents,
-                &data,
-                &fs.params(),
-                SieveConfig::default(),
-            );
+            let r = sieve(ctx, fs, &h, &extents, Op::Write(&data));
             ctx.barrier();
-            let (back, _) = read_sieved(ctx, &h, &extents, &fs.params(), SieveConfig::default());
+            let mut back = Vec::new();
+            let _ = sieve(ctx, fs, &h, &extents, Op::Read(&mut back));
             assert_eq!(back, data);
             r
         });
@@ -229,15 +191,8 @@ mod tests {
                 let h = fs.open_or_create("many");
                 let extents = interleaved(0, 8, 200);
                 let data = vec![1u8; 1600];
-                let direct = write_direct(ctx, &h, &extents, &data, &fs.params());
-                let sieved = write_sieved(
-                    ctx,
-                    &h,
-                    &extents,
-                    &data,
-                    &fs.params(),
-                    SieveConfig::default(),
-                );
+                let direct = write(ctx, fs, &h, &extents, &data);
+                let sieved = sieve(ctx, fs, &h, &extents, Op::Write(&data));
                 assert!(
                     sieved.elapsed.as_secs() < direct.elapsed.as_secs() / 2.0,
                     "sieved {:?} vs direct {:?}",
@@ -256,10 +211,10 @@ mod tests {
     fn empty_extents_cost_nothing() {
         let _ = run2(|ctx, fs| {
             let h = fs.open_or_create("e");
-            let r = write_direct(ctx, &h, &ExtentList::default(), &[], &fs.params());
+            let r = write(ctx, fs, &h, &ExtentList::default(), &[]);
             assert_eq!(r.bytes, 0);
             assert_eq!(r.elapsed.as_secs(), 0.0);
-            let (d, r2) = read_direct(ctx, &h, &ExtentList::default(), &fs.params());
+            let (d, r2) = read(ctx, fs, &h, &ExtentList::default());
             assert!(d.is_empty());
             r2
         });

@@ -14,6 +14,8 @@
 //!   two-phase aggregator;
 //! * [`independent`] — per-rank direct and sieved I/O drivers, the
 //!   baselines collective I/O is measured against;
+//! * [`op`] — [`Op`], an access's direction with its buffer, which
+//!   every driver here and above takes instead of a write/read pair;
 //! * [`analysis`] — the allgathered [`analysis::GroupPattern`] every
 //!   collective driver plans from;
 //! * [`report`] — bytes/elapsed accounting shared by all drivers.
@@ -28,6 +30,7 @@ pub mod datatype;
 pub mod extent;
 pub mod fileview;
 pub mod independent;
+pub mod op;
 pub mod report;
 pub mod sieve;
 
@@ -35,5 +38,6 @@ pub use analysis::GroupPattern;
 pub use datatype::{darray_block, Datatype};
 pub use extent::{Extent, ExtentList, ExtentTable, ExtentsView, TouchIndex};
 pub use fileview::FileView;
+pub use op::Op;
 pub use report::{IoReport, IoReportBuilder, OpMetrics, Resilience};
 pub use sieve::SieveConfig;

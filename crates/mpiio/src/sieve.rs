@@ -74,18 +74,8 @@ fn windows(extents: &ExtentList, buffer_size: u64) -> Vec<(Extent, Vec<Extent>)>
 }
 
 /// Sieved read: returns the packed data (extents in offset order) and
-/// the outcome.
-#[must_use]
-pub fn sieved_read(
-    handle: &FileHandle,
-    extents: &ExtentList,
-    cfg: SieveConfig,
-) -> (Vec<u8>, SieveOutcome) {
-    sieved_read_r(handle, extents, cfg, &mut IoFaults::none()).expect("healthy context cannot fail")
-}
-
-/// [`sieved_read`] over a fallible request path: each covering access
-/// may transiently fail and retry per `faults`. A window without holes
+/// the outcome. Each covering access may transiently fail and retry per
+/// `faults` ([`IoFaults::none`] never fails). A window without holes
 /// is read straight into the returned buffer — no staging buffer, no
 /// second copy; the staging path only runs for windows that sieve over
 /// gaps. The accounting (`SieveOutcome`) is identical either way:
@@ -96,7 +86,7 @@ pub fn sieved_read(
 /// Propagates [`mccio_sim::SimError::TransientIo`]/`Timeout` from the
 /// storage layer once the retry budget is exhausted; the whole sieved
 /// operation is safe to re-drive (reads are idempotent).
-pub fn sieved_read_r(
+pub fn sieved_read(
     handle: &FileHandle,
     extents: &ExtentList,
     cfg: SieveConfig,
@@ -133,22 +123,8 @@ pub fn sieved_read_r(
     Ok((packed, outcome))
 }
 
-/// Sieved write: `data` holds the extents' bytes packed in offset order.
-///
-/// # Panics
-/// Panics if `data` is shorter than the extents require.
-#[must_use]
-pub fn sieved_write(
-    handle: &FileHandle,
-    extents: &ExtentList,
-    data: &[u8],
-    cfg: SieveConfig,
-) -> SieveOutcome {
-    sieved_write_r(handle, extents, data, cfg, &mut IoFaults::none())
-        .expect("healthy context cannot fail")
-}
-
-/// [`sieved_write`] over a fallible request path.
+/// Sieved write: `data` holds the extents' bytes packed in offset
+/// order. Each access may transiently fail and retry per `faults`.
 ///
 /// # Errors
 /// Propagates storage-retry exhaustion. A failure can leave earlier
@@ -158,7 +134,7 @@ pub fn sieved_write(
 ///
 /// # Panics
 /// Panics if `data` is shorter than the extents require.
-pub fn sieved_write_r(
+pub fn sieved_write(
     handle: &FileHandle,
     extents: &ExtentList,
     data: &[u8],
@@ -231,6 +207,14 @@ mod tests {
         FileSystem::new(2, 64, PfsParams::default())
     }
 
+    fn write(h: &FileHandle, extents: &ExtentList, data: &[u8], cfg: SieveConfig) -> SieveOutcome {
+        sieved_write(h, extents, data, cfg, &mut IoFaults::none()).unwrap()
+    }
+
+    fn read(h: &FileHandle, extents: &ExtentList) -> (Vec<u8>, SieveOutcome) {
+        sieved_read(h, extents, SieveConfig::default(), &mut IoFaults::none()).unwrap()
+    }
+
     fn pattern(data_len: u64, gap: u64, count: u64) -> ExtentList {
         ExtentList::normalize(
             (0..count)
@@ -245,9 +229,9 @@ mod tests {
         let h = f.create("x").unwrap();
         let extents = pattern(10, 7, 5);
         let data: Vec<u8> = (0..50u8).collect();
-        let w = sieved_write(&h, &extents, &data, SieveConfig::default());
+        let w = write(&h, &extents, &data, SieveConfig::default());
         assert_eq!(w.copied_bytes, 50);
-        let (back, r) = sieved_read(&h, &extents, SieveConfig::default());
+        let (back, r) = read(&h, &extents);
         assert_eq!(back, data);
         assert_eq!(r.copied_bytes, 50);
     }
@@ -259,7 +243,7 @@ mod tests {
         // Pre-fill so reads have substance.
         h.write_at(0, &vec![9u8; 1000]);
         let extents = pattern(4, 4, 50); // 50 tiny extents over 400 B
-        let (_, sieved) = sieved_read(&h, &extents, SieveConfig::default());
+        let (_, sieved) = read(&h, &extents);
         // Direct would need ≥50 requests; the sieve needs the covering
         // span only (≤ a handful of striped requests).
         assert!(
@@ -276,7 +260,7 @@ mod tests {
         let h = f.create("x").unwrap();
         h.write_at(0, &[0xAAu8; 30]);
         let extents = ExtentList::normalize(vec![Extent::new(5, 5), Extent::new(20, 5)]);
-        let _ = sieved_write(
+        let _ = write(
             &h,
             &extents,
             &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
@@ -295,7 +279,7 @@ mod tests {
         let f = fs();
         let h = f.create("x").unwrap();
         let extents = ExtentList::normalize(vec![Extent::new(0, 128)]);
-        let out = sieved_write(&h, &extents, &[7u8; 128], SieveConfig::default());
+        let out = write(&h, &extents, &[7u8; 128], SieveConfig::default());
         // 128 B over 2 servers with 64 B stripes = 2 write requests, no
         // read-back.
         assert_eq!(out.report.total_requests(), 2);
@@ -339,7 +323,7 @@ mod tests {
                         (0..10).map(|i| Extent::new(i * 40 + t * 10, 10)).collect(),
                     );
                     let data = vec![t as u8 + 1; 100];
-                    let _ = sieved_write(&h, &extents, &data, SieveConfig { buffer_size: 80 });
+                    let _ = write(&h, &extents, &data, SieveConfig { buffer_size: 80 });
                 });
             }
         });

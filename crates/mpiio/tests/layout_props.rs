@@ -5,7 +5,7 @@
 
 use mccio_mpiio::sieve::{sieved_read, sieved_write};
 use mccio_mpiio::{Datatype, Extent, ExtentList, FileView, SieveConfig};
-use mccio_pfs::{FileSystem, PfsParams};
+use mccio_pfs::{FileSystem, IoFaults, PfsParams};
 use mccio_sim::rng::{stream_rng, Rng};
 
 fn random_extents(rng: &mut impl Rng, n_max: usize, off_max: u64, len_max: u64) -> Vec<Extent> {
@@ -174,8 +174,9 @@ fn sieved_write_read_roundtrip_random_patterns() {
         let cfg = SieveConfig {
             buffer_size: buffer,
         };
-        let _ = sieved_write(&h, &extents, &data, cfg);
-        let (back, _) = sieved_read(&h, &extents, cfg);
+        let faults = &mut IoFaults::none();
+        sieved_write(&h, &extents, &data, cfg, faults).unwrap();
+        let (back, _) = sieved_read(&h, &extents, cfg, faults).unwrap();
         assert_eq!(back, data, "case {case}");
     }
 }

@@ -12,7 +12,7 @@
 
 use mccio_suite::core::prelude::*;
 use mccio_suite::mem::MemParams;
-use mccio_suite::mpiio::Resilience;
+use mccio_suite::mpiio::{Resilience, SieveConfig};
 use mccio_suite::net::{ExecutorKind, TrafficSnapshot};
 use mccio_suite::sim::cost::CostModel;
 use mccio_suite::sim::time::VTime;
@@ -115,7 +115,14 @@ fn total_resilience(reports: &[(IoReport, IoReport)]) -> Resilience {
 #[test]
 fn transient_ost_failures_retry_and_surface_in_reports() {
     // 5 % of storage attempts fail; the retry policy absorbs them all.
-    for strategy in both_collectives() {
+    // Standalone sieving takes the same fault stream as the ladder's
+    // bottom rung; a 16 KiB sieve buffer gives it enough requests.
+    let sieved = IndependentSieved(SieveConfig {
+        buffer_size: 16 * KIB,
+    });
+    let mut strategies = both_collectives();
+    strategies.push(Box::new(sieved));
+    for strategy in strategies {
         let plan = FaultPlan::new(0xD15C).transient_io_rate(0.05);
         let (reports, _) = run_faulty(&*strategy, plan);
         let total = total_resilience(&reports);
