@@ -135,8 +135,8 @@ options (all have defaults):
   --hints \"K=V,...\"    ROMIO-style hints                 [\"\"]
   --mem MEAN:STD       per-node available memory         [none = pristine]
   --seed N             memory-sampling seed              [0xC0FFEE]
-  --trace-out PATH     write trace artifacts: PATH.json (Chrome),
-                       PATH.jsonl (event stream), PATH.html (report)
+  --trace-out PATH     write PATH.json (Chrome trace, loadable in
+                       Perfetto and replayable) and PATH.html (report)
   --help
 
 workload specs:
@@ -297,25 +297,23 @@ fn main() {
     }
 }
 
-/// Writes the run's trace as `<prefix>.json` (Chrome), `<prefix>.jsonl`
-/// (event stream), and `<prefix>.html` (self-contained report), each
-/// validated before it lands on disk.
+/// Writes the run's trace as `<prefix>.json` (the Chrome trace, which
+/// replays into the recorded events) and `<prefix>.html` (self-contained
+/// report), the trace replayed before it lands on disk.
 fn write_trace_artifacts(prefix: &str, obs: &ObsSink, analysis: &TraceAnalysis) {
-    use mccio_obs::{analyze, export, report};
+    use mccio_obs::{export, report};
     let events = obs.events();
     let chrome = export::chrome_trace_flows(&events, &[]);
-    export::validate_chrome_trace(&chrome)
-        .unwrap_or_else(|e| fail(&format!("emitted Chrome trace is invalid: {e}")));
+    match export::replay(&chrome) {
+        Ok(replayed) if replayed == export::export_order(&events) => {}
+        Ok(_) => fail("emitted Chrome trace does not replay to the recorded events"),
+        Err(e) => fail(&format!("emitted Chrome trace is invalid: {e}")),
+    }
     let chrome_path = format!("{prefix}.json");
     std::fs::write(&chrome_path, &chrome)
         .unwrap_or_else(|e| fail(&format!("write {chrome_path}: {e}")));
-    let jsonl = export::jsonl(&events);
-    analyze::from_jsonl(&jsonl).unwrap_or_else(|e| fail(&format!("emitted JSONL is invalid: {e}")));
-    let jsonl_path = format!("{prefix}.jsonl");
-    std::fs::write(&jsonl_path, &jsonl)
-        .unwrap_or_else(|e| fail(&format!("write {jsonl_path}: {e}")));
     let html = report::render("mccio run report", &events, analysis, None);
     let html_path = format!("{prefix}.html");
     std::fs::write(&html_path, &html).unwrap_or_else(|e| fail(&format!("write {html_path}: {e}")));
-    println!("trace    : wrote {chrome_path}, {jsonl_path}, {html_path}");
+    println!("trace    : wrote {chrome_path}, {html_path}");
 }

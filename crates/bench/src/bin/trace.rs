@@ -1,8 +1,8 @@
 //! `trace` — run a figure-scale collective I/O config with the
-//! observability layer enabled and emit its artifacts: a Chrome
+//! observability layer enabled and emit its artifact: a Chrome
 //! `trace_event` JSON per strategy (loadable in Perfetto /
-//! `chrome://tracing`), a JSONL event stream, and the counters the
-//! analysis derives from the events.
+//! `chrome://tracing`, and replayable into the recorded events), and
+//! the counters the analysis derives from the events.
 //!
 //! ```text
 //! cargo run --release -p mccio-bench --bin trace -- [ci|fig7] [outdir]
@@ -18,8 +18,9 @@
 //!   HTML report per strategy — the second carries the A/B diff against
 //!   the first. Exits nonzero unless every op's critical-path total is
 //!   bit-identical to its op span, its segments tile the span with
-//!   bit-equal joints, and the JSONL artifact replays into a
-//!   bit-identical analysis, counters included;
+//!   bit-equal joints, and the written trace replays into the recorded
+//!   events and a bit-identical analysis, memory timelines and counters
+//!   included;
 //! * `causal` — root-cause analysis: runs both paper strategies with
 //!   message-causality tracing under the deterministic control-plane
 //!   latency of `mccio_bench::causal_plan` (so clocks genuinely diverge
@@ -28,19 +29,20 @@
 //!   bit-identical across schedules, every op carries a chain that
 //!   tiles its op span to the bit (and so does the op's critical path,
 //!   the chain cut at its phase windows), the live DP frontier stayed
-//!   bounded, and the flow-annotated Chrome trace validates. Writes one
+//!   bounded, and the flow-annotated Chrome trace replays. Writes one
 //!   causal HTML report and one flow-annotated Chrome trace per
 //!   strategy, and prints each op's blame chain and what-if projections.
 //!
-//! Every emitted artifact is validated before the binary exits 0, so CI
-//! can treat "trace ran" as "trace is loadable". The tracing-overhead
-//! and regression checks live in the `scale` binary's record.
+//! Every written trace is read back and replayed into the recorded
+//! events before the binary exits 0, so CI can treat "trace ran" as
+//! "trace is loadable". The tracing-overhead and regression checks live
+//! in the `scale` binary's record.
 
 use std::process::exit;
 
 use mccio_bench::{causal_plan, ior_config, paper_pair, run_traced, run_with, Platform};
 use mccio_net::ExecutorKind;
-use mccio_obs::{analyze, export, report, ObsSink};
+use mccio_obs::{analyze, export, report, CausalEdge, Event, ObsSink};
 use mccio_workloads::Ior;
 
 fn platform_for(mode: &str) -> (Platform, Ior, u64) {
@@ -61,8 +63,25 @@ fn main() {
     }
 }
 
+/// Writes the Chrome trace of `events` (and `edges`) to `path`, reads it
+/// back and replays it: the replay must equal the recorded events.
+fn write_and_replay(
+    path: &str,
+    events: &[Event],
+    edges: &[CausalEdge],
+) -> Result<Vec<Event>, String> {
+    std::fs::write(path, export::chrome_trace_flows(events, edges))
+        .map_err(|e| format!("write {path}: {e}"))?;
+    let doc = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let replayed = export::replay(&doc).map_err(|e| format!("INVALID {path}: {e}"))?;
+    if replayed != export::export_order(events) {
+        return Err(format!("{path} does not replay to the recorded events"));
+    }
+    Ok(replayed)
+}
+
 /// Runs both paper strategies with tracing enabled and writes the
-/// artifacts into `outdir`, validating each before exit.
+/// artifact into `outdir`, replaying each before exit.
 fn emit(mode: &str, outdir: &str) {
     let (platform, workload, buffer) = platform_for(mode);
     std::fs::create_dir_all(outdir).expect("create output directory");
@@ -70,51 +89,40 @@ fn emit(mode: &str, outdir: &str) {
     for (name, strategy) in paper_pair(&platform, buffer) {
         let obs = ObsSink::enabled();
         let result = run_traced(&workload, &*strategy, &platform, &obs);
-        // Exporters read the event list in place — no O(events) clone.
-        let (n_events, chrome, jsonl) = obs.with_events(|events| {
-            (
-                events.len(),
-                export::chrome_trace_flows(events, &[]),
-                export::jsonl(events),
-            )
-        });
+        let events = obs.events();
         println!(
-            "{name}: write {:.1} MB/s, read {:.1} MB/s, {n_events} events recorded",
+            "{name}: write {:.1} MB/s, read {:.1} MB/s, {} events recorded",
             result.write_mbps(),
             result.read_mbps(),
+            events.len(),
         );
 
         let chrome_path = format!("{outdir}/trace_{name}.json");
-        std::fs::write(&chrome_path, &chrome).expect("write chrome trace");
-        match export::validate_chrome_trace(&chrome) {
-            Ok(summary) => {
+        match write_and_replay(&chrome_path, &events, &[]) {
+            Ok(replayed) => {
+                let mut tracks: Vec<u32> = replayed.iter().map(|e| e.track).collect();
+                tracks.dedup();
+                let end = replayed
+                    .iter()
+                    .map(|e| e.end().as_secs())
+                    .fold(0.0, f64::max);
                 println!(
                     "  {chrome_path}: {} events on {} tracks, ends at {:.1} virtual ms",
-                    summary.events,
-                    summary.tracks,
-                    summary.end_ts / 1e3
+                    replayed.len(),
+                    tracks.len(),
+                    end * 1e3
                 );
                 // The operation must be covered end to end: plan →
                 // prologue → rounds (shuffle/storage) → settle → op.
                 for required in ["op", "schedule", "prologue", "round", "storage", "settle"] {
-                    if !summary.has(required) {
+                    if !replayed.iter().any(|e| e.name == required) {
                         eprintln!("  MISSING span {required:?} in {chrome_path}");
                         failures += 1;
                     }
                 }
             }
             Err(e) => {
-                eprintln!("  INVALID {chrome_path}: {e}");
-                failures += 1;
-            }
-        }
-
-        let jsonl_path = format!("{outdir}/events_{name}.jsonl");
-        std::fs::write(&jsonl_path, &jsonl).expect("write jsonl");
-        match analyze::from_jsonl(&jsonl).map(|e| e.len()) {
-            Ok(n) => println!("  {jsonl_path}: {n} lines"),
-            Err(e) => {
-                eprintln!("  INVALID {jsonl_path}: {e}");
+                eprintln!("  {e}");
                 failures += 1;
             }
         }
@@ -143,8 +151,9 @@ fn emit(mode: &str, outdir: &str) {
 /// A/B diff against the first). Fails unless the analysis is exact: the
 /// critical-path total must equal the op span's virtual duration to the
 /// bit, the segments must tile the span with bit-equal joints, the
-/// phase attribution must close, and the JSONL artifact must replay into
-/// a bit-identical analysis: the same critical paths and counters.
+/// phase attribution must close, and the written trace must replay into
+/// a bit-identical analysis: the same critical paths, memory timelines
+/// and counters.
 fn report_mode(mode: &str, outdir: &str) {
     let (platform, workload, buffer) = platform_for(mode);
     std::fs::create_dir_all(outdir).expect("create output directory");
@@ -197,17 +206,22 @@ fn report_mode(mode: &str, outdir: &str) {
                 failures += 1;
             }
         }
-        // Acceptance invariant 2: the JSONL artifact replays into an
-        // identical set of critical paths — every segment, decoded round
-        // and per-phase attribution — and identical derived counters.
-        let replayed = analyze::from_jsonl(&export::jsonl(&events))
+        // Acceptance invariant 2: the written trace replays into the
+        // recorded events and an identical analysis — every segment,
+        // decoded round and per-phase attribution, every memory
+        // timeline — and identical derived counters.
+        let chrome_path = format!("{outdir}/trace_{name}.json");
+        let replayed = write_and_replay(&chrome_path, &events, &[])
             .and_then(|evs| analyze::TraceAnalysis::from_events(&evs, &[]))
             .unwrap_or_else(|e| {
-                eprintln!("report[{name}]: JSONL replay failed: {e}");
+                eprintln!("report[{name}]: replay failed: {e}");
                 exit(1);
             });
-        if replayed.ops != analysis.ops || replayed.counters != analysis.counters {
-            eprintln!("report[{name}]: JSONL replay is not bit-identical to the live analysis");
+        if replayed.ops != analysis.ops
+            || replayed.memory != analysis.memory
+            || replayed.counters != analysis.counters
+        {
+            eprintln!("report[{name}]: replay is not bit-identical to the live analysis");
             failures += 1;
         }
 
@@ -373,7 +387,7 @@ fn causal_mode(mode: &str, outdir: &str) {
         }
 
         // Artifacts: the causal HTML report and the flow-annotated
-        // Chrome trace, both validated before exit.
+        // Chrome trace, replayed before exit.
         let title = format!("mccio causal report — {mode} / {name}");
         let html = obs.with_events(|events| report::render(&title, events, &analysis, None));
         if !html.starts_with("<!DOCTYPE html>") || !html.ends_with("</html>\n") {
@@ -389,18 +403,15 @@ fn causal_mode(mode: &str, outdir: &str) {
             eprintln!("causal[{name}]: buffered sink retained no message edges");
             failures += 1;
         }
-        let chrome = obs.with_events(|events| export::chrome_trace_flows(events, &edges));
         let chrome_path = format!("{outdir}/trace_causal_{name}.json");
-        std::fs::write(&chrome_path, &chrome).expect("write causal chrome trace");
-        match export::validate_chrome_trace(&chrome) {
-            Ok(summary) => println!(
-                "  {chrome_path}: {} events on {} tracks, {} flow edge(s)",
-                summary.events,
-                summary.tracks,
+        match write_and_replay(&chrome_path, &obs.events(), &edges) {
+            Ok(replayed) => println!(
+                "  {chrome_path}: {} events, {} flow edge(s)",
+                replayed.len(),
                 edges.len()
             ),
             Err(e) => {
-                eprintln!("  INVALID {chrome_path}: {e}");
+                eprintln!("  {e}");
                 failures += 1;
             }
         }

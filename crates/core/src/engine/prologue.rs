@@ -99,9 +99,9 @@ fn mark_mem_event(
         "mem",
         at,
         &[
-            ("node", AttrValue::U64(r.node() as u64)),
+            ("node", AttrValue::Id(r.node() as u64)),
             ("bytes", AttrValue::U64(r.bytes())),
-            ("ceiling", AttrValue::U64(env.mem.ceiling(r.node()))),
+            ("ceiling", AttrValue::Id(env.mem.ceiling(r.node()))),
         ],
     );
 }
@@ -126,7 +126,7 @@ pub(super) fn mark_fault_events(obs: &ObsSink, fired: &[TimedEvent]) {
                     "fault",
                     timed.at,
                     &[
-                        ("node", AttrValue::U64(node as u64)),
+                        ("node", AttrValue::Id(node as u64)),
                         ("bytes", AttrValue::U64(bytes)),
                     ],
                 );
@@ -142,7 +142,7 @@ pub(super) fn mark_fault_events(obs: &ObsSink, fired: &[TimedEvent]) {
                     name,
                     "fault",
                     timed.at,
-                    &[("rank", AttrValue::U64(rank as u64))],
+                    &[("rank", AttrValue::Id(rank as u64))],
                 );
             }
         }
@@ -303,7 +303,7 @@ fn trace_node_peaks(ctx: &Ctx, env: &IoEnv) {
                 "mem",
                 ctx.clock(),
                 peak as f64,
-                &[("node", AttrValue::U64(node as u64))],
+                &[("node", AttrValue::Id(node as u64))],
             );
         }
     }
@@ -377,7 +377,7 @@ fn reserve_collectively(
                 "reserve.retry",
                 "mem",
                 ctx.clock(),
-                &[("attempt", AttrValue::U64(u64::from(attempt)))],
+                &[("attempt", AttrValue::Id(u64::from(attempt)))],
             );
             // A restoration event may fire during the pause and rescue
             // the next attempt.

@@ -297,8 +297,8 @@ impl CrashTracker {
                     "fault",
                     ctx.clock(),
                     &[
-                        ("rank", AttrValue::U64(dead as u64)),
-                        ("round", AttrValue::U64(round)),
+                        ("rank", AttrValue::Id(dead as u64)),
+                        ("round", AttrValue::Id(round)),
                     ],
                 );
             }
@@ -309,8 +309,8 @@ impl CrashTracker {
                     "fault",
                     ctx.clock(),
                     &[
-                        ("domain", AttrValue::U64(di as u64)),
-                        ("aggregator", AttrValue::U64(agg as u64)),
+                        ("domain", AttrValue::Id(di as u64)),
+                        ("aggregator", AttrValue::Id(agg as u64)),
                     ],
                 );
             }
@@ -320,7 +320,7 @@ impl CrashTracker {
                     ROUNDS_REPLAYED,
                     "fault",
                     ctx.clock(),
-                    &[("round", AttrValue::U64(round))],
+                    &[("round", AttrValue::Id(round))],
                 );
             }
         }

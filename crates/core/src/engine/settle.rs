@@ -202,9 +202,9 @@ fn trace_round(ctx: &Ctx, env: &IoEnv, p: &Priced, is_write: bool) {
             ("retries", AttrValue::U64(p.retries)),
             // Straggler attribution (meaningful only when the matching
             // phase term is non-zero).
-            ("storage_rank", AttrValue::U64(p.storage_rank)),
-            ("assembly_rank", AttrValue::U64(p.assembly_rank)),
-            ("backoff_rank", AttrValue::U64(p.backoff_rank)),
+            ("storage_rank", AttrValue::Id(p.storage_rank)),
+            ("assembly_rank", AttrValue::Id(p.assembly_rank)),
+            ("backoff_rank", AttrValue::Id(p.backoff_rank)),
         ],
     );
     let mut t = start;

@@ -305,7 +305,7 @@ fn mark_rung(ctx: &Ctx, env: &IoEnv, rung: usize, strategy: &'static str, comple
         "ladder",
         ctx.clock(),
         &[
-            ("rung", AttrValue::U64(rung as u64)),
+            ("rung", AttrValue::Id(rung as u64)),
             ("strategy", AttrValue::Str(strategy)),
         ],
     );

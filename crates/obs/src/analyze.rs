@@ -27,11 +27,9 @@
 //!   ([`RunDiff`]); a run diffed against itself is exactly zero.
 //!
 //! Input is either a live [`ObsSink`] ([`TraceAnalysis::of_sink`], which
-//! also picks up the sink's blame chains) or a replayed JSONL artifact:
-//! [`from_jsonl`] parses the [`crate::export::jsonl`] format back into
-//! the engine's own [`Event`] type bit-exactly (f64s are printed
-//! shortest-roundtrip), interning its strings through
-//! [`crate::span::intern`].
+//! also picks up the sink's blame chains) or events replayed from the
+//! trace artifact by [`crate::export::replay`]
+//! ([`TraceAnalysis::from_events`]).
 
 use std::collections::BTreeMap;
 
@@ -39,103 +37,13 @@ use mccio_sim::hostprof::HostProfile;
 use mccio_sim::time::{VDuration, VTime};
 
 use crate::causal::{verify_joints, BlameChain, BlameSegment, SegClass};
-use crate::json::{self, Value};
 use crate::sink::ObsSink;
-use crate::span::{intern, AttrValue, Event, EventKind, ENGINE_TRACK};
+use crate::span::{AttrValue, Event, EventKind, ENGINE_TRACK};
 use crate::stream::StreamAgg;
 
 /// Tolerance for tiling checks: phase sums are f64 accumulations of
 /// attribute values, so they match the priced durations to rounding.
 pub const TILING_EPS: f64 = 1e-9;
-
-/// Replays a JSONL artifact (the [`crate::export::jsonl`] format) back
-/// into events. JSONL prints f64s shortest-roundtrip, so every virtual
-/// time comes back bit-identical to the live sink's. Each event's `seq`
-/// is its line position: the exporter writes parents before children,
-/// so ordering semantics survive the round trip.
-///
-/// # Errors
-/// Describes the first malformed line: bad JSON, a missing or mistyped
-/// field, a track that is not an integer in `0..=u32::MAX`, or an
-/// attribute that is neither a number nor a string.
-pub fn from_jsonl(doc: &str) -> Result<Vec<Event>, String> {
-    let mut out = Vec::new();
-    for (i, line) in doc.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let n = i + 1;
-        let v = json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
-        let field = |k: &str| v.get(k).ok_or(format!("line {n} missing {k:?}"));
-        let num = |k: &str| {
-            field(k)?
-                .as_f64()
-                .ok_or(format!("line {n}: {k:?} not a number"))
-        };
-        let text = |k: &str| {
-            field(k)?
-                .as_str()
-                .map(intern)
-                .ok_or(format!("line {n}: {k:?} not a string"))
-        };
-        let kind = match field("kind")?.as_str() {
-            Some("span") => EventKind::Span {
-                start: VTime::from_secs(num("start_s")?),
-                dur: VDuration::from_secs(num("dur_s")?),
-            },
-            Some("instant") => EventKind::Instant {
-                at: VTime::from_secs(num("at_s")?),
-            },
-            Some("counter") => EventKind::Counter {
-                at: VTime::from_secs(num("at_s")?),
-                value: num("value")?,
-            },
-            other => return Err(format!("line {n}: bad kind {other:?}")),
-        };
-        let track = num("track")?;
-        if track.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&track) {
-            return Err(format!(
-                "line {n}: track {track} is not an integer in 0..={}",
-                u32::MAX
-            ));
-        }
-        out.push(Event {
-            name: text("name")?,
-            cat: text("cat")?,
-            track: track as u32,
-            kind,
-            attrs: parse_attrs(v.get("attrs"), n)?,
-            seq: out.len() as u64,
-        });
-    }
-    Ok(out)
-}
-
-/// Parses an exported `attrs` object back into attribute pairs.
-/// Integral numbers come back as [`AttrValue::U64`] (the exporters print
-/// u64s without a decimal point); other numbers stay f64.
-fn parse_attrs(v: Option<&Value>, line: usize) -> Result<Vec<(&'static str, AttrValue)>, String> {
-    let Some(obj) = v.and_then(Value::as_obj) else {
-        return Ok(Vec::new());
-    };
-    obj.iter()
-        .map(|(k, v)| {
-            let val = match v {
-                Value::Str(s) => AttrValue::Str(intern(s)),
-                Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
-                    AttrValue::U64(*n as u64)
-                }
-                Value::Num(n) => AttrValue::F64(*n),
-                _ => {
-                    return Err(format!(
-                        "line {line}: attribute {k:?} is not a number or string"
-                    ))
-                }
-            };
-            Ok((intern(k), val))
-        })
-        .collect()
-}
 
 /// One priced round, decoded from the engine's `"round"` span.
 ///
@@ -696,9 +604,10 @@ impl TraceAnalysis {
 
 /// The counters of [`TraceAnalysis::from_events`], plus the `count` and
 /// per-attribute `sum` of each `folded` cell: the events a streaming
-/// sink did not retain. Sums wrap at 2⁶⁴ on both paths (the cells' `u128`
-/// sums are cut to their low 64 bits), so a streamed run and a buffered
-/// one agree to the bit.
+/// sink did not retain. Only [`AttrValue::U64`] attributes are summed;
+/// ids and limits ([`AttrValue::Id`]) and f64s make no counter. Sums
+/// wrap at 2⁶⁴ on both paths (the cells' `u128` sums are cut to their
+/// low 64 bits), so a streamed run and a buffered one agree to the bit.
 fn derive_counters(events: &[Event], folded: Option<&StreamAgg>) -> BTreeMap<String, u64> {
     let mut tally: BTreeMap<(&'static str, &'static str), u64> = BTreeMap::new();
     let mut add = |name, key, v: u64| {
@@ -897,16 +806,30 @@ fn critical_path(
 
 /// Replays `mem.reserve`/`mem.release` and `fault.mem.*` events into
 /// per-node occupancy step functions.
+///
+/// A node's events are taken in virtual-time order. Within one instant,
+/// the releases that open a rank's events there go first (one op ends
+/// and frees its buffers before the next op reserves), then the rest;
+/// each group in track order, each track in emission order. The order
+/// reads nothing but each track's own order, so every rank schedule and
+/// a replayed trace (whose `seq` is a position) give the same timeline.
 fn mem_timelines(events: &[Event]) -> Vec<MemTimeline> {
-    // Per node, chronological (occupancy delta, ceiling observation or
-    // delta) — reserve/release carry an exact ceiling reading, fault
-    // events step it.
+    // Reserve/release carry an exact ceiling reading; fault events step
+    // it.
     #[derive(Clone, Copy)]
     enum Ceil {
         Observed(u64),
         Delta(i64),
     }
-    let mut per_node: BTreeMap<usize, Vec<(f64, u64, i64, Ceil)>> = BTreeMap::new();
+    struct Step {
+        at: f64,
+        late: bool,
+        track: u32,
+        seq: u64,
+        occ_delta: i64,
+        ceil: Ceil,
+    }
+    let mut per_node: BTreeMap<usize, Vec<Step>> = BTreeMap::new();
     for e in events {
         let (occ_delta, ceil) = match e.name {
             "mem.reserve" => (
@@ -924,30 +847,40 @@ fn mem_timelines(events: &[Event]) -> Vec<MemTimeline> {
         let Some(node) = e.attr_u64("node") else {
             continue;
         };
-        per_node.entry(node as usize).or_default().push((
-            e.kind.at().as_secs(),
-            e.seq,
+        per_node.entry(node as usize).or_default().push(Step {
+            at: e.kind.at().as_secs(),
+            late: false,
+            track: e.track,
+            seq: e.seq,
             occ_delta,
             ceil,
-        ));
+        });
     }
     per_node
         .into_iter()
-        .filter(|(_, evs)| evs.iter().any(|&(_, _, d, _)| d != 0))
+        .filter(|(_, evs)| evs.iter().any(|s| s.occ_delta != 0))
         .map(|(node, mut evs)| {
-            evs.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("finite"));
+            let by_time = |a: &Step, b: &Step| a.at.partial_cmp(&b.at).expect("finite");
+            evs.sort_by(|a, b| by_time(a, b).then((a.track, a.seq).cmp(&(b.track, b.seq))));
+            for i in 0..evs.len() {
+                let opens =
+                    i == 0 || (evs[i - 1].at, evs[i - 1].track) != (evs[i].at, evs[i].track);
+                evs[i].late = evs[i].occ_delta >= 0 || (!opens && evs[i - 1].late);
+            }
+            // Stable: each group keeps its track-then-emission order.
+            evs.sort_by(|a, b| by_time(a, b).then(a.late.cmp(&b.late)));
             // Back-fill the initial ceiling from the first exact reading
             // so fault deltas before any reservation still level out.
             let first_obs = evs
                 .iter()
-                .find_map(|&(_, _, _, c)| match c {
+                .find_map(|s| match s.ceil {
                     Ceil::Observed(v) => Some(v),
                     Ceil::Delta(_) => None,
                 })
                 .unwrap_or(0);
             let mut pre_delta = 0i64;
-            for &(_, _, _, c) in &evs {
-                match c {
+            for s in &evs {
+                match s.ceil {
                     Ceil::Observed(_) => break,
                     Ceil::Delta(d) => pre_delta += d,
                 }
@@ -964,8 +897,14 @@ fn mem_timelines(events: &[Event]) -> Vec<MemTimeline> {
                 overflow: Vec::new(),
             };
             let mut over_since: Option<VTime> = None;
-            for (at_secs, _, occ_delta, ceil) in evs {
-                let at = VTime::from_secs(at_secs);
+            for Step {
+                at,
+                occ_delta,
+                ceil,
+                ..
+            } in evs
+            {
+                let at = VTime::from_secs(at);
                 if occ_delta > 0 {
                     tl.reserved += occ_delta as u64;
                 } else {
@@ -1003,7 +942,6 @@ fn mem_timelines(events: &[Event]) -> Vec<MemTimeline> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::span::sort_for_export;
 
     pub(crate) fn ev(
         name: &'static str,
@@ -1208,12 +1146,39 @@ pub(crate) mod tests {
             0,
             at(t),
             vec![
-                ("node", AttrValue::U64(node)),
+                ("node", AttrValue::Id(node)),
                 ("bytes", AttrValue::U64(bytes)),
-                ("ceiling", AttrValue::U64(ceiling)),
+                ("ceiling", AttrValue::Id(ceiling)),
             ],
             seq,
         )
+    }
+
+    #[test]
+    fn one_instant_orders_by_track_not_by_schedule() {
+        // Ranks 0 and 1 on one node end an op at t = 1 and rank 0
+        // reserves more for the next one at the same instant.
+        let on = |track, mut e: Event| {
+            e.track = track;
+            e
+        };
+        let run = |seqs: [u64; 5]| {
+            let events = vec![
+                on(0, mem_ev("mem.reserve", 0.0, 0, 100, 1000, seqs[0])),
+                on(1, mem_ev("mem.reserve", 0.0, 0, 100, 1000, seqs[1])),
+                on(0, mem_ev("mem.release", 1.0, 0, 100, 1000, seqs[2])),
+                on(0, mem_ev("mem.reserve", 1.0, 0, 300, 1000, seqs[3])),
+                on(1, mem_ev("mem.release", 1.0, 0, 100, 1000, seqs[4])),
+            ];
+            TraceAnalysis::from_events(&events, &[]).unwrap().memory
+        };
+        // Both releases apply before the reservation, whichever rank
+        // the schedule ran first.
+        let tl = run([0, 1, 2, 3, 4]);
+        let occ: Vec<u64> = tl[0].points.iter().map(|p| p.occupancy).collect();
+        assert_eq!(occ, vec![100, 200, 100, 0, 300]);
+        assert_eq!(tl[0].peak, 300);
+        assert_eq!(run([1, 0, 3, 4, 2]), tl);
     }
 
     #[test]
@@ -1246,7 +1211,7 @@ pub(crate) mod tests {
                 "fault.mem.revoke",
                 ENGINE_TRACK,
                 at(1.0),
-                vec![("node", AttrValue::U64(2)), ("bytes", AttrValue::U64(80))],
+                vec![("node", AttrValue::Id(2)), ("bytes", AttrValue::U64(80))],
                 1,
             ),
             // …and a restoration clears it.
@@ -1254,7 +1219,7 @@ pub(crate) mod tests {
                 "fault.mem.restore",
                 ENGINE_TRACK,
                 at(3.0),
-                vec![("node", AttrValue::U64(2)), ("bytes", AttrValue::U64(80))],
+                vec![("node", AttrValue::Id(2)), ("bytes", AttrValue::U64(80))],
                 2,
             ),
             mem_ev("mem.release", 5.0, 2, 100, 150, 3),
@@ -1303,10 +1268,7 @@ pub(crate) mod tests {
     fn counters_derive_from_events_and_folded_cells() {
         use crate::stream::{StreamAgg, StreamConfig};
         let reserve = |track, bytes, seq| {
-            let attrs = vec![
-                ("bytes", AttrValue::U64(bytes)),
-                ("node", AttrValue::U64(0)),
-            ];
+            let attrs = vec![("bytes", AttrValue::U64(bytes)), ("node", AttrValue::Id(1))];
             ev("mem.reserve", track, at(0.0), attrs, seq)
         };
         let peak = EventKind::Counter {
@@ -1335,8 +1297,7 @@ pub(crate) mod tests {
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect();
-        // f64 attributes and keys that total zero (`mem.reserve.node`)
-        // make no counter.
+        // Ids (`mem.reserve.node`) and f64 attributes make no counter.
         assert_eq!(derive_counters(&events, None), want);
         // A streaming sink keeps the rank-0 lane and the engine-track
         // instant; its cells stand for the rest.
@@ -1353,116 +1314,6 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(retained.len(), 2);
         assert_eq!(derive_counters(&retained, Some(&agg)), want);
-    }
-
-    #[test]
-    fn jsonl_round_trip_is_bit_exact() {
-        use crate::export;
-        let sink = ObsSink::enabled();
-        sink.span(
-            ENGINE_TRACK,
-            "op",
-            "engine",
-            VTime::ZERO,
-            VDuration::from_secs(0.1 + 0.2), // not representable exactly
-            &[("dir", AttrValue::Str("write"))],
-        );
-        sink.instant(
-            3,
-            "mem.reserve",
-            "mem",
-            VTime::from_secs(1.0 / 3.0),
-            &[("node", AttrValue::U64(1)), ("bytes", AttrValue::U64(42))],
-        );
-        sink.counter_sample(0, "occ", "mem", VTime::from_secs(0.7), 12.5, &[]);
-        let mut live = sink.events();
-        sort_for_export(&mut live);
-        let replayed = from_jsonl(&export::jsonl(&live)).unwrap();
-        assert_eq!(replayed.len(), live.len());
-        for (r, l) in replayed.iter().zip(&live) {
-            assert_eq!(r.name, l.name);
-            assert_eq!(r.cat, l.cat);
-            assert_eq!(r.track, l.track);
-            // JSON objects parse key-ordered, so compare key sets.
-            let keys = |e: &Event| {
-                let mut keys: Vec<&str> = e.attrs.iter().map(|(k, _)| *k).collect();
-                keys.sort_unstable();
-                keys
-            };
-            assert_eq!(keys(r), keys(l));
-            match (r.kind, l.kind) {
-                (
-                    EventKind::Span { start: rs, dur: rd },
-                    EventKind::Span { start: ls, dur: ld },
-                ) => {
-                    assert_eq!(rs.as_secs().to_bits(), ls.as_secs().to_bits());
-                    assert_eq!(rd.as_secs().to_bits(), ld.as_secs().to_bits());
-                }
-                (EventKind::Instant { at: ra }, EventKind::Instant { at: la }) => {
-                    assert_eq!(ra.as_secs().to_bits(), la.as_secs().to_bits());
-                }
-                (
-                    EventKind::Counter { at: ra, value: rv },
-                    EventKind::Counter { at: la, value: lv },
-                ) => {
-                    assert_eq!(ra.as_secs().to_bits(), la.as_secs().to_bits());
-                    assert_eq!(rv.to_bits(), lv.to_bits());
-                }
-                other => panic!("kind mismatch: {other:?}"),
-            }
-        }
-        // Attribute types survive: u64 stays integral, str stays str.
-        let op = replayed.iter().find(|e| e.name == "op").unwrap();
-        assert_eq!(op.attr_str("dir"), Some("write"));
-        let res = replayed.iter().find(|e| e.name == "mem.reserve").unwrap();
-        assert_eq!(res.attr_u64("bytes"), Some(42));
-    }
-
-    #[test]
-    fn repeated_replays_intern_nothing_new() {
-        let doc = "{\"kind\": \"instant\", \"name\": \"mem.reserve\", \"cat\": \"mem\", \
-                   \"track\": 3, \"at_s\": 0.5, \"attrs\": {\"node\": 1, \"dir\": \"write\"}}\n";
-        let first = from_jsonl(doc).unwrap();
-        let second = from_jsonl(doc).unwrap();
-        for (a, b) in first.iter().zip(&second) {
-            assert!(std::ptr::eq(a.name, b.name));
-            assert!(std::ptr::eq(a.cat, b.cat));
-            for ((ka, va), (kb, vb)) in a.attrs.iter().zip(&b.attrs) {
-                assert!(std::ptr::eq(*ka, *kb));
-                if let (AttrValue::Str(sa), AttrValue::Str(sb)) = (va, vb) {
-                    assert!(std::ptr::eq(*sa, *sb));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn malformed_replay_lines_are_rejected() {
-        let line = |track: &str, attr: &str| {
-            format!(
-                "{{\"kind\": \"instant\", \"name\": \"x\", \"cat\": \"t\", \
-                 \"track\": {track}, \"at_s\": 0, \"attrs\": {{\"k\": {attr}}}}}"
-            )
-        };
-        assert!(from_jsonl(&line("7", "1")).is_ok());
-        for track in ["-1", "2.5", "5e9"] {
-            let doc = format!("{}\n{}\n", line("0", "1"), line(track, "1"));
-            let err = from_jsonl(&doc).unwrap_err();
-            assert!(err.starts_with("line 2:") && err.contains("track"), "{err}");
-        }
-        for attr in ["true", "null", "[1]", "{\"a\": 1}"] {
-            let err = from_jsonl(&line("0", attr)).unwrap_err();
-            assert!(err.starts_with("line 1:") && err.contains("\"k\""), "{err}");
-        }
-        // Every line must be JSON and carry a kind, a name and a track;
-        // blank lines are skipped.
-        let err = from_jsonl("\n{not json}\n").unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
-        for field in ["kind", "name", "track"] {
-            let doc = line("0", "1").replacen(&format!("\"{field}\""), "\"other\"", 1);
-            let err = from_jsonl(&doc).unwrap_err();
-            assert!(err.contains(&format!("missing \"{field}\"")), "{err}");
-        }
     }
 
     #[test]

@@ -1,12 +1,22 @@
-//! Exporters: Chrome `trace_event` JSON and a JSONL event stream.
+//! The trace artifact: a Chrome `trace_event` JSON document, with one
+//! writer ([`chrome_trace_flows`]) and one reader ([`replay`]).
 //!
-//! The Chrome format is the JSON-array flavour understood by Perfetto
-//! and `chrome://tracing`: one object per event, `"ph": "X"` complete
-//! spans with `ts`/`dur` in microseconds, `"i"` instants, `"C"`
-//! counters, plus `"M"` metadata records naming each track. Virtual
-//! time maps directly onto the trace clock (1 virtual second = 1e6
-//! `ts` units), so a Perfetto timeline of one collective op reads in
-//! real units.
+//! The format is the JSON-array flavour understood by Perfetto and
+//! `chrome://tracing`: one object per event, `"ph": "X"` complete spans
+//! with `ts`/`dur` in microseconds, `"i"` instants, `"C"` counters, plus
+//! `"M"` metadata records naming each track. Virtual time maps directly
+//! onto the trace clock (1 virtual second = 1e6 `ts` units), so a
+//! Perfetto timeline of one collective op reads in real units.
+//!
+//! Each event record also carries, under keys outside the trace-event
+//! reserved set, what a replay needs and a viewer does not: its exact
+//! virtual seconds (`start_s`/`dur_s`, or `at_s`, printed
+//! shortest-roundtrip) and `attrs`, every attribute in emission order
+//! as a `[key, kind, value]` triple whose kind is `"u64"`, `"f64"`,
+//! `"id"` or `"str"`. `args` repeats the attributes for the viewer,
+//! except on a counter: there `args` holds the sampled `value` alone,
+//! and the counter's [`AttrValue::Id`] attributes name its series
+//! through Chrome's `id` (one `mem.peak_reserved` series per node).
 //!
 //! Export order is deterministic: events are sorted by `(track, start,
 //! emission sequence)` first, so two runs of the same plan produce
@@ -19,33 +29,53 @@
 //! edges are sorted by `(src, seq)`, keeping the artifact
 //! byte-identical too.
 
+use std::collections::BTreeMap;
+
+use mccio_sim::time::{VDuration, VTime};
+
 use crate::causal::CausalEdge;
 use crate::json::{self, Value};
-use crate::span::{sort_for_export, AttrValue, Event, EventKind, ENGINE_TRACK};
+use crate::span::{intern, sort_for_export, AttrValue, Event, EventKind, ENGINE_TRACK};
 
 /// Microseconds per virtual second on the trace clock.
 const US: f64 = 1e6;
 
-fn fmt_attr(v: &AttrValue) -> String {
+/// An attribute's kind and its value as JSON: integers plain, finite
+/// f64s shortest-roundtrip, non-finite f64s and labels as strings.
+fn fmt_attr(v: &AttrValue) -> (&'static str, String) {
     match v {
-        AttrValue::U64(x) => x.to_string(),
-        AttrValue::F64(x) => {
-            if x.is_finite() {
-                format!("{x}")
-            } else {
-                format!("\"{x}\"")
-            }
-        }
-        AttrValue::Str(s) => format!("\"{}\"", json::escape(s)),
+        AttrValue::U64(x) => ("u64", x.to_string()),
+        AttrValue::Id(x) => ("id", x.to_string()),
+        AttrValue::F64(x) if x.is_finite() => ("f64", format!("{x}")),
+        AttrValue::F64(x) => ("f64", format!("\"{x}\"")),
+        AttrValue::Str(s) => ("str", format!("\"{}\"", json::escape(s))),
     }
 }
 
-fn fmt_args(attrs: &[(&'static str, AttrValue)]) -> String {
-    let body: Vec<String> = attrs
-        .iter()
-        .map(|(k, v)| format!("\"{}\": {}", json::escape(k), fmt_attr(v)))
-        .collect();
-    format!("{{{}}}", body.join(", "))
+/// Renders the viewer's `args` (on a counter, its sample and the `id`
+/// its id attributes name) and the replay's typed `attrs`.
+fn fmt_attrs(e: &Event) -> String {
+    let (mut args, mut ids, mut typed) = (Vec::new(), Vec::new(), Vec::new());
+    for (k, v) in &e.attrs {
+        let (kind, val) = fmt_attr(v);
+        let k = json::escape(k);
+        if let AttrValue::Id(x) = v {
+            ids.push(format!("{k} {x}"));
+        }
+        args.push(format!("\"{k}\": {val}"));
+        typed.push(format!("[\"{k}\", \"{kind}\", {val}]"));
+    }
+    let viewer = match e.kind {
+        EventKind::Counter { value, .. } if ids.is_empty() => {
+            format!("\"args\": {{\"value\": {value}}}")
+        }
+        EventKind::Counter { value, .. } => format!(
+            "\"id\": \"{}\", \"args\": {{\"value\": {value}}}",
+            ids.join(" ")
+        ),
+        _ => format!("\"args\": {{{}}}", args.join(", ")),
+    };
+    format!("{viewer}, \"attrs\": [{}]", typed.join(", "))
 }
 
 fn track_name(track: u32) -> String {
@@ -59,38 +89,32 @@ fn track_name(track: u32) -> String {
 /// Renders one event as a Chrome record, returning its `ts` (in µs,
 /// unrounded) alongside the line for merge ordering.
 fn event_row(e: &Event) -> (f64, String) {
-    let common = format!(
-        "\"name\": \"{}\", \"cat\": \"{}\", \"pid\": 0, \"tid\": {}",
+    let at = e.kind.at().as_secs();
+    let timing = match e.kind {
+        EventKind::Span { dur, .. } => format!(
+            "\"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"start_s\": {at}, \"dur_s\": {}",
+            at * US,
+            dur.as_secs() * US,
+            dur.as_secs()
+        ),
+        EventKind::Instant { .. } => {
+            format!(
+                "\"ph\": \"i\", \"ts\": {:.3}, \"s\": \"t\", \"at_s\": {at}",
+                at * US
+            )
+        }
+        EventKind::Counter { .. } => {
+            format!("\"ph\": \"C\", \"ts\": {:.3}, \"at_s\": {at}", at * US)
+        }
+    };
+    let line = format!(
+        "{{\"name\": \"{}\", \"cat\": \"{}\", \"pid\": 0, \"tid\": {}, {timing}, {}}}",
         json::escape(e.name),
         json::escape(e.cat),
-        e.track
+        e.track,
+        fmt_attrs(e)
     );
-    match e.kind {
-        EventKind::Span { start, dur } => (
-            start.as_secs() * US,
-            format!(
-                "{{{common}, \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {}}}",
-                start.as_secs() * US,
-                dur.as_secs() * US,
-                fmt_args(&e.attrs)
-            ),
-        ),
-        EventKind::Instant { at } => (
-            at.as_secs() * US,
-            format!(
-                "{{{common}, \"ph\": \"i\", \"ts\": {:.3}, \"s\": \"t\", \"args\": {}}}",
-                at.as_secs() * US,
-                fmt_args(&e.attrs)
-            ),
-        ),
-        EventKind::Counter { at, value } => (
-            at.as_secs() * US,
-            format!(
-                "{{{common}, \"ph\": \"C\", \"ts\": {:.3}, \"args\": {{\"value\": {value}}}}}",
-                at.as_secs() * US,
-            ),
-        ),
-    }
+    (at * US, line)
 }
 
 /// Renders the track-name metadata records for a sorted, deduplicated
@@ -168,126 +192,108 @@ pub fn chrome_trace_flows(events: &[Event], edges: &[CausalEdge]) -> String {
     format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
-/// Renders events as a JSONL stream: one self-describing JSON object
-/// per line, in deterministic export order — the greppable/streamable
-/// companion to the Chrome trace.
+/// The events a [`replay`] of their export yields: export order, each
+/// `seq` its position. A replay equals this with `==`.
 #[must_use]
-pub fn jsonl(events: &[Event]) -> String {
-    let mut sorted: Vec<&Event> = events.iter().collect();
+pub fn export_order(events: &[Event]) -> Vec<Event> {
+    let mut sorted = events.to_vec();
     sort_for_export(&mut sorted);
-    let mut out = String::new();
-    for e in &sorted {
-        let (kind, timing) = match e.kind {
-            EventKind::Span { start, dur } => (
-                "span",
-                format!(
-                    "\"start_s\": {}, \"dur_s\": {}",
-                    start.as_secs(),
-                    dur.as_secs()
-                ),
-            ),
-            EventKind::Instant { at } => ("instant", format!("\"at_s\": {}", at.as_secs())),
-            EventKind::Counter { at, value } => (
-                "counter",
-                format!("\"at_s\": {}, \"value\": {value}", at.as_secs()),
-            ),
-        };
-        out.push_str(&format!(
-            "{{\"kind\": \"{kind}\", \"name\": \"{}\", \"cat\": \"{}\", \"track\": {}, \
-             {timing}, \"attrs\": {}}}\n",
-            json::escape(e.name),
-            json::escape(e.cat),
-            e.track,
-            fmt_args(&e.attrs)
-        ));
+    for (i, e) in sorted.iter_mut().enumerate() {
+        e.seq = i as u64;
     }
-    out
+    sorted
 }
 
-/// What [`validate_chrome_trace`] learned about a trace.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChromeSummary {
-    /// Total events (excluding metadata records).
-    pub events: usize,
-    /// Distinct `tid` tracks seen.
-    pub tracks: usize,
-    /// Names seen, deduplicated, in first-seen order.
-    pub names: Vec<String>,
-    /// Largest `ts + dur` on any track, in microseconds.
-    pub end_ts: f64,
-}
-
-impl ChromeSummary {
-    /// True when an event with this name appears in the trace.
-    #[must_use]
-    pub fn has(&self, name: &str) -> bool {
-        self.names.iter().any(|n| n == name)
-    }
-}
-
-/// Validates a Chrome trace document: parses it, checks the required
-/// fields of every event, checks that `ts` is monotone
-/// (non-decreasing) per track in document order, and checks flow
-/// pairing — every `"s"` start carries an id, is matched by exactly
-/// one `"f"` finish, and finishes no earlier than it starts.
+/// Replays a [`chrome_trace_flows`] document back into events, exactly:
+/// every virtual time and attribute comes back bit-identical and of its
+/// kind, its strings interned through [`crate::span::intern`]. Each
+/// event's `seq` is its position among the event records; the writer
+/// puts parents before children, so ordering semantics survive.
+/// Metadata and flow records are checked, then skipped.
 ///
 /// # Errors
-/// Describes the first violation found.
-pub fn validate_chrome_trace(doc: &str) -> Result<ChromeSummary, String> {
+/// Describes the first violation: a document that is not a JSON array
+/// of objects; a record missing `ph`, `name`, `pid`, `tid` (or, on
+/// events, `ts`, `cat` and the exact seconds; on spans `dur`); a `tid`
+/// that is not an integer in `0..=u32::MAX`; a `ts` or exact time that
+/// is not finite and non-negative; a `ts` that runs backwards on its
+/// track; an unknown `ph`; a flow without an `id`, or one that does not
+/// pair exactly one `"s"` with one later-or-equal `"f"`; or an
+/// attribute that is not a `[key, kind, value]` triple whose value is a
+/// number or string of that kind.
+pub fn replay(doc: &str) -> Result<Vec<Event>, String> {
     let parsed = json::parse(doc)?;
-    let events = parsed.as_arr().ok_or("top level must be a JSON array")?;
-    let mut summary = ChromeSummary::default();
-    let mut last_ts: std::collections::BTreeMap<i64, f64> = std::collections::BTreeMap::new();
+    let records = parsed.as_arr().ok_or("top level must be a JSON array")?;
+    let mut events = Vec::new();
+    let mut last_ts: BTreeMap<u32, f64> = BTreeMap::new();
     // Flow pairing: id → (start ts, finish ts).
-    let mut flows: std::collections::BTreeMap<u64, (Option<f64>, Option<f64>)> =
-        std::collections::BTreeMap::new();
-    for (i, e) in events.iter().enumerate() {
-        let obj = e.as_obj().ok_or(format!("event {i} is not an object"))?;
-        let ph = obj
-            .get("ph")
-            .and_then(Value::as_str)
-            .ok_or(format!("event {i} missing \"ph\""))?;
-        let name = obj
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or(format!("event {i} missing \"name\""))?;
-        obj.get("pid")
-            .and_then(Value::as_f64)
-            .ok_or(format!("event {i} missing \"pid\""))?;
-        let tid = obj
-            .get("tid")
-            .and_then(Value::as_f64)
-            .ok_or(format!("event {i} missing \"tid\""))? as i64;
+    let mut flows: BTreeMap<u64, (Option<f64>, Option<f64>)> = BTreeMap::new();
+    for (i, r) in records.iter().enumerate() {
+        if r.as_obj().is_none() {
+            return Err(format!("event {i} is not an object"));
+        }
+        let field = |k: &str| r.get(k).ok_or(format!("event {i} missing {k:?}"));
+        let num = |k: &str| {
+            field(k)?
+                .as_f64()
+                .ok_or(format!("event {i}: {k:?} not a number"))
+        };
+        let text = |k: &str| {
+            field(k)?
+                .as_str()
+                .ok_or(format!("event {i}: {k:?} not a string"))
+        };
+        let ph = text("ph")?;
+        let name = text("name")?;
+        num("pid")?;
+        let tid = num("tid")?;
+        if tid.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&tid) {
+            return Err(format!(
+                "event {i}: tid {tid} is not an integer in 0..={}",
+                u32::MAX
+            ));
+        }
+        let track = tid as u32;
         if ph == "M" {
             continue; // metadata records carry no timestamp
         }
-        let ts = obj
-            .get("ts")
-            .and_then(Value::as_f64)
-            .ok_or(format!("event {i} ({name}) missing \"ts\""))?;
-        if !ts.is_finite() || ts < 0.0 {
-            return Err(format!("event {i} ({name}) has bad ts {ts}"));
-        }
-        if let Some(&prev) = last_ts.get(&tid) {
+        let time = |k: &str| {
+            let t = num(k)?;
+            if t.is_finite() && t >= 0.0 {
+                Ok(t)
+            } else {
+                Err(format!("event {i} ({name}) has bad {k} {t}"))
+            }
+        };
+        let ts = time("ts")?;
+        if let Some(&prev) = last_ts.get(&track) {
             if ts < prev {
                 return Err(format!(
-                    "event {i} ({name}) breaks ts monotonicity on tid {tid}: {ts} < {prev}"
+                    "event {i} ({name}) breaks ts monotonicity on tid {track}: {ts} < {prev}"
                 ));
             }
         }
-        last_ts.insert(tid, ts);
-        let dur = match ph {
-            "X" => obj
-                .get("dur")
-                .and_then(Value::as_f64)
-                .ok_or(format!("complete event {i} ({name}) missing \"dur\""))?,
-            "i" | "C" => 0.0,
-            "s" | "f" => {
-                let id = obj
-                    .get("id")
+        last_ts.insert(track, ts);
+        let kind = match ph {
+            "X" => {
+                time("dur")?;
+                EventKind::Span {
+                    start: VTime::from_secs(time("start_s")?),
+                    dur: VDuration::from_secs(time("dur_s")?),
+                }
+            }
+            "i" => EventKind::Instant {
+                at: VTime::from_secs(time("at_s")?),
+            },
+            "C" => EventKind::Counter {
+                at: VTime::from_secs(time("at_s")?),
+                value: field("args")?
+                    .get("value")
                     .and_then(Value::as_f64)
-                    .ok_or(format!("flow event {i} ({name}) missing \"id\""))?
-                    as u64;
+                    .ok_or(format!("counter {i} ({name}) has no numeric args.value"))?,
+            },
+            "s" | "f" => {
+                let id = num("id")? as u64;
                 let slot = flows.entry(id).or_insert((None, None));
                 let side = if ph == "s" { &mut slot.0 } else { &mut slot.1 };
                 if side.replace(ts).is_some() {
@@ -295,18 +301,18 @@ pub fn validate_chrome_trace(doc: &str) -> Result<ChromeSummary, String> {
                         "flow id {id} has a duplicate \"{ph}\" at event {i}"
                     ));
                 }
-                0.0
+                continue;
             }
             other => return Err(format!("event {i} ({name}) has unknown ph {other:?}")),
         };
-        if dur < 0.0 {
-            return Err(format!("event {i} ({name}) has negative dur {dur}"));
-        }
-        summary.events += 1;
-        summary.end_ts = summary.end_ts.max(ts + dur);
-        if !summary.has(name) {
-            summary.names.push(name.to_string());
-        }
+        events.push(Event {
+            name: intern(name),
+            cat: intern(text("cat")?),
+            track,
+            kind,
+            attrs: replay_attrs(r.get("attrs"), i)?,
+            seq: events.len() as u64,
+        });
     }
     for (id, (s, f)) in &flows {
         match (s, f) {
@@ -321,116 +327,101 @@ pub fn validate_chrome_trace(doc: &str) -> Result<ChromeSummary, String> {
             (None, None) => unreachable!("flow entries are created with one side set"),
         }
     }
-    summary.tracks = last_ts.len();
-    Ok(summary)
+    Ok(events)
+}
+
+/// Parses an event record's typed `attrs` list back into attribute
+/// pairs, each of its written kind. A record without one has none.
+fn replay_attrs(v: Option<&Value>, i: usize) -> Result<Vec<(&'static str, AttrValue)>, String> {
+    let Some(v) = v else {
+        return Ok(Vec::new());
+    };
+    let list = v
+        .as_arr()
+        .ok_or(format!("event {i}: \"attrs\" not an array"))?;
+    list.iter()
+        .map(|entry| {
+            let Some([Value::Str(key), Value::Str(kind), value]) = entry.as_arr() else {
+                return Err(format!(
+                    "event {i}: attribute {entry:?} is not a [key, kind, value] triple"
+                ));
+            };
+            let int = match value {
+                Value::Num(n) if n.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(n) => {
+                    Some(*n as u64)
+                }
+                _ => None,
+            };
+            let parsed = match (kind.as_str(), value) {
+                ("u64", _) => int.map(AttrValue::U64),
+                ("id", _) => int.map(AttrValue::Id),
+                ("f64", Value::Num(n)) => Some(AttrValue::F64(*n)),
+                ("f64", Value::Str(s)) => s
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|x| !x.is_finite())
+                    .map(AttrValue::F64),
+                ("str", Value::Str(s)) => Some(AttrValue::Str(intern(s))),
+                _ => None,
+            };
+            let val = parsed.ok_or(format!(
+                "event {i}: attribute {key:?} is not a number or string of kind {kind:?}"
+            ))?;
+            Ok((intern(key), val))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mccio_sim::time::{VDuration, VTime};
+    use crate::analyze::tests::{at, ev, span};
 
     fn sample_events() -> Vec<Event> {
+        let peak = EventKind::Counter {
+            at: VTime::from_secs(0.3),
+            value: 1024.0,
+        };
         vec![
-            Event {
-                name: "op",
-                cat: "engine",
-                track: ENGINE_TRACK,
-                kind: EventKind::Span {
-                    start: VTime::ZERO,
-                    dur: VDuration::from_secs(1.0),
-                },
-                attrs: vec![("dir", AttrValue::Str("write"))],
-                seq: 0,
-            },
-            Event {
-                name: "round",
-                cat: "engine",
-                track: ENGINE_TRACK,
-                kind: EventKind::Span {
-                    start: VTime::from_secs(0.1),
-                    dur: VDuration::from_secs(0.4),
-                },
-                attrs: vec![("flows", AttrValue::U64(12)), ("r", AttrValue::F64(0.5))],
-                seq: 1,
-            },
-            Event {
-                name: "fault.mem",
-                cat: "fault",
-                track: 3,
-                kind: EventKind::Instant {
-                    at: VTime::from_secs(0.2),
-                },
-                attrs: vec![],
-                seq: 2,
-            },
-            Event {
-                name: "mem.reserved",
-                cat: "mem",
-                track: ENGINE_TRACK,
-                kind: EventKind::Counter {
-                    at: VTime::from_secs(0.3),
-                    value: 1024.0,
-                },
-                attrs: vec![],
-                seq: 3,
-            },
+            // 0.1 + 0.2 is not representable exactly.
+            ev(
+                "op",
+                ENGINE_TRACK,
+                span(0.0, 0.1 + 0.2),
+                vec![("dir", AttrValue::Str("write"))],
+                0,
+            ),
+            ev(
+                "round",
+                ENGINE_TRACK,
+                span(0.1, 0.2),
+                vec![
+                    ("flows", AttrValue::U64(12)),
+                    ("r", AttrValue::F64(0.5)),
+                    ("limit", AttrValue::F64(f64::INFINITY)),
+                    ("storage_rank", AttrValue::Id(3)),
+                ],
+                1,
+            ),
+            ev(
+                "mem.reserve",
+                3,
+                at(1.0 / 3.0),
+                vec![("node", AttrValue::Id(1)), ("bytes", AttrValue::U64(42))],
+                2,
+            ),
+            ev(
+                "mem.peak_reserved",
+                ENGINE_TRACK,
+                peak,
+                vec![("node", AttrValue::Id(1))],
+                3,
+            ),
         ]
     }
 
-    #[test]
-    fn chrome_trace_validates_and_summarizes() {
-        let doc = chrome_trace_flows(&sample_events(), &[]);
-        let summary = validate_chrome_trace(&doc).unwrap();
-        assert_eq!(summary.events, 4);
-        assert_eq!(summary.tracks, 2);
-        assert!(summary.has("op") && summary.has("round") && summary.has("fault.mem"));
-        assert!((summary.end_ts - 1e6).abs() < 1e-6, "{}", summary.end_ts);
-    }
-
-    #[test]
-    fn monotonicity_violations_are_caught() {
-        let doc = r#"[
-            {"name": "a", "ph": "i", "ts": 5.0, "pid": 0, "tid": 1, "s": "t"},
-            {"name": "b", "ph": "i", "ts": 2.0, "pid": 0, "tid": 1, "s": "t"}
-        ]"#;
-        let err = validate_chrome_trace(doc).unwrap_err();
-        assert!(err.contains("monotonicity"), "{err}");
-        // Different tracks may interleave freely.
-        let ok = r#"[
-            {"name": "a", "ph": "i", "ts": 5.0, "pid": 0, "tid": 1, "s": "t"},
-            {"name": "b", "ph": "i", "ts": 2.0, "pid": 0, "tid": 2, "s": "t"}
-        ]"#;
-        assert!(validate_chrome_trace(ok).is_ok());
-    }
-
-    #[test]
-    fn missing_fields_are_caught() {
-        assert!(validate_chrome_trace(r#"[{"ph": "X"}]"#).is_err());
-        assert!(validate_chrome_trace(r#"{"not": "array"}"#).is_err());
-        assert!(
-            validate_chrome_trace(r#"[{"name": "x", "ph": "X", "ts": 0, "pid": 0, "tid": 0}]"#)
-                .is_err(),
-            "complete event without dur"
-        );
-    }
-
-    #[test]
-    fn export_is_deterministic_regardless_of_input_order() {
-        let evs = sample_events();
-        let mut reversed = evs.clone();
-        reversed.reverse();
-        assert_eq!(
-            chrome_trace_flows(&evs, &[]),
-            chrome_trace_flows(&reversed, &[])
-        );
-        assert_eq!(jsonl(&evs), jsonl(&reversed));
-    }
-
-    #[test]
-    fn flow_events_pair_and_validate() {
-        use mccio_sim::time::VTime;
-        let edges = vec![
+    fn edges() -> Vec<CausalEdge> {
+        vec![
             CausalEdge {
                 src: 3,
                 dst: 0,
@@ -447,46 +438,169 @@ mod tests {
                 depart: VTime::from_secs(0.05),
                 arrive: VTime::from_secs(0.1),
             },
-        ];
-        let doc = chrome_trace_flows(&sample_events(), &edges);
-        let summary = validate_chrome_trace(&doc).unwrap();
-        // 4 sample events + 2 flow starts + 2 flow finishes.
-        assert_eq!(summary.events, 8);
-        assert!(summary.has("msg"));
-        // Edge order in the input must not matter.
-        let mut reversed = edges.clone();
+        ]
+    }
+
+    #[test]
+    fn replay_returns_the_exported_events_exactly() {
+        let mut live = sample_events();
+        live.reverse();
+        let doc = chrome_trace_flows(&live, &[]);
+        let live = export_order(&live);
+        assert_eq!(replay(&doc).unwrap(), live);
+        // The counter's id attribute names its series; its args hold
+        // the sample alone.
+        assert!(
+            doc.contains("\"id\": \"node 1\", \"args\": {\"value\": 1024}"),
+            "{doc}"
+        );
+        // Flow records are checked and skipped.
+        let flows = chrome_trace_flows(&live, &edges());
+        assert_eq!(replay(&flows).unwrap(), live);
+    }
+
+    #[test]
+    fn an_integral_f64_replays_as_an_f64() {
+        let attrs = vec![("round_secs", AttrValue::F64(2.0))];
+        let live = vec![ev("settle", ENGINE_TRACK, at(0.5), attrs, 0)];
+        assert_eq!(replay(&chrome_trace_flows(&live, &[])).unwrap(), live);
+    }
+
+    #[test]
+    fn export_is_deterministic_regardless_of_input_order() {
+        let evs = sample_events();
+        let mut reversed = evs.clone();
         reversed.reverse();
-        assert_eq!(doc, chrome_trace_flows(&sample_events(), &reversed));
+        let mut reversed_edges = edges();
+        reversed_edges.reverse();
+        assert_eq!(
+            chrome_trace_flows(&evs, &edges()),
+            chrome_trace_flows(&reversed, &reversed_edges)
+        );
+    }
+
+    #[test]
+    fn repeated_replays_intern_nothing_new() {
+        let doc = chrome_trace_flows(&sample_events(), &[]);
+        let (first, second) = (replay(&doc).unwrap(), replay(&doc).unwrap());
+        for (a, b) in first.iter().zip(&second) {
+            assert!(std::ptr::eq(a.name, b.name));
+            assert!(std::ptr::eq(a.cat, b.cat));
+            for ((ka, va), (kb, vb)) in a.attrs.iter().zip(&b.attrs) {
+                assert!(std::ptr::eq(*ka, *kb));
+                if let (AttrValue::Str(sa), AttrValue::Str(sb)) = (va, vb) {
+                    assert!(std::ptr::eq(*sa, *sb));
+                }
+            }
+        }
+    }
+
+    /// One instant record on `tid` at `ts`, with one attribute triple.
+    fn instant(tid: &str, ts: &str, attr: &str) -> String {
+        format!(
+            "{{\"name\": \"x\", \"cat\": \"t\", \"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \
+             \"ts\": {ts}, \"at_s\": 0, \"attrs\": [{attr}]}}"
+        )
+    }
+
+    fn err(doc: &str) -> String {
+        replay(doc).expect_err(doc)
+    }
+
+    #[test]
+    fn monotonicity_violations_are_caught() {
+        let one = |tid: &str, ts: &str| instant(tid, ts, "");
+        let backwards = format!("[{}, {}]", one("1", "5.0"), one("1", "2.0"));
+        assert!(err(&backwards).contains("monotonicity"));
+        // Different tracks may interleave freely.
+        let ok = format!("[{}, {}]", one("1", "5.0"), one("2", "2.0"));
+        assert_eq!(replay(&ok).unwrap().len(), 2);
+        for ts in ["-1", "1e999"] {
+            assert!(err(&format!("[{}]", one("1", ts))).contains("bad ts"));
+        }
+    }
+
+    #[test]
+    fn missing_fields_are_caught() {
+        assert!(err(r#"{"not": "array"}"#).contains("array"));
+        assert!(err("[1]").contains("not an object"));
+        let span = r#"{"name": "x", "cat": "t", "ph": "X", "pid": 0, "tid": 0, "ts": 0,
+                       "dur": 0, "start_s": 0, "dur_s": 0}"#;
+        assert_eq!(replay(&format!("[{span}]")).unwrap().len(), 1);
+        for field in [
+            "ph", "name", "pid", "tid", "ts", "cat", "dur", "start_s", "dur_s",
+        ] {
+            let doc = format!(
+                "[{}]",
+                span.replacen(&format!("\"{field}\""), "\"other\"", 1)
+            );
+            assert!(
+                err(&doc).contains(&format!("missing \"{field}\"")),
+                "{field}"
+            );
+        }
+        let unknown = span.replacen("\"X\"", "\"B\"", 1);
+        assert!(err(&format!("[{unknown}]")).contains("unknown ph"));
+    }
+
+    #[test]
+    fn bad_tracks_and_attributes_are_caught() {
+        assert_eq!(
+            replay(&format!("[{}]", instant("7", "0", ""))).unwrap()[0].track,
+            7
+        );
+        for tid in ["-1", "2.5", "5e9"] {
+            let doc = format!("[{}, {}]", instant("0", "0", ""), instant(tid, "0", ""));
+            let e = err(&doc);
+            assert!(e.starts_with("event 1:") && e.contains("tid"), "{e}");
+        }
+        for attr in [
+            r#"["k", "u64", true]"#,
+            r#"["k", "u64", null]"#,
+            r#"["k", "u64", [1]]"#,
+            r#"["k", "u64", {"a": 1}]"#,
+            r#"["k", "u64", 2.5]"#,
+            r#"["k", "id", -1]"#,
+            r#"["k", "str", 1]"#,
+            r#"["k", "f64", "1.5"]"#,
+            r#"["k", "bool", 1]"#,
+        ] {
+            let e = err(&format!("[{}]", instant("0", "0", attr)));
+            assert!(e.starts_with("event 0:") && e.contains("\"k\""), "{e}");
+        }
+        let e = err(&format!("[{}]", instant("0", "0", r#"["k", 1]"#)));
+        assert!(e.contains("triple"), "{e}");
     }
 
     #[test]
     fn broken_flow_pairing_is_caught() {
-        let orphan_start = r#"[
-            {"name": "msg", "ph": "s", "id": 7, "ts": 1.0, "pid": 0, "tid": 0}
-        ]"#;
-        let err = validate_chrome_trace(orphan_start).unwrap_err();
-        assert!(err.contains("never finishes"), "{err}");
-        let orphan_finish = r#"[
-            {"name": "msg", "ph": "f", "bp": "e", "id": 7, "ts": 1.0, "pid": 0, "tid": 0}
-        ]"#;
-        let err = validate_chrome_trace(orphan_finish).unwrap_err();
-        assert!(err.contains("without a start"), "{err}");
-        let backwards = r#"[
-            {"name": "msg", "ph": "s", "id": 7, "ts": 2.0, "pid": 0, "tid": 0},
-            {"name": "msg", "ph": "f", "bp": "e", "id": 7, "ts": 1.0, "pid": 0, "tid": 1}
-        ]"#;
-        let err = validate_chrome_trace(backwards).unwrap_err();
-        assert!(err.contains("before its start"), "{err}");
-        let missing_id = r#"[
-            {"name": "msg", "ph": "s", "ts": 1.0, "pid": 0, "tid": 0}
-        ]"#;
-        let err = validate_chrome_trace(missing_id).unwrap_err();
-        assert!(err.contains("missing \"id\""), "{err}");
-        let duplicate = r#"[
-            {"name": "msg", "ph": "s", "id": 7, "ts": 1.0, "pid": 0, "tid": 0},
-            {"name": "msg", "ph": "s", "id": 7, "ts": 1.5, "pid": 0, "tid": 0}
-        ]"#;
-        let err = validate_chrome_trace(duplicate).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
+        let flow = |ph: &str, id: &str, ts: &str, tid: u32| {
+            format!(
+                "{{\"name\": \"msg\", \"ph\": \"{ph}\", {id} \"ts\": {ts}, \"pid\": 0, \"tid\": {tid}}}"
+            )
+        };
+        let cases = [
+            (vec![flow("s", "\"id\": 7,", "1.0", 0)], "never finishes"),
+            (vec![flow("f", "\"id\": 7,", "1.0", 0)], "without a start"),
+            (
+                vec![
+                    flow("s", "\"id\": 7,", "2.0", 0),
+                    flow("f", "\"id\": 7,", "1.0", 1),
+                ],
+                "before its start",
+            ),
+            (vec![flow("s", "", "1.0", 0)], "missing \"id\""),
+            (
+                vec![
+                    flow("s", "\"id\": 7,", "1.0", 0),
+                    flow("s", "\"id\": 7,", "1.5", 0),
+                ],
+                "duplicate",
+            ),
+        ];
+        for (records, want) in cases {
+            let e = err(&format!("[{}]", records.join(", ")));
+            assert!(e.contains(want), "{want}: {e}");
+        }
     }
 }

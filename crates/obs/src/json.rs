@@ -1,5 +1,5 @@
-//! A small, self-contained JSON parser — just enough to validate the
-//! artifacts this crate emits (and for the bench harness to read
+//! A small, self-contained JSON parser — just enough to replay the
+//! trace artifact this crate emits (and for the bench harness to read
 //! recorded baselines). The workspace is dependency-free by design, so
 //! no serde.
 //!
@@ -266,12 +266,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
+                    // Consume the run up to the next quote or escape at
+                    // once: both are ASCII, so the run ends on a scalar
+                    // boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..run]).expect("input is a str"));
+                    self.pos += run;
                 }
             }
         }

@@ -18,13 +18,14 @@
 //!   engine's virtual time and wall clock are untouched when tracing is
 //!   off — and virtual time is untouched even when it is *on*, because
 //!   recording never advances any clock;
-//! * [`export`] — Chrome `trace_event` JSON (loadable in Perfetto or
-//!   `chrome://tracing`) and a JSONL event stream;
-//! * [`json`] — a small self-contained JSON parser used to validate
-//!   emitted artifacts (the workspace is dependency-free by design);
-//! * [`analyze`] — trace analytics over a sink or a replayed JSONL
-//!   artifact (parsed back into the same [`Event`] type): the one
-//!   decoder of the round span ([`Round`]), one critical path per op —
+//! * [`export`] — the one trace artifact: a Chrome `trace_event` JSON
+//!   document (loadable in Perfetto or `chrome://tracing`) that also
+//!   carries exact virtual seconds and typed attributes, so
+//!   [`export::replay`] parses it back into the same [`Event`]s;
+//! * [`json`] — a small self-contained JSON parser that replay reads
+//!   the artifact with (the workspace is dependency-free by design);
+//! * [`analyze`] — trace analytics over a sink or a replayed artifact:
+//!   the one decoder of the round span ([`Round`]), one critical path per op —
 //!   its blame chain (or, untraced, rank 0's work) cut at the rounds'
 //!   phase windows, with per-phase attribution, straggler naming and
 //!   what-if projections as views of it — exact per-node
@@ -61,7 +62,7 @@
 //! assert_eq!(events.len(), 1);
 //! assert!(matches!(events[0].kind, EventKind::Span { .. }));
 //! let trace = mccio_obs::export::chrome_trace_flows(&events, &[]);
-//! mccio_obs::export::validate_chrome_trace(&trace).unwrap();
+//! assert_eq!(mccio_obs::export::replay(&trace).unwrap(), events);
 //! ```
 
 #![deny(missing_docs)]

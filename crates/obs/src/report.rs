@@ -79,7 +79,7 @@ pub fn render(
     );
     summary_section(&mut out, analysis);
     critical_path_section(&mut out, analysis, &scale);
-    lanes_section(&mut out, &events, analysis, &scale);
+    lanes_section(&mut out, &events, &scale);
     memory_section(&mut out, &analysis.memory, &scale);
     attribution_section(&mut out, analysis);
     streaming_section(&mut out, analysis);
@@ -312,58 +312,41 @@ fn critical_path_section(out: &mut String, analysis: &TraceAnalysis, scale: &Sca
     }
 }
 
-fn lanes_section(out: &mut String, events: &[&Event], analysis: &TraceAnalysis, scale: &Scale) {
-    // One lane per rank track, engine track first; spans render as
-    // boxes, instants as ticks.
+fn lanes_section(out: &mut String, events: &[&Event], scale: &Scale) {
+    // One lane per track, engine track first; spans render as boxes,
+    // instants as ticks.
     let mut tracks: Vec<u32> = events.iter().map(|e| e.track).collect();
     tracks.sort_unstable();
     tracks.dedup();
     tracks.retain(|&t| t != ENGINE_TRACK);
     let elided = tracks.len().saturating_sub(MAX_LANES);
     tracks.truncate(MAX_LANES);
+    if events.iter().any(|e| e.track == ENGINE_TRACK) {
+        tracks.insert(0, ENGINE_TRACK);
+    }
     out.push_str("<h2>Timeline</h2>\n");
     if elided > 0 {
         let _ = writeln!(out, "<p>({elided} more rank lanes elided)</p>");
     }
     let lane_h = 16.0;
     let label_w = 70.0;
-    let n_lanes = tracks.len() + 1;
-    let h = lane_h * n_lanes as f64 + 4.0;
+    let h = lane_h * tracks.len() as f64 + 4.0;
     let total_w = W + label_w;
     let _ = writeln!(
         out,
         "<svg width=\"{total_w}\" height=\"{h}\" viewBox=\"0 0 {total_w} {h}\" role=\"img\" \
          aria-label=\"per-rank timeline\">"
     );
-    // Engine lane: op outlines plus the round phases colored as on the
-    // critical path (the path is the engine lane, highlighted).
-    let mut lane = 0usize;
-    let y = 2.0;
-    let _ = writeln!(
-        out,
-        "<text x=\"2\" y=\"{:.1}\" font-size=\"10\">engine</text>",
-        y + lane_h - 6.0
-    );
-    for op in &analysis.ops {
-        for (seg, to) in phase_runs(&op.segments) {
-            let x = label_w + scale.x(seg.from.as_secs());
-            let w = scale.width((to - seg.from).as_secs());
-            let _ = writeln!(
-                out,
-                "<rect x=\"{x:.2}\" y=\"{:.1}\" width=\"{w:.2}\" height=\"{:.1}\" \
-                 fill=\"{}\" stroke=\"#333\" stroke-width=\"0.3\"/>",
-                y,
-                lane_h - 4.0,
-                phase_color(seg.phase),
-            );
-        }
-    }
-    lane += 1;
-    for &track in &tracks {
+    for (lane, &track) in tracks.iter().enumerate() {
         let y = lane_h * lane as f64 + 2.0;
+        let label = if track == ENGINE_TRACK {
+            "engine".to_string()
+        } else {
+            format!("rank {track}")
+        };
         let _ = writeln!(
             out,
-            "<text x=\"2\" y=\"{:.1}\" font-size=\"10\">rank {track}</text>",
+            "<text x=\"2\" y=\"{:.1}\" font-size=\"10\">{label}</text>",
             y + lane_h - 6.0
         );
         for e in events.iter().filter(|e| e.track == track) {
@@ -397,7 +380,6 @@ fn lanes_section(out: &mut String, events: &[&Event], analysis: &TraceAnalysis, 
                 EventKind::Counter { .. } => {}
             }
         }
-        lane += 1;
     }
     out.push_str("</svg>\n");
 }
@@ -686,8 +668,11 @@ mod tests {
 
     fn sample() -> (Vec<Event>, TraceAnalysis) {
         let mem = |name, t, seq| {
-            let attrs = [("node", 0), ("bytes", 64), ("ceiling", 128)];
-            let attrs = attrs.map(|(k, v)| (k, AttrValue::U64(v))).to_vec();
+            let attrs = vec![
+                ("node", AttrValue::Id(0)),
+                ("bytes", AttrValue::U64(64)),
+                ("ceiling", AttrValue::Id(128)),
+            ];
             ev(name, 3, at(t), attrs, seq)
         };
         let events = vec![

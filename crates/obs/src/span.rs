@@ -47,8 +47,12 @@ pub const ROUNDS_REPLAYED: &str = "rounds.replayed";
 /// One structured attribute value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttrValue {
-    /// An unsigned count or byte size.
+    /// An unsigned count or byte size: derived counters sum it.
     U64(u64),
+    /// An integer that names or bounds something rather than counts it
+    /// (a node, a rank, a round, a memory ceiling): derived counters
+    /// never sum it.
+    Id(u64),
     /// A floating-point quantity (seconds, factors).
     F64(f64),
     /// A static label (direction, strategy name, event taxonomy).
@@ -119,21 +123,21 @@ impl Event {
         self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
     }
 
-    /// An attribute as u64, if present and of that type.
+    /// An attribute as u64, if present and a count or an id.
     #[must_use]
     pub fn attr_u64(&self, key: &str) -> Option<u64> {
         match self.attr(key) {
-            Some(AttrValue::U64(v)) => Some(v),
+            Some(AttrValue::U64(v) | AttrValue::Id(v)) => Some(v),
             _ => None,
         }
     }
 
-    /// An attribute as f64 (also accepts u64), if present.
+    /// An attribute as f64 (also accepts integers), if present.
     #[must_use]
     pub fn attr_f64(&self, key: &str) -> Option<f64> {
         match self.attr(key) {
             Some(AttrValue::F64(v)) => Some(v),
-            Some(AttrValue::U64(v)) => Some(v as f64),
+            Some(AttrValue::U64(v) | AttrValue::Id(v)) => Some(v as f64),
             _ => None,
         }
     }

@@ -23,15 +23,8 @@
 //! The round time is the max of the serialization terms (they overlap)
 //! plus the latency of the longest dependency chain.
 
-use std::sync::LazyLock;
-
 use crate::time::VDuration;
 use crate::topology::{ClusterSpec, Placement};
-
-/// Whether `MCCIO_TRACE_SHUFFLE` asks [`CostModel::shuffle_phase`] to
-/// print its per-node terms to stderr; read once per process.
-static TRACE_SHUFFLE: LazyLock<bool> =
-    LazyLock::new(|| std::env::var_os("MCCIO_TRACE_SHUFFLE").is_some());
 
 /// One directed transfer in a shuffle phase: `bytes` moving from rank
 /// `src` to rank `dst`.
@@ -163,7 +156,6 @@ impl CostModel {
             return VDuration::ZERO;
         }
         let mut serialization = per_flow_floor;
-        let verbose = *TRACE_SHUFFLE;
         for (node, load) in loads.iter().enumerate() {
             let spec = &self.cluster.nodes[node];
             let nic_bytes = load.egress.max(load.ingress);
@@ -172,21 +164,7 @@ impl CostModel {
             let dram = VDuration::transfer(load.dram, spec.mem_bandwidth) * factor.max(1.0);
             let software =
                 VDuration::from_secs(load.messages as f64 * self.shuffle_message_overhead);
-            if verbose && (nic > serialization || dram > serialization || software > serialization)
-            {
-                eprintln!(
-                    "[shuffle node {node}] in={} out={} dram={} msgs={} factor={factor:.1} \
-                     -> nic={nic} dram_t={dram} sw={software}",
-                    load.ingress, load.egress, load.dram, load.messages
-                );
-            }
             serialization = serialization.max(nic).max(dram).max(software);
-        }
-        if verbose {
-            eprintln!(
-                "[shuffle] flows={} floor={per_flow_floor} serialization={serialization}",
-                flows.len()
-            );
         }
         let latency = if any_inter {
             self.cluster.link_latency

@@ -2,12 +2,12 @@
 //! config: the critical path must tile each op span exactly and agree
 //! with the round spans decoded independently, occupancy timelines
 //! must respect the node ceilings and balance to zero, a run diffed
-//! against itself must be all zeros, and the JSONL artifact must replay
-//! into a bit-identical analysis.
+//! against itself must be all zeros, and the Chrome trace artifact must
+//! replay into the recorded events and a bit-identical analysis.
 
 use mccio_suite::core::prelude::*;
 use mccio_suite::mpiio::IoReport;
-use mccio_suite::obs::analyze::{from_jsonl, TraceAnalysis, TILING_EPS};
+use mccio_suite::obs::analyze::{TraceAnalysis, TILING_EPS};
 use mccio_suite::obs::{export, ObsSink, Phase, Round};
 use mccio_suite::sim::cost::CostModel;
 use mccio_suite::sim::time::VTime;
@@ -192,10 +192,12 @@ fn self_diff_is_all_zeros() {
 }
 
 #[test]
-fn jsonl_replay_reproduces_the_analysis_bit_for_bit() {
+fn trace_replay_reproduces_the_analysis_bit_for_bit() {
     let (obs, _, live) = analyze_small();
-    let doc = export::jsonl(&obs.events());
-    let events = from_jsonl(&doc).expect("JSONL replays");
+    let recorded = obs.events();
+    let doc = export::chrome_trace_flows(&recorded, &[]);
+    let events = export::replay(&doc).expect("the trace replays");
+    assert_eq!(events, export::export_order(&recorded), "exact replay");
     let replayed = TraceAnalysis::from_events(&events, &[]).expect("replayed trace analyzes");
     assert_eq!(replayed.ops, live.ops, "critical paths replay identically");
     for (r, l) in replayed.ops.iter().zip(&live.ops) {
@@ -204,7 +206,7 @@ fn jsonl_replay_reproduces_the_analysis_bit_for_bit() {
         assert_eq!(
             r.total.as_secs().to_bits(),
             l.total.as_secs().to_bits(),
-            "op total must survive the JSONL round trip bit-exactly"
+            "op total must survive the trace round trip bit-exactly"
         );
         for &p in &Phase::ALL {
             assert_eq!(
