@@ -63,7 +63,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use mccio_bench::record::{self, chain_hash, Record, Row, Value};
-use mccio_bench::{causal_plan, ior_config, paper_pair, run_with, Platform, RunResult};
+use mccio_bench::{
+    causal_health, causal_plan, ior_config, paper_pair, run_with, Platform, RunResult,
+};
 use mccio_core::prelude::Strategy;
 use mccio_net::ExecutorKind;
 use mccio_obs::{analyze, report, BlameChain, ObsSink, StreamConfig};
@@ -456,7 +458,7 @@ fn measure_record() -> Record {
         push_obs(&mut row, "obs.", &sink, &on);
         let sink = ObsSink::enabled().with_causal();
         let causal = run(&sink, Some(causal_plan()));
-        let chains = check_chains(ranks, &sink);
+        let chains = causal_health(&sink).unwrap_or_else(|e| panic!("{ranks} ranks: {e}"));
         push_virtual(&mut row, "causal.", &causal.result);
         push_obs(&mut row, "causal.", &sink, &causal);
         row.push("causal.chains", Value::Count(chains.len() as u64));
@@ -564,41 +566,6 @@ fn push_obs(row: &mut Row, prefix: &str, sink: &ObsSink, pass: &Pass) {
             row.push(format!("{prefix}calls.{}", p.name), Value::Count(p.calls));
         }
     }
-}
-
-/// The causal checks every causal pass makes: the online DP settled
-/// clean and stayed bounded, and it recorded cross-rank chains that tile
-/// their ops to the bit. Returns the chains.
-fn check_chains(ranks: usize, sink: &ObsSink) -> Vec<BlameChain> {
-    let agg = sink.causal().expect("causal tracing is armed");
-    assert_eq!(
-        agg.inflight_len(),
-        0,
-        "{ranks} ranks: messages still in flight after the run"
-    );
-    assert!(
-        agg.nodes_created() > 0,
-        "{ranks} ranks: no deliveries bound — the control delay skewed nothing"
-    );
-    assert!(
-        agg.live_nodes() as u64 <= agg.nodes_created(),
-        "{ranks} ranks: live frontier exceeds nodes created"
-    );
-    let chains = sink.causal_chains();
-    assert!(
-        !chains.is_empty(),
-        "{ranks} ranks: no blame chains recorded"
-    );
-    for (i, chain) in chains.iter().enumerate() {
-        chain
-            .verify_tiling()
-            .unwrap_or_else(|e| panic!("{ranks} ranks: chain {i} does not tile: {e}"));
-        assert!(
-            chain.hops() > 0,
-            "{ranks} ranks: chain {i} never leaves rank 0"
-        );
-    }
-    chains
 }
 
 /// Renders the sink's trace, with `pass`'s host profile, as an HTML
@@ -725,7 +692,7 @@ fn run_obs(mode: &str, causal: bool) {
             assert_in_budget(ranks, delta);
             n.assert_persistent(ranks);
             if causal {
-                check_chains(ranks, &sink);
+                causal_health(&sink).unwrap_or_else(|e| panic!("{ranks} ranks: {e}"));
             }
             overheads.push(overhead);
             last = Some((sink, n));

@@ -28,7 +28,7 @@ use mccio_core::prelude::*;
 use mccio_mem::MemoryModel;
 use mccio_mpiio::{OpMetrics, Resilience};
 use mccio_net::{ExecutorKind, TrafficSnapshot, World};
-use mccio_obs::ObsSink;
+use mccio_obs::{BlameChain, ObsSink};
 use mccio_pfs::{FileSystem, PfsParams};
 use mccio_sim::cost::CostModel;
 use mccio_sim::fault::FaultPlan;
@@ -289,6 +289,38 @@ pub fn ior_config(mode: &str) -> Option<(Platform, Ior, u64)> {
 #[must_use]
 pub fn causal_plan() -> FaultPlan {
     FaultPlan::new(0xCA05).delay_control(VDuration::from_micros(5.0))
+}
+
+/// The health check every causal run makes: some delivery bound its
+/// receiver's clock (the control delay skewed something), and the sink
+/// recorded blame chains, each tiling its op window to the bit and
+/// hopping ranks. Returns the chains.
+///
+/// # Errors
+/// Every failed check, described.
+pub fn causal_health(sink: &ObsSink) -> Result<Vec<BlameChain>, String> {
+    let agg = sink.causal().ok_or("causal tracing is not armed")?;
+    let chains = sink.causal_chains();
+    let mut problems = Vec::new();
+    if agg.bound_deliveries() == 0 {
+        problems.push("no deliveries bound — the control delay skewed nothing".to_string());
+    }
+    if chains.is_empty() {
+        problems.push("no blame chains recorded".to_string());
+    }
+    for (i, chain) in chains.iter().enumerate() {
+        if let Err(e) = chain.verify_tiling() {
+            problems.push(format!("chain {i} does not tile: {e}"));
+        }
+        if chain.hops() == 0 {
+            problems.push(format!("chain {i} never leaves rank 0"));
+        }
+    }
+    if problems.is_empty() {
+        Ok(chains)
+    } else {
+        Err(problems.join("; "))
+    }
 }
 
 /// Builds the pair of strategies every figure compares: the two-phase

@@ -9,6 +9,7 @@ use mccio_mpiio::{ExtentList, GroupPattern};
 use mccio_net::Ctx;
 use mccio_obs::ObsSink;
 use mccio_pfs::FileSystem;
+use mccio_sim::causal::CausalSink;
 use mccio_sim::fault::FaultPlan;
 use mccio_sim::sync::Mutex;
 
@@ -193,7 +194,7 @@ impl IoEnv {
     /// own sender's program order alone.
     pub(crate) fn enter_op(&self, ctx: &mut Ctx) {
         ctx.set_control_delay(self.faults.plan().ctl_delay);
-        ctx.set_causal_hook(self.obs.causal_hook());
+        ctx.set_causal_hook(self.obs.causal().map(|agg| agg as Arc<dyn CausalSink>));
     }
 
     /// Returns the memoized collective plan for (`pattern`, `key`,

@@ -378,7 +378,7 @@ fn trace_op(ctx: &Ctx, obs: &ObsSink, t0: VTime, dir: &'static str, bytes: u64, 
     // Walk the causal frontier back from this op's end: the blame
     // chain's [t0, clock] window is exactly the op span above, so its
     // total is bit-equal to the span duration by construction.
-    obs.causal_op_end(t0, ctx.clock(), dir);
+    obs.causal_op_end(ctx.rank(), ctx.causal_head(), t0, ctx.clock(), dir);
 }
 
 /// Write contribute-half: one header message per destination

@@ -18,7 +18,7 @@
 //! both ends compute it ([`Sealer`]) over their own copy of the headers
 //! and the section bytes they copy, in section order. That payload's
 //! length is the message's *wire length* ([`SendDst::payload_bytes`]):
-//! the traffic counters and the causal hook see it, so traffic, blame
+//! the traffic counters and the causal stamp see it, so traffic, blame
 //! chains and virtual time are what a two-sided shuffle produces.
 
 use mccio_net::mailbox::Payload;

@@ -202,8 +202,8 @@ impl Ctx {
     /// for the two-sided message that would have carried them. Like
     /// every message it costs no time (callers price the whole phase
     /// analytically), but it counts in `data_msgs` and the byte totals
-    /// of the traffic statistics, and is reported to the causal hook,
-    /// at that length.
+    /// of the traffic statistics, and its causal stamp carries that
+    /// length.
     ///
     /// # Panics
     /// Panics if a destination or source is outside the group.

@@ -24,6 +24,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
+use mccio_sim::causal::Sent;
 use mccio_sim::VTime;
 
 /// Message payload bytes. Point-to-point sends own their buffer;
@@ -107,11 +108,9 @@ pub struct Envelope {
     pub payload: Payload,
     /// Virtual time at which the message left the sender.
     pub depart: VTime,
-    /// Per-sender causal sequence number stamped by the sender's
-    /// [`mccio_sim::causal::CausalSink`], or 0 when the sender runs
-    /// without one. `(src, causal)` identifies the happens-before
-    /// edge this delivery closes.
-    pub causal: u64,
+    /// The sender's causal stamp ([`mccio_sim::causal::Frontier::send`]),
+    /// or `None` when the sender runs without a causal hook.
+    pub causal: Option<Arc<Sent>>,
 }
 
 /// Matching criteria for a receive.
@@ -212,7 +211,7 @@ mod tests {
             tag,
             payload: vec![byte].into(),
             depart: VTime::ZERO,
-            causal: 0,
+            causal: None,
         }
     }
 
@@ -285,7 +284,7 @@ mod tests {
                 tag: 6,
                 payload: Payload::Shared(Arc::clone(&shared)),
                 depart: VTime::ZERO,
-                causal: 0,
+                causal: None,
             });
         }
         assert_eq!(Arc::strong_count(&shared), 4, "queued envelopes alias");

@@ -1066,11 +1066,13 @@ pub(crate) mod tests {
     /// The chain the causal fold records over `[t0, end]` at rank 1
     /// when a message from rank 0 binds it over `[2.5, 3]`.
     fn chain(t0: f64, end: f64) -> BlameChain {
-        use mccio_sim::causal::CausalSink as _;
+        use mccio_sim::causal::Frontier;
         let agg = crate::causal::CausalAgg::new(false);
-        let seq = agg.on_send(0, VTime::from_secs(2.5), 8);
-        agg.on_delivery(0, seq, 1, VTime::ZERO, VTime::from_secs(3.0));
-        agg.op_end(1, VTime::from_secs(t0), VTime::from_secs(end), "write");
+        let (mut f0, mut f1) = (Frontier::default(), Frontier::default());
+        let sent = f0.send(0, VTime::from_secs(2.5), 8);
+        f1.settle(&agg, sent, 1, VTime::ZERO, VTime::from_secs(3.0));
+        let (t0, end) = (VTime::from_secs(t0), VTime::from_secs(end));
+        agg.op_end(1, f1.head(), t0, end, "write");
         agg.chains().remove(0)
     }
 

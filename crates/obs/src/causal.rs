@@ -2,32 +2,33 @@
 //!
 //! The round spans say which phase an op's time went to — "shuffle
 //! dominated" — but not *which* rank's send actually blocked *which*
-//! aggregator. This module follows real message causality: the network
-//! engine reports every send and every delivery settlement through the
-//! [`CausalSink`] hook, and an online longest-path DP folds them into a
-//! **per-rank frontier** at record time.
+//! aggregator. This module follows real message causality: each rank's
+//! engine context keeps its own [`mccio_sim::causal::Frontier`], every
+//! message carries its sender's snapshot, and [`CausalAgg`] — the
+//! [`CausalSink`] the engine reports deliveries to — retains edges and
+//! counts, and walks chains at op ends.
 //!
 //! ## The online DP
 //!
-//! Each rank's frontier holds the start of its currently-open local
-//! "work" segment plus an `Arc` link to the chain node that last bound
-//! its clock. On `on_send` the sender's open segment and chain head are
-//! snapshotted into an in-flight table keyed `(src, per-sender seq)` —
-//! nothing is allocated beyond the table entry. On `on_delivery` the
-//! snapshot is popped; only when the message **bound** the receiver's
-//! clock (`after > before`) is one immutable `ChainNode` allocated:
-//! sender-side work `[work_from, work_to]` plus the in-flight edge
-//! `[work_to, after]`, linked to the sender's snapshotted chain. The
-//! receiver's frontier then points at the new node and its open segment
-//! restarts at `after`. An early message (no bind) allocates nothing.
+//! A rank's frontier is the [`Bind`] that last moved its clock; its open
+//! local-work segment starts at that bind's arrival. A send allocates
+//! one immutable [`Sent`]: the sender's head (an `Arc` clone), its
+//! per-sender sequence number, its clock and the wire bytes. It rides in
+//! the envelope, so a delivery needs no lookup. Only when the message
+//! **bound** the receiver's clock (`after > before`) does the receiver's
+//! frontier take a new head: sender-side work `[work_from, work_to]`
+//! plus the in-flight edge `[work_to, after]`, linked through the
+//! sender's snapshot. The bind is stored inline, so it allocates
+//! nothing; an early message binds nothing and its `Sent` is freed.
 //!
-//! Memory is O(ranks + path): per-rank state is constant-size, the
-//! in-flight table drains on receipt (the engine asserts every envelope
-//! is received), and chain nodes are `Arc`-shared — after a settle
-//! broadcast every rank's chain aliases the root's suffix, so the live
-//! node set collapses to roughly one path. This makes the fold
-//! compatible with [`crate::ObsSink::streaming`] at 100k ranks: in
-//! streaming mode no per-edge record is retained at all.
+//! Memory is O(ranks + in-flight + path): a frontier is one inline
+//! bind, every envelope is settled (the engine panics on a message left
+//! unmatched), and `Sent`s are `Arc`-shared — after a settle broadcast
+//! every rank's chain aliases the root's suffix, so the live links
+//! collapse to roughly one path. Nothing here is shared between ranks
+//! but the sink's counters and, on buffered sinks, its edge list; this
+//! makes the fold compatible with [`crate::ObsSink::streaming`] at 100k
+//! ranks: in streaming mode no per-edge record is retained at all.
 //!
 //! ## Determinism
 //!
@@ -35,18 +36,19 @@
 //! assigned in schedule order, which differs between the canonical and
 //! every explored rank schedule). Every engine receive is source-ordered
 //! (`recv(src, tag)`), so each rank settles its deliveries in program
-//! order, and a chain node's predecessor comes from the *sender's*
-//! snapshot — never from the receiver's schedule-dependent local
-//! history. The frontier is therefore a pure function of virtual clocks
-//! and program order, bit-identical across `ExecutorKind::Event` and
-//! every `ExecutorKind::Explore(seed)` — the same canonical-order
-//! argument as the streaming cells.
+//! order, and a bind's predecessor comes from the *sender's* snapshot —
+//! never from the receiver's schedule-dependent local history. The
+//! frontier is therefore a pure function of virtual clocks and program
+//! order, bit-identical across `ExecutorKind::Event` and every
+//! `ExecutorKind::Explore(seed)` — the same canonical-order argument as
+//! the streaming cells.
 //!
 //! ## Blame chains
 //!
-//! At each op end the engine calls [`CausalAgg::op_end`] with the op
-//! window `[t0, end]`; walking the root frontier backwards and clamping
-//! at `t0` materializes the [`BlameChain`]: the actual
+//! At each op end the engine calls [`CausalAgg::op_end`] with the root's
+//! frontier head and the op window `[t0, end]`; walking the head
+//! backwards and clamping at `t0` materializes the [`BlameChain`]: the
+//! actual
 //! rank → rank → storage sequence of segments whose joints are
 //! **bit-equal** and whose total is the single subtraction `end - t0` —
 //! bit-identical to `IoReport.elapsed` and the op span. The analyzer
@@ -54,11 +56,10 @@
 //! [`crate::analyze::CriticalPath`], whose what-if projections re-price
 //! it.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use mccio_sim::causal::CausalSink;
+use mccio_sim::causal::{Bind, CausalSink, Sent};
 use mccio_sim::hostprof::{self, HostPhase};
 use mccio_sim::time::{VDuration, VTime};
 
@@ -251,70 +252,17 @@ impl CausalEdge {
     }
 }
 
-/// One frozen link of a rank's happens-before chain: the sender-side
-/// work segment `[work_from, work_to]` followed by the in-flight edge
-/// `[work_to, arrive]` that bound the receiver's clock.
-#[derive(Debug)]
-struct ChainNode {
-    /// The sender's chain before its work segment (`None` at simulation
-    /// start).
-    pred: Option<Arc<ChainNode>>,
-    src: u32,
-    dst: u32,
-    work_from: VTime,
-    work_to: VTime,
-    arrive: VTime,
-}
-
-impl Drop for ChainNode {
-    /// Iterative predecessor teardown: a chain can be hundreds of
-    /// thousands of links long, so the default recursive drop would
-    /// overflow the stack. Links still shared (another rank's frontier
-    /// aliases the suffix) stop the walk.
-    fn drop(&mut self) {
-        let mut next = self.pred.take();
-        while let Some(node) = next {
-            match Arc::try_unwrap(node) {
-                Ok(mut n) => next = n.pred.take(),
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-/// One rank's DP frontier: the start of its open local-work segment and
-/// the chain link that last bound its clock. `seg_start` and `head` are
-/// always updated together, so `seg_start > 0 ⟹ head.is_some()`.
-#[derive(Debug, Clone, Default)]
-struct RankState {
-    seg_start: VTime,
-    head: Option<Arc<ChainNode>>,
-    next_seq: u64,
-}
-
-/// The sender-side snapshot taken at `on_send`, consumed at
-/// `on_delivery`.
-#[derive(Debug)]
-struct InFlight {
-    head: Option<Arc<ChainNode>>,
-    work_from: VTime,
-    work_to: VTime,
-    bytes: u64,
-}
-
 /// The online causal aggregate: implements the engine's
 /// [`CausalSink`] hook and materializes [`BlameChain`]s at op ends.
 /// See the module docs for the fold and its memory bound.
 #[derive(Debug)]
 pub struct CausalAgg {
-    ranks: Mutex<HashMap<u32, RankState>>,
-    inflight: Mutex<HashMap<(u32, u64), InFlight>>,
     chains: Mutex<Vec<BlameChain>>,
     /// Per-edge records for Chrome flow export; `None` in streaming
     /// mode, where causal memory must stay rank-independent.
     edges: Option<Mutex<Vec<CausalEdge>>>,
-    /// Chain nodes allocated so far (cumulative, monotone).
-    nodes_created: AtomicU64,
+    /// Deliveries that bound their receiver's clock.
+    bound_deliveries: AtomicU64,
     /// Deliveries that arrived early and bound nothing.
     slack_deliveries: AtomicU64,
 }
@@ -326,26 +274,18 @@ impl CausalAgg {
     #[must_use]
     pub fn new(retain_edges: bool) -> CausalAgg {
         CausalAgg {
-            ranks: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
             chains: Mutex::new(Vec::new()),
             edges: retain_edges.then(|| Mutex::new(Vec::new())),
-            nodes_created: AtomicU64::new(0),
+            bound_deliveries: AtomicU64::new(0),
             slack_deliveries: AtomicU64::new(0),
         }
     }
 
     /// Closes the op window `[t0, end]` observed at `root` (the rank
-    /// that prices the op span): walks the root frontier backwards,
-    /// clamps at `t0`, and records the resulting [`BlameChain`].
-    pub fn op_end(&self, root: u32, t0: VTime, end: VTime, dir: &'static str) {
-        let (seg_start, mut node) = {
-            let ranks = self.ranks.lock().expect("causal ranks lock");
-            match ranks.get(&root) {
-                Some(st) => (st.seg_start, st.head.clone()),
-                None => (VTime::ZERO, None),
-            }
-        };
+    /// that prices the op span), whose frontier stands at `head`: walks
+    /// the chain backwards, clamps at `t0`, and records the resulting
+    /// [`BlameChain`].
+    pub fn op_end(&self, root: u32, head: Option<&Bind>, t0: VTime, end: VTime, dir: &'static str) {
         let clamp = |t: VTime| if t.as_secs() < t0.as_secs() { t0 } else { t };
         // Built back-to-front, reversed at the end. Zero-length slices
         // are elided; elision preserves bit-equal joints because a
@@ -361,27 +301,28 @@ impl CausalAgg {
                 });
             }
         };
-        let mut cursor = clamp(seg_start);
+        let mut node = head;
+        let mut cursor = clamp(node.map_or(VTime::ZERO, |b| b.arrive));
         push(root, SegClass::Work, cursor, end);
         while cursor.as_secs() > t0.as_secs() {
-            let n = node
+            let b = node
                 .expect("causal chain must reach t0: clocks above zero only bind through messages");
-            // The frontier stands exactly where the binding arrived:
-            // `seg_start`/`work_from` are set to `arrive` at bind time.
+            // The walk stands exactly where the binding arrived: a
+            // sender's work segment starts at its last bind's arrival.
             debug_assert_eq!(
-                clamp(n.arrive).as_secs().to_bits(),
+                clamp(b.arrive).as_secs().to_bits(),
                 cursor.as_secs().to_bits(),
                 "chain walk must stand at the binding arrival"
             );
-            let edge_from = clamp(n.work_to);
-            push(n.dst, SegClass::SyncWait, edge_from, cursor);
+            let edge_from = clamp(b.sent.work_to);
+            push(b.dst, SegClass::SyncWait, edge_from, cursor);
             cursor = edge_from;
             if cursor.as_secs() > t0.as_secs() {
-                let work_from = clamp(n.work_from);
-                push(n.src, SegClass::Work, work_from, cursor);
+                let work_from = clamp(b.sent.work_from());
+                push(b.sent.src, SegClass::Work, work_from, cursor);
                 cursor = work_from;
             }
-            node = n.pred.clone();
+            node = b.sent.pred.as_ref();
         }
         rev.reverse();
         let chain = BlameChain {
@@ -412,10 +353,10 @@ impl CausalAgg {
         out
     }
 
-    /// Chain nodes allocated so far (cumulative).
+    /// Deliveries that bound their receiver's clock (cumulative).
     #[must_use]
-    pub fn nodes_created(&self) -> u64 {
-        self.nodes_created.load(Ordering::Relaxed)
+    pub fn bound_deliveries(&self) -> u64 {
+        self.bound_deliveries.load(Ordering::Relaxed)
     }
 
     /// Deliveries that arrived early and bound nothing.
@@ -423,126 +364,50 @@ impl CausalAgg {
     pub fn slack_deliveries(&self) -> u64 {
         self.slack_deliveries.load(Ordering::Relaxed)
     }
-
-    /// Messages currently in flight (sent, not yet settled).
-    #[must_use]
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.lock().expect("causal inflight lock").len()
-    }
-
-    /// Chain nodes currently reachable from any rank frontier or
-    /// in-flight snapshot — the DP's live memory, O(ranks + path) by
-    /// construction. Counted by pointer identity (shared suffixes count
-    /// once); O(live) walk, for tests and memory gates, not hot paths.
-    #[must_use]
-    pub fn live_nodes(&self) -> usize {
-        let mut seen: HashSet<*const ChainNode> = HashSet::new();
-        let mut walk = |mut head: Option<&Arc<ChainNode>>| {
-            while let Some(n) = head {
-                if !seen.insert(Arc::as_ptr(n)) {
-                    break;
-                }
-                head = n.pred.as_ref();
-            }
-        };
-        let ranks = self.ranks.lock().expect("causal ranks lock");
-        for st in ranks.values() {
-            walk(st.head.as_ref());
-        }
-        drop(ranks);
-        let inflight = self.inflight.lock().expect("causal inflight lock");
-        for snap in inflight.values() {
-            walk(snap.head.as_ref());
-        }
-        seen.len()
-    }
 }
 
 impl CausalSink for CausalAgg {
-    fn on_send(&self, src: usize, clock: VTime, bytes: u64) -> u64 {
-        let src = src as u32;
-        let (seq, snap) = {
-            let mut ranks = self.ranks.lock().expect("causal ranks lock");
-            let st = ranks.entry(src).or_default();
-            st.next_seq += 1;
-            (
-                st.next_seq,
-                InFlight {
-                    head: st.head.clone(),
-                    work_from: st.seg_start,
-                    work_to: clock,
-                    bytes,
-                },
-            )
-        };
-        self.inflight
-            .lock()
-            .expect("causal inflight lock")
-            .insert((src, seq), snap);
-        seq
-    }
-
-    fn on_delivery(&self, src: usize, seq: u64, dst: usize, before: VTime, after: VTime) {
+    fn on_delivery(&self, sent: &Sent, dst: usize, arrive: VTime, bound: bool) {
         let _t = hostprof::timer(HostPhase::CausalFold);
-        let src = src as u32;
-        let dst = dst as u32;
-        let Some(snap) = self
-            .inflight
-            .lock()
-            .expect("causal inflight lock")
-            .remove(&(src, seq))
-        else {
-            // Stamped through another sink (its sender ran with a
-            // different hook); no edge.
-            return;
-        };
         if let Some(edges) = &self.edges {
             edges.lock().expect("causal edges lock").push(CausalEdge {
-                src,
-                dst,
-                seq,
-                bytes: snap.bytes,
-                depart: snap.work_to,
-                arrive: after,
+                src: sent.src,
+                dst: dst as u32,
+                seq: sent.seq,
+                bytes: sent.bytes,
+                depart: sent.work_to,
+                arrive,
             });
         }
-        if after.as_secs() > before.as_secs() {
-            let node = Arc::new(ChainNode {
-                pred: snap.head,
-                src,
-                dst,
-                work_from: snap.work_from,
-                work_to: snap.work_to,
-                arrive: after,
-            });
-            self.nodes_created.fetch_add(1, Ordering::Relaxed);
-            let mut ranks = self.ranks.lock().expect("causal ranks lock");
-            let st = ranks.entry(dst).or_default();
-            st.head = Some(node);
-            st.seg_start = after;
+        let count = if bound {
+            &self.bound_deliveries
         } else {
-            self.slack_deliveries.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.slack_deliveries
+        };
+        count.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mccio_sim::causal::Frontier;
+    use std::sync::Arc;
 
     fn t(s: f64) -> VTime {
         VTime::from_secs(s)
     }
 
-    /// Drives the sink hooks directly: rank 0 works until 1.0 and
-    /// sends; rank 1 (idle at 0.2) is bound to 1.5 by the message.
+    /// Drives the frontiers directly: rank 0 works until 1.0 and sends;
+    /// rank 1 (idle at 0.2) is bound to 1.5 by the message.
     #[test]
     fn binding_delivery_freezes_sender_work_and_edge() {
         let agg = CausalAgg::new(true);
-        let seq = agg.on_send(0, t(1.0), 64);
-        assert_eq!(seq, 1, "per-sender sequence starts at 1");
-        agg.on_delivery(0, seq, 1, t(0.2), t(1.5));
-        agg.op_end(1, VTime::ZERO, t(2.0), "write");
+        let mut f = [Frontier::default(), Frontier::default()];
+        let sent = f[0].send(0, t(1.0), 64);
+        assert_eq!(sent.seq, 1, "per-sender sequence starts at 1");
+        f[1].settle(&agg, sent, 1, t(0.2), t(1.5));
+        agg.op_end(1, f[1].head(), VTime::ZERO, t(2.0), "write");
         let chains = agg.chains();
         assert_eq!(chains.len(), 1);
         let c = &chains[0];
@@ -560,19 +425,21 @@ mod tests {
         assert_eq!(c.work_secs(), 1.5);
         assert_eq!(c.hops(), 1);
         assert_eq!(agg.edges().len(), 1);
-        assert_eq!(agg.nodes_created(), 1);
+        assert_eq!(agg.bound_deliveries(), 1);
     }
 
     #[test]
     fn early_delivery_is_slack_not_an_edge() {
         let agg = CausalAgg::new(true);
-        let seq = agg.on_send(0, t(0.5), 8);
+        let mut f = [Frontier::default(), Frontier::default()];
+        let sent = f[0].send(0, t(0.5), 8);
         // Receiver already past the arrival: no bind.
-        agg.on_delivery(0, seq, 1, t(0.9), t(0.9));
-        assert_eq!(agg.nodes_created(), 0);
+        f[1].settle(&agg, Arc::clone(&sent), 1, t(0.9), t(0.9));
+        assert_eq!(agg.bound_deliveries(), 0);
         assert_eq!(agg.slack_deliveries(), 1);
-        assert_eq!(agg.inflight_len(), 0, "snapshot popped either way");
-        agg.op_end(1, VTime::ZERO, t(0.9), "write");
+        assert!(f[1].head().is_none(), "slack leaves the frontier alone");
+        assert_eq!(Arc::strong_count(&sent), 1, "nothing keeps the stamp");
+        agg.op_end(1, f[1].head(), VTime::ZERO, t(0.9), "write");
         let c = &agg.chains()[0];
         c.verify_tiling().expect("bit tiling");
         assert_eq!(c.segments.len(), 1, "pure local work");
@@ -582,11 +449,12 @@ mod tests {
     #[test]
     fn clamping_truncates_history_before_t0() {
         let agg = CausalAgg::new(false);
-        let s1 = agg.on_send(0, t(1.0), 4);
-        agg.on_delivery(0, s1, 1, t(0.0), t(1.4));
+        let mut f = [Frontier::default(), Frontier::default()];
+        let sent = f[0].send(0, t(1.0), 4);
+        f[1].settle(&agg, sent, 1, t(0.0), t(1.4));
         // Second op window starts at 2.0; rank 1's chain reaches back
         // through the 1.4 bind, which is clamped away entirely.
-        agg.op_end(1, t(2.0), t(3.0), "read");
+        agg.op_end(1, f[1].head(), t(2.0), t(3.0), "read");
         let c = &agg.chains()[0];
         c.verify_tiling().expect("bit tiling");
         assert_eq!(c.segments.len(), 1);
@@ -599,27 +467,38 @@ mod tests {
     fn deep_chains_drop_iteratively() {
         // 200k links would overflow the stack under recursive drop.
         let agg = CausalAgg::new(false);
+        let mut f = [Frontier::default(), Frontier::default()];
         let mut clock = 0.0;
-        for i in 0..200_000u64 {
-            let (src, dst) = ((i % 2) as usize, ((i + 1) % 2) as usize);
-            let seq = agg.on_send(src, t(clock + 1e-6), 1);
+        for i in 0..200_000usize {
+            let (src, dst) = (i % 2, (i + 1) % 2);
+            let sent = f[src].send(src, t(clock + 1e-6), 1);
             clock += 2e-6;
-            agg.on_delivery(src, seq, dst, t(clock - 1e-6), t(clock));
+            f[dst].settle(&agg, sent, dst, t(clock - 1e-6), t(clock));
         }
-        assert_eq!(agg.nodes_created(), 200_000);
-        assert!(agg.live_nodes() <= 200_000);
-        drop(agg); // must not overflow
+        assert_eq!(agg.bound_deliveries(), 200_000);
+        drop(f); // must not overflow
     }
 
     #[test]
-    fn live_nodes_collapse_after_a_broadcast_bind() {
+    fn broadcast_binds_share_the_senders_chain() {
         let agg = CausalAgg::new(false);
-        // Rank 0 binds ranks 1..=8 at the same settle: every frontier
-        // shares rank 0's (empty) chain plus one private node.
+        let mut f: Vec<Frontier> = (0..10).map(|_| Frontier::default()).collect();
+        // Rank 9 binds rank 0; rank 0 then binds ranks 1..=8 at the same
+        // settle: every bound frontier links to rank 0's one head.
+        let sent = f[9].send(9, t(0.5), 0);
+        f[0].settle(&agg, sent, 0, t(0.1), t(0.6));
         for dst in 1..=8usize {
-            let seq = agg.on_send(0, t(1.0), 0);
-            agg.on_delivery(0, seq, dst, t(0.1), t(1.0 + dst as f64 * 1e-9));
+            let sent = f[0].send(0, t(1.0), 0);
+            f[dst].settle(&agg, sent, dst, t(0.1), t(1.0 + dst as f64 * 1e-9));
         }
-        assert_eq!(agg.live_nodes(), 8, "one private node per bound rank");
+        let root = &f[0].head().expect("rank 0 was bound").sent;
+        for (dst, frontier) in f.iter().enumerate().take(9).skip(1) {
+            let pred = frontier.head().expect("bound").sent.pred.as_ref();
+            assert!(
+                pred.is_some_and(|p| Arc::ptr_eq(&p.sent, root)),
+                "rank {dst} holds its own copy of rank 0's chain"
+            );
+        }
+        assert_eq!(Arc::strong_count(root), 9, "rank 0 and 8 predecessors");
     }
 }

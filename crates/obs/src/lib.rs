@@ -35,9 +35,9 @@
 //!   rank counts: online per-cell statistics, deterministic top-k
 //!   straggler retention, and strided exemplar-rank sampling (used by
 //!   [`ObsSink::streaming`]);
-//! * [`causal`] — message-level happens-before tracing: an online
-//!   longest-path fold over every network delivery (O(ranks + path)
-//!   memory) and cross-rank blame chains that tile each op's elapsed
+//! * [`causal`] — message-level happens-before tracing: the sink the
+//!   ranks' frontiers report every network delivery to (edges and
+//!   counts), and cross-rank blame chains that tile each op's elapsed
 //!   time to the bit (armed via [`ObsSink::with_causal`]);
 //! * [`report`] — a self-contained HTML report (inline SVG timeline
 //!   lanes, the critical path with its blame-chain table, occupancy

@@ -764,13 +764,14 @@ mod tests {
     #[test]
     fn causal_section_renders_blame_chain_and_what_ifs() {
         use crate::causal::CausalAgg;
-        use mccio_sim::causal::CausalSink as _;
+        use mccio_sim::causal::Frontier;
 
         let (events, _) = sample();
         let agg = CausalAgg::new(true);
-        let seq = agg.on_send(0, VTime::from_secs(0.8), 64);
-        agg.on_delivery(0, seq, 1, VTime::from_secs(0.2), VTime::from_secs(1.2));
-        agg.op_end(1, VTime::ZERO, VTime::from_secs(2.0), "write");
+        let (mut f0, mut f1) = (Frontier::default(), Frontier::default());
+        let sent = f0.send(0, VTime::from_secs(0.8), 64);
+        f1.settle(&agg, sent, 1, VTime::from_secs(0.2), VTime::from_secs(1.2));
+        agg.op_end(1, f1.head(), VTime::ZERO, VTime::from_secs(2.0), "write");
         let analysis = TraceAnalysis::from_events(&events, &agg.chains()).unwrap();
         let html = render_checked("causal", &events, &analysis);
         assert!(html.contains("Root cause (blame chains)"));

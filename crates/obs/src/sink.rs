@@ -22,6 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use mccio_sim::causal::Bind;
 use mccio_sim::time::{VDuration, VTime};
 
 use crate::causal::{BlameChain, CausalAgg, CausalEdge};
@@ -82,12 +83,12 @@ impl ObsSink {
     }
 
     /// Arms message-causality tracing on this sink (builder style).
-    /// Every rank of an operation hands the returned hook to its own
-    /// engine context on op entry, and every delivery folds into the
-    /// online frontier
-    /// ([`crate::causal`]). Per-edge records for Chrome flow export are
-    /// retained only on buffered sinks — a streaming sink keeps causal
-    /// memory rank-bounded. A no-op on the disabled sink.
+    /// Every rank of an operation hands [`ObsSink::causal`] to its own
+    /// engine context on op entry; each rank's context keeps its own
+    /// frontier and reports every delivery here ([`crate::causal`]).
+    /// Per-edge records for Chrome flow export are retained only on
+    /// buffered sinks — a streaming sink keeps causal memory
+    /// rank-bounded. A no-op on the disabled sink.
     #[must_use]
     pub fn with_causal(self) -> Self {
         if let Some(inner) = &self.inner {
@@ -105,28 +106,27 @@ impl ObsSink {
             .is_some_and(|i| i.causal.get().is_some())
     }
 
-    /// The causal hook each rank's engine context reports to, when
-    /// armed.
-    #[must_use]
-    pub fn causal_hook(&self) -> Option<Arc<dyn mccio_sim::causal::CausalSink>> {
-        let agg = Arc::clone(self.inner.as_ref()?.causal.get()?);
-        Some(agg)
-    }
-
-    /// The causal aggregate itself (chains, edges, fold statistics),
-    /// when armed.
+    /// The causal aggregate, when armed: the hook each rank's engine
+    /// context reports to, and the chains, edges and counts it holds.
     #[must_use]
     pub fn causal(&self) -> Option<Arc<CausalAgg>> {
         Some(Arc::clone(self.inner.as_ref()?.causal.get()?))
     }
 
-    /// Closes an op window on the causal fold: walks the frontier of
-    /// rank 0 (the rank that prices the op span) back from `end`,
-    /// clamped at `t0`, and records the blame chain. Inert unless
-    /// causal tracing is armed.
-    pub fn causal_op_end(&self, t0: VTime, end: VTime, dir: &'static str) {
+    /// Closes an op window on the causal fold: walks the chain of
+    /// `root` (the rank that prices the op span), whose frontier stands
+    /// at `head`, back from `end`, clamped at `t0`, and records the
+    /// blame chain. Inert unless causal tracing is armed.
+    pub fn causal_op_end(
+        &self,
+        root: usize,
+        head: Option<&Bind>,
+        t0: VTime,
+        end: VTime,
+        dir: &'static str,
+    ) {
         if let Some(agg) = self.causal() {
-            agg.op_end(0, t0, end, dir);
+            agg.op_end(root as u32, head, t0, end, dir);
         }
     }
 

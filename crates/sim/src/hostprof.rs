@@ -65,9 +65,9 @@ pub enum HostPhase {
     RecycleReturn = 6,
     /// Storage hop: driving queued PFS requests to completion.
     StorageHop = 7,
-    /// Causal-trace fold: registering an in-flight message edge or
-    /// folding a delivery into the per-rank happens-before frontier
-    /// (`obs::causal`). Zero calls when causal tracing is off.
+    /// Causal-trace fold: one call per stamped delivery reported to the
+    /// causal sink (`obs::causal`). Zero calls when causal tracing is
+    /// off.
     CausalFold = 8,
 }
 

@@ -23,10 +23,10 @@
 //!   stragglers, and the retry policy that governs recovery;
 //! * [`sync`] — poison-absorbing wrappers over `std::sync` used by the
 //!   concurrent layers above;
-//! * [`causal`] — the message-causality hook trait: the network engine
-//!   reports send/delivery happens-before edges through it to an
-//!   observer (implemented by `obs::causal`) without a dependency
-//!   cycle;
+//! * [`causal`] — message causality: the sender's snapshot each message
+//!   carries, the blame-chain frontier each rank owns, and the hook
+//!   through which the network engine reports deliveries to an observer
+//!   (implemented by `obs::causal`) without a dependency cycle;
 //! * [`hash`] — FNV-1a, the one in-tree hash (payload checksums, cache
 //!   keys, RNG stream labels, file and blame-chain fingerprints);
 //! * [`hostprof`] — the host-wall profiler: process-global scoped

