@@ -26,12 +26,13 @@
 //! ## Detection, priced in virtual time
 //!
 //! Real MPI failure detectors time out on silence. The simulator prices
-//! exactly that: each rank posts a receive with a deadline
-//! ([`mccio_net::Ctx::recv_deadline`]) against each newly-dead
-//! aggregator on [`TAG_FAILOVER_PROBE`] — a tag nothing ever sends on —
-//! and the miss charges the plan's `detect_timeout` to the virtual
-//! clock. Because the probed rank is provably silent on that tag, the
-//! timeout fires deterministically regardless of wall-clock scheduling.
+//! exactly that, without waiting for it: the dead set is already a pure
+//! function of the shared fault plan and the agreed clock, so a wait on
+//! a dead aggregator could only ever miss. Every rank, the dead one
+//! included, charges the plan's `detect_timeout` to its virtual clock
+//! once per newly-dead aggregator ([`mccio_net::Ctx::advance`]). No
+//! message is involved, so the charge is the same on every rank
+//! schedule.
 //!
 //! ## Recovery
 //!
@@ -52,7 +53,7 @@
 use std::sync::Arc;
 
 use mccio_mpiio::{ExtentList, GroupPattern, Resilience};
-use mccio_net::{Ctx, RankSet, INTERNAL_TAG_BASE};
+use mccio_net::{Ctx, RankSet};
 use mccio_obs::{AttrValue, CRASH_DETECTED, ENGINE_TRACK, REELECTION, ROUNDS_REPLAYED};
 use mccio_sim::error::{SimError, SimResult};
 use mccio_sim::time::{VDuration, VTime};
@@ -64,12 +65,6 @@ use crate::schedule::CommSchedule;
 use super::env::IoEnv;
 use super::prologue::OpState;
 use super::rounds::RoundFacts;
-
-/// The failure-detector probe tag. The engine's collectives use
-/// `INTERNAL_TAG_BASE + 1..=5` and the exchange `+5`; nothing ever
-/// *sends* on this tag, so a deadline receive against it times out
-/// deterministically.
-pub(super) const TAG_FAILOVER_PROBE: u32 = INTERNAL_TAG_BASE + 16;
 
 /// Per-operation crash bookkeeping: the agreed clock and the ranks
 /// currently considered dead. Exists only when the fault plan schedules
@@ -156,17 +151,9 @@ impl CrashTracker {
         // identical rank-wide.
         res.crashes_detected += newly.len() as u64;
 
-        // --- detect: one timed-out probe per newly-dead aggregator ---
-        for &dead in &newly {
-            if dead == me {
-                // The dead rank prices its own eviction symmetrically so
-                // per-rank clocks stay in step with the probing ranks.
-                ctx.advance(timeout);
-                continue;
-            }
-            let deadline = ctx.clock() + timeout;
-            let probe = ctx.recv_deadline(dead, TAG_FAILOVER_PROBE, deadline);
-            debug_assert!(probe.is_err(), "failover probe must time out");
+        // --- detect: one timeout per newly-dead aggregator ---
+        for _ in &newly {
+            ctx.advance(timeout);
         }
 
         // --- price the interrupted round's wasted traffic ---

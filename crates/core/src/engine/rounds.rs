@@ -455,7 +455,7 @@ fn aggregate_and_store(
             // so overlapping writers resolve identically. The fill runs
             // once, on the attempt that succeeds.
             let r = drive_storage(faults, |f| {
-                handle.try_write_at_with(span.offset, span.len, f, |dst| {
+                handle.write_at_with(span.offset, span.len, f, |dst| {
                     for rp in &ws.per_rank {
                         land(rp, dst, &|e| (e.offset - span.offset) as usize);
                     }
@@ -521,7 +521,7 @@ fn fetch_and_put(
         if let [span] = ws.union.as_slice() {
             if span.end() <= handle.len() {
                 let ((), r) = drive_storage(faults, |f| {
-                    handle.try_read_at_with(span.offset, span.len, f, |view| {
+                    handle.read_at_with(span.offset, span.len, f, |view| {
                         for rp in &ws.per_rank {
                             put(rp, view, &|e| (e.offset - span.offset) as usize);
                         }

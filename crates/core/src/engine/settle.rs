@@ -144,7 +144,7 @@ fn price_round(ctx: &Ctx, env: &IoEnv, world: &RankSet, parts: &[Vec<u8>], is_wr
     let storage = env
         .fs
         .params()
-        .phase_time_faulty(&merged, max_client, is_write, n_clients, &slowdowns);
+        .phase_time(&merged, max_client, is_write, n_clients, &slowdowns);
     let priced = Priced {
         sync: cost.round_sync(world.len()),
         shuffle: cost.shuffle_phase(placement, &flows, &factors),

@@ -92,7 +92,7 @@ pub fn client_bandwidth_at(size: u64, pfs: &PfsParams, n_servers: usize) -> f64 
     for ext in striping.extents(0, size) {
         report.add_request(ext.server, ext.len);
     }
-    let t = pfs.phase_time(&report, size).as_secs();
+    let t = pfs.phase_time(&report, size, false, 1, &[]).as_secs();
     size as f64 / t
 }
 
@@ -144,7 +144,7 @@ fn measure_n_ah(cluster: &ClusterSpec, pfs: &PfsParams, n_servers: usize, msg_in
                 report.add_request(ext.server, ext.len);
             }
         }
-        let storage = pfs.phase_time_dir(&report, msg_ind, true, aggs).as_secs();
+        let storage = pfs.phase_time(&report, msg_ind, true, aggs, &[]).as_secs();
         // NIC constraint: each node must push n x msg_ind bytes out.
         let nic = (n as u64 * msg_ind) as f64 / node.nic_bandwidth;
         let bw = bytes as f64 / storage.max(nic);

@@ -51,7 +51,7 @@ pub fn direct(
             Op::Write(data) => handle.write_at(e.offset, &data[range]),
             Op::Read(out) => handle.read_into(e.offset, &mut out[range]),
         };
-        let d = params.phase_time_dir(&r, e.len, is_write, 1);
+        let d = params.phase_time(&r, e.len, is_write, 1, &[]);
         ctx.advance(d);
         report.absorb(IoReport::new(e.len, d));
     }
@@ -86,7 +86,7 @@ pub fn sieved(
             out
         }
     };
-    let d = params.phase_time_dir(&out.report, out.covered_bytes, is_write, 1);
+    let d = params.phase_time(&out.report, out.covered_bytes, is_write, 1, &[]);
     ctx.advance(d);
     ctx.advance(backoff_delta(faults, log_before));
     ctx.charge_local_copy(out.copied_bytes, 1.0);

@@ -24,8 +24,8 @@ pub struct Resilience {
     /// Rungs descended on the degradation ladder (0 = planned strategy
     /// ran; 1 = one fallback, e.g. MC-CIO replanned or two-phase; ...).
     pub fallbacks: u32,
-    /// Aggregator crashes this operation detected (via an expired
-    /// receive deadline at a round boundary).
+    /// Aggregator crashes this operation detected at a round boundary,
+    /// each priced as one failure-detection timeout.
     pub crashes_detected: u64,
     /// Replacement aggregators elected from the survivor set.
     pub reelections: u64,

@@ -28,7 +28,6 @@ use mccio_sim::cost::CostModel;
 use mccio_sim::sync::Mutex;
 use mccio_sim::time::{VDuration, VTime};
 use mccio_sim::topology::Placement;
-use mccio_sim::{SimError, SimResult};
 
 use crate::executor::{self, TaskHandle};
 use crate::mailbox::{Envelope, Pattern, Payload};
@@ -555,12 +554,6 @@ impl Ctx {
         self.clock += d;
     }
 
-    /// Moves the clock forward to `t` if `t` is later (phase-end
-    /// synchronization). Never moves the clock backwards.
-    pub fn advance_to(&mut self, t: VTime) {
-        self.clock = self.clock.max(t);
-    }
-
     /// Charges the time to stream `bytes` through this node's DRAM once
     /// (memcpy-style local work), under memory-pressure `factor`.
     pub fn charge_local_copy(&mut self, bytes: u64, factor: f64) {
@@ -648,37 +641,6 @@ impl Ctx {
     /// Clock and traffic behave exactly like [`Ctx::recv`].
     pub(crate) fn recv_shared(&mut self, src: usize, tag: u32) -> Arc<[u8]> {
         self.recv_payload(src, tag).into_shared()
-    }
-
-    /// Deadline-bounded receive from `src`: the failure-detection
-    /// primitive. If a matching message arrives it is settled and
-    /// returned exactly like [`Ctx::recv`]; otherwise the clock advances
-    /// to `deadline` — the virtual-time price of waiting out the timeout
-    /// — and [`SimError::RankFailed`] names the silent peer.
-    ///
-    /// A miss is declared only at quiescence (no runnable task), which
-    /// proves the message can never arrive. Callers must only probe peers whose
-    /// silence is already decided by shared data (the fault plan's crash
-    /// schedule at an agreed virtual time). The engine's crash tracker
-    /// honors this: it probes on a tag nothing ever sends on, and only
-    /// ranks every peer has independently declared dead.
-    ///
-    /// # Errors
-    /// [`SimError::RankFailed`] when no matching message arrived.
-    pub fn recv_deadline(&mut self, src: usize, tag: u32, deadline: VTime) -> SimResult<Vec<u8>> {
-        match self
-            .task
-            .recv_deadline(Pattern { src, tag }, deadline, self.clock)
-        {
-            Some(env) => {
-                self.settle(env.depart, env.causal);
-                Ok(env.payload.into_vec())
-            }
-            None => {
-                self.advance_to(deadline);
-                Err(SimError::RankFailed { rank: src })
-            }
-        }
     }
 }
 
@@ -888,91 +850,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_deadline_charges_the_timeout_on_silence() {
-        for kind in all_kinds() {
-            let w = world_with(1, 2, 2, kind);
-            let r = w.run(|ctx| {
-                if ctx.rank() == 0 {
-                    // Rank 1 never sends on tag 77: the deadline must expire
-                    // and the clock must land exactly on it.
-                    let deadline = ctx.clock() + VDuration::from_secs(0.5);
-                    let err = ctx.recv_deadline(1, 77, deadline).unwrap_err();
-                    assert_eq!(err, mccio_sim::SimError::RankFailed { rank: 1 });
-                    ctx.clock().as_secs()
-                } else {
-                    0.0
-                }
-            });
-            assert_eq!(r[0], 0.5);
-        }
-    }
-
-    #[test]
-    fn recv_deadline_delivers_a_present_message() {
-        for kind in all_kinds() {
-            let w = world_with(1, 2, 2, kind);
-            let r = w.run(|ctx| {
-                if ctx.rank() == 0 {
-                    ctx.send_ctl(1, 78, vec![9]);
-                    ctx.barrier();
-                    0
-                } else {
-                    // The barrier orders the send before the probe, so the
-                    // match is already queued: no wall-clock race.
-                    ctx.barrier();
-                    let deadline = ctx.clock() + VDuration::from_secs(10.0);
-                    let payload = ctx.recv_deadline(0, 78, deadline).unwrap();
-                    assert!(
-                        ctx.clock().as_secs() < 10.0,
-                        "delivery must not charge the deadline"
-                    );
-                    payload[0]
-                }
-            });
-            assert_eq!(r[1], 9);
-        }
-    }
-
-    #[test]
-    fn event_deadline_waits_for_late_traffic_before_expiring() {
-        // The deadline waiter must only be declared missed at
-        // quiescence: rank 1 does unrelated work first, then sends the
-        // probed message, and the waiter must still get it — on every
-        // schedule.
-        for kind in all_kinds() {
-            deadline_waits_for_late_traffic(kind);
-        }
-    }
-
-    fn deadline_waits_for_late_traffic(kind: ExecutorKind) {
-        let w = world_with(1, 3, 3, kind);
-        let r = w.run(|ctx| match ctx.rank() {
-            0 => {
-                let deadline = ctx.clock() + VDuration::from_secs(4.0);
-                ctx.recv_deadline(1, 80, deadline).map(|p| p[0])
-            }
-            1 => {
-                // A detour through rank 2 keeps the world busy while
-                // rank 0 is already parked on its deadline.
-                ctx.send_ctl(2, 81, vec![]);
-                let _ = ctx.recv(2, 82);
-                ctx.send_ctl(0, 80, vec![7]);
-                Ok(0)
-            }
-            _ => {
-                let _ = ctx.recv(1, 81);
-                ctx.send_ctl(1, 82, vec![]);
-                Ok(0)
-            }
-        });
-        assert_eq!(
-            r[0],
-            Ok(7),
-            "{kind:?}: late but reachable traffic beats the deadline"
-        );
-    }
-
-    #[test]
     fn event_scheduler_breaks_clock_ties_by_rank_order() {
         // Satellite: same virtual clock => wake order is (rank, seq).
         // Ranks 1..4 park at clock zero; the root's release fan-out
@@ -1171,33 +1048,6 @@ mod tests {
                 got
             });
             assert_eq!(got[1], [1, 2, 3], "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn a_deadline_waiter_woken_by_a_handoff_never_times_out_later() {
-        // Rank 0's deadline (1 s) is earlier than rank 1's (2 s). If the
-        // handoff left rank 0 in the waiter set, the quiescence that
-        // expires rank 1's wait would pick rank 0 first — while it sits
-        // in an ordinary receive.
-        for kind in all_kinds() {
-            let w = world_with(1, 2, 2, kind);
-            let r = w.run(|ctx| {
-                if ctx.rank() == 0 {
-                    let deadline = VTime::ZERO + VDuration::from_secs(1.0);
-                    let first = ctx.recv_deadline(1, 80, deadline).map(|p| p[0]);
-                    let second = ctx.recv(1, 81)[0];
-                    (first, second, ctx.clock().as_secs())
-                } else {
-                    ctx.send_ctl(0, 80, vec![7]);
-                    let deadline = VTime::ZERO + VDuration::from_secs(2.0);
-                    let silent = ctx.recv_deadline(0, 99, deadline);
-                    assert_eq!(silent, Err(SimError::RankFailed { rank: 0 }));
-                    ctx.send_ctl(0, 81, vec![8]);
-                    (Ok(0), 0, ctx.clock().as_secs())
-                }
-            });
-            assert_eq!(r[0], (Ok(7), 8, 2.0), "{kind:?}");
         }
     }
 

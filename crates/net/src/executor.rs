@@ -5,7 +5,10 @@
 //! until it blocks on a receive with no queued match, finishes, or
 //! panics. Blocking receives become yield points — `Ctx::recv` parks
 //! the task with its match [`Pattern`] — so a 100k-rank world costs 100k
-//! small stacks instead of 100k threads.
+//! small stacks instead of 100k threads. No receive has a timeout: if
+//! the heap empties while a task is still parked, no message it waits
+//! for can ever be sent, and the run panics as a deadlock naming every
+//! parked receive.
 //!
 //! ## Matching: posted receives and unexpected messages
 //!
@@ -60,15 +63,6 @@
 //! the parked frames and slot of the task at the top of the heap after
 //! it are loaded.
 //!
-//! ## Deadline waits without wall clocks
-//!
-//! `Ctx::recv_deadline` declares a waiter missed only at *quiescence*
-//! (no task is runnable), earliest `(deadline bits, rank)` first, in
-//! both modes. Callers may only probe peers whose silence is already
-//! decided by shared data (the engine's crash tracker probes a tag
-//! nothing sends on), so "nothing can run" is precisely "the message
-//! will never come".
-//!
 //! ## Stacks
 //!
 //! Task stacks are carved out of one private anonymous mapping (100k
@@ -106,7 +100,7 @@
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -287,14 +281,8 @@ enum TaskState {
     Runnable,
     /// Currently on the CPU.
     Running,
-    /// Parked on a receive with no queued match. `deadline_bits` is set for
-    /// `recv_deadline` waits; `timed_out` is set by the scheduler when
-    /// the wait is declared missed at quiescence.
-    Blocked {
-        pattern: Pattern,
-        deadline_bits: Option<u64>,
-        timed_out: bool,
-    },
+    /// Parked on a receive of this pattern with no queued match.
+    Blocked(Pattern),
     /// Was parked; a send handed it this matching envelope and pushed it
     /// runnable. The receive that parked takes it on resume.
     Handed(Envelope),
@@ -325,8 +313,6 @@ pub(crate) struct EventRt {
     /// `Some(seed)` in exploration mode: seeded heap keys and a
     /// preemption point at every send.
     explore: Option<u64>,
-    /// Blocked `recv_deadline` waiters, earliest `(deadline, rank)` first.
-    waiters: RefCell<BTreeSet<(u64, usize)>>,
     /// Monotone wake-sequence counter (satellite of the heap key).
     wake_seq: Cell<u64>,
     /// Saved stack pointers: one per task plus the scheduler's own at
@@ -366,7 +352,6 @@ impl EventRt {
             ),
             runnable: RefCell::new(BinaryHeap::with_capacity(n)),
             explore,
-            waiters: RefCell::new(BTreeSet::new()),
             wake_seq: Cell::new(0),
             sps: UnsafeCell::new(vec![0; n + 1]),
             panic: RefCell::new(None),
@@ -404,23 +389,15 @@ impl EventRt {
     }
 
     /// Delivers `env` to `dst`: hands it over if `dst` is parked on
-    /// exactly this `(src, tag)` — pushing `dst` runnable and retiring
-    /// its deadline, if any — and queues it as an unexpected message
-    /// otherwise. The one delivery path of every send.
+    /// exactly this `(src, tag)` — pushing `dst` runnable — and queues
+    /// it as an unexpected message otherwise. The one delivery path of
+    /// every send.
     fn deliver(&self, dst: usize, env: Envelope) {
         let mut slots = self.slots.borrow_mut();
         let slot = &mut slots[dst];
-        if let TaskState::Blocked {
-            pattern,
-            deadline_bits,
-            timed_out: false,
-        } = slot.state
-        {
+        if let TaskState::Blocked(pattern) = slot.state {
             if pattern.src == env.src && pattern.tag == env.tag {
                 slot.state = TaskState::Handed(env);
-                if let Some(bits) = deadline_bits {
-                    self.waiters.borrow_mut().remove(&(bits, dst));
-                }
                 let clock_bits = slot.clock_bits;
                 drop(slots);
                 self.push_runnable(dst, clock_bits);
@@ -431,40 +408,24 @@ impl EventRt {
     }
 
     /// Takes the earliest queued match for `pattern`, or parks the
-    /// current task on it (until a deadline when `deadline_bits` is
-    /// set). `None` means the task parked and the caller must yield.
-    fn take_or_park(
-        &self,
-        rank: usize,
-        pattern: Pattern,
-        deadline_bits: Option<u64>,
-        clock: VTime,
-    ) -> Option<Envelope> {
+    /// current task on it. `None` means the task parked and the caller
+    /// must yield.
+    fn take_or_park(&self, rank: usize, pattern: Pattern, clock: VTime) -> Option<Envelope> {
         let mut slots = self.slots.borrow_mut();
         let slot = &mut slots[rank];
         if let Some(env) = slot.mailbox.take(pattern) {
             return Some(env);
         }
         slot.clock_bits = clock.as_secs().to_bits();
-        slot.state = TaskState::Blocked {
-            pattern,
-            deadline_bits,
-            timed_out: false,
-        };
+        slot.state = TaskState::Blocked(pattern);
         None
     }
 
-    /// Resumes a parked receive: the envelope a send handed over, or
-    /// `None` for a deadline wait declared missed at quiescence.
-    fn take_handoff(&self, rank: usize) -> Option<Envelope> {
+    /// Resumes a parked receive: the envelope a send handed over.
+    fn take_handoff(&self, rank: usize) -> Envelope {
         let state = &mut self.slots.borrow_mut()[rank].state;
         match std::mem::replace(state, TaskState::Running) {
-            TaskState::Handed(env) => Some(env),
-            TaskState::Blocked {
-                deadline_bits: Some(_),
-                timed_out: true,
-                ..
-            } => None,
+            TaskState::Handed(env) => env,
             other => unreachable!("parked receive resumed in state {other:?}"),
         }
     }
@@ -473,28 +434,9 @@ impl EventRt {
     /// send hands one over. All RefCell borrows are released before
     /// switching.
     fn recv(&self, rank: usize, pattern: Pattern, clock: VTime) -> Envelope {
-        if let Some(env) = self.take_or_park(rank, pattern, None, clock) {
+        if let Some(env) = self.take_or_park(rank, pattern, clock) {
             return env;
         }
-        self.yield_to_scheduler(rank);
-        self.take_handoff(rank)
-            .expect("only deadline waits time out")
-    }
-
-    /// Deadline receive: like [`EventRt::recv`], but a wait the
-    /// scheduler declares missed at quiescence returns `None`.
-    fn recv_deadline(
-        &self,
-        rank: usize,
-        pattern: Pattern,
-        deadline: VTime,
-        clock: VTime,
-    ) -> Option<Envelope> {
-        let bits = deadline.as_secs().to_bits();
-        if let Some(env) = self.take_or_park(rank, pattern, Some(bits), clock) {
-            return Some(env);
-        }
-        self.waiters.borrow_mut().insert((bits, rank));
         self.yield_to_scheduler(rank);
         self.take_handoff(rank)
     }
@@ -557,17 +499,6 @@ impl TaskHandle {
     /// Blocking receive of the earliest message matching `pattern`.
     pub(crate) fn recv(&self, pattern: Pattern, clock: VTime) -> Envelope {
         self.rt.recv(self.rank, pattern, clock)
-    }
-
-    /// Deadline receive; `None` when the wait was declared missed at
-    /// quiescence.
-    pub(crate) fn recv_deadline(
-        &self,
-        pattern: Pattern,
-        deadline: VTime,
-        clock: VTime,
-    ) -> Option<Envelope> {
-        self.rt.recv_deadline(self.rank, pattern, deadline, clock)
     }
 
     /// Called by senders last: yields here when exploring schedules.
@@ -846,52 +777,26 @@ where
 
     let (mut deepest, mut resumes) = (0, 0);
     loop {
-        // Scheduler work (heap pop, quiescence resolution, slot
-        // bookkeeping) is host-profiled per iteration; the guard drops
-        // before the switch so the task's own run time is not charged.
+        // Scheduler work (heap pop and slot bookkeeping) is
+        // host-profiled per iteration; the guard drops before the switch
+        // so the task's own run time is not charged.
         let sched_t = hostprof::timer(HostPhase::ExecSchedule);
         let next = rt.runnable.borrow_mut().pop();
         let Some(Reverse((_, rank, _))) = next else {
             if rt.n_done.get() == n {
                 break;
             }
-            // Quiescence: nothing can run, so every queued deadline wait
-            // is now provably silent. Wake the earliest; it resumes with
-            // `timed_out` and re-enters the heap.
-            let woken = {
-                let mut waiters = rt.waiters.borrow_mut();
-                let first = waiters.iter().next().copied();
-                first.inspect(|w| {
-                    waiters.remove(w);
-                })
-            };
-            match woken {
-                Some((_, rank)) => {
-                    let clock_bits = {
-                        let mut slots = rt.slots.borrow_mut();
-                        match &mut slots[rank].state {
-                            TaskState::Blocked { timed_out, .. } => *timed_out = true,
-                            other => unreachable!("waiter in state {other:?}"),
-                        }
-                        slots[rank].clock_bits
-                    };
-                    rt.push_runnable(rank, clock_bits);
-                    continue;
-                }
-                None => deadlock_panic(&rt),
-            }
+            // Nothing can run and some task is parked: no message it
+            // waits for can ever be sent.
+            deadlock_panic(&rt);
         };
         {
             let mut slots = rt.slots.borrow_mut();
             match slots[rank].state {
                 TaskState::Done => continue,
-                // A handed-off receiver and a quiescence-woken deadline
-                // waiter keep their state: the parked receive reads it
-                // on resume.
-                TaskState::Handed(_)
-                | TaskState::Blocked {
-                    timed_out: true, ..
-                } => {}
+                // A handed-off receiver keeps its state: the parked
+                // receive reads it on resume.
+                TaskState::Handed(_) => {}
                 ref mut s => *s = TaskState::Running,
             }
         }
@@ -971,7 +876,7 @@ fn deadlock_panic(rt: &EventRt) -> ! {
         .iter()
         .enumerate()
         .filter_map(|(rank, s)| match &s.state {
-            TaskState::Blocked { pattern, .. } => Some(format!(
+            TaskState::Blocked(pattern) => Some(format!(
                 "rank {rank} waiting on (src {}, tag {:#x})",
                 pattern.src, pattern.tag
             )),
@@ -979,8 +884,7 @@ fn deadlock_panic(rt: &EventRt) -> ! {
         })
         .collect();
     panic!(
-        "event executor deadlock: {} of {} tasks blocked with no runnable task and \
-         no deadline waiter: [{}]",
+        "event executor deadlock: {} of {} tasks blocked with no runnable task: [{}]",
         blocked.len(),
         slots.len(),
         blocked.join(", ")

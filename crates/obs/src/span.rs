@@ -29,8 +29,8 @@ pub const ENGINE_TRACK: u32 = 1_000_000;
 /// schedules rank crashes. Grouped here so trace consumers (and the
 /// chaos sweep) key off one vocabulary:
 ///
-/// * [`CRASH_DETECTED`] — instant: a receive deadline expired and a
-///   rank was declared dead.
+/// * [`CRASH_DETECTED`] — instant: an aggregator was declared dead at a
+///   round boundary and its detection timeout was charged.
 /// * [`REELECTION`] — instant: a replacement aggregator was elected from
 ///   the survivor set for one domain.
 /// * [`ROUNDS_REPLAYED`] — instant: a round's shuffle payloads were

@@ -250,17 +250,20 @@ impl FileHandle {
 
     /// Writes `data` at `offset`, growing the file as needed (a hole
     /// before `offset` reads as zero). Returns the per-server request
-    /// shape of the access.
+    /// shape of the access. [`FileHandle::try_write_at`] under the
+    /// healthy [`IoFaults::none`].
     pub fn write_at(&self, offset: u64, data: &[u8]) -> ServiceReport {
-        self.write_at_with(offset, data.len() as u64, |dst| dst.copy_from_slice(data))
+        self.try_write_at(offset, data, &mut IoFaults::none())
+            .expect("a healthy access cannot fail")
     }
 
     /// Reads `buf.len()` bytes at `offset` into `buf`. Bytes beyond EOF
     /// read as zero (sparse-file semantics — collective readers may
     /// legitimately cover holes). Returns the request shape.
+    /// [`FileHandle::try_read_into`] under the healthy [`IoFaults::none`].
     pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> ServiceReport {
-        self.read_at_with(offset, buf.len() as u64, copy_into(buf))
-            .1
+        self.try_read_into(offset, buf, &mut IoFaults::none())
+            .expect("a healthy access cannot fail")
     }
 
     /// Convenience allocation-returning read.
@@ -271,11 +274,16 @@ impl FileHandle {
     }
 
     /// One contiguous write of `len` bytes at `offset`, priced and
-    /// accounted exactly like [`FileHandle::write_at`], with the bytes
-    /// produced in place: `fill` receives the destination file slice
-    /// and must write every byte of it. Built for gather-style callers
-    /// (the collective round engine) that would otherwise assemble the
-    /// span in a staging buffer only to copy it here.
+    /// accounted exactly like [`FileHandle::try_write_at`], with the
+    /// bytes produced in place: `fill` receives the destination file
+    /// slice and must write every byte of it. Built for gather-style
+    /// callers (the collective round engine) that would otherwise
+    /// assemble the span in a staging buffer only to copy it here.
+    /// `fill` runs only on the successful attempt.
+    ///
+    /// # Errors
+    /// [`SimError::TransientIo`] or [`SimError::Timeout`] as
+    /// [`FileHandle::try_write_at`]. The file is untouched on error.
     ///
     /// # Panics
     /// If the write would end past [`FILE_CAP`].
@@ -283,66 +291,33 @@ impl FileHandle {
         &self,
         offset: u64,
         len: u64,
-        fill: impl FnOnce(&mut [u8]),
-    ) -> ServiceReport {
-        let report = self.requests(offset, len, true);
-        if len > 0 {
-            self.file
-                .write(offset as usize, (offset + len) as usize, fill);
-        }
-        report
-    }
-
-    /// [`FileHandle::write_at_with`] through a fallible request path;
-    /// see [`FileHandle::try_write_at`] for the failure semantics.
-    /// `fill` runs only on the successful attempt.
-    ///
-    /// # Errors
-    /// [`SimError::TransientIo`] or [`SimError::Timeout`] as
-    /// [`FileHandle::try_write_at`]. The file is untouched on error.
-    pub fn try_write_at_with(
-        &self,
-        offset: u64,
-        len: u64,
         faults: &mut IoFaults,
         fill: impl FnOnce(&mut [u8]),
     ) -> SimResult<ServiceReport> {
         self.fallible(offset, len, faults, || {
-            ((), self.write_at_with(offset, len, fill))
+            if len > 0 {
+                self.file
+                    .write(offset as usize, (offset + len) as usize, fill);
+            }
+            ((), self.requests(offset, len, true))
         })
         .map(|((), report)| report)
     }
 
     /// One contiguous read of `len` bytes at `offset`, priced and
-    /// accounted exactly like [`FileHandle::read_into`], handed to the
-    /// caller as a zero-copy view instead of filling a buffer:
+    /// accounted exactly like [`FileHandle::try_read_into`], handed to
+    /// the caller as a zero-copy view instead of filling a buffer:
     /// `consume` receives the in-file portion of the range — shorter
     /// than `len` when the range crosses EOF, where the missing tail
     /// reads as zero by the sparse-file semantics. Built for
     /// scatter-style callers that pick pieces out of the span without
-    /// ever materialising it.
-    pub fn read_at_with<R>(
-        &self,
-        offset: u64,
-        len: u64,
-        consume: impl FnOnce(&[u8]) -> R,
-    ) -> (R, ServiceReport) {
-        let report = self.requests(offset, len, true);
-        let r = self.file.read(|bytes| {
-            let start = offset.min(bytes.len() as u64) as usize;
-            let n = (bytes.len() - start).min(len as usize);
-            consume(&bytes[start..start + n])
-        });
-        (r, report)
-    }
-
-    /// [`FileHandle::read_at_with`] through a fallible request path;
-    /// see [`FileHandle::try_write_at`] for the failure semantics.
-    /// `consume` runs only on the successful attempt.
+    /// ever materialising it. `consume` runs only on the successful
+    /// attempt.
     ///
     /// # Errors
-    /// [`SimError::TransientIo`] or [`SimError::Timeout`] as above.
-    pub fn try_read_at_with<R>(
+    /// [`SimError::TransientIo`] or [`SimError::Timeout`] as
+    /// [`FileHandle::try_write_at`].
+    pub fn read_at_with<R>(
         &self,
         offset: u64,
         len: u64,
@@ -350,11 +325,16 @@ impl FileHandle {
         consume: impl FnOnce(&[u8]) -> R,
     ) -> SimResult<(R, ServiceReport)> {
         self.fallible(offset, len, faults, || {
-            self.read_at_with(offset, len, consume)
+            let r = self.file.read(|bytes| {
+                let start = offset.min(bytes.len() as u64) as usize;
+                let n = (bytes.len() - start).min(len as usize);
+                consume(&bytes[start..start + n])
+            });
+            (r, self.requests(offset, len, true))
         })
     }
 
-    /// [`FileHandle::write_at`] through a fallible request path: each
+    /// Writes `data` at `offset` through a fallible request path: each
     /// attempt may transiently fail per `faults`' stream, failed attempts
     /// still charge zero-byte requests at every touched server (the RPCs
     /// went out), and recovery is bounded by the retry policy. The
@@ -371,13 +351,14 @@ impl FileHandle {
         data: &[u8],
         faults: &mut IoFaults,
     ) -> SimResult<ServiceReport> {
-        self.try_write_at_with(offset, data.len() as u64, faults, |dst| {
+        self.write_at_with(offset, data.len() as u64, faults, |dst| {
             dst.copy_from_slice(data);
         })
     }
 
-    /// [`FileHandle::read_into`] through a fallible request path; see
-    /// [`FileHandle::try_write_at`] for the failure semantics.
+    /// Reads `buf.len()` bytes at `offset` into `buf` through a fallible
+    /// request path; see [`FileHandle::try_write_at`] for the failure
+    /// semantics.
     ///
     /// # Errors
     /// [`SimError::TransientIo`] or [`SimError::Timeout`] as above; `buf`
@@ -388,7 +369,7 @@ impl FileHandle {
         buf: &mut [u8],
         faults: &mut IoFaults,
     ) -> SimResult<ServiceReport> {
-        self.try_read_at_with(offset, buf.len() as u64, faults, copy_into(buf))
+        self.read_at_with(offset, buf.len() as u64, faults, copy_into(buf))
             .map(|((), report)| report)
     }
 

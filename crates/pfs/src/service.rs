@@ -143,39 +143,19 @@ impl PfsParams {
     /// Servers proceed in parallel, so the phase lasts as long as the
     /// busiest server — or as long as the busiest client's own pipe
     /// needs, whichever is greater — plus the base access latency.
-    #[must_use]
-    pub fn phase_time(&self, report: &ServiceReport, max_client_bytes: u64) -> VDuration {
-        self.phase_time_dir(report, max_client_bytes, false, 1)
-    }
-
-    /// [`PfsParams::phase_time`] with direction and client parallelism:
-    /// writes stretch server time by [`PfsParams::write_factor`], and the
+    /// Writes stretch server time by [`PfsParams::write_factor`], and the
     /// whole phase can move no faster than the `n_clients` participating
     /// client pipes allow in aggregate — the term that makes the *number
     /// of aggregators* matter, exactly the paper's motivation for tuning
     /// `N_ah` aggregators per node.
+    ///
+    /// `slowdown` stretches each server's service time by its multiplier
+    /// (1.0 = healthy; a server past the slice's end, so every server of
+    /// an empty slice, is healthy). A single degraded OST drags the whole
+    /// phase because the phase waits for the slowest server — exactly the
+    /// straggling-server pathology of real parallel file systems.
     #[must_use]
-    pub fn phase_time_dir(
-        &self,
-        report: &ServiceReport,
-        max_client_bytes: u64,
-        is_write: bool,
-        n_clients: usize,
-    ) -> VDuration {
-        if report.total_requests() == 0 {
-            return VDuration::ZERO;
-        }
-        self.phase_time_faulty(report, max_client_bytes, is_write, n_clients, &[])
-    }
-
-    /// [`PfsParams::phase_time_dir`] with per-server health: `slowdown`
-    /// stretches each server's service time by its multiplier (1.0 =
-    /// healthy; an empty slice means all healthy). A single degraded OST
-    /// drags the whole phase because the phase waits for the slowest
-    /// server — exactly the straggling-server pathology of real parallel
-    /// file systems.
-    #[must_use]
-    pub fn phase_time_faulty(
+    pub fn phase_time(
         &self,
         report: &ServiceReport,
         max_client_bytes: u64,
@@ -260,8 +240,8 @@ mod tests {
         for _ in 0..1000 {
             small.add_request(0, 100 * MIB / 1000);
         }
-        let t_big = p.phase_time(&big, 100 * MIB);
-        let t_small = p.phase_time(&small, 100 * MIB);
+        let t_big = p.phase_time(&big, 100 * MIB, false, 1, &[]);
+        let t_small = p.phase_time(&small, 100 * MIB, false, 1, &[]);
         // Same bytes; small pays 1000 × 1 ms of overhead ≈ +1 s.
         assert!(t_small.as_secs() - t_big.as_secs() > 0.9);
     }
@@ -275,8 +255,8 @@ mod tests {
         }
         let mut single = ServiceReport::empty(4);
         single.add_request(0, 100 * MIB);
-        let t_spread = p.phase_time(&spread, 100 * MIB);
-        let t_single = p.phase_time(&single, 100 * MIB);
+        let t_spread = p.phase_time(&spread, 100 * MIB, false, 1, &[]);
+        let t_single = p.phase_time(&single, 100 * MIB, false, 1, &[]);
         assert!(
             t_spread.as_secs() < t_single.as_secs() / 3.0,
             "{t_spread:?} vs {t_single:?}"
@@ -293,7 +273,7 @@ mod tests {
         }
         // Servers need 0.1 s each in parallel; the client needs
         // 80 MiB / 10 MiB/s = 8 s.
-        let t = p.phase_time(&r, 80 * MIB);
+        let t = p.phase_time(&r, 80 * MIB, false, 1, &[]);
         assert!((t.as_secs() - 8.0).abs() < 0.1, "{t:?}");
     }
 
@@ -303,17 +283,16 @@ mod tests {
         p.write_factor = 1.5;
         let mut r = ServiceReport::empty(2);
         r.add_request(0, 50 * MIB);
-        let read = p.phase_time_dir(&r, 50 * MIB, false, 1);
-        let write = p.phase_time_dir(&r, 50 * MIB, true, 1);
+        let read = p.phase_time(&r, 50 * MIB, false, 1, &[]);
+        let write = p.phase_time(&r, 50 * MIB, true, 1, &[]);
         assert!((write.as_secs() / read.as_secs() - 1.5).abs() < 0.05);
-        assert_eq!(p.phase_time(&r, 50 * MIB), read);
     }
 
     #[test]
     fn empty_phase_is_free() {
         let p = params();
         let r = ServiceReport::empty(4);
-        assert_eq!(p.phase_time(&r, 0), VDuration::ZERO);
+        assert_eq!(p.phase_time(&r, 0, false, 1, &[]), VDuration::ZERO);
     }
 
     #[test]
@@ -323,14 +302,14 @@ mod tests {
         for s in 0..4 {
             r.add_request(s, 25 * MIB);
         }
-        let healthy = p.phase_time_faulty(&r, 25 * MIB, false, 4, &[]);
-        let degraded = p.phase_time_faulty(&r, 25 * MIB, false, 4, &[1.0, 1.0, 3.0, 1.0]);
+        let healthy = p.phase_time(&r, 25 * MIB, false, 4, &[]);
+        let degraded = p.phase_time(&r, 25 * MIB, false, 4, &[1.0, 1.0, 3.0, 1.0]);
         assert!(
             (degraded.as_secs() / healthy.as_secs() - 3.0).abs() < 0.05,
             "{degraded:?} vs {healthy:?}"
         );
         // Sub-unity factors are treated as healthy, never a speedup.
-        let silly = p.phase_time_faulty(&r, 25 * MIB, false, 4, &[0.1; 4]);
+        let silly = p.phase_time(&r, 25 * MIB, false, 4, &[0.1; 4]);
         assert_eq!(silly, healthy);
     }
 

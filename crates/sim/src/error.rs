@@ -56,9 +56,9 @@ pub enum SimError {
         /// Virtual microseconds spent backing off before giving up.
         waited_us: u64,
     },
-    /// A peer rank was declared dead: a receive deadline on its traffic
-    /// expired, or recovery from its crash could not be completed (no
-    /// survivor could take over its duties).
+    /// A peer rank's crash could not be recovered from: no survivor
+    /// could take over its duties, or the replacements could not
+    /// reserve the buffers they adopted.
     RankFailed {
         /// The rank declared dead.
         rank: usize,

@@ -161,9 +161,10 @@ pub struct FaultPlan {
     pub retry: RetryPolicy,
 }
 
-/// How long a rank waits on a silent peer before declaring it dead, in
-/// microseconds: the virtual-time price of failure detection, charged
-/// per probed aggregator at the detection point.
+/// How long a real failure detector would wait on a silent peer before
+/// declaring it dead, in microseconds: the virtual-time price of failure
+/// detection, charged to every rank per newly-dead aggregator at the
+/// detection point.
 const DETECT_TIMEOUT_US: f64 = 250.0;
 
 impl FaultPlan {
@@ -431,7 +432,8 @@ impl FaultPlan {
         dead
     }
 
-    /// How long a rank waits on a silent peer before declaring it dead.
+    /// The virtual-time price of detecting one dead peer: how long a
+    /// failure detector would wait on its silence.
     #[must_use]
     pub fn detect_timeout(&self) -> VDuration {
         VDuration::from_micros(DETECT_TIMEOUT_US)

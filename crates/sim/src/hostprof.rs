@@ -43,10 +43,9 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum HostPhase {
-    /// Event-executor scheduling: runnable-heap pop, quiescence /
-    /// deadline resolution, and slot bookkeeping between context
-    /// switches (the switch itself is included; the *task's* run time
-    /// is not).
+    /// Event-executor scheduling: runnable-heap pop and slot
+    /// bookkeeping between context switches (the switch itself is
+    /// included; the *task's* run time is not).
     ExecSchedule = 0,
     /// Collective plan construction (the cached `plan_cached` miss
     /// path).

@@ -167,6 +167,53 @@ fn expected(name: &str) -> Golden {
     }
 }
 
+/// What each collective produced on the crash schedule of
+/// [`crash_schedule_runs_are_bit_identical`], captured before crash
+/// detection became a plain clock charge: the pinned times carry every
+/// rank's detection timeout. The file bytes are the crash-free golden's.
+/// Also returns the summed `(crashes_detected, reelections,
+/// rounds_replayed)` counters.
+fn expected_crashed(name: &str) -> (Golden, [u64; 3]) {
+    let flat = |v: f64| vec![v; RANKS];
+    match name {
+        "two-phase" => (
+            Golden {
+                write_secs: flat(0.0017075390624999999),
+                read_secs: flat(0.0018006640624999997),
+                file_hash: 0x8d83a4b4ca2325,
+                file_len: 786432,
+                traffic: TrafficSnapshot {
+                    intra_bytes: 287472,
+                    inter_bytes: 1002144,
+                    data_msgs: 30,
+                    ctl_msgs: 240,
+                    node_ingress: vec![246432, 328576, 427136],
+                    node_egress: vec![509280, 328576, 164288],
+                },
+            },
+            [6, 6, 6],
+        ),
+        "memory-conscious" => (
+            Golden {
+                write_secs: flat(0.0029439355468750005),
+                read_secs: flat(0.0029439355468749997),
+                file_hash: 0x8d83a4b4ca2325,
+                file_len: 786432,
+                traffic: TrafficSnapshot {
+                    intra_bytes: 254640,
+                    inter_bytes: 1067808,
+                    data_msgs: 30,
+                    ctl_msgs: 310,
+                    node_ingress: vec![361408, 262848, 443552],
+                    node_egress: vec![624256, 262848, 180704],
+                },
+            },
+            [12, 12, 12],
+        ),
+        other => panic!("no crashed golden record for {other}"),
+    }
+}
+
 /// Like [`run_strategy`], but with a crash schedule injected; also
 /// returns the summed resilience counters so the caller can check the
 /// schedule actually fired.
@@ -243,7 +290,8 @@ fn golden_values_hold() {
 /// Crash-schedule determinism: a run that detects a mid-write
 /// aggregator crash, re-elects, and replays is just as reproducible as
 /// a healthy one — run twice from scratch it yields bit-identical
-/// reports, traffic, recovery counters, and file bytes. The recovered
+/// reports, traffic, recovery counters, and file bytes, and those equal
+/// the pinned [`expected_crashed`] values. The recovered
 /// bytes must also equal the crash-free golden hash, because recovery
 /// changes who aggregates, never what lands in the file.
 #[test]
@@ -270,8 +318,30 @@ fn crash_schedule_runs_are_bit_identical() {
             ))),
         ),
     ];
+    let capture = std::env::var_os("MCCIO_GOLDEN_CAPTURE").is_some();
     for (name, strategy) in &collectives {
         let (a, res_a) = run_strategy_crashed(&**strategy, plan(), ExecutorKind::Event);
+        if capture {
+            println!("// --- {name} (crashed) ---");
+            println!("write_secs: {:?}", a.write_secs);
+            println!("read_secs: {:?}", a.read_secs);
+            println!("file_hash: {:#x}", a.file_hash);
+            println!("file_len: {}", a.file_len);
+            println!("traffic: {:?}", a.traffic);
+            println!("resilience: {res_a:?}");
+        } else {
+            let (golden, [crashes, reelections, replayed]) = expected_crashed(name);
+            assert_eq!(a, golden, "crashed golden mismatch for {name}");
+            assert_eq!(
+                [
+                    res_a.crashes_detected,
+                    res_a.reelections,
+                    res_a.rounds_replayed
+                ],
+                [crashes, reelections, replayed],
+                "{name}: crash recovery counters moved"
+            );
+        }
         let (b, res_b) = run_strategy_crashed(&**strategy, plan(), ExecutorKind::Event);
         assert!(
             res_a.crashes_detected > 0,
