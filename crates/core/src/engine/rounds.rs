@@ -49,6 +49,7 @@ use mccio_obs::{AttrValue, ObsSink, ENGINE_TRACK};
 use mccio_pfs::{FileHandle, IoFaults, ServiceReport};
 use mccio_sim::error::SimResult;
 use mccio_sim::time::VTime;
+use mccio_sim::vmem;
 
 use crate::plan::CollectivePlan;
 use crate::schedule::{ClientWindow, CommSchedule, RankPieces};
@@ -436,13 +437,18 @@ fn aggregate_and_store(
     let runs = runs.map(|rp| (rp.dst, run(rp)));
     let seals = sealers(schedule, &rs.agg_dsts, integrity, runs);
     check_messages(schedule, &rs.agg_dsts, received, seals, ctx.rank(), round);
-    // Lays contributor `rp`'s bytes into `dst`, each piece at `pos(piece)`.
-    let land = |rp: &RankPieces, dst: &mut [u8], pos: &dyn Fn(Extent) -> usize| {
+    // Lays contributor `rp`'s bytes into `dst`, each piece at `pos(piece)`
+    // by `copy`: streamed into the file, cached into an assembly buffer,
+    // whose reader (the sieve) comes next.
+    let land = |rp: &RankPieces,
+                dst: &mut [u8],
+                pos: &dyn Fn(Extent) -> usize,
+                copy: fn(&mut [u8], &[u8])| {
         let mut bytes = run(rp);
         for &e in rp.pieces.as_slice() {
             let (piece, rest) = bytes.split_at(e.len as usize);
             let at = pos(e);
-            dst[at..at + piece.len()].copy_from_slice(piece);
+            copy(&mut dst[at..at + piece.len()], piece);
             bytes = rest;
         }
     };
@@ -457,7 +463,8 @@ fn aggregate_and_store(
             let r = drive_storage(faults, |f| {
                 handle.write_at_with(span.offset, span.len, f, |dst| {
                     for rp in &ws.per_rank {
-                        land(rp, dst, &|e| (e.offset - span.offset) as usize);
+                        let pos = |e: Extent| (e.offset - span.offset) as usize;
+                        land(rp, dst, &pos, vmem::stream_copy);
                     }
                 })
             });
@@ -466,7 +473,12 @@ fn aggregate_and_store(
         }
         let mut buf = vec![0; ws.assembly_bytes as usize];
         for rp in &ws.per_rank {
-            land(rp, &mut buf, &|e| ws.position(e.offset));
+            land(
+                rp,
+                &mut buf,
+                &|e| ws.position(e.offset),
+                <[u8]>::copy_from_slice,
+            );
         }
         let out = drive_storage(faults, |f| {
             sieved_write(handle, &ws.union, &buf, ws.sieve(), f)

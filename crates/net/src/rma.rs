@@ -22,6 +22,8 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use mccio_sim::vmem;
+
 use crate::engine::{Ctx, World};
 
 /// One rank's exposed buffer: null when it exposes nothing.
@@ -141,7 +143,9 @@ impl Ctx {
         unsafe { std::slice::from_raw_parts(ptr, len) }
     }
 
-    /// Copies `bytes` into `rank`'s exposed buffer at `start`.
+    /// Copies `bytes` into `rank`'s exposed buffer at `start`, past the
+    /// cache when the run is long ([`vmem::stream_copy`]): the owner
+    /// reads it only once the exchange is over.
     ///
     /// # Panics
     /// Panics, naming `rank`, if it exposes nothing, exposes it
@@ -153,7 +157,7 @@ impl Ctx {
             .range(rank, start, bytes.len(), true);
         // SAFETY: live, writable and in bounds (checked); `bytes` is a borrow of
         // this rank's own memory, never of the exposed buffer.
-        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), dst, bytes.len()) };
+        unsafe { vmem::stream_copy_to(dst, bytes) };
     }
 }
 

@@ -340,6 +340,8 @@ impl FileHandle {
     /// went out), and recovery is bounded by the retry policy. The
     /// returned report covers the successful attempt *plus* the waste;
     /// backoff accumulates in `faults.log` for the engine to price.
+    /// The bytes land by [`vmem::stream_copy`], past the cache when the
+    /// run is long: the writer does not read the file next.
     ///
     /// # Errors
     /// [`SimError::TransientIo`] when the retry budget is exhausted,
@@ -352,7 +354,7 @@ impl FileHandle {
         faults: &mut IoFaults,
     ) -> SimResult<ServiceReport> {
         self.write_at_with(offset, data.len() as u64, faults, |dst| {
-            dst.copy_from_slice(data);
+            vmem::stream_copy(dst, data);
         })
     }
 

@@ -167,12 +167,13 @@ fn expected(name: &str) -> Golden {
     }
 }
 
-/// What each collective produced on the crash schedule of
-/// [`crash_schedule_runs_are_bit_identical`], captured before crash
-/// detection became a plain clock charge: the pinned times carry every
-/// rank's detection timeout. The file bytes are the crash-free golden's.
-/// Also returns the summed `(crashes_detected, reelections,
-/// rounds_replayed)` counters.
+/// What each crash schedule of [`crash_schedule_runs_are_bit_identical`]
+/// produced, keyed by [`CrashCase::key`]: the pinned times carry every
+/// rank's detection timeout, and the file bytes are the crash-free
+/// golden's. Also returns the summed `(crashes_detected, reelections,
+/// rounds_replayed)` counters. The `two-phase` and `memory-conscious`
+/// records were captured before crash detection became a plain clock
+/// charge.
 fn expected_crashed(name: &str) -> (Golden, [u64; 3]) {
     let flat = |v: f64| vec![v; RANKS];
     match name {
@@ -210,18 +211,36 @@ fn expected_crashed(name: &str) -> (Golden, [u64; 3]) {
             },
             [12, 12, 12],
         ),
+        "two-phase, crash at 0" => (
+            Golden {
+                write_secs: flat(0.0021175390625),
+                read_secs: flat(0.0018006640625000004),
+                file_hash: 0x8d83a4b4ca2325,
+                file_len: 786432,
+                traffic: TrafficSnapshot {
+                    intra_bytes: 279264,
+                    inter_bytes: 1018560,
+                    data_msgs: 30,
+                    ctl_msgs: 270,
+                    node_ingress: vec![427136, 328576, 262848],
+                    node_egress: vec![427136, 328576, 262848],
+                },
+            },
+            [12, 12, 12],
+        ),
         other => panic!("no crashed golden record for {other}"),
     }
 }
 
 /// Like [`run_strategy`], but with a crash schedule injected; also
-/// returns the summed resilience counters so the caller can check the
-/// schedule actually fired.
+/// returns the resilience counters summed over every rank, of the
+/// write alone and of the write+read pair, so the caller can check
+/// where the schedule fired.
 fn run_strategy_crashed(
     strategy: &dyn Strategy,
     plan: FaultPlan,
     executor: ExecutorKind,
-) -> (Golden, Resilience) {
+) -> (Golden, [Resilience; 2]) {
     let cluster = test_cluster(3, 2);
     let placement = Placement::new(&cluster, RANKS, FillOrder::Block).unwrap();
     let world = World::with_executor(CostModel::new(cluster.clone()), placement, executor);
@@ -243,8 +262,9 @@ fn run_strategy_crashed(
     });
     let handle = env.fs.open("golden").unwrap();
     let (contents, _) = handle.read_at(0, handle.len());
-    let mut res = Resilience::default();
+    let (mut write, mut res) = (Resilience::default(), Resilience::default());
     for (w, r) in &reports {
+        write.absorb(w.resilience);
         res.absorb(w.resilience);
         res.absorb(r.resilience);
     }
@@ -255,7 +275,7 @@ fn run_strategy_crashed(
         file_len: handle.len(),
         traffic: world.traffic().snapshot(),
     };
-    (golden, res)
+    (golden, [write, res])
 }
 
 /// Schedule matrix: the canonical rank schedule and every explored one
@@ -287,26 +307,50 @@ fn golden_values_hold() {
     }
 }
 
-/// Crash-schedule determinism: a run that detects a mid-write
-/// aggregator crash, re-elects, and replays is just as reproducible as
-/// a healthy one — run twice from scratch it yields bit-identical
-/// reports, traffic, recovery counters, and file bytes, and those equal
-/// the pinned [`expected_crashed`] values. The recovered
-/// bytes must also equal the crash-free golden hash, because recovery
-/// changes who aggregates, never what lands in the file.
+/// One crash schedule of [`crash_schedule_runs_are_bit_identical`]:
+/// the collective, the rank that crashes and when, and whether the
+/// write itself detects the crash.
+struct CrashCase {
+    key: &'static str,
+    strategy: Box<dyn Strategy>,
+    crash_at: f64,
+    detected_in_write: bool,
+}
+
+impl CrashCase {
+    fn plan(&self) -> FaultPlan {
+        FaultPlan::new(0x60_1D).crash_rank_at(VTime::from_secs(self.crash_at), 4)
+    }
+}
+
+/// Crash-schedule determinism: a run that detects an aggregator crash,
+/// re-elects, and replays is just as reproducible as a healthy one —
+/// run twice from scratch it yields bit-identical reports, traffic,
+/// recovery counters, and file bytes, and those equal the pinned
+/// [`expected_crashed`] values. The recovered bytes must also equal the
+/// crash-free golden hash, because recovery changes who aggregates,
+/// never what lands in the file.
+///
+/// Rank 4 aggregates under both collectives on this cluster. Crashed at
+/// 0.5 ms it dies mid-write under memory-conscious, whose write detects
+/// it at a later round; two-phase's write is one round, which starts
+/// before 0.5 ms, so there only the read detects it. The third schedule
+/// crashes rank 4 at time zero, so two-phase's write detects it at its
+/// one round: the clients' flows toward the dead aggregator are priced
+/// as wasted, and the write seconds move off the crash-free golden.
 #[test]
 fn crash_schedule_runs_are_bit_identical() {
-    // Rank 4 aggregates under both collectives on this cluster, so one
-    // schedule exercises recovery in each.
-    let plan = || FaultPlan::new(0x60_1D).crash_rank_at(VTime::from_secs(0.0005), 4);
-    let collectives: Vec<(&str, Box<dyn Strategy>)> = vec![
-        (
-            "two-phase",
-            Box::new(TwoPhase(TwoPhaseConfig::with_buffer(256 * KIB))),
-        ),
-        (
-            "memory-conscious",
-            Box::new(MemoryConscious(MccioConfig::new(
+    let two_phase = || Box::new(TwoPhase(TwoPhaseConfig::with_buffer(256 * KIB)));
+    let cases = [
+        CrashCase {
+            key: "two-phase",
+            strategy: two_phase(),
+            crash_at: 0.0005,
+            detected_in_write: false,
+        },
+        CrashCase {
+            key: "memory-conscious",
+            strategy: Box::new(MemoryConscious(MccioConfig::new(
                 Tuning {
                     n_ah: 2,
                     msg_ind: MIB,
@@ -316,11 +360,21 @@ fn crash_schedule_runs_are_bit_identical() {
                 256 * KIB,
                 64 * KIB,
             ))),
-        ),
+            crash_at: 0.0005,
+            detected_in_write: true,
+        },
+        CrashCase {
+            key: "two-phase, crash at 0",
+            strategy: two_phase(),
+            crash_at: 0.0,
+            detected_in_write: true,
+        },
     ];
     let capture = std::env::var_os("MCCIO_GOLDEN_CAPTURE").is_some();
-    for (name, strategy) in &collectives {
-        let (a, res_a) = run_strategy_crashed(&**strategy, plan(), ExecutorKind::Event);
+    for case in &cases {
+        let (name, strategy) = (case.key, &*case.strategy);
+        let (a, res_a) = run_strategy_crashed(strategy, case.plan(), ExecutorKind::Event);
+        let [write, total] = res_a;
         if capture {
             println!("// --- {name} (crashed) ---");
             println!("write_secs: {:?}", a.write_secs);
@@ -328,36 +382,46 @@ fn crash_schedule_runs_are_bit_identical() {
             println!("file_hash: {:#x}", a.file_hash);
             println!("file_len: {}", a.file_len);
             println!("traffic: {:?}", a.traffic);
-            println!("resilience: {res_a:?}");
+            println!("resilience: {total:?}");
         } else {
             let (golden, [crashes, reelections, replayed]) = expected_crashed(name);
             assert_eq!(a, golden, "crashed golden mismatch for {name}");
             assert_eq!(
                 [
-                    res_a.crashes_detected,
-                    res_a.reelections,
-                    res_a.rounds_replayed
+                    total.crashes_detected,
+                    total.reelections,
+                    total.rounds_replayed
                 ],
                 [crashes, reelections, replayed],
                 "{name}: crash recovery counters moved"
             );
         }
-        let (b, res_b) = run_strategy_crashed(&**strategy, plan(), ExecutorKind::Event);
+        let crash_free = expected(strategy.name());
         assert!(
-            res_a.crashes_detected > 0,
+            total.crashes_detected > 0,
             "{name}: the scheduled crash must land inside the operation"
         );
+        assert_eq!(
+            write.crashes_detected > 0,
+            case.detected_in_write,
+            "{name}: the write's crash detections {write:?}"
+        );
+        assert_eq!(
+            a.write_secs != crash_free.write_secs,
+            case.detected_in_write,
+            "{name}: only a crash the write detects moves its seconds"
+        );
+        let (b, res_b) = run_strategy_crashed(strategy, case.plan(), ExecutorKind::Event);
         assert_eq!(a, b, "{name}: crashed runs must be bit-identical");
         assert_eq!(res_a, res_b, "{name}: recovery counters must reproduce");
         assert_eq!(
-            a.file_hash,
-            expected(name).file_hash,
+            a.file_hash, crash_free.file_hash,
             "{name}: recovered bytes must equal the crash-free golden"
         );
         // Schedule matrix: every explored schedule replays the same
         // crash, detection, re-election, and round replay bit-for-bit.
         for kind in ExecutorKind::EXPLORED {
-            let (e, res_e) = run_strategy_crashed(&**strategy, plan(), kind);
+            let (e, res_e) = run_strategy_crashed(strategy, case.plan(), kind);
             assert_eq!(a, e, "{name}: {kind:?} diverged on a crash schedule");
             assert_eq!(res_a, res_e, "{name}: {kind:?} recovery counters diverged");
         }

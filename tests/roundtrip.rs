@@ -3,10 +3,13 @@
 //! and must read back exactly what it wrote.
 
 use mccio_suite::core::prelude::*;
-use mccio_suite::mpiio::SieveConfig;
+use mccio_suite::mpiio::{Resilience, SieveConfig};
+use mccio_suite::net::ExecutorKind;
 use mccio_suite::sim::cost::CostModel;
+use mccio_suite::sim::time::VTime;
 use mccio_suite::sim::topology::{test_cluster, FillOrder, Placement};
 use mccio_suite::sim::units::{KIB, MIB};
+use mccio_suite::sim::vmem::STREAM_MIN;
 use mccio_suite::workloads::{data, CollPerf, Ior, IorMode, Synthetic, Workload};
 
 fn strategies() -> Vec<Box<dyn Strategy>> {
@@ -160,4 +163,94 @@ fn collective_write_then_independent_read_interoperates() {
         let (back, _) = read_all(ctx, &env, &handle, &extents, &independent);
         assert_eq!(data::verify(&extents, &back), None);
     });
+}
+
+/// Extents of `rank` on `ranks` ranks: IOR-interleaved segments whose
+/// blocks are `STREAM_MIN - 1`, `STREAM_MIN`, `STREAM_MIN + 1` and 1
+/// bytes long, the length rotating with rank and segment. The blocks
+/// tile the file, so every collective window is hole-free and lands
+/// its pieces straight in the file, at every alignment the odd lengths
+/// leave.
+fn stream_edge_extents(rank: usize, ranks: usize) -> ExtentList {
+    let t = STREAM_MIN as u64;
+    let lens = [t - 1, t, t + 1, 1];
+    let (mut offset, mut out) = (0, Vec::new());
+    for segment in 0..8 {
+        for r in 0..ranks {
+            let len = lens[(r + segment) % lens.len()];
+            if r == rank {
+                out.push(Extent::new(offset, len));
+            }
+            offset += len;
+        }
+    }
+    ExtentList::from_sorted(out)
+}
+
+/// The streamed copies at their length edges: under both collectives,
+/// on the canonical schedule and every explored one, and again with an
+/// aggregator crash (whose recovery seals every put and checks each
+/// seal over the bytes it landed), a write and read of
+/// [`stream_edge_extents`] read back clean and leave a file whose every
+/// byte is `byte_at` of its offset.
+#[test]
+fn stream_length_edges_roundtrip_on_every_schedule() {
+    let crashed = || FaultPlan::new(0x5EA1).crash_rank_at(VTime::from_secs(1e-9), 0);
+    let strategies: Vec<Box<dyn Strategy>> = vec![
+        Box::new(TwoPhase(TwoPhaseConfig::with_buffer(16 * KIB))),
+        Box::new(MemoryConscious(MccioConfig::new(
+            Tuning {
+                n_ah: 2,
+                msg_ind: 16 * KIB,
+                mem_min: 16 * KIB,
+                msg_group: 64 * KIB,
+            },
+            16 * KIB,
+            4 * KIB,
+        ))),
+    ];
+    for strategy in &strategies {
+        for plan in [FaultPlan::new(0x5EA1), crashed()] {
+            let fault_free = plan.events().is_empty();
+            for kind in std::iter::once(ExecutorKind::Event).chain(ExecutorKind::EXPLORED) {
+                let cluster = test_cluster(3, 2);
+                let placement = Placement::new(&cluster, 6, FillOrder::Block).unwrap();
+                let world = World::with_executor(CostModel::new(cluster.clone()), placement, kind);
+                let env = IoEnv::with_faults(
+                    FileSystem::new(4, 16 * KIB, PfsParams::default()),
+                    MemoryModel::pristine(&cluster),
+                    plan.clone(),
+                );
+                let strategy: &dyn Strategy = &**strategy;
+                let reports = world.run(|ctx| {
+                    let env = env.clone();
+                    let handle = env.fs.open_or_create("edges");
+                    let extents = stream_edge_extents(ctx.rank(), ctx.size());
+                    let payload = data::fill(&extents);
+                    let w = write_all(ctx, &env, &handle, &extents, &payload, strategy);
+                    ctx.barrier();
+                    let (back, r) = read_all(ctx, &env, &handle, &extents, strategy);
+                    assert_eq!(data::verify(&extents, &back), None, "rank {}", ctx.rank());
+                    (w, r)
+                });
+                let name = format!("{} on {kind:?}, fault-free {fault_free}", strategy.name());
+                let handle = env.fs.open("edges").unwrap();
+                let (file, _) = handle.read_at(0, handle.len());
+                assert_eq!(file.len(), 6 * 8 * (3 * STREAM_MIN + 1) / 4, "{name}");
+                let bad = (0..file.len()).find(|&i| file[i] != data::byte_at(i as u64));
+                assert_eq!(bad, None, "{name}: first wrong file byte");
+                let mut res = Resilience::default();
+                for (w, r) in &reports {
+                    res.absorb(w.resilience);
+                    res.absorb(r.resilience);
+                }
+                if fault_free {
+                    assert_eq!(res, Resilience::default(), "{name}");
+                } else {
+                    assert!(res.crashes_detected > 0, "{name}: {res:?}");
+                    assert!(res.integrity_verified > 0, "{name}: {res:?}");
+                }
+            }
+        }
+    }
 }
