@@ -471,6 +471,62 @@ mod tests {
         }
     }
 
+    /// Where writers overlap, the higher rank's bytes land: in a window
+    /// whose union is one span (so it has no walk and is assembled) and
+    /// in one with holes, on the canonical schedule and every explored
+    /// one.
+    #[test]
+    fn overlapping_writers_leave_the_higher_ranks_bytes_on_every_schedule() {
+        // Aggregator 0's window [0, 96) is one span that ranks 0-2
+        // overlap in; aggregator 2's [96, 192) has holes at [96, 112)
+        // and [160, 176), and ranks 2 and 3 overlap at [140, 150).
+        const SPANS: [&[(u64, u64)]; 4] = [
+            &[(0, 48)],
+            &[(16, 80)],
+            &[(40, 96), (112, 150)],
+            &[(140, 160), (176, 192)],
+        ];
+        let extents = |rank: usize| {
+            let spans = SPANS[rank].iter();
+            ExtentList::normalize(spans.map(|&(a, b)| Extent::new(a, b - a)).collect())
+        };
+        // Byte `o` as rank `r` writes it.
+        let tag = |r: usize, o: u64| ((r as u8 + 1) << 5) | (o % 32) as u8;
+        let want: Vec<u8> = (0..192)
+            .map(|o| {
+                let covers = |r: &usize| SPANS[*r].iter().any(|&(a, b)| (a..b).contains(&o));
+                (0..4).rev().find(covers).map_or(0, |r| tag(r, o))
+            })
+            .collect();
+        let lists: Vec<ExtentList> = (0..4).map(extents).collect();
+        let pattern = GroupPattern::from_parts(RankSet::world(4), lists.clone());
+        let plan = simple_plan(pattern.global_range().unwrap(), 96, &[0, 2]);
+        let window = |agg: usize| {
+            let s = crate::schedule::CommSchedule::build(&plan, &pattern, agg, &lists[agg]);
+            s.rounds[0].agg_windows[0].clone()
+        };
+        let (one_span, holed) = (window(0), window(2));
+        assert!(one_span.union.len() == 1 && one_span.walk().is_none());
+        assert!(holed.union.len() > 1 && holed.walk().is_none());
+
+        let run = |kind| {
+            let e = env();
+            world_on(kind).run(|ctx| {
+                let me = ctx.rank();
+                let data: Vec<u8> = (extents(me).as_slice().iter())
+                    .flat_map(|x| (x.offset..x.end()).map(move |o| tag(me, o)))
+                    .collect();
+                let handle = e.fs.open_or_create("overlap");
+                let _ = write(ctx, &e, &handle, &plan, &pattern, &extents(me), &data);
+            });
+            let handle = e.fs.open("overlap").unwrap();
+            handle.read_at(0, handle.len()).0
+        };
+        for kind in std::iter::once(ExecutorKind::Event).chain(ExecutorKind::EXPLORED) {
+            assert!(run(kind) == want, "{kind:?}: a lower rank's byte won");
+        }
+    }
+
     #[test]
     fn a_healthy_op_after_a_faulty_one_matches_a_fresh_world() {
         let w = world();

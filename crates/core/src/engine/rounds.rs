@@ -13,9 +13,10 @@
 //! window. Each shuffled byte is copied once:
 //!
 //! * [`Op::Write`]: aggregators store each window with one priced
-//!   storage access, copying the contributors' runs straight into the
-//!   file when the union is hole-free, into an assembly buffer for the
-//!   sieve's read-modify-write when it is not;
+//!   storage access, copying the contributors' pieces straight into the
+//!   file, in file order, when they tile the union's one span, and into
+//!   an assembly buffer for the sieve when the union has holes or the
+//!   writers overlap;
 //! * [`Op::Read`]: aggregators fetch their windows with one priced
 //!   access (a zero-copy file view when hole-free, a sieved read
 //!   otherwise) and copy each requester's pieces into its output.
@@ -408,12 +409,14 @@ fn client_sends(
 /// Write absorb-half: check every contributor's header message against
 /// this rank's own encoding of it (and its seal, under a crash plan,
 /// against the bytes about to land), then store each scheduled window,
-/// its contributors in rank order, copying each one's bytes from the
-/// run of its exposed buffer the schedule names. A hole-free window
-/// (single-extent union) copies the pieces straight into the file as
-/// the one span write the sieve would issue — no assembly buffer at
-/// all; a window with holes assembles into a buffer of its own and goes
-/// through the sieve's read-modify-write.
+/// copying each contributor's bytes from the run of its exposed buffer
+/// the schedule names. A window whose pieces tile its one-span union
+/// (one with a [`crate::schedule::WindowSchedule::walk`]) is laid
+/// straight into the file, front to back through one
+/// [`vmem::StreamWriter`], as the one span write the sieve would issue —
+/// no assembly buffer at all. A window with holes or overlapping writers
+/// assembles into a buffer of its own, contributors in rank order, and
+/// goes through the sieve.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn aggregate_and_store(
@@ -437,48 +440,50 @@ fn aggregate_and_store(
     let runs = runs.map(|rp| (rp.dst, run(rp)));
     let seals = sealers(schedule, &rs.agg_dsts, integrity, runs);
     check_messages(schedule, &rs.agg_dsts, received, seals, ctx.rank(), round);
-    // Lays contributor `rp`'s bytes into `dst`, each piece at `pos(piece)`
-    // by `copy`: streamed into the file, cached into an assembly buffer,
-    // whose reader (the sieve) comes next.
-    let land = |rp: &RankPieces,
-                dst: &mut [u8],
-                pos: &dyn Fn(Extent) -> usize,
-                copy: fn(&mut [u8], &[u8])| {
-        let mut bytes = run(rp);
-        for &e in rp.pieces.as_slice() {
-            let (piece, rest) = bytes.split_at(e.len as usize);
-            let at = pos(e);
-            copy(&mut dst[at..at + piece.len()], piece);
-            bytes = rest;
-        }
-    };
+    // Each contributor's pieces not yet laid, and their bytes.
+    let mut cursors = Vec::new();
     for ws in &rs.agg_windows {
         facts.assembled += ws.assembly_bytes;
-        if let [span] = ws.union.as_slice() {
-            // The union tiles the span, so the sieve would blind-write
-            // exactly this range; copy the pieces into it directly.
-            // Contributors apply in rank order, as on the assembly path,
-            // so overlapping writers resolve identically. The fill runs
-            // once, on the attempt that succeeds.
+        if let Some(walk) = ws.walk() {
+            // The pieces tile the union's one span, so the sieve would
+            // blind-write exactly this range; lay them straight into it,
+            // front to back in walk order, as one streamed destination.
+            // The fill runs once, on the attempt that succeeds.
+            let span = ws.union.as_slice()[0];
+            cursors.clear();
+            cursors.extend(
+                ws.per_rank
+                    .iter()
+                    .map(|rp| (rp.pieces.as_slice().iter(), run(rp))),
+            );
             let r = drive_storage(faults, |f| {
                 handle.write_at_with(span.offset, span.len, f, |dst| {
-                    for rp in &ws.per_rank {
-                        let pos = |e: Extent| (e.offset - span.offset) as usize;
-                        land(rp, dst, &pos, vmem::stream_copy);
+                    let mut w = vmem::StreamWriter::new(dst);
+                    for &i in walk {
+                        let (pieces, bytes) = &mut cursors[usize::from(i)];
+                        let e = pieces.next().expect("the walk visits each piece once");
+                        let (piece, rest) = bytes.split_at(e.len as usize);
+                        w.push(piece);
+                        *bytes = rest;
                     }
+                    w.finish();
                 })
             });
             report.merge(&r);
             continue;
         }
+        // Holes or overlapping writers: assemble the union's bytes, the
+        // contributors in rank order, so where two overlap the higher
+        // rank's bytes win, and sieve them into the file.
         let mut buf = vec![0; ws.assembly_bytes as usize];
         for rp in &ws.per_rank {
-            land(
-                rp,
-                &mut buf,
-                &|e| ws.position(e.offset),
-                <[u8]>::copy_from_slice,
-            );
+            let mut bytes = run(rp);
+            for &e in rp.pieces.as_slice() {
+                let (piece, rest) = bytes.split_at(e.len as usize);
+                let at = ws.position(e.offset);
+                buf[at..at + piece.len()].copy_from_slice(piece);
+                bytes = rest;
+            }
         }
         let out = drive_storage(faults, |f| {
             sieved_write(handle, &ws.union, &buf, ws.sieve(), f)
@@ -514,16 +519,16 @@ fn fetch_and_put(
         if let Some(s) = seal.as_mut() {
             s.section();
         }
-        let mut at = rp.packed as usize;
+        let mut w = ctx.put_run(rp.rank, rp.packed as usize, rp.bytes as usize);
         for &e in rp.pieces.as_slice() {
             let from = pos(e);
             let piece = &src[from..from + e.len as usize];
             if let Some(s) = seal.as_mut() {
                 s.bytes(piece);
             }
-            ctx.put_exposed(rp.rank, at, piece);
-            at += piece.len();
+            w.push(piece);
         }
+        w.finish();
     };
     for ws in &rs.agg_windows {
         facts.assembled += ws.assembly_bytes;

@@ -205,6 +205,9 @@ pub struct WindowSchedule {
     pub assembly_bytes: u64,
     /// Packed-buffer cumulative offsets of `union`.
     cum: Vec<u64>,
+    /// The window's file-order walk, when it has one
+    /// ([`WindowSchedule::walk`]).
+    walk: Option<Box<[u16]>>,
 }
 
 impl WindowSchedule {
@@ -217,6 +220,17 @@ impl WindowSchedule {
         let e = &slice[idx];
         debug_assert!(e.contains(off), "offset {off} outside window layout");
         (self.cum[idx] + (off - e.offset)) as usize
+    }
+
+    /// The window's file-order walk: each piece's contributor, as an
+    /// index into [`WindowSchedule::per_rank`], in offset order. Taking
+    /// each contributor's pieces in turn, in walk order, lays the span
+    /// front to back. A window has one when its union is one span, its
+    /// contributors' pieces tile it without overlap, and it has at most
+    /// 65,536 contributors; otherwise `None`.
+    #[must_use]
+    pub fn walk(&self) -> Option<&[u16]> {
+        self.walk.as_deref()
     }
 
     /// The sieve configuration of this window's storage access: one
@@ -281,6 +295,30 @@ fn assert_tiles(rounds: &[RoundSchedule], me: usize, total: u64) {
         covered == total,
         "rank {me}'s client windows do not tile its {total} packed bytes: they cover {covered}"
     );
+}
+
+/// A window's union and its walk ([`WindowSchedule::walk`]), from one
+/// sort of its `pieces`, each tagged with its contributor's index among
+/// the window's `contributors`.
+fn union_and_walk(
+    mut pieces: Vec<(Extent, usize)>,
+    contributors: usize,
+) -> (ExtentList, Option<Box<[u16]>>) {
+    pieces.sort_unstable_by_key(|&(e, _)| e.offset);
+    let mut union: Vec<Extent> = Vec::new();
+    // Whether each piece starts where the one before it ends.
+    let mut tiled = contributors <= 1 << 16;
+    for &(e, _) in &pieces {
+        match union.last_mut() {
+            Some(last) if e.offset <= last.end() => {
+                tiled &= e.offset == last.end();
+                last.len = last.end().max(e.end()) - last.offset;
+            }
+            _ => union.push(e),
+        }
+    }
+    let walk = (tiled && union.len() == 1).then(|| pieces.iter().map(|&(_, i)| i as u16).collect());
+    (ExtentList::from_sorted(union), walk)
 }
 
 /// Encodes every header message of `rounds` into one buffer, allocated
@@ -435,14 +473,15 @@ impl CommSchedule {
                 let Some(w) = plan.domains[*di].window(round) else {
                     continue;
                 };
-                let mut shapes: Vec<Extent> = Vec::new();
+                let mut shapes: Vec<(Extent, usize)> = Vec::new();
                 let mut per_rank: Vec<RankPieces> = Vec::new();
                 for &rank in candidates {
                     let (clipped, packed) = pattern.clip_packed(rank, w);
                     if clipped.is_empty() {
                         continue;
                     }
-                    shapes.extend_from_slice(clipped.as_slice());
+                    let i = per_rank.len();
+                    shapes.extend(clipped.as_slice().iter().map(|&e| (e, i)));
                     let bytes = clipped.total_bytes();
                     let dst = add_section(&mut rs.agg_dsts, rank, trailer, clipped.len(), bytes);
                     per_rank.push(RankPieces {
@@ -456,11 +495,12 @@ impl CommSchedule {
                 if per_rank.is_empty() {
                     continue;
                 }
-                let union = ExtentList::normalize(shapes);
+                let (union, walk) = union_and_walk(shapes, per_rank.len());
                 debug_assert!(union.end().unwrap_or(0) <= w.end());
                 rs.agg_windows.push(WindowSchedule {
                     domain: *di,
                     window: w,
+                    walk,
                     per_rank,
                     assembly_bytes: union.total_bytes(),
                     cum: union.cumulative_offsets(),

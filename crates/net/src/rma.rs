@@ -5,7 +5,7 @@
 //! A rank exposes one buffer at a time ([`Ctx::expose`] for bytes peers
 //! may copy out, [`Ctx::expose_uninit`] for a buffer peers fill); any
 //! rank of the world may then copy bytes out of it ([`Ctx::exposed`])
-//! or into it ([`Ctx::put_exposed`]) until the returned [`Exposure`]
+//! or into it ([`Ctx::put_run`]) until the returned [`Exposure`]
 //! drops. The exposure borrows the buffer, so its owner cannot touch it
 //! meanwhile. Every access is checked against the exposed length, and
 //! an access to a rank that exposes nothing panics naming the rank.
@@ -107,12 +107,12 @@ impl Ctx {
     /// # Panics
     /// Panics if this rank already exposes a buffer.
     pub fn expose<'a>(&self, buf: &'a [u8]) -> Exposure<'a> {
-        // Read-only: `put_exposed` refuses the slot, so the cast never
+        // Read-only: `put_run` refuses the slot, so the cast never
         // leads to a write through the shared borrow.
         self.publish(buf.as_ptr().cast_mut(), buf.len(), false)
     }
 
-    /// Exposes `buf` for peers to fill with [`Ctx::put_exposed`] until
+    /// Exposes `buf` for peers to fill with [`Ctx::put_run`] until
     /// the exposure drops.
     ///
     /// # Safety
@@ -143,21 +143,23 @@ impl Ctx {
         unsafe { std::slice::from_raw_parts(ptr, len) }
     }
 
-    /// Copies `bytes` into `rank`'s exposed buffer at `start`, past the
-    /// cache when the run is long ([`vmem::stream_copy`]): the owner
-    /// reads it only once the exchange is over.
+    /// A writer over `[start, start + len)` of `rank`'s exposed buffer,
+    /// checked once here: the caller pushes that run's bytes in order and
+    /// finishes it. It streams past the cache when the run is long
+    /// ([`vmem::StreamWriter`]): the owner reads it only once the
+    /// exchange is over.
     ///
     /// # Panics
     /// Panics, naming `rank`, if it exposes nothing, exposes it
     /// read-only, or the range runs past what it exposes.
-    pub fn put_exposed(&self, rank: usize, start: usize, bytes: &[u8]) {
-        let dst = self
-            .world()
-            .exposures()
-            .range(rank, start, bytes.len(), true);
-        // SAFETY: live, writable and in bounds (checked); `bytes` is a borrow of
-        // this rank's own memory, never of the exposed buffer.
-        unsafe { vmem::stream_copy_to(dst, bytes) };
+    pub fn put_run(&self, rank: usize, start: usize, len: usize) -> vmem::StreamWriter<'_> {
+        let dst = self.world().exposures().range(rank, start, len, true);
+        // SAFETY: live, writable and in bounds (checked). The writer
+        // borrows this rank's context, so it is gone before this rank
+        // next yields and the owner can withdraw. A run pushed cannot be
+        // the range itself: reading it takes `Ctx::exposed`, whose
+        // contract forbids a put into the range while that slice lives.
+        unsafe { vmem::StreamWriter::to_raw(dst, len) }
     }
 }
 
@@ -192,7 +194,10 @@ mod tests {
             // SAFETY: nobody reads the output through the table.
             let exposure = unsafe { ctx.expose_uninit(out.spare_capacity_mut()) };
             ctx.barrier();
-            ctx.put_exposed(peer, 0, &[byte, byte]);
+            let mut run = ctx.put_run(peer, 0, 2);
+            run.push(&[byte]);
+            run.push(&[byte]);
+            run.finish();
             ctx.barrier();
             drop(exposure);
             // SAFETY: the peer put both bytes before the last barrier.
@@ -208,7 +213,7 @@ mod tests {
         world().run(|ctx| {
             let _e = ctx.expose(&[0; 4]);
             ctx.barrier();
-            ctx.put_exposed(1, 0, &[1]);
+            ctx.put_run(1, 0, 1).finish();
         });
     }
 }

@@ -14,7 +14,7 @@
 use mccio_suite::core::mccio::MccioConfig;
 use mccio_suite::core::plan::{CollectivePlan, DomainPlan};
 use mccio_suite::core::prelude::*;
-use mccio_suite::core::schedule::{CommSchedule, RoundSchedule, SendDst};
+use mccio_suite::core::schedule::{CommSchedule, RoundSchedule, SendDst, WindowSchedule};
 use mccio_suite::core::two_phase::TwoPhaseConfig;
 use mccio_suite::mem::MemoryModel;
 use mccio_suite::mpiio::GroupPattern;
@@ -313,6 +313,93 @@ fn schedule_matches_legacy_discovery() {
             }
         }
     }
+}
+
+/// Checks `ws`'s file-order walk: a window has one exactly when its
+/// union is one span its contributors' pieces tile without overlap,
+/// and then the walk visits every contributor's pieces once, each list
+/// in its order, at offsets that rise contiguously across the span.
+/// Returns whether the window has a walk.
+fn check_walk(ws: &WindowSchedule, ctx: &str) -> bool {
+    let bytes: u64 = ws.per_rank.iter().map(|p| p.bytes).sum();
+    let tiles = matches!(ws.union.as_slice(), [span] if span.len == bytes);
+    let Some(walk) = ws.walk() else {
+        assert!(!tiles, "{ctx}: a tiled window has no walk");
+        return false;
+    };
+    assert!(tiles, "{ctx}: a window with holes or overlaps has a walk");
+    let span = ws.union.as_slice()[0];
+    let mut next = vec![0; ws.per_rank.len()];
+    let mut end = span.offset;
+    for &i in walk {
+        let rp = &ws.per_rank[usize::from(i)];
+        let piece = rp.pieces.as_slice()[next[usize::from(i)]];
+        next[usize::from(i)] += 1;
+        assert_eq!(piece.offset, end, "{ctx}: the walk skips or repeats bytes");
+        end = piece.end();
+    }
+    assert_eq!(end, span.end(), "{ctx}: the walk stops short of the span");
+    let counts: Vec<usize> = ws.per_rank.iter().map(|p| p.pieces.len()).collect();
+    assert_eq!(next, counts, "{ctx}: the walk misses a piece");
+    true
+}
+
+/// `span` bytes from `base` cut into 1–24 pieces, each given to a random
+/// rank of `n_ranks`: every byte is written exactly once.
+fn random_tiling(rng: &mut Prng, base: u64, span: u64, n_ranks: usize) -> Vec<ExtentList> {
+    let mut cuts: Vec<u64> = (0..rng.gen_range(0u64..=23))
+        .map(|_| rng.gen_range(1..=span - 1))
+        .collect();
+    cuts.extend([0, span]);
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut per_rank = vec![Vec::new(); n_ranks];
+    for w in cuts.windows(2) {
+        per_rank[rng.gen_range(0..=n_ranks - 1)].push(Extent::new(base + w[0], w[1] - w[0]));
+    }
+    per_rank.into_iter().map(ExtentList::normalize).collect()
+}
+
+/// The walk over random patterns, where windows overlap and have holes,
+/// and over random tilings, where they mostly have neither.
+#[test]
+fn walks_tile_exactly_the_tiled_windows() {
+    let mut rng = stream_rng(0x5EED_5CED, "schedule-walks");
+    let (mut walked, mut shared) = (0, 0);
+    for case in 0..120 {
+        let n_ranks = rng.gen_range(2usize..=8);
+        let span = rng.gen_range(64u64..=4096);
+        let per_rank: Vec<ExtentList> = if case % 2 == 0 {
+            (0..n_ranks)
+                .map(|_| random_extents(&mut rng, 0, span, 0, 5))
+                .collect()
+        } else {
+            random_tiling(&mut rng, 0, span, n_ranks)
+        };
+        let pattern = GroupPattern::from_parts(RankSet::world(n_ranks), per_rank);
+        let Some(range) = pattern.global_range() else {
+            continue;
+        };
+        let plan = random_plan(&mut rng, range, n_ranks);
+        for me in 0..n_ranks {
+            let mine = pattern.extents_of_rank(me).to_list();
+            let schedule = CommSchedule::build(&plan, &pattern, me, &mine);
+            for (r, rs) in schedule.rounds.iter().enumerate() {
+                for ws in &rs.agg_windows {
+                    let ctx = format!("case {case} rank {me} round {r} domain {}", ws.domain);
+                    if check_walk(ws, &ctx) {
+                        walked += 1;
+                        shared += usize::from(ws.per_rank.len() > 1);
+                    }
+                }
+            }
+        }
+    }
+    // The properties bite: many walks interleave several contributors.
+    assert!(
+        shared > 50,
+        "{walked} walks, {shared} of several contributors"
+    );
 }
 
 /// Write→read round trips through the schedule-driven engine:
